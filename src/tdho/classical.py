@@ -10,6 +10,7 @@ particular solution x_p and the accumulated phase integral delta(t).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "OmegaSignError",
     "OverdampedError",
     "SingularPathError",
+    "QuadratureError",
     "ClassicalBasis",
     "unwrapped_ellipse_angle",
     "NumericBasis",
@@ -64,10 +66,9 @@ class SingularPathError(ValueError):
     """The legacy delta integrand hits a zero of v on the path."""
 
 
-def _dense_step_cap(model, tol):
-    # cubic-Hermite dense output carries an O((h*w)^4/384) interpolation
-    # error between knots; cap h so that error matches the integration tol.
-    return (384.0 * max(tol, 1e-11)) ** 0.25 / frequency_scale(model)
+class QuadratureError(RuntimeError):
+    """A delta integral is not resolved (its 20- and 40-node Gauss-Legendre
+    panels disagree) or is queried outside its tabulated span."""
 
 
 class ClassicalBasis:
@@ -285,7 +286,6 @@ def solve_homogeneous(
     dv0: float,
     tol: float = 1e-10,
     t0=None,
-    max_step=None,
 ) -> ClassicalBasis:
     """Integrate the homogeneous pair (u, v) across the model domain.
 
@@ -317,11 +317,9 @@ def solve_homogeneous(
             [y[1], -r * y[1] - w2 * y[0], y[3], -r * y[3] - w2 * y[2]]
         )
 
-    if max_step is None:
-        max_step = _dense_step_cap(model, tol)
     sol = solve_ode(
         rhs, t0, [u0, du0, v0, dv0], model.t_min, model.t_max,
-        rtol=tol, atol=1e-2 * tol, max_step=max_step,
+        rtol=tol, atol=1e-2 * tol,
     )
     return NumericBasis(sol, model, omega, t_ref=t0)
 
@@ -384,13 +382,77 @@ def _delta_rate(model, t, xp, dxp):
     return 0.5 * M * model.freq2(t) * xp * xp - 0.5 * M * dxp * dxp
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _gauss_panels(g, lo, hi):
+    """20-node Gauss–Legendre integrals of g over each [lo_i, hi_i].
+
+    g is called once, on the 20- and the 40-node points of every panel
+    together; a panel whose two rules differ by more than 1e-10 of its
+    integral of |g| raises QuadratureError.
+    """
+    if lo.size == 0:
+        return np.zeros(0)
+    (x20, w20), (x40, w40) = _gauss_legendre(20), _gauss_legendre(40)
+    mid, half = 0.5 * (hi + lo)[:, None], 0.5 * (hi - lo)[:, None]
+    z = mid + half * np.concatenate([x20, x40])
+    vals = half * np.asarray(g(z.ravel()), dtype=float).reshape(z.shape)
+    coarse, fine = vals[:, :20] @ w20, vals[:, 20:] @ w40
+    gap = np.abs(coarse - fine) - 1e-10 * (np.abs(vals[:, 20:]) @ w40)
+    if not np.all(gap <= 0.0):  # also catches NaN
+        i = int(np.argmax(np.where(np.isnan(gap), np.inf, gap)))
+        raise QuadratureError(
+            f"integrand not resolved on [{lo[i]}, {hi[i]}]: 20- and 40-node "
+            f"Gauss-Legendre give {coarse[i]!r} and {fine[i]!r}"
+        )
+    return coarse
+
+
+def _panel_integral(g, t0, t_lo, t_hi, width):
+    """t -> integral of g from t0 to t, for t in [t_lo, t_hi] and vectorized g.
+
+    Whole panels of `width` step out from t0 both ways and are summed once
+    into a cumulative table; each query adds the exact partial panel from
+    the table edge next to it (on the t0 side) up to t.
+    """
+    k_lo = math.floor((t0 - t_lo) / width)
+    k_hi = math.floor((t_hi - t0) / width)
+    ks = np.arange(-k_lo, k_hi, dtype=float)
+    p = _gauss_panels(g, t0 + ks * width, t0 + (ks + 1.0) * width)
+    # table[k + k_lo] = integral from t0 to t0 + k*width
+    table = np.concatenate(
+        [-np.cumsum(p[:k_lo][::-1])[::-1], [0.0], np.cumsum(p[k_lo:])]
+    )
+    slack = 1e-9 * max(t_hi - t_lo, 1.0)
+
+    def integral(t):
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        if flat.size and (flat.min() < t_lo - slack or flat.max() > t_hi + slack):
+            raise QuadratureError(f"query time outside tabulated span [{t_lo}, {t_hi}]")
+        k = np.clip(np.trunc((flat - t0) / width), -k_lo, k_hi)
+        part = _gauss_panels(g, t0 + k * width, flat)
+        out = (table[k.astype(int) + k_lo] + part).reshape(t.shape)
+        return out if out.ndim else float(out)
+
+    return integral
+
+
+def _panel_width(model):
+    # one radian of the fastest model frequency per panel: the 20-node rule
+    # is then exact to rounding for the smooth delta integrands
+    return 1.0 / frequency_scale(model)
+
+
 def solve_particular(
     model: OscillatorModel,
     xp0: float,
     dxp0: float,
     t0=None,
     tol: float = 1e-10,
-    max_step=None,
 ) -> DrivenSolution:
     """Integrate {x_p, delta} as one augmented system with shared steps."""
     t0 = model.t_min if t0 is None else float(t0)
@@ -409,11 +471,9 @@ def solve_particular(
             ]
         )
 
-    if max_step is None:
-        max_step = _dense_step_cap(model, tol)
     sol = solve_ode(
         rhs, t0, [xp0, dxp0, 0.0], model.t_min, model.t_max,
-        rtol=tol, atol=1e-2 * tol, max_step=max_step,
+        rtol=tol, atol=1e-2 * tol,
     )
     return DrivenSolution(
         sol.component(0), sol.component(1), sol.component(2), t0, model
@@ -438,15 +498,12 @@ def shift_particular(
     def dxp2(t):
         return driven.dxp(t) + c * basis.du(t)
 
-    def rhs(t, y):
-        return np.array([_delta_rate(model, t, float(xp2(t)), float(dxp2(t)))])
+    def rate(t):
+        return _delta_rate(model, t, xp2(t), dxp2(t))
 
-    max_step = _dense_step_cap(model, 1e-10)
-    sol = solve_ode(
-        rhs, driven.t0, [0.0], model.t_min, model.t_max,
-        rtol=1e-10, atol=1e-12, max_step=max_step,
-    )
-    return DrivenSolution(xp2, dxp2, sol.component(0), driven.t0, model)
+    delta = _panel_integral(rate, driven.t0, model.t_min, model.t_max,
+                            _panel_width(model))
+    return DrivenSolution(xp2, dxp2, delta, driven.t0, model)
 
 
 def delta_legacy(
@@ -454,18 +511,18 @@ def delta_legacy(
     driven: DrivenSolution,
     model: OscillatorModel,
     t0: float,
-    t: float,
-) -> float:
+    t: float | np.ndarray,
+) -> float | np.ndarray:
     """Endpoint form of the phase integral:
 
         delta = -(M/2)(vdot/v) x_p^2 - (1/2) ∫ M (x_p vdot/v - xdot_p)^2 dz
 
     valid only where v does not vanish; agrees with the co-integrated delta
-    up to an additive constant.  Kept as a cross-check oracle.
+    up to an additive constant.  Kept as a cross-check oracle.  t may be a
+    scalar or an array of endpoints; all share one panel table from t0.
     """
-    from scipy.integrate import quad
-
-    a, b = (t0, t) if t0 <= t else (t, t0)
+    t = np.asarray(t, dtype=float)
+    a, b = min(t0, float(t.min())), max(t0, float(t.max()))
     span = max(b - a, 1e-12)
     probe = np.linspace(a, b, max(64, int(1024 * span)))
     vv = basis.v(probe)
@@ -481,11 +538,12 @@ def delta_legacy(
             driven.xp(z) * basis.dv(z) / basis.v(z) - driven.dxp(z)
         ) ** 2
 
-    integral, _ = quad(integrand, t0, t, epsabs=1e-13, epsrel=1e-12, limit=400)
+    integral = _panel_integral(integrand, t0, a, b, _panel_width(model))(t)
     boundary = (
         -0.5 * model.mass(t) * (basis.dv(t) / basis.v(t)) * driven.xp(t) ** 2
     )
-    return boundary - 0.5 * integral
+    out = boundary - 0.5 * integral
+    return out if np.ndim(out) else float(out)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 One JSON scenario file describes everything (model, basis, driving, states,
 grid, times, checks); the subcommands only select an action and output
 paths.  Exit codes: 0 all checks pass, 1 any check failed, 2 configuration
-error (bad schema, unknown check, inconsistent grid).
+error (bad schema, unknown check, inconsistent grid) or numerical error (an
+integration or quadrature that cannot be resolved).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .classical import (
+    QuadratureError,
     analytic_basis_ck,
     analytic_basis_sho,
     export_basis_csv,
@@ -23,6 +25,7 @@ from .classical import (
     solve_particular,
 )
 from .models import CaldirolaKanai, UnitMassSHO, model_from_json
+from .ode import ODEError
 from .states import dump_state_grid, state_field
 from .transforms import Grid, policy_grid, sample_on_grid
 from .verify import SuiteContext, report_json, run_suite
@@ -39,7 +42,7 @@ SCENARIO_SCHEMA = {
     "required": ["name", "model", "basis", "states", "times", "grid"],
     "properties": {
         "name": {"type": "string"},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer"},  # accepted so older scenarios load; unused
         "hbar": {"type": "number", "exclusiveMinimum": 0},
         "model": {
             "type": "object",
@@ -240,7 +243,6 @@ def build_context(scenario: dict, fast: bool = False):
         times=times,
         grid=grid,
         hbar=hbar,
-        seed=int(scenario.get("seed", 42)),
         family_info=_family_info(scenario, model, basis),
         orthonormality_nmax=ortho_nmax,
     )
@@ -354,6 +356,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as e:
         print(f"configuration error: {e}", file=sys.stderr)
+        return 2
+    except (ODEError, QuadratureError) as e:
+        print(f"numerical error: {e}", file=sys.stderr)
         return 2
 
 

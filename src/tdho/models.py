@@ -526,7 +526,7 @@ def has_negative_reduced_frequency(model: OscillatorModel, n_samples: int = 512)
 def frequency_scale(model: OscillatorModel, n_samples: int = 128) -> float:
     """Largest angular-frequency scale present in the model.
 
-    Used to choose finite-difference dt and integrator step caps.
+    Used to choose finite-difference dt and quadrature panel widths.
     """
     ts = np.linspace(model.t_min, model.t_max, n_samples)
     w2 = np.max(np.abs(model.freq2(ts)))

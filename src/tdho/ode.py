@@ -1,9 +1,9 @@
-"""Adaptive Dormand-Prince 5(4) integration with Hermite dense output.
+"""Two-sided DOP853 integration with one dense evaluator.
 
-Trajectory phases downstream amplify solution error, so the defaults are
-tight (rtol 1e-10, atol 1e-12) and accepted steps are additionally capped
-so that the cubic-Hermite interpolant between step endpoints stays at the
-same accuracy level as the integration itself.
+scipy's DOP853 (Hairer, Nørsett & Wanner, *Solving ODEs I*) marches
+from t0 to each end of the requested span; its 7th-order dense output is as
+accurate between steps as at them, so no step cap is needed.  The two
+marches are joined into one piecewise evaluator over the whole span.
 """
 
 from __future__ import annotations
@@ -12,72 +12,41 @@ import numpy as np
 
 __all__ = ["DenseSolution", "ODEError", "solve_ode"]
 
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-# b5 - b4: weights of the embedded error estimate
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
-
 
 class ODEError(RuntimeError):
     pass
 
 
 class DenseSolution:
-    """Piecewise cubic-Hermite interpolant over the accepted steps.
+    """Piecewise DOP853 dense output over the accepted steps, sorted by time.
 
-    Stores solution values and derivatives at the step knots; evaluation at
-    arbitrary times inside the integrated span is vectorized.
+    Evaluation at arbitrary times inside the integrated span is vectorized:
+    a scalar time gives shape (ncomponents,), an array of times gives
+    (len(t), ncomponents).
     """
 
-    def __init__(self, ts, ys, fs):
-        order = np.argsort(ts)
-        self.ts = np.asarray(ts)[order]
-        self.ys = np.asarray(ys)[order]
-        self.fs = np.asarray(fs)[order]
+    def __init__(self, ts, interpolants):
+        from scipy.integrate import OdeSolution
+
+        self.ts = np.asarray(ts, dtype=np.float64)
         self.t_min = float(self.ts[0])
         self.t_max = float(self.ts[-1])
         self._slack = 1e-9 * max(self.t_max - self.t_min, 1.0)
+        self._sol = OdeSolution(self.ts, interpolants)
 
     @property
     def ncomponents(self):
-        return self.ys.shape[1]
+        return len(self._sol(self.t_min))
 
     def __call__(self, t):
-        scalar = np.isscalar(t) or np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        if t.min() < self.t_min - self._slack or t.max() > self.t_max + self._slack:
+        t = np.asarray(t, dtype=np.float64)
+        if t.size and (t.min() < self.t_min - self._slack
+                       or t.max() > self.t_max + self._slack):
             raise ODEError(
                 f"evaluation time outside integrated span "
                 f"[{self.t_min}, {self.t_max}]"
             )
-        tc = np.clip(t, self.t_min, self.t_max)
-        idx = np.clip(np.searchsorted(self.ts, tc, side="right") - 1, 0, len(self.ts) - 2)
-        t0 = self.ts[idx]
-        h = self.ts[idx + 1] - t0
-        tau = ((tc - t0) / h)[:, None]
-        y0, y1 = self.ys[idx], self.ys[idx + 1]
-        f0, f1 = self.fs[idx], self.fs[idx + 1]
-        h = h[:, None]
-        t2, t3 = tau * tau, tau * tau * tau
-        out = (
-            (2 * t3 - 3 * t2 + 1) * y0
-            + (t3 - 2 * t2 + tau) * h * f0
-            + (-2 * t3 + 3 * t2) * y1
-            + (t3 - t2) * h * f1
-        )
-        return out[0] if scalar else out
+        return self._sol(t).T
 
     def component(self, k):
         """Scalar-in/scalar-out view of component k."""
@@ -88,61 +57,20 @@ class DenseSolution:
         return f
 
 
-def _initial_step(f, t0, y0, f0, direction, rtol, atol):
-    sc = atol + rtol * np.abs(y0)
-    d0 = np.sqrt(np.mean((y0 / sc) ** 2))
-    d1 = np.sqrt(np.mean((f0 / sc) ** 2))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y0 + direction * h0 * f0
-    f1 = f(t0 + direction * h0, y1)
-    d2 = np.sqrt(np.mean(((f1 - f0) / sc) ** 2)) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1)
+def _march(f, t0, y0, t_end, rtol, atol):
+    """DOP853 from t0 to t_end; returns (ts, interpolants) in time order."""
+    from scipy.integrate import solve_ivp
+
+    res = solve_ivp(f, (t0, t_end), y0, method="DOP853", rtol=rtol, atol=atol,
+                    dense_output=True)
+    if not res.success or not np.all(np.isfinite(res.y[:, -1])):
+        raise ODEError(f"integration from t={t0} towards t={t_end} failed: {res.message}")
+    if t_end < t0:
+        return res.sol.ts[::-1], res.sol.interpolants[::-1]
+    return res.sol.ts, res.sol.interpolants
 
 
-def _integrate(f, t0, y0, t_end, rtol, atol, max_step):
-    """March from t0 to t_end; returns knot arrays (ts, ys, fs)."""
-    direction = 1.0 if t_end >= t0 else -1.0
-    t, y = t0, np.asarray(y0, dtype=np.float64).copy()
-    fy = np.asarray(f(t, y), dtype=np.float64)
-    ts, ys, fs = [t], [y.copy()], [fy.copy()]
-    h = min(_initial_step(f, t, y, fy, direction, rtol, atol), max_step)
-    k = np.empty((7, y.size))
-    nrej = 0
-    while direction * (t_end - t) > 0:
-        h = min(h, max_step, abs(t_end - t))
-        if h < 1e-14 * max(abs(t), 1.0):
-            raise ODEError(f"step size underflow at t={t}")
-        hd = direction * h
-        k[0] = fy
-        for i in range(1, 7):
-            yi = y + hd * (_A[i] @ k[:i])
-            k[i] = f(t + _C[i] * hd, yi)
-        y_new = y + hd * (_B5 @ k)
-        err_vec = hd * (_E @ k)
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.sqrt(np.mean((err_vec / sc) ** 2))
-        if err <= 1.0:
-            t = t + hd
-            y = y_new
-            fy = k[6].copy()  # FSAL: stage 7 is f at the new point
-            ts.append(t)
-            ys.append(y.copy())
-            fs.append(fy.copy())
-            nrej = 0
-        else:
-            nrej += 1
-            if nrej > 50:
-                raise ODEError(f"too many consecutive step rejections at t={t}")
-        factor = 0.9 * err ** -0.2 if err > 1e-12 else 5.0
-        h = h * min(5.0, max(0.2, factor))
-    return ts, ys, fs
-
-
-def solve_ode(f, t0, y0, t_lo, t_hi, rtol=1e-10, atol=1e-12, max_step=np.inf):
+def solve_ode(f, t0, y0, t_lo, t_hi, rtol=1e-10, atol=1e-12):
     """Integrate dy/dt = f(t, y) with initial data y(t0) = y0 over [t_lo, t_hi].
 
     t0 may sit anywhere inside the span; integration marches in both
@@ -151,15 +79,13 @@ def solve_ode(f, t0, y0, t_lo, t_hi, rtol=1e-10, atol=1e-12, max_step=np.inf):
     if not (t_lo <= t0 <= t_hi):
         raise ODEError(f"t0={t0} outside requested span [{t_lo}, {t_hi}]")
     y0 = np.asarray(y0, dtype=np.float64)
-    ts, ys, fs = [t0], [y0], [np.asarray(f(t0, y0))]
-    if t_hi > t0:
-        a, b, c = _integrate(f, t0, y0, t_hi, rtol, atol, max_step)
-        ts += a[1:]
-        ys += b[1:]
-        fs += c[1:]
+    # scipy's step control never terminates on a non-finite initial slope
+    if not np.all(np.isfinite(f(t0, y0))):
+        raise ODEError(f"right-hand side is not finite at t0={t0}")
+    parts = []
     if t_lo < t0:
-        a, b, c = _integrate(f, t0, y0, t_lo, rtol, atol, max_step)
-        ts += a[1:]
-        ys += b[1:]
-        fs += c[1:]
-    return DenseSolution(np.array(ts), np.array(ys), np.array(fs))
+        parts.append(_march(f, t0, y0, t_lo, rtol, atol))
+    if t_hi > t0 or not parts:
+        parts.append(_march(f, t0, y0, t_hi, rtol, atol))
+    ts = np.concatenate([parts[0][0]] + [p[0][1:] for p in parts[1:]])
+    return DenseSolution(ts, [i for p in parts for i in p[1]])

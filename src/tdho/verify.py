@@ -329,7 +329,6 @@ class SuiteContext:
     times: list
     grid: Grid
     hbar: float = 1.0
-    seed: int = 42
     family_info: dict = dataclass_field(default_factory=dict)
     orthonormality_nmax: int = 8
     moment_points: int = 32768
@@ -489,11 +488,10 @@ def _run_delta_equivalence(ctx: SuiteContext, overrides) -> list:
         raise ValueError("delta_equivalence check needs a driven scenario")
     a, b = _v_window(ctx)
     samples = np.linspace(a, b, 100)
-    diffs = [
-        delta_legacy(ctx.basis, ctx.driven, ctx.model, a, float(t))
-        - float(ctx.driven.delta(t))
-        for t in samples
-    ]
+    diffs = (
+        delta_legacy(ctx.basis, ctx.driven, ctx.model, a, samples)
+        - np.asarray(ctx.driven.delta(samples))
+    )
     out = [CheckResult(
         "delta_equivalence", {"form": "legacy", "window": [a, b]},
         float(np.std(diffs)), tol,

@@ -7,7 +7,9 @@ from tdho.classical import (
     DegenerateBasisError,
     OmegaSignError,
     OverdampedError,
+    QuadratureError,
     SingularPathError,
+    _panel_integral,
     analytic_basis_ck,
     delta_legacy,
     export_basis_csv,
@@ -218,6 +220,39 @@ def test_legacy_delta_rejects_singular_window(driven_sho):
     with pytest.raises(SingularPathError):
         # v = sin t vanishes at t = pi inside (2, 4)
         delta_legacy(basis, drv, basis.model, 2.0, 4.0)
+
+
+def test_legacy_delta_array_matches_scalar_endpoints(driven_sho):
+    basis, drv = driven_sho
+    model = basis.model
+    ts = np.linspace(0.4, 2.7, 25)
+    vec = delta_legacy(basis, drv, model, 1.1, ts)
+    scalar = [delta_legacy(basis, drv, model, 1.1, t) for t in ts]
+    assert vec.shape == ts.shape
+    np.testing.assert_allclose(vec, scalar, rtol=0.0, atol=1e-13)
+
+
+def test_legacy_delta_at_t0_is_boundary_term(driven_sho):
+    basis, drv = driven_sho
+    model = basis.model
+    t = 1.3
+    boundary = -0.5 * model.mass(t) * (basis.dv(t) / basis.v(t)) * drv.xp(t) ** 2
+    assert delta_legacy(basis, drv, model, t, t) == boundary
+
+
+def test_panel_integral_matches_closed_form_both_sides_of_t0():
+    integral = _panel_integral(np.cos, 0.7, -2.0, 5.0, 0.5)
+    ts = np.array([-2.0, -0.3, 0.7, 1.2, 4.99, 5.0])
+    np.testing.assert_allclose(integral(ts), np.sin(ts) - np.sin(0.7),
+                               rtol=0.0, atol=1e-14)
+    assert integral(0.7) == 0.0
+    with pytest.raises(QuadratureError):
+        integral(5.5)
+
+
+def test_panel_integral_rejects_under_resolved_integrand():
+    with pytest.raises(QuadratureError):
+        _panel_integral(lambda z: np.cos(200.0 * z), 0.0, 0.0, 2.0, 0.5)
 
 
 def test_shift_particular_rule(driven_sho):

@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import tdho.classical
+from tdho.classical import QuadratureError
 from tdho.cli import ScenarioError, build_context, load_scenario, main
+from tdho.ode import ODEError
 from tdho.scenarios import BUNDLED, scenario_path
 
 
@@ -133,6 +136,17 @@ def test_verify_fast_passes_bundled(capsys):
 
 def test_verify_negative_control_fails():
     assert main(["verify", "negative_control", "--suite", "fast"]) == 1
+
+
+@pytest.mark.parametrize("error", [ODEError, QuadratureError])
+def test_verify_numerical_error_exit_2(monkeypatch, capsys, error):
+    def failing_solve(*args, **kwargs):
+        raise error("step size underflow")
+
+    monkeypatch.setattr(tdho.classical, "solve_ode", failing_solve)
+    assert main(["verify", "lo", "--suite", "fast"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1
 
 
 def test_verify_writes_report_file(tmp_path):
