@@ -11,4 +11,6 @@ uncertainty preservation).
 __version__ = "0.1.0"
 
 from . import classical, models, states, transforms, verify  # noqa: F401
-from ._kernels import BACKEND as kernel_backend  # noqa: F401
+
+# the state kernel is numpy only; reported in run provenance
+kernel_backend = "numpy"

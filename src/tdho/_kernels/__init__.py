@@ -1,30 +1,4 @@
-"""Grid-evaluation kernels: compiled core with a pure-numpy fallback.
+"""Grid-evaluation kernels: the Hermite recurrence fused with the log-space
+Gaussian and the phase factors, in numpy (``_ref``)."""
 
-The wavefunction kernel (Hermite recurrence fused with the log-space
-Gaussian and the phase factors) dominates the runtime of the verification
-suite, so it is compiled with Cython when the extension built.  Importing
-this package selects the backend once:
-
-* ``TDHO_DISABLE_EXT=1`` in the environment forces the numpy fallback,
-* otherwise the compiled ``_core`` module is used when importable.
-
-Both backends implement the same two functions with identical semantics;
-``tests/test_kernels.py`` asserts their agreement and
-``benchmarks/bench_kernels.py`` compares their speed.
-"""
-
-import os
-
-from . import _ref
-
-if os.environ.get("TDHO_DISABLE_EXT"):
-    _impl = _ref
-else:
-    try:
-        from . import _core as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _ref
-
-BACKEND = _impl.BACKEND
-hermite_values = _impl.hermite_values
-state_kernel = _impl.state_kernel
+from ._ref import hermite_values, state_kernel  # noqa: F401

@@ -1,8 +1,6 @@
-"""Pure-numpy reference implementation of the grid kernels."""
+"""Pure-numpy implementation of the grid kernels."""
 
 import numpy as np
-
-BACKEND = "numpy"
 
 # exp() underflows to 0 a bit below -745; stopping earlier also keeps the
 # skipped Hermite values away from overflow for any realistic order.

@@ -110,6 +110,16 @@ def _log_norm(omega, hbar, n, rho):
     )
 
 
+def _kernel_call(x, n, log_norm, gauss_re, gauss_im, scale, phase0,
+                 x_shift=0.0, k_lin=0.0):
+    """state_kernel on scalar-or-array x (a scalar x returns a complex)."""
+    scalar = np.isscalar(x) or np.ndim(x) == 0
+    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    out = state_kernel(xs, n, log_norm, gauss_re, gauss_im, scale,
+                       x_shift, k_lin, phase0)
+    return complex(out[0]) if scalar else out
+
+
 def _eval_slice(spec: StateSpec, x, t, with_driving: bool):
     """Evaluate the kernel at scalar time t for scalar-or-array x."""
     basis, model = spec.basis, spec.model
@@ -131,20 +141,17 @@ def _eval_slice(spec: StateSpec, x, t, with_driving: bool):
         k_lin = 0.0
         phase0 = (n + 0.5) * theta
 
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = state_kernel(
-        xs,
+    return _kernel_call(
+        x,
         n,
         _log_norm(omega, hbar, n, rho),
         -0.5 * omega / (hbar * rho * rho),
         0.5 * M * drho / (hbar * rho),
         math.sqrt(omega / hbar) / rho,
+        phase0,
         x_shift,
         k_lin,
-        phase0,
     )
-    return complex(out[0]) if scalar else out
 
 
 def psi_general(spec: StateSpec, x, t):
@@ -180,13 +187,6 @@ def _rho_tilde(s, C):
     rt = np.sqrt(1.0 + (C * C - 1.0) * np.cos(s) ** 2)
     drt = -(C * C - 1.0) * np.sin(2.0 * s) / (2.0 * rt)
     return rt, drt
-
-
-def _kernel_call(x, n, log_norm, gauss_re, gauss_im, scale, phase0):
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = state_kernel(xs, n, log_norm, gauss_re, gauss_im, scale, 0.0, 0.0, phase0)
-    return complex(out[0]) if scalar else out
 
 
 def psi_sho(w_s, Ccoef, n, hbar, x, t):
@@ -251,13 +251,14 @@ def psi_lo(m0, gamma, mu, nu, w_lo, Ccoef, n, hbar, x, t):
     frequency, so the ellipse data runs at the constant reduced frequency
     w_lo; the mass enters through the width factor and -Mdot/2M.
     """
-    model = _LO_CACHE.get((m0, gamma, mu, nu, w_lo))
-    if model is None:
-        model = LoDampedPulsating(m0, gamma, mu, nu, w_lo, t_min=-1e9, t_max=1e9)
-        _LO_CACHE[(m0, gamma, mu, nu, w_lo)] = model
-    t = float(t)
-    M = float(model.mass(t))
-    dM = float(model.dmass(t))
+    if m0 <= 0:
+        raise ValueError("m0 must be positive")
+    if w_lo <= 0:
+        raise ValueError("w_lo must be positive")
+    m0, gamma, mu, nu, t = float(m0), float(gamma), float(mu), float(nu), float(t)
+    # LoDampedPulsating.mass/dmass term for term, so both agree bit for bit
+    M = float(m0 * np.exp(2.0 * (gamma * t + mu * np.sin(nu * t))))
+    dM = float(2.0 * (gamma + mu * nu * np.cos(nu * t)) * M)
     s = w_lo * t
     rt, drt = _rho_tilde(s, Ccoef)
     rt, drt = float(rt), float(drt * w_lo)
@@ -271,9 +272,6 @@ def psi_lo(m0, gamma, mu, nu, w_lo, Ccoef, n, hbar, x, t):
         math.sqrt(M * Ccoef * w_lo / hbar) / rt,
         (n + 0.5) * theta,
     )
-
-
-_LO_CACHE: dict = {}
 
 
 # ---------------------------------------------------------------------------

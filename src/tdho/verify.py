@@ -35,6 +35,7 @@ from .transforms import (
 
 __all__ = [
     "GridMismatchError",
+    "DegenerateStateError",
     "ResidualReport",
     "MomentReport",
     "CheckResult",
@@ -57,6 +58,11 @@ __all__ = [
 
 class GridMismatchError(ValueError):
     """Two grid functions do not share the same sample points."""
+
+
+class DegenerateStateError(ValueError):
+    """The sampled state has ‖H psi‖ zero or not finite, so it has no
+    relative residual."""
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +181,14 @@ def _residual_once(field, model, x, t, dt, hbar):
         -(hbar * hbar) / (2.0 * M) * _d2(psi, dx)
         + (0.5 * M * w2 * x * x - x * F) * psi
     )
+    h_norm = np.linalg.norm(h_psi)
+    if not (np.isfinite(h_norm) and h_norm > 0.0):
+        raise DegenerateStateError(
+            f"‖H psi‖ = {h_norm} at t = {t} on {len(x)} points: the sampled "
+            "state is zero or not finite, so its residual is undefined"
+        )
     o_psi = 1j * hbar * dpsi_dt - h_psi
-    return float(np.linalg.norm(o_psi) / np.linalg.norm(h_psi))
+    return float(np.linalg.norm(o_psi) / h_norm)
 
 
 def schrodinger_residual(field, model, grid, t, dt=None, hbar=None) -> ResidualReport:

@@ -1,27 +1,19 @@
-"""Backend-agreement and correctness tests for the grid kernels."""
-
-import os
-import subprocess
-import sys
+"""Correctness tests for the grid kernels."""
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermval
 
+import tdho
 import tdho._kernels as kernels
-from tdho._kernels import _ref
+from tdho.classical import analytic_basis_sho
+from tdho.states import StateSpec, state_field
+from tdho.transforms import policy_grid, sample_on_grid
+from tdho.verify import norm
 
 
 def test_backend_is_declared():
-    assert kernels.BACKEND in ("cython", "numpy")
-
-
-def test_env_var_forces_numpy_fallback():
-    code = "import tdho._kernels as k; print(k.BACKEND)"
-    env = dict(os.environ, TDHO_DISABLE_EXT="1")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True)
-    assert out.stdout.strip() == "numpy"
+    assert tdho.kernel_backend == "numpy"
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -80,23 +72,10 @@ def test_state_kernel_underflow_short_circuit():
     assert vals[len(x) // 2] != 0.0
 
 
-def test_backends_agree_pointwise(rng):
-    """Selected backend against the numpy reference on random inputs."""
-    x = np.linspace(-8.0, 8.0, 513)
-    for _ in range(10):
-        n = int(rng.integers(0, 11))
-        args = (
-            float(rng.uniform(-2.0, 0.5)),
-            float(rng.uniform(-2.0, -0.1)),
-            float(rng.uniform(-1.0, 1.0)),
-            float(rng.uniform(0.3, 2.0)),
-            float(rng.uniform(-1.0, 1.0)),
-            float(rng.uniform(-2.0, 2.0)),
-            float(rng.uniform(-10.0, 10.0)),
-        )
-        a = kernels.state_kernel(x, n, *args)
-        b = _ref.state_kernel(x, n, *args)
-        np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(
-            kernels.hermite_values(n, x), _ref.hermite_values(n, x), rtol=1e-14
-        )
+@pytest.mark.xfail(strict=True, reason="LOG_FLOOR drops points where H_n is "
+                   "still huge: 1.8 % of the n=200 norm is lost")
+def test_high_order_state_keeps_its_norm():
+    basis = analytic_basis_sho(1.0, 1.0, 1.0, t_min=-1.0, t_max=12.0)
+    grid = policy_grid(basis, 200, points=16384)
+    field = state_field(StateSpec(200, 1.0, basis, basis.model))
+    assert abs(norm(sample_on_grid(field, grid, 1.0)) - 1.0) < 1e-12

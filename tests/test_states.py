@@ -57,6 +57,13 @@ def test_psi_unit_mass_requires_unit_mass(ck_basis):
         psi_unit_mass(spec, X, 1.0)
 
 
+def test_psi_lo_rejects_nonpositive_mass_and_frequency():
+    with pytest.raises(ValueError, match="m0"):
+        psi_lo(0.0, 0.1, 0.2, 3.0, 1.0, 1.0, 0, 1.0, X, 1.0)
+    with pytest.raises(ValueError, match="w_lo"):
+        psi_lo(1.0, 0.1, 0.2, 3.0, -1.0, 1.0, 0, 1.0, X, 1.0)
+
+
 def test_psi_driven_requires_driven(sho_basis_c1):
     spec = StateSpec(0, 1.0, sho_basis_c1, sho_basis_c1.model)
     with pytest.raises(ValueError, match="DrivenSolution"):

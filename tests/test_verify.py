@@ -1,6 +1,7 @@
 """Quadrature, moments, the equation residual, and the check runners."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tdho.transforms import Grid, sample_on_grid
 from tdho.verify import (
     CHECK_NAMES,
     DEFAULT_THRESHOLDS,
+    DegenerateStateError,
     GridMismatchError,
     ResidualReport,
     SuiteContext,
@@ -102,6 +104,19 @@ def test_residual_detects_detuned_state():
     rep = schrodinger_residual(_state(wrong, 0), model, GRID, 1.0)
     assert rep.rel_l2_residual > 1e-3
     assert not residual_convergence_ok(rep)
+
+
+def test_residual_refuses_zero_state():
+    """An identically zero state has no relative residual (0/0): refused."""
+    model = UnitMassSHO(1.0, t_min=T_MIN, t_max=T_MAX)
+
+    def zero(x, t):
+        return np.zeros(np.shape(x), dtype=np.complex128)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateStateError, match="zero or not finite"):
+            schrodinger_residual(zero, model, GRID, 1.0)
 
 
 def test_residual_convergence_floor():
