@@ -4,7 +4,8 @@ One JSON scenario file describes everything (model, basis, driving, states,
 grid, times, checks); the subcommands only select an action and output
 paths.  Exit codes: 0 all checks pass, 1 any check failed, 2 configuration
 error (bad schema, unknown check, inconsistent grid) or numerical error (an
-integration or quadrature that cannot be resolved).
+integration or quadrature that cannot be resolved, or a state that samples
+to zero).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .models import CaldirolaKanai, UnitMassSHO, model_from_json
 from .ode import ODEError
 from .states import dump_state_grid, state_field
 from .transforms import Grid, policy_grid, sample_on_grid
-from .verify import SuiteContext, report_json, run_suite
+from .verify import DegenerateStateError, SuiteContext, report_json, run_suite
 
 __all__ = ["main", "load_scenario", "build_context", "ScenarioError"]
 
@@ -354,11 +355,11 @@ def main(argv=None) -> int:
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (ODEError, QuadratureError, DegenerateStateError) as e:
+        print(f"numerical error: {e}", file=sys.stderr)
+        return 2
     except ValueError as e:
         print(f"configuration error: {e}", file=sys.stderr)
-        return 2
-    except (ODEError, QuadratureError) as e:
-        print(f"numerical error: {e}", file=sys.stderr)
         return 2
 
 

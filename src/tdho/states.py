@@ -11,10 +11,14 @@ delta.  The common evaluation kernel is
                   * H_n(sqrt(Omega/hbar) d / rho)
                   * exp[i (M xdot_p x + delta)/hbar],      d = x - x_p,
 
-with x_p = delta = 0 in the undriven case.  Closed-form families (constant
-mass, exponential mass, pulsating mass) are evaluated through independent
-code paths with the same branch convention, so general/specialized
-comparisons need no phase alignment.
+with x_p = delta = 0 in the undriven case.  With xi = sqrt(Omega/hbar) d / rho
+the kernel evaluates it as (Omega/hbar)^{1/4} rho^{-1/2} e^{-xi^2/2} h_n(xi)
+times the phases, where h_n = H_n / sqrt(2^n n! sqrt(pi)) comes from the
+normalised Hermite recurrence, so one pass gives every order 0..n of a
+slice (state_block).  Closed-form families (constant mass, exponential
+mass, pulsating mass) are evaluated through independent code paths with
+the same branch convention, so general/specialized comparisons need no
+phase alignment.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import hermite_values, state_kernel
+from ._kernels import hermite_values, state_kernel, state_kernel_block
 from .classical import ClassicalBasis, DrivenSolution, unwrapped_ellipse_angle
 from .models import (
     CaldirolaKanai,
@@ -42,6 +46,7 @@ __all__ = [
     "psi_unit_mass",
     "psi_general",
     "psi_driven",
+    "state_block",
     "psi_sho",
     "psi_ck",
     "psi_lo",
@@ -51,9 +56,6 @@ __all__ = [
     "lo_field",
     "dump_state_grid",
 ]
-
-_LOG_PI = math.log(math.pi)
-
 
 def hermite(n: int, xi):
     """Physicists' Hermite polynomial H_n by the three-term recurrence."""
@@ -102,12 +104,9 @@ class StateSpec:
         return doc
 
 
-def _log_norm(omega, hbar, n, rho):
-    return (
-        0.25 * (math.log(omega / hbar) - _LOG_PI)
-        - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1))
-        - 0.5 * math.log(rho)
-    )
+def _log_norm(omega, hbar, rho):
+    """ln[(Omega/hbar)^{1/4} rho^{-1/2}], the factor in front of h_n(xi) e^{-xi^2/2}."""
+    return 0.25 * math.log(omega / hbar) - 0.5 * math.log(rho)
 
 
 def _kernel_call(x, n, log_norm, gauss_re, gauss_im, scale, phase0,
@@ -120,10 +119,11 @@ def _kernel_call(x, n, log_norm, gauss_re, gauss_im, scale, phase0,
     return complex(out[0]) if scalar else out
 
 
-def _eval_slice(spec: StateSpec, x, t, with_driving: bool):
-    """Evaluate the kernel at scalar time t for scalar-or-array x."""
-    basis, model = spec.basis, spec.model
-    n, hbar = spec.n, spec.hbar
+def _slice_params(spec: StateSpec, t, with_driving: bool):
+    """Kernel parameters of spec's classical data at scalar time t, shared by
+    every order: ((log_norm, gauss_re, gauss_im, scale, x_shift, k_lin),
+    theta, delta/hbar).  Order n takes the phase (n + 1/2) theta + delta/hbar."""
+    basis, model, hbar = spec.basis, spec.model, spec.hbar
     t = float(t)
     model.check_domain(t)
     rho = float(basis.rho(t))
@@ -135,23 +135,42 @@ def _eval_slice(spec: StateSpec, x, t, with_driving: bool):
     if with_driving and spec.driven is not None:
         x_shift = float(spec.driven.xp(t))
         k_lin = M * float(spec.driven.dxp(t)) / hbar
-        phase0 = (n + 0.5) * theta + float(spec.driven.delta(t)) / hbar
+        phase_shift = float(spec.driven.delta(t)) / hbar
     else:
         x_shift = 0.0
         k_lin = 0.0
-        phase0 = (n + 0.5) * theta
+        phase_shift = 0.0
 
-    return _kernel_call(
-        x,
-        n,
-        _log_norm(omega, hbar, n, rho),
+    params = (
+        _log_norm(omega, hbar, rho),
         -0.5 * omega / (hbar * rho * rho),
         0.5 * M * drho / (hbar * rho),
         math.sqrt(omega / hbar) / rho,
-        phase0,
         x_shift,
         k_lin,
     )
+    return params, theta, phase_shift
+
+
+def _eval_slice(spec: StateSpec, x, t, with_driving: bool):
+    """Evaluate the kernel at scalar time t for scalar-or-array x."""
+    params, theta, phase_shift = _slice_params(spec, t, with_driving)
+    log_norm, gauss_re, gauss_im, scale, x_shift, k_lin = params
+    phase0 = (spec.n + 0.5) * theta + phase_shift
+    return _kernel_call(x, spec.n, log_norm, gauss_re, gauss_im, scale, phase0,
+                        x_shift, k_lin)
+
+
+def state_block(spec: StateSpec, x, t):
+    """Orders 0..spec.n of spec's state at time t on the ascending grid x.
+
+    Driven when spec carries a DrivenSolution, as in state_field.  The
+    classical data of the slice is evaluated once and all orders come from
+    one recurrence.  Returns (window, rows): rows[k] is psi_k on x[window],
+    and every sample outside the window is an exact zero.
+    """
+    params, theta, phase_shift = _slice_params(spec, t, with_driving=True)
+    return state_kernel_block(x, spec.n, *params, 0.5 * theta + phase_shift, theta)
 
 
 def psi_general(spec: StateSpec, x, t):
@@ -204,7 +223,7 @@ def psi_sho(w_s, Ccoef, n, hbar, x, t):
     return _kernel_call(
         x,
         int(n),
-        _log_norm(Ccoef * w_s, hbar, int(n), rt),
+        _log_norm(Ccoef * w_s, hbar, rt),
         -0.5 * Ccoef * w_s / (hbar * rt * rt),
         0.5 * drt / (hbar * rt),
         math.sqrt(Ccoef * w_s / hbar) / rt,
@@ -236,7 +255,7 @@ def psi_ck(m, gamma, w1, Ccoef, n, hbar, x, t):
     return _kernel_call(
         x,
         int(n),
-        _log_norm(M * Ccoef * w_ck, hbar, int(n), rt),
+        _log_norm(M * Ccoef * w_ck, hbar, rt),
         -0.5 * M * Ccoef * w_ck / (hbar * rt * rt),
         0.5 * M * (drt / rt - 0.5 * gamma) / hbar,
         math.sqrt(M * Ccoef * w_ck / hbar) / rt,
@@ -266,7 +285,7 @@ def psi_lo(m0, gamma, mu, nu, w_lo, Ccoef, n, hbar, x, t):
     return _kernel_call(
         x,
         int(n),
-        _log_norm(M * Ccoef * w_lo, hbar, int(n), rt),
+        _log_norm(M * Ccoef * w_lo, hbar, rt),
         -0.5 * M * Ccoef * w_lo / (hbar * rt * rt),
         0.5 * (M * drt / rt - 0.5 * dM) / hbar,
         math.sqrt(M * Ccoef * w_lo / hbar) / rt,

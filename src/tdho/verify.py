@@ -3,18 +3,19 @@
 Nothing here reuses the formulas being checked: time derivatives come from
 fourth-order finite differencing of fresh field evaluations, spatial
 derivatives from five-point stencils, observables from composite Simpson
-quadrature.  Every check returns the measured number next to the threshold
-it was judged against.
+quadrature (one weight vector: scipy's rule from 1.11 on, with its end
+correction for an even number of samples).  Every check returns the
+measured number next to the threshold it was judged against.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .classical import delta_legacy, null_driven, reduced_basis, shift_particular
 from .models import (
@@ -24,7 +25,7 @@ from .models import (
     frequency_scale,
     reduced_frequency_squared,
 )
-from .states import StateSpec, psi_ck, psi_lo, psi_sho, state_field
+from .states import StateSpec, psi_ck, psi_lo, psi_sho, state_block, state_field
 from .transforms import (
     Grid,
     GridFunction,
@@ -40,6 +41,7 @@ __all__ = [
     "MomentReport",
     "CheckResult",
     "SuiteContext",
+    "simpson",
     "norm",
     "inner_product",
     "moments",
@@ -61,8 +63,8 @@ class GridMismatchError(ValueError):
 
 
 class DegenerateStateError(ValueError):
-    """The sampled state has ‖H psi‖ zero or not finite, so it has no
-    relative residual."""
+    """A sampled state is zero or not finite, so a measure relative to it
+    (residual, chain distance, closed-form distance) is undefined."""
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +103,31 @@ def _check_same_grid(g1: GridFunction, g2: GridFunction):
         or abs(g1.dx - g2.dx) > 1e-12 * g1.dx
     ):
         raise GridMismatchError("grid functions are sampled on different grids")
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_simpson_weights(points: int) -> np.ndarray:
+    """Weights w with ∫ y dx ≈ dx * (w @ y) over `points` samples: composite
+    Simpson, plus scipy's correction for the last interval (Cartwright)
+    when `points` is even.  Read-only, as the cache shares it."""
+    if points < 3:
+        raise ValueError("Simpson's rule needs at least 3 samples")
+    w = np.zeros(points)
+    odd = points - 1 + points % 2  # samples under the plain composite rule
+    w[1:odd - 1:2] = 4.0 / 3.0
+    w[2:odd - 1:2] = 2.0 / 3.0
+    w[0] = w[odd - 1] = 1.0 / 3.0
+    if odd < points:
+        w[-3:] += (-1.0 / 12.0, 8.0 / 12.0, 5.0 / 12.0)
+    w.setflags(write=False)
+    return w
+
+
+def simpson(y, dx: float):
+    """Composite Simpson integral of real samples y spaced dx apart, by the
+    rule of scipy.integrate.simpson from scipy 1.11 on."""
+    y = np.asarray(y)
+    return dx * (_unit_simpson_weights(len(y)) @ y)
 
 
 def norm(g: GridFunction) -> float:
@@ -256,9 +283,13 @@ def check_transform_equivalence(
     g2 = apply_UF(model, driven, t, g1)
     direct_spec = StateSpec(n, hbar, basis, model, driven)
     direct = np.asarray(state_field(direct_spec)(g2.x, t))
-    return float(
-        np.linalg.norm(g2.values - direct) / np.linalg.norm(direct)
-    )
+    direct_norm = np.linalg.norm(direct)
+    if not (np.isfinite(direct_norm) and direct_norm > 0.0):
+        raise DegenerateStateError(
+            f"‖psi‖ = {direct_norm} at t = {t} on {len(direct)} points: the "
+            "direct state is zero or not finite, so the chain distance is undefined"
+        )
+    return float(np.linalg.norm(g2.values - direct) / direct_norm)
 
 
 def check_stationarity(field, grid, times) -> float:
@@ -278,9 +309,15 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Max pointwise |a - e^{i phi} b| / max|a| with a single best phase."""
     a = np.asarray(a)
     b = np.asarray(b)
+    peak = np.max(np.abs(a))
+    if not (np.isfinite(peak) and peak > 0.0):
+        raise DegenerateStateError(
+            f"max|a| = {peak}: the reference samples are zero or not finite, "
+            "so the relative distance is undefined"
+        )
     overlap = np.vdot(b, a)
     phi = overlap / abs(overlap) if overlap != 0 else 1.0
-    return float(np.max(np.abs(a - phi * b)) / np.max(np.abs(a)))
+    return float(np.max(np.abs(a - phi * b)) / peak)
 
 
 # ---------------------------------------------------------------------------
@@ -528,24 +565,36 @@ def _run_delta_equivalence(ctx: SuiteContext, overrides) -> list:
     return out
 
 
+_GRAM_COLUMNS = 4096
+
+
 def _run_orthonormality(ctx: SuiteContext, overrides) -> list:
+    """max |<psi_m|psi_n> - delta_mn| over m <= n <= nmax, from one block of
+    orders per time and one Simpson-weighted Gram product."""
     tol = _tol(overrides, "tolerance", "orthonormality")
     n_max = ctx.orthonormality_nmax
     grid = ctx.fine_grid()
+    xs = grid.xs()
+    weights = _unit_simpson_weights(grid.points)
+    lower = np.tril_indices(n_max + 1, -1)
+    spec = ctx.state(n_max)
     worst = 0.0
     worst_at = {}
     for t in ctx.times:
-        gs = [
-            sample_on_grid(state_field(ctx.state(n)), grid, t, attach_source=False)
-            for n in range(n_max + 1)
-        ]
-        for i in range(n_max + 1):
-            for j in range(i, n_max + 1):
-                val = inner_product(gs[i], gs[j])
-                err = abs(val - (1.0 if i == j else 0.0))
-                if err > worst:
-                    worst = err
-                    worst_at = {"m": i, "n": j, "t": t}
+        window, rows = state_block(spec, xs, t)
+        w = weights[window]
+        gram = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
+        # column blocks keep the weighted conjugate copy small
+        for lo in range(0, rows.shape[1], _GRAM_COLUMNS):
+            part = rows[:, lo:lo + _GRAM_COLUMNS]
+            gram += (np.conj(part) * w[lo:lo + _GRAM_COLUMNS]) @ part.T
+        gram *= grid.dx
+        err = np.abs(gram - np.eye(n_max + 1))
+        err[lower] = -1.0  # each pair once, m <= n
+        m, n = np.unravel_index(np.argmax(err), err.shape)
+        if err[m, n] > worst:
+            worst = float(err[m, n])
+            worst_at = {"m": int(m), "n": int(n), "t": t}
     return [CheckResult("orthonormality", worst_at, worst, tol)]
 
 

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import tdho.classical
+import tdho.verify
 from tdho.classical import QuadratureError
 from tdho.cli import ScenarioError, build_context, load_scenario, main
 from tdho.ode import ODEError
 from tdho.scenarios import BUNDLED, scenario_path
+from tdho.states import WavefunctionField
 
 
 def _scenario_doc(**overrides):
@@ -147,6 +149,21 @@ def test_verify_numerical_error_exit_2(monkeypatch, capsys, error):
     assert main(["verify", "lo", "--suite", "fast"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and err.count("\n") == 1
+
+
+def test_verify_degenerate_state_is_numerical_error(monkeypatch, capsys):
+    """A zero state refused by the residual check is labelled numerical, not
+    configuration."""
+    def zero_field(spec):
+        return WavefunctionField(
+            lambda x, t: np.zeros(np.shape(x), dtype=np.complex128),
+            spec.model, spec.hbar, spec.n, "zero", spec,
+        )
+
+    monkeypatch.setattr(tdho.verify, "state_field", zero_field)
+    assert main(["verify", "sho_c1", "--suite", "fast"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and "zero or not finite" in err
 
 
 def test_verify_writes_report_file(tmp_path):

@@ -1,5 +1,8 @@
 """Correctness tests for the grid kernels."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermval
@@ -7,7 +10,7 @@ from numpy.polynomial.hermite import hermval
 import tdho
 import tdho._kernels as kernels
 from tdho.classical import analytic_basis_sho
-from tdho.states import StateSpec, state_field
+from tdho.states import StateSpec, state_block, state_field
 from tdho.transforms import policy_grid, sample_on_grid
 from tdho.verify import norm
 
@@ -37,7 +40,8 @@ def test_hermite_known_values():
 
 
 def test_state_kernel_matches_direct_formula(rng):
-    """Random kernel parameters against a literal transcription."""
+    """Random kernel parameters against a literal transcription; the kernel
+    carries the normalised h_n = H_n / sqrt(2^n n! sqrt(pi))."""
     x = np.linspace(-6.0, 6.0, 257)
     for _ in range(20):
         n = int(rng.integers(0, 7))
@@ -57,6 +61,7 @@ def test_state_kernel_matches_direct_formula(rng):
         want = (
             np.exp(log_norm + gauss_re * d * d)
             * hermval(scale * d, coeffs)
+            / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
             * np.exp(1j * (gauss_im * d * d + k_lin * x + phase0))
         )
         np.testing.assert_allclose(got, want, rtol=5e-13, atol=1e-300)
@@ -72,10 +77,37 @@ def test_state_kernel_underflow_short_circuit():
     assert vals[len(x) // 2] != 0.0
 
 
-@pytest.mark.xfail(strict=True, reason="LOG_FLOOR drops points where H_n is "
-                   "still huge: 1.8 % of the n=200 norm is lost")
 def test_high_order_state_keeps_its_norm():
     basis = analytic_basis_sho(1.0, 1.0, 1.0, t_min=-1.0, t_max=12.0)
     grid = policy_grid(basis, 200, points=16384)
     field = state_field(StateSpec(200, 1.0, basis, basis.model))
     assert abs(norm(sample_on_grid(field, grid, 1.0)) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [300, 600, 1000])
+def test_very_high_order_states_are_normalised_without_warnings(n):
+    """Far past the turning point sqrt(2n+1) the Gaussian alone underflows;
+    the exponent-tracked recurrence keeps every order normalised.  65537
+    points put about 6 samples on the shortest wavelength of the density at
+    n=1000, enough for Simpson's rule to be exact to rounding."""
+    basis = analytic_basis_sho(1.0, 1.0, 1.0, t_min=-1.0, t_max=12.0)
+    grid = policy_grid(basis, n, points=65537)
+    field = state_field(StateSpec(n, 1.0, basis, basis.model))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(norm(sample_on_grid(field, grid, 1.0)) - 1.0) < 1e-12
+
+
+def test_block_rows_match_state_kernel(driven_ck):
+    """Row k of the block equals the order-k state through state_kernel."""
+    basis, driven = driven_ck
+    spec = StateSpec(12, 1.0, basis, basis.model, driven)
+    grid = policy_grid(basis, 12, driven=driven, times=[1.0], points=4096)
+    xs = grid.xs()
+    window, rows = state_block(spec, xs, 1.0)
+    assert rows.shape == (13, window.stop - window.start)
+    for k in range(13):
+        want = state_field(StateSpec(k, 1.0, basis, basis.model, driven))(xs, 1.0)
+        got = np.zeros_like(want)
+        got[window] = rows[k]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-300)

@@ -5,10 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson as scipy_simpson
 
+import tdho.verify
 from tdho.classical import analytic_basis_sho
 from tdho.models import UnitMassSHO
-from tdho.states import StateSpec, state_field
+from tdho.states import StateSpec, WavefunctionField, state_field
 from tdho.transforms import Grid, sample_on_grid
 from tdho.verify import (
     CHECK_NAMES,
@@ -28,6 +30,7 @@ from tdho.verify import (
     residual_convergence_ok,
     run_suite,
     schrodinger_residual,
+    simpson,
 )
 
 from conftest import T_MAX, T_MIN
@@ -42,6 +45,15 @@ def _state(basis, n, driven=None):
 # ---------------------------------------------------------------------------
 # quadrature layer
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("points", [16, 17, 4096, 4097, 32768])
+def test_simpson_weights_match_scipy(rng, points):
+    """One weight vector reproduces scipy's rule, even-N end correction too."""
+    y = rng.random(points)
+    dx = float(rng.uniform(0.001, 0.1))
+    want = scipy_simpson(y, dx=dx)
+    assert simpson(y, dx) == pytest.approx(want, rel=1e-14, abs=0.0)
+
 
 def test_norm_of_eigenstate_is_one(sho_basis_c2):
     gf = sample_on_grid(_state(sho_basis_c2, 3), GRID, 1.0)
@@ -117,6 +129,32 @@ def test_residual_refuses_zero_state():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DegenerateStateError, match="zero or not finite"):
             schrodinger_residual(zero, model, GRID, 1.0)
+
+
+def _zero_field(spec):
+    return WavefunctionField(
+        lambda x, t: np.zeros(np.shape(x), dtype=np.complex128),
+        spec.model, spec.hbar, spec.n, "zero", spec,
+    )
+
+
+def test_transform_chain_refuses_zero_state(monkeypatch, sho_basis_c1):
+    """A zero direct state has no relative chain distance (0/0): refused."""
+    monkeypatch.setattr(tdho.verify, "state_field", _zero_field)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateStateError, match="zero or not finite"):
+            check_transform_equivalence(sho_basis_c1.model, sho_basis_c1, None,
+                                        2, 1.0, GRID, exact=True)
+
+
+def test_phase_aligned_distance_refuses_zero_reference(sho_basis_c1):
+    zero = _zero_field(StateSpec(2, 1.0, sho_basis_c1, sho_basis_c1.model))
+    xs = GRID.xs()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateStateError, match="zero or not finite"):
+            phase_aligned_distance(zero(xs, 1.0), zero(xs, 1.0))
 
 
 def test_residual_convergence_floor():
@@ -220,6 +258,51 @@ def test_report_json_shape_and_determinism(sho_basis_c1):
     doc = json.loads(text)
     assert {"check", "measured", "params", "pass", "threshold"} <= set(doc[0])
     assert DEFAULT_THRESHOLDS["residual"] == 1e-6
+
+
+def _pairwise_orthonormality(ctx):
+    """The check as one scipy-Simpson inner product per pair of orders."""
+    grid = ctx.fine_grid()
+    xs = grid.xs()
+    worst = 0.0
+    for t in ctx.times:
+        gs = [state_field(ctx.state(n))(xs, t)
+              for n in range(ctx.orthonormality_nmax + 1)]
+        for i in range(len(gs)):
+            for j in range(i, len(gs)):
+                integrand = np.conj(gs[i]) * gs[j]
+                val = (scipy_simpson(integrand.real, dx=grid.dx)
+                       + 1j * scipy_simpson(integrand.imag, dx=grid.dx))
+                worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
+    return worst
+
+
+@pytest.mark.parametrize("family", ["sho_c1", "ck", "driven_ck"])
+def test_gram_orthonormality_matches_pairwise_simpson(request, family):
+    if family == "driven_ck":
+        basis, driven = request.getfixturevalue("driven_ck")
+    else:
+        basis = request.getfixturevalue({"sho_c1": "sho_basis_c1",
+                                         "ck": "ck_basis"}[family])
+        driven = None
+    ctx = _context(basis, driven=driven)
+    [result] = run_suite(ctx, ["orthonormality"])
+    assert result.passed
+    assert abs(result.measured - _pairwise_orthonormality(ctx)) < 1e-13
+
+
+def test_orthonormality_detects_a_scaled_row(monkeypatch, sho_basis_c1):
+    block = tdho.verify.state_block
+
+    def scaled(spec, x, t):
+        window, rows = block(spec, x, t)
+        rows[2] *= 1.001
+        return window, rows
+
+    monkeypatch.setattr(tdho.verify, "state_block", scaled)
+    [result] = run_suite(_context(sho_basis_c1), ["orthonormality"])
+    assert not result.passed
+    assert result.params["m"] == 2 and result.params["n"] == 2
 
 
 def test_delta_equivalence_check_runs(driven_sho):
