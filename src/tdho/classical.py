@@ -22,7 +22,7 @@ from .models import (
     UnitMassSHO,
     frequency_scale,
 )
-from .ode import solve_ode
+from .ode import ODEError, solve_ode
 
 __all__ = [
     "DegenerateBasisError",
@@ -72,37 +72,56 @@ class QuadratureError(RuntimeError):
 
 
 class ClassicalBasis:
-    """Base class; subclasses provide u, du, v, dv, omega, theta, model."""
+    """Base class; subclasses provide model, omega and _read.
+
+    Every quantity of a time slice comes from one read of the trajectory
+    (`slice`); the per-quantity methods are views of it.
+    """
 
     model: OscillatorModel
     omega: float
 
-    def u(self, t):
+    def _read(self, t):
+        """(u, du, v, dv, theta) at t from one evaluation of the trajectory."""
         raise NotImplementedError
+
+    def slice(self, t):
+        """(u, du, v, dv, rho, drho, theta) at t from one read."""
+        u, du, v, dv, theta = self._read(t)
+        rho = np.sqrt(u ** 2 + v ** 2)
+        # assembled from the trajectory derivatives, never finite-differenced;
+        # u*u and u**2 round differently on numpy scalars, so rho is not reused
+        drho = (u * du + v * dv) / np.sqrt(u * u + v * v)
+        return u, du, v, dv, rho, drho, theta
+
+    def u(self, t):
+        return self.slice(t)[0]
 
     def du(self, t):
-        raise NotImplementedError
+        return self.slice(t)[1]
 
     def v(self, t):
-        raise NotImplementedError
+        return self.slice(t)[2]
 
     def dv(self, t):
-        raise NotImplementedError
-
-    def theta(self, t):
-        raise NotImplementedError
+        return self.slice(t)[3]
 
     def rho(self, t):
-        return np.sqrt(self.u(t) ** 2 + self.v(t) ** 2)
+        return self.slice(t)[4]
 
     def drho(self, t):
-        # assembled from the trajectory derivatives, never finite-differenced
-        u, v = self.u(t), self.v(t)
-        return (u * self.du(t) + v * self.dv(t)) / np.sqrt(u * u + v * v)
+        return self.slice(t)[5]
+
+    def theta(self, t):
+        return self.slice(t)[6]
 
     def omega_check(self, t):
         """M(t)·(vdot·u − udot·v); equals omega up to integration error."""
-        return self.model.mass(t) * (self.dv(t) * self.u(t) - self.du(t) * self.v(t))
+        return _invariant(self.model.mass(t), *self.slice(t)[:4])
+
+
+def _invariant(M, u, du, v, dv):
+    return M * (dv * u - du * v)
 
 
 def unwrapped_ellipse_angle(s, C):
@@ -129,20 +148,11 @@ class _AnalyticSHOBasis(ClassicalBasis):
         self.B = float(B)
         self.omega = A * B * w_s
 
-    def u(self, t):
-        return self.A * np.cos(self.w * np.asarray(t, dtype=float))
-
-    def du(self, t):
-        return -self.A * self.w * np.sin(self.w * np.asarray(t, dtype=float))
-
-    def v(self, t):
-        return self.B * np.sin(self.w * np.asarray(t, dtype=float))
-
-    def dv(self, t):
-        return self.B * self.w * np.cos(self.w * np.asarray(t, dtype=float))
-
-    def theta(self, t):
-        return unwrapped_ellipse_angle(self.w * np.asarray(t, dtype=float), self.A / self.B)
+    def _read(self, t):
+        wt = self.w * np.asarray(t, dtype=float)
+        c, s = np.cos(wt), np.sin(wt)
+        return (self.A * c, -self.A * self.w * s, self.B * s, self.B * self.w * c,
+                unwrapped_ellipse_angle(wt, self.A / self.B))
 
 
 class _AnalyticCKBasis(ClassicalBasis):
@@ -156,37 +166,28 @@ class _AnalyticCKBasis(ClassicalBasis):
         self.B = float(B)
         self.omega = m * A * B * w_ck
 
-    def _env(self, t):
-        return np.exp(-0.5 * self.gamma * np.asarray(t, dtype=float))
-
-    def u(self, t):
-        return self.A * self._env(t) * np.cos(self.w_ck * np.asarray(t, dtype=float))
-
-    def du(self, t):
+    def _read(self, t):
         t = np.asarray(t, dtype=float)
-        c, s = np.cos(self.w_ck * t), np.sin(self.w_ck * t)
-        return self.A * self._env(t) * (-0.5 * self.gamma * c - self.w_ck * s)
+        env = np.exp(-0.5 * self.gamma * t)
+        wt = self.w_ck * t
+        c, s = np.cos(wt), np.sin(wt)
+        a, b = self.A * env, self.B * env
+        return (a * c, a * (-0.5 * self.gamma * c - self.w_ck * s),
+                b * s, b * (-0.5 * self.gamma * s + self.w_ck * c),
+                # the positive envelope drops out of arg(u - iv)
+                unwrapped_ellipse_angle(wt, self.A / self.B))
 
-    def v(self, t):
-        return self.B * self._env(t) * np.sin(self.w_ck * np.asarray(t, dtype=float))
 
-    def dv(self, t):
-        t = np.asarray(t, dtype=float)
-        c, s = np.cos(self.w_ck * t), np.sin(self.w_ck * t)
-        return self.B * self._env(t) * (-0.5 * self.gamma * s + self.w_ck * c)
-
-    def theta(self, t):
-        # the positive envelope drops out of arg(u - iv)
-        return unwrapped_ellipse_angle(self.w_ck * np.asarray(t, dtype=float), self.A / self.B)
+_THETA_TABLE_CAP = 2**20 + 1
 
 
 class NumericBasis(ClassicalBasis):
     """Basis backed by dense ODE output; theta from an unwrapped table.
 
-    The table is sampled finely enough that the raw argument moves by less
-    than pi/2 between nodes, so numpy's unwrap picks the right branch; each
-    query then computes the exact principal argument and snaps it to the
-    branch the table indicates.
+    The table nodes are close enough that theta moves by less than pi/2
+    between neighbours, so numpy's unwrap picks the right branch; each query
+    then computes the exact principal argument and snaps it to the branch
+    the table indicates.
     """
 
     def __init__(self, sol, model, omega, t_ref):
@@ -196,40 +197,47 @@ class NumericBasis(ClassicalBasis):
         self._sol = sol
         self._build_theta_table()
 
-    def u(self, t):
-        return self._sol(t)[..., 0]
-
-    def du(self, t):
-        return self._sol(t)[..., 1]
-
-    def v(self, t):
-        return self._sol(t)[..., 2]
-
-    def dv(self, t):
-        return self._sol(t)[..., 3]
+    def _read(self, t):
+        y = self._sol(t)
+        u, v = y[..., 0], y[..., 2]
+        raw = np.arctan2(-v, u)
+        ref = np.interp(t, self._theta_ts, self._theta_table)
+        theta = raw + _TWO_PI * np.round((ref - raw) / _TWO_PI)
+        return u, y[..., 1], v, y[..., 3], theta if theta.ndim else float(theta)
 
     def _build_theta_table(self):
+        """Size the nodes from the pointwise rate |thetadot| = |u vdot - v udot|/rho^2.
+
+        The unwrapped steps alone cannot tell a step s from s - 2pi, so a
+        table too coarse for the winding would look smooth and be wrong by
+        whole turns.  The spacing keeps rate x spacing below pi/2 at every
+        node (and the unwrapped steps too); past _THETA_TABLE_CAP nodes the
+        basis is refused.
+        """
+        lo, hi = self.model.t_min, self.model.t_max
         n = 4097
         while True:
-            ts = np.linspace(self.model.t_min, self.model.t_max, n)
+            ts = np.linspace(lo, hi, n)
             y = self._sol(ts)
-            raw = np.arctan2(-y[:, 2], y[:, 0])
-            unwrapped = np.unwrap(raw)
-            if np.max(np.abs(np.diff(unwrapped))) < 0.5 * np.pi or n > 2**20:
+            u, du, v, dv = y[:, 0], y[:, 1], y[:, 2], y[:, 3]
+            unwrapped = np.unwrap(np.arctan2(-v, u))
+            rate = np.max(np.abs(u * dv - v * du) / (u * u + v * v))
+            step = max((ts[1] - ts[0]) * rate, np.max(np.abs(np.diff(unwrapped))))
+            if step < 0.5 * np.pi:
                 break
-            n = 2 * n - 1
+            # aim at pi/4 per node so that the next table passes
+            need = (n - 1) * step / (0.25 * np.pi) + 1
+            if not need <= _THETA_TABLE_CAP:  # also catches NaN
+                raise ODEError(
+                    f"theta table on [{lo}, {hi}] needs {need:.4g} nodes, above "
+                    f"the cap of {_THETA_TABLE_CAP}: theta winds too fast"
+                )
+            n = max(2 * n - 1, math.ceil(need))
         # fix the branch so theta(t_ref) lands in (-pi, pi]
         th0 = np.interp(self.t_ref, ts, unwrapped)
         unwrapped -= _TWO_PI * math.floor((th0 + np.pi) / _TWO_PI)
         self._theta_ts = ts
         self._theta_table = unwrapped
-
-    def theta(self, t):
-        t = np.asarray(t, dtype=float)
-        raw = np.arctan2(-self.v(t), self.u(t))
-        ref = np.interp(t, self._theta_ts, self._theta_table)
-        out = raw + _TWO_PI * np.round((ref - raw) / _TWO_PI)
-        return out if out.ndim else float(out)
 
 
 class ReducedBasis(ClassicalBasis):
@@ -245,29 +253,13 @@ class ReducedBasis(ClassicalBasis):
         self.model = ReducedUnitMass(base.model)
         self.omega = base.omega
 
-    def _root_m(self, t):
-        return np.sqrt(self.base.model.mass(t))
-
-    def u(self, t):
-        return self._root_m(t) * self.base.u(t)
-
-    def du(self, t):
+    def _read(self, t):
+        u, du, v, dv, theta = self.base._read(t)
         m = self.base.model
-        return self._root_m(t) * (
-            self.base.du(t) + 0.5 * (m.dmass(t) / m.mass(t)) * self.base.u(t)
-        )
-
-    def v(self, t):
-        return self._root_m(t) * self.base.v(t)
-
-    def dv(self, t):
-        m = self.base.model
-        return self._root_m(t) * (
-            self.base.dv(t) + 0.5 * (m.dmass(t) / m.mass(t)) * self.base.v(t)
-        )
-
-    def theta(self, t):
-        return self.base.theta(t)
+        M = m.mass(t)
+        root_m, k = np.sqrt(M), 0.5 * (m.dmass(t) / M)
+        return (root_m * u, root_m * (du + k * u), root_m * v, root_m * (dv + k * v),
+                theta)
 
 
 def reduced_basis(basis: ClassicalBasis) -> ReducedBasis:
@@ -355,26 +347,35 @@ class DrivenSolution:
     """Particular solution x_p with velocity and phase integral delta.
 
     delta obeys d(delta)/dt = (M w^2/2) x_p^2 - (M/2) xdot_p^2 with
-    delta(t0) = 0.
+    delta(t0) = 0.  `read(t)` returns (x_p, xdot_p, delta) at t in one pass.
     """
 
-    def __init__(self, xp, dxp, delta, t0: float, model: OscillatorModel):
-        self.xp = xp
-        self.dxp = dxp
-        self.delta = delta
+    def __init__(self, read, t0: float, model: OscillatorModel):
+        self._read = read
         self.t0 = float(t0)
         self.model = model
+
+    def slice(self, t):
+        """(x_p, xdot_p, delta) at t from one read."""
+        return self._read(t)
+
+    def xp(self, t):
+        return self._read(t)[0]
+
+    def dxp(self, t):
+        return self._read(t)[1]
+
+    def delta(self, t):
+        return self._read(t)[2]
 
 
 def null_driven(model: OscillatorModel) -> DrivenSolution:
     """The exact x_p ≡ 0, delta ≡ 0 solution of an undriven model."""
 
-    def zero(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        return out if out.ndim else 0.0
+    def read(t):
+        return tuple(np.zeros((3,) + np.shape(t)))
 
-    return DrivenSolution(zero, zero, zero, model.t_min, model)
+    return DrivenSolution(read, model.t_min, model)
 
 
 def _delta_rate(model, t, xp, dxp):
@@ -475,9 +476,12 @@ def solve_particular(
         rhs, t0, [xp0, dxp0, 0.0], model.t_min, model.t_max,
         rtol=tol, atol=1e-2 * tol,
     )
-    return DrivenSolution(
-        sol.component(0), sol.component(1), sol.component(2), t0, model
-    )
+
+    def read(t):
+        y = sol(t)
+        return tuple(y.tolist()) if y.ndim == 1 else (y[..., 0], y[..., 1], y[..., 2])
+
+    return DrivenSolution(read, t0, model)
 
 
 def shift_particular(
@@ -492,18 +496,21 @@ def shift_particular(
     if c == 0.0:
         return driven
 
-    def xp2(t):
-        return driven.xp(t) + c * basis.u(t)
-
-    def dxp2(t):
-        return driven.dxp(t) + c * basis.du(t)
+    def path(t):
+        xp, dxp, _ = driven.slice(t)
+        u, du = basis.slice(t)[:2]
+        return xp + c * u, dxp + c * du
 
     def rate(t):
-        return _delta_rate(model, t, xp2(t), dxp2(t))
+        return _delta_rate(model, t, *path(t))
 
     delta = _panel_integral(rate, driven.t0, model.t_min, model.t_max,
                             _panel_width(model))
-    return DrivenSolution(xp2, dxp2, delta, driven.t0, model)
+
+    def read(t):
+        return (*path(t), delta(t))
+
+    return DrivenSolution(read, driven.t0, model)
 
 
 def delta_legacy(
@@ -561,11 +568,11 @@ def export_basis_csv(basis: ClassicalBasis, path, n_samples: int = 201, model=No
     """Columns t, u, du, v, dv, omega_check at evenly spaced times."""
     model = basis.model if model is None else model
     ts = np.linspace(model.t_min, model.t_max, n_samples)
+    u, du, v, dv = basis.slice(ts)[:4]
     _write_rows(
         path,
         ["t", "u", "du", "v", "dv", "omega_check"],
-        [ts, basis.u(ts), basis.du(ts), basis.v(ts), basis.dv(ts),
-         basis.omega_check(ts)],
+        [ts, u, du, v, dv, _invariant(basis.model.mass(ts), u, du, v, dv)],
     )
 
 
@@ -573,8 +580,4 @@ def export_driven_csv(driven: DrivenSolution, path, n_samples: int = 201, model=
     """Columns t, xp, dxp, delta at evenly spaced times."""
     model = driven.model if model is None else model
     ts = np.linspace(model.t_min, model.t_max, n_samples)
-    _write_rows(
-        path,
-        ["t", "xp", "dxp", "delta"],
-        [ts, driven.xp(ts), driven.dxp(ts), driven.delta(ts)],
-    )
+    _write_rows(path, ["t", "xp", "dxp", "delta"], [ts, *driven.slice(ts)])

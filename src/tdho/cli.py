@@ -11,6 +11,7 @@ to zero).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -143,6 +144,17 @@ def _resolve_scenario(path) -> str:
     return str(path)
 
 
+@functools.lru_cache(maxsize=None)
+def _scenario_validator():
+    """The schema's validator, built once: jsonschema.validate re-checks
+    the schema against its metaschema on every call."""
+    import jsonschema
+
+    cls = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
+    cls.check_schema(SCENARIO_SCHEMA)
+    return cls(SCENARIO_SCHEMA)
+
+
 def load_scenario(path) -> dict:
     import jsonschema
 
@@ -153,9 +165,9 @@ def load_scenario(path) -> dict:
         raise ScenarioError(f"cannot read scenario: {e}") from e
     except json.JSONDecodeError as e:
         raise ScenarioError(f"scenario is not valid JSON: {e}") from e
-    try:
-        jsonschema.validate(doc, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as e:
+    # the error jsonschema.validate would raise
+    e = jsonschema.exceptions.best_match(_scenario_validator().iter_errors(doc))
+    if e is not None:
         path_str = getattr(e, "json_path", None) or "$." + ".".join(
             str(p) for p in e.absolute_path
         )

@@ -8,6 +8,8 @@ marches are joined into one piecewise evaluator over the whole span.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 __all__ = ["DenseSolution", "ODEError", "solve_ode"]
@@ -20,41 +22,75 @@ class ODEError(RuntimeError):
 class DenseSolution:
     """Piecewise DOP853 dense output over the accepted steps, sorted by time.
 
-    Evaluation at arbitrary times inside the integrated span is vectorized:
-    a scalar time gives shape (ncomponents,), an array of times gives
-    (len(t), ncomponents).
+    The interpolants of every step are stacked into arrays once: step start
+    t_old, signed length h, start value y_old and the 7 rows F of the dense
+    output polynomial.  A query picks its step with one searchsorted (the
+    rule of scipy's OdeSolution: a time on a knot takes the earlier step)
+    and evaluates scipy's Horner recurrence
+
+        y = (((F6 x + F5)(1-x) + F4) x + ... + F0) x + y_old,  x = (t - t_old)/h
+
+    in numpy over all query times at once, so the values are bit-identical
+    to scipy's.  A scalar time gives shape (ncomponents,), an array of
+    times gives (len(t), ncomponents).
     """
 
     def __init__(self, ts, interpolants):
-        from scipy.integrate import OdeSolution
-
         self.ts = np.asarray(ts, dtype=np.float64)
         self.t_min = float(self.ts[0])
         self.t_max = float(self.ts[-1])
         self._slack = 1e-9 * max(self.t_max - self.t_min, 1.0)
-        self._sol = OdeSolution(self.ts, interpolants)
+        # a degenerate span has one constant interpolant: the zero
+        # polynomial about its value
+        steps = [(i.t_old, i.h, i.y_old, i.F) if hasattr(i, "F")
+                 else (i.t_old, 1.0, i.value, np.zeros((7, len(i.value))))
+                 for i in interpolants]
+        self._t_old = np.array([s[0] for s in steps], dtype=np.float64)
+        self._h = np.array([s[1] for s in steps], dtype=np.float64)
+        self._y_old = np.array([s[2] for s in steps], dtype=np.float64)
+        self._F = np.array([s[3] for s in steps], dtype=np.float64)
+        self._knots = self.ts.tolist()
 
     @property
     def ncomponents(self):
-        return len(self._sol(self.t_min))
+        return self._y_old.shape[1]
 
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
-        if t.size and (t.min() < self.t_min - self._slack
-                       or t.max() > self.t_max + self._slack):
+        if t.ndim == 0:
+            return self._at(float(t))
+        flat = t.ravel()
+        if flat.size:
+            self._check_span(flat.min(), flat.max())
+        k = np.clip(np.searchsorted(self.ts, flat, side="left") - 1, 0, len(self._h) - 1)
+        x = ((flat - self._t_old[k]) / self._h[k])[:, None]
+        # F gathered one row at a time: memory stays at (points, components)
+        y = _dop853_poly(lambda j: self._F[k, j], x) + self._y_old[k]
+        return y.reshape(t.shape + (self.ncomponents,))
+
+    def _at(self, t):
+        """Scalar fast path: the same recurrence on Python floats."""
+        self._check_span(t, t)
+        k = min(max(bisect.bisect_left(self._knots, t) - 1, 0), len(self._h) - 1)
+        x = (t - float(self._t_old[k])) / float(self._h[k])
+        return np.array([_dop853_poly(f.__getitem__, x) + y0
+                         for f, y0 in zip(self._F[k].T.tolist(), self._y_old[k].tolist())])
+
+    def _check_span(self, lo, hi):
+        if lo < self.t_min - self._slack or hi > self.t_max + self._slack:
             raise ODEError(
                 f"evaluation time outside integrated span "
                 f"[{self.t_min}, {self.t_max}]"
             )
-        return self._sol(t).T
 
-    def component(self, k):
-        """Scalar-in/scalar-out view of component k."""
 
-        def f(t):
-            return float(self(t)[k]) if np.ndim(t) == 0 else self(t)[:, k]
-
-        return f
+def _dop853_poly(row, x):
+    """The dense-output polynomial of one DOP853 step at x = (t - t_old)/h,
+    without y_old, as scipy's Dop853DenseOutput evaluates it: from row(6)
+    down to row(0), multiplying by x and 1 - x in turn."""
+    w = 1 - x
+    return ((((((((0.0 + row(6)) * x + row(5)) * w + row(4)) * x + row(3)) * w
+              + row(2)) * x + row(1)) * w + row(0)) * x)
 
 
 def _march(f, t0, y0, t_end, rtol, atol):

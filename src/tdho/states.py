@@ -126,16 +126,15 @@ def _slice_params(spec: StateSpec, t, with_driving: bool):
     basis, model, hbar = spec.basis, spec.model, spec.hbar
     t = float(t)
     model.check_domain(t)
-    rho = float(basis.rho(t))
-    drho = float(basis.drho(t))
-    theta = float(basis.theta(t))
+    rho, drho, theta = (float(q) for q in basis.slice(t)[4:])
     M = float(model.mass(t))
     omega = basis.omega
 
     if with_driving and spec.driven is not None:
-        x_shift = float(spec.driven.xp(t))
-        k_lin = M * float(spec.driven.dxp(t)) / hbar
-        phase_shift = float(spec.driven.delta(t)) / hbar
+        xp, dxp, delta = spec.driven.slice(t)
+        x_shift = float(xp)
+        k_lin = M * float(dxp) / hbar
+        phase_shift = float(delta) / hbar
     else:
         x_shift = 0.0
         k_lin = 0.0

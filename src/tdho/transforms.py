@@ -256,9 +256,7 @@ def apply_UF(model: OscillatorModel, driven, t, g: GridFunction) -> GridFunction
     """Driving operator: phases e^{i(M xdot_p x + delta)/hbar} after the
     translation by x_p (momentum factor rightmost, so it acts first)."""
     s = evaluate_model(model, t)
-    xp = float(driven.xp(t))
-    dxp = float(driven.dxp(t))
-    delta = float(driven.delta(t))
+    xp, dxp, delta = (float(q) for q in driven.slice(t))
     g = apply_translation(g, xp)
     g = apply_linear_phase(g, s.M * dxp)
     return apply_constant_phase(g, delta)
@@ -266,9 +264,7 @@ def apply_UF(model: OscillatorModel, driven, t, g: GridFunction) -> GridFunction
 
 def apply_UF_dagger(model: OscillatorModel, driven, t, g: GridFunction) -> GridFunction:
     s = evaluate_model(model, t)
-    xp = float(driven.xp(t))
-    dxp = float(driven.dxp(t))
-    delta = float(driven.delta(t))
+    xp, dxp, delta = (float(q) for q in driven.slice(t))
     g = apply_constant_phase(g, -delta)
     g = apply_linear_phase(g, -s.M * dxp)
     return apply_translation(g, -xp)

@@ -505,8 +505,8 @@ def _run_uncertainty(ctx: SuiteContext, overrides) -> list:
         for t in ctx.times:
             m_f = moments(sample_on_grid(f_driven, grid, t, attach_source=False))
             m_0 = moments(sample_on_grid(f_plain, grid, t, attach_source=False))
-            xp = float(ctx.driven.xp(t))
-            p_shift = float(ctx.model.mass(t)) * float(ctx.driven.dxp(t))
+            xp, dxp, _ = (float(q) for q in ctx.driven.slice(t))
+            p_shift = float(ctx.model.mass(t)) * dxp
             measured = max(
                 abs(m_f.var_x - m_0.var_x),
                 abs(m_f.var_p - m_0.var_p),
@@ -550,14 +550,9 @@ def _run_delta_equivalence(ctx: SuiteContext, overrides) -> list:
     shifted = shift_particular(ctx.driven, ctx.basis, c, ctx.model)
     ts = np.linspace(ctx.model.t_min, ctx.model.t_max, 100)
     M = np.asarray(ctx.model.mass(ts), dtype=float)
-    u = np.asarray(ctx.basis.u(ts))
-    du = np.asarray(ctx.basis.du(ts))
-    xp = np.asarray(ctx.driven.xp(ts))
-    g = (
-        np.asarray(shifted.delta(ts))
-        - np.asarray(ctx.driven.delta(ts))
-        + c * M * du * (xp + 0.5 * c * u)
-    )
+    u, du = ctx.basis.slice(ts)[:2]
+    xp, _, delta = ctx.driven.slice(ts)
+    g = np.asarray(shifted.delta(ts)) - delta + c * M * du * (xp + 0.5 * c * u)
     out.append(CheckResult(
         "delta_equivalence", {"form": "shift_rule", "c": c},
         float(np.std(g)), tol,

@@ -5,6 +5,7 @@ import pytest
 
 from tdho.classical import (
     DegenerateBasisError,
+    NumericBasis,
     OmegaSignError,
     OverdampedError,
     QuadratureError,
@@ -21,6 +22,7 @@ from tdho.classical import (
     unwrapped_ellipse_angle,
 )
 from tdho.models import CaldirolaKanai, UnitMassSHO, reduced_frequency_squared
+from tdho.ode import ODEError
 
 from conftest import T_MAX, T_MIN
 
@@ -145,6 +147,35 @@ def test_omega_sign_rejected():
     m = UnitMassSHO(1.0, t_min=0.0, t_max=5.0)
     with pytest.raises(OmegaSignError):
         solve_homogeneous(m, 0.0, 1.0, 1.0, 0.0, t0=0.0)  # Omega = -1
+
+
+class _Circle:
+    """Stub dense solution u = cos Wt, v = sin Wt, so theta = -W t."""
+
+    def __init__(self, W):
+        self.W = W
+
+    def __call__(self, t):
+        wt = self.W * np.asarray(t, dtype=float)
+        return np.stack([np.cos(wt), -self.W * np.sin(wt),
+                         np.sin(wt), self.W * np.cos(wt)], axis=-1)
+
+
+def test_numeric_theta_table_resolves_fast_winding():
+    """4097 nodes on [0, 2655] step theta by 6.48 rad, which unwraps to a
+    smooth -0.20 rad: the table must be sized from the rate instead."""
+    W = 10.0
+    b = NumericBasis(_Circle(W), UnitMassSHO(W, 0.0, 2655.0), W, t_ref=0.0)
+    assert len(b._theta_ts) > 4097
+    ts = np.array([1.0, 1000.0, 1777.7, 2655.0])
+    np.testing.assert_allclose(b.theta(ts), -W * ts, rtol=1e-12)
+    assert b.theta(1000.0) == pytest.approx(-10000.0, rel=1e-12)
+
+
+def test_numeric_theta_table_refuses_beyond_cap():
+    W = 1e4  # about 3.4e7 nodes on [0, 2655]
+    with pytest.raises(ODEError, match="theta table"):
+        NumericBasis(_Circle(W), UnitMassSHO(W, 0.0, 2655.0), W, t_ref=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +303,57 @@ def test_shift_particular_rule(driven_sho):
 def test_shift_particular_zero_is_identity(driven_sho):
     basis, drv = driven_sho
     assert shift_particular(drv, basis, 0.0) is drv
+
+
+# ---------------------------------------------------------------------------
+# one-read slices against the per-quantity reads, bit for bit
+# ---------------------------------------------------------------------------
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", ["sho_c2", "ck", "numeric", "reduced_numeric"])
+def test_basis_slice_equals_per_method_reads(name, sho_basis_c2, ck_basis, lo_basis):
+    basis = {"sho_c2": sho_basis_c2, "ck": ck_basis, "numeric": lo_basis,
+             "reduced_numeric": reduced_basis(lo_basis)}[name]
+    for t in (0.7, np.linspace(T_MIN, T_MAX, 97)):
+        got = basis.slice(t)
+        u, du, v, dv = basis.u(t), basis.du(t), basis.v(t), basis.dv(t)
+        want = (u, du, v, dv, basis.rho(t), basis.drho(t), basis.theta(t))
+        assert len(got) == 7
+        for g, w in zip(got, want):
+            _assert_same_bits(g, w)
+        _assert_same_bits(got[4], np.sqrt(u ** 2 + v ** 2))
+        _assert_same_bits(got[5], (u * du + v * dv) / np.sqrt(u * u + v * v))
+        _assert_same_bits(basis.omega_check(t),
+                          basis.model.mass(t) * (dv * u - du * v))
+    if name == "reduced_numeric":
+        t = np.linspace(T_MIN, T_MAX, 97)
+        M, dM = lo_basis.model.mass(t), lo_basis.model.dmass(t)
+        _assert_same_bits(basis.du(t), np.sqrt(M) * (
+            lo_basis.du(t) + 0.5 * (dM / M) * lo_basis.u(t)))
+        _assert_same_bits(basis.theta(t), lo_basis.theta(t))
+
+
+def test_driven_slices_equal_per_method_reads(driven_sho):
+    basis, drv = driven_sho
+    c = 0.5
+    shifted = shift_particular(drv, basis, c)
+    null = null_driven(basis.model)
+    for t in (0.7, np.linspace(T_MIN, T_MAX, 97)):
+        for d in (drv, shifted, null):
+            got = d.slice(t)
+            assert len(got) == 3
+            for g, w in zip(got, (d.xp(t), d.dxp(t), d.delta(t))):
+                _assert_same_bits(g, w)
+        _assert_same_bits(shifted.xp(t), drv.xp(t) + c * basis.u(t))
+        _assert_same_bits(shifted.dxp(t), drv.dxp(t) + c * basis.du(t))
+        _assert_same_bits(null.slice(t)[0], np.zeros(np.shape(t)))
+    # scalar reads of the dense solution stay Python floats
+    assert all(type(q) is float for q in drv.slice(0.7))
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,33 @@ def test_load_scenario_schema_violation_reports_path(tmp_path):
         load_scenario(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize("violation", [
+    {"model": {"family": "Nope", "params": {}, "t_min": 0.0, "t_max": 1.0}},
+    {"states": [0, -1]},
+    {"states": []},
+    {"hbar": 0.0},
+    {"times": "0.5"},
+    {"basis": {"kind": "numeric", "ics": [1.0, 0.0, 0.0]}},
+    {"checks": [{"tolerance": 1e-3}]},
+    {"name": 7, "grid": {"points": 8}},
+])
+def test_load_scenario_error_matches_jsonschema_validate(tmp_path, violation):
+    """The validator built once raises what jsonschema.validate raises."""
+    import jsonschema
+
+    from tdho.cli import SCENARIO_SCHEMA
+
+    doc = _scenario_doc(**violation)
+    with pytest.raises(jsonschema.ValidationError) as oracle:
+        jsonschema.validate(doc, SCENARIO_SCHEMA)
+    e = oracle.value
+    where = getattr(e, "json_path", None) or "$." + ".".join(
+        str(p) for p in e.absolute_path)
+    with pytest.raises(ScenarioError) as got:
+        load_scenario(_write(tmp_path, doc))
+    assert str(got.value) == f"scenario schema violation at {where}: {e.message}"
+
+
 def test_load_scenario_bad_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

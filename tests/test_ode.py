@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolution
 
-from tdho.ode import ODEError, solve_ode
+import tdho.ode
+from tdho.ode import DenseSolution, ODEError, solve_ode
 
 
 def test_exponential_decay_pointwise():
@@ -77,16 +79,6 @@ def test_evaluation_outside_span_raises():
         sol(np.array([0.5, -0.5]))
 
 
-def test_component_view_scalar_and_vector():
-    sol = solve_ode(lambda t, y: np.array([y[1], -y[0]]), 0.0, [1.0, 0.0],
-                    0.0, 3.0)
-    c1 = sol.component(1)
-    assert isinstance(c1(1.0), float)
-    assert c1(1.0) == pytest.approx(-np.sin(1.0), abs=1e-9)
-    ts = np.linspace(0.0, 3.0, 7)
-    np.testing.assert_allclose(c1(ts), -np.sin(ts), atol=1e-9)
-
-
 def test_tolerance_controls_accuracy():
     """Looser rtol gives a visibly larger error; both stay proportionate."""
 
@@ -114,3 +106,59 @@ def test_dense_solution_knots_are_sorted():
     assert np.all(np.diff(sol.ts) > 0)
     assert sol.t_min == -3.0 and sol.t_max == 4.0
     assert sol.ncomponents == 1
+
+
+# ---------------------------------------------------------------------------
+# the stacked evaluator against scipy's OdeSolution, bit for bit
+# ---------------------------------------------------------------------------
+
+def _pendulum(t, y):
+    return np.array([y[1], -np.sin(y[0]) - 0.1 * y[1], np.cos(t) * y[0]])
+
+
+def _solve_with_oracle(monkeypatch, t0, t_lo, t_hi):
+    """solve_ode plus scipy's OdeSolution over the same knots and steps."""
+    oracle = []
+
+    class Recording(DenseSolution):
+        def __init__(self, ts, interpolants):
+            super().__init__(ts, interpolants)
+            oracle.append(OdeSolution(ts, interpolants))
+
+    monkeypatch.setattr(tdho.ode, "DenseSolution", Recording)
+    sol = solve_ode(_pendulum, t0, [1.2, 0.0, -0.5], t_lo, t_hi)
+    return sol, oracle[0]
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("t0, t_lo, t_hi", [
+    (2.0, -5.0, 15.0),   # two-sided
+    (-5.0, -5.0, 15.0),  # forward only
+    (15.0, -5.0, 15.0),  # backward only
+])
+def test_dense_solution_matches_ode_solution_bitwise(monkeypatch, t0, t_lo, t_hi):
+    sol, oracle = _solve_with_oracle(monkeypatch, t0, t_lo, t_hi)
+    rng = np.random.default_rng(7)
+    inner = rng.uniform(t_lo, t_hi, 500)  # unsorted
+    cases = [
+        inner,
+        np.repeat(inner[:50], 3),  # repeats
+        sol.ts,                    # every knot, t0 and both ends included
+        np.concatenate([sol.ts[::-1], inner[:20]]),
+    ]
+    for ts in cases:
+        _assert_same_bits(sol(ts), oracle(ts).T)
+    for t in np.concatenate([sol.ts, inner[:100]]):  # scalar path
+        _assert_same_bits(sol(float(t)), oracle(t))
+    _assert_same_bits(sol(np.zeros(0)), np.zeros((0, 3)))
+
+
+def test_dense_solution_matches_ode_solution_on_degenerate_span(monkeypatch):
+    sol, oracle = _solve_with_oracle(monkeypatch, 1.5, 1.5, 1.5)
+    _assert_same_bits(sol(1.5), oracle(1.5))
+    _assert_same_bits(sol(np.array([1.5, 1.5])), oracle(np.array([1.5, 1.5])).T)
