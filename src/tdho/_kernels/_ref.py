@@ -19,22 +19,6 @@ _LOG_CRAMER = math.log(1.0865)
 _RESCALE_LOG = 600.0
 
 
-def hermite_values(n, xi):
-    """Physicists' Hermite polynomial H_n at the points xi.
-
-    Three-term recurrence H_0 = 1, H_1 = 2 xi,
-    H_{k+1} = 2 xi H_k - 2 k H_{k-1}.
-    """
-    xi = np.asarray(xi, dtype=np.float64)
-    if n == 0:
-        return np.ones_like(xi)
-    h_prev = np.ones_like(xi)
-    h = 2.0 * xi
-    for k in range(1, n):
-        h_prev, h = h, 2.0 * xi * h - (2.0 * k) * h_prev
-    return h
-
-
 def _cutoff_radius(n, log_norm, gauss_re, scale):
     """Radius R such that exp(log_norm + gauss_re d^2) |h_n(scale d)| is
     below e^LOG_FLOOR wherever |d| > R.

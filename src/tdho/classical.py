@@ -541,14 +541,13 @@ def delta_legacy(
         )
 
     def integrand(z):
-        return model.mass(z) * (
-            driven.xp(z) * basis.dv(z) / basis.v(z) - driven.dxp(z)
-        ) ** 2
+        v, dv = basis.slice(z)[2:4]
+        xp, dxp, _ = driven.slice(z)
+        return model.mass(z) * (xp * dv / v - dxp) ** 2
 
     integral = _panel_integral(integrand, t0, a, b, _panel_width(model))(t)
-    boundary = (
-        -0.5 * model.mass(t) * (basis.dv(t) / basis.v(t)) * driven.xp(t) ** 2
-    )
+    v, dv = basis.slice(t)[2:4]
+    boundary = -0.5 * model.mass(t) * (dv / v) * driven.slice(t)[0] ** 2
     out = boundary - 0.5 * integral
     return out if np.ndim(out) else float(out)
 

@@ -33,7 +33,6 @@ __all__ = [
     "evaluate_model",
     "reduced_frequency_squared",
     "lo_frequency_squared",
-    "has_negative_reduced_frequency",
     "frequency_scale",
     "model_from_json",
 ]
@@ -70,7 +69,8 @@ class Force:
         return False
 
     def frequency_hint(self) -> float:
-        """Characteristic angular frequency, used for step-size caps."""
+        """Characteristic angular frequency of the force; frequency_scale
+        takes it into the residual dt and the delta quadrature panel widths."""
         return 0.0
 
     def to_json(self) -> dict:
@@ -511,16 +511,6 @@ def reduced_frequency_squared(model: OscillatorModel, t):
     dM = model.dmass(t)
     d2M = model.d2mass(t)
     return model.freq2(t) + 0.25 * (dM / M) ** 2 - 0.5 * (d2M / M)
-
-
-def has_negative_reduced_frequency(model: OscillatorModel, n_samples: int = 512) -> bool:
-    """Diagnostic: does w0^2 dip below zero anywhere in the domain?
-
-    Negative w0^2 is permitted by the formulas but breaks the oscillatory
-    closed forms downstream, so callers may want to know.
-    """
-    ts = np.linspace(model.t_min, model.t_max, n_samples)
-    return bool(np.any(reduced_frequency_squared(model, ts) < 0.0))
 
 
 def frequency_scale(model: OscillatorModel, n_samples: int = 128) -> float:

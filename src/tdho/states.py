@@ -29,20 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import hermite_values, state_kernel, state_kernel_block
+from ._kernels import state_kernel, state_kernel_block
 from .classical import ClassicalBasis, DrivenSolution, unwrapped_ellipse_angle
-from .models import (
-    CaldirolaKanai,
-    LoDampedPulsating,
-    OscillatorModel,
-    UnitMassSHO,
-)
+from .models import OscillatorModel
 
 __all__ = [
     "StateSpec",
     "WavefunctionField",
-    "hermite",
-    "complex_halfint_power",
     "psi_unit_mass",
     "psi_general",
     "psi_driven",
@@ -51,24 +44,8 @@ __all__ = [
     "psi_ck",
     "psi_lo",
     "state_field",
-    "sho_field",
-    "ck_field",
-    "lo_field",
     "dump_state_grid",
 ]
-
-def hermite(n: int, xi):
-    """Physicists' Hermite polynomial H_n by the three-term recurrence."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    scalar = np.isscalar(xi) or np.ndim(xi) == 0
-    out = hermite_values(int(n), np.atleast_1d(np.asarray(xi, dtype=np.float64)))
-    return float(out[0]) if scalar else out
-
-
-def complex_halfint_power(basis: ClassicalBasis, n: int, t) -> complex:
-    """The branch-tracked factor [(u - iv)/rho]^{n + 1/2} = e^{i(n+1/2)theta}."""
-    return np.exp(1j * (n + 0.5) * basis.theta(t))
 
 
 @dataclass
@@ -324,30 +301,6 @@ def state_field(spec: StateSpec) -> WavefunctionField:
         fn = lambda x, t: psi_general(spec, x, t)  # noqa: E731
         label = f"psi_general[n={spec.n}]"
     return WavefunctionField(fn, spec.model, spec.hbar, spec.n, label, spec)
-
-
-def sho_field(w_s, Ccoef, n, hbar=1.0, t_min=-5.0, t_max=20.0) -> WavefunctionField:
-    model = UnitMassSHO(w_s, t_min, t_max)
-    return WavefunctionField(
-        lambda x, t: psi_sho(w_s, Ccoef, n, hbar, x, t),
-        model, hbar, n, f"psi_sho[n={n},C={Ccoef}]",
-    )
-
-
-def ck_field(m, gamma, w1, Ccoef, n, hbar=1.0, t_min=-5.0, t_max=20.0) -> WavefunctionField:
-    model = CaldirolaKanai(m, gamma, w1, t_min, t_max)
-    return WavefunctionField(
-        lambda x, t: psi_ck(m, gamma, w1, Ccoef, n, hbar, x, t),
-        model, hbar, n, f"psi_ck[n={n},C={Ccoef}]",
-    )
-
-
-def lo_field(m0, gamma, mu, nu, w_lo, Ccoef, n, hbar=1.0, t_min=-5.0, t_max=20.0) -> WavefunctionField:
-    model = LoDampedPulsating(m0, gamma, mu, nu, w_lo, t_min, t_max)
-    return WavefunctionField(
-        lambda x, t: psi_lo(m0, gamma, mu, nu, w_lo, Ccoef, n, hbar, x, t),
-        model, hbar, n, f"psi_lo[n={n},C={Ccoef}]",
-    )
 
 
 def dump_state_grid(field: WavefunctionField, x, t: float, csv_path, meta=None):

@@ -9,10 +9,10 @@ Operator products act right-to-left, exactly as written:
     U_F     = ConstPhase(delta) . LinearPhase(M xdot_p) . Translation(x_p)
 
 Support-changing primitives (dilation, translation) either re-evaluate an
-attached analytic source exactly or fall back to natural cubic-spline
-interpolation of the samples; out-of-span reads are taken as zero, which is
-consistent only because compliant grid functions are negligible at their
-edges (the boundary invariant, enforced by the sizing policy below).
+attached analytic source exactly or fall back to a six-point Lagrange read
+of the samples; out-of-span reads are taken as zero, which is consistent
+only because compliant grid functions are negligible at their edges (the
+boundary invariant, enforced by the sizing policy below).
 """
 
 from __future__ import annotations
@@ -126,24 +126,36 @@ def sample_on_grid(field, grid: Grid, t, attach_source: bool = True) -> GridFunc
                         source)
 
 
-def _spline_eval(g: GridFunction, xq: np.ndarray) -> np.ndarray:
-    """Cubic-spline read of the samples; zero outside the sampled span."""
-    from scipy.interpolate import CubicSpline
+# denominators prod_{j != k} (k - j) of the six-point Lagrange weights
+_LAGRANGE_DENOM = np.array([-120.0, 24.0, -12.0, 12.0, -24.0, 120.0])
 
-    x = g.x
-    re = CubicSpline(x, g.values.real, bc_type="natural")
-    im = CubicSpline(x, g.values.imag, bc_type="natural")
-    inside = (xq >= x[0]) & (xq <= x[-1])
+
+def _lagrange_eval(g: GridFunction, xq: np.ndarray) -> np.ndarray:
+    """Six-point Lagrange read of the samples; exact zeros outside the span.
+
+    Each query takes the six samples around it, the stencil clipped to the
+    grid at either edge, so any polynomial of degree <= 5 is reproduced to
+    rounding everywhere in [x_min, x_max] (Fornberg, Math. Comp. 51 (1988)
+    699-706).
+    """
+    xq = np.asarray(xq, dtype=float)
     out = np.zeros(xq.shape, dtype=np.complex128)
-    xi = xq[inside]
-    out[inside] = re(xi) + 1j * im(xi)
+    inside = (xq >= g.x_min) & (xq <= g.x_max)
+    s = (xq[inside] - g.x_min) / g.dx
+    first = np.clip(np.floor(s).astype(np.intp) - 2, 0, len(g.values) - 6)
+    offsets = np.arange(6)
+    d = (s - first)[:, None] - offsets
+    weights = np.stack(
+        [np.prod(d[:, offsets != k], axis=1) for k in range(6)], axis=1
+    ) / _LAGRANGE_DENOM
+    out[inside] = np.sum(weights * g.values[first[:, None] + offsets], axis=1)
     return out
 
 
 def _read(g: GridFunction, xq: np.ndarray) -> np.ndarray:
     if g.source is not None:
         return np.asarray(g.source(xq), dtype=np.complex128)
-    return _spline_eval(g, xq)
+    return _lagrange_eval(g, xq)
 
 
 def _require_support(g: GridFunction, op: str):

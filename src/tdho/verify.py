@@ -46,7 +46,6 @@ __all__ = [
     "inner_product",
     "moments",
     "schrodinger_residual",
-    "residual_convergence_ok",
     "check_omega_constancy",
     "check_transform_equivalence",
     "check_stationarity",
@@ -153,20 +152,9 @@ class MomentReport:
     t: float
 
 
-def _p2_forms(g: GridFunction, hbar: float):
-    """⟨p^2⟩ two ways: -hbar^2 ∫psi* psi'' (reported) and hbar^2 ∫|psi'|^2."""
-    n2 = float(simpson(np.abs(g.values) ** 2, dx=g.dx))
-    d1 = _d1(g.values, g.dx)
-    d2 = _d2(g.values, g.dx)
-    stencil = -hbar * hbar * float(
-        simpson((np.conj(g.values) * d2).real, dx=g.dx)
-    ) / n2
-    gradient = hbar * hbar * float(simpson(np.abs(d1) ** 2, dx=g.dx)) / n2
-    return stencil, gradient
-
-
 def moments(g: GridFunction, hbar=None) -> MomentReport:
-    """Position/momentum means and variances from the samples."""
+    """Position/momentum means and variances from the samples; <p^2> is
+    -hbar^2 ∫psi* psi'' with the five-point stencil."""
     hbar = g.hbar if hbar is None else hbar
     x = g.x
     density = np.abs(g.values) ** 2
@@ -175,7 +163,8 @@ def moments(g: GridFunction, hbar=None) -> MomentReport:
     var_x = float(simpson((x - mean_x) ** 2 * density, dx=g.dx)) / n2
     d1 = _d1(g.values, g.dx)
     mean_p = hbar * float(simpson((np.conj(g.values) * d1).imag, dx=g.dx)) / n2
-    p2, _ = _p2_forms(g, hbar)
+    d2 = _d2(g.values, g.dx)
+    p2 = -hbar * hbar * float(simpson((np.conj(g.values) * d2).real, dx=g.dx)) / n2
     return MomentReport(mean_x, var_x, mean_p, p2 - mean_p**2, g.t)
 
 
@@ -243,14 +232,6 @@ def schrodinger_residual(field, model, grid, t, dt=None, hbar=None) -> ResidualR
         residual_coarse=coarse,
         convergence_order_estimate=order,
     )
-
-
-def residual_convergence_ok(report: ResidualReport, floor: float = 1e-9) -> bool:
-    """Fourth-order behaviour: >= 8x reduction per halving, except below the
-    floor where roundoff dominates."""
-    if report.rel_l2_residual <= floor:
-        return True
-    return report.residual_coarse / report.rel_l2_residual >= 8.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Command-line interface: scenarios, exit codes, deterministic outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tdho
 import tdho.classical
 import tdho.verify
 from tdho.classical import QuadratureError
@@ -165,6 +170,33 @@ def test_verify_fast_passes_bundled(capsys):
 
 def test_verify_negative_control_fails():
     assert main(["verify", "negative_control", "--suite", "fast"]) == 1
+
+
+def test_driven_ck_interpolated_chain_passes_at_n12():
+    """The interpolated chain of the bundled driven_ck scenario keeps inside
+    its 1e-6 gate at n = 12; a natural cubic spline read reaches 2.4e-6."""
+    doc = load_scenario("driven_ck")
+    doc["states"] = [12]
+    results = tdho.verify.run_suite(build_context(doc), ["transform_chain"])
+    interp = [r.measured for r in results if r.params["path"] == "interp"]
+    assert len(interp) == 3 and max(interp) < 1e-6
+
+
+def test_verify_leaves_scipy_interpolate_unimported(tmp_path):
+    """A cold `tdho verify` of a chain scenario imports no scipy.interpolate."""
+    report = str(tmp_path / "report.json")
+    code = (
+        "import sys\n"
+        "from tdho.cli import main\n"
+        f"rc = main(['verify', 'driven_ck', '--suite', 'fast', '--out', {report!r}])\n"
+        "print(rc, 'scipy.interpolate' in sys.modules)\n"
+    )
+    src = str(Path(tdho.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 @pytest.mark.parametrize("error", [ODEError, QuadratureError])

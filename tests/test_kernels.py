@@ -9,6 +9,7 @@ from numpy.polynomial.hermite import hermval
 
 import tdho
 import tdho._kernels as kernels
+from tdho._kernels._ref import _hermite_function_rows
 from tdho.classical import analytic_basis_sho
 from tdho.states import StateSpec, state_block, state_field
 from tdho.transforms import policy_grid, sample_on_grid
@@ -19,24 +20,35 @@ def test_backend_is_declared():
     assert tdho.kernel_backend == "numpy"
 
 
+def _hermite_rows(n, xi):
+    """h_0..h_n at xi from the kernel's normalised recurrence."""
+    rows = _hermite_function_rows(n, xi, np.zeros_like(xi))
+    return [np.ldexp(m, e) for m, e in rows]
+
+
+def _hermite_norm(n):
+    return math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+
+
 @pytest.mark.parametrize("n", range(9))
 def test_hermite_matches_numpy_hermval(n):
+    """Row n of the recurrence is H_n / sqrt(2^n n! sqrt(pi))."""
     xi = np.linspace(-4.0, 4.0, 41)
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
     np.testing.assert_allclose(
-        kernels.hermite_values(n, xi), hermval(xi, coeffs), rtol=1e-13
+        _hermite_rows(n, xi)[n], hermval(xi, coeffs) / _hermite_norm(n),
+        rtol=1e-13, atol=1e-15,
     )
 
 
 def test_hermite_known_values():
-    # H_0..H_3 at 0 and the frozen spot value H_10(0.5) = 22591 exactly.
-    xi = np.array([0.0])
-    assert kernels.hermite_values(0, xi)[0] == 1.0
-    assert kernels.hermite_values(1, xi)[0] == 0.0
-    assert kernels.hermite_values(2, xi)[0] == -2.0
-    assert kernels.hermite_values(3, xi)[0] == 0.0
-    assert kernels.hermite_values(10, np.array([0.5]))[0] == 22591.0
+    # h_0..h_3 at 0 and the frozen spot value H_10(0.5) = 22591.
+    rows = _hermite_rows(10, np.array([0.0, 0.5]))
+    c = math.pi ** -0.25
+    assert rows[0][0] == c and rows[1][0] == 0.0 and rows[3][0] == 0.0
+    assert rows[2][0] == pytest.approx(-c / math.sqrt(2.0), rel=1e-15)
+    assert rows[10][1] * _hermite_norm(10) == pytest.approx(22591.0, rel=1e-13)
 
 
 def test_state_kernel_matches_direct_formula(rng):

@@ -19,7 +19,6 @@ from tdho.models import (
     evaluate_model,
     force_from_json,
     frequency_scale,
-    has_negative_reduced_frequency,
     lo_frequency_squared,
     model_from_json,
     reduced_frequency_squared,
@@ -102,16 +101,6 @@ def test_lo_frequency_squared_matches_model_freq2():
     ts = np.linspace(-1.0, 10.0, 57)
     np.testing.assert_allclose(
         m.freq2(ts), lo_frequency_squared(2.0, 0.15, 0.1, 2.0, 1.2, ts), rtol=1e-14
-    )
-
-
-def test_has_negative_reduced_frequency():
-    assert not has_negative_reduced_frequency(
-        CaldirolaKanai(1.0, 0.6, 1.0, t_min=0.0, t_max=10.0)
-    )
-    # overdamped: w1^2 - gamma^2/4 < 0
-    assert has_negative_reduced_frequency(
-        CaldirolaKanai(1.0, 3.0, 1.0, t_min=0.0, t_max=10.0)
     )
 
 

@@ -9,18 +9,13 @@ from scipy.integrate import simpson
 from tdho.classical import null_driven, reduced_basis
 from tdho.states import (
     StateSpec,
-    ck_field,
-    complex_halfint_power,
     dump_state_grid,
-    hermite,
-    lo_field,
     psi_ck,
     psi_driven,
     psi_general,
     psi_lo,
     psi_sho,
     psi_unit_mass,
-    sho_field,
     state_field,
 )
 
@@ -68,23 +63,6 @@ def test_psi_driven_requires_driven(sho_basis_c1):
     spec = StateSpec(0, 1.0, sho_basis_c1, sho_basis_c1.model)
     with pytest.raises(ValueError, match="DrivenSolution"):
         psi_driven(spec, X, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# building blocks
-# ---------------------------------------------------------------------------
-
-def test_hermite_wrapper_known_value():
-    assert hermite(10, np.array([0.5]))[0] == 22591.0
-
-
-def test_complex_halfint_power_unit_modulus(sho_basis_c2):
-    for n in (0, 1, 4):
-        z = complex_halfint_power(sho_basis_c2, n, 1.7)
-        assert abs(abs(z) - 1.0) < 1e-14
-        # e^{i (n + 1/2) theta}
-        th = sho_basis_c2.theta(1.7)
-        assert z == pytest.approx(np.exp(1j * (n + 0.5) * th), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +167,6 @@ def test_driven_phase_structure(driven_sho):
 # ---------------------------------------------------------------------------
 # field wrappers and dumps
 # ---------------------------------------------------------------------------
-
-def test_field_constructors_label_and_call():
-    f = sho_field(1.0, 2.0, 1)
-    g = ck_field(1.0, 0.6, 1.0, 1.0, 0)
-    h = lo_field(1.0, 0.1, 0.2, 3.0, 1.0, 1.0, 0)
-    x = np.array([0.0, 0.5])
-    for field in (f, g, h):
-        vals = field(x, 1.0)
-        assert vals.shape == x.shape and vals.dtype == np.complex128
-    assert f.n == 1 and "sho" in f.label
-
 
 def test_state_field_picks_driven_path(driven_sho):
     basis, drv = driven_sho

@@ -115,12 +115,40 @@ def test_phases_respect_hbar():
 
 
 def test_interpolated_path_accuracy():
-    """Without a source the dilation falls back to a spline read."""
+    """Without a source the dilation falls back to a six-point Lagrange read."""
     gf = sample_on_grid(_gauss_field, GRID, 0.0, attach_source=False)
     out = apply_dilation(gf, 0.37)
     want = np.exp(0.37 / 2.0) * _gauss_field(np.exp(0.37) * GRID.xs(), 0.0)
     err = np.max(np.abs(out.values - want))
     assert 1e-16 < err < 1e-9
+
+
+def test_lagrange_read_reproduces_a_quintic():
+    """A complex degree-5 polynomial sampled without a source comes back to
+    rounding through translation and dilation, up to the last samples at
+    either edge; every read outside the span is an exact zero."""
+    grid = Grid(-1.0, 1.0, 64)
+    x, dx = grid.xs(), grid.dx
+    d, a = 1.37 * dx, 0.3 * dx
+    # roots where the translated edge samples read, so both translations
+    # keep compliant edges
+    coeffs = (0.8 - 0.3j) * np.poly([grid.x_min + d, grid.x_max - d,
+                                     0.3 + 0.2j, -0.5 - 0.1j, 0.7j])
+    gf = GridFunction(grid.x_min, dx, np.polyval(coeffs, x), 0.0)
+    peak = np.max(np.abs(gf.values))
+    cases = [
+        (apply_translation(gf, d), x - d, 1.0),
+        (apply_translation(gf, -d), x + d, 1.0),
+        (apply_dilation(gf, a), np.exp(a) * x, np.exp(0.5 * a)),
+    ]
+    for out, xq, scale in cases:
+        inside = (xq >= grid.x_min) & (xq <= grid.x_max)
+        assert not inside.all()
+        assert np.all(out.values[~inside] == 0.0)
+        assert xq[inside].min() < grid.x_min + 2.0 * dx
+        assert xq[inside].max() > grid.x_max - 2.0 * dx
+        err = np.abs(out.values[inside] - scale * np.polyval(coeffs, xq[inside]))
+        assert np.max(err) < 1e-12 * peak
 
 
 def test_support_guard_raises():
