@@ -74,8 +74,8 @@ class QuadratureError(RuntimeError):
 class ClassicalBasis:
     """Base class; subclasses provide model, omega and _read.
 
-    Every quantity of a time slice comes from one read of the trajectory
-    (`slice`); the per-quantity methods are views of it.
+    Every quantity of a time slice comes from one read of the trajectory:
+    callers index `slice(t)`.
     """
 
     model: OscillatorModel
@@ -93,27 +93,6 @@ class ClassicalBasis:
         # u*u and u**2 round differently on numpy scalars, so rho is not reused
         drho = (u * du + v * dv) / np.sqrt(u * u + v * v)
         return u, du, v, dv, rho, drho, theta
-
-    def u(self, t):
-        return self.slice(t)[0]
-
-    def du(self, t):
-        return self.slice(t)[1]
-
-    def v(self, t):
-        return self.slice(t)[2]
-
-    def dv(self, t):
-        return self.slice(t)[3]
-
-    def rho(self, t):
-        return self.slice(t)[4]
-
-    def drho(self, t):
-        return self.slice(t)[5]
-
-    def theta(self, t):
-        return self.slice(t)[6]
 
     def omega_check(self, t):
         """M(t)·(vdot·u − udot·v); equals omega up to integration error."""
@@ -359,15 +338,6 @@ class DrivenSolution:
         """(x_p, xdot_p, delta) at t from one read."""
         return self._read(t)
 
-    def xp(self, t):
-        return self._read(t)[0]
-
-    def dxp(self, t):
-        return self._read(t)[1]
-
-    def delta(self, t):
-        return self._read(t)[2]
-
 
 def null_driven(model: OscillatorModel) -> DrivenSolution:
     """The exact x_p ≡ 0, delta ≡ 0 solution of an undriven model."""
@@ -485,14 +455,14 @@ def solve_particular(
 
 
 def shift_particular(
-    driven: DrivenSolution, basis: ClassicalBasis, c: float, model=None
+    driven: DrivenSolution, basis: ClassicalBasis, c: float
 ) -> DrivenSolution:
     """New particular solution x_p' = x_p + c·u with delta recomputed.
 
     The recomputed delta differs from delta - c·M·udot·(x_p + c·u/2) only
     by an additive constant.
     """
-    model = basis.model if model is None else model
+    model = basis.model
     if c == 0.0:
         return driven
 
@@ -516,7 +486,6 @@ def shift_particular(
 def delta_legacy(
     basis: ClassicalBasis,
     driven: DrivenSolution,
-    model: OscillatorModel,
     t0: float,
     t: float | np.ndarray,
 ) -> float | np.ndarray:
@@ -528,11 +497,12 @@ def delta_legacy(
     up to an additive constant.  Kept as a cross-check oracle.  t may be a
     scalar or an array of endpoints; all share one panel table from t0.
     """
+    model = basis.model
     t = np.asarray(t, dtype=float)
     a, b = min(t0, float(t.min())), max(t0, float(t.max()))
     span = max(b - a, 1e-12)
     probe = np.linspace(a, b, max(64, int(1024 * span)))
-    vv = basis.v(probe)
+    vv = basis.slice(probe)[2]
     if np.min(np.abs(vv)) < 1e-8 * np.max(np.abs(vv)) or np.any(
         vv[:-1] * vv[1:] < 0
     ):
@@ -563,20 +533,20 @@ def _write_rows(path, header, columns):
             fh.write(",".join("%.17g" % x for x in row) + "\n")
 
 
-def export_basis_csv(basis: ClassicalBasis, path, n_samples: int = 201, model=None):
+def export_basis_csv(basis: ClassicalBasis, path, n_samples: int = 201):
     """Columns t, u, du, v, dv, omega_check at evenly spaced times."""
-    model = basis.model if model is None else model
+    model = basis.model
     ts = np.linspace(model.t_min, model.t_max, n_samples)
     u, du, v, dv = basis.slice(ts)[:4]
     _write_rows(
         path,
         ["t", "u", "du", "v", "dv", "omega_check"],
-        [ts, u, du, v, dv, _invariant(basis.model.mass(ts), u, du, v, dv)],
+        [ts, u, du, v, dv, _invariant(model.mass(ts), u, du, v, dv)],
     )
 
 
-def export_driven_csv(driven: DrivenSolution, path, n_samples: int = 201, model=None):
+def export_driven_csv(driven: DrivenSolution, path, n_samples: int = 201):
     """Columns t, xp, dxp, delta at evenly spaced times."""
-    model = driven.model if model is None else model
+    model = driven.model
     ts = np.linspace(model.t_min, model.t_max, n_samples)
     _write_rows(path, ["t", "xp", "dxp", "delta"], [ts, *driven.slice(ts)])

@@ -3,9 +3,9 @@
 One JSON scenario file describes everything (model, basis, driving, states,
 grid, times, checks); the subcommands only select an action and output
 paths.  Exit codes: 0 all checks pass, 1 any check failed, 2 configuration
-error (bad schema, unknown check, inconsistent grid) or numerical error (an
-integration or quadrature that cannot be resolved, or a state that samples
-to zero).
+error (bad schema, unknown check, inconsistent grid, unwritable output path)
+or numerical error (an integration or quadrature that cannot be resolved, or
+a state that samples to zero).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .classical import (
     solve_homogeneous,
     solve_particular,
 )
-from .models import CaldirolaKanai, UnitMassSHO, model_from_json
+from .models import CaldirolaKanai, LoDampedPulsating, UnitMassSHO, model_from_json
 from .ode import ODEError
 from .states import dump_state_grid, state_field
 from .transforms import Grid, policy_grid, sample_on_grid
@@ -39,12 +39,29 @@ class ScenarioError(ValueError):
     """Scenario file is invalid or internally inconsistent."""
 
 
+def _numbers(*names) -> dict:
+    return {name: {"type": "number"} for name in names}
+
+
+_NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}}
+
+
+def _when(key, value, properties: dict, inside=None) -> dict:
+    """Subschema: where `key` is `value`, every entry of `properties` is
+    required with its schema (under the object `inside`, when given)."""
+    then = {"required": list(properties), "properties": properties}
+    if inside is not None:
+        then = {"required": [inside], "properties": {inside: then}}
+    return {"if": {"required": [key], "properties": {key: {"const": value}}},
+            "then": then}
+
+
 SCENARIO_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "required": ["name", "model", "basis", "states", "times", "grid"],
     "properties": {
         "name": {"type": "string"},
-        "seed": {"type": "integer"},  # accepted so older scenarios load; unused
         "hbar": {"type": "number", "exclusiveMinimum": 0},
         "model": {
             "type": "object",
@@ -62,6 +79,17 @@ SCENARIO_SCHEMA = {
                 "t_min": {"type": "number"},
                 "t_max": {"type": "number"},
             },
+            # the parameters each family's constructor reads
+            "allOf": [
+                _when("family", "UnitMassSHO", _numbers("w_s"), "params"),
+                _when("family", "CaldirolaKanai", _numbers("m", "gamma", "w1"),
+                      "params"),
+                _when("family", "LoDampedPulsating",
+                      _numbers("m0", "gamma", "mu", "nu", "w_lo"), "params"),
+                _when("family", "GeneralParametric",
+                      {k: _NUMBER_ARRAY for k in ("t", "M", "dM", "d2M", "w2")},
+                      "params"),
+            ],
         },
         "basis": {
             "type": "object",
@@ -85,7 +113,19 @@ SCENARIO_SCHEMA = {
             "type": "object",
             "required": ["force"],
             "properties": {
-                "force": {"type": "object", "required": ["kind"]},
+                "force": {
+                    "type": "object",
+                    "required": ["kind"],
+                    # the keys each force's constructor reads
+                    "allOf": [
+                        _when("kind", "constant", _numbers("F0")),
+                        _when("kind", "cosine", _numbers("amplitude", "omega")),
+                        _when("kind", "expcosine",
+                              _numbers("amplitude", "rate", "omega")),
+                        _when("kind", "polynomial",
+                              {"coeffs": {**_NUMBER_ARRAY, "minItems": 1}}),
+                    ],
+                },
                 "xp0": {"type": "number"},
                 "dxp0": {"type": "number"},
                 "t0": {"type": "number"},
@@ -107,6 +147,7 @@ SCENARIO_SCHEMA = {
                 "x_min": {"type": "number"},
                 "x_max": {"type": "number"},
             },
+            "dependentRequired": {"x_min": ["x_max"], "x_max": ["x_min"]},
         },
         "closed_form": {
             "type": "object",
@@ -147,12 +188,11 @@ def _resolve_scenario(path) -> str:
 @functools.lru_cache(maxsize=None)
 def _scenario_validator():
     """The schema's validator, built once: jsonschema.validate re-checks
-    the schema against its metaschema on every call."""
+    the schema against its metaschema on every call.  The schema is a
+    constant, so the tests check it against the metaschema instead."""
     import jsonschema
 
-    cls = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
-    cls.check_schema(SCENARIO_SCHEMA)
-    return cls(SCENARIO_SCHEMA)
+    return jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
 
 
 def load_scenario(path) -> dict:
@@ -199,15 +239,31 @@ def _build_basis(scenario, model):
     )
 
 
-def _family_info(scenario, model, basis):
-    if "closed_form" in scenario:
-        return dict(scenario["closed_form"])
+# closed_form.kind -> the model family that has that closed-form state
+_CLOSED_FORM_FAMILIES = {
+    "sho": UnitMassSHO,
+    "ck": CaldirolaKanai,
+    "lo": LoDampedPulsating,
+}
+
+
+def _closed_form_C(scenario, model):
+    """C of the closed-form state the scenario compares with, or None.
+
+    An analytic basis is its own closed form, with C = A/B."""
+    cf = scenario.get("closed_form")
+    if cf is not None:
+        kind = cf.get("kind")
+        if kind is not None and not isinstance(model, _CLOSED_FORM_FAMILIES[kind]):
+            raise ScenarioError(
+                f"closed_form kind {kind!r} is not the family of a "
+                f"{type(model).__name__} model"
+            )
+        return float(cf.get("Ccoef", 1.0))
     b = scenario["basis"]
-    if b["kind"] == "analytic_sho" and isinstance(model, UnitMassSHO):
-        return {"kind": "sho", "Ccoef": b.get("A", 1.0) / b.get("B", 1.0)}
-    if b["kind"] == "analytic_ck" and isinstance(model, CaldirolaKanai):
-        return {"kind": "ck", "Ccoef": b.get("A", 1.0) / b.get("B", 1.0)}
-    return {}
+    if b["kind"] in ("analytic_sho", "analytic_ck"):
+        return float(b.get("A", 1.0) / b.get("B", 1.0))
+    return None
 
 
 def build_context(scenario: dict, fast: bool = False):
@@ -218,6 +274,7 @@ def build_context(scenario: dict, fast: bool = False):
     model = model_from_json(model_doc)
 
     basis = _build_basis(scenario, model)
+    closed_form_C = _closed_form_C(scenario, model)
 
     driven = None
     if "driving" in scenario:
@@ -249,14 +306,13 @@ def build_context(scenario: dict, fast: bool = False):
         grid = Grid(float(g["x_min"]), float(g["x_max"]), int(g.get("points", 4096)))
 
     ctx = SuiteContext(
-        model=model,
         basis=basis,
         driven=driven,
         ns=ns,
         times=times,
         grid=grid,
         hbar=hbar,
-        family_info=_family_info(scenario, model, basis),
+        closed_form_C=closed_form_C,
         orthonormality_nmax=ortho_nmax,
     )
     _validate_grid(ctx)
@@ -322,12 +378,11 @@ def cmd_classical(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     basis_path = out_dir / f"{scenario['name']}_basis.csv"
-    export_basis_csv(ctx.basis, basis_path, n_samples=args.samples, model=ctx.model)
+    export_basis_csv(ctx.basis, basis_path, n_samples=args.samples)
     print(basis_path)
     if ctx.driven is not None:
         driven_path = out_dir / f"{scenario['name']}_driven.csv"
-        export_driven_csv(ctx.driven, driven_path, n_samples=args.samples,
-                          model=ctx.model)
+        export_driven_csv(ctx.driven, driven_path, n_samples=args.samples)
         print(driven_path)
     return 0
 
@@ -372,6 +427,11 @@ def main(argv=None) -> int:
         return 2
     except ValueError as e:
         print(f"configuration error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        # load_scenario turns read failures into ScenarioError, so this is
+        # an output path
+        print(f"error: cannot write output: {e}", file=sys.stderr)
         return 2
 
 

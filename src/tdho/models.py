@@ -475,14 +475,6 @@ class ReducedUnitMass(OscillatorModel):
     def params(self):
         return {"base": self.base.to_json()}
 
-    def to_json(self):
-        return {
-            "family": self.family,
-            "params": self.params(),
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-        }
-
 
 # ---------------------------------------------------------------------------
 # evaluation and derived quantities
@@ -513,12 +505,13 @@ def reduced_frequency_squared(model: OscillatorModel, t):
     return model.freq2(t) + 0.25 * (dM / M) ** 2 - 0.5 * (d2M / M)
 
 
-def frequency_scale(model: OscillatorModel, n_samples: int = 128) -> float:
-    """Largest angular-frequency scale present in the model.
+def frequency_scale(model: OscillatorModel) -> float:
+    """Largest angular-frequency scale present in the model, sampled at 128
+    times across its domain.
 
     Used to choose finite-difference dt and quadrature panel widths.
     """
-    ts = np.linspace(model.t_min, model.t_max, n_samples)
+    ts = np.linspace(model.t_min, model.t_max, 128)
     w2 = np.max(np.abs(model.freq2(ts)))
     w02 = np.max(np.abs(reduced_frequency_squared(model, ts)))
     scale = math.sqrt(max(w2, w02, 1e-12))

@@ -55,7 +55,6 @@ class StateSpec:
     n: int
     hbar: float
     basis: ClassicalBasis
-    model: OscillatorModel
     driven: DrivenSolution | None = None
 
     def __post_init__(self):
@@ -64,10 +63,17 @@ class StateSpec:
         self.n = int(self.n)
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
+        self.hbar = float(self.hbar)
         if self.basis.omega <= 0:
             raise ValueError("basis invariant Omega must be positive")
         if self.model.has_driving and self.driven is None:
             raise ValueError("model carries a driving force; supply a DrivenSolution")
+        if self.driven is not None and self.driven.model is not self.model:
+            raise ValueError("the DrivenSolution is over another model than the basis")
+
+    @property
+    def model(self) -> OscillatorModel:
+        return self.basis.model
 
     def describe(self) -> dict:
         doc = {
@@ -274,16 +280,16 @@ def psi_lo(m0, gamma, mu, nu, w_lo, Ccoef, n, hbar, x, t):
 # ---------------------------------------------------------------------------
 
 class WavefunctionField:
-    """Callable (x, t) -> complex amplitude with its defining data attached."""
+    """Callable (x, t) -> complex amplitude with the StateSpec it evaluates."""
 
-    def __init__(self, fn, model: OscillatorModel, hbar: float, n: int,
-                 label: str, spec: StateSpec | None = None):
+    def __init__(self, fn, label: str, spec: StateSpec):
         self._fn = fn
-        self.model = model
-        self.hbar = float(hbar)
-        self.n = int(n)
         self.label = label
         self.spec = spec
+
+    @property
+    def hbar(self) -> float:
+        return self.spec.hbar
 
     def __call__(self, x, t):
         return self._fn(x, t)
@@ -300,7 +306,7 @@ def state_field(spec: StateSpec) -> WavefunctionField:
     else:
         fn = lambda x, t: psi_general(spec, x, t)  # noqa: E731
         label = f"psi_general[n={spec.n}]"
-    return WavefunctionField(fn, spec.model, spec.hbar, spec.n, label, spec)
+    return WavefunctionField(fn, label, spec)
 
 
 def dump_state_grid(field: WavefunctionField, x, t: float, csv_path, meta=None):
@@ -314,20 +320,20 @@ def dump_state_grid(field: WavefunctionField, x, t: float, csv_path, meta=None):
                 "%.17g,%.17g,%.17g,%.17g\n"
                 % (xi, vi.real, vi.imag, abs(vi) ** 2)
             )
+    spec = field.spec
     sidecar = {
         "label": field.label,
-        "n": field.n,
-        "hbar": field.hbar,
+        "n": spec.n,
+        "hbar": spec.hbar,
         "t": float(t),
-        "model": field.model.to_json(),
+        "model": spec.model.to_json(),
         "grid": {
             "x_min": float(x[0]),
             "x_max": float(x[-1]),
             "points": int(len(x)),
         },
+        "spec": spec.describe(),
     }
-    if field.spec is not None:
-        sidecar["spec"] = field.spec.describe()
     if meta:
         sidecar.update(meta)
     side_path = str(csv_path) + ".json"

@@ -334,11 +334,11 @@ def policy_grid(basis, n: int, hbar: float = 1.0, driven=None, times=None,
         if lo == hi:
             hi = lo + 1e-6
     dense = np.linspace(lo, hi, 513)
-    rho = basis.rho(dense)
+    rho = basis.slice(dense)[4]
     M = np.asarray(model.mass(dense), dtype=float)
     rho_eff = float(np.max(rho * np.maximum(1.0, np.sqrt(M))))
     half = pad * rho_eff * math.sqrt(hbar * (2 * n + 1) / basis.omega)
     if driven is not None:
-        xp = np.asarray(driven.xp(dense), dtype=float)
+        xp = np.asarray(driven.slice(dense)[0], dtype=float)
         return Grid(float(xp.min()) - half, float(xp.max()) + half, points)
     return Grid(-half, half, points)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,10 +152,10 @@ class MomentReport:
     t: float
 
 
-def moments(g: GridFunction, hbar=None) -> MomentReport:
+def moments(g: GridFunction) -> MomentReport:
     """Position/momentum means and variances from the samples; <p^2> is
-    -hbar^2 ∫psi* psi'' with the five-point stencil."""
-    hbar = g.hbar if hbar is None else hbar
+    -hbar^2 ∫psi* psi'' with the five-point stencil (hbar of g)."""
+    hbar = g.hbar
     x = g.x
     density = np.abs(g.values) ** 2
     n2 = float(simpson(density, dx=g.dx))
@@ -238,16 +238,16 @@ def schrodinger_residual(field, model, grid, t, dt=None, hbar=None) -> ResidualR
 # structural checks
 # ---------------------------------------------------------------------------
 
-def check_omega_constancy(basis, model=None, n_samples: int = 200) -> float:
-    """Max relative drift of M (vdot u - udot v) across the domain."""
-    model = basis.model if model is None else model
-    ts = np.linspace(model.t_min, model.t_max, n_samples)
+def check_omega_constancy(basis) -> float:
+    """Max relative drift of M (vdot u - udot v) at 200 times across the domain."""
+    model = basis.model
+    ts = np.linspace(model.t_min, model.t_max, 200)
     vals = basis.omega_check(ts)
     return float(np.max(np.abs(vals - basis.omega)) / abs(basis.omega))
 
 
 def check_transform_equivalence(
-    model, basis, driven, n, t, grid, hbar: float = 1.0, exact: bool = False
+    basis, driven, n, t, grid, hbar: float = 1.0, exact: bool = False
 ) -> float:
     """Relative L2 distance between the operator chain and the direct state.
 
@@ -255,14 +255,15 @@ def check_transform_equivalence(
     sqrt(M)(u, v)) is pushed through U0_dagger and U_F on the grid and
     compared to the directly evaluated displaced state.
     """
+    model = basis.model
     if driven is None:
         driven = null_driven(model)
     unit = reduced_basis(basis)
-    spec0 = StateSpec(n, hbar, unit, unit.model)
+    spec0 = StateSpec(n, hbar, unit)
     g0 = sample_on_grid(state_field(spec0), grid, t, attach_source=exact)
     g1 = apply_U0_dagger(model, t, g0)
     g2 = apply_UF(model, driven, t, g1)
-    direct_spec = StateSpec(n, hbar, basis, model, driven)
+    direct_spec = StateSpec(n, hbar, basis, driven)
     direct = np.asarray(state_field(direct_spec)(g2.x, t))
     direct_norm = np.linalg.norm(direct)
     if not (np.isfinite(direct_norm) and direct_norm > 0.0):
@@ -348,27 +349,37 @@ class CheckResult:
         return doc
 
 
+# samples of the fine grid that moments and orthonormality integrate on
+_MOMENT_POINTS = 32768
+
+
 @dataclass
 class SuiteContext:
-    """Prepared inputs one scenario's checks run against."""
+    """Prepared inputs one scenario's checks run against.
 
-    model: object
+    `closed_form_C` is the pulsation parameter C of the closed-form state of
+    the model's family (None: no closed form to compare with).
+    """
+
     basis: object
     driven: object | None
     ns: list
     times: list
     grid: Grid
     hbar: float = 1.0
-    family_info: dict = dataclass_field(default_factory=dict)
+    closed_form_C: float | None = None
     orthonormality_nmax: int = 8
-    moment_points: int = 32768
+
+    @property
+    def model(self):
+        return self.basis.model
 
     def state(self, n, driven=None) -> StateSpec:
         return StateSpec(n, self.hbar, self.basis,
-                         self.model, driven if driven is not None else self.driven)
+                         driven if driven is not None else self.driven)
 
     def fine_grid(self) -> Grid:
-        points = max(self.grid.points, self.moment_points)
+        points = max(self.grid.points, _MOMENT_POINTS)
         return Grid(self.grid.x_min, self.grid.x_max, points)
 
 
@@ -395,7 +406,7 @@ def _run_residual(ctx: SuiteContext, overrides) -> list:
 
 def _run_omega(ctx: SuiteContext, overrides) -> list:
     tol = _tol(overrides, "tolerance", "omega_constancy")
-    measured = check_omega_constancy(ctx.basis, ctx.model)
+    measured = check_omega_constancy(ctx.basis)
     return [CheckResult("omega_constancy", {}, measured, tol)]
 
 
@@ -424,7 +435,7 @@ def _run_transform_chain(ctx: SuiteContext, overrides) -> list:
         for t in ctx.times:
             for exact, tol, path in ((False, tol_i, "interp"), (True, tol_e, "exact")):
                 d = check_transform_equivalence(
-                    ctx.model, ctx.basis, ctx.driven, n, t, ctx.grid,
+                    ctx.basis, ctx.driven, n, t, ctx.grid,
                     hbar=ctx.hbar, exact=exact,
                 )
                 out.append(CheckResult(
@@ -435,25 +446,21 @@ def _run_transform_chain(ctx: SuiteContext, overrides) -> list:
 
 def _closed_form_pair(ctx: SuiteContext, n):
     """(closed-form fn, general fn) both as (x, t) -> values."""
-    info = ctx.family_info
-    kind = info.get("kind")
-    C = float(info.get("Ccoef", 1.0))
-    hbar = ctx.hbar
-    general = state_field(StateSpec(n, hbar, ctx.basis, ctx.model))
-    if kind == "sho":
-        w_s = ctx.model.w_s
-        closed = lambda x, t: psi_sho(w_s, C, n, hbar, x, t)  # noqa: E731
-    elif kind == "ck":
-        m = ctx.model
+    m, C, hbar = ctx.model, ctx.closed_form_C, ctx.hbar
+    if C is None:
+        raise ValueError("closed_form_agreement needs the closed-form C of the scenario")
+    general = state_field(StateSpec(n, hbar, ctx.basis))
+    if isinstance(m, UnitMassSHO):
+        closed = lambda x, t: psi_sho(m.w_s, C, n, hbar, x, t)  # noqa: E731
+    elif isinstance(m, CaldirolaKanai):
         closed = lambda x, t: psi_ck(m.m, m.gamma, m.w1, C, n, hbar, x, t)  # noqa: E731
-    elif kind == "lo":
-        m = ctx.model
+    elif isinstance(m, LoDampedPulsating):
         closed = lambda x, t: psi_lo(  # noqa: E731
             m.m0, m.gamma, m.mu, m.nu, m.w_lo, C, n, hbar, x, t
         )
     else:
         raise ValueError(
-            f"closed_form_agreement needs family_info kind sho/ck/lo, got {kind!r}"
+            f"closed_form_agreement has no closed form for {type(m).__name__}"
         )
     return closed, general
 
@@ -502,7 +509,7 @@ def _v_window(ctx: SuiteContext):
     """Longest stretch of the domain where v keeps one sign, inset 15%."""
     m = ctx.model
     ts = np.linspace(m.t_min, m.t_max, 4096)
-    v = np.asarray(ctx.basis.v(ts))
+    v = np.asarray(ctx.basis.slice(ts)[2])
     sign_change = np.nonzero(v[:-1] * v[1:] <= 0)[0]
     edges = [m.t_min] + [0.5 * (ts[i] + ts[i + 1]) for i in sign_change] + [m.t_max]
     spans = [(edges[i + 1] - edges[i], edges[i], edges[i + 1])
@@ -519,8 +526,8 @@ def _run_delta_equivalence(ctx: SuiteContext, overrides) -> list:
     a, b = _v_window(ctx)
     samples = np.linspace(a, b, 100)
     diffs = (
-        delta_legacy(ctx.basis, ctx.driven, ctx.model, a, samples)
-        - np.asarray(ctx.driven.delta(samples))
+        delta_legacy(ctx.basis, ctx.driven, a, samples)
+        - np.asarray(ctx.driven.slice(samples)[2])
     )
     out = [CheckResult(
         "delta_equivalence", {"form": "legacy", "window": [a, b]},
@@ -528,12 +535,12 @@ def _run_delta_equivalence(ctx: SuiteContext, overrides) -> list:
     )]
 
     c = 0.5
-    shifted = shift_particular(ctx.driven, ctx.basis, c, ctx.model)
+    shifted = shift_particular(ctx.driven, ctx.basis, c)
     ts = np.linspace(ctx.model.t_min, ctx.model.t_max, 100)
     M = np.asarray(ctx.model.mass(ts), dtype=float)
     u, du = ctx.basis.slice(ts)[:2]
     xp, _, delta = ctx.driven.slice(ts)
-    g = np.asarray(shifted.delta(ts)) - delta + c * M * du * (xp + 0.5 * c * u)
+    g = np.asarray(shifted.slice(ts)[2]) - delta + c * M * du * (xp + 0.5 * c * u)
     out.append(CheckResult(
         "delta_equivalence", {"form": "shift_rule", "c": c},
         float(np.std(g)), tol,
@@ -575,10 +582,9 @@ def _run_orthonormality(ctx: SuiteContext, overrides) -> list:
 
 
 def _run_stationarity(ctx: SuiteContext, overrides) -> list:
-    info = ctx.family_info
-    if info.get("kind") != "sho":
+    C = ctx.closed_form_C
+    if not isinstance(ctx.model, UnitMassSHO) or C is None:
         raise ValueError("stationarity check applies to the constant-mass family")
-    C = float(info.get("Ccoef", 1.0))
     w_s = ctx.model.w_s
     xs = ctx.grid.xs()
     out = []

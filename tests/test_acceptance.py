@@ -39,7 +39,7 @@ def _gate(name: str, measured: float, threshold: float, op: str = "<"):
 
 
 def _field(basis, n, driven=None):
-    return state_field(StateSpec(n, 1.0, basis, basis.model, driven))
+    return state_field(StateSpec(n, 1.0, basis, driven))
 
 
 def _residual_sweep(cases, ns=range(4), times=TIMES):
@@ -83,9 +83,9 @@ def test_criterion_03_transform_chain(ck_basis, lo_basis, driven_sho, driven_ck)
             grid = policy_grid(basis, n, 1.0, driven=driven, times=[0.0, 2.5])
             for t in TIMES:
                 worst_interp = max(worst_interp, check_transform_equivalence(
-                    basis.model, basis, driven, n, t, grid, exact=False))
+                    basis, driven, n, t, grid, exact=False))
                 worst_exact = max(worst_exact, check_transform_equivalence(
-                    basis.model, basis, driven, n, t, grid, exact=True))
+                    basis, driven, n, t, grid, exact=True))
     _gate("criterion 3a: chain vs direct, interpolated path", worst_interp, 1e-6)
     _gate("criterion 3b: chain vs direct, exact re-evaluation path",
           worst_exact, 1e-10)
@@ -129,10 +129,10 @@ def test_criterion_06_closed_form_agreement(ck_basis, lo_basis):
     for n in range(4):
         for t in TIMES:
             a = psi_ck(1.0, 0.6, 1.0, 1.0, n, 1.0, x, t)
-            b = psi_general(StateSpec(n, 1.0, ck_basis, ck_basis.model), x, t)
+            b = psi_general(StateSpec(n, 1.0, ck_basis), x, t)
             worst = max(worst, phase_aligned_distance(a, b))
             a = psi_lo(1.0, 0.1, 0.2, 3.0, 1.0, 1.0, n, 1.0, x, t)
-            b = psi_general(StateSpec(n, 1.0, lo_basis, lo_basis.model), x, t)
+            b = psi_general(StateSpec(n, 1.0, lo_basis), x, t)
             worst = max(worst, phase_aligned_distance(a, b))
     _gate("criterion 6: closed forms vs kernel, phase-aligned pointwise",
           worst, 1e-8)
@@ -149,15 +149,16 @@ def test_criterion_07_uncertainty_preservation(driven_sho, driven_ck):
             grid = policy_grid(basis, n, 1.0, driven=driven,
                                times=[0.0, 2.5], points=32768)
             for t in TIMES:
-                md = moments(sample_on_grid(_field(basis, n, driven), grid, t), 1.0)
-                m0 = moments(sample_on_grid(_field(basis, n, rest), grid, t), 1.0)
+                md = moments(sample_on_grid(_field(basis, n, driven), grid, t))
+                m0 = moments(sample_on_grid(_field(basis, n, rest), grid, t))
                 M = model.mass(t)
+                xp, dxp, _ = driven.slice(t)
                 worst = max(
                     worst,
                     abs(md.var_x - m0.var_x),
                     abs(md.var_p - m0.var_p),
-                    abs(md.mean_x - (m0.mean_x + driven.xp(t))),
-                    abs(md.mean_p - (m0.mean_p + M * driven.dxp(t))),
+                    abs(md.mean_x - (m0.mean_x + xp)),
+                    abs(md.mean_p - (m0.mean_p + M * dxp)),
                 )
     _gate("criterion 7: variance preservation and mean shifts", worst, 1e-8)
 
@@ -166,20 +167,22 @@ def test_criterion_08_delta_equivalence(driven_sho):
     """The endpoint expression for delta agrees with the integrated one up
     to a constant, and the u-shift rule holds."""
     basis, driven = driven_sho
-    model = basis.model
+    delta = lambda t: driven.slice(t)[2]  # noqa: E731
     # v = sin t: stay inside (0, pi), 15% inset
     ts = np.linspace(0.45, 2.70, 100)
-    diffs = [delta_legacy(basis, driven, model, ts[0], t)
-             - (driven.delta(t) - driven.delta(ts[0])) for t in ts]
+    diffs = [delta_legacy(basis, driven, ts[0], t) - (delta(t) - delta(ts[0]))
+             for t in ts]
     _gate("criterion 8a: endpoint vs integrated delta, std over 100 samples",
           float(np.std(diffs)), 1e-8)
 
     c = 0.5
     shifted = shift_particular(driven, basis, c)
     ts = np.linspace(0.0, 9.0, 100)
-    vals = [shifted.delta(t) - driven.delta(t)
-            + c * basis.du(t) * (driven.xp(t) + 0.5 * c * basis.u(t))
-            for t in ts]
+    vals = []
+    for t in ts:
+        u, du = basis.slice(t)[:2]
+        vals.append(shifted.slice(t)[2] - delta(t)
+                    + c * du * (driven.slice(t)[0] + 0.5 * c * u))
     _gate("criterion 8b: delta shift rule, std over 100 samples",
           float(np.std(vals)), 1e-8)
 

@@ -33,20 +33,21 @@ from conftest import T_MAX, T_MIN
 
 def test_sho_basis_is_cos_sin(sho_basis_c1):
     ts = np.linspace(T_MIN, T_MAX, 200)
-    np.testing.assert_allclose(sho_basis_c1.u(ts), np.cos(ts), rtol=1e-15)
-    np.testing.assert_allclose(sho_basis_c1.v(ts), np.sin(ts), rtol=1e-15)
-    np.testing.assert_allclose(sho_basis_c1.rho(ts), 1.0, rtol=1e-15)
+    u, _, v, _, rho, _, _ = sho_basis_c1.slice(ts)
+    np.testing.assert_allclose(u, np.cos(ts), rtol=1e-15)
+    np.testing.assert_allclose(v, np.sin(ts), rtol=1e-15)
+    np.testing.assert_allclose(rho, 1.0, rtol=1e-15)
     assert sho_basis_c1.omega == 1.0
 
 
 def test_sho_c1_theta_is_minus_t(sho_basis_c1):
     ts = np.linspace(T_MIN, T_MAX, 200)
-    np.testing.assert_allclose(sho_basis_c1.theta(ts), -ts, atol=1e-14)
+    np.testing.assert_allclose(sho_basis_c1.slice(ts)[6], -ts, atol=1e-14)
 
 
 def test_sho_c2_ellipse(sho_basis_c2):
     ts = np.linspace(T_MIN, T_MAX, 200)
-    np.testing.assert_allclose(sho_basis_c2.rho(ts),
+    np.testing.assert_allclose(sho_basis_c2.slice(ts)[4],
                                np.sqrt(4.0 * np.cos(ts) ** 2 + np.sin(ts) ** 2))
     assert sho_basis_c2.omega == 2.0
     np.testing.assert_allclose(sho_basis_c2.omega_check(ts), 2.0, rtol=1e-14)
@@ -56,7 +57,7 @@ def test_ck_basis_envelope_and_omega(ck_basis):
     w_ck = np.sqrt(0.91)
     ts = np.linspace(T_MIN, T_MAX, 200)
     np.testing.assert_allclose(
-        ck_basis.u(ts), np.exp(-0.3 * ts) * np.cos(w_ck * ts), rtol=1e-14
+        ck_basis.slice(ts)[0], np.exp(-0.3 * ts) * np.cos(w_ck * ts), rtol=1e-14
     )
     assert ck_basis.omega == pytest.approx(w_ck, rel=1e-15)
     np.testing.assert_allclose(ck_basis.omega_check(ts), w_ck, rtol=1e-13)
@@ -71,8 +72,9 @@ def test_drho_never_differenced(sho_basis_c2):
     """drho = (u du + v dv)/rho must match the analytic derivative."""
     ts = np.linspace(0.1, 9.0, 117)
     h = 1e-6
-    fd = (sho_basis_c2.rho(ts + h) - sho_basis_c2.rho(ts - h)) / (2 * h)
-    np.testing.assert_allclose(sho_basis_c2.drho(ts), fd, atol=1e-9)
+    rho = lambda t: sho_basis_c2.slice(t)[4]  # noqa: E731
+    fd = (rho(ts + h) - rho(ts - h)) / (2 * h)
+    np.testing.assert_allclose(sho_basis_c2.slice(ts)[5], fd, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +108,10 @@ def test_numeric_sho_matches_analytic():
     m = UnitMassSHO(1.0, t_min=T_MIN, t_max=T_MAX)
     b = solve_homogeneous(m, 1.0, 0.0, 0.0, 1.0, t0=0.0, tol=1e-11)
     ts = np.linspace(T_MIN, T_MAX, 300)
-    np.testing.assert_allclose(b.u(ts), np.cos(ts), atol=5e-10)
-    np.testing.assert_allclose(b.v(ts), np.sin(ts), atol=5e-10)
-    np.testing.assert_allclose(b.theta(ts), -ts, atol=5e-10)
+    u, _, v, _, _, _, theta = b.slice(ts)
+    np.testing.assert_allclose(u, np.cos(ts), atol=5e-10)
+    np.testing.assert_allclose(v, np.sin(ts), atol=5e-10)
+    np.testing.assert_allclose(theta, -ts, atol=5e-10)
     assert b.omega == pytest.approx(1.0, rel=1e-12)
 
 
@@ -117,13 +120,13 @@ def test_numeric_ck_matches_analytic(ck_basis):
     w_ck = np.sqrt(0.91)
     b = solve_homogeneous(m, 1.0, -0.3, 0.0, w_ck, t0=0.0, tol=1e-11)
     ts = np.linspace(T_MIN, T_MAX, 300)
-    np.testing.assert_allclose(b.u(ts), ck_basis.u(ts), atol=5e-10)
-    np.testing.assert_allclose(b.dv(ts), ck_basis.dv(ts), atol=5e-10)
-    np.testing.assert_allclose(b.theta(ts), ck_basis.theta(ts), atol=5e-10)
+    got, want = b.slice(ts), ck_basis.slice(ts)
+    for k in (0, 3, 6):  # u, dv, theta
+        np.testing.assert_allclose(got[k], want[k], atol=5e-10)
 
 
 def test_numeric_theta_branch_at_reference(lo_basis):
-    th0 = lo_basis.theta(0.0)
+    th0 = lo_basis.slice(0.0)[6]
     assert -np.pi < th0 <= np.pi
     # u(0) = 1, v(0) = 0 -> theta(0) = 0 for this fixture
     assert th0 == pytest.approx(0.0, abs=1e-12)
@@ -131,7 +134,7 @@ def test_numeric_theta_branch_at_reference(lo_basis):
 
 def test_numeric_theta_continuity(lo_basis):
     ts = np.linspace(T_MIN, T_MAX, 20000)
-    th = lo_basis.theta(ts)
+    th = lo_basis.slice(ts)[6]
     assert np.max(np.abs(np.diff(th))) < 0.05
     # theta decreases on average (winding follows the invariant's sign)
     assert th[-1] < th[0]
@@ -168,8 +171,8 @@ def test_numeric_theta_table_resolves_fast_winding():
     b = NumericBasis(_Circle(W), UnitMassSHO(W, 0.0, 2655.0), W, t_ref=0.0)
     assert len(b._theta_ts) > 4097
     ts = np.array([1.0, 1000.0, 1777.7, 2655.0])
-    np.testing.assert_allclose(b.theta(ts), -W * ts, rtol=1e-12)
-    assert b.theta(1000.0) == pytest.approx(-10000.0, rel=1e-12)
+    np.testing.assert_allclose(b.slice(ts)[6], -W * ts, rtol=1e-12)
+    assert b.slice(1000.0)[6] == pytest.approx(-10000.0, rel=1e-12)
 
 
 def test_numeric_theta_table_refuses_beyond_cap():
@@ -186,14 +189,15 @@ def test_reduced_basis_preserves_invariant_and_angle(ck_basis):
     red = reduced_basis(ck_basis)
     ts = np.linspace(T_MIN, T_MAX, 200)
     assert red.omega == ck_basis.omega
-    np.testing.assert_allclose(red.theta(ts), ck_basis.theta(ts), rtol=1e-13)
+    np.testing.assert_allclose(red.slice(ts)[6], ck_basis.slice(ts)[6], rtol=1e-13)
     # u0 = sqrt(M) u, and the reduced pair solves the unit-mass equation:
     # u0'' + w0^2 u0 = 0 with w0^2 = 0.91
     M = ck_basis.model.mass(ts)
-    np.testing.assert_allclose(red.u(ts), np.sqrt(M) * ck_basis.u(ts), rtol=1e-14)
+    u0 = lambda t: red.slice(t)[0]  # noqa: E731
+    np.testing.assert_allclose(u0(ts), np.sqrt(M) * ck_basis.slice(ts)[0], rtol=1e-14)
     h = 1e-4  # balances h^2 truncation against eps/h^2 roundoff
-    d2u0 = (red.u(ts + h) - 2 * red.u(ts) + red.u(ts - h)) / h**2
-    np.testing.assert_allclose(d2u0, -0.91 * red.u(ts), atol=1e-6)
+    d2u0 = (u0(ts + h) - 2 * u0(ts) + u0(ts - h)) / h**2
+    np.testing.assert_allclose(d2u0, -0.91 * u0(ts), atol=1e-6)
     np.testing.assert_allclose(red.omega_check(ts), red.omega, rtol=1e-13)
 
 
@@ -214,17 +218,18 @@ def test_particular_solution_cosine_drive(driven_sho):
     """F = cos 2t on w = 1 gives the bounded response x_p = -cos(2t)/3."""
     _, drv = driven_sho
     ts = np.linspace(T_MIN, T_MAX, 200)
-    np.testing.assert_allclose(drv.xp(ts), -np.cos(2 * ts) / 3.0, atol=5e-11)
-    np.testing.assert_allclose(drv.dxp(ts), 2 * np.sin(2 * ts) / 3.0, atol=5e-11)
-    assert drv.delta(0.0) == 0.0
+    xp, dxp, _ = drv.slice(ts)
+    np.testing.assert_allclose(xp, -np.cos(2 * ts) / 3.0, atol=5e-11)
+    np.testing.assert_allclose(dxp, 2 * np.sin(2 * ts) / 3.0, atol=5e-11)
+    assert drv.slice(0.0)[2] == 0.0
 
 
 def test_delta_rate_matches_definition(driven_sho):
     _, drv = driven_sho
     h = 1e-6
     for t in (0.5, 1.5, 3.0):
-        rate_fd = (drv.delta(t + h) - drv.delta(t - h)) / (2 * h)
-        xp, dxp = drv.xp(t), drv.dxp(t)
+        rate_fd = (drv.slice(t + h)[2] - drv.slice(t - h)[2]) / (2 * h)
+        xp, dxp, _ = drv.slice(t)
         assert rate_fd == pytest.approx(0.5 * xp**2 - 0.5 * dxp**2, abs=1e-8)
 
 
@@ -232,17 +237,17 @@ def test_null_driven_is_exactly_zero():
     m = UnitMassSHO(1.0, t_min=0.0, t_max=5.0)
     nd = null_driven(m)
     ts = np.linspace(0.0, 5.0, 7)
-    assert np.all(nd.xp(ts) == 0.0) and np.all(nd.delta(ts) == 0.0)
-    assert nd.xp(1.0) == 0.0
+    for q in nd.slice(ts):
+        assert q.shape == ts.shape and np.all(q == 0.0)
+    assert nd.slice(1.0) == (0.0, 0.0, 0.0)
 
 
 def test_legacy_delta_differs_by_constant(driven_sho):
     """Endpoint form vs integrated form: equal up to one additive constant."""
     basis, drv = driven_sho
-    model = basis.model
     ts = np.linspace(0.4, 2.7, 25)  # inside (0, pi), v = sin t != 0
-    diff = [delta_legacy(basis, drv, model, 0.4, t) - (drv.delta(t) - drv.delta(0.4))
-            for t in ts]
+    delta = lambda t: drv.slice(t)[2]  # noqa: E731
+    diff = [delta_legacy(basis, drv, 0.4, t) - (delta(t) - delta(0.4)) for t in ts]
     assert np.std(diff) < 1e-9
 
 
@@ -250,25 +255,24 @@ def test_legacy_delta_rejects_singular_window(driven_sho):
     basis, drv = driven_sho
     with pytest.raises(SingularPathError):
         # v = sin t vanishes at t = pi inside (2, 4)
-        delta_legacy(basis, drv, basis.model, 2.0, 4.0)
+        delta_legacy(basis, drv, 2.0, 4.0)
 
 
 def test_legacy_delta_array_matches_scalar_endpoints(driven_sho):
     basis, drv = driven_sho
-    model = basis.model
     ts = np.linspace(0.4, 2.7, 25)
-    vec = delta_legacy(basis, drv, model, 1.1, ts)
-    scalar = [delta_legacy(basis, drv, model, 1.1, t) for t in ts]
+    vec = delta_legacy(basis, drv, 1.1, ts)
+    scalar = [delta_legacy(basis, drv, 1.1, t) for t in ts]
     assert vec.shape == ts.shape
     np.testing.assert_allclose(vec, scalar, rtol=0.0, atol=1e-13)
 
 
 def test_legacy_delta_at_t0_is_boundary_term(driven_sho):
     basis, drv = driven_sho
-    model = basis.model
     t = 1.3
-    boundary = -0.5 * model.mass(t) * (basis.dv(t) / basis.v(t)) * drv.xp(t) ** 2
-    assert delta_legacy(basis, drv, model, t, t) == boundary
+    v, dv = basis.slice(t)[2:4]
+    boundary = -0.5 * basis.model.mass(t) * (dv / v) * drv.slice(t)[0] ** 2
+    assert delta_legacy(basis, drv, t, t) == boundary
 
 
 def test_panel_integral_matches_closed_form_both_sides_of_t0():
@@ -292,12 +296,15 @@ def test_shift_particular_rule(driven_sho):
     c = 0.5
     shifted = shift_particular(drv, basis, c)
     ts = np.linspace(0.0, 9.0, 60)
-    vals = [shifted.delta(t) - drv.delta(t)
-            + c * basis.du(t) * (drv.xp(t) + 0.5 * c * basis.u(t)) for t in ts]
+    vals = []
+    for t in ts:
+        u, du = basis.slice(t)[:2]
+        xp, _, delta = drv.slice(t)
+        vals.append(shifted.slice(t)[2] - delta + c * du * (xp + 0.5 * c * u))
     assert np.std(vals) < 1e-9
     # new trajectory solves the same driven equation: residual check via ICs
-    np.testing.assert_allclose(shifted.xp(ts), drv.xp(ts) + c * basis.u(ts),
-                               rtol=1e-12)
+    np.testing.assert_allclose(shifted.slice(ts)[0],
+                               drv.slice(ts)[0] + c * basis.slice(ts)[0], rtol=1e-12)
 
 
 def test_shift_particular_zero_is_identity(driven_sho):
@@ -306,7 +313,7 @@ def test_shift_particular_zero_is_identity(driven_sho):
 
 
 # ---------------------------------------------------------------------------
-# one-read slices against the per-quantity reads, bit for bit
+# one-read slices: derived quantities from the same read, bit for bit
 # ---------------------------------------------------------------------------
 
 def _assert_same_bits(got, want):
@@ -317,28 +324,30 @@ def _assert_same_bits(got, want):
 
 @pytest.mark.parametrize("name", ["sho_c2", "ck", "numeric", "reduced_numeric"])
 def test_basis_slice_equals_per_method_reads(name, sho_basis_c2, ck_basis, lo_basis):
+    """rho, drho and omega_check are their formulas in (u, du, v, dv) of the
+    same slice; the reduced slice is sqrt(M)·(u, v) of its base's slice."""
     basis = {"sho_c2": sho_basis_c2, "ck": ck_basis, "numeric": lo_basis,
              "reduced_numeric": reduced_basis(lo_basis)}[name]
     for t in (0.7, np.linspace(T_MIN, T_MAX, 97)):
         got = basis.slice(t)
-        u, du, v, dv = basis.u(t), basis.du(t), basis.v(t), basis.dv(t)
-        want = (u, du, v, dv, basis.rho(t), basis.drho(t), basis.theta(t))
         assert len(got) == 7
-        for g, w in zip(got, want):
-            _assert_same_bits(g, w)
-        _assert_same_bits(got[4], np.sqrt(u ** 2 + v ** 2))
-        _assert_same_bits(got[5], (u * du + v * dv) / np.sqrt(u * u + v * v))
+        u, du, v, dv, rho, drho, theta = got
+        assert np.shape(theta) == np.shape(t)
+        _assert_same_bits(rho, np.sqrt(u ** 2 + v ** 2))
+        _assert_same_bits(drho, (u * du + v * dv) / np.sqrt(u * u + v * v))
         _assert_same_bits(basis.omega_check(t),
                           basis.model.mass(t) * (dv * u - du * v))
     if name == "reduced_numeric":
         t = np.linspace(T_MIN, T_MAX, 97)
         M, dM = lo_basis.model.mass(t), lo_basis.model.dmass(t)
-        _assert_same_bits(basis.du(t), np.sqrt(M) * (
-            lo_basis.du(t) + 0.5 * (dM / M) * lo_basis.u(t)))
-        _assert_same_bits(basis.theta(t), lo_basis.theta(t))
+        base, got = lo_basis.slice(t), basis.slice(t)
+        _assert_same_bits(got[1], np.sqrt(M) * (base[1] + 0.5 * (dM / M) * base[0]))
+        _assert_same_bits(got[6], base[6])
 
 
 def test_driven_slices_equal_per_method_reads(driven_sho):
+    """The shifted path is x_p + c·(u, du) of the same slices; the null path
+    is zeros of the query's shape."""
     basis, drv = driven_sho
     c = 0.5
     shifted = shift_particular(drv, basis, c)
@@ -347,10 +356,12 @@ def test_driven_slices_equal_per_method_reads(driven_sho):
         for d in (drv, shifted, null):
             got = d.slice(t)
             assert len(got) == 3
-            for g, w in zip(got, (d.xp(t), d.dxp(t), d.delta(t))):
-                _assert_same_bits(g, w)
-        _assert_same_bits(shifted.xp(t), drv.xp(t) + c * basis.u(t))
-        _assert_same_bits(shifted.dxp(t), drv.dxp(t) + c * basis.du(t))
+            assert all(np.shape(q) == np.shape(t) for q in got)
+        xp, dxp, _ = drv.slice(t)
+        u, du = basis.slice(t)[:2]
+        s_xp, s_dxp, _ = shifted.slice(t)
+        _assert_same_bits(s_xp, xp + c * u)
+        _assert_same_bits(s_dxp, dxp + c * du)
         _assert_same_bits(null.slice(t)[0], np.zeros(np.shape(t)))
     # scalar reads of the dense solution stay Python floats
     assert all(type(q) is float for q in drv.slice(0.7))

@@ -47,6 +47,11 @@ def _write(tmp_path, doc, name="scn.json"):
 # ---------------------------------------------------------------------------
 
 def test_bundled_scenarios_resolve_and_validate():
+    import jsonschema
+
+    from tdho.cli import SCENARIO_SCHEMA
+
+    jsonschema.validators.validator_for(SCENARIO_SCHEMA).check_schema(SCENARIO_SCHEMA)
     assert set(BUNDLED) >= {"sho_c1", "sho_c2", "ck", "lo",
                             "driven_sho", "driven_ck", "negative_control"}
     for name in BUNDLED:
@@ -132,6 +137,50 @@ def test_build_context_rejects_mismatched_basis(tmp_path):
         build_context(load_scenario(_write(tmp_path, doc)))
 
 
+@pytest.mark.parametrize("model,kind", [
+    ({"family": "UnitMassSHO", "params": {"w_s": 1.0}}, "ck"),
+    ({"family": "CaldirolaKanai", "params": {"m": 1.0, "gamma": 0.6, "w1": 1.0}},
+     "lo"),
+], ids=["ck_on_sho", "lo_on_ck"])
+def test_closed_form_of_another_family_is_config_error(tmp_path, capsys, model, kind):
+    """closed_form.kind must name the model's own family."""
+    model.update(t_min=-1.0, t_max=12.0)
+    doc = _scenario_doc(model=model, basis={"kind": "numeric",
+                                            "ics": [1.0, 0.0, 0.0, 1.0]},
+                        closed_form={"kind": kind, "Ccoef": 1.0},
+                        checks=["closed_form_agreement"])
+    assert main(["verify", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: closed_form kind {kind!r}") and err.count("\n") == 1
+
+
+_SHO = {"family": "UnitMassSHO", "t_min": -1.0, "t_max": 12.0}
+
+
+@pytest.mark.parametrize("overrides,where", [
+    ({"model": {**_SHO, "params": {}}}, "'w_s' is a required property"),
+    ({"model": {**_SHO, "params": {"w_s": [1]}}}, "[1] is not of type 'number'"),
+    ({"model": {"family": "CaldirolaKanai", "params": {"m": 1.0, "w1": 1.0},
+                "t_min": -1.0, "t_max": 12.0}}, "'gamma' is a required property"),
+    ({"model": {"family": "GeneralParametric", "params": {"t": [0, 1, 2, 3]},
+                "t_min": 0.0, "t_max": 3.0}}, "'M' is a required property"),
+    ({"driving": {"force": {"kind": "cosine", "omega": 2.0}}},
+     "'amplitude' is a required property"),
+    ({"driving": {"force": {"kind": "expcosine", "amplitude": 1.0, "omega": 1.0}}},
+     "'rate' is a required property"),
+    ({"driving": {"force": {"kind": "polynomial", "coeffs": []}}}, "[] should be non-empty"),
+    ({"grid": {"x_min": -8.0}}, "'x_max' is a dependency of 'x_min'"),
+    ({"grid": {"x_max": 8.0}}, "'x_min' is a dependency of 'x_max'"),
+], ids=["no_params", "w_s_list", "ck_no_gamma", "general_no_M", "cosine_no_amplitude",
+        "expcosine_no_rate", "polynomial_no_coeffs", "x_min_alone", "x_max_alone"])
+def test_malformed_scenario_is_schema_error(tmp_path, capsys, overrides, where):
+    """Missing or mistyped family parameters and force keys, and half a grid
+    span, are refused by the schema (exit 2), not by a KeyError or TypeError."""
+    assert main(["verify", _write(tmp_path, _scenario_doc(**overrides))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario schema violation") and where in err
+
+
 def test_build_context_explicit_grid_too_small(tmp_path):
     doc = _scenario_doc(grid={"x_min": -2.0, "x_max": 2.0, "points": 256})
     with pytest.raises(ScenarioError, match="too small"):
@@ -146,7 +195,7 @@ def test_build_context_driving(tmp_path):
     ctx = build_context(load_scenario(_write(tmp_path, doc)))
     assert ctx.driven is not None
     assert ctx.model.has_driving
-    assert ctx.driven.xp(0.0) == pytest.approx(-1.0 / 3.0)
+    assert ctx.driven.slice(0.0)[0] == pytest.approx(-1.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +264,7 @@ def test_verify_degenerate_state_is_numerical_error(monkeypatch, capsys):
     configuration."""
     def zero_field(spec):
         return WavefunctionField(
-            lambda x, t: np.zeros(np.shape(x), dtype=np.complex128),
-            spec.model, spec.hbar, spec.n, "zero", spec,
+            lambda x, t: np.zeros(np.shape(x), dtype=np.complex128), "zero", spec,
         )
 
     monkeypatch.setattr(tdho.verify, "state_field", zero_field)
@@ -231,6 +279,23 @@ def test_verify_writes_report_file(tmp_path):
     assert rc == 0
     report = json.loads(out.read_text())
     assert {r["check"] for r in report} >= {"residual"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "sho_c1", "--suite", "fast", "--out", "{tmp}/missing/r.json"],
+    ["verify", "sho_c1", "--suite", "fast", "--out", "{tmp}/file/r.json"],
+    ["state", "sho_c1", "--t", "0", "--out", "{tmp}/file"],
+    ["classical", "sho_c1", "--out", "{tmp}/file"],
+], ids=["verify_missing_dir", "verify_under_file", "state_onto_file",
+        "classical_onto_file"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, argv):
+    """An output path that cannot be written exits 2 with one error line."""
+    (tmp_path / "file").write_text("")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
 
 
 def test_verify_unknown_check_is_config_error(tmp_path, capsys):

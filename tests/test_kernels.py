@@ -92,7 +92,7 @@ def test_state_kernel_underflow_short_circuit():
 def test_high_order_state_keeps_its_norm():
     basis = analytic_basis_sho(1.0, 1.0, 1.0, t_min=-1.0, t_max=12.0)
     grid = policy_grid(basis, 200, points=16384)
-    field = state_field(StateSpec(200, 1.0, basis, basis.model))
+    field = state_field(StateSpec(200, 1.0, basis))
     assert abs(norm(sample_on_grid(field, grid, 1.0)) - 1.0) < 1e-12
 
 
@@ -104,7 +104,7 @@ def test_very_high_order_states_are_normalised_without_warnings(n):
     n=1000, enough for Simpson's rule to be exact to rounding."""
     basis = analytic_basis_sho(1.0, 1.0, 1.0, t_min=-1.0, t_max=12.0)
     grid = policy_grid(basis, n, points=65537)
-    field = state_field(StateSpec(n, 1.0, basis, basis.model))
+    field = state_field(StateSpec(n, 1.0, basis))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert abs(norm(sample_on_grid(field, grid, 1.0)) - 1.0) < 1e-12
@@ -113,13 +113,13 @@ def test_very_high_order_states_are_normalised_without_warnings(n):
 def test_block_rows_match_state_kernel(driven_ck):
     """Row k of the block equals the order-k state through state_kernel."""
     basis, driven = driven_ck
-    spec = StateSpec(12, 1.0, basis, basis.model, driven)
+    spec = StateSpec(12, 1.0, basis, driven)
     grid = policy_grid(basis, 12, driven=driven, times=[1.0], points=4096)
     xs = grid.xs()
     window, rows = state_block(spec, xs, 1.0)
     assert rows.shape == (13, window.stop - window.start)
     for k in range(13):
-        want = state_field(StateSpec(k, 1.0, basis, basis.model, driven))(xs, 1.0)
+        want = state_field(StateSpec(k, 1.0, basis, driven))(xs, 1.0)
         got = np.zeros_like(want)
         got[window] = rows[k]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-300)

@@ -31,23 +31,24 @@ def _norm(values, x=X):
 # ---------------------------------------------------------------------------
 
 def test_state_spec_rejects_bad_inputs(sho_basis_c1):
-    m = sho_basis_c1.model
     with pytest.raises(ValueError, match="non-negative"):
-        StateSpec(-1, 1.0, sho_basis_c1, m)
+        StateSpec(-1, 1.0, sho_basis_c1)
     with pytest.raises(ValueError, match="hbar"):
-        StateSpec(0, 0.0, sho_basis_c1, m)
+        StateSpec(0, 0.0, sho_basis_c1)
 
 
 def test_state_spec_requires_driven_for_driving_model(driven_sho):
     basis, drv = driven_sho
     with pytest.raises(ValueError, match="driving"):
-        StateSpec(0, 1.0, basis, basis.model)
-    spec = StateSpec(0, 1.0, basis, basis.model, drv)
+        StateSpec(0, 1.0, basis)
+    with pytest.raises(ValueError, match="another model"):
+        StateSpec(0, 1.0, basis, null_driven(reduced_basis(basis).model))
+    spec = StateSpec(0, 1.0, basis, drv)
     assert spec.describe()["driven"]["t0"] == 0.0
 
 
 def test_psi_unit_mass_requires_unit_mass(ck_basis):
-    spec = StateSpec(0, 1.0, ck_basis, ck_basis.model)
+    spec = StateSpec(0, 1.0, ck_basis)
     with pytest.raises(ValueError, match="unit-mass"):
         psi_unit_mass(spec, X, 1.0)
 
@@ -60,7 +61,7 @@ def test_psi_lo_rejects_nonpositive_mass_and_frequency():
 
 
 def test_psi_driven_requires_driven(sho_basis_c1):
-    spec = StateSpec(0, 1.0, sho_basis_c1, sho_basis_c1.model)
+    spec = StateSpec(0, 1.0, sho_basis_c1)
     with pytest.raises(ValueError, match="DrivenSolution"):
         psi_driven(spec, X, 1.0)
 
@@ -71,7 +72,7 @@ def test_psi_driven_requires_driven(sho_basis_c1):
 
 def test_ground_state_is_gaussian_with_half_phase(sho_basis_c1):
     """C = 1: psi_0 = pi^{-1/4} e^{-x^2/2} e^{-i t/2} for all t."""
-    spec = StateSpec(0, 1.0, sho_basis_c1, sho_basis_c1.model)
+    spec = StateSpec(0, 1.0, sho_basis_c1)
     for t in (0.0, 1.1, 7.3):
         got = psi_unit_mass(spec, X, t)
         want = np.pi**-0.25 * np.exp(-X**2 / 2.0) * np.exp(-0.5j * t)
@@ -80,12 +81,12 @@ def test_ground_state_is_gaussian_with_half_phase(sho_basis_c1):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5])
 def test_states_are_normalized(sho_basis_c2, n):
-    spec = StateSpec(n, 1.0, sho_basis_c2, sho_basis_c2.model)
+    spec = StateSpec(n, 1.0, sho_basis_c2)
     assert _norm(psi_general(spec, X, 2.0)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_orthogonality_small_block(ck_basis):
-    specs = [StateSpec(n, 1.0, ck_basis, ck_basis.model) for n in range(4)]
+    specs = [StateSpec(n, 1.0, ck_basis) for n in range(4)]
     fields = [psi_general(s, X, 1.0) for s in specs]
     for i in range(4):
         for j in range(i):
@@ -100,7 +101,7 @@ def test_orthogonality_small_block(ck_basis):
 @pytest.mark.parametrize("n", [0, 1, 3])
 @pytest.mark.parametrize("t", [0.0, 1.0, 2.5])
 def test_psi_sho_equals_general_over_analytic_basis(sho_basis_c2, n, t):
-    spec = StateSpec(n, 1.0, sho_basis_c2, sho_basis_c2.model)
+    spec = StateSpec(n, 1.0, sho_basis_c2)
     a = psi_sho(1.0, 2.0, n, 1.0, X, t)
     b = psi_general(spec, X, t)
     assert np.max(np.abs(a - b)) < 1e-13
@@ -108,7 +109,7 @@ def test_psi_sho_equals_general_over_analytic_basis(sho_basis_c2, n, t):
 
 @pytest.mark.parametrize("n", [0, 2])
 def test_psi_ck_equals_general_over_analytic_basis(ck_basis, n):
-    spec = StateSpec(n, 1.0, ck_basis, ck_basis.model)
+    spec = StateSpec(n, 1.0, ck_basis)
     for t in (0.0, 2.5):
         a = psi_ck(1.0, 0.6, 1.0, 1.0, n, 1.0, X, t)
         b = psi_general(spec, X, t)
@@ -117,7 +118,7 @@ def test_psi_ck_equals_general_over_analytic_basis(ck_basis, n):
 
 @pytest.mark.parametrize("n", [0, 2])
 def test_psi_lo_equals_general_over_numeric_basis(lo_basis, lo_model, n):
-    spec = StateSpec(n, 1.0, lo_basis, lo_model)
+    spec = StateSpec(n, 1.0, lo_basis)
     for t in (0.0, 2.5):
         a = psi_lo(1.0, 0.1, 0.2, 3.0, 1.0, 1.0, n, 1.0, X, t)
         b = psi_general(spec, X, t)
@@ -141,10 +142,10 @@ def test_psi_sho_squeezed_density_breathes():
 
 def test_driven_density_is_translated(driven_sho):
     basis, drv = driven_sho
-    spec_f = StateSpec(2, 1.0, basis, basis.model, drv)
-    spec_0 = StateSpec(2, 1.0, basis, basis.model, null_driven(basis.model))
+    spec_f = StateSpec(2, 1.0, basis, drv)
+    spec_0 = StateSpec(2, 1.0, basis, null_driven(basis.model))
     t = 2.5
-    xp = drv.xp(t)
+    xp = drv.slice(t)[0]
     a = psi_driven(spec_f, X, t)
     b = psi_driven(spec_0, X - xp, t)
     np.testing.assert_allclose(np.abs(a), np.abs(b), atol=1e-13)
@@ -153,14 +154,15 @@ def test_driven_density_is_translated(driven_sho):
 def test_driven_phase_structure(driven_sho):
     """Dividing out the shifted state leaves e^{i(M xdot_p x + delta)/hbar}."""
     basis, drv = driven_sho
-    spec_f = StateSpec(0, 1.0, basis, basis.model, drv)
-    spec_0 = StateSpec(0, 1.0, basis, basis.model, null_driven(basis.model))
+    spec_f = StateSpec(0, 1.0, basis, drv)
+    spec_0 = StateSpec(0, 1.0, basis, null_driven(basis.model))
     t = 1.0
+    xp, dxp, delta = drv.slice(t)
     a = psi_driven(spec_f, X, t)
-    b = psi_general(spec_0, X - drv.xp(t), t)
+    b = psi_general(spec_0, X - xp, t)
     mask = np.abs(b) > 1e-8
     ratio = a[mask] / b[mask]
-    want = np.exp(1j * (drv.dxp(t) * X[mask] + drv.delta(t)))
+    want = np.exp(1j * (dxp * X[mask] + delta))
     np.testing.assert_allclose(ratio, want, atol=1e-10)
 
 
@@ -170,14 +172,14 @@ def test_driven_phase_structure(driven_sho):
 
 def test_state_field_picks_driven_path(driven_sho):
     basis, drv = driven_sho
-    spec = StateSpec(0, 1.0, basis, basis.model, drv)
+    spec = StateSpec(0, 1.0, basis, drv)
     field = state_field(spec)
     t = 2.5
     np.testing.assert_allclose(field(X, t), psi_driven(spec, X, t), rtol=1e-15)
 
 
 def test_dump_state_grid_layout_and_determinism(tmp_path, sho_basis_c1):
-    spec = StateSpec(1, 1.0, sho_basis_c1, sho_basis_c1.model)
+    spec = StateSpec(1, 1.0, sho_basis_c1)
     field = state_field(spec)
     x = np.linspace(-8.0, 8.0, 129)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -197,6 +199,6 @@ def test_dump_state_grid_layout_and_determinism(tmp_path, sho_basis_c1):
 def test_reduced_companion_state_is_unit_mass_eigenstate(ck_basis):
     """The sqrt(M)-scaled pair gives a normalized state of the w0 system."""
     red = reduced_basis(ck_basis)
-    spec = StateSpec(0, 1.0, red, red.model)
+    spec = StateSpec(0, 1.0, red)
     vals = psi_unit_mass(spec, X, 2.0)
     assert _norm(vals) == pytest.approx(1.0, abs=1e-10)

@@ -167,7 +167,7 @@ def test_u0_dagger_closed_form(ck_basis):
     model = ck_basis.model
     t = 1.3
     M, dM = model.mass(t), model.dmass(t)
-    spec = StateSpec(1, 1.0, reduced_basis(ck_basis), reduced_basis(ck_basis).model)
+    spec = StateSpec(1, 1.0, reduced_basis(ck_basis))
     base = state_field(spec)
     gf = sample_on_grid(base, GRID, t)
     out = apply_U0_dagger(model, t, gf)
@@ -190,7 +190,7 @@ def test_uf_action_and_inverse(driven_sho):
     gf = sample_on_grid(_gauss_field, GRID, t)
     out = apply_UF(model, drv, t, gf)
     x = GRID.xs()
-    xp, dxp, delta = drv.xp(t), drv.dxp(t), drv.delta(t)
+    xp, dxp, delta = drv.slice(t)
     want = (np.exp(1j * delta) * np.exp(1j * model.mass(t) * dxp * x)
             * _gauss_field(x - xp, t))
     np.testing.assert_allclose(out.values, want, atol=1e-13)
@@ -204,8 +204,8 @@ def test_chain_reproduces_driven_state_exactly(driven_sho):
     model = basis.model
     red = reduced_basis(basis)
     t = 1.0
-    spec0 = StateSpec(2, 1.0, red, red.model)
-    specF = StateSpec(2, 1.0, basis, model, drv)
+    spec0 = StateSpec(2, 1.0, red)
+    specF = StateSpec(2, 1.0, basis, drv)
     gf = sample_on_grid(state_field(spec0), GRID, t)
     chained = apply_UF(model, drv, t, apply_U0_dagger(model, t, gf))
     direct = state_field(specF)(GRID.xs(), t)
@@ -244,7 +244,7 @@ def test_hnew_coefficients_give_reduced_oscillator(ck_basis, lo_model):
 def test_policy_grid_compliance(ck_basis):
     for n in (0, 5):
         grid = policy_grid(ck_basis, n, 1.0, times=[0.0, 2.5])
-        spec = StateSpec(n, 1.0, ck_basis, ck_basis.model)
+        spec = StateSpec(n, 1.0, ck_basis)
         for t in (0.0, 2.5):
             gf = sample_on_grid(state_field(spec), grid, t)
             assert gf.is_compliant()
@@ -254,7 +254,7 @@ def test_policy_grid_covers_reduced_companion(ck_basis):
     """The same grid must hold the unit-mass state fed into the chain."""
     red = reduced_basis(ck_basis)
     grid = policy_grid(ck_basis, 3, 1.0, times=[0.0, 2.5])
-    spec = StateSpec(3, 1.0, red, red.model)
+    spec = StateSpec(3, 1.0, red)
     for t in (0.0, 2.5):
         gf = sample_on_grid(state_field(spec), grid, t)
         assert gf.is_compliant()
@@ -263,7 +263,7 @@ def test_policy_grid_covers_reduced_companion(ck_basis):
 def test_policy_grid_tracks_driven_excursion(driven_ck):
     basis, drv = driven_ck
     grid = policy_grid(basis, 2, 1.0, driven=drv, times=[0.0, 2.5])
-    spec = StateSpec(2, 1.0, basis, basis.model, drv)
+    spec = StateSpec(2, 1.0, basis, drv)
     for t in (0.0, 1.0, 2.5):
         gf = sample_on_grid(state_field(spec), grid, t)
         assert gf.is_compliant()

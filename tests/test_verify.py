@@ -38,7 +38,7 @@ GRID = Grid(-16.0, 16.0, 4096)
 
 
 def _state(basis, n, driven=None):
-    return state_field(StateSpec(n, 1.0, basis, basis.model, driven))
+    return state_field(StateSpec(n, 1.0, basis, driven))
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def test_moments_of_known_states(sho_basis_c1):
     fine = Grid(-16.0, 16.0, 32768)
     for n in (0, 1, 3):
         gf = sample_on_grid(_state(sho_basis_c1, n), fine, 0.7)
-        rep = moments(gf, 1.0)
+        rep = moments(gf)
         assert rep.mean_x == pytest.approx(0.0, abs=1e-12)
         assert rep.mean_p == pytest.approx(0.0, abs=1e-12)
         assert rep.var_x == pytest.approx(n + 0.5, abs=1e-9)
@@ -90,7 +90,7 @@ def test_p2_forms_cross_check(sho_basis_c2):
     from tdho.verify import _d1
     fine = Grid(-16.0, 16.0, 32768)
     gf = sample_on_grid(_state(sho_basis_c2, 2), fine, 1.3)
-    rep = moments(gf, 1.0)
+    rep = moments(gf)
     n2 = simpson(np.abs(gf.values) ** 2, dx=gf.dx)
     gradient = simpson(np.abs(_d1(gf.values, gf.dx)) ** 2, dx=gf.dx) / n2
     assert rep.var_p + rep.mean_p**2 == pytest.approx(gradient, abs=1e-8)
@@ -134,8 +134,7 @@ def test_residual_refuses_zero_state():
 
 def _zero_field(spec):
     return WavefunctionField(
-        lambda x, t: np.zeros(np.shape(x), dtype=np.complex128),
-        spec.model, spec.hbar, spec.n, "zero", spec,
+        lambda x, t: np.zeros(np.shape(x), dtype=np.complex128), "zero", spec,
     )
 
 
@@ -145,12 +144,12 @@ def test_transform_chain_refuses_zero_state(monkeypatch, sho_basis_c1):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DegenerateStateError, match="zero or not finite"):
-            check_transform_equivalence(sho_basis_c1.model, sho_basis_c1, None,
-                                        2, 1.0, GRID, exact=True)
+            check_transform_equivalence(sho_basis_c1, None, 2, 1.0, GRID,
+                                        exact=True)
 
 
 def test_phase_aligned_distance_refuses_zero_reference(sho_basis_c1):
-    zero = _zero_field(StateSpec(2, 1.0, sho_basis_c1, sho_basis_c1.model))
+    zero = _zero_field(StateSpec(2, 1.0, sho_basis_c1))
     xs = GRID.xs()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -169,10 +168,8 @@ def test_check_omega_constancy(lo_basis):
 def test_check_transform_equivalence_paths(ck_basis):
     from tdho.transforms import policy_grid
     grid = policy_grid(ck_basis, 2, 1.0, times=[0.0, 2.5])
-    interp = check_transform_equivalence(ck_basis.model, ck_basis, None, 2,
-                                         2.5, grid, exact=False)
-    exact = check_transform_equivalence(ck_basis.model, ck_basis, None, 2,
-                                        2.5, grid, exact=True)
+    interp = check_transform_equivalence(ck_basis, None, 2, 2.5, grid, exact=False)
+    exact = check_transform_equivalence(ck_basis, None, 2, 2.5, grid, exact=True)
     assert interp < 1e-6
     assert exact < 1e-10
     assert exact < interp
@@ -199,19 +196,17 @@ def test_phase_aligned_distance(rng, sho_basis_c1):
 # suite runner
 # ---------------------------------------------------------------------------
 
-def _context(basis, driven=None, family_info=None):
+def _context(basis, driven=None, closed_form_C=None):
     from tdho.transforms import policy_grid
     grid = policy_grid(basis, 2, 1.0, driven=driven, times=[0.0, 1.0])
     return SuiteContext(
-        model=basis.model, basis=basis, driven=driven, ns=[0, 1],
-        times=[0.0, 1.0], grid=grid, family_info=family_info or {},
-        orthonormality_nmax=3,
+        basis=basis, driven=driven, ns=[0, 1], times=[0.0, 1.0], grid=grid,
+        closed_form_C=closed_form_C, orthonormality_nmax=3,
     )
 
 
 def test_run_suite_orders_results_by_check_name(sho_basis_c1):
-    ctx = _context(sho_basis_c1,
-                   family_info={"kind": "sho", "w_s": 1.0, "Ccoef": 1.0})
+    ctx = _context(sho_basis_c1, closed_form_C=1.0)
     results = run_suite(ctx, ["residual", "closed_form_agreement"])
     names = [r.check for r in results]
     assert names == sorted(names)
@@ -233,7 +228,7 @@ def test_run_suite_tolerance_override(sho_basis_c1):
 
 
 def test_closed_form_check_requires_family(ck_basis):
-    ctx = _context(ck_basis, family_info={})
+    ctx = _context(ck_basis)
     with pytest.raises(ValueError, match="closed.form"):
         run_suite(ctx, ["closed_form_agreement"])
 
@@ -308,6 +303,6 @@ def test_delta_equivalence_check_runs(driven_sho):
 
 
 def test_stationarity_check_rejects_non_sho(ck_basis):
-    ctx = _context(ck_basis, family_info={"kind": "ck"})
-    with pytest.raises(ValueError):
+    ctx = _context(ck_basis, closed_form_C=1.0)
+    with pytest.raises(ValueError, match="constant-mass"):
         run_suite(ctx, ["stationarity"])
