@@ -156,19 +156,26 @@ def state_kernel(x, n, log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phas
     return out
 
 
-def state_kernel_block(x, n, log_norm, gauss_re, gauss_im, scale, x_shift, k_lin,
-                       phase0, dphase):
-    """Orders 0..n of state_kernel on the ascending grid x in one recurrence.
+def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
+                       k_lin, phase0, dphase):
+    """The requested orders of state_kernel on the ascending grid x, from one
+    recurrence that runs to max(orders).
 
-    Row k is state_kernel(x, k, ..., phase0 + k * dphase) on x[window].
-    Returns (window, rows): every sample outside the window, the widest of
-    the orders' cutoff radii around x_shift, is an exact zero.
+    Row i is state_kernel(x, orders[i], ..., phase0 + orders[i] * dphase) on
+    x[window].  Returns (window, rows): every sample outside the window, the
+    widest of the requested orders' cutoff radii around x_shift, is an exact
+    zero.  Orders that are not requested are stepped through, not stored.
     """
     x = np.asarray(x, dtype=np.float64)
-    radius = max(_cutoff_radius(k, log_norm, gauss_re, scale) for k in range(n + 1))
+    orders = [int(k) for k in orders]
+    n = max(orders)
+    rows_of = {}  # order -> the rows that hold it
+    for i, k in enumerate(orders):
+        rows_of.setdefault(k, []).append(i)
+    radius = max(_cutoff_radius(k, log_norm, gauss_re, scale) for k in rows_of)
     lo = int(np.searchsorted(x, x_shift - radius, side="left"))
     hi = int(np.searchsorted(x, x_shift + radius, side="right"))
-    rows = np.empty((n + 1, hi - lo), dtype=np.complex128)
+    rows = np.empty((len(orders), hi - lo), dtype=np.complex128)
     if hi == lo:
         return slice(lo, hi), rows
     xw = x[lo:hi]
@@ -176,6 +183,7 @@ def state_kernel_block(x, n, log_norm, gauss_re, gauss_im, scale, x_shift, k_lin
     base = np.exp(1j * (gauss_im * d * d + k_lin * xw + phase0))
     recurrence = _hermite_function_rows(n, scale * d, log_norm + gauss_re * d * d)
     for k, (m, e) in enumerate(recurrence):
-        np.multiply(base, cmath.exp(1j * (k * dphase)), out=rows[k])
-        rows[k] *= np.ldexp(m, e)
+        for i in rows_of.get(k, ()):
+            np.multiply(base, cmath.exp(1j * (k * dphase)), out=rows[i])
+            rows[i] *= np.ldexp(m, e)
     return slice(lo, hi), rows

@@ -14,7 +14,7 @@ delta.  The common evaluation kernel is
 with x_p = delta = 0 in the undriven case.  With xi = sqrt(Omega/hbar) d / rho
 the kernel evaluates it as (Omega/hbar)^{1/4} rho^{-1/2} e^{-xi^2/2} h_n(xi)
 times the phases, where h_n = H_n / sqrt(2^n n! sqrt(pi)) comes from the
-normalised Hermite recurrence, so one pass gives every order 0..n of a
+normalised Hermite recurrence, so one pass gives any set of orders of a
 slice (state_block).  Closed-form families (constant mass, exponential
 mass, pulsating mass) are evaluated through independent code paths with
 the same branch convention, so general/specialized comparisons need no
@@ -143,16 +143,18 @@ def _eval_slice(spec: StateSpec, x, t, with_driving: bool):
                         x_shift, k_lin)
 
 
-def state_block(spec: StateSpec, x, t):
-    """Orders 0..spec.n of spec's state at time t on the ascending grid x.
+def state_block(spec: StateSpec, x, t, orders):
+    """The given orders of spec's state at time t on the ascending grid x
+    (spec.n is not read).
 
     Driven when spec carries a DrivenSolution, as in state_field.  The
-    classical data of the slice is evaluated once and all orders come from
-    one recurrence.  Returns (window, rows): rows[k] is psi_k on x[window],
-    and every sample outside the window is an exact zero.
+    classical data of the slice is evaluated once and every order comes from
+    one recurrence to max(orders).  Returns (window, rows): rows[i] is
+    psi_{orders[i]} on x[window], and every sample outside the window is an
+    exact zero.
     """
     params, theta, phase_shift = _slice_params(spec, t, with_driving=True)
-    return state_kernel_block(x, spec.n, *params, 0.5 * theta + phase_shift, theta)
+    return state_kernel_block(x, orders, *params, 0.5 * theta + phase_shift, theta)
 
 
 def psi_general(spec: StateSpec, x, t):

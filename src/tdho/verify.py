@@ -1,11 +1,18 @@
 """Independent numerical certification of the constructed states.
 
 Nothing here reuses the formulas being checked: time derivatives come from
-fourth-order finite differencing of fresh field evaluations, spatial
+fourth-order finite differencing of fresh state evaluations, spatial
 derivatives from five-point stencils, observables from composite Simpson
 quadrature (one weight vector: scipy's rule from 1.11 on, with its end
 correction for an even number of samples).  Every check returns the
 measured number next to the threshold it was judged against.
+
+The suite's checks that read several orders of one state at one time (the
+residual at each of its seven stencil times, the transform chain, the
+closed-form agreement, the uncertainty moments and orthonormality) take
+them from one state block per time: one recurrence gives every order the
+scenario asks for.  The oracles they are compared against (the closed
+forms, the chain's exact re-evaluations, delta_legacy) stay per-order calls.
 """
 
 from __future__ import annotations
@@ -81,12 +88,13 @@ def _d1(values: np.ndarray, dx: float) -> np.ndarray:
 
 
 def _d2(values: np.ndarray, dx: float) -> np.ndarray:
-    """Fourth-order second derivative (five-point stencil), zeroed edges."""
+    """Fourth-order second derivative (five-point stencil) along the last
+    axis, zeroed edges."""
     out = np.zeros_like(values)
-    out[2:-2] = (
-        -30.0 * values[2:-2]
-        + 16.0 * (values[3:-1] + values[1:-3])
-        - (values[4:] + values[:-4])
+    out[..., 2:-2] = (
+        -30.0 * values[..., 2:-2]
+        + 16.0 * (values[..., 3:-1] + values[..., 1:-3])
+        - (values[..., 4:] + values[..., :-4])
     ) / (12.0 * dx * dx)
     return out
 
@@ -182,13 +190,19 @@ class ResidualReport:
     convergence_order_estimate: float
 
 
-def _residual_once(field, model, x, t, dt, hbar):
+# offsets, in units of dt, of the times the residual reads the state at: the
+# fine stencil takes t, t ± dt, t ± 2dt and the coarse one t, t ± 2dt, t ± 4dt
+_STENCIL_STEPS = (0, 1, -1, 2, -2, 4, -4)
+
+
+def _residual_dt(model) -> float:
+    return 1e-3 * 2.0 * math.pi / frequency_scale(model)
+
+
+def _residual_once(model, x, t, dt, hbar, psi, f_p1, f_m1, f_p2, f_m2):
+    """Relative L2 residuals of the rows (..., len(x)) sampled at t, t ± dt
+    and t ± 2dt, one per row."""
     dx = x[1] - x[0]
-    psi = np.asarray(field(x, t))
-    f_p1 = np.asarray(field(x, t + dt))
-    f_m1 = np.asarray(field(x, t - dt))
-    f_p2 = np.asarray(field(x, t + 2 * dt))
-    f_m2 = np.asarray(field(x, t - 2 * dt))
     dpsi_dt = (8.0 * (f_p1 - f_m1) - (f_p2 - f_m2)) / (12.0 * dt)
     M = float(model.mass(t))
     w2 = float(model.freq2(t))
@@ -197,14 +211,30 @@ def _residual_once(field, model, x, t, dt, hbar):
         -(hbar * hbar) / (2.0 * M) * _d2(psi, dx)
         + (0.5 * M * w2 * x * x - x * F) * psi
     )
-    h_norm = np.linalg.norm(h_psi)
-    if not (np.isfinite(h_norm) and h_norm > 0.0):
+    h_norm = np.linalg.norm(h_psi, axis=-1)
+    bad = ~(np.isfinite(h_norm) & (h_norm > 0.0))
+    if bad.any():
         raise DegenerateStateError(
-            f"‖H psi‖ = {h_norm} at t = {t} on {len(x)} points: the sampled "
-            "state is zero or not finite, so its residual is undefined"
+            f"‖H psi‖ = {h_norm[bad].flat[0]} at t = {t} on {len(x)} points: the "
+            "sampled state is zero or not finite, so its residual is undefined"
         )
     o_psi = 1j * hbar * dpsi_dt - h_psi
-    return float(np.linalg.norm(o_psi) / h_norm)
+    return np.linalg.norm(o_psi, axis=-1) / h_norm
+
+
+def _residual_pair(model, x, t, dt, hbar, at):
+    """(fine, coarse) residuals of the rows at[k], sampled at t + k dt on x
+    for each k in _STENCIL_STEPS.  The coarse stencil steps (2dt, 2dx): it
+    reads every other sample at t, t ± 2dt, t ± 4dt."""
+    fine = _residual_once(model, x, t, dt, hbar, at[0], at[1], at[-1], at[2], at[-2])
+    coarse = _residual_once(model, x[::2], t, 2 * dt, hbar,
+                            *(at[k][..., ::2] for k in (0, 2, -2, 4, -4)))
+    return fine, coarse
+
+
+def _order(fine, coarse) -> float:
+    """Convergence-order estimate log2(coarse / fine) of a (2dt, 2dx) step."""
+    return math.log2(coarse / fine) if fine > 0 else float("inf")
 
 
 def schrodinger_residual(field, model, grid, t, dt=None, hbar=None) -> ResidualReport:
@@ -212,25 +242,25 @@ def schrodinger_residual(field, model, grid, t, dt=None, hbar=None) -> ResidualR
 
     The time derivative differences fresh analytic field evaluations at
     t ± dt, t ± 2dt (never stored samples), so the result certifies the
-    formulas rather than the storage.  A second evaluation at (2dt, 2dx)
-    yields the convergence-order estimate.
+    formulas rather than the storage.  A second stencil at (2dt, 2dx), on
+    every other sample at t, t ± 2dt, t ± 4dt, yields the convergence-order
+    estimate.
     """
     hbar = getattr(field, "hbar", 1.0) if hbar is None else hbar
     x = grid.xs() if isinstance(grid, Grid) else np.asarray(grid, dtype=float)
     if dt is None:
-        dt = 1e-3 * 2.0 * math.pi / frequency_scale(model)
-    model.check_domain(t - 2 * dt)
-    model.check_domain(t + 2 * dt)
-    fine = _residual_once(field, model, x, t, dt, hbar)
-    coarse = _residual_once(field, model, x[::2], t, 2 * dt, hbar)
-    order = math.log2(coarse / fine) if fine > 0 else float("inf")
+        dt = _residual_dt(model)
+    model.check_domain(t - 4 * dt)
+    model.check_domain(t + 4 * dt)
+    at = {k: np.asarray(field(x, t + k * dt)) for k in _STENCIL_STEPS}
+    fine, coarse = (float(r) for r in _residual_pair(model, x, t, dt, hbar, at))
     return ResidualReport(
         rel_l2_residual=fine,
         points=len(x),
         dx=float(x[1] - x[0]),
         dt=float(dt),
         residual_coarse=coarse,
-        convergence_order_estimate=order,
+        convergence_order_estimate=_order(fine, coarse),
     )
 
 
@@ -246,6 +276,21 @@ def check_omega_constancy(basis) -> float:
     return float(np.max(np.abs(vals - basis.omega)) / abs(basis.omega))
 
 
+def _chain_distance(driven, t, g0: GridFunction, direct) -> float:
+    """Relative L2 distance between U_F U0_dagger g0 and the direct samples
+    on g0's grid."""
+    model = driven.model
+    g1 = apply_U0_dagger(model, t, g0)
+    g2 = apply_UF(model, driven, t, g1)
+    direct_norm = np.linalg.norm(direct)
+    if not (np.isfinite(direct_norm) and direct_norm > 0.0):
+        raise DegenerateStateError(
+            f"‖psi‖ = {direct_norm} at t = {t} on {len(direct)} points: the "
+            "direct state is zero or not finite, so the chain distance is undefined"
+        )
+    return float(np.linalg.norm(g2.values - direct) / direct_norm)
+
+
 def check_transform_equivalence(
     basis, driven, n, t, grid, hbar: float = 1.0, exact: bool = False
 ) -> float:
@@ -255,23 +300,12 @@ def check_transform_equivalence(
     sqrt(M)(u, v)) is pushed through U0_dagger and U_F on the grid and
     compared to the directly evaluated displaced state.
     """
-    model = basis.model
     if driven is None:
-        driven = null_driven(model)
-    unit = reduced_basis(basis)
-    spec0 = StateSpec(n, hbar, unit)
+        driven = null_driven(basis.model)
+    spec0 = StateSpec(n, hbar, reduced_basis(basis))
     g0 = sample_on_grid(state_field(spec0), grid, t, attach_source=exact)
-    g1 = apply_U0_dagger(model, t, g0)
-    g2 = apply_UF(model, driven, t, g1)
-    direct_spec = StateSpec(n, hbar, basis, driven)
-    direct = np.asarray(state_field(direct_spec)(g2.x, t))
-    direct_norm = np.linalg.norm(direct)
-    if not (np.isfinite(direct_norm) and direct_norm > 0.0):
-        raise DegenerateStateError(
-            f"‖psi‖ = {direct_norm} at t = {t} on {len(direct)} points: the "
-            "direct state is zero or not finite, so the chain distance is undefined"
-        )
-    return float(np.linalg.norm(g2.values - direct) / direct_norm)
+    direct = np.asarray(state_field(StateSpec(n, hbar, basis, driven))(g0.x, t))
+    return _chain_distance(driven, t, g0, direct)
 
 
 def check_stationarity(field, grid, times) -> float:
@@ -390,18 +424,39 @@ def _tol(overrides, key, name=None):
     return DEFAULT_THRESHOLDS[name]
 
 
+def _grid_rows(spec: StateSpec, xs, t, orders) -> np.ndarray:
+    """state_block's rows of the given orders on the whole grid xs."""
+    window, rows = state_block(spec, xs, t, orders)
+    full = np.zeros((len(rows), len(xs)), dtype=np.complex128)
+    full[:, window] = rows
+    return full
+
+
+def _n_then_t(ctx: SuiteContext, per_t):
+    """(n, t, per_t[j][i]) in report order, n outer and t inner, where
+    per_t[j][i] belongs to order ctx.ns[i] at time ctx.times[j]."""
+    for i, n in enumerate(ctx.ns):
+        for j, t in enumerate(ctx.times):
+            yield n, t, per_t[j][i]
+
+
 def _run_residual(ctx: SuiteContext, overrides) -> list:
+    """Fine and coarse residuals of every order, from one block of ctx.ns at
+    each of the seven stencil times of each t."""
     tol = _tol(overrides, "tolerance", "residual")
-    out = []
-    for n in ctx.ns:
-        f = state_field(ctx.state(n))
-        for t in ctx.times:
-            rep = schrodinger_residual(f, ctx.model, ctx.grid, t, hbar=ctx.hbar)
-            out.append(CheckResult(
-                "residual", {"n": n, "t": t, "order": round(rep.convergence_order_estimate, 2)},
-                rep.rel_l2_residual, tol,
-            ))
-    return out
+    model = ctx.model
+    dt = _residual_dt(model)
+    xs = ctx.grid.xs()
+    spec = ctx.state(max(ctx.ns))
+    per_t = []
+    for t in ctx.times:
+        at = {k: _grid_rows(spec, xs, t + k * dt, ctx.ns) for k in _STENCIL_STEPS}
+        fine, coarse = _residual_pair(model, xs, t, dt, ctx.hbar, at)
+        per_t.append([(float(f), float(c)) for f, c in zip(fine, coarse)])
+    return [CheckResult("residual",
+                        {"n": n, "t": t, "order": round(_order(fine, coarse), 2)},
+                        fine, tol)
+            for n, t, (fine, coarse) in _n_then_t(ctx, per_t)]
 
 
 def _run_omega(ctx: SuiteContext, overrides) -> list:
@@ -428,56 +483,78 @@ def _run_frequency_map(ctx: SuiteContext, overrides) -> list:
 
 
 def _run_transform_chain(ctx: SuiteContext, overrides) -> list:
+    """Both chain paths of every order from one block of the companion state
+    (g0, shared by the paths) and one of the direct state per t; the exact
+    path's re-evaluations stay per-order calls."""
     tol_i = _tol(overrides, "tolerance", "transform_chain")
     tol_e = _tol(overrides, "tolerance_exact", "transform_chain_exact")
+    driven = ctx.driven if ctx.driven is not None else null_driven(ctx.model)
+    unit = reduced_basis(ctx.basis)
+    n_top = max(ctx.ns)
+    companion = StateSpec(n_top, ctx.hbar, unit)
+    direct_spec = StateSpec(n_top, ctx.hbar, ctx.basis, driven)
+    sources = [state_field(StateSpec(n, ctx.hbar, unit)) for n in ctx.ns]
+    grid = ctx.grid
+    xs = grid.xs()
+    per_t = []
+    for t in ctx.times:
+        g0_rows = _grid_rows(companion, xs, t, ctx.ns)
+        direct_rows = _grid_rows(direct_spec, xs, t, ctx.ns)
+        pairs = []
+        for field0, g0_values, direct in zip(sources, g0_rows, direct_rows):
+            g0 = GridFunction(grid.x_min, grid.dx, g0_values, t, ctx.hbar)
+            g0_exact = g0._with(g0_values, functools.partial(field0, t=t))
+            pairs.append((_chain_distance(driven, t, g0, direct),
+                          _chain_distance(driven, t, g0_exact, direct)))
+        per_t.append(pairs)
     out = []
-    for n in ctx.ns:
-        for t in ctx.times:
-            for exact, tol, path in ((False, tol_i, "interp"), (True, tol_e, "exact")):
-                d = check_transform_equivalence(
-                    ctx.basis, ctx.driven, n, t, ctx.grid,
-                    hbar=ctx.hbar, exact=exact,
-                )
-                out.append(CheckResult(
-                    "transform_chain", {"n": n, "t": t, "path": path}, d, tol
-                ))
+    for n, t, (interp, exact) in _n_then_t(ctx, per_t):
+        out.append(CheckResult(
+            "transform_chain", {"n": n, "t": t, "path": "interp"}, interp, tol_i))
+        out.append(CheckResult(
+            "transform_chain", {"n": n, "t": t, "path": "exact"}, exact, tol_e))
     return out
 
 
-def _closed_form_pair(ctx: SuiteContext, n):
-    """(closed-form fn, general fn) both as (x, t) -> values."""
+def _closed_form(ctx: SuiteContext):
+    """The closed-form state of the model's family as (n, x, t) -> values."""
     m, C, hbar = ctx.model, ctx.closed_form_C, ctx.hbar
     if C is None:
         raise ValueError("closed_form_agreement needs the closed-form C of the scenario")
-    general = state_field(StateSpec(n, hbar, ctx.basis))
     if isinstance(m, UnitMassSHO):
-        closed = lambda x, t: psi_sho(m.w_s, C, n, hbar, x, t)  # noqa: E731
-    elif isinstance(m, CaldirolaKanai):
-        closed = lambda x, t: psi_ck(m.m, m.gamma, m.w1, C, n, hbar, x, t)  # noqa: E731
-    elif isinstance(m, LoDampedPulsating):
-        closed = lambda x, t: psi_lo(  # noqa: E731
-            m.m0, m.gamma, m.mu, m.nu, m.w_lo, C, n, hbar, x, t
-        )
-    else:
-        raise ValueError(
-            f"closed_form_agreement has no closed form for {type(m).__name__}"
-        )
-    return closed, general
+        return lambda n, x, t: psi_sho(m.w_s, C, n, hbar, x, t)
+    if isinstance(m, CaldirolaKanai):
+        return lambda n, x, t: psi_ck(m.m, m.gamma, m.w1, C, n, hbar, x, t)
+    if isinstance(m, LoDampedPulsating):
+        return lambda n, x, t: psi_lo(m.m0, m.gamma, m.mu, m.nu, m.w_lo, C, n, hbar, x, t)
+    raise ValueError(f"closed_form_agreement has no closed form for {type(m).__name__}")
 
 
 def _run_closed_form(ctx: SuiteContext, overrides) -> list:
+    """Each closed form (a per-order oracle call) against the general state
+    read from one block of ctx.ns per t."""
     tol = _tol(overrides, "tolerance", "closed_form_agreement")
+    closed = _closed_form(ctx)
+    general = StateSpec(max(ctx.ns), ctx.hbar, ctx.basis)
     xs = ctx.grid.xs()
+    per_t = []
+    for t in ctx.times:
+        rows = _grid_rows(general, xs, t, ctx.ns)
+        per_t.append([phase_aligned_distance(np.asarray(closed(n, xs, t)), row)
+                      for n, row in zip(ctx.ns, rows)])
+    return [CheckResult("closed_form_agreement", {"n": n, "t": t}, d, tol)
+            for n, t, d in _n_then_t(ctx, per_t)]
+
+
+def _block_moments(spec: StateSpec, grid: Grid, t, orders) -> list:
+    """moments of each order at t, read from one block; the block is freed
+    on return, so callers hold one at a time."""
+    window, rows = state_block(spec, grid.xs(), t, orders)
     out = []
-    for n in ctx.ns:
-        closed, general = _closed_form_pair(ctx, n)
-        for t in ctx.times:
-            d = phase_aligned_distance(
-                np.asarray(closed(xs, t)), np.asarray(general(xs, t))
-            )
-            out.append(CheckResult(
-                "closed_form_agreement", {"n": n, "t": t}, d, tol
-            ))
+    for row in rows:
+        values = np.zeros(grid.points, dtype=np.complex128)
+        values[window] = row
+        out.append(moments(GridFunction(grid.x_min, grid.dx, values, t, spec.hbar)))
     return out
 
 
@@ -486,23 +563,26 @@ def _run_uncertainty(ctx: SuiteContext, overrides) -> list:
     if ctx.driven is None:
         raise ValueError("uncertainty check needs a driven scenario")
     grid = ctx.fine_grid()
-    out = []
-    for n in ctx.ns:
-        f_driven = state_field(ctx.state(n))
-        f_plain = state_field(ctx.state(n, driven=null_driven(ctx.model)))
-        for t in ctx.times:
-            m_f = moments(sample_on_grid(f_driven, grid, t, attach_source=False))
-            m_0 = moments(sample_on_grid(f_plain, grid, t, attach_source=False))
-            xp, dxp, _ = (float(q) for q in ctx.driven.slice(t))
-            p_shift = float(ctx.model.mass(t)) * dxp
-            measured = max(
+    n_top = max(ctx.ns)
+    driven_spec = ctx.state(n_top)
+    plain_spec = ctx.state(n_top, driven=null_driven(ctx.model))
+    per_t = []
+    for t in ctx.times:
+        m_driven = _block_moments(driven_spec, grid, t, ctx.ns)
+        m_plain = _block_moments(plain_spec, grid, t, ctx.ns)
+        xp, dxp, _ = (float(q) for q in ctx.driven.slice(t))
+        p_shift = float(ctx.model.mass(t)) * dxp
+        per_t.append([
+            max(
                 abs(m_f.var_x - m_0.var_x),
                 abs(m_f.var_p - m_0.var_p),
                 abs(m_f.mean_x - m_0.mean_x - xp),
                 abs(m_f.mean_p - m_0.mean_p - p_shift),
             )
-            out.append(CheckResult("uncertainty", {"n": n, "t": t}, measured, tol))
-    return out
+            for m_f, m_0 in zip(m_driven, m_plain)
+        ])
+    return [CheckResult("uncertainty", {"n": n, "t": t}, d, tol)
+            for n, t, d in _n_then_t(ctx, per_t)]
 
 
 def _v_window(ctx: SuiteContext):
@@ -564,7 +644,7 @@ def _run_orthonormality(ctx: SuiteContext, overrides) -> list:
     worst = 0.0
     worst_at = {}
     for t in ctx.times:
-        window, rows = state_block(spec, xs, t)
+        window, rows = state_block(spec, xs, t, range(n_max + 1))
         w = weights[window]
         gram = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
         # column blocks keep the weighted conjugate copy small

@@ -16,7 +16,6 @@ from tdho.classical import QuadratureError
 from tdho.cli import ScenarioError, build_context, load_scenario, main
 from tdho.ode import ODEError
 from tdho.scenarios import BUNDLED, scenario_path
-from tdho.states import WavefunctionField
 
 
 def _scenario_doc(**overrides):
@@ -259,18 +258,27 @@ def test_verify_numerical_error_exit_2(monkeypatch, capsys, error):
     assert err.startswith("numerical error: ") and err.count("\n") == 1
 
 
+def _zero_block(spec, x, t, orders):
+    return slice(0, len(x)), np.zeros((len(orders), len(x)), dtype=np.complex128)
+
+
 def test_verify_degenerate_state_is_numerical_error(monkeypatch, capsys):
     """A zero state refused by the residual check is labelled numerical, not
     configuration."""
-    def zero_field(spec):
-        return WavefunctionField(
-            lambda x, t: np.zeros(np.shape(x), dtype=np.complex128), "zero", spec,
-        )
-
-    monkeypatch.setattr(tdho.verify, "state_field", zero_field)
+    monkeypatch.setattr(tdho.verify, "state_block", _zero_block)
     assert main(["verify", "sho_c1", "--suite", "fast"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and "zero or not finite" in err
+
+
+def test_verify_zero_state_in_the_chain_is_numerical_error(tmp_path, monkeypatch,
+                                                           capsys):
+    """The suite's transform chain refuses a zero state with exit 2."""
+    monkeypatch.setattr(tdho.verify, "state_block", _zero_block)
+    path = _write(tmp_path, _scenario_doc(checks=["transform_chain"]))
+    assert main(["verify", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and "chain distance is undefined" in err
 
 
 def test_verify_writes_report_file(tmp_path):

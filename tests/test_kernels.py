@@ -110,16 +110,26 @@ def test_very_high_order_states_are_normalised_without_warnings(n):
         assert abs(norm(sample_on_grid(field, grid, 1.0)) - 1.0) < 1e-12
 
 
-def test_block_rows_match_state_kernel(driven_ck):
-    """Row k of the block equals the order-k state through state_kernel."""
-    basis, driven = driven_ck
-    spec = StateSpec(12, 1.0, basis, driven)
+def _block_matches_fields(basis, driven, orders):
+    spec = StateSpec(max(orders), 1.0, basis, driven)
     grid = policy_grid(basis, 12, driven=driven, times=[1.0], points=4096)
     xs = grid.xs()
-    window, rows = state_block(spec, xs, 1.0)
-    assert rows.shape == (13, window.stop - window.start)
-    for k in range(13):
+    window, rows = state_block(spec, xs, 1.0, orders)
+    assert rows.shape == (len(orders), window.stop - window.start)
+    for k, row in zip(orders, rows):
         want = state_field(StateSpec(k, 1.0, basis, driven))(xs, 1.0)
         got = np.zeros_like(want)
-        got[window] = rows[k]
+        got[window] = row
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-300)
+
+
+def test_block_rows_match_state_kernel(driven_ck):
+    """Row k of the block equals the order-k state through state_kernel."""
+    _block_matches_fields(*driven_ck, list(range(13)))
+
+
+@pytest.mark.parametrize("orders", [[12, 3, 7], [5], [0, 2]])
+def test_block_returns_only_the_requested_orders(driven_ck, orders):
+    """Row i is the order orders[i] state through state_kernel, in the given
+    order; orders that are not requested are not returned."""
+    _block_matches_fields(*driven_ck, orders)

@@ -10,6 +10,7 @@ from scipy.integrate import simpson as scipy_simpson
 import tdho.verify
 from tdho.classical import analytic_basis_sho
 from tdho.models import UnitMassSHO
+from tdho.scenarios import BUNDLED
 from tdho.states import StateSpec, WavefunctionField, state_field
 from tdho.transforms import Grid, sample_on_grid
 from tdho.verify import (
@@ -283,8 +284,8 @@ def test_gram_orthonormality_matches_pairwise_simpson(request, family):
 def test_orthonormality_detects_a_scaled_row(monkeypatch, sho_basis_c1):
     block = tdho.verify.state_block
 
-    def scaled(spec, x, t):
-        window, rows = block(spec, x, t)
+    def scaled(spec, x, t, orders):
+        window, rows = block(spec, x, t, orders)
         rows[2] *= 1.001
         return window, rows
 
@@ -306,3 +307,94 @@ def test_stationarity_check_rejects_non_sho(ck_basis):
     ctx = _context(ck_basis, closed_form_C=1.0)
     with pytest.raises(ValueError, match="constant-mass"):
         run_suite(ctx, ["stationarity"])
+
+
+# ---------------------------------------------------------------------------
+# suite checks read from state blocks = the per-order public paths
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def bundled_context():
+    """name -> SuiteContext of that bundled scenario, built once per module."""
+    from tdho.cli import build_context, load_scenario
+
+    built = {}
+
+    def get(name):
+        if name not in built:
+            built[name] = build_context(load_scenario(name))
+        return built[name]
+
+    return get
+
+
+def _suite_rows(ctx, check):
+    return {(r.params["n"], r.params["t"], r.params.get("path")): r
+            for r in run_suite(ctx, [check])}
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_suite_residual_matches_per_field_residual(bundled_context, name):
+    """The residual rows read from one block per stencil time equal
+    schrodinger_residual on each order's field, fine and coarse."""
+    ctx = bundled_context(name)
+    rows = _suite_rows(ctx, "residual")
+    assert len(rows) == len(ctx.ns) * len(ctx.times)
+    for n in ctx.ns:
+        field = state_field(ctx.state(n))
+        for t in ctx.times:
+            rep = schrodinger_residual(field, ctx.model, ctx.grid, t, hbar=ctx.hbar)
+            row = rows[n, t, None]
+            assert row.measured == pytest.approx(rep.rel_l2_residual, rel=1e-4)
+            assert row.params["order"] == pytest.approx(
+                rep.convergence_order_estimate, abs=0.01)
+
+
+@pytest.mark.parametrize("name", ["sho_c2", "ck", "lo", "driven_sho", "driven_ck"])
+def test_suite_chain_matches_check_transform_equivalence(bundled_context, name):
+    ctx = bundled_context(name)
+    rows = _suite_rows(ctx, "transform_chain")
+    assert len(rows) == 2 * len(ctx.ns) * len(ctx.times)
+    for n in ctx.ns:
+        for t in ctx.times:
+            for path in ("interp", "exact"):
+                want = check_transform_equivalence(
+                    ctx.basis, ctx.driven, n, t, ctx.grid, hbar=ctx.hbar,
+                    exact=path == "exact",
+                )
+                assert abs(rows[n, t, path].measured - want) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["driven_sho", "driven_ck"])
+def test_suite_uncertainty_matches_per_order_moments(bundled_context, name):
+    from tdho.classical import null_driven
+
+    ctx = bundled_context(name)
+    rows = _suite_rows(ctx, "uncertainty")
+    grid = ctx.fine_grid()
+    plain = null_driven(ctx.model)
+    for n in ctx.ns:
+        for t in ctx.times:
+            m_f = moments(sample_on_grid(state_field(ctx.state(n)), grid, t))
+            m_0 = moments(sample_on_grid(state_field(ctx.state(n, plain)), grid, t))
+            xp, dxp, _ = (float(q) for q in ctx.driven.slice(t))
+            want = max(
+                abs(m_f.var_x - m_0.var_x),
+                abs(m_f.var_p - m_0.var_p),
+                abs(m_f.mean_x - m_0.mean_x - xp),
+                abs(m_f.mean_p - m_0.mean_p - float(ctx.model.mass(t)) * dxp),
+            )
+            assert abs(rows[n, t, None].measured - want) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["sho_c1", "ck", "lo"])
+def test_suite_closed_form_matches_per_order_fields(bundled_context, name):
+    ctx = bundled_context(name)
+    rows = _suite_rows(ctx, "closed_form_agreement")
+    closed = tdho.verify._closed_form(ctx)
+    xs = ctx.grid.xs()
+    for n in ctx.ns:
+        general = state_field(StateSpec(n, ctx.hbar, ctx.basis))
+        for t in ctx.times:
+            want = phase_aligned_distance(closed(n, xs, t), general(xs, t))
+            assert abs(rows[n, t, None].measured - want) < 1e-12
