@@ -16,9 +16,10 @@ the kernel evaluates it as (Omega/hbar)^{1/4} rho^{-1/2} e^{-xi^2/2} h_n(xi)
 times the phases, where h_n = H_n / sqrt(2^n n! sqrt(pi)) comes from the
 normalised Hermite recurrence, so one pass gives any set of orders of a
 slice (state_block).  Closed-form families (constant mass, exponential
-mass, pulsating mass) are evaluated through independent code paths with
-the same branch convention, so general/specialized comparisons need no
-phase alignment.
+mass, pulsating mass) take their slice parameters from their own closed
+formulas, never from a basis, with the same branch convention, so
+general/specialized comparisons need no phase alignment; psi_*_block gives
+any set of orders of a closed-form slice from the same one recurrence.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ __all__ = [
     "psi_sho",
     "psi_ck",
     "psi_lo",
+    "psi_sho_block",
+    "psi_ck_block",
+    "psi_lo_block",
     "state_field",
     "dump_state_grid",
 ]
@@ -192,36 +196,53 @@ def _rho_tilde(s, C):
     return rt, drt
 
 
+def _closed_form_call(slice_, n, x):
+    """Order n of a closed-form slice ((log_norm, gauss_re, gauss_im, scale),
+    theta) on scalar-or-array x."""
+    params, theta = slice_
+    n = int(n)
+    return _kernel_call(x, n, *params, (n + 0.5) * theta)
+
+
+def _closed_form_block(slice_, orders, x):
+    """The given orders of a closed-form slice on the ascending grid x, as
+    state_block's (window, rows), from one recurrence."""
+    params, theta = slice_
+    return state_kernel_block(x, orders, *params, 0.0, 0.0, 0.5 * theta, theta)
+
+
+def _sho_slice(w_s, Ccoef, hbar, t):
+    """Kernel parameters and theta of the constant-mass closed form at t."""
+    if w_s <= 0 or Ccoef <= 0:
+        raise ValueError("w_s and Ccoef must be positive")
+    s = w_s * float(t)
+    rt, drt = _rho_tilde(s, Ccoef)
+    rt, drt = float(rt), float(drt * w_s)  # d/dt, not d/ds
+    params = (
+        _log_norm(Ccoef * w_s, hbar, rt),
+        -0.5 * Ccoef * w_s / (hbar * rt * rt),
+        0.5 * drt / (hbar * rt),
+        math.sqrt(Ccoef * w_s / hbar) / rt,
+    )
+    return params, unwrapped_ellipse_angle(s, Ccoef)
+
+
 def psi_sho(w_s, Ccoef, n, hbar, x, t):
     """Constant-mass oscillator eigenstate with pulsation parameter C.
 
     C = 1 is the stationary textbook state; C != 1 breathes with envelope
     rho_tilde = sqrt(1 + (C^2 - 1) cos^2(w_s t)), period pi/w_s.
     """
-    if w_s <= 0 or Ccoef <= 0:
-        raise ValueError("w_s and Ccoef must be positive")
-    s = w_s * float(t)
-    rt, drt = _rho_tilde(s, Ccoef)
-    rt, drt = float(rt), float(drt * w_s)  # d/dt, not d/ds
-    theta = unwrapped_ellipse_angle(s, Ccoef)
-    return _kernel_call(
-        x,
-        int(n),
-        _log_norm(Ccoef * w_s, hbar, rt),
-        -0.5 * Ccoef * w_s / (hbar * rt * rt),
-        0.5 * drt / (hbar * rt),
-        math.sqrt(Ccoef * w_s / hbar) / rt,
-        (n + 0.5) * theta,
-    )
+    return _closed_form_call(_sho_slice(w_s, Ccoef, hbar, t), n, x)
 
 
-def psi_ck(m, gamma, w1, Ccoef, n, hbar, x, t):
-    """Exponential-mass (M = m e^{gamma t}) oscillator eigenstate.
+def psi_sho_block(w_s, Ccoef, orders, hbar, x, t):
+    """psi_sho's given orders at t on the ascending grid x: (window, rows)."""
+    return _closed_form_block(_sho_slice(w_s, Ccoef, hbar, t), orders, x)
 
-    Same ellipse data as the constant-mass state but at the shifted
-    frequency w_ck = sqrt(w1^2 - gamma^2/4), with the mass factor in the
-    Gaussian width and the extra -gamma/2 in its imaginary part.
-    """
+
+def _ck_slice(m, gamma, w1, Ccoef, hbar, t):
+    """Kernel parameters and theta of the exponential-mass closed form at t."""
     from .classical import OverdampedError
 
     w_ck_sq = w1 * w1 - 0.25 * gamma * gamma
@@ -235,25 +256,32 @@ def psi_ck(m, gamma, w1, Ccoef, n, hbar, x, t):
     s = w_ck * t
     rt, drt = _rho_tilde(s, Ccoef)
     rt, drt = float(rt), float(drt * w_ck)
-    theta = unwrapped_ellipse_angle(s, Ccoef)
-    return _kernel_call(
-        x,
-        int(n),
+    params = (
         _log_norm(M * Ccoef * w_ck, hbar, rt),
         -0.5 * M * Ccoef * w_ck / (hbar * rt * rt),
         0.5 * M * (drt / rt - 0.5 * gamma) / hbar,
         math.sqrt(M * Ccoef * w_ck / hbar) / rt,
-        (n + 0.5) * theta,
     )
+    return params, unwrapped_ellipse_angle(s, Ccoef)
 
 
-def psi_lo(m0, gamma, mu, nu, w_lo, Ccoef, n, hbar, x, t):
-    """Damped-pulsating-mass oscillator eigenstate.
+def psi_ck(m, gamma, w1, Ccoef, n, hbar, x, t):
+    """Exponential-mass (M = m e^{gamma t}) oscillator eigenstate.
 
-    The mass m0 e^{2(gamma t + mu sin nu t)} is compensated by the model
-    frequency, so the ellipse data runs at the constant reduced frequency
-    w_lo; the mass enters through the width factor and -Mdot/2M.
+    Same ellipse data as the constant-mass state but at the shifted
+    frequency w_ck = sqrt(w1^2 - gamma^2/4), with the mass factor in the
+    Gaussian width and the extra -gamma/2 in its imaginary part.
     """
+    return _closed_form_call(_ck_slice(m, gamma, w1, Ccoef, hbar, t), n, x)
+
+
+def psi_ck_block(m, gamma, w1, Ccoef, orders, hbar, x, t):
+    """psi_ck's given orders at t on the ascending grid x: (window, rows)."""
+    return _closed_form_block(_ck_slice(m, gamma, w1, Ccoef, hbar, t), orders, x)
+
+
+def _lo_slice(m0, gamma, mu, nu, w_lo, Ccoef, hbar, t):
+    """Kernel parameters and theta of the damped-pulsating-mass closed form at t."""
     if m0 <= 0:
         raise ValueError("m0 must be positive")
     if w_lo <= 0:
@@ -265,16 +293,29 @@ def psi_lo(m0, gamma, mu, nu, w_lo, Ccoef, n, hbar, x, t):
     s = w_lo * t
     rt, drt = _rho_tilde(s, Ccoef)
     rt, drt = float(rt), float(drt * w_lo)
-    theta = unwrapped_ellipse_angle(s, Ccoef)
-    return _kernel_call(
-        x,
-        int(n),
+    params = (
         _log_norm(M * Ccoef * w_lo, hbar, rt),
         -0.5 * M * Ccoef * w_lo / (hbar * rt * rt),
         0.5 * (M * drt / rt - 0.5 * dM) / hbar,
         math.sqrt(M * Ccoef * w_lo / hbar) / rt,
-        (n + 0.5) * theta,
     )
+    return params, unwrapped_ellipse_angle(s, Ccoef)
+
+
+def psi_lo(m0, gamma, mu, nu, w_lo, Ccoef, n, hbar, x, t):
+    """Damped-pulsating-mass oscillator eigenstate.
+
+    The mass m0 e^{2(gamma t + mu sin nu t)} is compensated by the model
+    frequency, so the ellipse data runs at the constant reduced frequency
+    w_lo; the mass enters through the width factor and -Mdot/2M.
+    """
+    return _closed_form_call(_lo_slice(m0, gamma, mu, nu, w_lo, Ccoef, hbar, t), n, x)
+
+
+def psi_lo_block(m0, gamma, mu, nu, w_lo, Ccoef, orders, hbar, x, t):
+    """psi_lo's given orders at t on the ascending grid x: (window, rows)."""
+    return _closed_form_block(
+        _lo_slice(m0, gamma, mu, nu, w_lo, Ccoef, hbar, t), orders, x)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ attached analytic source exactly or fall back to a six-point Lagrange read
 of the samples; out-of-span reads are taken as zero, which is consistent
 only because compliant grid functions are negligible at their edges (the
 boundary invariant, enforced by the sizing policy below).
+
+A GridFunction holds one state's samples, or a stack of states on the same
+grid as (rows, points) values; every primitive acts along the last axis, so
+one pass (one exp(i phase(x)), one set of Lagrange weights) serves every row.
 """
 
 from __future__ import annotations
@@ -71,17 +75,19 @@ class Grid:
 
 
 class GridFunction:
-    """Complex samples at x_i = x_min + i dx for one time slice.
+    """Complex samples at x_i = x_min + i dx for one time slice: one state's
+    (points,) values or a stack of states' (rows, points) values.
 
     `source`, when present, is the analytic x -> psi map the samples came
-    from; transforms compose it so downstream values stay exact instead of
+    from (returning values of the same shape on ascending x); transforms
+    compose it so downstream values stay exact instead of
     interpolation-limited.
     """
 
     def __init__(self, x_min, dx, values, t, hbar=1.0, source=None):
         values = np.asarray(values, dtype=np.complex128)
-        if values.ndim != 1 or len(values) < 16:
-            raise ValueError("need a 1-D array of at least 16 samples")
+        if values.ndim not in (1, 2) or values.shape[-1] < 16:
+            raise ValueError("need 1-D or (rows, points) values of at least 16 samples")
         if dx <= 0:
             raise ValueError("dx must be positive")
         self.x_min = float(x_min)
@@ -93,17 +99,19 @@ class GridFunction:
 
     @property
     def x(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(len(self.values))
+        return self.x_min + self.dx * np.arange(self.values.shape[-1])
 
     @property
     def x_max(self) -> float:
-        return self.x_min + self.dx * (len(self.values) - 1)
+        return self.x_min + self.dx * (self.values.shape[-1] - 1)
 
     def boundary_ratio(self) -> float:
-        peak = np.max(np.abs(self.values))
-        if peak == 0.0:
-            return 0.0
-        return max(abs(self.values[0]), abs(self.values[-1])) / peak
+        """Largest edge sample over the peak, of the worst row."""
+        mag = np.abs(self.values)
+        peak = np.max(mag, axis=-1)
+        edge = np.maximum(mag[..., 0], mag[..., -1])
+        ratio = np.divide(edge, peak, out=np.zeros_like(peak), where=peak > 0.0)
+        return float(np.max(ratio))
 
     def is_compliant(self) -> bool:
         return self.boundary_ratio() < BOUNDARY_RATIO
@@ -131,24 +139,29 @@ _LAGRANGE_DENOM = np.array([-120.0, 24.0, -12.0, 12.0, -24.0, 120.0])
 
 
 def _lagrange_eval(g: GridFunction, xq: np.ndarray) -> np.ndarray:
-    """Six-point Lagrange read of the samples; exact zeros outside the span.
+    """Six-point Lagrange read of the samples of every row at the 1-D query
+    points xq; exact zeros outside the span.
 
     Each query takes the six samples around it, the stencil clipped to the
     grid at either edge, so any polynomial of degree <= 5 is reproduced to
     rounding everywhere in [x_min, x_max] (Fornberg, Math. Comp. 51 (1988)
-    699-706).
+    699-706).  The stencils and weights are computed once for all rows.
     """
     xq = np.asarray(xq, dtype=float)
-    out = np.zeros(xq.shape, dtype=np.complex128)
+    out = np.zeros(g.values.shape[:-1] + xq.shape, dtype=np.complex128)
     inside = (xq >= g.x_min) & (xq <= g.x_max)
     s = (xq[inside] - g.x_min) / g.dx
-    first = np.clip(np.floor(s).astype(np.intp) - 2, 0, len(g.values) - 6)
+    first = np.clip(np.floor(s).astype(np.intp) - 2, 0, g.values.shape[-1] - 6)
     offsets = np.arange(6)
     d = (s - first)[:, None] - offsets
     weights = np.stack(
         [np.prod(d[:, offsets != k], axis=1) for k in range(6)], axis=1
     ) / _LAGRANGE_DENOM
-    out[inside] = np.sum(weights * g.values[first[:, None] + offsets], axis=1)
+    # summed term by term, in one order for every row
+    acc = weights[:, 0] * g.values[..., first]
+    for k in range(1, 6):
+        acc += weights[:, k] * g.values[..., first + k]
+    out[..., inside] = acc
     return out
 
 

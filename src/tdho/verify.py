@@ -7,12 +7,14 @@ quadrature (one weight vector: scipy's rule from 1.11 on, with its end
 correction for an even number of samples).  Every check returns the
 measured number next to the threshold it was judged against.
 
-The suite's checks that read several orders of one state at one time (the
-residual at each of its seven stencil times, the transform chain, the
-closed-form agreement, the uncertainty moments and orthonormality) take
-them from one state block per time: one recurrence gives every order the
-scenario asks for.  The oracles they are compared against (the closed
-forms, the chain's exact re-evaluations, delta_legacy) stay per-order calls.
+The suite's checks read every order a scenario asks for at one time from
+one recurrence: the residual at each of its seven stencil times, the
+uncertainty moments and orthonormality take one state block per time, and
+so do both sides of the transform chain, whose operators act on the whole
+stack of orders, and of the closed-form agreement and stationarity.  The
+oracles keep their own parameters: the closed forms (psi_*_block) take
+their slice from their closed formulas, never from the basis, and only
+share the recurrence; delta_legacy stays an independent integral.
 """
 
 from __future__ import annotations
@@ -32,7 +34,14 @@ from .models import (
     frequency_scale,
     reduced_frequency_squared,
 )
-from .states import StateSpec, psi_ck, psi_lo, psi_sho, state_block, state_field
+from .states import (
+    StateSpec,
+    psi_ck_block,
+    psi_lo_block,
+    psi_sho_block,
+    state_block,
+    state_field,
+)
 from .transforms import (
     Grid,
     GridFunction,
@@ -131,10 +140,11 @@ def _unit_simpson_weights(points: int) -> np.ndarray:
 
 
 def simpson(y, dx: float):
-    """Composite Simpson integral of real samples y spaced dx apart, by the
-    rule of scipy.integrate.simpson from scipy 1.11 on."""
+    """Composite Simpson integral along the last axis of real samples y
+    spaced dx apart, by the rule of scipy.integrate.simpson from scipy 1.11
+    on."""
     y = np.asarray(y)
-    return dx * (_unit_simpson_weights(len(y)) @ y)
+    return dx * (y @ _unit_simpson_weights(y.shape[-1]))
 
 
 def norm(g: GridFunction) -> float:
@@ -276,19 +286,21 @@ def check_omega_constancy(basis) -> float:
     return float(np.max(np.abs(vals - basis.omega)) / abs(basis.omega))
 
 
-def _chain_distance(driven, t, g0: GridFunction, direct) -> float:
+def _chain_distance(driven, t, g0: GridFunction, direct):
     """Relative L2 distance between U_F U0_dagger g0 and the direct samples
-    on g0's grid."""
+    on g0's grid, one per row of g0 and direct."""
     model = driven.model
     g1 = apply_U0_dagger(model, t, g0)
     g2 = apply_UF(model, driven, t, g1)
-    direct_norm = np.linalg.norm(direct)
-    if not (np.isfinite(direct_norm) and direct_norm > 0.0):
+    direct_norm = np.linalg.norm(direct, axis=-1)
+    bad = ~(np.isfinite(direct_norm) & (direct_norm > 0.0))
+    if bad.any():
         raise DegenerateStateError(
-            f"‖psi‖ = {direct_norm} at t = {t} on {len(direct)} points: the "
-            "direct state is zero or not finite, so the chain distance is undefined"
+            f"‖psi‖ = {direct_norm[bad].flat[0]} at t = {t} on {direct.shape[-1]} "
+            "points: the direct state is zero or not finite, so the chain "
+            "distance is undefined"
         )
-    return float(np.linalg.norm(g2.values - direct) / direct_norm)
+    return np.linalg.norm(g2.values - direct, axis=-1) / direct_norm
 
 
 def check_transform_equivalence(
@@ -305,20 +317,21 @@ def check_transform_equivalence(
     spec0 = StateSpec(n, hbar, reduced_basis(basis))
     g0 = sample_on_grid(state_field(spec0), grid, t, attach_source=exact)
     direct = np.asarray(state_field(StateSpec(n, hbar, basis, driven))(g0.x, t))
-    return _chain_distance(driven, t, g0, direct)
+    return float(_chain_distance(driven, t, g0, direct))
 
 
-def check_stationarity(field, grid, times) -> float:
-    """Max L1 distance of |psi|^2 from its value at times[0]."""
+def check_stationarity(field, grid, times):
+    """Max L1 distance of |psi|^2 from its value at times[0]: a float, or one
+    per row when field returns (rows, points) values."""
     x = grid.xs() if isinstance(grid, Grid) else np.asarray(grid, dtype=float)
     dx = x[1] - x[0]
     times = np.asarray(times, dtype=float)
     base = np.abs(np.asarray(field(x, times[0]))) ** 2
-    worst = 0.0
+    worst = np.zeros(base.shape[:-1])
     for t in times[1:]:
         dens = np.abs(np.asarray(field(x, t))) ** 2
-        worst = max(worst, float(simpson(np.abs(dens - base), dx=dx)))
-    return worst
+        worst = np.maximum(worst, simpson(np.abs(dens - base), dx=dx))
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -424,12 +437,17 @@ def _tol(overrides, key, name=None):
     return DEFAULT_THRESHOLDS[name]
 
 
-def _grid_rows(spec: StateSpec, xs, t, orders) -> np.ndarray:
-    """state_block's rows of the given orders on the whole grid xs."""
-    window, rows = state_block(spec, xs, t, orders)
+def _on_grid(xs, block) -> np.ndarray:
+    """The rows of a (window, rows) block on the whole grid xs."""
+    window, rows = block
     full = np.zeros((len(rows), len(xs)), dtype=np.complex128)
     full[:, window] = rows
     return full
+
+
+def _grid_rows(spec: StateSpec, xs, t, orders) -> np.ndarray:
+    """state_block's rows of the given orders on the whole grid xs."""
+    return _on_grid(xs, state_block(spec, xs, t, orders))
 
 
 def _n_then_t(ctx: SuiteContext, per_t):
@@ -483,30 +501,28 @@ def _run_frequency_map(ctx: SuiteContext, overrides) -> list:
 
 
 def _run_transform_chain(ctx: SuiteContext, overrides) -> list:
-    """Both chain paths of every order from one block of the companion state
-    (g0, shared by the paths) and one of the direct state per t; the exact
-    path's re-evaluations stay per-order calls."""
+    """Both chain paths of every order per t: one block of the companion
+    state (g0, shared by the paths) goes through U0_dagger and U_F as a
+    whole, and is compared with one block of the direct state.  The exact
+    path's source re-evaluates the companion block at the query points."""
     tol_i = _tol(overrides, "tolerance", "transform_chain")
     tol_e = _tol(overrides, "tolerance_exact", "transform_chain_exact")
     driven = ctx.driven if ctx.driven is not None else null_driven(ctx.model)
-    unit = reduced_basis(ctx.basis)
     n_top = max(ctx.ns)
-    companion = StateSpec(n_top, ctx.hbar, unit)
+    companion = StateSpec(n_top, ctx.hbar, reduced_basis(ctx.basis))
     direct_spec = StateSpec(n_top, ctx.hbar, ctx.basis, driven)
-    sources = [state_field(StateSpec(n, ctx.hbar, unit)) for n in ctx.ns]
     grid = ctx.grid
     xs = grid.xs()
     per_t = []
     for t in ctx.times:
-        g0_rows = _grid_rows(companion, xs, t, ctx.ns)
-        direct_rows = _grid_rows(direct_spec, xs, t, ctx.ns)
-        pairs = []
-        for field0, g0_values, direct in zip(sources, g0_rows, direct_rows):
-            g0 = GridFunction(grid.x_min, grid.dx, g0_values, t, ctx.hbar)
-            g0_exact = g0._with(g0_values, functools.partial(field0, t=t))
-            pairs.append((_chain_distance(driven, t, g0, direct),
-                          _chain_distance(driven, t, g0_exact, direct)))
-        per_t.append(pairs)
+        g0 = GridFunction(grid.x_min, grid.dx, _grid_rows(companion, xs, t, ctx.ns),
+                          t, ctx.hbar)
+        g0_exact = g0._with(g0.values, functools.partial(
+            _grid_rows, companion, t=t, orders=ctx.ns))
+        direct = _grid_rows(direct_spec, xs, t, ctx.ns)
+        interp = _chain_distance(driven, t, g0, direct)
+        exact = _chain_distance(driven, t, g0_exact, direct)
+        per_t.append([(float(i), float(e)) for i, e in zip(interp, exact)])
     out = []
     for n, t, (interp, exact) in _n_then_t(ctx, per_t):
         out.append(CheckResult(
@@ -517,22 +533,27 @@ def _run_transform_chain(ctx: SuiteContext, overrides) -> list:
 
 
 def _closed_form(ctx: SuiteContext):
-    """The closed-form state of the model's family as (n, x, t) -> values."""
-    m, C, hbar = ctx.model, ctx.closed_form_C, ctx.hbar
+    """The closed-form states of the model's family as a field (x, t) ->
+    (len(ctx.ns), len(x)) rows, one per order of ctx.ns, on ascending x."""
+    m, C, hbar, ns = ctx.model, ctx.closed_form_C, ctx.hbar, ctx.ns
     if C is None:
         raise ValueError("closed_form_agreement needs the closed-form C of the scenario")
     if isinstance(m, UnitMassSHO):
-        return lambda n, x, t: psi_sho(m.w_s, C, n, hbar, x, t)
-    if isinstance(m, CaldirolaKanai):
-        return lambda n, x, t: psi_ck(m.m, m.gamma, m.w1, C, n, hbar, x, t)
-    if isinstance(m, LoDampedPulsating):
-        return lambda n, x, t: psi_lo(m.m0, m.gamma, m.mu, m.nu, m.w_lo, C, n, hbar, x, t)
-    raise ValueError(f"closed_form_agreement has no closed form for {type(m).__name__}")
+        block = functools.partial(psi_sho_block, m.w_s, C, ns, hbar)
+    elif isinstance(m, CaldirolaKanai):
+        block = functools.partial(psi_ck_block, m.m, m.gamma, m.w1, C, ns, hbar)
+    elif isinstance(m, LoDampedPulsating):
+        block = functools.partial(psi_lo_block, m.m0, m.gamma, m.mu, m.nu, m.w_lo,
+                                  C, ns, hbar)
+    else:
+        raise ValueError(
+            f"closed_form_agreement has no closed form for {type(m).__name__}")
+    return lambda x, t: _on_grid(x, block(x, t))
 
 
 def _run_closed_form(ctx: SuiteContext, overrides) -> list:
-    """Each closed form (a per-order oracle call) against the general state
-    read from one block of ctx.ns per t."""
+    """The closed-form block of ctx.ns against the general state's block,
+    one of each per t."""
     tol = _tol(overrides, "tolerance", "closed_form_agreement")
     closed = _closed_form(ctx)
     general = StateSpec(max(ctx.ns), ctx.hbar, ctx.basis)
@@ -540,8 +561,8 @@ def _run_closed_form(ctx: SuiteContext, overrides) -> list:
     per_t = []
     for t in ctx.times:
         rows = _grid_rows(general, xs, t, ctx.ns)
-        per_t.append([phase_aligned_distance(np.asarray(closed(n, xs, t)), row)
-                      for n, row in zip(ctx.ns, rows)])
+        per_t.append([phase_aligned_distance(want, row)
+                      for want, row in zip(closed(xs, t), rows)])
     return [CheckResult("closed_form_agreement", {"n": n, "t": t}, d, tol)
             for n, t, d in _n_then_t(ctx, per_t)]
 
@@ -662,34 +683,35 @@ def _run_orthonormality(ctx: SuiteContext, overrides) -> list:
 
 
 def _run_stationarity(ctx: SuiteContext, overrides) -> list:
+    """check_stationarity of the closed-form block of ctx.ns, one call per
+    set of probe times."""
     C = ctx.closed_form_C
     if not isinstance(ctx.model, UnitMassSHO) or C is None:
         raise ValueError("stationarity check applies to the constant-mass family")
     w_s = ctx.model.w_s
+    field = _closed_form(ctx)
     xs = ctx.grid.xs()
+    if C == 1.0:
+        tol = _tol(overrides, "tolerance", "stationarity")
+        drift = check_stationarity(field, xs, np.linspace(0.0, 2.0 * math.pi / w_s, 9))
+        return [CheckResult("stationarity", {"n": n, "C": C}, float(d), tol)
+                for n, d in zip(ctx.ns, drift)]
+    tol_p = _tol(overrides, "tolerance", "stationarity_period")
+    tol_c = _tol(overrides, "tolerance_contrast", "stationarity_contrast")
+    period = math.pi / w_s
+    drifts = [check_stationarity(field, xs, [t, t + period]) for t in ctx.times[:3]]
+    contrast = check_stationarity(field, xs, [0.0, 0.5 * period])
     out = []
-    for n in ctx.ns:
-        field = lambda x, t: psi_sho(w_s, C, n, ctx.hbar, x, t)  # noqa: E731
-        if C == 1.0:
-            tol = _tol(overrides, "tolerance", "stationarity")
-            probe = np.linspace(0.0, 2.0 * math.pi / w_s, 9)
-            measured = check_stationarity(field, xs, probe)
-            out.append(CheckResult("stationarity", {"n": n, "C": C}, measured, tol))
-        else:
-            tol_p = _tol(overrides, "tolerance", "stationarity_period")
-            tol_c = _tol(overrides, "tolerance_contrast", "stationarity_contrast")
-            period = math.pi / w_s
-            for t in ctx.times[:3]:
-                measured = check_stationarity(field, xs, [t, t + period])
-                out.append(CheckResult(
-                    "stationarity", {"n": n, "C": C, "t": t, "shift": "period"},
-                    measured, tol_p,
-                ))
-            contrast = check_stationarity(field, xs, [0.0, 0.5 * period])
+    for i, n in enumerate(ctx.ns):
+        for t, drift in zip(ctx.times, drifts):
             out.append(CheckResult(
-                "stationarity", {"n": n, "C": C, "shift": "half_period"},
-                contrast, tol_c, op=">",
+                "stationarity", {"n": n, "C": C, "t": t, "shift": "period"},
+                float(drift[i]), tol_p,
             ))
+        out.append(CheckResult(
+            "stationarity", {"n": n, "C": C, "shift": "half_period"},
+            float(contrast[i]), tol_c, op=">",
+        ))
     return out
 
 

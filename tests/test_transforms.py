@@ -158,6 +158,51 @@ def test_support_guard_raises():
         apply_dilation(gf, -1.0)  # needs values at e^{-a} x, up to |x| ~ 8.1
 
 
+def _stack(*fields):
+    x = GRID.xs()
+    return GridFunction(GRID.x_min, GRID.dx, np.stack([f(x) for f in fields]), 0.0)
+
+
+def _narrow(x):
+    return np.exp(-0.5 * x**2) * np.exp(0.4j * x)
+
+
+def _wide(x):  # about 4e-3 of its peak at the grid's edges
+    return np.exp(-0.5 * (x / 4.0) ** 2)
+
+
+def test_stacked_rows_equal_single_row_primitives():
+    """Every primitive acts on (rows, points) values row by row: the
+    Lagrange reads of a stack equal each row's own read bit for bit."""
+    g = _stack(_narrow, lambda x: _narrow(x - 0.7))
+    for op in (lambda f: apply_dilation(f, 0.2), lambda f: apply_translation(f, 1.3),
+               lambda f: apply_quadratic_phase(f, 0.4),
+               lambda f: apply_linear_phase(f, -0.7),
+               lambda f: apply_constant_phase(f, 2.1)):
+        out = op(g)
+        assert out.values.shape == g.values.shape
+        for i in range(2):
+            row = op(GridFunction(g.x_min, g.dx, g.values[i], 0.0)).values
+            np.testing.assert_array_equal(out.values[i], row)
+
+
+@pytest.mark.parametrize("leaky_row", [0, 1])
+def test_one_leaking_row_fails_the_support_guard(leaky_row):
+    """The boundary ratio of a stack is that of its worst row, so a stack in
+    which one row alone reaches the edge is refused under dilation and
+    translation, whichever row it is."""
+    fields = [_narrow, _narrow]
+    fields[leaky_row] = _wide
+    g = _stack(*fields)
+    alone = GridFunction(g.x_min, g.dx, g.values[1 - leaky_row], 0.0)
+    assert g.boundary_ratio() == pytest.approx(
+        GridFunction(g.x_min, g.dx, g.values[leaky_row], 0.0).boundary_ratio())
+    for op in (lambda f: apply_dilation(f, -0.3), lambda f: apply_translation(f, 1.3)):
+        op(alone)  # the compliant row on its own passes
+        with pytest.raises(GridTooSmallError):
+            op(g)
+
+
 # ---------------------------------------------------------------------------
 # composed operators
 # ---------------------------------------------------------------------------

@@ -8,10 +8,18 @@ import pytest
 from scipy.integrate import simpson as scipy_simpson
 
 import tdho.verify
+import tdho.transforms
 from tdho.classical import analytic_basis_sho
-from tdho.models import UnitMassSHO
+from tdho.models import CaldirolaKanai, LoDampedPulsating, UnitMassSHO
 from tdho.scenarios import BUNDLED
-from tdho.states import StateSpec, WavefunctionField, state_field
+from tdho.states import (
+    StateSpec,
+    WavefunctionField,
+    psi_ck,
+    psi_lo,
+    psi_sho,
+    state_field,
+)
 from tdho.transforms import Grid, sample_on_grid
 from tdho.verify import (
     CHECK_NAMES,
@@ -186,6 +194,35 @@ def test_check_stationarity(sho_basis_c1, sho_basis_c2):
     assert check_stationarity(f2, GRID, [0.3, 0.3 + np.pi / 2]) > 1e-2
 
 
+def test_check_stationarity_reports_a_non_finite_drift(sho_basis_c1):
+    """A density that turns NaN at a later time is a NaN drift, which fails
+    every threshold, never a drift of 0."""
+    field = _state(sho_basis_c1, 1)
+
+    def spoiled(x, t):
+        values = field(x, t)
+        if t > 0.0:
+            values[len(values) // 2] = np.nan
+        return values
+
+    assert np.isnan(check_stationarity(spoiled, GRID, [0.0, 1.0, 2.0]))
+
+
+def test_check_stationarity_of_stacked_rows_is_per_row(sho_basis_c2):
+    """A field of (rows, points) values gets one drift per row, each the
+    drift of that row's own field."""
+    fields = [_state(sho_basis_c2, n) for n in (0, 3)]
+
+    def stacked(x, t):
+        return np.stack([f(x, t) for f in fields])
+
+    times = [0.3, 0.3 + np.pi / 2, 0.3 + np.pi]
+    drift = check_stationarity(stacked, GRID, times)
+    assert drift.shape == (2,)
+    for d, f in zip(drift, fields):
+        assert d == pytest.approx(check_stationarity(f, GRID, times), abs=1e-15)
+
+
 def test_phase_aligned_distance(rng, sho_basis_c1):
     a = _state(sho_basis_c1, 2)(GRID.xs(), 1.0)
     phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
@@ -350,9 +387,28 @@ def test_suite_residual_matches_per_field_residual(bundled_context, name):
                 rep.convergence_order_estimate, abs=0.01)
 
 
-@pytest.mark.parametrize("name", ["sho_c2", "ck", "lo", "driven_sho", "driven_ck"])
+# orders as perfbench's high_n_states draws them (k, 32 - k, 32 + k, 64 - k)
+HIGH_N_ORDERS = [0, 14, 18, 46, 50, 64]
+
+
+def _high_n_context(name):
+    from tdho.cli import build_context, load_scenario
+
+    doc = load_scenario(name)
+    doc["states"] = HIGH_N_ORDERS
+    return build_context(doc)
+
+
+@pytest.mark.parametrize("name", ["sho_c2", "ck", "lo", "driven_sho", "driven_ck",
+                                  "ck@high_n", "driven_ck@high_n"])
 def test_suite_chain_matches_check_transform_equivalence(bundled_context, name):
-    ctx = bundled_context(name)
+    """Both paths pushed through the chain as one block of orders equal the
+    per-order public check, also at high_n orders on a grid sized for them."""
+    if name.endswith("@high_n"):
+        ctx = _high_n_context(name.split("@")[0])
+        assert ctx.ns == HIGH_N_ORDERS
+    else:
+        ctx = bundled_context(name)
     rows = _suite_rows(ctx, "transform_chain")
     assert len(rows) == 2 * len(ctx.ns) * len(ctx.times)
     for n in ctx.ns:
@@ -387,14 +443,110 @@ def test_suite_uncertainty_matches_per_order_moments(bundled_context, name):
             assert abs(rows[n, t, None].measured - want) < 1e-10
 
 
+def _closed_form_oracle(ctx, n):
+    """The per-order closed form of ctx's family as a (x, t) -> values field."""
+    m, C, hbar = ctx.model, ctx.closed_form_C, ctx.hbar
+    if isinstance(m, UnitMassSHO):
+        return lambda x, t: psi_sho(m.w_s, C, n, hbar, x, t)
+    if isinstance(m, CaldirolaKanai):
+        return lambda x, t: psi_ck(m.m, m.gamma, m.w1, C, n, hbar, x, t)
+    assert isinstance(m, LoDampedPulsating)
+    return lambda x, t: psi_lo(m.m0, m.gamma, m.mu, m.nu, m.w_lo, C, n, hbar, x, t)
+
+
 @pytest.mark.parametrize("name", ["sho_c1", "ck", "lo"])
 def test_suite_closed_form_matches_per_order_fields(bundled_context, name):
+    """The closed-form block against the general block equals each order's
+    closed form (psi_sho, psi_ck, psi_lo) against its general field."""
     ctx = bundled_context(name)
     rows = _suite_rows(ctx, "closed_form_agreement")
-    closed = tdho.verify._closed_form(ctx)
     xs = ctx.grid.xs()
     for n in ctx.ns:
+        closed = _closed_form_oracle(ctx, n)
         general = state_field(StateSpec(n, ctx.hbar, ctx.basis))
         for t in ctx.times:
-            want = phase_aligned_distance(closed(n, xs, t), general(xs, t))
+            want = phase_aligned_distance(closed(xs, t), general(xs, t))
             assert abs(rows[n, t, None].measured - want) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["sho_c1", "sho_c2"])
+def test_suite_stationarity_matches_per_order_check(bundled_context, name):
+    """The suite's one check_stationarity call per probe set on the
+    closed-form block equals check_stationarity on each order's psi_sho."""
+    ctx = bundled_context(name)
+    results = run_suite(ctx, ["stationarity"])
+    w_s, C = ctx.model.w_s, ctx.closed_form_C
+    period = np.pi / w_s
+    if C == 1.0:
+        probes = [((), np.linspace(0.0, 2.0 * np.pi / w_s, 9))]
+    else:
+        probes = [(("t", t), [t, t + period]) for t in ctx.times[:3]]
+        probes.append((("shift", "half_period"), [0.0, 0.5 * period]))
+    assert len(results) == len(ctx.ns) * len(probes)
+    got = iter(results)
+    for n in ctx.ns:
+        field = _closed_form_oracle(ctx, n)
+        for key, times in probes:
+            r = next(got)
+            assert r.params["n"] == n
+            if key:
+                assert r.params[key[0]] == key[1]
+            want = check_stationarity(field, ctx.grid, times)
+            assert abs(r.measured - want) < 1e-15
+
+
+@pytest.fixture(scope="module")
+def bundled_results(bundled_context):
+    """name -> the results of that bundled scenario's own checks, run once."""
+    from tdho.cli import load_scenario
+
+    done = {}
+
+    def get(name):
+        if name not in done:
+            done[name] = run_suite(bundled_context(name), load_scenario(name)["checks"])
+        return done[name]
+
+    return get
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_report_values_are_python_floats(bundled_results, name):
+    """Every measured value is a float and every verdict a bool, so the
+    report serialises with the standard json module."""
+    results = bundled_results(name)
+    assert results
+    for r in results:
+        assert type(r.measured) is float, (r.check, r.params, type(r.measured))
+        assert type(r.passed) is bool
+    json.loads(report_json(results))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_residual_order_estimate_of_bundled_scenarios(bundled_results, name):
+    """An exact state's residual falls as the fourth power of the (dt, dx)
+    step, so its order estimate reads 4; the detuned negative control's
+    residual is not truncation error and does not fall with the step."""
+    rows = [r for r in bundled_results(name) if r.check == "residual"]
+    assert rows
+    for r in rows:
+        if name == "negative_control":
+            assert abs(r.params["order"]) < 0.5, r.params
+        else:
+            assert 3.9 <= r.params["order"] <= 4.1, r.params
+
+
+def test_perturbed_translation_fails_the_suite_chain(monkeypatch, bundled_context):
+    """A translation primitive that shifts by 1.001 d breaks the driven
+    chain: every driven_sho row of both paths fails."""
+    ctx = bundled_context("driven_sho")
+    assert all(r.passed for r in run_suite(ctx, ["transform_chain"]))
+    translate = tdho.transforms.apply_translation
+
+    def off_by_a_permille(g, d):
+        return translate(g, 1.001 * d)
+
+    monkeypatch.setattr(tdho.transforms, "apply_translation", off_by_a_permille)
+    results = run_suite(ctx, ["transform_chain"])
+    assert len(results) == 2 * len(ctx.ns) * len(ctx.times)
+    assert not any(r.passed for r in results)
