@@ -1,11 +1,16 @@
 """Independent numerical certification of the constructed states.
 
 Nothing here reuses the formulas being checked: time derivatives come from
-fourth-order finite differencing of fresh state evaluations, spatial
-derivatives from five-point stencils, observables from composite Simpson
+fourth-order finite differencing of fresh state evaluations, the residual's
+spatial derivative from the five-point stencil, norms, inner products,
+orthonormality and the stationarity drift from composite Simpson
 quadrature (one weight vector: scipy's rule from 1.11 on, with its end
-correction for an even number of samples).  Every check returns the
-measured number next to the threshold it was judged against.
+correction for an even number of samples).  Position moments are plain
+sums over the samples and momentum moments sums over the DFT's
+wavenumbers; both converge exponentially while the state is negligible at
+the grid's edges and near the Nyquist wavenumber, and a state that is not
+is refused.  Every check returns the measured number next to the
+threshold it was judged against.
 
 The suite's checks read every order a scenario asks for at one time from
 one recurrence: the residual at each of its seven stencil times, the
@@ -43,8 +48,10 @@ from .states import (
     state_field,
 )
 from .transforms import (
+    BOUNDARY_RATIO,
     Grid,
     GridFunction,
+    GridTooSmallError,
     apply_U0_dagger,
     apply_UF,
     sample_on_grid,
@@ -83,18 +90,8 @@ class DegenerateStateError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# finite-difference stencils (fourth order)
+# finite-difference stencil (fourth order)
 # ---------------------------------------------------------------------------
-
-def _d1(values: np.ndarray, dx: float) -> np.ndarray:
-    """Fourth-order first derivative; the two samples at each edge are left
-    zero (compliant grids are negligible there)."""
-    out = np.zeros_like(values)
-    out[2:-2] = (
-        8.0 * (values[3:-1] - values[1:-3]) - (values[4:] - values[:-4])
-    ) / (12.0 * dx)
-    return out
-
 
 def _d2(values: np.ndarray, dx: float) -> np.ndarray:
     """Fourth-order second derivative (five-point stencil) along the last
@@ -171,19 +168,49 @@ class MomentReport:
 
 
 def moments(g: GridFunction) -> MomentReport:
-    """Position/momentum means and variances from the samples; <p^2> is
-    -hbar^2 ∫psi* psi'' with the five-point stencil (hbar of g)."""
-    hbar = g.hbar
-    x = g.x
+    """Position/momentum means and variances of one state's samples (hbar
+    of g).
+
+    Positions are plain sums over the samples, momenta sums over the
+    wavenumbers k = 2 pi fftfreq(P, dx) of the DFT; both converge
+    exponentially in the number of samples (the trapezoidal rule and the
+    spectral derivative of a smooth, decayed function).  A state that is
+    not negligible at either edge of the grid, or in the three DFT bins
+    around the Nyquist wavenumber, is not resolved: GridTooSmallError.
+    """
+    if g.values.ndim != 1:
+        raise ValueError("moments takes one state's (points,) samples, not a stack")
+    points = len(g.values)
     density = np.abs(g.values) ** 2
-    n2 = float(simpson(density, dx=g.dx))
-    mean_x = float(simpson(x * density, dx=g.dx)) / n2
-    var_x = float(simpson((x - mean_x) ** 2 * density, dx=g.dx)) / n2
-    d1 = _d1(g.values, g.dx)
-    mean_p = hbar * float(simpson((np.conj(g.values) * d1).imag, dx=g.dx)) / n2
-    d2 = _d2(g.values, g.dx)
-    p2 = -hbar * hbar * float(simpson((np.conj(g.values) * d2).real, dx=g.dx)) / n2
-    return MomentReport(mean_x, var_x, mean_p, p2 - mean_p**2, g.t)
+    n2 = float(np.sum(density))
+    if not (math.isfinite(n2) and n2 > 0.0):
+        raise DegenerateStateError(
+            f"‖psi‖² = {n2} at t = {g.t}: the sampled state is zero or not "
+            "finite, so its moments are undefined"
+        )
+    ratio = g.boundary_ratio()
+    if ratio >= BOUNDARY_RATIO:
+        raise GridTooSmallError(
+            f"moments: state not resolved at t = {g.t} on {points} points: "
+            f"edge over peak {ratio:.2e} >= {BOUNDARY_RATIO:.0e}; widen the grid"
+        )
+    spectrum = np.abs(np.fft.fft(g.values))
+    nyquist = np.max(spectrum[points // 2 - 1:points // 2 + 2]) / np.max(spectrum)
+    if nyquist >= BOUNDARY_RATIO:
+        raise GridTooSmallError(
+            f"moments: state not resolved at t = {g.t} on {points} points: "
+            f"Nyquist bins over peak {nyquist:.2e} >= {BOUNDARY_RATIO:.0e}; "
+            "use more points"
+        )
+    x = g.x
+    mean_x = float(x @ density) / n2
+    var_x = float((x - mean_x) ** 2 @ density) / n2
+    k = 2.0 * math.pi * np.fft.fftfreq(points, g.dx)
+    power = spectrum**2
+    total = float(np.sum(power))
+    mean_k = float(k @ power) / total
+    var_k = float((k - mean_k) ** 2 @ power) / total
+    return MomentReport(mean_x, var_x, g.hbar * mean_k, g.hbar**2 * var_k, g.t)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +423,7 @@ class CheckResult:
         return doc
 
 
-# samples of the fine grid that moments and orthonormality integrate on
+# samples of the fine grid that orthonormality integrates on (Simpson)
 _MOMENT_POINTS = 32768
 
 
@@ -580,10 +607,12 @@ def _block_moments(spec: StateSpec, grid: Grid, t, orders) -> list:
 
 
 def _run_uncertainty(ctx: SuiteContext, overrides) -> list:
+    """Driven against undriven moments of every order per t, on the
+    scenario's grid: equal variances, <x> shifted by x_p, <p> by M xdot_p."""
     tol = _tol(overrides, "tolerance", "uncertainty")
     if ctx.driven is None:
         raise ValueError("uncertainty check needs a driven scenario")
-    grid = ctx.fine_grid()
+    grid = ctx.grid
     n_top = max(ctx.ns)
     driven_spec = ctx.state(n_top)
     plain_spec = ctx.state(n_top, driven=null_driven(ctx.model))

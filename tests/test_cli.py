@@ -230,6 +230,27 @@ def test_driven_ck_interpolated_chain_passes_at_n12():
     assert len(interp) == 3 and max(interp) < 1e-6
 
 
+@pytest.mark.parametrize("points", [64, 96, 128, 192, 256, 4096])
+@pytest.mark.parametrize("name", ["driven_sho", "driven_ck"])
+def test_uncertainty_is_correct_or_refused_at_any_grid_size(tmp_path, capsys, name,
+                                                            points):
+    """The spectral moments on the scenario's own grid either certify every
+    row to rounding (exit 0) or refuse the grid as not resolved (exit 2);
+    a coarse grid never reads as a failed check (exit 1)."""
+    doc = load_scenario(name)
+    doc["checks"] = ["uncertainty"]
+    doc["grid"]["points"] = points
+    rc = main(["verify", _write(tmp_path, doc)])
+    captured = capsys.readouterr()
+    if rc == 2:
+        assert "not resolved" in captured.err
+        assert points < 4096
+    else:
+        assert rc == 0, captured.err
+        rows = json.loads(captured.out)
+        assert len(rows) == 12 and max(r["measured"] for r in rows) <= 1e-13
+
+
 def test_verify_leaves_scipy_interpolate_unimported(tmp_path):
     """A cold `tdho verify` of a chain scenario imports no scipy.interpolate."""
     report = str(tmp_path / "report.json")

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson as scipy_simpson
 
-import tdho.verify
+import tdho.states
 import tdho.transforms
+import tdho.verify
 from tdho.classical import analytic_basis_sho
 from tdho.models import CaldirolaKanai, LoDampedPulsating, UnitMassSHO
 from tdho.scenarios import BUNDLED
@@ -20,7 +21,7 @@ from tdho.states import (
     psi_sho,
     state_field,
 )
-from tdho.transforms import Grid, sample_on_grid
+from tdho.transforms import Grid, GridFunction, GridTooSmallError, sample_on_grid
 from tdho.verify import (
     CHECK_NAMES,
     DEFAULT_THRESHOLDS,
@@ -83,26 +84,52 @@ def test_inner_product_grid_mismatch(ck_basis):
 
 
 def test_moments_of_known_states(sho_basis_c1):
-    """C = 1 stationary states: var_x = var_p = n + 1/2."""
-    fine = Grid(-16.0, 16.0, 32768)
-    for n in (0, 1, 3):
-        gf = sample_on_grid(_state(sho_basis_c1, n), fine, 0.7)
-        rep = moments(gf)
-        assert rep.mean_x == pytest.approx(0.0, abs=1e-12)
-        assert rep.mean_p == pytest.approx(0.0, abs=1e-12)
-        assert rep.var_x == pytest.approx(n + 0.5, abs=1e-9)
-        assert rep.var_p == pytest.approx(n + 0.5, abs=1e-9)
+    """C = 1 stationary states: var_x = var_p = n + 1/2 to rounding, on the
+    4096-point scenario grid as on the 32768-point one."""
+    for points in (4096, 32768):
+        grid = Grid(-16.0, 16.0, points)
+        for n in range(6):
+            rep = moments(sample_on_grid(_state(sho_basis_c1, n), grid, 0.7))
+            assert rep.mean_x == pytest.approx(0.0, abs=1e-12)
+            assert rep.mean_p == pytest.approx(0.0, abs=1e-12)
+            assert rep.var_x == pytest.approx(n + 0.5, abs=1e-12)
+            assert rep.var_p == pytest.approx(n + 0.5, abs=1e-12)
+
+
+def _five_point_d1(values, dx):
+    """Fourth-order first derivative; the two samples at each edge stay zero."""
+    out = np.zeros_like(values)
+    out[2:-2] = (8.0 * (values[3:-1] - values[1:-3]) - (values[4:] - values[:-4])) / (
+        12.0 * dx)
+    return out
 
 
 def test_p2_forms_cross_check(sho_basis_c2):
-    """moments' -hbar^2 ∫psi* psi'' agrees with the gradient form hbar^2 ∫|psi'|^2."""
-    from tdho.verify import _d1
+    """moments' spectral <p^2> agrees with the gradient form hbar^2 ∫|psi'|^2
+    of the five-point stencil."""
     fine = Grid(-16.0, 16.0, 32768)
     gf = sample_on_grid(_state(sho_basis_c2, 2), fine, 1.3)
     rep = moments(gf)
     n2 = simpson(np.abs(gf.values) ** 2, dx=gf.dx)
-    gradient = simpson(np.abs(_d1(gf.values, gf.dx)) ** 2, dx=gf.dx) / n2
+    gradient = simpson(np.abs(_five_point_d1(gf.values, gf.dx)) ** 2, dx=gf.dx) / n2
     assert rep.var_p + rep.mean_p**2 == pytest.approx(gradient, abs=1e-8)
+
+
+def test_moments_refuse_an_unresolved_state(sho_basis_c1):
+    """Samples not negligible at an edge of the grid, or near its Nyquist
+    wavenumber, are refused rather than summed; so are a zero state and a
+    stack of states."""
+    field = _state(sho_basis_c1, 0)
+    with pytest.raises(GridTooSmallError, match="not resolved.*edge"):
+        moments(sample_on_grid(field, Grid(-3.0, 3.0, 256), 0.0))
+    with pytest.raises(GridTooSmallError, match="not resolved.*Nyquist"):
+        moments(sample_on_grid(field, Grid(-16.0, 16.0, 32), 0.0))
+    zero = GridFunction(-16.0, GRID.dx, np.zeros(GRID.points), 0.0)
+    with pytest.raises(DegenerateStateError, match="zero or not finite"):
+        moments(zero)
+    g = sample_on_grid(field, GRID, 0.0)
+    with pytest.raises(ValueError, match="one state"):
+        moments(GridFunction(g.x_min, g.dx, np.stack([g.values, g.values]), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +454,7 @@ def test_suite_uncertainty_matches_per_order_moments(bundled_context, name):
 
     ctx = bundled_context(name)
     rows = _suite_rows(ctx, "uncertainty")
-    grid = ctx.fine_grid()
+    grid = ctx.grid
     plain = null_driven(ctx.model)
     for n in ctx.ns:
         for t in ctx.times:
@@ -441,6 +468,28 @@ def test_suite_uncertainty_matches_per_order_moments(bundled_context, name):
                 abs(m_f.mean_p - m_0.mean_p - float(ctx.model.mass(t)) * dxp),
             )
             assert abs(rows[n, t, None].measured - want) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["driven_sho", "driven_ck"])
+def test_detuned_boost_fails_the_uncertainty_check(monkeypatch, bundled_context, name):
+    """A driven state whose boost M xdot_p / hbar is 1.001 times too large
+    shifts <p> off M xdot_p: every row fails except those at t = 0, where
+    xdot_p = 0 and the boost vanishes."""
+    ctx = bundled_context(name)
+    assert all(r.passed for r in run_suite(ctx, ["uncertainty"]))
+    slice_params = tdho.states._slice_params
+
+    def detuned(spec, t, with_driving):
+        params, theta, phase_shift = slice_params(spec, t, with_driving)
+        if with_driving and spec.driven is not None:
+            params = params[:5] + (1.001 * params[5],)
+        return params, theta, phase_shift
+
+    monkeypatch.setattr(tdho.states, "_slice_params", detuned)
+    results = run_suite(ctx, ["uncertainty"])
+    assert len(results) == len(ctx.ns) * len(ctx.times) == 12
+    assert [r.params["t"] for r in results if not r.passed] == [
+        t for _ in ctx.ns for t in ctx.times if t != 0.0]
 
 
 def _closed_form_oracle(ctx, n):
