@@ -123,48 +123,39 @@ def _hermite_function_rows(n, xi, log_amp):
 
 
 def state_kernel(x, n, log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0):
-    """Eigenstate samples on a grid.
+    """Order n of state_kernel_block at the points x, in any order and shape.
 
-    With d = x - x_shift and xi = scale * d this returns
-
-        exp(log_norm + gauss_re * d^2)
-        * h_n(xi)
-        * exp(i * (gauss_im * d^2 + k_lin * x + phase0)),
-
-    where h_n = H_n / sqrt(2^n n! sqrt(pi)) is the normalised Hermite
-    polynomial.  Points beyond _cutoff_radius, where the whole product is
-    bounded below e^LOG_FLOOR, are returned as exact zeros; the rest come
-    from the exponent-tracked recurrence, so no factor over- or underflows
-    on its own.
+    A one-row block (dphase = 0) on the sorted points, put back in x's
+    order and shape; samples outside the block's window are exact zeros.
     """
     x = np.asarray(x, dtype=np.float64)
-    d = x - x_shift
-    keep = np.abs(d) <= _cutoff_radius(n, log_norm, gauss_re, scale)
-    whole = keep.all()
-    if not whole:
-        if not keep.any():
-            return np.zeros(x.shape, dtype=np.complex128)
-        d, x = d[keep], x[keep]
-    for m, e in _hermite_function_rows(n, scale * d, log_norm + gauss_re * d * d):
-        pass  # only row n is wanted
-    vals = np.exp(1j * (gauss_im * d * d + k_lin * x + phase0))
-    vals *= np.ldexp(m, e)
-    if whole:
-        return vals
-    out = np.zeros(keep.shape, dtype=np.complex128)
-    out[keep] = vals
-    return out
+    flat = x.ravel()
+    order = np.argsort(flat, kind="stable")
+    window, rows = state_kernel_block(flat[order], [n], log_norm, gauss_re, gauss_im,
+                                      scale, x_shift, k_lin, phase0, 0.0)
+    out = np.zeros(flat.shape, dtype=np.complex128)
+    out[order[window]] = rows[0]
+    return out.reshape(x.shape)
 
 
 def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
                        k_lin, phase0, dphase):
-    """The requested orders of state_kernel on the ascending grid x, from one
-    recurrence that runs to max(orders).
+    """Eigenstate samples of the requested orders on the ascending grid x,
+    from one recurrence that runs to max(orders).
 
-    Row i is state_kernel(x, orders[i], ..., phase0 + orders[i] * dphase) on
-    x[window].  Returns (window, rows): every sample outside the window, the
-    widest of the requested orders' cutoff radii around x_shift, is an exact
-    zero.  Orders that are not requested are stepped through, not stored.
+    With d = x - x_shift and xi = scale * d, row i holds order k = orders[i]:
+
+        exp(log_norm + gauss_re * d^2)
+        * h_k(xi)
+        * exp(i * (gauss_im * d^2 + k_lin * x + phase0 + k * dphase)),
+
+    where h_k = H_k / sqrt(2^k k! sqrt(pi)) is the normalised Hermite
+    polynomial, on x[window].  Returns (window, rows): every sample outside
+    the window, the widest of the requested orders' cutoff radii around
+    x_shift, bounds the whole product below e^LOG_FLOOR and is an exact
+    zero.  Inside it the exponent-tracked recurrence runs, so no factor
+    over- or underflows on its own; orders that are not requested are
+    stepped through, not stored.
     """
     x = np.asarray(x, dtype=np.float64)
     orders = [int(k) for k in orders]

@@ -113,9 +113,6 @@ class GridFunction:
         ratio = np.divide(edge, peak, out=np.zeros_like(peak), where=peak > 0.0)
         return float(np.max(ratio))
 
-    def is_compliant(self) -> bool:
-        return self.boundary_ratio() < BOUNDARY_RATIO
-
     def _with(self, values, source):
         return GridFunction(self.x_min, self.dx, values, self.t, self.hbar, source)
 

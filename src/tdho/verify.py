@@ -2,15 +2,15 @@
 
 Nothing here reuses the formulas being checked: time derivatives come from
 fourth-order finite differencing of fresh state evaluations, the residual's
-spatial derivative from the five-point stencil, norms, inner products,
-orthonormality and the stationarity drift from composite Simpson
-quadrature (one weight vector: scipy's rule from 1.11 on, with its end
-correction for an even number of samples).  Position moments are plain
-sums over the samples and momentum moments sums over the DFT's
-wavenumbers; both converge exponentially while the state is negligible at
-the grid's edges and near the Nyquist wavenumber, and a state that is not
-is refused.  Every check returns the measured number next to the
-threshold it was judged against.
+spatial derivative from the five-point stencil, norms, inner products and
+the stationarity drift from composite Simpson quadrature (one weight
+vector: scipy's rule from 1.11 on, with its end correction for an even
+number of samples).  Orthonormality and position moments are plain sums
+over the samples of the scenario's grid and momentum moments sums over
+the DFT's wavenumbers; they converge exponentially while the state is
+negligible at the grid's edges and near the Nyquist wavenumber, and one
+guard refuses a state that is not.  Every check returns the measured
+number next to the threshold it was judged against.
 
 The suite's checks read every order a scenario asks for at one time from
 one recurrence: the residual at each of its seven stencil times, the
@@ -167,6 +167,43 @@ class MomentReport:
     t: float
 
 
+def _resolved_spectrum(g: GridFunction, what: str) -> np.ndarray:
+    """|DFT| along the last axis of g's samples, one state or a stack of
+    states, once every row is shown fit for plain sums over the grid.
+
+    Such sums converge exponentially only while a state is negligible at
+    both edges of the grid and near the Nyquist wavenumber.  Refused, in
+    this order: a row that is zero or not finite (DegenerateStateError), a
+    row whose edge samples, or whose three DFT bins around the Nyquist
+    wavenumber, reach BOUNDARY_RATIO of its peak (GridTooSmallError).
+    """
+    values = g.values
+    points = values.shape[-1]
+    n2 = np.atleast_1d(np.sum(np.abs(values) ** 2, axis=-1))
+    bad = ~(np.isfinite(n2) & (n2 > 0.0))
+    if bad.any():
+        raise DegenerateStateError(
+            f"{what}: ‖psi‖² = {n2[bad][0]} at t = {g.t}: the sampled state is "
+            "zero or not finite"
+        )
+    ratio = g.boundary_ratio()
+    if ratio >= BOUNDARY_RATIO:
+        raise GridTooSmallError(
+            f"{what}: state not resolved at t = {g.t} on {points} points: "
+            f"edge over peak {ratio:.2e} >= {BOUNDARY_RATIO:.0e}; widen the grid"
+        )
+    spectrum = np.abs(np.fft.fft(values, axis=-1))
+    band = spectrum[..., points // 2 - 1:points // 2 + 2]
+    nyquist = float(np.max(np.max(band, axis=-1) / np.max(spectrum, axis=-1)))
+    if nyquist >= BOUNDARY_RATIO:
+        raise GridTooSmallError(
+            f"{what}: state not resolved at t = {g.t} on {points} points: "
+            f"Nyquist bins over peak {nyquist:.2e} >= {BOUNDARY_RATIO:.0e}; "
+            "use more points"
+        )
+    return spectrum
+
+
 def moments(g: GridFunction) -> MomentReport:
     """Position/momentum means and variances of one state's samples (hbar
     of g).
@@ -180,32 +217,13 @@ def moments(g: GridFunction) -> MomentReport:
     """
     if g.values.ndim != 1:
         raise ValueError("moments takes one state's (points,) samples, not a stack")
-    points = len(g.values)
+    spectrum = _resolved_spectrum(g, "moments")
     density = np.abs(g.values) ** 2
     n2 = float(np.sum(density))
-    if not (math.isfinite(n2) and n2 > 0.0):
-        raise DegenerateStateError(
-            f"‖psi‖² = {n2} at t = {g.t}: the sampled state is zero or not "
-            "finite, so its moments are undefined"
-        )
-    ratio = g.boundary_ratio()
-    if ratio >= BOUNDARY_RATIO:
-        raise GridTooSmallError(
-            f"moments: state not resolved at t = {g.t} on {points} points: "
-            f"edge over peak {ratio:.2e} >= {BOUNDARY_RATIO:.0e}; widen the grid"
-        )
-    spectrum = np.abs(np.fft.fft(g.values))
-    nyquist = np.max(spectrum[points // 2 - 1:points // 2 + 2]) / np.max(spectrum)
-    if nyquist >= BOUNDARY_RATIO:
-        raise GridTooSmallError(
-            f"moments: state not resolved at t = {g.t} on {points} points: "
-            f"Nyquist bins over peak {nyquist:.2e} >= {BOUNDARY_RATIO:.0e}; "
-            "use more points"
-        )
     x = g.x
     mean_x = float(x @ density) / n2
     var_x = float((x - mean_x) ** 2 @ density) / n2
-    k = 2.0 * math.pi * np.fft.fftfreq(points, g.dx)
+    k = 2.0 * math.pi * np.fft.fftfreq(len(g.values), g.dx)
     power = spectrum**2
     total = float(np.sum(power))
     mean_k = float(k @ power) / total
@@ -423,10 +441,6 @@ class CheckResult:
         return doc
 
 
-# samples of the fine grid that orthonormality integrates on (Simpson)
-_MOMENT_POINTS = 32768
-
-
 @dataclass
 class SuiteContext:
     """Prepared inputs one scenario's checks run against.
@@ -451,10 +465,6 @@ class SuiteContext:
     def state(self, n, driven=None) -> StateSpec:
         return StateSpec(n, self.hbar, self.basis,
                          driven if driven is not None else self.driven)
-
-    def fine_grid(self) -> Grid:
-        points = max(self.grid.points, _MOMENT_POINTS)
-        return Grid(self.grid.x_min, self.grid.x_max, points)
 
 
 def _tol(overrides, key, name=None):
@@ -597,13 +607,8 @@ def _run_closed_form(ctx: SuiteContext, overrides) -> list:
 def _block_moments(spec: StateSpec, grid: Grid, t, orders) -> list:
     """moments of each order at t, read from one block; the block is freed
     on return, so callers hold one at a time."""
-    window, rows = state_block(spec, grid.xs(), t, orders)
-    out = []
-    for row in rows:
-        values = np.zeros(grid.points, dtype=np.complex128)
-        values[window] = row
-        out.append(moments(GridFunction(grid.x_min, grid.dx, values, t, spec.hbar)))
-    return out
+    return [moments(GridFunction(grid.x_min, grid.dx, row, t, spec.hbar))
+            for row in _grid_rows(spec, grid.xs(), t, orders)]
 
 
 def _run_uncertainty(ctx: SuiteContext, overrides) -> list:
@@ -678,30 +683,25 @@ def _run_delta_equivalence(ctx: SuiteContext, overrides) -> list:
     return out
 
 
-_GRAM_COLUMNS = 4096
-
-
 def _run_orthonormality(ctx: SuiteContext, overrides) -> list:
     """max |<psi_m|psi_n> - delta_mn| over m <= n <= nmax, from one block of
-    orders per time and one Simpson-weighted Gram product."""
+    orders 0..nmax per time on the scenario's grid and one Gram product of
+    plain sums, dx conj(rows) @ rows.T.  The block is refused unless every
+    row is resolved (_resolved_spectrum), where those sums converge
+    exponentially."""
     tol = _tol(overrides, "tolerance", "orthonormality")
     n_max = ctx.orthonormality_nmax
-    grid = ctx.fine_grid()
+    grid = ctx.grid
     xs = grid.xs()
-    weights = _unit_simpson_weights(grid.points)
     lower = np.tril_indices(n_max + 1, -1)
     spec = ctx.state(n_max)
     worst = 0.0
     worst_at = {}
     for t in ctx.times:
-        window, rows = state_block(spec, xs, t, range(n_max + 1))
-        w = weights[window]
-        gram = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
-        # column blocks keep the weighted conjugate copy small
-        for lo in range(0, rows.shape[1], _GRAM_COLUMNS):
-            part = rows[:, lo:lo + _GRAM_COLUMNS]
-            gram += (np.conj(part) * w[lo:lo + _GRAM_COLUMNS]) @ part.T
-        gram *= grid.dx
+        block = GridFunction(grid.x_min, grid.dx,
+                             _grid_rows(spec, xs, t, range(n_max + 1)), t, ctx.hbar)
+        _resolved_spectrum(block, "orthonormality")
+        gram = grid.dx * (np.conj(block.values) @ block.values.T)
         err = np.abs(gram - np.eye(n_max + 1))
         err[lower] = -1.0  # each pair once, m <= n
         m, n = np.unravel_index(np.argmax(err), err.shape)

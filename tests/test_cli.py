@@ -251,6 +251,23 @@ def test_uncertainty_is_correct_or_refused_at_any_grid_size(tmp_path, capsys, na
         assert len(rows) == 12 and max(r["measured"] for r in rows) <= 1e-13
 
 
+@pytest.mark.parametrize("points", [17, 64, 96, 128])
+def test_orthonormality_is_correct_or_refused_on_a_coarse_grid(tmp_path, capsys,
+                                                                points):
+    """Plain sums on the scenario's own grid: a grid too coarse for the
+    states up to orthonormality's nmax is refused with exit 2; at 128 points
+    the orthonormality row is certified."""
+    doc = load_scenario("sho_c1")
+    doc["grid"] = {"policy": True, "points": points}
+    rc = main(["verify", _write(tmp_path, doc)])
+    captured = capsys.readouterr()
+    if points < 128:
+        assert rc == 2 and "not resolved" in captured.err
+    else:
+        [row] = [r for r in json.loads(captured.out) if r["check"] == "orthonormality"]
+        assert row["pass"] and row["measured"] <= 1e-13
+
+
 def test_verify_leaves_scipy_interpolate_unimported(tmp_path):
     """A cold `tdho verify` of a chain scenario imports no scipy.interpolate."""
     report = str(tmp_path / "report.json")

@@ -52,11 +52,14 @@ def test_hermite_known_values():
 
 
 def test_state_kernel_matches_direct_formula(rng):
-    """Random kernel parameters against a literal transcription; the kernel
-    carries the normalised h_n = H_n / sqrt(2^n n! sqrt(pi))."""
+    """Random kernel parameters against a literal transcription, for one
+    order through state_kernel and for several, each with its own phase
+    k * dphase, through state_kernel_block; the kernel carries the
+    normalised h_n = H_n / sqrt(2^n n! sqrt(pi))."""
     x = np.linspace(-6.0, 6.0, 257)
     for _ in range(20):
         n = int(rng.integers(0, 7))
+        orders = [int(k) for k in rng.choice(7, size=3, replace=False)]
         log_norm = float(rng.uniform(-2.0, 0.5))
         gauss_re = float(rng.uniform(-2.0, -0.1))
         gauss_im = float(rng.uniform(-1.0, 1.0))
@@ -64,19 +67,41 @@ def test_state_kernel_matches_direct_formula(rng):
         x_shift = float(rng.uniform(-1.0, 1.0))
         k_lin = float(rng.uniform(-2.0, 2.0))
         phase0 = float(rng.uniform(-10.0, 10.0))
+        dphase = float(rng.uniform(-3.0, 3.0))
+        params = (log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0)
 
-        got = kernels.state_kernel(x, n, log_norm, gauss_re, gauss_im,
-                                   scale, x_shift, k_lin, phase0)
-        d = x - x_shift
-        coeffs = np.zeros(n + 1)
-        coeffs[n] = 1.0
-        want = (
-            np.exp(log_norm + gauss_re * d * d)
-            * hermval(scale * d, coeffs)
-            / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
-            * np.exp(1j * (gauss_im * d * d + k_lin * x + phase0))
-        )
-        np.testing.assert_allclose(got, want, rtol=5e-13, atol=1e-300)
+        def want(k, phase):
+            d = x - x_shift
+            coeffs = np.zeros(k + 1)
+            coeffs[k] = 1.0
+            return (
+                np.exp(log_norm + gauss_re * d * d)
+                * hermval(scale * d, coeffs)
+                / math.sqrt(2.0**k * math.factorial(k) * math.sqrt(math.pi))
+                * np.exp(1j * (gauss_im * d * d + k_lin * x + phase))
+            )
+
+        got = kernels.state_kernel(x, n, *params)
+        np.testing.assert_allclose(got, want(n, phase0), rtol=5e-13, atol=1e-300)
+        window, rows = kernels.state_kernel_block(x, orders, *params, dphase)
+        for k, row in zip(orders, rows):
+            got = np.zeros(len(x), dtype=np.complex128)
+            got[window] = row
+            np.testing.assert_allclose(got, want(k, phase0 + k * dphase),
+                                       rtol=5e-13, atol=1e-300)
+
+
+def test_state_kernel_takes_points_in_any_order(rng):
+    """Shuffled and descending points give the ascending result permuted,
+    bit for bit, in the shape of x."""
+    x = np.linspace(-8.0, 8.0, 1001)
+    args = (7, -0.3, -0.8, 0.4, 1.1, 0.2, 0.7, 1.5)
+    ascending = kernels.state_kernel(x, *args)
+    for perm in (rng.permutation(len(x)), np.arange(len(x))[::-1]):
+        got = kernels.state_kernel(x[perm], *args)
+        assert np.array_equal(got, ascending[perm])
+    grid = x.reshape(7, 143)
+    assert np.array_equal(kernels.state_kernel(grid, *args), ascending.reshape(7, 143))
 
 
 def test_state_kernel_underflow_short_circuit():

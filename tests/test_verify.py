@@ -315,8 +315,9 @@ def test_report_json_shape_and_determinism(sho_basis_c1):
 
 
 def _pairwise_orthonormality(ctx):
-    """The check as one scipy-Simpson inner product per pair of orders."""
-    grid = ctx.fine_grid()
+    """The check's oracle: one scipy-Simpson inner product per pair of
+    orders, on a 32768-point grid over the scenario grid's span."""
+    grid = Grid(ctx.grid.x_min, ctx.grid.x_max, 32768)
     xs = grid.xs()
     worst = 0.0
     for t in ctx.times:
@@ -357,6 +358,50 @@ def test_orthonormality_detects_a_scaled_row(monkeypatch, sho_basis_c1):
     [result] = run_suite(_context(sho_basis_c1), ["orthonormality"])
     assert not result.passed
     assert result.params["m"] == 2 and result.params["n"] == 2
+
+
+def _spoil_row_2(spoil):
+    """A state_block whose row 2, on the whole grid, goes through spoil."""
+    block = tdho.verify.state_block
+
+    def spoiled(spec, x, t, orders):
+        window, rows = block(spec, x, t, orders)
+        full = np.zeros((len(rows), len(x)), dtype=np.complex128)
+        full[:, window] = rows
+        spoil(full[2])
+        return slice(0, len(x)), full
+
+    return spoiled
+
+
+def _leak_to_edge(row):
+    row[-1] = 1e-6 * np.max(np.abs(row))
+
+
+def _alias_at_nyquist(row):
+    row *= 1.0 + 1e-6 * (-1.0) ** np.arange(len(row))
+
+
+@pytest.mark.parametrize("spoil, where", [(_leak_to_edge, "edge"),
+                                          (_alias_at_nyquist, "Nyquist")])
+def test_orthonormality_refuses_one_unresolved_row(monkeypatch, sho_basis_c1,
+                                                   spoil, where):
+    """Plain sums are refused, not reported, when a single row of the block
+    is not negligible at an edge of the grid or near its Nyquist wavenumber."""
+    monkeypatch.setattr(tdho.verify, "state_block", _spoil_row_2(spoil))
+    with pytest.raises(GridTooSmallError, match=f"not resolved.*{where}"):
+        run_suite(_context(sho_basis_c1), ["orthonormality"])
+
+
+def test_orthonormality_refuses_a_zero_block(monkeypatch, sho_basis_c1):
+    def zero_block(spec, x, t, orders):
+        return slice(0, len(x)), np.zeros((len(orders), len(x)), dtype=np.complex128)
+
+    monkeypatch.setattr(tdho.verify, "state_block", zero_block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateStateError, match="zero or not finite"):
+            run_suite(_context(sho_basis_c1), ["orthonormality"])
 
 
 def test_delta_equivalence_check_runs(driven_sho):
