@@ -123,18 +123,15 @@ def _hermite_function_rows(n, xi, log_amp):
 
 
 def state_kernel(x, n, log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0):
-    """Order n of state_kernel_block at the points x, in any order and shape.
-
-    A one-row block (dphase = 0) on the sorted points, put back in x's
-    order and shape; samples outside the block's window are exact zeros.
-    """
+    """Order n of state_kernel_block at the points x, in any order and shape:
+    a one-row block (dphase = 0) on the sorted points, put back in x's order
+    and shape."""
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()
     order = np.argsort(flat, kind="stable")
-    window, rows = state_kernel_block(flat[order], [n], log_norm, gauss_re, gauss_im,
-                                      scale, x_shift, k_lin, phase0, 0.0)
-    out = np.zeros(flat.shape, dtype=np.complex128)
-    out[order[window]] = rows[0]
+    out = np.empty(flat.shape, dtype=np.complex128)
+    out[order] = state_kernel_block(flat[order], [n], log_norm, gauss_re, gauss_im,
+                                    scale, x_shift, k_lin, phase0, 0.0)[0]
     return out.reshape(x.shape)
 
 
@@ -150,12 +147,11 @@ def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
         * exp(i * (gauss_im * d^2 + k_lin * x + phase0 + k * dphase)),
 
     where h_k = H_k / sqrt(2^k k! sqrt(pi)) is the normalised Hermite
-    polynomial, on x[window].  Returns (window, rows): every sample outside
-    the window, the widest of the requested orders' cutoff radii around
-    x_shift, bounds the whole product below e^LOG_FLOOR and is an exact
-    zero.  Inside it the exponent-tracked recurrence runs, so no factor
-    over- or underflows on its own; orders that are not requested are
-    stepped through, not stored.
+    polynomial.  Returns the (len(orders), len(x)) rows.  Outside the widest
+    of the requested orders' cutoff radii around x_shift the whole product
+    is below e^LOG_FLOOR, and those samples are exact zeros; inside, the
+    exponent-tracked recurrence runs, so no factor over- or underflows on
+    its own.  Orders that are not requested are stepped through, not stored.
     """
     x = np.asarray(x, dtype=np.float64)
     orders = [int(k) for k in orders]
@@ -166,15 +162,16 @@ def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
     radius = max(_cutoff_radius(k, log_norm, gauss_re, scale) for k in rows_of)
     lo = int(np.searchsorted(x, x_shift - radius, side="left"))
     hi = int(np.searchsorted(x, x_shift + radius, side="right"))
-    rows = np.empty((len(orders), hi - lo), dtype=np.complex128)
+    rows = np.zeros((len(orders), len(x)), dtype=np.complex128)
     if hi == lo:
-        return slice(lo, hi), rows
+        return rows
     xw = x[lo:hi]
     d = xw - x_shift
     base = np.exp(1j * (gauss_im * d * d + k_lin * xw + phase0))
     recurrence = _hermite_function_rows(n, scale * d, log_norm + gauss_re * d * d)
     for k, (m, e) in enumerate(recurrence):
         for i in rows_of.get(k, ()):
-            np.multiply(base, cmath.exp(1j * (k * dphase)), out=rows[i])
-            rows[i] *= np.ldexp(m, e)
-    return slice(lo, hi), rows
+            row = rows[i, lo:hi]
+            np.multiply(base, cmath.exp(1j * (k * dphase)), out=row)
+            row *= np.ldexp(m, e)
+    return rows

@@ -338,14 +338,16 @@ def _validate_grid(ctx: SuiteContext):
 
 def cmd_state(args) -> int:
     scenario = load_scenario(args.scenario)
+    if args.t:
+        # size and validate the grid for the times that are written
+        scenario = {**scenario, "times": args.t}
     ctx = build_context(scenario)
-    times = [float(t) for t in args.t] if args.t else ctx.times
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     xs = ctx.grid.xs()
     for n in ctx.ns:
         f = state_field(ctx.state(n))
-        for t in times:
+        for t in ctx.times:
             csv_path = out_dir / f"state_n{n}_t{t:g}.csv"
             dump_state_grid(f, xs, t, csv_path, meta={"scenario": scenario["name"]})
             print(csv_path)

@@ -99,11 +99,9 @@ def _log_norm(omega, hbar, rho):
 def _kernel_call(x, n, log_norm, gauss_re, gauss_im, scale, phase0,
                  x_shift=0.0, k_lin=0.0):
     """state_kernel on scalar-or-array x (a scalar x returns a complex)."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = state_kernel(xs, n, log_norm, gauss_re, gauss_im, scale,
+    out = state_kernel(x, n, log_norm, gauss_re, gauss_im, scale,
                        x_shift, k_lin, phase0)
-    return complex(out[0]) if scalar else out
+    return complex(out) if out.ndim == 0 else out
 
 
 def _slice_params(spec: StateSpec, t, with_driving: bool):
@@ -153,9 +151,8 @@ def state_block(spec: StateSpec, x, t, orders):
 
     Driven when spec carries a DrivenSolution, as in state_field.  The
     classical data of the slice is evaluated once and every order comes from
-    one recurrence to max(orders).  Returns (window, rows): rows[i] is
-    psi_{orders[i]} on x[window], and every sample outside the window is an
-    exact zero.
+    one recurrence to max(orders).  Returns the (len(orders), len(x)) rows:
+    rows[i] is psi_{orders[i]} on x.
     """
     params, theta, phase_shift = _slice_params(spec, t, with_driving=True)
     return state_kernel_block(x, orders, *params, 0.5 * theta + phase_shift, theta)
@@ -206,7 +203,7 @@ def _closed_form_call(slice_, n, x):
 
 def _closed_form_block(slice_, orders, x):
     """The given orders of a closed-form slice on the ascending grid x, as
-    state_block's (window, rows), from one recurrence."""
+    state_block's rows, from one recurrence."""
     params, theta = slice_
     return state_kernel_block(x, orders, *params, 0.0, 0.0, 0.5 * theta, theta)
 
@@ -237,7 +234,7 @@ def psi_sho(w_s, Ccoef, n, hbar, x, t):
 
 
 def psi_sho_block(w_s, Ccoef, orders, hbar, x, t):
-    """psi_sho's given orders at t on the ascending grid x: (window, rows)."""
+    """psi_sho's given orders at t on the ascending grid x, one row each."""
     return _closed_form_block(_sho_slice(w_s, Ccoef, hbar, t), orders, x)
 
 
@@ -276,7 +273,7 @@ def psi_ck(m, gamma, w1, Ccoef, n, hbar, x, t):
 
 
 def psi_ck_block(m, gamma, w1, Ccoef, orders, hbar, x, t):
-    """psi_ck's given orders at t on the ascending grid x: (window, rows)."""
+    """psi_ck's given orders at t on the ascending grid x, one row each."""
     return _closed_form_block(_ck_slice(m, gamma, w1, Ccoef, hbar, t), orders, x)
 
 
@@ -313,7 +310,7 @@ def psi_lo(m0, gamma, mu, nu, w_lo, Ccoef, n, hbar, x, t):
 
 
 def psi_lo_block(m0, gamma, mu, nu, w_lo, Ccoef, orders, hbar, x, t):
-    """psi_lo's given orders at t on the ascending grid x: (window, rows)."""
+    """psi_lo's given orders at t on the ascending grid x, one row each."""
     return _closed_form_block(
         _lo_slice(m0, gamma, mu, nu, w_lo, Ccoef, hbar, t), orders, x)
 

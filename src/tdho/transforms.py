@@ -78,10 +78,11 @@ class GridFunction:
     """Complex samples at x_i = x_min + i dx for one time slice: one state's
     (points,) values or a stack of states' (rows, points) values.
 
-    `source`, when present, is the analytic x -> psi map the samples came
-    from (returning values of the same shape on ascending x); transforms
-    compose it so downstream values stay exact instead of
-    interpolation-limited.
+    `source`, when present, is the analytic map the samples came from: called
+    with ascending query points x, it returns their values in the samples'
+    layout, (len(x),) for one state or (rows, len(x)) for a stack (a
+    state_block partial, for instance).  Transforms compose it so downstream
+    values stay exact instead of interpolation-limited.
     """
 
     def __init__(self, x_min, dx, values, t, hbar=1.0, source=None):
@@ -341,8 +342,6 @@ def policy_grid(basis, n: int, hbar: float = 1.0, driven=None, times=None,
     else:
         ts = np.asarray(times, dtype=float)
         lo, hi = float(ts.min()), float(ts.max())
-        if lo == hi:
-            hi = lo + 1e-6
     dense = np.linspace(lo, hi, 513)
     rho = basis.slice(dense)[4]
     M = np.asarray(model.mass(dense), dtype=float)

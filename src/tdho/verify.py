@@ -474,19 +474,6 @@ def _tol(overrides, key, name=None):
     return DEFAULT_THRESHOLDS[name]
 
 
-def _on_grid(xs, block) -> np.ndarray:
-    """The rows of a (window, rows) block on the whole grid xs."""
-    window, rows = block
-    full = np.zeros((len(rows), len(xs)), dtype=np.complex128)
-    full[:, window] = rows
-    return full
-
-
-def _grid_rows(spec: StateSpec, xs, t, orders) -> np.ndarray:
-    """state_block's rows of the given orders on the whole grid xs."""
-    return _on_grid(xs, state_block(spec, xs, t, orders))
-
-
 def _n_then_t(ctx: SuiteContext, per_t):
     """(n, t, per_t[j][i]) in report order, n outer and t inner, where
     per_t[j][i] belongs to order ctx.ns[i] at time ctx.times[j]."""
@@ -505,7 +492,7 @@ def _run_residual(ctx: SuiteContext, overrides) -> list:
     spec = ctx.state(max(ctx.ns))
     per_t = []
     for t in ctx.times:
-        at = {k: _grid_rows(spec, xs, t + k * dt, ctx.ns) for k in _STENCIL_STEPS}
+        at = {k: state_block(spec, xs, t + k * dt, ctx.ns) for k in _STENCIL_STEPS}
         fine, coarse = _residual_pair(model, xs, t, dt, ctx.hbar, at)
         per_t.append([(float(f), float(c)) for f, c in zip(fine, coarse)])
     return [CheckResult("residual",
@@ -552,11 +539,11 @@ def _run_transform_chain(ctx: SuiteContext, overrides) -> list:
     xs = grid.xs()
     per_t = []
     for t in ctx.times:
-        g0 = GridFunction(grid.x_min, grid.dx, _grid_rows(companion, xs, t, ctx.ns),
+        g0 = GridFunction(grid.x_min, grid.dx, state_block(companion, xs, t, ctx.ns),
                           t, ctx.hbar)
         g0_exact = g0._with(g0.values, functools.partial(
-            _grid_rows, companion, t=t, orders=ctx.ns))
-        direct = _grid_rows(direct_spec, xs, t, ctx.ns)
+            state_block, companion, t=t, orders=ctx.ns))
+        direct = state_block(direct_spec, xs, t, ctx.ns)
         interp = _chain_distance(driven, t, g0, direct)
         exact = _chain_distance(driven, t, g0_exact, direct)
         per_t.append([(float(i), float(e)) for i, e in zip(interp, exact)])
@@ -576,16 +563,14 @@ def _closed_form(ctx: SuiteContext):
     if C is None:
         raise ValueError("closed_form_agreement needs the closed-form C of the scenario")
     if isinstance(m, UnitMassSHO):
-        block = functools.partial(psi_sho_block, m.w_s, C, ns, hbar)
-    elif isinstance(m, CaldirolaKanai):
-        block = functools.partial(psi_ck_block, m.m, m.gamma, m.w1, C, ns, hbar)
-    elif isinstance(m, LoDampedPulsating):
-        block = functools.partial(psi_lo_block, m.m0, m.gamma, m.mu, m.nu, m.w_lo,
-                                  C, ns, hbar)
-    else:
-        raise ValueError(
-            f"closed_form_agreement has no closed form for {type(m).__name__}")
-    return lambda x, t: _on_grid(x, block(x, t))
+        return functools.partial(psi_sho_block, m.w_s, C, ns, hbar)
+    if isinstance(m, CaldirolaKanai):
+        return functools.partial(psi_ck_block, m.m, m.gamma, m.w1, C, ns, hbar)
+    if isinstance(m, LoDampedPulsating):
+        return functools.partial(psi_lo_block, m.m0, m.gamma, m.mu, m.nu, m.w_lo,
+                                 C, ns, hbar)
+    raise ValueError(
+        f"closed_form_agreement has no closed form for {type(m).__name__}")
 
 
 def _run_closed_form(ctx: SuiteContext, overrides) -> list:
@@ -597,7 +582,7 @@ def _run_closed_form(ctx: SuiteContext, overrides) -> list:
     xs = ctx.grid.xs()
     per_t = []
     for t in ctx.times:
-        rows = _grid_rows(general, xs, t, ctx.ns)
+        rows = state_block(general, xs, t, ctx.ns)
         per_t.append([phase_aligned_distance(want, row)
                       for want, row in zip(closed(xs, t), rows)])
     return [CheckResult("closed_form_agreement", {"n": n, "t": t}, d, tol)
@@ -608,7 +593,7 @@ def _block_moments(spec: StateSpec, grid: Grid, t, orders) -> list:
     """moments of each order at t, read from one block; the block is freed
     on return, so callers hold one at a time."""
     return [moments(GridFunction(grid.x_min, grid.dx, row, t, spec.hbar))
-            for row in _grid_rows(spec, grid.xs(), t, orders)]
+            for row in state_block(spec, grid.xs(), t, orders)]
 
 
 def _run_uncertainty(ctx: SuiteContext, overrides) -> list:
@@ -699,7 +684,7 @@ def _run_orthonormality(ctx: SuiteContext, overrides) -> list:
     worst_at = {}
     for t in ctx.times:
         block = GridFunction(grid.x_min, grid.dx,
-                             _grid_rows(spec, xs, t, range(n_max + 1)), t, ctx.hbar)
+                             state_block(spec, xs, t, range(n_max + 1)), t, ctx.hbar)
         _resolved_spectrum(block, "orthonormality")
         gram = grid.dx * (np.conj(block.values) @ block.values.T)
         err = np.abs(gram - np.eye(n_max + 1))

@@ -49,3 +49,13 @@ def test_bench_record_parses_and_every_entry_has_the_five_metrics():
                 won = m["change_won"]
                 assert won is None or 0 <= won <= w["pairs"], at
                 assert won is not None or not measured, at
+
+
+def test_only_the_newest_entry_lacks_its_commit():
+    """An entry's commit is the change that adds it, so it is filled in by
+    a later change: every entry but the newest names a commit."""
+    doc = json.loads((ROOT / "BENCH_suite.json").read_text(encoding="utf-8"))
+    for entry in doc["entries"][:-1]:
+        commit = entry["commit"]
+        assert commit is not None and len(commit) >= 7, entry["title"]
+        int(commit, 16)

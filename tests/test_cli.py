@@ -268,6 +268,19 @@ def test_orthonormality_is_correct_or_refused_on_a_coarse_grid(tmp_path, capsys,
         assert row["pass"] and row["measured"] <= 1e-13
 
 
+def test_one_sample_time_at_the_end_of_the_domain(tmp_path, capsys):
+    """The policy grid of a single sample time is sized at that time alone,
+    so at t_max it reads no trajectory past the integrated span."""
+    doc = load_scenario("lo")
+    doc["times"] = [doc["model"]["t_max"]]
+    doc["checks"] = ["orthonormality"]
+    rc = main(["verify", _write(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    [row] = json.loads(captured.out)
+    assert row["pass"] and row["measured"] <= 1e-13
+
+
 def test_verify_leaves_scipy_interpolate_unimported(tmp_path):
     """A cold `tdho verify` of a chain scenario imports no scipy.interpolate."""
     report = str(tmp_path / "report.json")
@@ -297,7 +310,7 @@ def test_verify_numerical_error_exit_2(monkeypatch, capsys, error):
 
 
 def _zero_block(spec, x, t, orders):
-    return slice(0, len(x)), np.zeros((len(orders), len(x)), dtype=np.complex128)
+    return np.zeros((len(orders), len(x)), dtype=np.complex128)
 
 
 def test_verify_degenerate_state_is_numerical_error(monkeypatch, capsys):
@@ -384,6 +397,36 @@ def test_state_ground_state_samples(tmp_path, capsys):
     sidecar = json.loads((d / "state_n0_t0.csv.json").read_text())
     assert sidecar["hbar"] == 1.0
     assert sidecar["scenario"] == "sho_c1"
+
+
+def _pushed_state_doc(**overrides):
+    """A ground state pushed by a constant force from x_p = 0 at t = 0 to
+    x_p = 10 at t = pi, sampled at t = 0 only."""
+    return _scenario_doc(driving={"force": {"kind": "constant", "F0": 5.0}, "t0": 0.0},
+                         times=[0.0], **overrides)
+
+
+def test_state_at_other_times_sizes_the_grid_for_them(tmp_path, capsys):
+    """tdho state --t sizes the policy grid for the times it writes, so each
+    written state keeps its norm there."""
+    d = tmp_path / "out"
+    path = _write(tmp_path, _pushed_state_doc())
+    assert main(["state", path, "--t", "3.14159", "--out", str(d)]) == 0
+    capsys.readouterr()
+    for n in (0, 1):
+        data = np.loadtxt(d / f"state_n{n}_t3.14159.csv", delimiter=",", skiprows=1)
+        x, abs2 = data[:, 0], data[:, 3]
+        assert abs(np.sum(abs2) * (x[1] - x[0]) - 1.0) < 1e-12
+
+
+def test_state_at_other_times_refuses_a_grid_too_small_for_them(tmp_path, capsys):
+    """An explicit grid that holds the state at the scenario's times but not
+    at the --t times is refused (exit 2), not written."""
+    d = tmp_path / "out"
+    doc = _pushed_state_doc(states=[0], grid={"x_min": -10.0, "x_max": 10.0})
+    assert main(["state", _write(tmp_path, doc), "--t", "3.14159", "--out", str(d)]) == 2
+    assert "too small" in capsys.readouterr().err
+    assert not d.exists()
 
 
 def test_classical_outputs(tmp_path, capsys):

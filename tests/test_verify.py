@@ -350,9 +350,9 @@ def test_orthonormality_detects_a_scaled_row(monkeypatch, sho_basis_c1):
     block = tdho.verify.state_block
 
     def scaled(spec, x, t, orders):
-        window, rows = block(spec, x, t, orders)
+        rows = block(spec, x, t, orders)
         rows[2] *= 1.001
-        return window, rows
+        return rows
 
     monkeypatch.setattr(tdho.verify, "state_block", scaled)
     [result] = run_suite(_context(sho_basis_c1), ["orthonormality"])
@@ -361,15 +361,13 @@ def test_orthonormality_detects_a_scaled_row(monkeypatch, sho_basis_c1):
 
 
 def _spoil_row_2(spoil):
-    """A state_block whose row 2, on the whole grid, goes through spoil."""
+    """A state_block whose row 2 goes through spoil."""
     block = tdho.verify.state_block
 
     def spoiled(spec, x, t, orders):
-        window, rows = block(spec, x, t, orders)
-        full = np.zeros((len(rows), len(x)), dtype=np.complex128)
-        full[:, window] = rows
-        spoil(full[2])
-        return slice(0, len(x)), full
+        rows = block(spec, x, t, orders)
+        spoil(rows[2])
+        return rows
 
     return spoiled
 
@@ -395,7 +393,7 @@ def test_orthonormality_refuses_one_unresolved_row(monkeypatch, sho_basis_c1,
 
 def test_orthonormality_refuses_a_zero_block(monkeypatch, sho_basis_c1):
     def zero_block(spec, x, t, orders):
-        return slice(0, len(x)), np.zeros((len(orders), len(x)), dtype=np.complex128)
+        return np.zeros((len(orders), len(x)), dtype=np.complex128)
 
     monkeypatch.setattr(tdho.verify, "state_block", zero_block)
     with warnings.catch_warnings():
