@@ -1,22 +1,32 @@
 """Unitary operators on sampled wavefunctions.
 
-Four primitives — dilation, quadratic phase, linear phase, translation —
-compose into the mass-reduction operator U0 and the driving operator U_F.
-Operator products act right-to-left, exactly as written:
+Every operator is one affine map with a quadratic phase, reading g once:
+
+    (T g)(x) = sqrt(s) e^{i((alpha x + k) x + c)/hbar} g(s x - d)
+
+The primitives (dilation, translation, quadratic, linear and constant phase)
+set one parameter each.  The mass-reduction operator U0, the driving
+operator U_F and their inverses are products of them, acting right-to-left
+as written, each fused into one map:
 
     U0      = QuadraticPhase(Mdot/4M) . Dilation(-ln M / 2)
-    U0_dag  = Dilation(+ln M / 2)     . QuadraticPhase(-Mdot/4M)
+              s = M^{-1/2}, alpha = Mdot/4M
+    U0_dag  = Dilation(+ln M / 2) . QuadraticPhase(-Mdot/4M)
+              s = M^{1/2}, alpha = -Mdot/4
     U_F     = ConstPhase(delta) . LinearPhase(M xdot_p) . Translation(x_p)
+              d = x_p, k = M xdot_p, c = delta
+    U_F_dag = Translation(-x_p) . LinearPhase(-M xdot_p) . ConstPhase(-delta)
+              d = -x_p, k = -M xdot_p, c = -M xdot_p x_p - delta
 
-Support-changing primitives (dilation, translation) either re-evaluate an
-attached analytic source exactly or fall back to a six-point Lagrange read
-of the samples; out-of-span reads are taken as zero, which is consistent
-only because compliant grid functions are negligible at their edges (the
+A map that moves support (s != 1 or d != 0) either re-evaluates an attached
+analytic source exactly or falls back to a six-point Lagrange read of the
+samples; out-of-span reads are taken as zero, which is consistent only
+because compliant grid functions are negligible at their edges (the
 boundary invariant, enforced by the sizing policy below).
 
 A GridFunction holds one state's samples, or a stack of states on the same
-grid as (rows, points) values; every primitive acts along the last axis, so
-one pass (one exp(i phase(x)), one set of Lagrange weights) serves every row.
+grid as (rows, points) values; every map acts along the last axis, so one
+pass (one exp(i phase(x)), one set of Lagrange weights) serves every row.
 """
 
 from __future__ import annotations
@@ -163,25 +173,44 @@ def _lagrange_eval(g: GridFunction, xq: np.ndarray) -> np.ndarray:
     return out
 
 
-def _read(g: GridFunction, xq: np.ndarray) -> np.ndarray:
-    if g.source is not None:
-        return np.asarray(g.source(xq), dtype=np.complex128)
-    return _lagrange_eval(g, xq)
+def _affine(g: GridFunction, op: str, s=1.0, d=0.0, alpha=0.0, k=0.0, c=0.0):
+    """The module's map T, on g's samples and composed into its source.
 
+    A pure phase multiplies the samples.  A map that moves support
+    re-evaluates the source at s x - d, or Lagrange-reads the samples there,
+    and refuses (GridTooSmallError) a result whose edges reach
+    BOUNDARY_RATIO of its peak.
+    """
+    moves = s != 1.0 or d != 0.0
+    if not moves and alpha == 0.0 and k == 0.0 and c == 0.0:
+        return g
+    root_s = math.sqrt(s)
+    a2, a1, a0 = alpha / g.hbar, k / g.hbar, c / g.hbar
 
-def _require_support(g: GridFunction, op: str):
-    ratio = g.boundary_ratio()
+    def factor(x):
+        return root_s * np.exp(1j * ((a2 * x + a1) * x + a0))
+
+    src, source = g.source, None
+    if src is not None:
+        def source(x):
+            x = np.asarray(x)
+            return factor(x) * np.asarray(src(s * x - d))
+    x = g.x
+    if not moves:
+        return g._with(factor(x) * g.values, source)
+    out = g._with(factor(x) * _lagrange_eval(g, s * x - d) if src is None
+                  else source(x), source)
+    ratio = out.boundary_ratio()
     if ratio >= BOUNDARY_RATIO:
         # how much wider the grid must be for the edge samples to decay
         # below threshold, assuming roughly Gaussian tails
         grow = 1.0 + 0.5 * math.log(max(ratio / BOUNDARY_RATIO, 1.0 + 1e-9))
-        lo = g.x_min * grow
-        hi = g.x_max * grow
         raise GridTooSmallError(
             f"{op} left boundary ratio {ratio:.2e} >= {BOUNDARY_RATIO:.0e}; "
-            f"retry on a grid covering roughly [{lo:.3g}, {hi:.3g}]"
+            f"retry on a grid covering roughly "
+            f"[{g.x_min * grow:.3g}, {g.x_max * grow:.3g}]"
         )
-    return g
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -190,71 +219,27 @@ def _require_support(g: GridFunction, op: str):
 
 def apply_dilation(g: GridFunction, a: float) -> GridFunction:
     """f(x) -> e^{a/2} f(e^a x); the e^{a/2} keeps the L2 norm."""
-    if a == 0.0:
-        return g
-    ea = math.exp(a)
-    half = math.exp(0.5 * a)
-    values = half * _read(g, ea * g.x)
-    if g.source is not None:
-        src = g.source
-
-        def source(x):
-            return half * np.asarray(src(ea * np.asarray(x)))
-    else:
-        source = None
-    return _require_support(g._with(values, source), f"dilation(a={a})")
+    return _affine(g, f"dilation(a={a})", s=math.exp(a))
 
 
 def apply_translation(g: GridFunction, d: float) -> GridFunction:
     """f(x) -> f(x - d)."""
-    if d == 0.0:
-        return g
-    values = _read(g, g.x - d)
-    if g.source is not None:
-        src = g.source
-
-        def source(x):
-            return np.asarray(src(np.asarray(x) - d))
-    else:
-        source = None
-    return _require_support(g._with(values, source), f"translation(d={d})")
-
-
-def _phase_factor(g: GridFunction, phase_of_x):
-    values = np.exp(1j * phase_of_x(g.x)) * g.values
-    if g.source is not None:
-        src = g.source
-
-        def source(x):
-            x = np.asarray(x)
-            return np.exp(1j * phase_of_x(x)) * np.asarray(src(x))
-    else:
-        source = None
-    return g._with(values, source)
+    return _affine(g, f"translation(d={d})", d=d)
 
 
 def apply_quadratic_phase(g: GridFunction, alpha: float) -> GridFunction:
     """Multiply by e^{i alpha x^2 / hbar}."""
-    if alpha == 0.0:
-        return g
-    hbar = g.hbar
-    return _phase_factor(g, lambda x: (alpha / hbar) * x * x)
+    return _affine(g, "quadratic phase", alpha=alpha)
 
 
 def apply_linear_phase(g: GridFunction, k: float) -> GridFunction:
     """Multiply by e^{i k x / hbar}."""
-    if k == 0.0:
-        return g
-    hbar = g.hbar
-    return _phase_factor(g, lambda x: (k / hbar) * x)
+    return _affine(g, "linear phase", k=k)
 
 
 def apply_constant_phase(g: GridFunction, c: float) -> GridFunction:
     """Multiply by e^{i c / hbar}."""
-    if c == 0.0:
-        return g
-    hbar = g.hbar
-    return _phase_factor(g, lambda x: np.full(np.shape(x), c / hbar))
+    return _affine(g, "constant phase", c=c)
 
 
 # ---------------------------------------------------------------------------
@@ -262,35 +247,33 @@ def apply_constant_phase(g: GridFunction, c: float) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 def apply_U0(model: OscillatorModel, t, g: GridFunction) -> GridFunction:
-    """Mass-reduction operator: QuadraticPhase(Mdot/4M) after Dilation(-lnM/2)."""
+    """Mass reduction QuadraticPhase(Mdot/4M) . Dilation(-ln M/2):
+    M^{-1/4} e^{i Mdot x^2 / 4M hbar} g(x / sqrt(M))."""
     s = evaluate_model(model, t)
-    g = apply_dilation(g, -0.5 * math.log(s.M))
-    return apply_quadratic_phase(g, 0.25 * s.dM / s.M)
+    return _affine(g, f"U0(t={t})", s=s.M ** -0.5, alpha=0.25 * s.dM / s.M)
 
 
 def apply_U0_dagger(model: OscillatorModel, t, g: GridFunction) -> GridFunction:
-    """Inverse reduction: Dilation(+lnM/2) after QuadraticPhase(-Mdot/4M)."""
+    """Inverse reduction Dilation(+ln M/2) . QuadraticPhase(-Mdot/4M):
+    M^{1/4} e^{-i Mdot x^2 / 4 hbar} g(sqrt(M) x)."""
     s = evaluate_model(model, t)
-    g = apply_quadratic_phase(g, -0.25 * s.dM / s.M)
-    return apply_dilation(g, 0.5 * math.log(s.M))
+    return _affine(g, f"U0_dagger(t={t})", s=s.M ** 0.5, alpha=-0.25 * s.dM)
 
 
 def apply_UF(model: OscillatorModel, driven, t, g: GridFunction) -> GridFunction:
-    """Driving operator: phases e^{i(M xdot_p x + delta)/hbar} after the
-    translation by x_p (momentum factor rightmost, so it acts first)."""
+    """Driving operator ConstPhase(delta) . LinearPhase(M xdot_p) .
+    Translation(x_p): e^{i(M xdot_p x + delta)/hbar} g(x - x_p)."""
     s = evaluate_model(model, t)
     xp, dxp, delta = (float(q) for q in driven.slice(t))
-    g = apply_translation(g, xp)
-    g = apply_linear_phase(g, s.M * dxp)
-    return apply_constant_phase(g, delta)
+    return _affine(g, f"U_F(t={t})", d=xp, k=s.M * dxp, c=delta)
 
 
 def apply_UF_dagger(model: OscillatorModel, driven, t, g: GridFunction) -> GridFunction:
+    """e^{-i(M xdot_p (x + x_p) + delta)/hbar} g(x + x_p)."""
     s = evaluate_model(model, t)
     xp, dxp, delta = (float(q) for q in driven.slice(t))
-    g = apply_constant_phase(g, -delta)
-    g = apply_linear_phase(g, -s.M * dxp)
-    return apply_translation(g, -xp)
+    p = s.M * dxp
+    return _affine(g, f"U_F_dagger(t={t})", d=-xp, k=-p, c=-p * xp - delta)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,20 @@ class DegenerateStateError(ValueError):
     (residual, chain distance, closed-form distance) is undefined."""
 
 
+def _nondegenerate(size, name: str, where: str, undefined: str):
+    """size — one norm or peak per row, or one for all — once every value is
+    finite and positive; otherwise DegenerateStateError, naming the first
+    that is not and what it leaves undefined."""
+    size = np.asarray(size)
+    bad = ~(np.isfinite(size) & (size > 0.0))
+    if bad.any():
+        raise DegenerateStateError(
+            f"{name} = {size[bad].flat[0]}{where}: the sampled state is zero or "
+            f"not finite, so {undefined} is undefined"
+        )
+    return size
+
+
 # ---------------------------------------------------------------------------
 # finite-difference stencil (fourth order)
 # ---------------------------------------------------------------------------
@@ -179,13 +193,8 @@ def _resolved_spectrum(g: GridFunction, what: str) -> np.ndarray:
     """
     values = g.values
     points = values.shape[-1]
-    n2 = np.atleast_1d(np.sum(np.abs(values) ** 2, axis=-1))
-    bad = ~(np.isfinite(n2) & (n2 > 0.0))
-    if bad.any():
-        raise DegenerateStateError(
-            f"{what}: ‖psi‖² = {n2[bad][0]} at t = {g.t}: the sampled state is "
-            "zero or not finite"
-        )
+    _nondegenerate(np.sum(np.abs(values) ** 2, axis=-1), f"{what}: ‖psi‖²",
+                   f" at t = {g.t}", "its sum over the grid")
     ratio = g.boundary_ratio()
     if ratio >= BOUNDARY_RATIO:
         raise GridTooSmallError(
@@ -266,13 +275,8 @@ def _residual_once(model, x, t, dt, hbar, psi, f_p1, f_m1, f_p2, f_m2):
         -(hbar * hbar) / (2.0 * M) * _d2(psi, dx)
         + (0.5 * M * w2 * x * x - x * F) * psi
     )
-    h_norm = np.linalg.norm(h_psi, axis=-1)
-    bad = ~(np.isfinite(h_norm) & (h_norm > 0.0))
-    if bad.any():
-        raise DegenerateStateError(
-            f"‖H psi‖ = {h_norm[bad].flat[0]} at t = {t} on {len(x)} points: the "
-            "sampled state is zero or not finite, so its residual is undefined"
-        )
+    h_norm = _nondegenerate(np.linalg.norm(h_psi, axis=-1), "‖H psi‖",
+                            f" at t = {t} on {len(x)} points", "its residual")
     o_psi = 1j * hbar * dpsi_dt - h_psi
     return np.linalg.norm(o_psi, axis=-1) / h_norm
 
@@ -337,14 +341,9 @@ def _chain_distance(driven, t, g0: GridFunction, direct):
     model = driven.model
     g1 = apply_U0_dagger(model, t, g0)
     g2 = apply_UF(model, driven, t, g1)
-    direct_norm = np.linalg.norm(direct, axis=-1)
-    bad = ~(np.isfinite(direct_norm) & (direct_norm > 0.0))
-    if bad.any():
-        raise DegenerateStateError(
-            f"‖psi‖ = {direct_norm[bad].flat[0]} at t = {t} on {direct.shape[-1]} "
-            "points: the direct state is zero or not finite, so the chain "
-            "distance is undefined"
-        )
+    direct_norm = _nondegenerate(np.linalg.norm(direct, axis=-1), "direct ‖psi‖",
+                                 f" at t = {t} on {direct.shape[-1]} points",
+                                 "the chain distance")
     return np.linalg.norm(g2.values - direct, axis=-1) / direct_norm
 
 
@@ -383,12 +382,7 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Max pointwise |a - e^{i phi} b| / max|a| with a single best phase."""
     a = np.asarray(a)
     b = np.asarray(b)
-    peak = np.max(np.abs(a))
-    if not (np.isfinite(peak) and peak > 0.0):
-        raise DegenerateStateError(
-            f"max|a| = {peak}: the reference samples are zero or not finite, "
-            "so the relative distance is undefined"
-        )
+    peak = _nondegenerate(np.max(np.abs(a)), "max|a|", "", "the relative distance")
     overlap = np.vdot(b, a)
     phi = overlap / abs(overlap) if overlap != 0 else 1.0
     return float(np.max(np.abs(a - phi * b)) / peak)

@@ -1,6 +1,7 @@
 """Command-line interface: scenarios, exit codes, deterministic outputs."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -425,6 +426,31 @@ def test_state_at_other_times_refuses_a_grid_too_small_for_them(tmp_path, capsys
     d = tmp_path / "out"
     doc = _pushed_state_doc(states=[0], grid={"x_min": -10.0, "x_max": 10.0})
     assert main(["state", _write(tmp_path, doc), "--t", "3.14159", "--out", str(d)]) == 2
+    assert "too small" in capsys.readouterr().err
+    assert not d.exists()
+
+
+def _grid_ending_on_the_node_doc(tmp_path):
+    """The pushed ground and first excited states at t = pi on a grid that
+    ends at x_p(pi): half of each state lies past the edge, and the edge
+    sample itself sits on psi_1's node at its centre."""
+    doc = {**_pushed_state_doc(), "times": [math.pi]}
+    x_end = float(build_context(load_scenario(_write(tmp_path, doc)))
+                  .driven.slice(math.pi)[0])
+    assert abs(x_end - 10.0) < 1e-6
+    return {**doc, "grid": {"x_min": -10.0, "x_max": x_end}}
+
+
+@pytest.mark.parametrize("argv", [["state", "--t", repr(math.pi)], ["verify"]],
+                         ids=["state", "verify_residual"])
+def test_a_node_on_the_edge_does_not_hide_a_leaking_grid(tmp_path, capsys, argv):
+    """The grid is judged by the two outermost samples at either end, so a
+    state whose edge sample falls on its node is still refused (exit 2)."""
+    doc = _grid_ending_on_the_node_doc(tmp_path)
+    assert doc["checks"] == ["residual"]
+    d = tmp_path / "out"
+    command, *options = argv
+    assert main([command, _write(tmp_path, doc), *options, "--out", str(d)]) == 2
     assert "too small" in capsys.readouterr().err
     assert not d.exists()
 

@@ -220,6 +220,54 @@ def test_u0_dagger_closed_form(ck_basis):
     np.testing.assert_allclose(out.values, want, atol=1e-14)
 
 
+def _primitive_products(model, driven, t):
+    """The four composites as products of the primitives, one map at a time."""
+    M, dM = float(model.mass(t)), float(model.dmass(t))
+    xp, dxp, delta = (float(q) for q in driven.slice(t))
+    p = M * dxp
+    return {
+        apply_U0: lambda g: apply_quadratic_phase(
+            apply_dilation(g, -0.5 * np.log(M)), 0.25 * dM / M),
+        apply_U0_dagger: lambda g: apply_dilation(
+            apply_quadratic_phase(g, -0.25 * dM / M), 0.5 * np.log(M)),
+        apply_UF: lambda g: apply_constant_phase(
+            apply_linear_phase(apply_translation(g, xp), p), delta),
+        apply_UF_dagger: lambda g: apply_translation(
+            apply_linear_phase(apply_constant_phase(g, -delta), -p), -xp),
+    }
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["source", "lagrange"])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_each_composite_is_the_product_of_its_primitives(driven_ck, exact, rows):
+    """Each fused composite equals the composition of its primitives, on one
+    state and on a stack: to rounding when a source is re-evaluated, to the
+    accuracy of the six-point read when the samples are interpolated."""
+    basis, drv = driven_ck
+    model = basis.model
+    t = 1.3
+    assert model.dmass(t) != 0.0 and drv.slice(t)[0] != 0.0
+    fields = [_narrow, lambda x: _narrow(x - 0.7)][:rows]
+
+    def field(x):
+        block = np.stack([f(np.asarray(x)) for f in fields])
+        return block if rows > 1 else block[0]
+
+    g = GridFunction(GRID.x_min, GRID.dx, field(GRID.xs()), t,
+                     source=field if exact else None)
+    # the six-point reads of chirped and unchirped samples differ by the
+    # read's own error, here about 1e-14
+    tol = 1e-14 if exact else 1e-12
+    for fused, product in _primitive_products(model, drv, t).items():
+        args = (model, t, g) if fused in (apply_U0, apply_U0_dagger) else (model, drv, t, g)
+        out, want = fused(*args), product(g)
+        assert out.values.shape == g.values.shape
+        assert np.max(np.abs(out.values - want.values)) < tol, fused.__name__
+        if exact:
+            xq = np.array([-1.37, 0.0, 0.41, 2.9])
+            np.testing.assert_allclose(out.source(xq), want.source(xq), rtol=0, atol=tol)
+
+
 def test_u0_inverts_u0_dagger(ck_basis):
     model = ck_basis.model
     gf = sample_on_grid(_gauss_field, GRID, 2.0)

@@ -629,16 +629,18 @@ def test_residual_order_estimate_of_bundled_scenarios(bundled_results, name):
 
 
 def test_perturbed_translation_fails_the_suite_chain(monkeypatch, bundled_context):
-    """A translation primitive that shifts by 1.001 d breaks the driven
-    chain: every driven_sho row of both paths fails."""
+    """A U_F that translates by 1.001 x_p breaks the driven chain: every
+    driven_sho row of both paths fails.  The composites are single affine
+    maps, so the shift is perturbed in the one map; U0_dagger moves no
+    centre (d = 0) and is untouched."""
     ctx = bundled_context("driven_sho")
     assert all(r.passed for r in run_suite(ctx, ["transform_chain"]))
-    translate = tdho.transforms.apply_translation
+    affine = tdho.transforms._affine
 
-    def off_by_a_permille(g, d):
-        return translate(g, 1.001 * d)
+    def off_by_a_permille(g, op, s=1.0, d=0.0, **phase):
+        return affine(g, op, s, 1.001 * d, **phase)
 
-    monkeypatch.setattr(tdho.transforms, "apply_translation", off_by_a_permille)
+    monkeypatch.setattr(tdho.transforms, "_affine", off_by_a_permille)
     results = run_suite(ctx, ["transform_chain"])
     assert len(results) == 2 * len(ctx.ns) * len(ctx.times)
     assert not any(r.passed for r in results)
