@@ -76,49 +76,68 @@ def _cutoff_radius(n, log_norm, gauss_re, scale):
     return min(radius, hi)
 
 
-def _hermite_function_rows(n, xi, log_amp):
-    """exp(log_amp) h_k(xi) for k = 0..n, as (mantissa, exponent) pairs.
+def _hermite_function_rows(n, xi, log_amp, spans):
+    """exp(log_amp) h_k(xi) for k = 0..n on a stack of slices, as (mantissa,
+    exponent) pairs.
 
-    The normalised recurrence h_0 = pi^{-1/4}, h_1 = sqrt(2) xi h_0,
-    h_{k+1} = sqrt(2/(k+1)) xi h_k - sqrt(k/(k+1)) h_{k-1} (DLMF §18.9)
-    runs on m = value * 2^-e with an integer exponent e per point (Bunck,
-    BIT 49 (2009) 281-295).  Where exp(log_amp) would leave the normal
-    float range, e starts as its binary exponent, so the Gaussian never
-    underflows on its own; both recurrence terms are divided by a power of
-    two, which is exact, before a bound on their growth could overflow.
-    Yields (m_k, e) for k = 0..n; np.ldexp(m_k, e) is the value.
+    xi and log_amp are (S, W): slice s lives on its columns spans[s] = (a, b)
+    and is zero on the others; log_amp is overwritten.  The normalised
+    recurrence h_0 = pi^{-1/4}, h_1 = sqrt(2) xi h_0, h_{k+1} =
+    sqrt(2/(k+1)) xi h_k - sqrt(k/(k+1)) h_{k-1} (DLMF §18.9) runs on
+    m = value * 2^-e with an integer exponent e per point (Bunck, BIT 49
+    (2009) 281-295).  Where exp(log_amp) would
+    leave the normal float range on a slice's columns, e starts there as its
+    binary exponent, so the Gaussian never underflows on its own; elsewhere
+    e stays 0.  A slice's two recurrence terms are divided by a power of
+    two, which is exact, before a bound on their growth over its columns
+    could overflow.  So each slice decides from its own columns alone, as a
+    one-slice call on them would.  Yields (m_k, e) for k = 0..n, (S, W)
+    each; np.ldexp(m_k, e) is the value.  The next step overwrites both.
     """
-    xi_max = float(np.max(np.abs(xi)))
-    amp_hi = float(np.max(log_amp))
-    if LOG_FLOOR < float(np.min(log_amp)) and amp_hi < _RESCALE_LOG:
-        e = 0
-        h = _PI_M14 * np.exp(log_amp)
-        bound = amp_hi - _LOG_PI_4  # ln max(|h_k|, |h_{k-1}|) is at most this
-    else:
-        e = np.floor(log_amp * (1.0 / _LN2))
-        h = _PI_M14 * np.exp(log_amp - e * _LN2)  # below 2 pi^{-1/4} < 2
-        e = e.astype(np.int32)
-        bound = _LN2
+    e = np.zeros(xi.shape, dtype=np.int32)
+    watch = []  # [slice, max |xi|, growth bound] of slices that may overflow
+    for s, (a, b) in enumerate(spans):
+        log_amp[s, :a] = log_amp[s, b:] = -np.inf  # exp(-inf): exact zeros
+        if a == b:
+            continue
+        amp = log_amp[s, a:b]
+        xi_max = float(np.max(np.abs(xi[s, a:b])))
+        amp_hi = float(np.max(amp))
+        if LOG_FLOOR < float(np.min(amp)) and amp_hi < _RESCALE_LOG:
+            bound = amp_hi - _LOG_PI_4  # ln max(|h_k|, |h_{k-1}|) is at most this
+        else:
+            exponent = np.floor(amp * (1.0 / _LN2))
+            amp -= exponent * _LN2  # h_0 below 2 pi^{-1/4} < 2
+            e[s, a:b] = exponent
+            bound = _LN2
+        # max(|h_{k+1}|, |h_k|) <= max(a_k xi_max + b_k, 1) max(|h_k|, |h_{k-1}|),
+        # and a_k xi_max + b_k <= sqrt(2) xi_max + 1 for every k
+        if bound + n * math.log(math.sqrt(2.0) * xi_max + 1.0) > _RESCALE_LOG:
+            watch.append([s, xi_max, bound])
+    h = np.exp(log_amp, out=log_amp)  # log_amp's buffer holds h from here on
+    h *= _PI_M14
     yield h, e
-    # max(|h_{k+1}|, |h_k|) <= max(a_k xi_max + b_k, 1) max(|h_k|, |h_{k-1}|),
-    # and a_k xi_max + b_k <= sqrt(2) xi_max + 1 for every k
-    may_overflow = bound + n * math.log(math.sqrt(2.0) * xi_max + 1.0) > _RESCALE_LOG
-    h_prev = h
+    # three buffers in turn: no step allocates
+    h_prev = np.zeros_like(h)
+    h_next = np.empty_like(h)
     for k in range(n):
         a_k = math.sqrt(2.0 / (k + 1))
         b_k = math.sqrt(k / (k + 1))
-        if may_overflow:
+        for w in watch:
+            s, xi_max, bound = w
             step = math.log(max(a_k * xi_max + b_k, 1.0))
             if bound + step > _RESCALE_LOG:
-                _, ex = np.frexp(np.maximum(np.abs(h), np.abs(h_prev)))
-                h, h_prev = np.ldexp(h, -ex), np.ldexp(h_prev, -ex)
-                e = e + ex
+                _, ex = np.frexp(np.maximum(np.abs(h[s]), np.abs(h_prev[s])))
+                np.ldexp(h[s], -ex, out=h[s])
+                np.ldexp(h_prev[s], -ex, out=h_prev[s])
+                e[s] += ex
                 bound = 0.0
-            bound += step
-        h_next = xi * h  # in place from here on: fewer temporaries
+            w[2] = bound + step
+        np.multiply(xi, h, out=h_next)
         h_next *= a_k
-        h_next -= b_k * h_prev
-        h_prev, h = h, h_next
+        h_prev *= b_k
+        h_next -= h_prev
+        h_prev, h, h_next = h, h_next, h_prev
         yield h, e
 
 
@@ -136,9 +155,10 @@ def state_kernel(x, n, log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phas
 
 
 def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
-                       k_lin, phase0, dphase):
+                       k_lin, phase0, dphase, out=None):
     """Eigenstate samples of the requested orders on the ascending grid x,
-    from one recurrence that runs to max(orders).
+    from one recurrence that runs to max(orders), for one time slice or a
+    stack of them.
 
     With d = x - x_shift and xi = scale * d, row i holds order k = orders[i]:
 
@@ -147,11 +167,20 @@ def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
         * exp(i * (gauss_im * d^2 + k_lin * x + phase0 + k * dphase)),
 
     where h_k = H_k / sqrt(2^k k! sqrt(pi)) is the normalised Hermite
-    polynomial.  Returns the (len(orders), len(x)) rows.  Outside the widest
-    of the requested orders' cutoff radii around x_shift the whole product
-    is below e^LOG_FLOOR, and those samples are exact zeros; inside, the
+    polynomial.  The eight slice parameters (log_norm .. dphase) are all
+    scalars, giving one slice's (len(orders), len(x)) rows, or all 1-D
+    sequences of S slices, giving (S, len(orders), len(x)), entry s the
+    rows of slice s.  out, when given, is that array, filled and returned.
+
+    Each slice keeps its own cutoff window: outside the widest of the
+    requested orders' cutoff radii around its x_shift the whole product is
+    below e^LOG_FLOOR, and those samples are exact zeros.  Inside, the
     exponent-tracked recurrence runs, so no factor over- or underflows on
-    its own.  Orders that are not requested are stepped through, not stored.
+    its own; each slice decides on its window alone whether its exponents
+    need tracking and when to rescale.  One recurrence runs over the union
+    of the windows, and every slice's rows are bit for bit those of a
+    one-slice call with its parameters.  Orders that are not requested are
+    stepped through, not stored.
     """
     x = np.asarray(x, dtype=np.float64)
     orders = [int(k) for k in orders]
@@ -159,19 +188,56 @@ def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
     rows_of = {}  # order -> the rows that hold it
     for i, k in enumerate(orders):
         rows_of.setdefault(k, []).append(i)
-    radius = max(_cutoff_radius(k, log_norm, gauss_re, scale) for k in rows_of)
-    lo = int(np.searchsorted(x, x_shift - radius, side="left"))
-    hi = int(np.searchsorted(x, x_shift + radius, side="right"))
-    rows = np.zeros((len(orders), len(x)), dtype=np.complex128)
-    if hi == lo:
-        return rows
-    xw = x[lo:hi]
+    # (8,) or (8, S); numpy refuses sequences of unequal lengths
+    table = np.array([log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0,
+                      dphase], dtype=np.float64)
+    if table.ndim > 2:
+        raise ValueError("slice parameters must be scalars or 1-D sequences")
+    shape = table.shape[1:] + (len(orders), len(x))
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
+    elif out.shape != shape or out.dtype != np.complex128:
+        raise ValueError(f"out must be a complex128 array of shape {shape}")
+    stack = out if table.ndim == 2 else out[np.newaxis]
+    table = table.reshape(8, -1)
+    windows = []  # (lo, hi) of each slice's cutoff window on x
+    for ln, gr, _, sc, shift, *_ in table.T.tolist():
+        radius = max(_cutoff_radius(k, ln, gr, sc) for k in rows_of)
+        windows.append((int(np.searchsorted(x, shift - radius, side="left")),
+                        int(np.searchsorted(x, shift + radius, side="right"))))
+    live = [w for w in windows if w[0] < w[1]]
+    if not live:
+        stack[...] = 0.0
+        return out
+    a, b = min(lo for lo, _ in live), max(hi for _, hi in live)
+    spans = [(lo - a, hi - a) if lo < hi else (0, 0) for lo, hi in windows]
+    log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0, _ = (
+        table[:, :, np.newaxis])
+    xw = x[a:b]
     d = xw - x_shift
-    base = np.exp(1j * (gauss_im * d * d + k_lin * xw + phase0))
-    recurrence = _hermite_function_rows(n, scale * d, log_norm + gauss_re * d * d)
+    # the row written last holds the common factor until its own turn;
+    # (gauss * d) * d, not gauss * (d * d): the other order rounds
+    # differently and would move every reported number
+    base = stack[:, rows_of[n][-1], a:b]
+    np.multiply(1j, gauss_im * d * d + k_lin * xw + phase0, out=base)
+    np.exp(base, out=base)
+    log_amp = gauss_re * d
+    log_amp *= d
+    log_amp += log_norm
+    d *= scale  # xi from here on: no (S, W) buffer is made twice
+    recurrence = _hermite_function_rows(n, d, log_amp, spans)
+    value = np.empty(d.shape)
+    dphases = table[7].tolist()
     for k, (m, e) in enumerate(recurrence):
-        for i in rows_of.get(k, ()):
-            row = rows[i, lo:hi]
-            np.multiply(base, cmath.exp(1j * (k * dphase)), out=row)
-            row *= np.ldexp(m, e)
-    return rows
+        if k not in rows_of:
+            continue
+        np.ldexp(m, e, out=value)
+        turn = np.array([[cmath.exp(1j * (k * p))] for p in dphases])
+        for i in rows_of[k]:
+            row = stack[:, i, a:b]
+            np.multiply(base, turn, out=row)
+            row *= value
+    for s, (p, q) in enumerate(spans):
+        stack[s, :, :a + p] = 0.0
+        stack[s, :, a + q:] = 0.0
+    return out

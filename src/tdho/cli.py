@@ -16,8 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .classical import (
     QuadratureError,
@@ -31,7 +29,7 @@ from .classical import (
 from .models import CaldirolaKanai, LoDampedPulsating, UnitMassSHO, model_from_json
 from .ode import ODEError
 from .states import dump_state_grid, state_field
-from .transforms import BOUNDARY_RATIO, Grid, policy_grid
+from .transforms import BOUNDARY_RATIO, Grid, _edge_ratio, policy_grid
 from .verify import DegenerateStateError, SuiteContext, report_json, run_suite
 
 __all__ = ["main", "load_scenario", "build_context", "ScenarioError"]
@@ -326,16 +324,14 @@ def _validate_grid(ctx: SuiteContext):
     edges: the largest of its two outermost samples at either end must stay
     below BOUNDARY_RATIO of its peak.
 
-    Two samples, since one may sit on a node: Hermite functions have only
-    simple zeros, so the next sample is not one.  Lower orders decay faster
-    past the largest order's turning point, so its edges bound theirs.
+    Two samples, since one may sit on a node (_edge_ratio).  Lower orders
+    decay faster past the largest order's turning point, so its edges bound
+    theirs.
     """
     f = state_field(ctx.state(max(ctx.ns)))
     xs = ctx.grid.xs()
     for t in ctx.times:
-        mag = np.abs(f(xs, t))
-        peak = float(np.max(mag))
-        ratio = float(np.max(mag[[0, 1, -2, -1]])) / peak if peak > 0.0 else 0.0
+        ratio = _edge_ratio(f(xs, t))
         if ratio >= BOUNDARY_RATIO:
             raise ScenarioError(
                 f"grid {ctx.grid} too small for n={max(ctx.ns)} at t={t}: "

@@ -145,17 +145,22 @@ def _eval_slice(spec: StateSpec, x, t, with_driving: bool):
                         x_shift, k_lin)
 
 
-def state_block(spec: StateSpec, x, t, orders):
-    """The given orders of spec's state at time t on the ascending grid x
-    (spec.n is not read).
+def state_block(spec: StateSpec, x, t, orders, out=None):
+    """The given orders of spec's state at time t, or at each of a 1-D
+    sequence of times, on the ascending grid x (spec.n is not read).
 
     Driven when spec carries a DrivenSolution, as in state_field.  The
-    classical data of the slice is evaluated once and every order comes from
-    one recurrence to max(orders).  Returns the (len(orders), len(x)) rows:
-    rows[i] is psi_{orders[i]} on x.
+    classical data of each slice is evaluated once and every order at every
+    time comes from one recurrence to max(orders).  Returns the
+    (len(orders), len(x)) rows for a scalar t, rows[i] being psi_{orders[i]}
+    on x, and the (len(t), len(orders), len(x)) stack of them for a
+    sequence; out, when given, is that array, filled and returned.
     """
-    params, theta, phase_shift = _slice_params(spec, t, with_driving=True)
-    return state_kernel_block(x, orders, *params, 0.5 * theta + phase_shift, theta)
+    slices = (_slice_params(spec, s, with_driving=True) for s in np.atleast_1d(t))
+    columns = np.array([params + (0.5 * theta + phase_shift, theta)
+                        for params, theta, phase_shift in slices]).T
+    return state_kernel_block(x, orders, *(columns if np.ndim(t) else columns[:, 0]),
+                              out=out)
 
 
 def psi_general(spec: StateSpec, x, t):

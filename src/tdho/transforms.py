@@ -173,13 +173,27 @@ def _lagrange_eval(g: GridFunction, xq: np.ndarray) -> np.ndarray:
     return out
 
 
+def _edge_ratio(values) -> float:
+    """Largest of the two outermost samples at either end over the peak, of
+    the worst row of values (0 for a zero row).
+
+    Two samples, since one may sit on a node: Hermite functions have only
+    simple zeros, so the next sample is not one.
+    """
+    mag = np.abs(values)
+    edge = np.max(mag[..., [0, 1, -2, -1]], axis=-1)
+    peak = np.max(mag, axis=-1)
+    return float(np.max(np.divide(edge, peak, out=np.zeros_like(peak),
+                                  where=peak > 0.0)))
+
+
 def _affine(g: GridFunction, op: str, s=1.0, d=0.0, alpha=0.0, k=0.0, c=0.0):
     """The module's map T, on g's samples and composed into its source.
 
     A pure phase multiplies the samples.  A map that moves support
     re-evaluates the source at s x - d, or Lagrange-reads the samples there,
-    and refuses (GridTooSmallError) a result whose edges reach
-    BOUNDARY_RATIO of its peak.
+    and refuses (GridTooSmallError) a result whose two outermost samples at
+    either end reach BOUNDARY_RATIO of its peak (_edge_ratio).
     """
     moves = s != 1.0 or d != 0.0
     if not moves and alpha == 0.0 and k == 0.0 and c == 0.0:
@@ -200,7 +214,7 @@ def _affine(g: GridFunction, op: str, s=1.0, d=0.0, alpha=0.0, k=0.0, c=0.0):
         return g._with(factor(x) * g.values, source)
     out = g._with(factor(x) * _lagrange_eval(g, s * x - d) if src is None
                   else source(x), source)
-    ratio = out.boundary_ratio()
+    ratio = _edge_ratio(out.values)
     if ratio >= BOUNDARY_RATIO:
         # how much wider the grid must be for the edge samples to decay
         # below threshold, assuming roughly Gaussian tails

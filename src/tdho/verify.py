@@ -13,8 +13,9 @@ guard refuses a state that is not.  Every check returns the measured
 number next to the threshold it was judged against.
 
 The suite's checks read every order a scenario asks for at one time from
-one recurrence: the residual at each of its seven stencil times, the
-uncertainty moments and orthonormality take one state block per time, and
+one recurrence.  The residual reads its seven stencil times from one kernel
+pass into one stack per check, which each t refills; the uncertainty
+moments and orthonormality take one state block per time, and
 so do both sides of the transform chain, whose operators act on the whole
 stack of orders, and of the closed-form agreement and stationarity.  The
 oracles keep their own parameters: the closed forms (psi_*_block) take
@@ -477,16 +478,19 @@ def _n_then_t(ctx: SuiteContext, per_t):
 
 
 def _run_residual(ctx: SuiteContext, overrides) -> list:
-    """Fine and coarse residuals of every order, from one block of ctx.ns at
-    each of the seven stencil times of each t."""
+    """Fine and coarse residuals of every order.  One stencil stack, the
+    block of ctx.ns at each of the seven stencil times, serves the whole
+    check: each t refills it from one kernel pass."""
     tol = _tol(overrides, "tolerance", "residual")
     model = ctx.model
     dt = _residual_dt(model)
     xs = ctx.grid.xs()
     spec = ctx.state(max(ctx.ns))
+    stack = np.empty((len(_STENCIL_STEPS), len(ctx.ns), len(xs)), dtype=np.complex128)
     per_t = []
     for t in ctx.times:
-        at = {k: state_block(spec, xs, t + k * dt, ctx.ns) for k in _STENCIL_STEPS}
+        state_block(spec, xs, [t + k * dt for k in _STENCIL_STEPS], ctx.ns, out=stack)
+        at = dict(zip(_STENCIL_STEPS, stack))
         fine, coarse = _residual_pair(model, xs, t, dt, ctx.hbar, at)
         per_t.append([(float(f), float(c)) for f, c in zip(fine, coarse)])
     return [CheckResult("residual",
@@ -502,10 +506,10 @@ def _run_omega(ctx: SuiteContext, overrides) -> list:
 
 
 def _run_frequency_map(ctx: SuiteContext, overrides) -> list:
+    """Max |w0^2(t) - target| at 512 times, against the constant the model's
+    family reduces to in closed form; a model without one is refused."""
     tol = _tol(overrides, "tolerance", "frequency_map")
     m = ctx.model
-    ts = np.linspace(m.t_min, m.t_max, 512)
-    w02 = np.asarray(reduced_frequency_squared(m, ts), dtype=float)
     if isinstance(m, CaldirolaKanai):
         target = m.w1**2 - 0.25 * m.gamma**2
     elif isinstance(m, LoDampedPulsating):
@@ -513,7 +517,10 @@ def _run_frequency_map(ctx: SuiteContext, overrides) -> list:
     elif isinstance(m, UnitMassSHO):
         target = m.w_s**2
     else:
-        target = float(np.mean(w02))
+        raise ValueError(
+            f"frequency_map has no closed-form reduced frequency for {type(m).__name__}")
+    ts = np.linspace(m.t_min, m.t_max, 512)
+    w02 = np.asarray(reduced_frequency_squared(m, ts), dtype=float)
     measured = float(np.max(np.abs(w02 - target)))
     return [CheckResult("frequency_map", {"target": target}, measured, tol)]
 

@@ -154,6 +154,25 @@ def test_closed_form_of_another_family_is_config_error(tmp_path, capsys, model, 
     assert err.startswith(f"error: closed_form kind {kind!r}") and err.count("\n") == 1
 
 
+def test_frequency_map_without_a_closed_form_target_is_config_error(tmp_path, capsys):
+    """A tabulated model has no closed-form reduced frequency to compare
+    w0^2 with: frequency_map is refused (exit 2), not judged against the
+    mean of w0^2 itself."""
+    ts = np.linspace(0.0, 6.0, 121)
+    model = {"family": "GeneralParametric", "t_min": 0.0, "t_max": 6.0,
+             "params": {"t": ts.tolist(), "M": (1.0 + 0.3 * np.sin(ts)).tolist(),
+                        "dM": (0.3 * np.cos(ts)).tolist(),
+                        "d2M": (-0.3 * np.sin(ts)).tolist(),
+                        "w2": np.ones_like(ts).tolist()}}
+    doc = _scenario_doc(model=model, basis={"kind": "numeric",
+                                            "ics": [1.0, 0.0, 0.0, 1.0]},
+                        states=[0], times=[1.0], checks=["frequency_map"])
+    assert main(["verify", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("configuration error: frequency_map has no closed-form reduced "
+                   "frequency for GeneralParametric\n")
+
+
 _SHO = {"family": "UnitMassSHO", "t_min": -1.0, "t_max": 12.0}
 
 

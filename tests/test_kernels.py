@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermval
 
 import tdho
@@ -22,8 +24,9 @@ def test_backend_is_declared():
 
 def _hermite_rows(n, xi):
     """h_0..h_n at xi from the kernel's normalised recurrence."""
-    rows = _hermite_function_rows(n, xi, np.zeros_like(xi))
-    return [np.ldexp(m, e) for m, e in rows]
+    rows = _hermite_function_rows(n, xi[np.newaxis], np.zeros((1, len(xi))),
+                                  [(0, len(xi))])
+    return [np.ldexp(m, e)[0] for m, e in rows]
 
 
 def _hermite_norm(n):
@@ -162,3 +165,103 @@ def test_block_returns_only_the_requested_orders(driven_ck, orders):
     """Row i is the order orders[i] state through state_kernel, in the given
     order; orders that are not requested are not returned."""
     _block_matches_fields(*driven_ck, orders)
+
+
+# ---------------------------------------------------------------------------
+# stacks of time slices
+# ---------------------------------------------------------------------------
+
+def _stacked_is_per_slice(x, orders, slices, out=None):
+    """A stacked call over the slices (each the 8 parameters log_norm ..
+    dphase) holds, slice by slice, the bytes of a one-slice call."""
+    got = kernels.state_kernel_block(x, orders, *(list(c) for c in zip(*slices)),
+                                     out=out)
+    assert got.shape == (len(slices), len(orders), len(x))
+    for s, params in enumerate(slices):
+        assert got[s].tobytes() == kernels.state_kernel_block(x, orders,
+                                                              *params).tobytes()
+    return got
+
+
+def _support(rows):
+    live = np.nonzero(np.any(rows != 0.0, axis=0))[0]
+    return int(live[0]), int(live[-1])
+
+
+def test_stacked_slices_keep_their_own_windows(driven_ck):
+    """Slices whose cutoff windows differ (distinct x_shift) share one pass;
+    each is zero outside its own window.  The residual's seven stencil
+    times of a driven state are such a stack."""
+    x = np.linspace(-12.0, 12.0, 2001)
+    slices = [(-0.2, -50.0, 0.3, 10.0, shift, 0.4, 0.1, 1.3) for shift in (-5.0, 0.5, 5.0)]
+    got = _stacked_is_per_slice(x, [0, 3, 9], slices)
+    supports = [_support(rows) for rows in got]
+    assert len(set(supports)) == 3 and all(0 < a < b < len(x) - 1 for a, b in supports)
+
+    basis, driven = driven_ck
+    spec = StateSpec(12, 1.0, basis, driven)
+    grid = policy_grid(basis, 12, driven=driven, times=[1.0], points=4096)
+    xs = grid.xs()
+    times = [1.0 + k * 0.05 for k in (0, 1, -1, 2, -2, 4, -4)]
+    stack = state_block(spec, xs, times, [12, 0, 5])
+    for t, rows in zip(times, stack):
+        assert rows.tobytes() == state_block(spec, xs, t, [12, 0, 5]).tobytes()
+    assert len({_support(rows) for rows in stack}) > 1
+
+
+def test_stacked_fast_and_exponent_tracked_slices():
+    """A slice whose Gaussian stays in the normal range on its window (the
+    fast path) beside one whose own-window log amplitude falls below
+    LOG_FLOOR (exponents tracked): each keeps its own decision."""
+    x = np.linspace(-10.0, 10.0, 1025)
+    fast = (0.0, -0.5, 0.2, 1.0, 0.0, 0.0, 0.3, 0.7)
+    tracked = (-680.0, -0.5, -0.2, 1.0, 0.5, 0.1, -0.4, 1.1)
+    got = _stacked_is_per_slice(x, [64, 7], [fast, tracked, fast])
+    for params, rows, is_tracked in ((fast, got[0], False), (tracked, got[1], True)):
+        log_norm, gauss_re, x_shift = params[0], params[1], params[4]
+        a, b = _support(rows)
+        d2 = float(np.max((x[[a, b]] - x_shift) ** 2))
+        assert (log_norm + gauss_re * d2 < kernels._ref.LOG_FLOOR) == is_tracked
+
+
+def test_stacked_slices_on_the_rescale_path():
+    """Orders past 300 rescale the recurrence; each slice rescales on its
+    own bound, and its rows stay those of a one-slice call."""
+    x = np.linspace(-40.0, 40.0, 4097)
+    slices = [(0.0, -0.5 * sc * sc, 0.1, sc, 0.2 * sc, 0.0, 0.0, 0.5)
+              for sc in (1.0, 1.1, 0.9)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _stacked_is_per_slice(x, [301, 0, 120], slices)
+    assert np.all(np.isfinite(got)) and np.any(got[:, 0] != 0.0)
+
+
+def test_stacked_call_fills_out():
+    """out= is filled whole, garbage and all, and returned; a scalar call
+    fills a (rows, points) out the same way."""
+    x = np.linspace(-8.0, 8.0, 513)
+    slices = [(-0.3, -0.8, 0.4, 1.1, shift, 0.2, 0.7, 1.5) for shift in (-3.0, 2.5)]
+    out = np.full((2, 3, len(x)), np.nan + 1j * np.nan)
+    assert _stacked_is_per_slice(x, [4, 0, 4], slices, out=out) is out
+    one = np.full((3, len(x)), np.nan + 0j)
+    got = kernels.state_kernel_block(x, [4, 0, 4], *slices[1], out=one)
+    assert got is one
+    assert one.tobytes() == kernels.state_kernel_block(x, [4, 0, 4], *slices[1]).tobytes()
+    with pytest.raises(ValueError):
+        kernels.state_kernel_block(x, [4], *slices[1], out=np.empty((2, 1, len(x)),
+                                                                      complex))
+
+
+_slice = st.tuples(
+    st.floats(-720.0, 5.0), st.floats(-2.0, -0.05), st.floats(-1.0, 1.0),
+    st.floats(0.3, 2.0), st.floats(-6.0, 6.0), st.floats(-2.0, 2.0),
+    st.floats(-10.0, 10.0), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(slices=st.lists(_slice, min_size=1, max_size=8),
+       orders=st.lists(st.integers(0, 64), min_size=1, max_size=4))
+def test_stacked_call_is_one_call_per_slice(slices, orders):
+    """Any stack of 1-8 slices and any orders up to 64: bit for bit the
+    one-slice calls."""
+    _stacked_is_per_slice(np.linspace(-8.0, 8.0, 257), orders, slices)

@@ -23,6 +23,7 @@ from tdho.transforms import (
     hnew_coefficients,
     policy_grid,
     sample_on_grid,
+    _lagrange_eval,
     unit_mass_parameters,
 )
 
@@ -123,31 +124,45 @@ def test_interpolated_path_accuracy():
 
 
 def test_lagrange_read_reproduces_a_quintic():
-    """A complex degree-5 polynomial sampled without a source comes back to
-    rounding through translation and dilation, up to the last samples at
-    either edge; every read outside the span is an exact zero."""
+    """A complex degree-5 polynomial is read back to rounding at the query
+    points of a translation and a dilation, up to the last samples at either
+    edge; every read outside the span is an exact zero.  The reads go to
+    the reader itself: a polynomial is not negligible next to its edges, so
+    the support guard refuses the maps themselves."""
     grid = Grid(-1.0, 1.0, 64)
     x, dx = grid.xs(), grid.dx
     d, a = 1.37 * dx, 0.3 * dx
-    # roots where the translated edge samples read, so both translations
-    # keep compliant edges
     coeffs = (0.8 - 0.3j) * np.poly([grid.x_min + d, grid.x_max - d,
                                      0.3 + 0.2j, -0.5 - 0.1j, 0.7j])
     gf = GridFunction(grid.x_min, dx, np.polyval(coeffs, x), 0.0)
     peak = np.max(np.abs(gf.values))
-    cases = [
-        (apply_translation(gf, d), x - d, 1.0),
-        (apply_translation(gf, -d), x + d, 1.0),
-        (apply_dilation(gf, a), np.exp(a) * x, np.exp(0.5 * a)),
-    ]
-    for out, xq, scale in cases:
+    for xq in (x - d, x + d, np.exp(a) * x):
+        out = _lagrange_eval(gf, xq)
         inside = (xq >= grid.x_min) & (xq <= grid.x_max)
         assert not inside.all()
-        assert np.all(out.values[~inside] == 0.0)
+        assert np.all(out[~inside] == 0.0)
         assert xq[inside].min() < grid.x_min + 2.0 * dx
         assert xq[inside].max() > grid.x_max - 2.0 * dx
-        err = np.abs(out.values[inside] - scale * np.polyval(coeffs, xq[inside]))
+        err = np.abs(out[inside] - np.polyval(coeffs, xq[inside]))
         assert np.max(err) < 1e-12 * peak
+    with pytest.raises(GridTooSmallError):
+        apply_translation(gf, d)
+
+
+def _psi_1(x, t):
+    return np.sqrt(2.0) * np.pi**-0.25 * x * np.exp(-0.5 * x * x)
+
+
+@pytest.mark.parametrize("attach_source", [True, False], ids=["source", "lagrange"])
+@pytest.mark.parametrize("d", [10.0, 9.9])
+def test_support_guard_sees_a_node_on_the_edge(d, attach_source):
+    """psi_1 translated by d = 10 on [-10, 10] has its node on the last
+    sample and half its norm off the grid; the sample next to it is not
+    small, so the map is refused, like the one that stops 0.1 short."""
+    g = sample_on_grid(_psi_1, Grid(-10.0, 10.0, 4096), 0.0,
+                       attach_source=attach_source)
+    with pytest.raises(GridTooSmallError):
+        apply_translation(g, d)
 
 
 def test_support_guard_raises():
