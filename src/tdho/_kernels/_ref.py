@@ -91,10 +91,12 @@ def _hermite_function_rows(n, xi, log_amp, spans):
     e stays 0.  A slice's two recurrence terms are divided by a power of
     two, which is exact, before a bound on their growth over its columns
     could overflow.  So each slice decides from its own columns alone, as a
-    one-slice call on them would.  Yields (m_k, e) for k = 0..n, (S, W)
-    each; np.ldexp(m_k, e) is the value.  The next step overwrites both.
+    one-slice call on them would.  Yields (m_k, e) for k = 0..n, m_k (S, W)
+    and e (S, W), or the int 0 when no slice tracks exponents;
+    np.ldexp(m_k, e) is the value.  The next step overwrites both.
     """
     e = np.zeros(xi.shape, dtype=np.int32)
+    tracked = False
     watch = []  # [slice, max |xi|, growth bound] of slices that may overflow
     for s, (a, b) in enumerate(spans):
         log_amp[s, :a] = log_amp[s, b:] = -np.inf  # exp(-inf): exact zeros
@@ -109,11 +111,14 @@ def _hermite_function_rows(n, xi, log_amp, spans):
             exponent = np.floor(amp * (1.0 / _LN2))
             amp -= exponent * _LN2  # h_0 below 2 pi^{-1/4} < 2
             e[s, a:b] = exponent
+            tracked = True
             bound = _LN2
         # max(|h_{k+1}|, |h_k|) <= max(a_k xi_max + b_k, 1) max(|h_k|, |h_{k-1}|),
         # and a_k xi_max + b_k <= sqrt(2) xi_max + 1 for every k
         if bound + n * math.log(math.sqrt(2.0) * xi_max + 1.0) > _RESCALE_LOG:
             watch.append([s, xi_max, bound])
+    if not (tracked or watch):
+        e = 0  # every exponent stays 0, and ldexp(m, 0) is m
     h = np.exp(log_amp, out=log_amp)  # log_amp's buffer holds h from here on
     h *= _PI_M14
     yield h, e
@@ -172,9 +177,17 @@ def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
     sequences of S slices, giving (S, len(orders), len(x)), entry s the
     rows of slice s.  out, when given, is that array, filled and returned.
 
-    Each slice keeps its own cutoff window: outside the widest of the
-    requested orders' cutoff radii around its x_shift the whole product is
-    below e^LOG_FLOOR, and those samples are exact zeros.  Inside, the
+    Each slice keeps its own cutoff window: outside the cutoff radius of
+    n = max(orders) around its x_shift every requested order is below
+    e^LOG_FLOOR, and those samples are exact zeros.  One solve serves all
+    orders, as _cutoff_radius grows with n.  Its Cramér radius does not
+    depend on n; its U1 radius R_n is the first d >= sqrt(n / 2a), a =
+    -gauss_re, where excess E_n(d) <= 0, and E_n falls from there on.  With
+    xi = scale d, u = 2 xi^2 / (n + 1) and k = (2n + 1) / (2n + 2) >= 1/2,
+    E_{n+1}(d) - E_n(d) = ln u / 2 + k / u >= (ln 2k + 1) / 2 >= 1/2 for
+    every d (least at u = 2k).  So E_n(R_{n+1}) < E_{n+1}(R_{n+1}) <= 0 at
+    R_{n+1} >= sqrt((n + 1) / 2a): R_n <= R_{n+1}, apart by far more than
+    the root solve's relative tolerance of 1e-9.  Inside, the
     exponent-tracked recurrence runs, so no factor over- or underflows on
     its own; each slice decides on its window alone whether its exponents
     need tracking and when to rescale.  One recurrence runs over the union
@@ -202,7 +215,7 @@ def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
     table = table.reshape(8, -1)
     windows = []  # (lo, hi) of each slice's cutoff window on x
     for ln, gr, _, sc, shift, *_ in table.T.tolist():
-        radius = max(_cutoff_radius(k, ln, gr, sc) for k in rows_of)
+        radius = _cutoff_radius(n, ln, gr, sc)  # bounds every lower order's
         windows.append((int(np.searchsorted(x, shift - radius, side="left")),
                         int(np.searchsorted(x, shift + radius, side="right"))))
     live = [w for w in windows if w[0] < w[1]]
@@ -219,24 +232,31 @@ def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
     # (gauss * d) * d, not gauss * (d * d): the other order rounds
     # differently and would move every reported number
     base = stack[:, rows_of[n][-1], a:b]
-    np.multiply(1j, gauss_im * d * d + k_lin * xw + phase0, out=base)
+    phase = gauss_im * d
+    phase *= d
+    phase += k_lin * xw
+    phase += phase0
+    np.multiply(1j, phase, out=base)
     np.exp(base, out=base)
-    log_amp = gauss_re * d
+    log_amp = np.multiply(gauss_re, d, out=phase)
     log_amp *= d
     log_amp += log_norm
     d *= scale  # xi from here on: no (S, W) buffer is made twice
     recurrence = _hermite_function_rows(n, d, log_amp, spans)
-    value = np.empty(d.shape)
+    value = np.empty(b - a)
     dphases = table[7].tolist()
     for k, (m, e) in enumerate(recurrence):
         if k not in rows_of:
             continue
-        np.ldexp(m, e, out=value)
-        turn = np.array([[cmath.exp(1j * (k * p))] for p in dphases])
-        for i in rows_of[k]:
-            row = stack[:, i, a:b]
-            np.multiply(base, turn, out=row)
-            row *= value
+        # slice by slice on its own window: no (S, W) buffer for ldexp or cast
+        for s, ((p, q), dphase) in enumerate(zip(spans, dphases)):
+            v = m[s, p:q] if np.ndim(e) == 0 else np.ldexp(m[s, p:q], e[s, p:q],
+                                                           out=value[p:q])
+            turn = cmath.exp(1j * (k * dphase))
+            for i in rows_of[k]:
+                row = stack[s, i, a + p:a + q]
+                np.multiply(base[s, p:q], turn, out=row)
+                row *= v
     for s, (p, q) in enumerate(spans):
         stack[s, :, :a + p] = 0.0
         stack[s, :, a + q:] = 0.0

@@ -281,12 +281,9 @@ def solve_homogeneous(
         )
 
     def rhs(t, y):
-        M = model.mass(t)
-        r = model.dmass(t) / M
-        w2 = model.freq2(t)
-        return np.array(
-            [y[1], -r * y[1] - w2 * y[0], y[3], -r * y[3] - w2 * y[2]]
-        )
+        _, r, w2, _ = model.ode_terms(t)
+        u, du, v, dv = y.tolist()
+        return np.array([du, -r * du - w2 * u, dv, -r * dv - w2 * v])
 
     sol = solve_ode(
         rhs, t0, [u0, du0, v0, dv0], model.t_min, model.t_max,
@@ -348,9 +345,8 @@ def null_driven(model: OscillatorModel) -> DrivenSolution:
     return DrivenSolution(read, model.t_min, model)
 
 
-def _delta_rate(model, t, xp, dxp):
-    M = model.mass(t)
-    return 0.5 * M * model.freq2(t) * xp * xp - 0.5 * M * dxp * dxp
+def _delta_rate(M, w2, xp, dxp):
+    return 0.5 * M * w2 * xp * xp - 0.5 * M * dxp * dxp
 
 
 @functools.lru_cache(maxsize=None)
@@ -430,17 +426,9 @@ def solve_particular(
     model.check_domain(t0)
 
     def rhs(t, y):
-        M = model.mass(t)
-        r = model.dmass(t) / M
-        w2 = model.freq2(t)
-        F = model.force_at(t)
-        return np.array(
-            [
-                y[1],
-                F / M - r * y[1] - w2 * y[0],
-                _delta_rate(model, t, y[0], y[1]),
-            ]
-        )
+        M, r, w2, F = model.ode_terms(t)
+        xp, dxp, _ = y.tolist()
+        return np.array([dxp, F / M - r * dxp - w2 * xp, _delta_rate(M, w2, xp, dxp)])
 
     sol = solve_ode(
         rhs, t0, [xp0, dxp0, 0.0], model.t_min, model.t_max,
@@ -472,7 +460,8 @@ def shift_particular(
         return xp + c * u, dxp + c * du
 
     def rate(t):
-        return _delta_rate(model, t, *path(t))
+        xp, dxp = path(t)
+        return _delta_rate(model.mass(t), model.freq2(t), xp, dxp)
 
     delta = _panel_integral(rate, driven.t0, model.t_min, model.t_max,
                             _panel_width(model))

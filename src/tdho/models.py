@@ -229,6 +229,13 @@ class OscillatorModel:
     def freq2(self, t):
         raise NotImplementedError
 
+    def ode_terms(self, t):
+        """(M, Mdot/M, w^2, F) at one time t as floats: everything a step of
+        the trajectory ODEs reads of the model."""
+        M = self.mass(t)
+        return (float(M), float(self.dmass(t) / M), float(self.freq2(t)),
+                float(self.force_at(t)))
+
     # ---------------------------------------------------------------------
     def check_domain(self, t):
         t = np.asarray(t)
@@ -288,6 +295,9 @@ class UnitMassSHO(OscillatorModel):
     def freq2(self, t):
         return self.w_s**2 if np.isscalar(t) else np.full(np.shape(t), self.w_s**2)
 
+    def ode_terms(self, t):
+        return 1.0, 0.0, self.w_s**2, float(self.force_at(t))
+
     def params(self):
         return {"w_s": self.w_s}
 
@@ -317,6 +327,11 @@ class CaldirolaKanai(OscillatorModel):
 
     def freq2(self, t):
         return self.w1**2 if np.isscalar(t) else np.full(np.shape(t), self.w1**2)
+
+    def ode_terms(self, t):
+        M = self.m * math.exp(self.gamma * t)
+        # (gamma M) / M, as dmass / mass rounds it, not gamma
+        return M, self.gamma * M / M, self.w1**2, float(self.force_at(t))
 
     def params(self):
         return {"m": self.m, "gamma": self.gamma, "w1": self.w1}
@@ -376,6 +391,16 @@ class LoDampedPulsating(OscillatorModel):
 
     def freq2(self, t):
         return lo_frequency_squared(self.m0, self.gamma, self.mu, self.nu, self.w_lo, t)
+
+    def ode_terms(self, t):
+        # mass, dmass and freq2 term for term, from one sine and one cosine
+        t = float(t)
+        nt = self.nu * t
+        sin, cos = float(np.sin(nt)), float(np.cos(nt))
+        M = float(self.m0 * np.exp(2.0 * (self.gamma * t + self.mu * sin)))
+        dg = self.gamma + self.mu * self.nu * cos
+        d2g = -self.mu * self.nu**2 * sin
+        return M, 2.0 * dg * M / M, self.w_lo**2 + dg * dg + d2g, float(self.force_at(t))
 
     def params(self):
         return {

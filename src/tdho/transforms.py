@@ -165,10 +165,14 @@ def _lagrange_eval(g: GridFunction, xq: np.ndarray) -> np.ndarray:
     weights = np.stack(
         [np.prod(d[:, offsets != k], axis=1) for k in range(6)], axis=1
     ) / _LAGRANGE_DENOM
-    # summed term by term, in one order for every row
-    acc = weights[:, 0] * g.values[..., first]
+    del d
+    # summed term by term, in one order for every row; each term is read
+    # into one buffer
+    term = np.empty(g.values.shape[:-1] + first.shape, dtype=g.values.dtype)
+    acc = weights[:, 0] * np.take(g.values, first, axis=-1, out=term)
     for k in range(1, 6):
-        acc += weights[:, k] * g.values[..., first + k]
+        acc += np.multiply(weights[:, k], np.take(g.values, first + k, axis=-1, out=term),
+                           out=term)
     out[..., inside] = acc
     return out
 

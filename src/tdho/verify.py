@@ -13,14 +13,14 @@ guard refuses a state that is not.  Every check returns the measured
 number next to the threshold it was judged against.
 
 The suite's checks read every order a scenario asks for at one time from
-one recurrence.  The residual reads its seven stencil times from one kernel
-pass into one stack per check, which each t refills; the uncertainty
-moments and orthonormality take one state block per time, and
-so do both sides of the transform chain, whose operators act on the whole
-stack of orders, and of the closed-form agreement and stationarity.  The
-oracles keep their own parameters: the closed forms (psi_*_block) take
-their slice from their closed formulas, never from the basis, and only
-share the recurrence; delta_legacy stays an independent integral.
+one recurrence, and each run_suite call evaluates the scenario's state at
+its times once, for every check that reads it (see run_suite).  The
+residual reads its six other stencil times from one kernel pass into one
+stack per check, which each t refills; other states are one block per
+time, on which the chain's operators act whole.  The oracles keep their
+own parameters: the closed forms (psi_*_block) take their slice from their
+closed formulas, never from the basis, and only share the recurrence;
+delta_legacy stays an independent integral.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .transforms import (
     Grid,
     GridFunction,
     GridTooSmallError,
+    _edge_ratio,
     apply_U0_dagger,
     apply_UF,
     sample_on_grid,
@@ -108,15 +109,16 @@ def _nondegenerate(size, name: str, where: str, undefined: str):
 # finite-difference stencil (fourth order)
 # ---------------------------------------------------------------------------
 
-def _d2(values: np.ndarray, dx: float) -> np.ndarray:
+def _d2(values: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
     """Fourth-order second derivative (five-point stencil) along the last
-    axis, zeroed edges."""
-    out = np.zeros_like(values)
-    out[..., 2:-2] = (
-        -30.0 * values[..., 2:-2]
-        + 16.0 * (values[..., 3:-1] + values[..., 1:-3])
-        - (values[..., 4:] + values[..., :-4])
-    ) / (12.0 * dx * dx)
+    axis, zeroed edges, formed in out."""
+    out[..., :2] = out[..., -2:] = 0.0
+    inner = out[..., 2:-2]
+    np.multiply(-30.0, values[..., 2:-2], out=inner)
+    pair = values[..., 3:-1] + values[..., 1:-3]
+    inner += np.multiply(16.0, pair, out=pair)
+    inner -= np.add(values[..., 4:], values[..., :-4], out=pair)
+    inner /= 12.0 * dx * dx
     return out
 
 
@@ -189,14 +191,15 @@ def _resolved_spectrum(g: GridFunction, what: str) -> np.ndarray:
     Such sums converge exponentially only while a state is negligible at
     both edges of the grid and near the Nyquist wavenumber.  Refused, in
     this order: a row that is zero or not finite (DegenerateStateError), a
-    row whose edge samples, or whose three DFT bins around the Nyquist
-    wavenumber, reach BOUNDARY_RATIO of its peak (GridTooSmallError).
+    row whose two outermost samples at either end (_edge_ratio: one may sit
+    on a node), or whose three DFT bins around the Nyquist wavenumber, reach
+    BOUNDARY_RATIO of its peak (GridTooSmallError).
     """
     values = g.values
     points = values.shape[-1]
     _nondegenerate(np.sum(np.abs(values) ** 2, axis=-1), f"{what}: ‖psi‖²",
                    f" at t = {g.t}", "its sum over the grid")
-    ratio = g.boundary_ratio()
+    ratio = _edge_ratio(values)
     if ratio >= BOUNDARY_RATIO:
         raise GridTooSmallError(
             f"{what}: state not resolved at t = {g.t} on {points} points: "
@@ -264,31 +267,40 @@ def _residual_dt(model) -> float:
     return 1e-3 * 2.0 * math.pi / frequency_scale(model)
 
 
-def _residual_once(model, x, t, dt, hbar, psi, f_p1, f_m1, f_p2, f_m2):
+def _residual_once(model, x, t, dt, hbar, psi, f_p1, f_m1, f_p2, f_m2, work):
     """Relative L2 residuals of the rows (..., len(x)) sampled at t, t ± dt
-    and t ± 2dt, one per row."""
+    and t ± 2dt, one per row, formed in place: H psi in work, the time
+    derivative in f_p1 and f_m1, which are overwritten."""
     dx = x[1] - x[0]
-    dpsi_dt = (8.0 * (f_p1 - f_m1) - (f_p2 - f_m2)) / (12.0 * dt)
     M = float(model.mass(t))
     w2 = float(model.freq2(t))
     F = float(model.force_at(t))
-    h_psi = (
-        -(hbar * hbar) / (2.0 * M) * _d2(psi, dx)
-        + (0.5 * M * w2 * x * x - x * F) * psi
-    )
+    h_psi = _d2(psi, dx, work)
+    np.multiply(-(hbar * hbar) / (2.0 * M), h_psi, out=h_psi)
+    h_psi += (0.5 * M * w2 * x * x - x * F) * psi
     h_norm = _nondegenerate(np.linalg.norm(h_psi, axis=-1), "‖H psi‖",
                             f" at t = {t} on {len(x)} points", "its residual")
-    o_psi = 1j * hbar * dpsi_dt - h_psi
+    o_psi = np.subtract(f_p1, f_m1, out=f_p1)
+    np.multiply(8.0, o_psi, out=o_psi)
+    o_psi -= np.subtract(f_p2, f_m2, out=f_m1)
+    o_psi /= 12.0 * dt
+    np.multiply(1j * hbar, o_psi, out=o_psi)
+    o_psi -= h_psi
     return np.linalg.norm(o_psi, axis=-1) / h_norm
 
 
-def _residual_pair(model, x, t, dt, hbar, at):
+def _residual_pair(model, x, t, dt, hbar, at, work):
     """(fine, coarse) residuals of the rows at[k], sampled at t + k dt on x
     for each k in _STENCIL_STEPS.  The coarse stencil steps (2dt, 2dx): it
-    reads every other sample at t, t ± 2dt, t ± 4dt."""
-    fine = _residual_once(model, x, t, dt, hbar, at[0], at[1], at[-1], at[2], at[-2])
+    reads every other sample at t, t ± 2dt, t ± 4dt.  The fine stencil
+    overwrites at[±1], and the coarse one every other sample of at[±2] once
+    the fine one has read them; at[0] is only read.  work, shaped like
+    at[0], takes H psi."""
+    fine = _residual_once(model, x, t, dt, hbar, at[0], at[1], at[-1], at[2], at[-2],
+                          work)
     coarse = _residual_once(model, x[::2], t, 2 * dt, hbar,
-                            *(at[k][..., ::2] for k in (0, 2, -2, 4, -4)))
+                            *(at[k][..., ::2] for k in (0, 2, -2, 4, -4)),
+                            work[..., ::2])
     return fine, coarse
 
 
@@ -312,8 +324,11 @@ def schrodinger_residual(field, model, grid, t, dt=None, hbar=None) -> ResidualR
         dt = _residual_dt(model)
     model.check_domain(t - 4 * dt)
     model.check_domain(t + 4 * dt)
-    at = {k: np.asarray(field(x, t + k * dt)) for k in _STENCIL_STEPS}
-    fine, coarse = (float(r) for r in _residual_pair(model, x, t, dt, hbar, at))
+    # fresh complex copies: _residual_pair overwrites some of them
+    at = {k: np.array(field(x, t + k * dt), dtype=np.complex128)
+          for k in _STENCIL_STEPS}
+    fine, coarse = (float(r) for r in _residual_pair(model, x, t, dt, hbar, at,
+                                                     np.empty_like(at[0])))
     return ResidualReport(
         rel_l2_residual=fine,
         points=len(x),
@@ -441,7 +456,8 @@ class SuiteContext:
     """Prepared inputs one scenario's checks run against.
 
     `closed_form_C` is the pulsation parameter C of the closed-form state of
-    the model's family (None: no closed form to compare with).
+    the model's family (None: no closed form to compare with).  No state
+    evaluated from it is kept here (see run_suite).
     """
 
     basis: object
@@ -477,21 +493,24 @@ def _n_then_t(ctx: SuiteContext, per_t):
             yield n, t, per_t[j][i]
 
 
-def _run_residual(ctx: SuiteContext, overrides) -> list:
-    """Fine and coarse residuals of every order.  One stencil stack, the
-    block of ctx.ns at each of the seven stencil times, serves the whole
-    check: each t refills it from one kernel pass."""
+def _run_residual(ctx: SuiteContext, overrides, rows) -> list:
+    """Fine and coarse residuals of every order.  The centre of the stencil
+    at each t is the run's shared block; one stack per check takes the
+    other six stencil times, which each t refills from one kernel pass, and
+    H psi."""
     tol = _tol(overrides, "tolerance", "residual")
     model = ctx.model
     dt = _residual_dt(model)
     xs = ctx.grid.xs()
     spec = ctx.state(max(ctx.ns))
+    off_centre = _STENCIL_STEPS[1:]
+    # slice 0 takes H psi; the rest, the off-centre stencil times
     stack = np.empty((len(_STENCIL_STEPS), len(ctx.ns), len(xs)), dtype=np.complex128)
     per_t = []
-    for t in ctx.times:
-        state_block(spec, xs, [t + k * dt for k in _STENCIL_STEPS], ctx.ns, out=stack)
-        at = dict(zip(_STENCIL_STEPS, stack))
-        fine, coarse = _residual_pair(model, xs, t, dt, ctx.hbar, at)
+    for t, centre in zip(ctx.times, rows()):
+        state_block(spec, xs, [t + k * dt for k in off_centre], ctx.ns, out=stack[1:])
+        at = {0: centre, **dict(zip(off_centre, stack[1:]))}
+        fine, coarse = _residual_pair(model, xs, t, dt, ctx.hbar, at, stack[0])
         per_t.append([(float(f), float(c)) for f, c in zip(fine, coarse)])
     return [CheckResult("residual",
                         {"n": n, "t": t, "order": round(_order(fine, coarse), 2)},
@@ -499,13 +518,13 @@ def _run_residual(ctx: SuiteContext, overrides) -> list:
             for n, t, (fine, coarse) in _n_then_t(ctx, per_t)]
 
 
-def _run_omega(ctx: SuiteContext, overrides) -> list:
+def _run_omega(ctx: SuiteContext, overrides, rows) -> list:
     tol = _tol(overrides, "tolerance", "omega_constancy")
     measured = check_omega_constancy(ctx.basis)
     return [CheckResult("omega_constancy", {}, measured, tol)]
 
 
-def _run_frequency_map(ctx: SuiteContext, overrides) -> list:
+def _run_frequency_map(ctx: SuiteContext, overrides, rows) -> list:
     """Max |w0^2(t) - target| at 512 times, against the constant the model's
     family reduces to in closed form; a model without one is refused."""
     tol = _tol(overrides, "tolerance", "frequency_map")
@@ -525,26 +544,25 @@ def _run_frequency_map(ctx: SuiteContext, overrides) -> list:
     return [CheckResult("frequency_map", {"target": target}, measured, tol)]
 
 
-def _run_transform_chain(ctx: SuiteContext, overrides) -> list:
+def _run_transform_chain(ctx: SuiteContext, overrides, rows) -> list:
     """Both chain paths of every order per t: one block of the companion
     state (g0, shared by the paths) goes through U0_dagger and U_F as a
-    whole, and is compared with one block of the direct state.  The exact
-    path's source re-evaluates the companion block at the query points."""
+    whole, and is compared with the direct state, the run's shared block
+    (undriven, it is the state over null_driven).  The exact path's source
+    re-evaluates the companion block at the query points."""
     tol_i = _tol(overrides, "tolerance", "transform_chain")
     tol_e = _tol(overrides, "tolerance_exact", "transform_chain_exact")
     driven = ctx.driven if ctx.driven is not None else null_driven(ctx.model)
     n_top = max(ctx.ns)
     companion = StateSpec(n_top, ctx.hbar, reduced_basis(ctx.basis))
-    direct_spec = StateSpec(n_top, ctx.hbar, ctx.basis, driven)
     grid = ctx.grid
     xs = grid.xs()
     per_t = []
-    for t in ctx.times:
+    for t, direct in zip(ctx.times, rows()):
         g0 = GridFunction(grid.x_min, grid.dx, state_block(companion, xs, t, ctx.ns),
                           t, ctx.hbar)
         g0_exact = g0._with(g0.values, functools.partial(
             state_block, companion, t=t, orders=ctx.ns))
-        direct = state_block(direct_spec, xs, t, ctx.ns)
         interp = _chain_distance(driven, t, g0, direct)
         exact = _chain_distance(driven, t, g0_exact, direct)
         per_t.append([(float(i), float(e)) for i, e in zip(interp, exact)])
@@ -574,43 +592,41 @@ def _closed_form(ctx: SuiteContext):
         f"closed_form_agreement has no closed form for {type(m).__name__}")
 
 
-def _run_closed_form(ctx: SuiteContext, overrides) -> list:
-    """The closed-form block of ctx.ns against the general state's block,
-    one of each per t."""
+def _run_closed_form(ctx: SuiteContext, overrides, rows) -> list:
+    """The closed-form block of ctx.ns against the undriven general state's
+    block, one of each per t; undriven, that is the run's shared block."""
     tol = _tol(overrides, "tolerance", "closed_form_agreement")
     closed = _closed_form(ctx)
-    general = StateSpec(max(ctx.ns), ctx.hbar, ctx.basis)
     xs = ctx.grid.xs()
+    blocks = rows() if ctx.driven is None else state_block(
+        StateSpec(max(ctx.ns), ctx.hbar, ctx.basis), xs, ctx.times, ctx.ns)
     per_t = []
-    for t in ctx.times:
-        rows = state_block(general, xs, t, ctx.ns)
+    for t, block in zip(ctx.times, blocks):
         per_t.append([phase_aligned_distance(want, row)
-                      for want, row in zip(closed(xs, t), rows)])
+                      for want, row in zip(closed(xs, t), block)])
     return [CheckResult("closed_form_agreement", {"n": n, "t": t}, d, tol)
             for n, t, d in _n_then_t(ctx, per_t)]
 
 
-def _block_moments(spec: StateSpec, grid: Grid, t, orders) -> list:
-    """moments of each order at t, read from one block; the block is freed
-    on return, so callers hold one at a time."""
-    return [moments(GridFunction(grid.x_min, grid.dx, row, t, spec.hbar))
-            for row in state_block(spec, grid.xs(), t, orders)]
+def _block_moments(block, grid: Grid, t, hbar) -> list:
+    """moments of each row of one block at t on grid."""
+    return [moments(GridFunction(grid.x_min, grid.dx, row, t, hbar)) for row in block]
 
 
-def _run_uncertainty(ctx: SuiteContext, overrides) -> list:
+def _run_uncertainty(ctx: SuiteContext, overrides, rows) -> list:
     """Driven against undriven moments of every order per t, on the
-    scenario's grid: equal variances, <x> shifted by x_p, <p> by M xdot_p."""
+    scenario's grid: equal variances, <x> shifted by x_p, <p> by M xdot_p.
+    The driven block is the run's shared one."""
     tol = _tol(overrides, "tolerance", "uncertainty")
     if ctx.driven is None:
         raise ValueError("uncertainty check needs a driven scenario")
     grid = ctx.grid
-    n_top = max(ctx.ns)
-    driven_spec = ctx.state(n_top)
-    plain_spec = ctx.state(n_top, driven=null_driven(ctx.model))
+    plain_spec = ctx.state(max(ctx.ns), driven=null_driven(ctx.model))
     per_t = []
-    for t in ctx.times:
-        m_driven = _block_moments(driven_spec, grid, t, ctx.ns)
-        m_plain = _block_moments(plain_spec, grid, t, ctx.ns)
+    for t, driven_block in zip(ctx.times, rows()):
+        m_driven = _block_moments(driven_block, grid, t, ctx.hbar)
+        m_plain = _block_moments(state_block(plain_spec, grid.xs(), t, ctx.ns), grid, t,
+                                 ctx.hbar)
         xp, dxp, _ = (float(q) for q in ctx.driven.slice(t))
         p_shift = float(ctx.model.mass(t)) * dxp
         per_t.append([
@@ -640,7 +656,7 @@ def _v_window(ctx: SuiteContext):
     return a + inset, b - inset
 
 
-def _run_delta_equivalence(ctx: SuiteContext, overrides) -> list:
+def _run_delta_equivalence(ctx: SuiteContext, overrides, rows) -> list:
     tol = _tol(overrides, "tolerance", "delta_equivalence")
     if ctx.driven is None:
         raise ValueError("delta_equivalence check needs a driven scenario")
@@ -669,7 +685,7 @@ def _run_delta_equivalence(ctx: SuiteContext, overrides) -> list:
     return out
 
 
-def _run_orthonormality(ctx: SuiteContext, overrides) -> list:
+def _run_orthonormality(ctx: SuiteContext, overrides, rows) -> list:
     """max |<psi_m|psi_n> - delta_mn| over m <= n <= nmax, from one block of
     orders 0..nmax per time on the scenario's grid and one Gram product of
     plain sums, dx conj(rows) @ rows.T.  The block is refused unless every
@@ -697,7 +713,7 @@ def _run_orthonormality(ctx: SuiteContext, overrides) -> list:
     return [CheckResult("orthonormality", worst_at, worst, tol)]
 
 
-def _run_stationarity(ctx: SuiteContext, overrides) -> list:
+def _run_stationarity(ctx: SuiteContext, overrides, rows) -> list:
     """check_stationarity of the closed-form block of ctx.ns, one call per
     set of probe times."""
     C = ctx.closed_form_C
@@ -730,6 +746,7 @@ def _run_stationarity(ctx: SuiteContext, overrides) -> list:
     return out
 
 
+# each runner takes (ctx, overrides, rows); rows() is run_suite's shared block
 _CHECK_RUNNERS = {
     "residual": _run_residual,
     "omega_constancy": _run_omega,
@@ -750,6 +767,12 @@ def run_suite(ctx: SuiteContext, checks) -> list:
 
     `checks` is a list of names or {"name": ..., "tolerance": ...} dicts.
     Unknown names raise ValueError (a configuration error, not a failure).
+
+    The block of ctx.ns at ctx.times is one kernel pass, made when a check
+    first needs it, and only read, by the residual (stencil centre), the
+    chain (direct state), uncertainty (driven state) and, undriven,
+    closed-form agreement.  It lives for this call only: the next call
+    evaluates it afresh.
     """
     normalized = []
     for c in checks:
@@ -762,9 +785,11 @@ def run_suite(ctx: SuiteContext, checks) -> list:
             raise ValueError(
                 f"unknown check {name!r}; available: {', '.join(CHECK_NAMES)}"
             )
+    rows = functools.cache(
+        lambda: state_block(ctx.state(max(ctx.ns)), ctx.grid.xs(), ctx.times, ctx.ns))
     results = []
     for name, overrides in sorted(normalized, key=lambda c: c[0]):
-        results.extend(_CHECK_RUNNERS[name](ctx, overrides))
+        results.extend(_CHECK_RUNNERS[name](ctx, overrides, rows))
     return results
 
 

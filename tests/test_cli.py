@@ -329,8 +329,13 @@ def test_verify_numerical_error_exit_2(monkeypatch, capsys, error):
     assert err.startswith("numerical error: ") and err.count("\n") == 1
 
 
-def _zero_block(spec, x, t, orders):
-    return np.zeros((len(orders), len(x)), dtype=np.complex128)
+def _zero_block(spec, x, t, orders, out=None):
+    """state_block's zero rows: (len(orders), len(x)) at a scalar t, one such
+    block per time for a sequence of times, filled into out when given."""
+    if out is None:
+        out = np.empty(np.shape(t) + (len(orders), len(x)), dtype=np.complex128)
+    out[...] = 0.0
+    return out
 
 
 def test_verify_degenerate_state_is_numerical_error(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from numpy.polynomial.hermite import hermval
 
 import tdho
 import tdho._kernels as kernels
-from tdho._kernels._ref import _hermite_function_rows
+from tdho._kernels._ref import _cutoff_radius, _hermite_function_rows
 from tdho.classical import analytic_basis_sho
 from tdho.states import StateSpec, state_block, state_field
 from tdho.transforms import policy_grid, sample_on_grid
@@ -265,3 +266,29 @@ def test_stacked_call_is_one_call_per_slice(slices, orders):
     """Any stack of 1-8 slices and any orders up to 64: bit for bit the
     one-slice calls."""
     _stacked_is_per_slice(np.linspace(-8.0, 8.0, 257), orders, slices)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 1000), log_norm=st.floats(-720.0, 5.0),
+       scale=st.floats(0.05, 3.0), gauss_re=st.one_of(st.none(), st.floats(-5.0, -1e-3)),
+       lower=st.lists(st.integers(0, 1000), max_size=3))
+def test_the_top_order_cutoff_radius_bounds_every_lower_order(n, log_norm, scale,
+                                                              gauss_re, lower):
+    """A block solves one cutoff radius, its top order's: that radius is at
+    least every lower order's, for a state's Gaussian (gauss_re = -scale^2/2)
+    or any other, and the block equals, byte for byte, one cut at the widest
+    of its orders' radii."""
+    if gauss_re is None:
+        gauss_re = -0.5 * scale * scale
+    radii = [_cutoff_radius(k, log_norm, gauss_re, scale) for k in range(n + 1)]
+    assert max(radii) == radii[-1]
+    orders = [k % (n + 1) for k in lower] + [n]
+    half = max(1.5 * radii[-1], 1.0)
+    x = np.linspace(-half, half, 513) + 0.4
+    params = (log_norm, gauss_re, 0.3, scale, 0.4, 0.2, 0.1, 0.7)
+    got = kernels.state_kernel_block(x, orders, *params)
+    solve = kernels._ref._cutoff_radius
+    with mock.patch.object(kernels._ref, "_cutoff_radius",
+                           lambda _, *a: max(solve(k, *a) for k in orders)):
+        want = kernels.state_kernel_block(x, orders, *params)
+    assert got.tobytes() == want.tobytes()

@@ -214,3 +214,52 @@ def test_model_from_json_rejects_unknown_family():
     with pytest.raises(ValueError):
         model_from_json({"family": "NoSuchFamily", "params": {},
                          "t_min": 0.0, "t_max": 1.0})
+
+
+# ---------------------------------------------------------------------------
+# ode_terms: one read of the model per ODE step
+# ---------------------------------------------------------------------------
+
+_ODE_FORCES = {
+    "none": None,
+    "constant": ConstantForce(0.7),
+    "cosine": CosineForce(1.3, 2.1, 0.4),
+    "expcosine": ExpCosineForce(0.8, 0.3, 1.7, -0.2),
+    "polynomial": PolynomialForce([0.5, -0.1, 0.02]),
+}
+
+
+def _ode_model(family, force):
+    if family == "UnitMassSHO":
+        return UnitMassSHO(1.3, -1.0, 12.0, force)
+    if family == "CaldirolaKanai":
+        return CaldirolaKanai(1.2, 0.6, 1.1, -1.0, 12.0, force)
+    if family == "LoDampedPulsating":
+        return LoDampedPulsating(1.0, 0.1, 0.2, 3.0, 1.0, -1.0, 12.0, force)
+    ts = np.linspace(-1.0, 12.0, 400)
+    return GeneralParametric(ts, 1.0 + 0.3 * np.sin(ts), 0.3 * np.cos(ts),
+                             -0.3 * np.sin(ts), 1.0 + 0.1 * np.cos(ts), force)
+
+
+@pytest.mark.parametrize("force", sorted(_ODE_FORCES))
+@pytest.mark.parametrize("family", ["UnitMassSHO", "CaldirolaKanai",
+                                    "LoDampedPulsating", "GeneralParametric"])
+def test_ode_terms_are_the_model_reads_bit_for_bit(rng, family, force):
+    """(M, Mdot/M, w^2, F) from one ode_terms call are floats equal, bit for
+    bit, to mass, dmass / mass, freq2 and force_at, at times inside the
+    domain given as Python or numpy floats (solve_ivp passes either)."""
+    _ode_terms_match(_ode_model(family, _ODE_FORCES[force]), rng)
+
+
+def test_ode_terms_of_the_reduced_companion(rng):
+    _ode_terms_match(ReducedUnitMass(_ode_model("LoDampedPulsating", None)), rng)
+
+
+def _ode_terms_match(model, rng):
+    for t in rng.uniform(model.t_min, model.t_max, 400):
+        for t in (float(t), np.float64(t)):
+            got = model.ode_terms(t)
+            M = model.mass(t)
+            want = (M, model.dmass(t) / M, model.freq2(t), model.force_at(t))
+            assert all(type(q) is float for q in got)
+            assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes(), t

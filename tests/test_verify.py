@@ -132,6 +132,18 @@ def test_moments_refuse_an_unresolved_state(sho_basis_c1):
         moments(GridFunction(g.x_min, g.dx, np.stack([g.values, g.values]), 0.0))
 
 
+def test_moments_refuse_a_state_cut_at_its_node(sho_basis_c1):
+    """psi_1 on [-10, 0] keeps half its norm on the grid, and its edge sample
+    sits on its node at x = 0.  The edge is judged by two samples, so the
+    state is refused for its edge, with the remedy of widening the grid,
+    not only later for its Nyquist bins."""
+    g = sample_on_grid(_state(sho_basis_c1, 1), Grid(-10.0, 0.0, 4096), 0.0)
+    assert g.values[-1] == 0.0
+    assert np.sum(np.abs(g.values) ** 2) * g.dx == pytest.approx(0.5)
+    with pytest.raises(GridTooSmallError, match="edge over peak 4.0.e-03.*widen the grid"):
+        moments(g)
+
+
 # ---------------------------------------------------------------------------
 # residual
 # ---------------------------------------------------------------------------
@@ -644,3 +656,36 @@ def test_perturbed_translation_fails_the_suite_chain(monkeypatch, bundled_contex
     results = run_suite(ctx, ["transform_chain"])
     assert len(results) == 2 * len(ctx.ns) * len(ctx.times)
     assert not any(r.passed for r in results)
+
+
+def test_each_run_evaluates_the_shared_block_once_and_afresh(monkeypatch,
+                                                             sho_basis_c1):
+    """One run_suite call evaluates the block of ctx.ns at ctx.times once for
+    every check that reads it (closed form, residual centre, chain); the next
+    call evaluates it again, so a patch between two runs on one context is
+    seen, not a stale block."""
+    ctx = _context(sho_basis_c1, closed_form_C=1.0)
+    checks = ["closed_form_agreement", "residual", "transform_chain"]
+    block = tdho.verify.state_block
+    shared = []
+
+    def counting(spec, x, t, orders, out=None):
+        if np.ndim(t) and list(t) == ctx.times:
+            shared.append(t)
+        return block(spec, x, t, orders, out=out)
+
+    monkeypatch.setattr(tdho.verify, "state_block", counting)
+    assert all(r.passed for r in run_suite(ctx, checks))
+    assert len(shared) == 1
+    slice_params = tdho.states._slice_params
+
+    def narrower(spec, t, with_driving):
+        params, theta, phase_shift = slice_params(spec, t, with_driving)
+        return params[:1] + (1.001 * params[1],) + params[2:], theta, phase_shift
+
+    monkeypatch.setattr(tdho.states, "_slice_params", narrower)
+    results = run_suite(ctx, checks)
+    assert len(shared) == 2
+    for check in ("closed_form_agreement", "residual"):
+        rows = [r for r in results if r.check == check]
+        assert rows and not any(r.passed for r in rows), check
