@@ -1,18 +1,36 @@
 """Two-sided DOP853 integration with one dense evaluator.
 
-scipy's DOP853 (Hairer, Nørsett & Wanner, *Solving ODEs I*) marches
-from t0 to each end of the requested span; its 7th-order dense output is as
-accurate between steps as at them, so no step cap is needed.  The two
-marches are joined into one piecewise evaluator over the whole span.
+DOP853 (Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.5 and §II.10)
+marches from t0 to each end of the requested span; its 7th-order dense
+output is as accurate between steps as at them, so no step cap is needed.
+The two marches are joined into one piecewise evaluator over the whole span.
+
+The march is a port of scipy's DOP853 path (`solve_ivp(method="DOP853",
+dense_output=True)` with no max_step): it performs the same numpy
+operations in the same order, so every knot and every dense-output row is
+bit-identical to scipy's, which is its test oracle.  Porting it keeps
+scipy.integrate, and the scipy modules that it loads, out of every
+trajectory solve.
 """
 
 from __future__ import annotations
 
 import bisect
+import warnings
 
 import numpy as np
 
+from . import _dop853 as tableau
+
 __all__ = ["DenseSolution", "ODEError", "solve_ode"]
+
+# step control of scipy's RungeKutta solvers
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10
+ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
+RTOL_MIN = 100 * np.finfo(float).eps
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
 class ODEError(RuntimeError):
@@ -22,9 +40,9 @@ class ODEError(RuntimeError):
 class DenseSolution:
     """Piecewise DOP853 dense output over the accepted steps, sorted by time.
 
-    The interpolants of every step are stacked into arrays once: step start
-    t_old, signed length h, start value y_old and the 7 rows F of the dense
-    output polynomial.  A query picks its step with one searchsorted (the
+    Each step is (t_old, h, y_old, F): its start, signed length, start
+    value and the 7 rows of its dense-output polynomial; they are stacked
+    into arrays once.  A query picks its step with one searchsorted (the
     rule of scipy's OdeSolution: a time on a knot takes the earlier step)
     and evaluates scipy's Horner recurrence
 
@@ -35,20 +53,16 @@ class DenseSolution:
     times gives (len(t), ncomponents).
     """
 
-    def __init__(self, ts, interpolants):
+    def __init__(self, ts, steps):
         self.ts = np.asarray(ts, dtype=np.float64)
         self.t_min = float(self.ts[0])
         self.t_max = float(self.ts[-1])
         self._slack = 1e-9 * max(self.t_max - self.t_min, 1.0)
-        # a degenerate span has one constant interpolant: the zero
-        # polynomial about its value
-        steps = [(i.t_old, i.h, i.y_old, i.F) if hasattr(i, "F")
-                 else (i.t_old, 1.0, i.value, np.zeros((7, len(i.value))))
-                 for i in interpolants]
-        self._t_old = np.array([s[0] for s in steps], dtype=np.float64)
-        self._h = np.array([s[1] for s in steps], dtype=np.float64)
-        self._y_old = np.array([s[2] for s in steps], dtype=np.float64)
-        self._F = np.array([s[3] for s in steps], dtype=np.float64)
+        t_old, h, y_old, F = zip(*steps)
+        self._t_old = np.array(t_old, dtype=np.float64)
+        self._h = np.array(h, dtype=np.float64)
+        self._y_old = np.array(y_old, dtype=np.float64)
+        self._F = np.array(F, dtype=np.float64)
         self._knots = self.ts.tolist()
 
     @property
@@ -93,17 +107,108 @@ def _dop853_poly(row, x):
               + row(2)) * x + row(1)) * w + row(0)) * x)
 
 
-def _march(f, t0, y0, t_end, rtol, atol):
-    """DOP853 from t0 to t_end; returns (ts, interpolants) in time order."""
-    from scipy.integrate import solve_ivp
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
 
-    res = solve_ivp(f, (t0, t_end), y0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True)
-    if not res.success or not np.all(np.isfinite(res.y[:, -1])):
-        raise ODEError(f"integration from t={t0} towards t={t_end} failed: {res.message}")
-    if t_end < t0:
-        return res.sol.ts[::-1], res.sol.interpolants[::-1]
-    return res.sol.ts, res.sol.interpolants
+
+def _initial_step(fun, t0, y0, f0, t_end, direction, rtol, atol):
+    """The starting step of Hairer §II.4, as scipy's select_initial_step
+    computes it for an error estimator of order 7 and no step cap."""
+    interval_length = abs(t_end - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -ERROR_EXPONENT
+    return min(100 * h0, h1, interval_length)
+
+
+def _stages(fun, t, y, h, K, first, stop):
+    """Fill stages first..stop-1 of K from the stages before each."""
+    for s in range(first, stop):
+        dy = np.dot(K[:s].T, tableau.A[s, :s]) * h
+        K[s] = fun(t + tableau.C[s] * h, y + dy)
+
+
+def _error_norm(K, h, scale):
+    """The step's RMS error estimate, the 5th-order estimate damped by
+    the 3rd-order one (Hairer §II.10)."""
+    err5 = np.dot(K.T, tableau.E5) / scale
+    err3 = np.dot(K.T, tableau.E3) / scale
+    err5_norm_2 = np.linalg.norm(err5) ** 2
+    err3_norm_2 = np.linalg.norm(err3) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+
+def _march(f, t0, y0, t_end, rtol, atol):
+    """DOP853 from t0 to t_end; returns (ts, steps) in time order, each
+    step (t_old, h, y_old, F) as DenseSolution takes it."""
+    def fun(t, y):
+        return np.asarray(f(t, y), dtype=float)
+
+    def fail(reason):
+        return ODEError(f"integration from t={t0} towards t={t_end} failed: {reason}")
+
+    t, t_stop, y = float(t0), float(t_end), y0
+    f_old = fun(t, y)
+    if t == t_stop:
+        # one constant step: the zero polynomial about y0
+        return [t, t], [(t, 1.0, y, np.zeros((7, len(y))))]
+    direction = np.sign(t_stop - t)
+    h_abs = _initial_step(fun, t, y, f_old, t_stop, direction, rtol, atol)
+    # the 12 stages, the end-point slope, then the 3 dense-output stages
+    K = np.empty((len(tableau.A), len(y)))
+    n = tableau.N_STAGES
+    ts, steps = [t], []
+    while direction * (t - t_stop) < 0:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise fail(TOO_SMALL_STEP)
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_stop) > 0:
+                t_new = t_stop
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f_old
+            _stages(fun, t, y, h, K, 1, n)
+            y_new = y + h * np.dot(K[:n].T, tableau.B)
+            f_new = K[n] = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _error_norm(K[:n + 1], h, scale)
+            if error_norm < 1:
+                factor = (MAX_FACTOR if error_norm == 0 else
+                          min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            rejected = True
+        _stages(fun, t, y, h, K, n + 1, len(K))
+        F = np.empty((7, len(y)))
+        delta_y = y_new - y
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (f_new + f_old)
+        F[3:] = h * np.dot(tableau.D, K)
+        steps.append((t, h, y, F))
+        t, y, f_old = t_new, y_new, f_new
+        ts.append(t)
+    if not np.all(np.isfinite(y)):
+        raise fail("the end state is not finite")
+    if direction < 0:
+        return ts[::-1], steps[::-1]
+    return ts, steps
 
 
 def solve_ode(f, t0, y0, t_lo, t_hi, rtol=1e-10, atol=1e-12):
@@ -115,13 +220,17 @@ def solve_ode(f, t0, y0, t_lo, t_hi, rtol=1e-10, atol=1e-12):
     if not (t_lo <= t0 <= t_hi):
         raise ODEError(f"t0={t0} outside requested span [{t_lo}, {t_hi}]")
     y0 = np.asarray(y0, dtype=np.float64)
-    # scipy's step control never terminates on a non-finite initial slope
+    # the step control never terminates on a non-finite initial slope
     if not np.all(np.isfinite(f(t0, y0))):
         raise ODEError(f"right-hand side is not finite at t0={t0}")
+    if rtol < RTOL_MIN:
+        warnings.warn("At least one element of `rtol` is too small. "
+                      f"Setting `rtol = np.maximum(rtol, {RTOL_MIN})`.", stacklevel=2)
+        rtol = RTOL_MIN
     parts = []
     if t_lo < t0:
         parts.append(_march(f, t0, y0, t_lo, rtol, atol))
     if t_hi > t0 or not parts:
         parts.append(_march(f, t0, y0, t_hi, rtol, atol))
     ts = np.concatenate([parts[0][0]] + [p[0][1:] for p in parts[1:]])
-    return DenseSolution(ts, [i for p in parts for i in p[1]])
+    return DenseSolution(ts, [s for p in parts for s in p[1]])

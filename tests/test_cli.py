@@ -302,20 +302,26 @@ def test_one_sample_time_at_the_end_of_the_domain(tmp_path, capsys):
 
 
 def test_verify_leaves_scipy_interpolate_unimported(tmp_path):
-    """A cold `tdho verify` of a chain scenario imports no scipy.interpolate."""
-    report = str(tmp_path / "report.json")
-    code = (
-        "import sys\n"
-        "from tdho.cli import main\n"
-        f"rc = main(['verify', 'driven_ck', '--suite', 'fast', '--out', {report!r}])\n"
-        "print(rc, 'scipy.interpolate' in sys.modules)\n"
-    )
+    """A cold `tdho verify` of a chain scenario imports no scipy.interpolate,
+    and no command that integrates a trajectory imports scipy at all."""
     src = str(Path(tdho.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.stdout.split() == ["0", "False"], proc.stderr
+    for argv in (["verify", "driven_ck", "--suite", "fast", "--out",
+                  str(tmp_path / "report.json")],
+                 ["state", "ck", "--out", str(tmp_path / "state")],
+                 ["classical", "lo", "--out", str(tmp_path / "classical")]):
+        code = (
+            "import sys\n"
+            "from tdho.cli import main\n"
+            f"rc = main({argv!r})\n"
+            "print(rc, 'scipy.interpolate' in sys.modules, 'scipy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        # `state` and `classical` list the files they write before the flags
+        assert proc.stdout.splitlines()[-1].split() == ["0", "False", "False"], \
+            (argv, proc.stderr)
 
 
 @pytest.mark.parametrize("error", [ODEError, QuadratureError])

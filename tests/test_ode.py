@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution
+from scipy.integrate import DOP853, OdeSolution, solve_ivp
 
-import tdho.ode
-from tdho.ode import DenseSolution, ODEError, solve_ode
+import tdho.classical
+from tdho import _dop853
+from tdho.cli import build_context, load_scenario
+from tdho.ode import ODEError, solve_ode
 
 
 def test_exponential_decay_pointwise():
@@ -108,26 +110,44 @@ def test_dense_solution_knots_are_sorted():
     assert sol.ncomponents == 1
 
 
+def test_solution_that_blows_up_raises():
+    """y' = y^2 from y(0) = 1 blows up at t = 1: the step size collapses."""
+    with pytest.raises(ODEError, match=r"integration from t=0\.0 towards t=2\.0 failed: "
+                                       r"Required step size"):
+        solve_ode(lambda t, y: y * y, 0.0, [1.0], 0.0, 2.0)
+
+
+def test_too_small_rtol_is_clamped_with_a_warning():
+    """rtol below 100 eps is raised to it, with scipy's warning."""
+    with pytest.warns(UserWarning, match=r"`rtol` is too small"):
+        sol = solve_ode(_pendulum, 0.0, [1.2, 0.0, -0.5], -1.0, 3.0, rtol=1e-17, atol=1e-20)
+    with pytest.warns(UserWarning, match=r"`rtol` is too small"):
+        oracle = _oracle(_pendulum, 0.0, [1.2, 0.0, -0.5], -1.0, 3.0, rtol=1e-17, atol=1e-20)
+    _assert_same_bits(sol.ts, oracle.ts)
+
+
 # ---------------------------------------------------------------------------
-# the stacked evaluator against scipy's OdeSolution, bit for bit
+# the whole integrator against scipy's solve_ivp, bit for bit
 # ---------------------------------------------------------------------------
 
 def _pendulum(t, y):
     return np.array([y[1], -np.sin(y[0]) - 0.1 * y[1], np.cos(t) * y[0]])
 
 
-def _solve_with_oracle(monkeypatch, t0, t_lo, t_hi):
-    """solve_ode plus scipy's OdeSolution over the same knots and steps."""
-    oracle = []
-
-    class Recording(DenseSolution):
-        def __init__(self, ts, interpolants):
-            super().__init__(ts, interpolants)
-            oracle.append(OdeSolution(ts, interpolants))
-
-    monkeypatch.setattr(tdho.ode, "DenseSolution", Recording)
-    sol = solve_ode(_pendulum, t0, [1.2, 0.0, -0.5], t_lo, t_hi)
-    return sol, oracle[0]
+def _oracle(rhs, t0, y0, t_lo, t_hi, rtol=1e-10, atol=1e-12):
+    """scipy's DOP853 marches from t0 to each end that solve_ode integrates
+    towards, joined into one OdeSolution in time order."""
+    ends = ([t_lo] if t_lo < t0 else []) + ([t_hi] if t_hi > t0 or t_lo == t0 else [])
+    ts, interpolants = [], []
+    for t_end in ends:
+        res = solve_ivp(rhs, (t0, t_end), y0, method="DOP853", rtol=rtol, atol=atol,
+                        dense_output=True)
+        assert res.success
+        if t_end < t0:
+            ts, interpolants = list(res.sol.ts[::-1]), res.sol.interpolants[::-1]
+        else:
+            ts, interpolants = ts[:-1] + list(res.sol.ts), interpolants + res.sol.interpolants
+    return OdeSolution(ts, interpolants)
 
 
 def _assert_same_bits(got, want):
@@ -136,14 +156,15 @@ def _assert_same_bits(got, want):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("t0, t_lo, t_hi", [
-    (2.0, -5.0, 15.0),   # two-sided
-    (-5.0, -5.0, 15.0),  # forward only
-    (15.0, -5.0, 15.0),  # backward only
-])
-def test_dense_solution_matches_ode_solution_bitwise(monkeypatch, t0, t_lo, t_hi):
-    sol, oracle = _solve_with_oracle(monkeypatch, t0, t_lo, t_hi)
-    rng = np.random.default_rng(7)
+def _assert_same_steps(sol, oracle):
+    """The knots and every step's stacked dense-output data."""
+    _assert_same_bits(sol.ts, oracle.ts)
+    for name, attr in (("_t_old", "t_old"), ("_h", "h"), ("_y_old", "y_old"), ("_F", "F")):
+        _assert_same_bits(getattr(sol, name), [getattr(i, attr) for i in oracle.interpolants])
+
+
+def _assert_same_values(sol, oracle, rng):
+    t_lo, t_hi = sol.t_min, sol.t_max
     inner = rng.uniform(t_lo, t_hi, 500)  # unsorted
     cases = [
         inner,
@@ -155,10 +176,55 @@ def test_dense_solution_matches_ode_solution_bitwise(monkeypatch, t0, t_lo, t_hi
         _assert_same_bits(sol(ts), oracle(ts).T)
     for t in np.concatenate([sol.ts, inner[:100]]):  # scalar path
         _assert_same_bits(sol(float(t)), oracle(t))
-    _assert_same_bits(sol(np.zeros(0)), np.zeros((0, 3)))
+    _assert_same_bits(sol(np.zeros(0)), np.zeros((0, sol.ncomponents)))
 
 
-def test_dense_solution_matches_ode_solution_on_degenerate_span(monkeypatch):
-    sol, oracle = _solve_with_oracle(monkeypatch, 1.5, 1.5, 1.5)
+@pytest.mark.parametrize("t0, t_lo, t_hi", [
+    (2.0, -5.0, 15.0),   # two-sided
+    (-5.0, -5.0, 15.0),  # forward only
+    (15.0, -5.0, 15.0),  # backward only
+])
+def test_dense_solution_matches_ode_solution_bitwise(t0, t_lo, t_hi):
+    y0 = [1.2, 0.0, -0.5]
+    sol = solve_ode(_pendulum, t0, y0, t_lo, t_hi)
+    oracle = _oracle(_pendulum, t0, y0, t_lo, t_hi)
+    _assert_same_steps(sol, oracle)
+    _assert_same_values(sol, oracle, np.random.default_rng(7))
+
+
+def test_dense_solution_matches_ode_solution_on_degenerate_span():
+    sol = solve_ode(_pendulum, 1.5, [1.2, 0.0, -0.5], 1.5, 1.5)
+    oracle = _oracle(_pendulum, 1.5, [1.2, 0.0, -0.5], 1.5, 1.5)
+    _assert_same_bits(sol.ts, oracle.ts)
     _assert_same_bits(sol(1.5), oracle(1.5))
     _assert_same_bits(sol(np.array([1.5, 1.5])), oracle(np.array([1.5, 1.5])).T)
+
+
+@pytest.mark.parametrize("name", ["ck", "lo", "driven_sho", "driven_ck"])
+def test_scenario_trajectories_match_solve_ivp_bitwise(monkeypatch, name):
+    """Every homogeneous and particular solve of a bundled scenario."""
+    calls = []
+
+    def recording(f, t0, y0, t_lo, t_hi, rtol, atol):
+        sol = solve_ode(f, t0, y0, t_lo, t_hi, rtol, atol)
+        calls.append((sol, _oracle(f, t0, y0, t_lo, t_hi, rtol, atol)))
+        return sol
+
+    monkeypatch.setattr(tdho.classical, "solve_ode", recording)
+    build_context(load_scenario(name))
+    assert calls
+    rng = np.random.default_rng(11)
+    for sol, oracle in calls:
+        _assert_same_steps(sol, oracle)
+        _assert_same_values(sol, oracle, rng)
+
+
+def test_tableau_matches_scipy_bitwise():
+    n = _dop853.N_STAGES
+    for got, want in [
+        (_dop853.A[:n, :n], DOP853.A), (_dop853.A[n + 1:], DOP853.A_EXTRA),
+        (_dop853.C[:n], DOP853.C), (_dop853.C[n + 1:], DOP853.C_EXTRA),
+        (_dop853.B, DOP853.B), (_dop853.E3, DOP853.E3), (_dop853.E5, DOP853.E5),
+        (_dop853.D, DOP853.D),
+    ]:
+        _assert_same_bits(got, want)
