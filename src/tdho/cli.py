@@ -11,12 +11,12 @@ a state that samples to zero).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from pathlib import Path
 
 from . import __version__
+from ._schema import best_match
 from .classical import (
     QuadratureError,
     analytic_basis_ck,
@@ -185,33 +185,23 @@ def _resolve_scenario(path) -> str:
     return str(path)
 
 
-@functools.lru_cache(maxsize=None)
-def _scenario_validator():
-    """The schema's validator, built once: jsonschema.validate re-checks
-    the schema against its metaschema on every call.  The schema is a
-    constant, so the tests check it against the metaschema instead."""
-    import jsonschema
-
-    return jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+def _refuse_constant(name):
+    # NaN and +-Infinity are Python's extensions, not JSON (RFC 8259)
+    raise ScenarioError(f"scenario is not valid JSON: {name} is not a JSON number")
 
 
 def load_scenario(path) -> dict:
-    import jsonschema
-
     try:
         with open(_resolve_scenario(path), "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_refuse_constant)
     except OSError as e:
         raise ScenarioError(f"cannot read scenario: {e}") from e
     except json.JSONDecodeError as e:
         raise ScenarioError(f"scenario is not valid JSON: {e}") from e
     # the error jsonschema.validate would raise
-    e = jsonschema.exceptions.best_match(_scenario_validator().iter_errors(doc))
-    if e is not None:
-        path_str = getattr(e, "json_path", None) or "$." + ".".join(
-            str(p) for p in e.absolute_path
-        )
-        raise ScenarioError(f"scenario schema violation at {path_str}: {e.message}") from e
+    found = best_match(SCENARIO_SCHEMA, doc)
+    if found is not None:
+        raise ScenarioError("scenario schema violation at %s: %s" % found)
     return doc
 
 

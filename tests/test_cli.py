@@ -99,6 +99,27 @@ def test_load_scenario_error_matches_jsonschema_validate(tmp_path, violation):
     assert str(got.value) == f"scenario schema violation at {where}: {e.message}"
 
 
+@pytest.mark.parametrize("name,old,new,constant", [
+    ("sho_c1", '"hbar": 1.0', '"hbar": NaN', "NaN"),
+    ("sho_c1", '"hbar": 1.0', '"hbar": Infinity', "Infinity"),
+    ("sho_c1", '"times": [0.0,', '"times": [NaN,', "NaN"),
+    ("ck", '"gamma": 0.6', '"gamma": NaN', "NaN"),
+])
+def test_non_json_constants_are_refused(tmp_path, capsys, name, old, new, constant):
+    """NaN and Infinity are not JSON numbers: the scenario is refused with
+    exit 2 before any of it is used."""
+    text = Path(scenario_path(name)).read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / f"{name}.json"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    with pytest.raises(ScenarioError) as got:
+        load_scenario(str(path))
+    assert str(got.value) == f"scenario is not valid JSON: {constant} is not a JSON number"
+    assert main(["verify", str(path), "--suite", "fast"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: scenario is not valid JSON: {constant} is not a JSON number\n")
+
+
 def test_load_scenario_bad_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -303,7 +324,8 @@ def test_one_sample_time_at_the_end_of_the_domain(tmp_path, capsys):
 
 def test_verify_leaves_scipy_interpolate_unimported(tmp_path):
     """A cold `tdho verify` of a chain scenario imports no scipy.interpolate,
-    and no command that integrates a trajectory imports scipy at all."""
+    no command that integrates a trajectory imports scipy at all, and none
+    imports jsonschema."""
     src = str(Path(tdho.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -315,12 +337,13 @@ def test_verify_leaves_scipy_interpolate_unimported(tmp_path):
             "import sys\n"
             "from tdho.cli import main\n"
             f"rc = main({argv!r})\n"
-            "print(rc, 'scipy.interpolate' in sys.modules, 'scipy' in sys.modules)\n"
+            "print(rc, 'scipy.interpolate' in sys.modules, 'scipy' in sys.modules,\n"
+            "      'jsonschema' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=300)
         # `state` and `classical` list the files they write before the flags
-        assert proc.stdout.splitlines()[-1].split() == ["0", "False", "False"], \
+        assert proc.stdout.splitlines()[-1].split() == ["0", "False", "False", "False"], \
             (argv, proc.stderr)
 
 

@@ -196,6 +196,21 @@ def test_dump_state_grid_layout_and_determinism(tmp_path, sho_basis_c1):
     assert side1.endswith(".json")
 
 
+def test_dump_state_grid_text_equals_per_row_formula(tmp_path, sho_basis_c1):
+    """The CSV is the text of a per-row `%.17g` of x, re, im and
+    abs(psi)**2 over numpy scalars, tails that underflow included."""
+    field = state_field(StateSpec(3, 1.0, sho_basis_c1))
+    x = np.linspace(-40.0, 40.0, 801)
+    values = field(x, 0.5)
+    assert np.any(values.real == 0.0) and np.any(values.imag == 0.0)
+    assert np.any((np.abs(values) > 0.0) & (np.abs(values) < 1e-200))
+    dump_state_grid(field, x, 0.5, tmp_path / "a.csv")
+    expected = "x,re_psi,im_psi,abs2\n" + "".join(
+        "%.17g,%.17g,%.17g,%.17g\n" % (xi, vi.real, vi.imag, abs(vi) ** 2)
+        for xi, vi in zip(x, values))
+    assert (tmp_path / "a.csv").read_text() == expected
+
+
 def test_reduced_companion_state_is_unit_mass_eigenstate(ck_basis):
     """The sqrt(M)-scaled pair gives a normalized state of the w0 system."""
     red = reduced_basis(ck_basis)
