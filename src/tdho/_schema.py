@@ -1,21 +1,21 @@
 """A JSON Schema (draft 2020-12) interpreter of the keywords the scenario
-schema uses, which reports the error ``jsonschema.validate`` would raise:
-it walks keywords in dict order with jsonschema 4.26's type rules, messages
-and ``json_path``, and ports its ``best_match``; jsonschema is the tests'
-oracle.  A keyword outside ``KEYWORDS`` raises ``ValueError``, so a schema
-edit is never silently ignored.  Instances are what ``json.load`` returns.
+schema uses, ``KEYWORDS``, which reports the error ``jsonschema.validate``
+would raise: it walks keywords in dict order with jsonschema 4.26's type
+rules, messages and ``json_path``, and picks among them by its
+``best_match`` key; jsonschema is the tests' oracle.  Any other keyword
+(``oneOf`` too) raises ``ValueError``, so a schema edit is never silently
+ignored.  Instances are what ``json.load`` returns.
 """
 
 from __future__ import annotations
 
-import heapq
 import re
 from typing import NamedTuple
 
 KEYWORDS = frozenset({
     "$schema", "type", "required", "properties", "items", "enum", "const",
     "exclusiveMinimum", "minimum", "minItems", "maxItems", "allOf", "if",
-    "then", "oneOf", "dependentRequired",
+    "then", "dependentRequired",
 })
 
 _TYPES = {
@@ -39,7 +39,6 @@ class Violation(NamedTuple):
     message: str
     schema: dict  # the subschema that holds `keyword`
     value: object  # the instance it judged
-    context: list  # the branches' violations, for oneOf
 
 
 def _is_type(value, types) -> bool:
@@ -113,25 +112,9 @@ def _errors(schema: dict, value, path: tuple = ()):
         elif kw == "if":
             if "then" in schema and _valid(arg, value):
                 yield from _errors(schema["then"], value, path)
-        elif kw == "oneOf":
-            context, rest = [], iter(arg)
-            for sub in rest:
-                found = list(_errors(sub, value, path))
-                if not found:
-                    more = [each for each in rest if _valid(each, value)]
-                    if more:
-                        reprs = ", ".join(map(repr, more + [sub]))
-                        yield Violation(path, kw, f"{value!r} is valid under each of {reprs}",
-                                        schema, value, [])
-                    break
-                context += found
-            else:
-                yield Violation(path, kw,
-                                f"{value!r} is not valid under any of the given schemas",
-                                schema, value, context)
         else:
             for message in _messages(kw, arg, value):
-                yield Violation(path, kw, message, schema, value, [])
+                yield Violation(path, kw, message, schema, value)
 
 
 def _valid(schema: dict, value) -> bool:
@@ -143,18 +126,18 @@ def _check_keywords(schema: dict) -> None:
     for kw, arg in schema.items():
         if kw not in KEYWORDS:
             raise ValueError(f"unsupported schema keyword {kw!r}")
-        subs = (arg.values() if kw == "properties" else arg if kw in ("allOf", "oneOf")
+        subs = (arg.values() if kw == "properties" else arg if kw == "allOf"
                 else [arg] if kw in ("items", "if", "then") else ())
         for sub in subs:
             _check_keywords(sub)
 
 
 def _relevance(e: Violation):
-    """jsonschema's `relevance` key.  Paths are absolute here, which orders
-    the violations compared (siblings, or one oneOf's context) as its
-    relative paths do."""
+    """jsonschema's `relevance` key, less its weak- and strong-keyword
+    terms, which are constant over the keywords supported here.  Paths are
+    absolute here, which orders sibling violations as its relative paths do."""
     matches_type = "type" in e.schema and _is_type(e.value, e.schema["type"])
-    return (-len(e.path), e.path, e.keyword != "oneOf", not matches_type)
+    return (-len(e.path), e.path, not matches_type)
 
 
 def _json_path(path: tuple) -> str:
@@ -174,11 +157,4 @@ def best_match(schema: dict, value):
     raise, or None when `value` is valid."""
     _check_keywords(schema)
     best = max(_errors(schema, value), key=_relevance, default=None)
-    if best is None:
-        return None
-    while best.context:
-        smallest = heapq.nsmallest(2, best.context, key=_relevance)
-        if len(smallest) == 2 and _relevance(smallest[0]) == _relevance(smallest[1]):
-            break
-        best = smallest[0]
-    return _json_path(best.path), best.message
+    return None if best is None else (_json_path(best.path), best.message)

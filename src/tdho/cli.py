@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -156,19 +157,8 @@ SCENARIO_SCHEMA = {
                 "Ccoef": {"type": "number", "exclusiveMinimum": 0},
             },
         },
-        "checks": {
-            "type": "array",
-            "items": {
-                "oneOf": [
-                    {"type": "string"},
-                    {
-                        "type": "object",
-                        "required": ["name"],
-                        "properties": {"name": {"type": "string"}},
-                    },
-                ]
-            },
-        },
+        # check names only: every threshold is tdho.verify's DEFAULT_THRESHOLDS
+        "checks": {"type": "array", "items": {"type": "string"}},
     },
 }
 
@@ -190,13 +180,24 @@ def _refuse_constant(name):
     raise ScenarioError(f"scenario is not valid JSON: {name} is not a JSON number")
 
 
+def _finite_number(literal: str):
+    """A number literal as json reads it (int or float), refused unless its
+    float value is finite: 1e400 would read as inf, and a 400-digit integer
+    would overflow the first float computed from it."""
+    if not math.isfinite(float(literal)):
+        shown = literal if len(literal) <= 24 else literal[:20] + "..."
+        raise ScenarioError(f"scenario is not valid JSON: {shown} does not fit a float")
+    return int(literal) if literal.lstrip("-").isdigit() else float(literal)
+
+
 def load_scenario(path) -> dict:
     try:
         with open(_resolve_scenario(path), "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_refuse_constant)
+            doc = json.load(fh, parse_constant=_refuse_constant,
+                            parse_float=_finite_number, parse_int=_finite_number)
     except OSError as e:
         raise ScenarioError(f"cannot read scenario: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:  # JSON is UTF-8 (RFC 8259)
         raise ScenarioError(f"scenario is not valid JSON: {e}") from e
     # the error jsonschema.validate would raise
     found = best_match(SCENARIO_SCHEMA, doc)

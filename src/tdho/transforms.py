@@ -116,14 +116,6 @@ class GridFunction:
     def x_max(self) -> float:
         return self.x_min + self.dx * (self.values.shape[-1] - 1)
 
-    def boundary_ratio(self) -> float:
-        """Largest edge sample over the peak, of the worst row."""
-        mag = np.abs(self.values)
-        peak = np.max(mag, axis=-1)
-        edge = np.maximum(mag[..., 0], mag[..., -1])
-        ratio = np.divide(edge, peak, out=np.zeros_like(peak), where=peak > 0.0)
-        return float(np.max(ratio))
-
     def _with(self, values, source):
         return GridFunction(self.x_min, self.dx, values, self.t, self.hbar, source)
 

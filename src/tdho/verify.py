@@ -478,13 +478,6 @@ class SuiteContext:
                          driven if driven is not None else self.driven)
 
 
-def _tol(overrides, key, name=None):
-    name = key if name is None else name
-    if overrides and key in overrides:
-        return float(overrides[key])
-    return DEFAULT_THRESHOLDS[name]
-
-
 def _n_then_t(ctx: SuiteContext, per_t):
     """(n, t, per_t[j][i]) in report order, n outer and t inner, where
     per_t[j][i] belongs to order ctx.ns[i] at time ctx.times[j]."""
@@ -493,12 +486,12 @@ def _n_then_t(ctx: SuiteContext, per_t):
             yield n, t, per_t[j][i]
 
 
-def _run_residual(ctx: SuiteContext, overrides, rows) -> list:
+def _run_residual(ctx: SuiteContext, rows) -> list:
     """Fine and coarse residuals of every order.  The centre of the stencil
     at each t is the run's shared block; one stack per check takes the
     other six stencil times, which each t refills from one kernel pass, and
     H psi."""
-    tol = _tol(overrides, "tolerance", "residual")
+    tol = DEFAULT_THRESHOLDS["residual"]
     model = ctx.model
     dt = _residual_dt(model)
     xs = ctx.grid.xs()
@@ -518,16 +511,16 @@ def _run_residual(ctx: SuiteContext, overrides, rows) -> list:
             for n, t, (fine, coarse) in _n_then_t(ctx, per_t)]
 
 
-def _run_omega(ctx: SuiteContext, overrides, rows) -> list:
-    tol = _tol(overrides, "tolerance", "omega_constancy")
+def _run_omega(ctx: SuiteContext, rows) -> list:
+    tol = DEFAULT_THRESHOLDS["omega_constancy"]
     measured = check_omega_constancy(ctx.basis)
     return [CheckResult("omega_constancy", {}, measured, tol)]
 
 
-def _run_frequency_map(ctx: SuiteContext, overrides, rows) -> list:
+def _run_frequency_map(ctx: SuiteContext, rows) -> list:
     """Max |w0^2(t) - target| at 512 times, against the constant the model's
     family reduces to in closed form; a model without one is refused."""
-    tol = _tol(overrides, "tolerance", "frequency_map")
+    tol = DEFAULT_THRESHOLDS["frequency_map"]
     m = ctx.model
     if isinstance(m, CaldirolaKanai):
         target = m.w1**2 - 0.25 * m.gamma**2
@@ -544,14 +537,14 @@ def _run_frequency_map(ctx: SuiteContext, overrides, rows) -> list:
     return [CheckResult("frequency_map", {"target": target}, measured, tol)]
 
 
-def _run_transform_chain(ctx: SuiteContext, overrides, rows) -> list:
+def _run_transform_chain(ctx: SuiteContext, rows) -> list:
     """Both chain paths of every order per t: one block of the companion
     state (g0, shared by the paths) goes through U0_dagger and U_F as a
     whole, and is compared with the direct state, the run's shared block
     (undriven, it is the state over null_driven).  The exact path's source
     re-evaluates the companion block at the query points."""
-    tol_i = _tol(overrides, "tolerance", "transform_chain")
-    tol_e = _tol(overrides, "tolerance_exact", "transform_chain_exact")
+    tol_i = DEFAULT_THRESHOLDS["transform_chain"]
+    tol_e = DEFAULT_THRESHOLDS["transform_chain_exact"]
     driven = ctx.driven if ctx.driven is not None else null_driven(ctx.model)
     n_top = max(ctx.ns)
     companion = StateSpec(n_top, ctx.hbar, reduced_basis(ctx.basis))
@@ -592,10 +585,10 @@ def _closed_form(ctx: SuiteContext):
         f"closed_form_agreement has no closed form for {type(m).__name__}")
 
 
-def _run_closed_form(ctx: SuiteContext, overrides, rows) -> list:
+def _run_closed_form(ctx: SuiteContext, rows) -> list:
     """The closed-form block of ctx.ns against the undriven general state's
     block, one of each per t; undriven, that is the run's shared block."""
-    tol = _tol(overrides, "tolerance", "closed_form_agreement")
+    tol = DEFAULT_THRESHOLDS["closed_form_agreement"]
     closed = _closed_form(ctx)
     xs = ctx.grid.xs()
     blocks = rows() if ctx.driven is None else state_block(
@@ -613,11 +606,11 @@ def _block_moments(block, grid: Grid, t, hbar) -> list:
     return [moments(GridFunction(grid.x_min, grid.dx, row, t, hbar)) for row in block]
 
 
-def _run_uncertainty(ctx: SuiteContext, overrides, rows) -> list:
+def _run_uncertainty(ctx: SuiteContext, rows) -> list:
     """Driven against undriven moments of every order per t, on the
     scenario's grid: equal variances, <x> shifted by x_p, <p> by M xdot_p.
     The driven block is the run's shared one."""
-    tol = _tol(overrides, "tolerance", "uncertainty")
+    tol = DEFAULT_THRESHOLDS["uncertainty"]
     if ctx.driven is None:
         raise ValueError("uncertainty check needs a driven scenario")
     grid = ctx.grid
@@ -656,8 +649,8 @@ def _v_window(ctx: SuiteContext):
     return a + inset, b - inset
 
 
-def _run_delta_equivalence(ctx: SuiteContext, overrides, rows) -> list:
-    tol = _tol(overrides, "tolerance", "delta_equivalence")
+def _run_delta_equivalence(ctx: SuiteContext, rows) -> list:
+    tol = DEFAULT_THRESHOLDS["delta_equivalence"]
     if ctx.driven is None:
         raise ValueError("delta_equivalence check needs a driven scenario")
     a, b = _v_window(ctx)
@@ -685,13 +678,13 @@ def _run_delta_equivalence(ctx: SuiteContext, overrides, rows) -> list:
     return out
 
 
-def _run_orthonormality(ctx: SuiteContext, overrides, rows) -> list:
+def _run_orthonormality(ctx: SuiteContext, rows) -> list:
     """max |<psi_m|psi_n> - delta_mn| over m <= n <= nmax, from one block of
     orders 0..nmax per time on the scenario's grid and one Gram product of
     plain sums, dx conj(rows) @ rows.T.  The block is refused unless every
     row is resolved (_resolved_spectrum), where those sums converge
     exponentially."""
-    tol = _tol(overrides, "tolerance", "orthonormality")
+    tol = DEFAULT_THRESHOLDS["orthonormality"]
     n_max = ctx.orthonormality_nmax
     grid = ctx.grid
     xs = grid.xs()
@@ -713,7 +706,7 @@ def _run_orthonormality(ctx: SuiteContext, overrides, rows) -> list:
     return [CheckResult("orthonormality", worst_at, worst, tol)]
 
 
-def _run_stationarity(ctx: SuiteContext, overrides, rows) -> list:
+def _run_stationarity(ctx: SuiteContext, rows) -> list:
     """check_stationarity of the closed-form block of ctx.ns, one call per
     set of probe times."""
     C = ctx.closed_form_C
@@ -723,12 +716,12 @@ def _run_stationarity(ctx: SuiteContext, overrides, rows) -> list:
     field = _closed_form(ctx)
     xs = ctx.grid.xs()
     if C == 1.0:
-        tol = _tol(overrides, "tolerance", "stationarity")
+        tol = DEFAULT_THRESHOLDS["stationarity"]
         drift = check_stationarity(field, xs, np.linspace(0.0, 2.0 * math.pi / w_s, 9))
         return [CheckResult("stationarity", {"n": n, "C": C}, float(d), tol)
                 for n, d in zip(ctx.ns, drift)]
-    tol_p = _tol(overrides, "tolerance", "stationarity_period")
-    tol_c = _tol(overrides, "tolerance_contrast", "stationarity_contrast")
+    tol_p = DEFAULT_THRESHOLDS["stationarity_period"]
+    tol_c = DEFAULT_THRESHOLDS["stationarity_contrast"]
     period = math.pi / w_s
     drifts = [check_stationarity(field, xs, [t, t + period]) for t in ctx.times[:3]]
     contrast = check_stationarity(field, xs, [0.0, 0.5 * period])
@@ -746,7 +739,7 @@ def _run_stationarity(ctx: SuiteContext, overrides, rows) -> list:
     return out
 
 
-# each runner takes (ctx, overrides, rows); rows() is run_suite's shared block
+# each runner takes (ctx, rows); rows() is run_suite's shared block
 _CHECK_RUNNERS = {
     "residual": _run_residual,
     "omega_constancy": _run_omega,
@@ -765,8 +758,9 @@ CHECK_NAMES = sorted(_CHECK_RUNNERS)
 def run_suite(ctx: SuiteContext, checks) -> list:
     """Run the named checks; deterministic ordering by check name.
 
-    `checks` is a list of names or {"name": ..., "tolerance": ...} dicts.
-    Unknown names raise ValueError (a configuration error, not a failure).
+    `checks` is a list of check names; each check is judged against its
+    DEFAULT_THRESHOLDS entries, which no caller can change.  Any other entry
+    raises ValueError (a configuration error, not a failure).
 
     The block of ctx.ns at ctx.times is one kernel pass, made when a check
     first needs it, and only read, by the residual (stencil centre), the
@@ -774,22 +768,16 @@ def run_suite(ctx: SuiteContext, checks) -> list:
     closed-form agreement.  It lives for this call only: the next call
     evaluates it afresh.
     """
-    normalized = []
-    for c in checks:
-        if isinstance(c, str):
-            normalized.append((c, {}))
-        else:
-            normalized.append((c["name"], {k: v for k, v in c.items() if k != "name"}))
-    for name, _ in normalized:
-        if name not in _CHECK_RUNNERS:
+    for name in checks:
+        if name not in CHECK_NAMES:  # a list: an unhashable entry is unknown too
             raise ValueError(
                 f"unknown check {name!r}; available: {', '.join(CHECK_NAMES)}"
             )
     rows = functools.cache(
         lambda: state_block(ctx.state(max(ctx.ns)), ctx.grid.xs(), ctx.times, ctx.ns))
     results = []
-    for name, overrides in sorted(normalized, key=lambda c: c[0]):
-        results.extend(_CHECK_RUNNERS[name](ctx, overrides, rows))
+    for name in sorted(checks):
+        results.extend(_CHECK_RUNNERS[name](ctx, rows))
     return results
 
 

@@ -120,6 +120,35 @@ def test_non_json_constants_are_refused(tmp_path, capsys, name, old, new, consta
         f"error: scenario is not valid JSON: {constant} is not a JSON number\n")
 
 
+@pytest.mark.parametrize("name,old,new,shown", [
+    ("sho_c1", '"hbar": 1.0', '"hbar": 1e400', "1e400"),
+    ("ck", '"gamma": 0.6', '"gamma": -1e999', "-1e999"),
+    ("sho_c1", '"hbar": 1.0', '"hbar": 1' + "0" * 400, "1" + "0" * 19 + "..."),
+], ids=["1e400", "-1e999", "401_digits"])
+def test_numbers_that_overflow_a_float_are_refused(tmp_path, capsys, name, old, new, shown):
+    """A number literal whose float value is not finite is refused with exit
+    2 as invalid JSON, never read as inf nor left to overflow later."""
+    text = Path(scenario_path(name)).read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / f"{name}.json"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    with pytest.raises(ScenarioError) as got:
+        load_scenario(str(path))
+    assert str(got.value) == f"scenario is not valid JSON: {shown} does not fit a float"
+    assert main(["verify", str(path), "--suite", "fast"]) == 2
+    assert capsys.readouterr().err == f"error: {got.value}\n"
+
+
+def test_scenario_that_is_not_utf8_is_refused(tmp_path, capsys):
+    text = Path(scenario_path("sho_c1")).read_text(encoding="utf-8")
+    path = tmp_path / "latin1.json"
+    path.write_bytes(text.replace('"sho_c1"', '"sho_c1\u00e9"').encode("latin-1"))
+    with pytest.raises(ScenarioError, match="^scenario is not valid JSON: 'utf-8' codec"):
+        load_scenario(str(path))
+    assert main(["verify", str(path), "--suite", "fast"]) == 2
+    assert capsys.readouterr().err.startswith("error: scenario is not valid JSON: ")
+
+
 def test_load_scenario_bad_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -259,6 +288,17 @@ def test_verify_fast_passes_bundled(capsys):
 
 def test_verify_negative_control_fails():
     assert main(["verify", "negative_control", "--suite", "fast"]) == 1
+
+
+def test_a_scenario_cannot_set_its_own_threshold(tmp_path, capsys):
+    """A negative control that loosens its residual bar to 1.0 would pass;
+    the check list holds names only, so it is refused as a schema error."""
+    doc = json.loads(Path(scenario_path("negative_control")).read_text(encoding="utf-8"))
+    doc["checks"] = [{"name": "residual", "tolerance": 1.0}]
+    assert main(["verify", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        "error: scenario schema violation at $.checks[0]: "
+        "{'name': 'residual', 'tolerance': 1.0} is not of type 'string'\n")
 
 
 def test_driven_ck_interpolated_chain_passes_at_n12():

@@ -23,6 +23,7 @@ from tdho.transforms import (
     hnew_coefficients,
     policy_grid,
     sample_on_grid,
+    _edge_ratio,
     _lagrange_eval,
     unit_mass_parameters,
 )
@@ -62,9 +63,9 @@ def test_sample_on_grid_attaches_source():
 
 def test_boundary_ratio_and_compliance():
     gf = sample_on_grid(_gauss_field, GRID, 0.0)
-    assert gf.boundary_ratio() < BOUNDARY_RATIO
+    assert _edge_ratio(gf.values) < BOUNDARY_RATIO
     narrow = sample_on_grid(_gauss_field, Grid(-2.0, 2.0, 64), 0.0)
-    assert narrow.boundary_ratio() >= BOUNDARY_RATIO
+    assert _edge_ratio(narrow.values) >= BOUNDARY_RATIO
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +203,14 @@ def test_stacked_rows_equal_single_row_primitives():
 
 @pytest.mark.parametrize("leaky_row", [0, 1])
 def test_one_leaking_row_fails_the_support_guard(leaky_row):
-    """The boundary ratio of a stack is that of its worst row, so a stack in
+    """The edge ratio of a stack is that of its worst row, so a stack in
     which one row alone reaches the edge is refused under dilation and
     translation, whichever row it is."""
     fields = [_narrow, _narrow]
     fields[leaky_row] = _wide
     g = _stack(*fields)
     alone = GridFunction(g.x_min, g.dx, g.values[1 - leaky_row], 0.0)
-    assert g.boundary_ratio() == pytest.approx(
-        GridFunction(g.x_min, g.dx, g.values[leaky_row], 0.0).boundary_ratio())
+    assert _edge_ratio(g.values) == pytest.approx(_edge_ratio(g.values[leaky_row]))
     for op in (lambda f: apply_dilation(f, -0.3), lambda f: apply_translation(f, 1.3)):
         op(alone)  # the compliant row on its own passes
         with pytest.raises(GridTooSmallError):
@@ -354,7 +354,7 @@ def test_policy_grid_compliance(ck_basis):
         spec = StateSpec(n, 1.0, ck_basis)
         for t in (0.0, 2.5):
             gf = sample_on_grid(state_field(spec), grid, t)
-            assert gf.boundary_ratio() < BOUNDARY_RATIO
+            assert _edge_ratio(gf.values) < BOUNDARY_RATIO
 
 
 def test_policy_grid_covers_reduced_companion(ck_basis):
@@ -364,7 +364,7 @@ def test_policy_grid_covers_reduced_companion(ck_basis):
     spec = StateSpec(3, 1.0, red)
     for t in (0.0, 2.5):
         gf = sample_on_grid(state_field(spec), grid, t)
-        assert gf.boundary_ratio() < BOUNDARY_RATIO
+        assert _edge_ratio(gf.values) < BOUNDARY_RATIO
 
 
 def test_policy_grid_tracks_driven_excursion(driven_ck):
@@ -373,7 +373,7 @@ def test_policy_grid_tracks_driven_excursion(driven_ck):
     spec = StateSpec(2, 1.0, basis, drv)
     for t in (0.0, 1.0, 2.5):
         gf = sample_on_grid(state_field(spec), grid, t)
-        assert gf.boundary_ratio() < BOUNDARY_RATIO
+        assert _edge_ratio(gf.values) < BOUNDARY_RATIO
 
 
 def test_policy_grid_without_driving_ignores_xp(sho_basis_c1):

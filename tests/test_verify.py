@@ -297,11 +297,12 @@ def test_run_suite_rejects_unknown_check(sho_basis_c1):
     assert "residual" in CHECK_NAMES
 
 
-def test_run_suite_tolerance_override(sho_basis_c1):
+def test_run_suite_refuses_a_check_object(sho_basis_c1):
+    """Thresholds are the suite's own: a check given as an object that sets
+    one is not a check name, and is refused."""
     ctx = _context(sho_basis_c1)
-    results = run_suite(ctx, [{"name": "residual", "tolerance": 1e-20}])
-    assert all(r.threshold == 1e-20 for r in results)
-    assert not any(r.passed for r in results)  # impossible bar -> honest fail
+    with pytest.raises(ValueError, match="unknown check"):
+        run_suite(ctx, [{"name": "residual", "tolerance": 1e-20}])
 
 
 def test_closed_form_check_requires_family(ck_basis):
