@@ -263,6 +263,10 @@ def build_context(scenario: dict, fast: bool = False):
     if "driving" in scenario:
         model_doc["force"] = scenario["driving"]["force"]
     model = model_from_json(model_doc)
+    declared = [model_doc["t_min"], model_doc["t_max"]]
+    if declared != [model.t_min, model.t_max]:
+        raise ScenarioError(f"model declares the time domain {declared}, but its "
+                            f"table spans [{model.t_min}, {model.t_max}]")
 
     basis = _build_basis(scenario, model)
     closed_form_C = _closed_form_C(scenario, model)

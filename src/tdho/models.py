@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -412,65 +411,100 @@ class LoDampedPulsating(OscillatorModel):
         }
 
 
-class GeneralParametric(OscillatorModel):
-    """User-tabulated M, dM, d2M, w^2 interpolated by cubic splines.
+class _Hermite:
+    """Piecewise polynomial of degree 2k+1 through the value and the first k
+    derivatives tabulated at each node, in powers of t - t_i.  The last node
+    is a piece of its own (its Taylor polynomial), so every node returns its
+    table entries exactly; times past either end extrapolate a piece."""
 
-    The spline of M is differentiated and compared against the supplied dM
-    table; disagreement beyond 1e-4 (relative) triggers a warning, since a
-    sloppy table would silently corrupt the reduced frequency.
+    def __init__(self, ts, tables):
+        k = len(tables) - 1
+        h = np.diff(ts)
+        low = [tab / math.factorial(j) for j, tab in enumerate(tables)]
+        # with s = (t - t_i)/h, the top k+1 coefficients (times h^j) meet the
+        # m-th derivative at s = 1: sum_j perm(j, m) c_j h^j = h^m y1^(m)
+        top = range(k + 1, 2 * k + 2)
+        rhs = [tables[m][1:] * h**m - sum(math.perm(j, m) * low[j][:-1] * h**j
+                                          for j in range(m, k + 1))
+               for m in range(k + 1)]
+        high = np.linalg.solve([[math.perm(j, m) for j in top] for m in range(k + 1)], rhs)
+        self.ts = ts
+        self.coef = low + [np.append(c / h**j, 0.0) for j, c in zip(top, high)]
+
+    def __call__(self, t, m=0):
+        """The m-th derivative at t; a float for a scalar t."""
+        i = np.maximum(np.searchsorted(self.ts, t, side="right") - 1, 0)
+        dt = t - self.ts[i]
+        out = 0.0
+        for j in range(len(self.coef) - 1, m - 1, -1):
+            out = out * dt + math.perm(j, m) * self.coef[j][i]
+        return float(out) if np.isscalar(t) else out
+
+
+def _not_a_knot_slopes(ts, y):
+    """Node slopes of scipy's default `CubicSpline` (not-a-knot ends), by one
+    tridiagonal (Thomas) solve of scipy's system in O(len(ts))."""
+    dx = np.diff(ts)
+    slope = np.diff(y) / dx
+    d0, d1 = float(ts[2] - ts[0]), float(ts[-1] - ts[-3])
+    # interior row i: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
+    lower = [0.0, *dx[1:].tolist(), d1]
+    diag = [dx[1], *(2.0 * (dx[:-1] + dx[1:])).tolist(), dx[-2]]
+    upper = [d0, *dx[:-1].tolist()]
+    b = [((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0,
+         *(3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist(),
+         (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1]
+    for i in range(1, len(b)):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        b[i] -= w * b[i - 1]
+    b[-1] /= diag[-1]
+    for i in range(len(b) - 2, -1, -1):
+        b[i] = (b[i] - upper[i] * b[i + 1]) / diag[i]
+    return np.array(b)
+
+
+class GeneralParametric(OscillatorModel):
+    """User-tabulated M, dM, d2M, w^2 on strictly increasing time nodes.
+
+    M, dM and d2M are one piecewise quintic Hermite polynomial, so dmass
+    and d2mass are exactly the derivatives of mass and the model is one
+    Hamiltonian at any node count; w^2 is scipy's not-a-knot cubic spline.
     """
 
     family = "GeneralParametric"
 
     def __init__(self, ts, M, dM, d2M, w2, force=None):
-        from scipy.interpolate import CubicSpline
-
         ts = np.asarray(ts, dtype=float)
+        tables = [np.asarray(v, dtype=float) for v in (M, dM, d2M, w2)]
         if ts.ndim != 1 or len(ts) < 4:
             raise ValueError("need at least 4 time nodes")
-        super().__init__(ts[0], ts[-1], force)
-        self._ts = ts
-        M = np.asarray(M, dtype=float)
-        if np.any(M <= 0):
+        if not np.all(np.diff(ts) > 0):
+            raise ValueError("time nodes must be strictly increasing")
+        for name, tab in zip(("M", "dM", "d2M", "w2"), tables):
+            if tab.shape != ts.shape:
+                raise ValueError(f"{name} has {tab.size} values for {ts.size} time nodes")
+        if np.any(tables[0] <= 0):
             raise ValueError("M must be positive everywhere")
-        self._M = CubicSpline(ts, M)
-        self._dM = CubicSpline(ts, np.asarray(dM, dtype=float))
-        self._d2M = CubicSpline(ts, np.asarray(d2M, dtype=float))
-        self._w2 = CubicSpline(ts, np.asarray(w2, dtype=float))
-        spline_dM = self._M.derivative()(ts)
-        scale = np.max(np.abs(dM)) or 1.0
-        mismatch = np.max(np.abs(spline_dM - dM)) / scale
-        if mismatch > 1e-4:
-            warnings.warn(
-                f"supplied dM/dt disagrees with the spline derivative of M "
-                f"(relative {mismatch:.2e}); check table consistency",
-                stacklevel=2,
-            )
+        super().__init__(ts[0], ts[-1], force)
+        self._tables = dict(zip(("t", "M", "dM", "d2M", "w2"), [ts, *tables]))
+        self._M = _Hermite(ts, tables[:3])
+        self._w2 = _Hermite(ts, [tables[3], _not_a_knot_slopes(ts, tables[3])])
 
     def mass(self, t):
-        out = self._M(t)
-        return float(out) if np.isscalar(t) else out
+        return self._M(t)
 
     def dmass(self, t):
-        out = self._dM(t)
-        return float(out) if np.isscalar(t) else out
+        return self._M(t, 1)
 
     def d2mass(self, t):
-        out = self._d2M(t)
-        return float(out) if np.isscalar(t) else out
+        return self._M(t, 2)
 
     def freq2(self, t):
-        out = self._w2(t)
-        return float(out) if np.isscalar(t) else out
+        return self._w2(t)
 
     def params(self):
-        return {
-            "t": self._ts.tolist(),
-            "M": self._M(self._ts).tolist(),
-            "dM": self._dM(self._ts).tolist(),
-            "d2M": self._d2M(self._ts).tolist(),
-            "w2": self._w2(self._ts).tolist(),
-        }
+        return {k: v.tolist() for k, v in self._tables.items()}
 
 
 class ReducedUnitMass(OscillatorModel):

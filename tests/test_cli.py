@@ -204,23 +204,53 @@ def test_closed_form_of_another_family_is_config_error(tmp_path, capsys, model, 
     assert err.startswith(f"error: closed_form kind {kind!r}") and err.count("\n") == 1
 
 
-def test_frequency_map_without_a_closed_form_target_is_config_error(tmp_path, capsys):
-    """A tabulated model has no closed-form reduced frequency to compare
-    w0^2 with: frequency_map is refused (exit 2), not judged against the
-    mean of w0^2 itself."""
-    ts = np.linspace(0.0, 6.0, 121)
+def _tabulated_doc(nodes, **overrides):
+    """The exact table of M = 1 + 0.3 sin t, w^2 = 1 on [0, 6], with a
+    numeric basis, n <= 3 at four times, and the checks that apply to it."""
+    ts = np.linspace(0.0, 6.0, nodes)
     model = {"family": "GeneralParametric", "t_min": 0.0, "t_max": 6.0,
              "params": {"t": ts.tolist(), "M": (1.0 + 0.3 * np.sin(ts)).tolist(),
                         "dM": (0.3 * np.cos(ts)).tolist(),
                         "d2M": (-0.3 * np.sin(ts)).tolist(),
                         "w2": np.ones_like(ts).tolist()}}
-    doc = _scenario_doc(model=model, basis={"kind": "numeric",
-                                            "ics": [1.0, 0.0, 0.0, 1.0]},
-                        states=[0], times=[1.0], checks=["frequency_map"])
+    fields = dict(model=model, basis={"kind": "numeric", "ics": [1.0, 0.0, 0.0, 1.0]},
+                  states=[0, 1, 2, 3], times=[1.0, 2.5, 4.0, 5.5],
+                  checks=["omega_constancy", "residual", "transform_chain"])
+    return _scenario_doc(**{**fields, **overrides})
+
+
+def test_frequency_map_without_a_closed_form_target_is_config_error(tmp_path, capsys):
+    """A tabulated model has no closed-form reduced frequency to compare
+    w0^2 with: frequency_map is refused (exit 2), not judged against the
+    mean of w0^2 itself."""
+    doc = _tabulated_doc(121, states=[0], times=[1.0], checks=["frequency_map"])
     assert main(["verify", _write(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert err == ("configuration error: frequency_map has no closed-form reduced "
                    "frequency for GeneralParametric\n")
+
+
+@pytest.mark.parametrize("nodes", [31, 121])
+def test_exact_tabulated_table_verifies(tmp_path, capsys, nodes):
+    """The exact table of M = 1 + 0.3 sin t passes every row at any node
+    count: the Mdot the ODE reads is the derivative of the M in the
+    Hamiltonian, so the invariant Omega holds to the integrator's accuracy."""
+    doc = _tabulated_doc(nodes)
+    assert main(["verify", _write(tmp_path, doc)]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 49 and all(row["pass"] for row in rows)
+    [omega] = [row["measured"] for row in rows if row["check"] == "omega_constancy"]
+    assert omega < 1e-8
+
+
+def test_tabulated_domain_must_be_its_tables(tmp_path, capsys):
+    """A tabulated model's domain is its first and last node; a document
+    that declares another one is refused (exit 2), not run on the table's."""
+    doc = _tabulated_doc(31)
+    doc["model"].update(t_min=-5.0, t_max=40.0)
+    assert main(["verify", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == ("error: model declares the time domain [-5.0, 40.0], "
+                                       "but its table spans [0.0, 6.0]\n")
 
 
 _SHO = {"family": "UnitMassSHO", "t_min": -1.0, "t_max": 12.0}
@@ -363,14 +393,14 @@ def test_one_sample_time_at_the_end_of_the_domain(tmp_path, capsys):
 
 
 def test_verify_leaves_scipy_interpolate_unimported(tmp_path):
-    """A cold `tdho verify` of a chain scenario imports no scipy.interpolate,
-    no command that integrates a trajectory imports scipy at all, and none
-    imports jsonschema."""
+    """No command imports scipy, a cold `tdho verify` of a tabulated model
+    included, and none imports jsonschema."""
     src = str(Path(tdho.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for argv in (["verify", "driven_ck", "--suite", "fast", "--out",
                   str(tmp_path / "report.json")],
+                 ["verify", _write(tmp_path, _tabulated_doc(31)), "--suite", "fast"],
                  ["state", "ck", "--out", str(tmp_path / "state")],
                  ["classical", "lo", "--out", str(tmp_path / "classical")]):
         code = (

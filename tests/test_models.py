@@ -1,9 +1,11 @@
 """Oscillator model families, forces, and the reduced-frequency map."""
 
 import json
+import time
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from tdho.models import (
     CaldirolaKanai,
@@ -165,18 +167,81 @@ def test_general_parametric_reproduces_ck_tables():
     )
 
 
-def test_general_parametric_warns_on_inconsistent_dM():
-    ts = np.linspace(0.0, 5.0, 101)
+def _sine_table(ts):
+    """The exact table of M = 1 + 0.3 sin t, w^2 = 1 + 0.1 cos t."""
+    return (ts, 1.0 + 0.3 * np.sin(ts), 0.3 * np.cos(ts), -0.3 * np.sin(ts),
+            1.0 + 0.1 * np.cos(ts))
+
+
+def _clashing_table(ts):
+    """M = e^{0.3 t} with a dM (and d2M) table that is not its derivative."""
     M = np.exp(0.3 * ts)
-    with pytest.warns(UserWarning, match="dM/dt disagrees"):
-        GeneralParametric(ts, M, np.ones_like(ts), 0.09 * M, np.ones_like(ts))
+    return ts, M, np.ones_like(ts), 0.09 * M, np.ones_like(ts)
 
 
-def test_general_parametric_rejects_nonpositive_mass():
-    ts = np.linspace(0.0, 5.0, 10)
-    with pytest.raises(ValueError):
-        GeneralParametric(ts, ts - 2.0, np.ones_like(ts), np.zeros_like(ts),
-                          np.ones_like(ts))
+@pytest.mark.parametrize("nodes", [4, 5, 9, 64])
+def test_freq2_is_scipys_not_a_knot_spline(rng, nodes):
+    """w^2 is scipy's default CubicSpline, on random non-uniform nodes."""
+    for _ in range(20):
+        ts = rng.uniform(-2.0, 2.0) + np.cumsum(rng.uniform(0.2, 1.0, nodes))
+        w2 = rng.uniform(0.5, 2.0, nodes)
+        gp = GeneralParametric(ts, np.ones(nodes), np.zeros(nodes), np.zeros(nodes), w2)
+        probe = np.concatenate([ts, rng.uniform(ts[0], ts[-1], 64)])
+        want = CubicSpline(ts, w2)(probe)
+        assert np.max(np.abs(gp.freq2(probe) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("table", [_sine_table, _clashing_table], ids=["exact", "clashing"])
+def test_general_parametric_reproduces_its_tables_at_the_nodes(table):
+    """Every node, the last one too, returns its table entries exactly, as
+    arrays and as floats, and the JSON document carries the tables."""
+    ts, *values = table(np.linspace(0.0, 6.0, 13))
+    gp = GeneralParametric(ts, *values)
+    for fn, want in zip((gp.mass, gp.dmass, gp.d2mass, gp.freq2), values):
+        assert np.array_equal(fn(ts), want)
+        assert [fn(float(t)) for t in ts] == want.tolist()
+        assert type(fn(1.0)) is float
+    assert gp.params() == {k: v.tolist() for k, v in
+                           zip(("t", "M", "dM", "d2M", "w2"), (ts, *values))}
+
+
+def _richardson(fn, t, h=1e-3):
+    central = [(fn(t + d) - fn(t - d)) / (2.0 * d) for d in (h, h / 2)]
+    return (4.0 * central[1] - central[0]) / 3.0
+
+
+@pytest.mark.parametrize("table", [_sine_table, _clashing_table], ids=["exact", "clashing"])
+def test_mass_derivatives_are_derivatives_of_mass(table):
+    """dmass is the derivative of mass, and d2mass that of dmass, between
+    the nodes, whether or not the tabulated dM and d2M agree with M: the
+    model is one Hamiltonian."""
+    gp = GeneralParametric(*table(np.linspace(0.0, 6.0, 13)))
+    probe = np.linspace(0.0, 6.0, 13)[:-1] + np.array([0.11, 0.25, 0.37])[:, None]
+    np.testing.assert_allclose(gp.dmass(probe), _richardson(gp.mass, probe), atol=1e-9)
+    np.testing.assert_allclose(gp.d2mass(probe), _richardson(gp.dmass, probe), atol=1e-9)
+
+
+def test_general_parametric_builds_a_long_table_in_linear_time():
+    """20 001 nodes build in well under a second: the spline's slopes come
+    from a tridiagonal solve (a dense one would need 3.2 GB)."""
+    start = time.process_time()
+    gp = GeneralParametric(*_sine_table(np.linspace(0.0, 200.0, 20001)))
+    assert time.process_time() - start < 0.5
+    assert gp.freq2(100.005) == pytest.approx(1.0 + 0.1 * np.cos(100.005), abs=1e-10)
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda ts, M, dM, d2M, w2: (ts, M, dM, d2M, w2[:-1]), "w2 has 12 values for 13"),
+    (lambda ts, M, dM, d2M, w2: (ts[::-1], M, dM, d2M, w2), "strictly increasing"),
+    (lambda ts, M, dM, d2M, w2: (np.where(ts == 3.0, 2.5, ts), M, dM, d2M, w2),
+     "strictly increasing"),
+    (lambda ts, M, dM, d2M, w2: (ts[:3], M[:3], dM[:3], d2M[:3], w2[:3]),
+     "at least 4 time nodes"),
+    (lambda ts, M, dM, d2M, w2: (ts, ts - 2.0, dM, d2M, w2), "M must be positive"),
+], ids=["short_w2", "reversed", "repeated_node", "three_nodes", "nonpositive_M"])
+def test_general_parametric_rejects_malformed_table(change, message):
+    with pytest.raises(ValueError, match=message):
+        GeneralParametric(*change(*_sine_table(np.linspace(0.0, 6.0, 13))))
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +254,8 @@ def test_general_parametric_rejects_nonpositive_mass():
                    force=ExpCosineForce(1.0, 0.3, 1.0)),
     LoDampedPulsating(1.0, 0.1, 0.2, 3.0, 1.0, t_min=-1.0, t_max=10.0,
                       force=CosineForce(1.0, 2.0, 0.1)),
+    GeneralParametric(*_sine_table(np.linspace(-1.0, 10.0, 45)),
+                      force=ConstantForce(0.5)),
 ])
 def test_model_json_round_trip(model):
     doc = json.loads(json.dumps(model.to_json()))
@@ -236,9 +303,7 @@ def _ode_model(family, force):
         return CaldirolaKanai(1.2, 0.6, 1.1, -1.0, 12.0, force)
     if family == "LoDampedPulsating":
         return LoDampedPulsating(1.0, 0.1, 0.2, 3.0, 1.0, -1.0, 12.0, force)
-    ts = np.linspace(-1.0, 12.0, 400)
-    return GeneralParametric(ts, 1.0 + 0.3 * np.sin(ts), 0.3 * np.cos(ts),
-                             -0.3 * np.sin(ts), 1.0 + 0.1 * np.cos(ts), force)
+    return GeneralParametric(*_sine_table(np.linspace(-1.0, 12.0, 400)), force)
 
 
 @pytest.mark.parametrize("force", sorted(_ODE_FORCES))
