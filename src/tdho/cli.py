@@ -291,14 +291,20 @@ def build_context(scenario: dict, fast: bool = False):
         times = times[:3]
         ortho_nmax = 4
 
+    # explicit bounds give an explicit grid; without them, the policy grid
     g = scenario["grid"]
-    if g.get("policy", False) or "x_min" not in g:
-        grid = policy_grid(
-            basis, max(ns), hbar, driven=driven, times=times,
-            points=int(g.get("points", 4096)), pad=float(g.get("pad", 8.0)),
-        )
+    explicit = "x_min" in g  # the schema requires x_max with it
+    if g.get("policy", not explicit) == explicit:
+        raise ScenarioError("grid: policy: true contradicts the explicit x_min/x_max"
+                            if explicit else "grid: policy: false needs x_min and x_max")
+    if explicit and "pad" in g:
+        raise ScenarioError("grid: pad sizes the policy grid, not explicit x_min/x_max")
+    points = int(g.get("points", 4096))
+    if explicit:
+        grid = Grid(float(g["x_min"]), float(g["x_max"]), points)
     else:
-        grid = Grid(float(g["x_min"]), float(g["x_max"]), int(g.get("points", 4096)))
+        grid = policy_grid(basis, max(ns), hbar, driven=driven, times=times,
+                           points=points, pad=float(g.get("pad", 8.0)))
 
     ctx = SuiteContext(
         basis=basis,
@@ -382,11 +388,11 @@ def cmd_classical(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     basis_path = out_dir / f"{scenario['name']}_basis.csv"
-    export_basis_csv(ctx.basis, basis_path, n_samples=args.samples)
+    export_basis_csv(ctx.basis, basis_path)
     print(basis_path)
     if ctx.driven is not None:
         driven_path = out_dir / f"{scenario['name']}_driven.csv"
-        export_driven_csv(ctx.driven, driven_path, n_samples=args.samples)
+        export_driven_csv(ctx.driven, driven_path)
         print(driven_path)
     return 0
 
@@ -414,7 +420,6 @@ def main(argv=None) -> int:
     p_classical = sub.add_parser("classical", help="dump trajectory CSVs")
     p_classical.add_argument("scenario")
     p_classical.add_argument("--out", default="out")
-    p_classical.add_argument("--samples", type=int, default=201)
     p_classical.set_defaults(fn=cmd_classical)
 
     p_version = sub.add_parser("version", help="print the package version")

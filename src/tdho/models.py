@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DomainError",
-    "ModelSample",
     "Force",
     "ConstantForce",
     "CosineForce",
@@ -29,9 +27,7 @@ __all__ = [
     "LoDampedPulsating",
     "GeneralParametric",
     "ReducedUnitMass",
-    "evaluate_model",
     "reduced_frequency_squared",
-    "lo_frequency_squared",
     "frequency_scale",
     "model_from_json",
 ]
@@ -41,25 +37,11 @@ class DomainError(ValueError):
     """Raised when a time lies outside a model's domain."""
 
 
-@dataclass(frozen=True)
-class ModelSample:
-    """Exact model data at one time: M, dM/dt, d2M/dt2, w^2, F."""
-
-    t: float
-    M: float
-    dM: float
-    d2M: float
-    w2: float
-    F: float
-
-
 # ---------------------------------------------------------------------------
 # driving-force families
 # ---------------------------------------------------------------------------
 
 class Force:
-    kind = "none"
-
     def __call__(self, t):
         raise NotImplementedError
 
@@ -77,8 +59,6 @@ class Force:
 
 
 class ConstantForce(Force):
-    kind = "constant"
-
     def __init__(self, F0: float):
         self.F0 = float(F0)
 
@@ -95,8 +75,6 @@ class ConstantForce(Force):
 
 class CosineForce(Force):
     """F(t) = amplitude * cos(omega*t + phase)."""
-
-    kind = "cosine"
 
     def __init__(self, amplitude: float, omega: float, phase: float = 0.0):
         self.amplitude = float(amplitude)
@@ -129,8 +107,6 @@ class ExpCosineForce(Force):
     the reduced (unit-mass) force of a C-K model is a plain cosine.
     """
 
-    kind = "expcosine"
-
     def __init__(self, amplitude: float, rate: float, omega: float, phase: float = 0.0):
         self.amplitude = float(amplitude)
         self.rate = float(rate)
@@ -159,8 +135,6 @@ class ExpCosineForce(Force):
 
 class PolynomialForce(Force):
     """F(t) = sum_k coeffs[k] * t^k."""
-
-    kind = "polynomial"
 
     def __init__(self, coeffs):
         self.coeffs = [float(c) for c in coeffs]
@@ -336,21 +310,6 @@ class CaldirolaKanai(OscillatorModel):
         return {"m": self.m, "gamma": self.gamma, "w1": self.w1}
 
 
-def lo_frequency_squared(m0, gamma, mu, nu, w_lo, t):
-    """w^2 making mass m0*exp[2(gamma t + mu sin(nu t))] reduce to constant w_lo.
-
-    With g(t) = gamma*t + mu*sin(nu*t) and sqrt(M) = sqrt(m0) e^{g}, the
-    compensating frequency is w_lo^2 + g'(t)^2 + g''(t):
-        w_lo^2 + (gamma + mu*nu*cos(nu*t))^2 - mu*nu^2*sin(nu*t).
-    """
-    if m0 <= 0:
-        raise ValueError("m0 must be positive")
-    t = np.asarray(t, dtype=float) if not np.isscalar(t) else t
-    dg = gamma + mu * nu * np.cos(nu * t)
-    d2g = -mu * nu**2 * np.sin(nu * t)
-    return w_lo**2 + dg * dg + d2g
-
-
 class LoDampedPulsating(OscillatorModel):
     """M(t) = m0 exp[2(gamma t + mu sin(nu t))], frequency compensating to w_lo.
 
@@ -389,7 +348,12 @@ class LoDampedPulsating(OscillatorModel):
         return (4.0 * dg * dg + 2.0 * d2g) * self.mass(t)
 
     def freq2(self, t):
-        return lo_frequency_squared(self.m0, self.gamma, self.mu, self.nu, self.w_lo, t)
+        # with g = gamma t + mu sin(nu t) and sqrt(M) = sqrt(m0) e^g, the
+        # frequency that reduces to w_lo is w_lo^2 + g'^2 + g''
+        t = np.asarray(t, dtype=float) if not np.isscalar(t) else t
+        dg = self.gamma + self.mu * self.nu * np.cos(self.nu * t)
+        d2g = -self.mu * self.nu**2 * np.sin(self.nu * t)
+        return self.w_lo**2 + dg * dg + d2g
 
     def ode_terms(self, t):
         # mass, dmass and freq2 term for term, from one sine and one cosine
@@ -536,21 +500,8 @@ class ReducedUnitMass(OscillatorModel):
 
 
 # ---------------------------------------------------------------------------
-# evaluation and derived quantities
+# derived quantities
 # ---------------------------------------------------------------------------
-
-def evaluate_model(model: OscillatorModel, t) -> ModelSample:
-    """Exact model data at time t (closed-form, never differenced)."""
-    model.check_domain(t)
-    return ModelSample(
-        t=float(t),
-        M=float(model.mass(t)),
-        dM=float(model.dmass(t)),
-        d2M=float(model.d2mass(t)),
-        w2=float(model.freq2(t)),
-        F=float(model.force_at(t)),
-    )
-
 
 def reduced_frequency_squared(model: OscillatorModel, t):
     """Unit-mass frequency: w^2 + (1/4)(dM/M)^2 - (1/2)(d2M/M).

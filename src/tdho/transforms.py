@@ -4,10 +4,11 @@ Every operator is one affine map with a quadratic phase, reading g once:
 
     (T g)(x) = sqrt(s) e^{i((alpha x + k) x + c)/hbar} g(s x - d)
 
-The primitives (dilation, translation, quadratic, linear and constant phase)
-set one parameter each.  The mass-reduction operator U0, the driving
-operator U_F and their inverses are products of them, acting right-to-left
-as written, each fused into one map:
+The primitives are its parameters, one each: Dilation(a) is s = e^a,
+Translation(d) is d, and QuadraticPhase(alpha), LinearPhase(k) and
+ConstPhase(c) are the phase's coefficients.  The mass-reduction operator
+U0, the driving operator U_F and their inverses are products of them,
+acting right-to-left as written, each fused into one map:
 
     U0      = QuadraticPhase(Mdot/4M) . Dilation(-ln M / 2)
               s = M^{-1/2}, alpha = Mdot/4M
@@ -36,18 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import OscillatorModel, evaluate_model
+from .models import OscillatorModel
 
 __all__ = [
     "Grid",
     "GridFunction",
     "GridTooSmallError",
     "sample_on_grid",
-    "apply_dilation",
-    "apply_translation",
-    "apply_quadratic_phase",
-    "apply_linear_phase",
-    "apply_constant_phase",
     "apply_U0",
     "apply_U0_dagger",
     "apply_UF",
@@ -224,65 +220,42 @@ def _affine(g: GridFunction, op: str, s=1.0, d=0.0, alpha=0.0, k=0.0, c=0.0):
 
 
 # ---------------------------------------------------------------------------
-# primitives
-# ---------------------------------------------------------------------------
-
-def apply_dilation(g: GridFunction, a: float) -> GridFunction:
-    """f(x) -> e^{a/2} f(e^a x); the e^{a/2} keeps the L2 norm."""
-    return _affine(g, f"dilation(a={a})", s=math.exp(a))
-
-
-def apply_translation(g: GridFunction, d: float) -> GridFunction:
-    """f(x) -> f(x - d)."""
-    return _affine(g, f"translation(d={d})", d=d)
-
-
-def apply_quadratic_phase(g: GridFunction, alpha: float) -> GridFunction:
-    """Multiply by e^{i alpha x^2 / hbar}."""
-    return _affine(g, "quadratic phase", alpha=alpha)
-
-
-def apply_linear_phase(g: GridFunction, k: float) -> GridFunction:
-    """Multiply by e^{i k x / hbar}."""
-    return _affine(g, "linear phase", k=k)
-
-
-def apply_constant_phase(g: GridFunction, c: float) -> GridFunction:
-    """Multiply by e^{i c / hbar}."""
-    return _affine(g, "constant phase", c=c)
-
-
-# ---------------------------------------------------------------------------
 # composites
 # ---------------------------------------------------------------------------
+
+def _read(model: OscillatorModel, t, *names):
+    """The named model functions at t as floats, after the domain check."""
+    model.check_domain(t)
+    return [float(getattr(model, name)(t)) for name in names]
+
 
 def apply_U0(model: OscillatorModel, t, g: GridFunction) -> GridFunction:
     """Mass reduction QuadraticPhase(Mdot/4M) . Dilation(-ln M/2):
     M^{-1/4} e^{i Mdot x^2 / 4M hbar} g(x / sqrt(M))."""
-    s = evaluate_model(model, t)
-    return _affine(g, f"U0(t={t})", s=s.M ** -0.5, alpha=0.25 * s.dM / s.M)
+    M, dM = _read(model, t, "mass", "dmass")
+    return _affine(g, f"U0(t={t})", s=M ** -0.5, alpha=0.25 * dM / M)
 
 
 def apply_U0_dagger(model: OscillatorModel, t, g: GridFunction) -> GridFunction:
     """Inverse reduction Dilation(+ln M/2) . QuadraticPhase(-Mdot/4M):
     M^{1/4} e^{-i Mdot x^2 / 4 hbar} g(sqrt(M) x)."""
-    s = evaluate_model(model, t)
-    return _affine(g, f"U0_dagger(t={t})", s=s.M ** 0.5, alpha=-0.25 * s.dM)
+    M, dM = _read(model, t, "mass", "dmass")
+    return _affine(g, f"U0_dagger(t={t})", s=M ** 0.5, alpha=-0.25 * dM)
 
 
 def apply_UF(model: OscillatorModel, driven, t, g: GridFunction) -> GridFunction:
     """Driving operator ConstPhase(delta) . LinearPhase(M xdot_p) .
     Translation(x_p): e^{i(M xdot_p x + delta)/hbar} g(x - x_p)."""
-    s = evaluate_model(model, t)
+    [M] = _read(model, t, "mass")
     xp, dxp, delta = (float(q) for q in driven.slice(t))
-    return _affine(g, f"U_F(t={t})", d=xp, k=s.M * dxp, c=delta)
+    return _affine(g, f"U_F(t={t})", d=xp, k=M * dxp, c=delta)
 
 
 def apply_UF_dagger(model: OscillatorModel, driven, t, g: GridFunction) -> GridFunction:
     """e^{-i(M xdot_p (x + x_p) + delta)/hbar} g(x + x_p)."""
-    s = evaluate_model(model, t)
+    [M] = _read(model, t, "mass")
     xp, dxp, delta = (float(q) for q in driven.slice(t))
-    p = s.M * dxp
+    p = M * dxp
     return _affine(g, f"U_F_dagger(t={t})", d=-xp, k=-p, c=-p * xp - delta)
 
 
@@ -293,23 +266,23 @@ def apply_UF_dagger(model: OscillatorModel, driven, t, g: GridFunction) -> GridF
 def unit_mass_parameters(model: OscillatorModel, t):
     """(alpha, beta, dalpha, dbeta) of the canonical reduction beta = -ln M,
     alpha = Mdot/4M (the choice that kills the cross term)."""
-    s = evaluate_model(model, t)
-    beta = -math.log(s.M)
-    dbeta = -s.dM / s.M
-    alpha = 0.25 * s.dM / s.M
-    dalpha = 0.25 * (s.d2M / s.M - (s.dM / s.M) ** 2)
+    M, dM, d2M = _read(model, t, "mass", "dmass", "d2mass")
+    beta = -math.log(M)
+    dbeta = -dM / M
+    alpha = 0.25 * dM / M
+    dalpha = 0.25 * (d2M / M - (dM / M) ** 2)
     return alpha, beta, dalpha, dbeta
 
 
 def hnew_coefficients(model: OscillatorModel, t, alpha, beta, dalpha, dbeta):
     """Coefficients (kinetic, cross, potential) of the transformed
     Hamiltonian  kinetic p^2 + cross (xp + px) + potential x^2."""
-    s = evaluate_model(model, t)
-    m_eff = s.M * math.exp(beta)
+    M, w2 = _read(model, t, "mass", "freq2")
+    m_eff = M * math.exp(beta)
     kinetic = 0.5 / m_eff
     cross = -0.25 * dbeta - alpha / m_eff
     potential = (
-        0.5 * s.M * s.w2 * math.exp(beta)
+        0.5 * M * w2 * math.exp(beta)
         + alpha * dbeta
         - dalpha
         + 2.0 * alpha * alpha / m_eff

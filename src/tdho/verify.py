@@ -35,6 +35,7 @@ import numpy as np
 from .classical import delta_legacy, null_driven, reduced_basis, shift_particular
 from .models import (
     CaldirolaKanai,
+    DomainError,
     LoDampedPulsating,
     UnitMassSHO,
     frequency_scale,
@@ -267,6 +268,18 @@ def _residual_dt(model) -> float:
     return 1e-3 * 2.0 * math.pi / frequency_scale(model)
 
 
+def _check_stencil_domain(model, t, dt):
+    """Refuse (DomainError) a residual time whose stencil, t ± 4dt, leaves
+    the model's domain, before any state is read there."""
+    try:
+        model.check_domain([t - 4 * dt, t + 4 * dt])
+    except DomainError:
+        raise DomainError(
+            f"residual at t = {t}: the stencil reaches t ± 4dt = "
+            f"[{t - 4 * dt:.6g}, {t + 4 * dt:.6g}] with dt = {dt:.3g}, outside "
+            f"the model domain [{model.t_min}, {model.t_max}]") from None
+
+
 def _residual_once(model, x, t, dt, hbar, psi, f_p1, f_m1, f_p2, f_m2, work):
     """Relative L2 residuals of the rows (..., len(x)) sampled at t, t ± dt
     and t ± 2dt, one per row, formed in place: H psi in work, the time
@@ -322,8 +335,7 @@ def schrodinger_residual(field, model, grid, t, dt=None, hbar=None) -> ResidualR
     x = grid.xs() if isinstance(grid, Grid) else np.asarray(grid, dtype=float)
     if dt is None:
         dt = _residual_dt(model)
-    model.check_domain(t - 4 * dt)
-    model.check_domain(t + 4 * dt)
+    _check_stencil_domain(model, t, dt)
     # fresh complex copies: _residual_pair overwrites some of them
     at = {k: np.array(field(x, t + k * dt), dtype=np.complex128)
           for k in _STENCIL_STEPS}
@@ -494,6 +506,8 @@ def _run_residual(ctx: SuiteContext, rows) -> list:
     tol = DEFAULT_THRESHOLDS["residual"]
     model = ctx.model
     dt = _residual_dt(model)
+    for t in ctx.times:
+        _check_stencil_domain(model, t, dt)
     xs = ctx.grid.xs()
     spec = ctx.state(max(ctx.ns))
     off_centre = _STENCIL_STEPS[1:]

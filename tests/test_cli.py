@@ -286,6 +286,30 @@ def test_build_context_explicit_grid_too_small(tmp_path):
         build_context(load_scenario(_write(tmp_path, doc)))
 
 
+@pytest.mark.parametrize("grid,conflict", [
+    ({"policy": True, "x_min": -3.0, "x_max": 3.0}, "policy: true contradicts"),
+    ({"policy": False}, "policy: false needs x_min and x_max"),
+    ({"x_min": -8.0, "x_max": 8.0, "pad": 8.0}, "pad sizes the policy grid"),
+], ids=["policy_with_bounds", "no_policy_no_bounds", "pad_with_bounds"])
+def test_a_grid_section_that_contradicts_itself_is_refused(tmp_path, capsys, grid,
+                                                           conflict):
+    """Explicit bounds give an explicit grid, no bounds the policy grid sized
+    by pad; a section that asks for both, or for neither, exits 2.  On its
+    own, [-3, 3] is refused as too small for sho_c1."""
+    doc = load_scenario("sho_c1")
+    doc["grid"], doc["checks"] = grid, ["residual"]
+    assert main(["verify", _write(tmp_path, doc)]) == 2
+    assert conflict in capsys.readouterr().err
+
+
+def test_classical_has_no_samples_option(tmp_path, capsys):
+    """The trajectory CSVs have a fixed 201 rows."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["classical", "sho_c1", "--out", str(tmp_path), "--samples", "5"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --samples 5" in capsys.readouterr().err
+
+
 def test_build_context_driving(tmp_path):
     doc = _scenario_doc(driving={
         "force": {"kind": "cosine", "amplitude": 1.0, "omega": 2.0, "phase": 0.0},
@@ -390,6 +414,19 @@ def test_one_sample_time_at_the_end_of_the_domain(tmp_path, capsys):
     assert rc == 0, captured.err
     [row] = json.loads(captured.out)
     assert row["pass"] and row["measured"] <= 1e-13
+
+
+def test_residual_names_its_stencil_when_it_leaves_the_domain(tmp_path, capsys):
+    """t = 11.99 lies inside lo's domain [-1, 12], but the residual's stencil
+    reaches t + 4dt past its end: the refusal (exit 2) names the check, t,
+    dt, the stencil's reach and the domain."""
+    doc = load_scenario("lo")
+    doc["times"], doc["checks"] = [11.99], ["residual"]
+    assert main(["verify", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    for words in ("residual at t = 11.99", "stencil reaches t ± 4dt = [11.97",
+                  "with dt = 0.00", "domain [-1.0, 12.0]"):
+        assert words in err, err
 
 
 def test_verify_leaves_scipy_interpolate_unimported(tmp_path):

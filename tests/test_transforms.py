@@ -11,11 +11,6 @@ from tdho.transforms import (
     Grid,
     GridFunction,
     GridTooSmallError,
-    apply_constant_phase,
-    apply_dilation,
-    apply_linear_phase,
-    apply_quadratic_phase,
-    apply_translation,
     apply_U0,
     apply_U0_dagger,
     apply_UF,
@@ -23,6 +18,7 @@ from tdho.transforms import (
     hnew_coefficients,
     policy_grid,
     sample_on_grid,
+    _affine,
     _edge_ratio,
     _lagrange_eval,
     unit_mass_parameters,
@@ -69,13 +65,14 @@ def test_boundary_ratio_and_compliance():
 
 
 # ---------------------------------------------------------------------------
-# primitive operators (exact source path)
+# primitive operators (exact source path): each sets one parameter of
+# _affine, Dilation(a) being s = e^a
 # ---------------------------------------------------------------------------
 
 def test_dilation_action():
     gf = sample_on_grid(_gauss_field, GRID, 0.0)
     a = 0.37
-    out = apply_dilation(gf, a)
+    out = _affine(gf, "dilation", s=np.exp(a))
     want = np.exp(a / 2.0) * _gauss_field(np.exp(a) * GRID.xs(), 0.0)
     np.testing.assert_allclose(out.values, want, atol=1e-15)
 
@@ -83,12 +80,13 @@ def test_dilation_action():
 def test_dilation_preserves_norm():
     gf = sample_on_grid(_gauss_field, GRID, 0.0)
     from tdho.verify import norm
-    assert norm(apply_dilation(gf, 0.5)) == pytest.approx(norm(gf), rel=1e-10)
+    out = _affine(gf, "dilation", s=np.exp(0.5))
+    assert norm(out) == pytest.approx(norm(gf), rel=1e-10)
 
 
 def test_translation_action():
     gf = sample_on_grid(_gauss_field, GRID, 0.0)
-    out = apply_translation(gf, 1.25)
+    out = _affine(gf, "translation", d=1.25)
     np.testing.assert_allclose(out.values,
                                _gauss_field(GRID.xs() - 1.25, 0.0), atol=1e-15)
 
@@ -97,20 +95,20 @@ def test_phase_factors():
     gf = sample_on_grid(_gauss_field, GRID, 0.0)
     x = GRID.xs()
     np.testing.assert_allclose(
-        apply_quadratic_phase(gf, 0.4).values,
+        _affine(gf, "quadratic phase", alpha=0.4).values,
         np.exp(0.4j * x**2) * gf.values, rtol=1e-13, atol=1e-18)
     np.testing.assert_allclose(
-        apply_linear_phase(gf, -0.7).values,
+        _affine(gf, "linear phase", k=-0.7).values,
         np.exp(-0.7j * x) * gf.values, rtol=1e-13, atol=1e-18)
     np.testing.assert_allclose(
-        apply_constant_phase(gf, 2.1).values,
+        _affine(gf, "constant phase", c=2.1).values,
         np.exp(2.1j) * gf.values, rtol=1e-13, atol=1e-18)
 
 
 def test_phases_respect_hbar():
     gf = GridFunction(GRID.x_min, GRID.dx, _gauss_field(GRID.xs(), 0.0), 0.0,
                       hbar=0.5, source=_gauss_field)
-    out = apply_linear_phase(gf, 0.3)
+    out = _affine(gf, "linear phase", k=0.3)
     np.testing.assert_allclose(out.values,
                                np.exp(0.6j * GRID.xs()) * gf.values, rtol=1e-15)
 
@@ -118,7 +116,7 @@ def test_phases_respect_hbar():
 def test_interpolated_path_accuracy():
     """Without a source the dilation falls back to a six-point Lagrange read."""
     gf = sample_on_grid(_gauss_field, GRID, 0.0, attach_source=False)
-    out = apply_dilation(gf, 0.37)
+    out = _affine(gf, "dilation", s=np.exp(0.37))
     want = np.exp(0.37 / 2.0) * _gauss_field(np.exp(0.37) * GRID.xs(), 0.0)
     err = np.max(np.abs(out.values - want))
     assert 1e-16 < err < 1e-9
@@ -147,7 +145,7 @@ def test_lagrange_read_reproduces_a_quintic():
         err = np.abs(out[inside] - np.polyval(coeffs, xq[inside]))
         assert np.max(err) < 1e-12 * peak
     with pytest.raises(GridTooSmallError):
-        apply_translation(gf, d)
+        _affine(gf, "translation", d=d)
 
 
 def _psi_1(x, t):
@@ -163,14 +161,14 @@ def test_support_guard_sees_a_node_on_the_edge(d, attach_source):
     g = sample_on_grid(_psi_1, Grid(-10.0, 10.0, 4096), 0.0,
                        attach_source=attach_source)
     with pytest.raises(GridTooSmallError):
-        apply_translation(g, d)
+        _affine(g, "translation", d=d)
 
 
 def test_support_guard_raises():
     gf = sample_on_grid(_gauss_field, Grid(-3.0, 3.0, 256), 0.0,
                         attach_source=False)
     with pytest.raises(GridTooSmallError):
-        apply_dilation(gf, -1.0)  # needs values at e^{-a} x, up to |x| ~ 8.1
+        _affine(gf, "dilation", s=np.exp(-1.0))  # reads e x, up to |x| ~ 8.1
 
 
 def _stack(*fields):
@@ -190,10 +188,11 @@ def test_stacked_rows_equal_single_row_primitives():
     """Every primitive acts on (rows, points) values row by row: the
     Lagrange reads of a stack equal each row's own read bit for bit."""
     g = _stack(_narrow, lambda x: _narrow(x - 0.7))
-    for op in (lambda f: apply_dilation(f, 0.2), lambda f: apply_translation(f, 1.3),
-               lambda f: apply_quadratic_phase(f, 0.4),
-               lambda f: apply_linear_phase(f, -0.7),
-               lambda f: apply_constant_phase(f, 2.1)):
+    for op in (lambda f: _affine(f, "dilation", s=np.exp(0.2)),
+               lambda f: _affine(f, "translation", d=1.3),
+               lambda f: _affine(f, "quadratic phase", alpha=0.4),
+               lambda f: _affine(f, "linear phase", k=-0.7),
+               lambda f: _affine(f, "constant phase", c=2.1)):
         out = op(g)
         assert out.values.shape == g.values.shape
         for i in range(2):
@@ -211,7 +210,8 @@ def test_one_leaking_row_fails_the_support_guard(leaky_row):
     g = _stack(*fields)
     alone = GridFunction(g.x_min, g.dx, g.values[1 - leaky_row], 0.0)
     assert _edge_ratio(g.values) == pytest.approx(_edge_ratio(g.values[leaky_row]))
-    for op in (lambda f: apply_dilation(f, -0.3), lambda f: apply_translation(f, 1.3)):
+    for op in (lambda f: _affine(f, "dilation", s=np.exp(-0.3)),
+               lambda f: _affine(f, "translation", d=1.3)):
         op(alone)  # the compliant row on its own passes
         with pytest.raises(GridTooSmallError):
             op(g)
@@ -236,19 +236,32 @@ def test_u0_dagger_closed_form(ck_basis):
 
 
 def _primitive_products(model, driven, t):
-    """The four composites as products of the primitives, one map at a time."""
+    """The four composites as products of the paper's primitives, one _affine
+    map per primitive with that primitive's parameter, acting right-to-left:
+    Dilation(a) is s = e^a; Translation(d), QuadraticPhase(alpha),
+    LinearPhase(k) and ConstPhase(c) set d, alpha, k and c."""
     M, dM = float(model.mass(t)), float(model.dmass(t))
     xp, dxp, delta = (float(q) for q in driven.slice(t))
     p = M * dxp
+
+    def product(*maps):
+        def apply(g):
+            for op, params in reversed(maps):
+                g = _affine(g, op, **params)
+            return g
+        return apply
+
     return {
-        apply_U0: lambda g: apply_quadratic_phase(
-            apply_dilation(g, -0.5 * np.log(M)), 0.25 * dM / M),
-        apply_U0_dagger: lambda g: apply_dilation(
-            apply_quadratic_phase(g, -0.25 * dM / M), 0.5 * np.log(M)),
-        apply_UF: lambda g: apply_constant_phase(
-            apply_linear_phase(apply_translation(g, xp), p), delta),
-        apply_UF_dagger: lambda g: apply_translation(
-            apply_linear_phase(apply_constant_phase(g, -delta), -p), -xp),
+        apply_U0: product(("quadratic phase", {"alpha": 0.25 * dM / M}),
+                          ("dilation", {"s": np.exp(-0.5 * np.log(M))})),
+        apply_U0_dagger: product(("dilation", {"s": np.exp(0.5 * np.log(M))}),
+                                 ("quadratic phase", {"alpha": -0.25 * dM / M})),
+        apply_UF: product(("constant phase", {"c": delta}),
+                          ("linear phase", {"k": p}),
+                          ("translation", {"d": xp})),
+        apply_UF_dagger: product(("translation", {"d": -xp}),
+                                 ("linear phase", {"k": -p}),
+                                 ("constant phase", {"c": -delta})),
     }
 
 

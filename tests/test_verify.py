@@ -11,7 +11,7 @@ import tdho.states
 import tdho.transforms
 import tdho.verify
 from tdho.classical import analytic_basis_sho
-from tdho.models import CaldirolaKanai, LoDampedPulsating, UnitMassSHO
+from tdho.models import CaldirolaKanai, DomainError, LoDampedPulsating, UnitMassSHO
 from tdho.scenarios import BUNDLED
 from tdho.states import (
     StateSpec,
@@ -165,6 +165,15 @@ def test_residual_detects_detuned_state():
     rep = schrodinger_residual(_state(wrong, 0), model, GRID, 1.0)
     assert rep.rel_l2_residual > 1e-3
     assert rep.residual_coarse / rep.rel_l2_residual < 8.0
+
+
+def test_residual_refuses_a_stencil_past_the_domain(sho_basis_c1):
+    """t lies inside the domain but t + 4dt does not: refused before the
+    field is read past the end."""
+    model = sho_basis_c1.model
+    with pytest.raises(DomainError, match=r"residual at t = .*stencil reaches t ± 4dt"):
+        schrodinger_residual(_state(sho_basis_c1, 0), model, GRID,
+                             model.t_max - 0.01, dt=0.005)
 
 
 def test_residual_refuses_zero_state():
