@@ -6,7 +6,8 @@ import math
 import numpy as np
 
 # Points whose amplitude bound is below e^LOG_FLOOR are returned as exact
-# zeros (float64 underflows to 0 a bit below e^-745).
+# zeros (float64 underflows to 0 a bit below e^-745).  A call with a depth
+# raises its slices' floor to log_norm - depth, never lowers it below this.
 LOG_FLOOR = -700.0
 
 _LN2 = math.log(2.0)
@@ -19,9 +20,10 @@ _LOG_CRAMER = math.log(1.0865)
 _RESCALE_LOG = 600.0
 
 
-def _cutoff_radius(n, log_norm, gauss_re, scale):
+def _cutoff_radius(n, log_norm, gauss_re, scale, depth=None):
     """Radius R such that exp(log_norm + gauss_re d^2) |h_n(scale d)| is
-    below e^LOG_FLOOR wherever |d| > R.
+    below e^floor wherever |d| > R, where floor is LOG_FLOOR or, with a
+    depth, max(LOG_FLOOR, log_norm - depth).
 
     h_n = H_n / sqrt(2^n n! sqrt(pi)) is the normalised Hermite polynomial.
     Two bounds on ln|h_n(xi)| hold for every xi:
@@ -37,6 +39,8 @@ def _cutoff_radius(n, log_norm, gauss_re, scale):
     a = -gauss_re
     s2 = scale * scale
     base = log_norm - LOG_FLOOR
+    if depth is not None:
+        base = min(base, depth)
     radius = math.inf
     if a > 0.5 * s2:
         radius = math.sqrt(max(base + _LOG_CRAMER - _LOG_PI_4, 0.0) / (a - 0.5 * s2))
@@ -47,7 +51,7 @@ def _cutoff_radius(n, log_norm, gauss_re, scale):
         return radius
     q = 0.25 * n * n / s2
 
-    def excess(d):  # ln of the U1 amplitude bound at d, minus LOG_FLOOR
+    def excess(d):  # ln of the U1 amplitude bound at d, minus the floor
         return c - a * d * d + n * math.log(2.0 * abs(scale) * d) + q / (d * d)
 
     # excess decreases for d >= d0, where -2ad + n/d changes sign
@@ -160,7 +164,7 @@ def state_kernel(x, n, log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phas
 
 
 def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
-                       k_lin, phase0, dphase, out=None):
+                       k_lin, phase0, dphase, out=None, depth=None):
     """Eigenstate samples of the requested orders on the ascending grid x,
     from one recurrence that runs to max(orders), for one time slice or a
     stack of them.
@@ -179,11 +183,18 @@ def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
 
     Each slice keeps its own cutoff window: outside the cutoff radius of
     n = max(orders) around its x_shift every requested order is below
-    e^LOG_FLOOR, and those samples are exact zeros.  One solve serves all
-    orders, as _cutoff_radius grows with n.  Its Cramér radius does not
-    depend on n; its U1 radius R_n is the first d >= sqrt(n / 2a), a =
-    -gauss_re, where excess E_n(d) <= 0, and E_n falls from there on.  With
-    xi = scale d, u = 2 xi^2 / (n + 1) and k = (2n + 1) / (2n + 2) >= 1/2,
+    e^floor, and those samples are exact zeros.  The floor is LOG_FLOOR,
+    or, with a depth, max(LOG_FLOOR, log_norm - depth): a slice is then read
+    down to e^-depth of its amplitude scale e^log_norm and no further.  For
+    a state's Gaussian (gauss_re = -scale^2 / 2) the peak of |row| is at
+    least 0.358 e^log_norm for every order up to 1000, so a zeroed sample
+    is below e^-depth / 0.358 of its row's peak.  One solve serves all
+    orders, as _cutoff_radius grows with n.  The floor does not depend on
+    n, with a depth or without, so the argument that follows holds for
+    both.  The Cramér radius does not depend on n; the U1 radius R_n is the
+    first d >= sqrt(n / 2a), a = -gauss_re, where excess E_n(d) <= 0, and
+    E_n falls from there on.  With xi = scale d, u = 2 xi^2 / (n + 1) and
+    k = (2n + 1) / (2n + 2) >= 1/2,
     E_{n+1}(d) - E_n(d) = ln u / 2 + k / u >= (ln 2k + 1) / 2 >= 1/2 for
     every d (least at u = 2k).  So E_n(R_{n+1}) < E_{n+1}(R_{n+1}) <= 0 at
     R_{n+1} >= sqrt((n + 1) / 2a): R_n <= R_{n+1}, apart by far more than
@@ -215,7 +226,7 @@ def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
     table = table.reshape(8, -1)
     windows = []  # (lo, hi) of each slice's cutoff window on x
     for ln, gr, _, sc, shift, *_ in table.T.tolist():
-        radius = _cutoff_radius(n, ln, gr, sc)  # bounds every lower order's
+        radius = _cutoff_radius(n, ln, gr, sc, depth)  # bounds every lower order's
         windows.append((int(np.searchsorted(x, shift - radius, side="left")),
                         int(np.searchsorted(x, shift + radius, side="right"))))
     live = [w for w in windows if w[0] < w[1]]

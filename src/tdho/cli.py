@@ -29,7 +29,7 @@ from .classical import (
 )
 from .models import CaldirolaKanai, LoDampedPulsating, UnitMassSHO, model_from_json
 from .ode import ODEError
-from .states import dump_state_grid, state_field
+from .states import _x_column, dump_state_grid, state_field
 from .transforms import BOUNDARY_RATIO, Grid, _edge_ratio, policy_grid
 from .verify import DegenerateStateError, SuiteContext, report_json, run_suite
 
@@ -353,11 +353,13 @@ def cmd_state(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     xs = ctx.grid.xs()
+    x_column = _x_column(xs)  # every file shares it
     for n in ctx.ns:
         f = state_field(ctx.state(n))
         for t in ctx.times:
             csv_path = out_dir / f"state_n{n}_t{t:g}.csv"
-            dump_state_grid(f, xs, t, csv_path, meta={"scenario": scenario["name"]})
+            dump_state_grid(f, xs, t, csv_path, meta={"scenario": scenario["name"]},
+                            x_column=x_column)
             print(csv_path)
     return 0
 

@@ -146,7 +146,7 @@ def _eval_slice(spec: StateSpec, x, t, with_driving: bool):
                         x_shift, k_lin)
 
 
-def state_block(spec: StateSpec, x, t, orders, out=None):
+def state_block(spec: StateSpec, x, t, orders, out=None, depth=None):
     """The given orders of spec's state at time t, or at each of a 1-D
     sequence of times, on the ascending grid x (spec.n is not read).
 
@@ -155,13 +155,15 @@ def state_block(spec: StateSpec, x, t, orders, out=None):
     time comes from one recurrence to max(orders).  Returns the
     (len(orders), len(x)) rows for a scalar t, rows[i] being psi_{orders[i]}
     on x, and the (len(t), len(orders), len(x)) stack of them for a
-    sequence; out, when given, is that array, filled and returned.
+    sequence; out, when given, is that array, filled and returned.  depth,
+    when given, zeros each slice below e^-depth of its amplitude scale
+    (state_kernel_block).
     """
     slices = (_slice_params(spec, s, with_driving=True) for s in np.atleast_1d(t))
     columns = np.array([params + (0.5 * theta + phase_shift, theta)
                         for params, theta, phase_shift in slices]).T
     return state_kernel_block(x, orders, *(columns if np.ndim(t) else columns[:, 0]),
-                              out=out)
+                              out=out, depth=depth)
 
 
 def psi_general(spec: StateSpec, x, t):
@@ -207,11 +209,12 @@ def _closed_form_call(slice_, n, x):
     return _kernel_call(x, n, *params, (n + 0.5) * theta)
 
 
-def _closed_form_block(slice_, orders, x):
+def _closed_form_block(slice_, orders, x, depth):
     """The given orders of a closed-form slice on the ascending grid x, as
-    state_block's rows, from one recurrence."""
+    state_block's rows (depth as there), from one recurrence."""
     params, theta = slice_
-    return state_kernel_block(x, orders, *params, 0.0, 0.0, 0.5 * theta, theta)
+    return state_kernel_block(x, orders, *params, 0.0, 0.0, 0.5 * theta, theta,
+                              depth=depth)
 
 
 def _sho_slice(w_s, Ccoef, hbar, t):
@@ -239,9 +242,10 @@ def psi_sho(w_s, Ccoef, n, hbar, x, t):
     return _closed_form_call(_sho_slice(w_s, Ccoef, hbar, t), n, x)
 
 
-def psi_sho_block(w_s, Ccoef, orders, hbar, x, t):
-    """psi_sho's given orders at t on the ascending grid x, one row each."""
-    return _closed_form_block(_sho_slice(w_s, Ccoef, hbar, t), orders, x)
+def psi_sho_block(w_s, Ccoef, orders, hbar, x, t, depth=None):
+    """psi_sho's given orders at t on the ascending grid x, one row each
+    (depth as in state_block)."""
+    return _closed_form_block(_sho_slice(w_s, Ccoef, hbar, t), orders, x, depth)
 
 
 def _ck_slice(m, gamma, w1, Ccoef, hbar, t):
@@ -278,9 +282,11 @@ def psi_ck(m, gamma, w1, Ccoef, n, hbar, x, t):
     return _closed_form_call(_ck_slice(m, gamma, w1, Ccoef, hbar, t), n, x)
 
 
-def psi_ck_block(m, gamma, w1, Ccoef, orders, hbar, x, t):
-    """psi_ck's given orders at t on the ascending grid x, one row each."""
-    return _closed_form_block(_ck_slice(m, gamma, w1, Ccoef, hbar, t), orders, x)
+def psi_ck_block(m, gamma, w1, Ccoef, orders, hbar, x, t, depth=None):
+    """psi_ck's given orders at t on the ascending grid x, one row each
+    (depth as in state_block)."""
+    return _closed_form_block(_ck_slice(m, gamma, w1, Ccoef, hbar, t), orders, x,
+                              depth)
 
 
 def _lo_slice(m0, gamma, mu, nu, w_lo, Ccoef, hbar, t):
@@ -315,10 +321,11 @@ def psi_lo(m0, gamma, mu, nu, w_lo, Ccoef, n, hbar, x, t):
     return _closed_form_call(_lo_slice(m0, gamma, mu, nu, w_lo, Ccoef, hbar, t), n, x)
 
 
-def psi_lo_block(m0, gamma, mu, nu, w_lo, Ccoef, orders, hbar, x, t):
-    """psi_lo's given orders at t on the ascending grid x, one row each."""
+def psi_lo_block(m0, gamma, mu, nu, w_lo, Ccoef, orders, hbar, x, t, depth=None):
+    """psi_lo's given orders at t on the ascending grid x, one row each
+    (depth as in state_block)."""
     return _closed_form_block(
-        _lo_slice(m0, gamma, mu, nu, w_lo, Ccoef, hbar, t), orders, x)
+        _lo_slice(m0, gamma, mu, nu, w_lo, Ccoef, hbar, t), orders, x, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +362,30 @@ def state_field(spec: StateSpec) -> WavefunctionField:
     return WavefunctionField(fn, label, spec)
 
 
-def dump_state_grid(field: WavefunctionField, x, t: float, csv_path, meta=None):
-    """Write samples as CSV (x, re_psi, im_psi, abs2) plus a JSON sidecar."""
+def _x_column(x) -> list:
+    """The x column of dump_state_grid's CSV, one string per sample."""
+    return ["%.17g" % v for v in np.asarray(x, dtype=np.float64).tolist()]
+
+
+def dump_state_grid(field: WavefunctionField, x, t: float, csv_path, meta=None,
+                    x_column=None):
+    """Write samples as CSV (x, re_psi, im_psi, abs2) plus a JSON sidecar.
+
+    x_column, when given, is _x_column(x): a run that writes many files on
+    one grid formats its x values once."""
     x = np.asarray(x, dtype=np.float64)
+    if x_column is None:
+        x_column = _x_column(x)
+    elif len(x_column) != len(x):
+        raise ValueError(f"x_column has {len(x_column)} entries for {len(x)} points")
     values = field(x, t)
     # abs2 as a per-row abs(psi)**2 forms it, hypot then pow:
     # np.abs(values)**2 differs from it in the last bit for many values
     abs2 = [h**2 for h in np.hypot(values.real, values.imag).tolist()]
-    rows = zip(x.tolist(), values.real.tolist(), values.imag.tolist(), abs2)
+    rows = zip(x_column, values.real.tolist(), values.imag.tolist(), abs2)
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,re_psi,im_psi,abs2\n")
-        fh.write("%.17g,%.17g,%.17g,%.17g\n" * len(abs2)
+        fh.write("%s,%.17g,%.17g,%.17g\n" * len(abs2)
                  % tuple(itertools.chain.from_iterable(rows)))
     spec = field.spec
     sidecar = {

@@ -21,6 +21,18 @@ time, on which the chain's operators act whole.  The oracles keep their
 own parameters: the closed forms (psi_*_block) take their slice from their
 closed formulas, never from the basis, and only share the recurrence;
 delta_legacy stays an independent integral.
+
+The suite reads each state down to e^-READ_DEPTH (e^-80) of its slice's
+amplitude scale and takes the samples below as exact zeros; the kernel
+alone reads to e^-700 (LOG_FLOOR).  An order's peak is at least 0.358 of
+that scale up to n = 1000, so every zeroed sample is below 5e-35 of its
+row's peak: under eps^2, where no norm, sum or maximum the checks form can
+see it, and 25 orders below BOUNDARY_RATIO.  What a narrower window does
+move is rounding: a slice may skip exponent tracking, and a sum loses terms
+that lie far below its last bit.  A verdict can only move if its measured
+value sits within that rounding of its threshold.  schrodinger_residual,
+check_transform_equivalence, state_field and the CLI's state dump read at
+full depth.
 """
 
 from __future__ import annotations
@@ -46,9 +58,9 @@ from .states import (
     psi_ck_block,
     psi_lo_block,
     psi_sho_block,
-    state_block,
     state_field,
 )
+from .states import state_block as _state_block
 from .transforms import (
     BOUNDARY_RATIO,
     Grid,
@@ -79,6 +91,7 @@ __all__ = [
     "run_suite",
     "report_json",
     "DEFAULT_THRESHOLDS",
+    "READ_DEPTH",
     "CHECK_NAMES",
 ]
 
@@ -435,6 +448,18 @@ DEFAULT_THRESHOLDS = {
     "stationarity_contrast": 1e-2,
 }
 
+# Every state block the suite reads is zero below e^-READ_DEPTH of its
+# slice's amplitude scale (state_kernel_block's depth): at most
+# e^-80 / 0.358 ≈ 5e-35 of the state's peak for orders up to 1000, below
+# eps^2 and far below BOUNDARY_RATIO.  Change it only by that argument.
+READ_DEPTH = 80.0
+
+
+def state_block(spec: StateSpec, x, t, orders, out=None):
+    """tdho.states.state_block read to READ_DEPTH: every block of a state
+    over a basis that the suite reads comes from here."""
+    return _state_block(spec, x, t, orders, out=out, depth=READ_DEPTH)
+
 
 @dataclass
 class CheckResult:
@@ -589,12 +614,13 @@ def _closed_form(ctx: SuiteContext):
     if C is None:
         raise ValueError("closed_form_agreement needs the closed-form C of the scenario")
     if isinstance(m, UnitMassSHO):
-        return functools.partial(psi_sho_block, m.w_s, C, ns, hbar)
+        return functools.partial(psi_sho_block, m.w_s, C, ns, hbar, depth=READ_DEPTH)
     if isinstance(m, CaldirolaKanai):
-        return functools.partial(psi_ck_block, m.m, m.gamma, m.w1, C, ns, hbar)
+        return functools.partial(psi_ck_block, m.m, m.gamma, m.w1, C, ns, hbar,
+                                 depth=READ_DEPTH)
     if isinstance(m, LoDampedPulsating):
         return functools.partial(psi_lo_block, m.m0, m.gamma, m.mu, m.nu, m.w_lo,
-                                 C, ns, hbar)
+                                 C, ns, hbar, depth=READ_DEPTH)
     raise ValueError(
         f"closed_form_agreement has no closed form for {type(m).__name__}")
 

@@ -14,7 +14,18 @@ import tdho
 import tdho._kernels as kernels
 from tdho._kernels._ref import _cutoff_radius, _hermite_function_rows
 from tdho.classical import analytic_basis_sho
-from tdho.states import StateSpec, state_block, state_field
+from tdho.states import (
+    StateSpec,
+    _ck_slice,
+    _lo_slice,
+    _slice_params,
+    _sho_slice,
+    psi_ck_block,
+    psi_lo_block,
+    psi_sho_block,
+    state_block,
+    state_field,
+)
 from tdho.transforms import policy_grid, sample_on_grid
 from tdho.verify import norm
 
@@ -172,15 +183,16 @@ def test_block_returns_only_the_requested_orders(driven_ck, orders):
 # stacks of time slices
 # ---------------------------------------------------------------------------
 
-def _stacked_is_per_slice(x, orders, slices, out=None):
+def _stacked_is_per_slice(x, orders, slices, out=None, depth=None):
     """A stacked call over the slices (each the 8 parameters log_norm ..
-    dphase) holds, slice by slice, the bytes of a one-slice call."""
+    dphase) holds, slice by slice, the bytes of a one-slice call, both at
+    the given depth."""
     got = kernels.state_kernel_block(x, orders, *(list(c) for c in zip(*slices)),
-                                     out=out)
+                                     out=out, depth=depth)
     assert got.shape == (len(slices), len(orders), len(x))
     for s, params in enumerate(slices):
-        assert got[s].tobytes() == kernels.state_kernel_block(x, orders,
-                                                              *params).tobytes()
+        assert got[s].tobytes() == kernels.state_kernel_block(
+            x, orders, *params, depth=depth).tobytes()
     return got
 
 
@@ -292,3 +304,79 @@ def test_the_top_order_cutoff_radius_bounds_every_lower_order(n, log_norm, scale
                            lambda _, *a: max(solve(k, *a) for k in orders)):
         want = kernels.state_kernel_block(x, orders, *params)
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# read depth
+# ---------------------------------------------------------------------------
+
+DEPTH = 80.0
+
+
+def _depth_case(name, driven_ck):
+    """(block(orders, x, **kw), (log_norm, gauss_re, scale, x_shift)) of one
+    slice: the driven state at t = 1 or a closed-form family's state."""
+    if name == "driven_ck":
+        spec = StateSpec(0, 1.0, *driven_ck)
+        params = _slice_params(spec, 1.0, with_driving=True)[0]
+        return (lambda orders, x, **kw: state_block(spec, x, 1.0, orders, **kw),
+                (params[0], params[1], params[3], params[4]))
+    if name == "sho":
+        block = lambda orders, x, **kw: psi_sho_block(  # noqa: E731
+            1.3, 2.0, orders, 0.7, x, 1.0, **kw)
+        params = _sho_slice(1.3, 2.0, 0.7, 1.0)[0]
+    elif name == "ck":
+        block = lambda orders, x, **kw: psi_ck_block(  # noqa: E731
+            1.0, 0.6, 1.0, 1.0, orders, 1.0, x, 2.0, **kw)
+        params = _ck_slice(1.0, 0.6, 1.0, 1.0, 1.0, 2.0)[0]
+    else:
+        block = lambda orders, x, **kw: psi_lo_block(  # noqa: E731
+            1.0, 0.1, 0.2, 1.5, 1.0, 1.5, orders, 1.2, x, 3.0, **kw)
+        params = _lo_slice(1.0, 0.1, 0.2, 1.5, 1.0, 1.5, 1.2, 3.0)[0]
+    return block, (params[0], params[1], params[3], 0.0)
+
+
+@pytest.mark.parametrize("name", ["driven_ck", "sho", "ck", "lo"])
+@pytest.mark.parametrize("n", [0, 3, 12, 64])
+def test_a_depth_zeros_only_what_lies_below_it(driven_ck, name, n):
+    """With a depth, samples outside the top order's cutoff radius at that
+    depth are exact zeros; every sample equals the full-depth block within
+    1e-13 of its row's peak; depth=None is the call without it, byte for
+    byte."""
+    block, (log_norm, gauss_re, scale, x_shift) = _depth_case(name, driven_ck)
+    orders = sorted({n, n // 2, 0}, reverse=True)
+    full_radius = _cutoff_radius(n, log_norm, gauss_re, scale)
+    radius = _cutoff_radius(n, log_norm, gauss_re, scale, DEPTH)
+    assert radius < full_radius
+    x = x_shift + np.linspace(-1.2, 1.2, 4001) * full_radius
+    full = block(orders, x)
+    got = block(orders, x, depth=DEPTH)
+    assert block(orders, x, depth=None).tobytes() == full.tobytes()
+    outside = np.abs(x - x_shift) > radius
+    assert np.all(got[:, outside] == 0.0)
+    assert np.any(full[:, outside] != 0.0)  # the depth cut something
+    peak = np.max(np.abs(full), axis=1, keepdims=True)
+    assert np.all(np.abs(got - full) <= 1e-13 * peak)
+
+
+def test_stacked_slices_at_a_depth_are_one_call_per_slice():
+    """A stack read to a depth holds each slice's one-slice call at that
+    depth: slices whose floors differ (one already at LOG_FLOOR) each keep
+    their own window, narrower than at full depth where the floor rose."""
+    x = np.linspace(-30.0, 30.0, 2049)
+    slices = [(log_norm, -0.5, 0.2, 1.0, shift, 0.3, 0.1, 0.9)
+              for log_norm, shift in ((0.0, -2.0), (-5.0, 1.0), (-650.0, 0.0))]
+    got = _stacked_is_per_slice(x, [24, 3, 0], slices, depth=DEPTH)
+    full = _stacked_is_per_slice(x, [24, 3, 0], slices)
+    widths = [np.count_nonzero(np.any(rows != 0.0, axis=0)) for rows in (*got, *full)]
+    assert widths[0] < widths[3] and widths[1] < widths[4] and widths[2] == widths[5]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(slices=st.lists(_slice, min_size=1, max_size=6),
+       orders=st.lists(st.integers(0, 64), min_size=1, max_size=4),
+       depth=st.floats(0.0, 800.0))
+def test_stacked_call_at_any_depth_is_one_call_per_slice(slices, orders, depth):
+    """Any stack, any orders up to 64 and any depth: bit for bit the
+    one-slice calls at that depth."""
+    _stacked_is_per_slice(np.linspace(-8.0, 8.0, 257), orders, slices, depth=depth)

@@ -9,6 +9,7 @@ from scipy.integrate import simpson
 from tdho.classical import null_driven, reduced_basis
 from tdho.states import (
     StateSpec,
+    _x_column,
     dump_state_grid,
     psi_ck,
     psi_driven,
@@ -209,6 +210,18 @@ def test_dump_state_grid_text_equals_per_row_formula(tmp_path, sho_basis_c1):
         "%.17g,%.17g,%.17g,%.17g\n" % (xi, vi.real, vi.imag, abs(vi) ** 2)
         for xi, vi in zip(x, values))
     assert (tmp_path / "a.csv").read_text() == expected
+
+
+def test_dump_state_grid_with_a_preformatted_x_column(tmp_path, sho_basis_c1):
+    """A run that formats its grid's x column once writes the bytes of a
+    dump that formats it itself; a column of another length is refused."""
+    field = state_field(StateSpec(2, 1.0, sho_basis_c1))
+    x = np.linspace(-40.0, 40.0, 801)
+    dump_state_grid(field, x, 0.5, tmp_path / "a.csv")
+    dump_state_grid(field, x, 0.5, tmp_path / "b.csv", x_column=_x_column(x))
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    with pytest.raises(ValueError, match="x_column has 800 entries for 801 points"):
+        dump_state_grid(field, x, 0.5, tmp_path / "c.csv", x_column=_x_column(x[1:]))
 
 
 def test_reduced_companion_state_is_unit_mass_eigenstate(ck_basis):

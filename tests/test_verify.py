@@ -1,6 +1,7 @@
 """Quadrature, moments, the equation residual, and the check runners."""
 
 import json
+import random
 import warnings
 
 import numpy as np
@@ -699,3 +700,69 @@ def test_each_run_evaluates_the_shared_block_once_and_afresh(monkeypatch,
     for check in ("closed_form_agreement", "residual"):
         rows = [r for r in results if r.check == check]
         assert rows and not any(r.passed for r in rows), check
+
+
+# ---------------------------------------------------------------------------
+# the suite's read depth
+# ---------------------------------------------------------------------------
+
+def _high_n_document(rng: random.Random, label: str) -> dict:
+    """One undriven analytic-basis document with orders up to 64, drawn the
+    way the benchmark's high_n_states workload draws its three: orders in
+    pairs of fixed sum, a fixed C, fixed phases (breathing) or fixed times
+    (exponential mass), and the seed drawing hbar and the frequencies."""
+    k = rng.randint(1, 15)
+    checks = ["closed_form_agreement", "orthonormality", "residual",
+              "stationarity", "transform_chain"]
+    hbar = round(rng.uniform(0.5, 2.0), 6)
+    if label == "ck":
+        w1 = round(rng.uniform(0.8, 1.5), 6)
+        model = {"family": "CaldirolaKanai", "params": {"m": 1.0, "gamma": 0.3, "w1": w1}}
+        basis, times = {"kind": "analytic_ck", "A": 1.0, "B": 1.0}, [0.5, 2.5]
+        checks.remove("stationarity")
+    else:
+        w_s = round(rng.uniform(0.7, 1.5), 6)
+        model = {"family": "UnitMassSHO", "params": {"w_s": w_s}}
+        if label == "sho_stationary":
+            basis = {"kind": "analytic_sho", "A": 1.0, "B": 1.0}
+            times = sorted(round(rng.uniform(0.0, 3.0), 6) for _ in range(2))
+        else:
+            basis = {"kind": "analytic_sho", "A": 2.0, "B": 1.0}
+            times = [round(phase / w_s, 6) for phase in (0.0, 2.0)]
+    model.update(t_min=-1.0, t_max=5.0)
+    return {"name": f"high_n_{label}", "hbar": hbar, "model": model, "basis": basis,
+            "states": [0, k, 32 - k, 32 + k, 64 - k, 64], "times": times,
+            "grid": {"policy": True}, "checks": checks}
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, "high_n_sho_stationary",
+                                  "high_n_sho_breathing", "high_n_ck"])
+def test_the_read_depth_moves_no_verdict(monkeypatch, bundled_context, bundled_results,
+                                         name):
+    """The suite read to READ_DEPTH and read to LOG_FLOOR (READ_DEPTH = None)
+    gives the same rows and verdicts, each measured value within 1e-5 of its
+    threshold, on the bundled scenarios and on three documents with orders
+    up to 64 (orthonormality to 16, as the benchmark runs them).
+    Orthonormality's params name where its largest deviation fell; every
+    deviation is at rounding level (1e-15), so that place is a tie that
+    rounding breaks, and only its value is compared."""
+    from tdho.cli import build_context, load_scenario
+
+    if name.startswith("high_n_"):
+        label = name[len("high_n_"):]
+        doc = _high_n_document(random.Random(f"{label}/23"), label)
+        ctx = build_context(doc)
+        ctx.orthonormality_nmax = 16
+        shallow = run_suite(ctx, doc["checks"])
+    else:
+        ctx, doc = bundled_context(name), load_scenario(name)
+        shallow = bundled_results(name)
+    assert tdho.verify.READ_DEPTH == 80.0
+    monkeypatch.setattr(tdho.verify, "READ_DEPTH", None)
+    deep = run_suite(ctx, doc["checks"])
+    assert len(shallow) == len(deep)
+    for a, b in zip(shallow, deep):
+        assert (a.check, a.threshold, a.op, a.passed) == (b.check, b.threshold, b.op,
+                                                          b.passed)
+        assert a.check == "orthonormality" or a.params == b.params, (a, b)
+        assert abs(a.measured - b.measured) <= 1e-5 * a.threshold, (a, b)
