@@ -117,23 +117,6 @@ def unwrapped_ellipse_angle(s, C):
     return out if out.ndim else float(out)
 
 
-class _AnalyticSHOBasis(ClassicalBasis):
-    """u = A cos(w t), v = B sin(w t) over the unit-mass SHO."""
-
-    def __init__(self, model, w_s, A, B):
-        self.model = model
-        self.w = float(w_s)
-        self.A = float(A)
-        self.B = float(B)
-        self.omega = A * B * w_s
-
-    def _read(self, t):
-        wt = self.w * np.asarray(t, dtype=float)
-        c, s = np.cos(wt), np.sin(wt)
-        return (self.A * c, -self.A * self.w * s, self.B * s, self.B * self.w * c,
-                unwrapped_ellipse_angle(wt, self.A / self.B))
-
-
 class _AnalyticCKBasis(ClassicalBasis):
     """u = A e^{-gamma t/2} cos(w_ck t), v = B e^{-gamma t/2} sin(w_ck t)."""
 
@@ -293,12 +276,13 @@ def solve_homogeneous(
 
 
 def analytic_basis_sho(w_s, A, B, model=None, t_min=0.0, t_max=20.0) -> ClassicalBasis:
-    """Closed-form SHO basis u = A cos(w_s t), v = B sin(w_s t); Omega = A·B·w_s."""
+    """Closed-form SHO basis u = A cos(w_s t), v = B sin(w_s t); Omega = A·B·w_s:
+    the Caldirola–Kanai basis at m = 1, gamma = 0."""
     if w_s <= 0 or A <= 0 or B <= 0:
         raise ValueError("w_s, A, B must all be positive")
     if model is None:
         model = UnitMassSHO(w_s, t_min, t_max)
-    return _AnalyticSHOBasis(model, w_s, A, B)
+    return _AnalyticCKBasis(model, 1.0, 0.0, w_s, A, B)
 
 
 def analytic_basis_ck(m, gamma, w1, A, B, model=None, t_min=0.0, t_max=20.0) -> ClassicalBasis:

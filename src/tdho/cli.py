@@ -27,9 +27,9 @@ from .classical import (
     solve_homogeneous,
     solve_particular,
 )
-from .models import CaldirolaKanai, LoDampedPulsating, UnitMassSHO, model_from_json
+from .models import CaldirolaKanai, UnitMassSHO, model_from_json
 from .ode import ODEError
-from .states import _x_column, dump_state_grid, state_field
+from .states import CLOSED_FORMS, _x_column, dump_state_grid, state_field
 from .transforms import BOUNDARY_RATIO, Grid, _edge_ratio, policy_grid
 from .verify import DegenerateStateError, SuiteContext, report_json, run_suite
 
@@ -230,14 +230,6 @@ def _build_basis(scenario, model):
     )
 
 
-# closed_form.kind -> the model family that has that closed-form state
-_CLOSED_FORM_FAMILIES = {
-    "sho": UnitMassSHO,
-    "ck": CaldirolaKanai,
-    "lo": LoDampedPulsating,
-}
-
-
 def _closed_form_C(scenario, model):
     """C of the closed-form state the scenario compares with, or None.
 
@@ -245,7 +237,7 @@ def _closed_form_C(scenario, model):
     cf = scenario.get("closed_form")
     if cf is not None:
         kind = cf.get("kind")
-        if kind is not None and not isinstance(model, _CLOSED_FORM_FAMILIES[kind]):
+        if kind is not None and CLOSED_FORMS.get(type(model), (None,))[0] != kind:
             raise ScenarioError(
                 f"closed_form kind {kind!r} is not the family of a "
                 f"{type(model).__name__} model"

@@ -15,15 +15,23 @@ with x_p = delta = 0 in the undriven case.  With xi = sqrt(Omega/hbar) d / rho
 the kernel evaluates it as (Omega/hbar)^{1/4} rho^{-1/2} e^{-xi^2/2} h_n(xi)
 times the phases, where h_n = H_n / sqrt(2^n n! sqrt(pi)) comes from the
 normalised Hermite recurrence, so one pass gives any set of orders of a
-slice (state_block).  Closed-form families (constant mass, exponential
-mass, pulsating mass) take their slice parameters from their own closed
-formulas, never from a basis, with the same branch convention, so
-general/specialized comparisons need no phase alignment; psi_*_block gives
-any set of orders of a closed-form slice from the same one recurrence.
+slice (state_block).
+
+The closed-form families (constant mass, exponential mass, pulsating mass)
+differ only in their law for the mass M(t), k = Mdot/M and the constant
+reduced frequency w_c^2, which each reads from its own parameters, never
+from a model's mass or a basis.  One slice formula turns any law into the
+kernel parameters, with the same branch convention, so general/specialized
+comparisons need no phase alignment.  CLOSED_FORMS is the one map from a
+model family to its law and its closed_form.kind; closed_form_block gives
+any set of orders of a family's closed-form slice from the same one
+recurrence, and psi_sho, psi_ck and psi_lo one order from the family's
+parameters.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -32,8 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import state_kernel, state_kernel_block
-from .classical import ClassicalBasis, DrivenSolution, unwrapped_ellipse_angle
-from .models import OscillatorModel
+from .classical import (
+    ClassicalBasis,
+    DrivenSolution,
+    OverdampedError,
+    unwrapped_ellipse_angle,
+)
+from .models import CaldirolaKanai, LoDampedPulsating, OscillatorModel, UnitMassSHO
 
 __all__ = [
     "StateSpec",
@@ -45,9 +58,9 @@ __all__ = [
     "psi_sho",
     "psi_ck",
     "psi_lo",
-    "psi_sho_block",
-    "psi_ck_block",
-    "psi_lo_block",
+    "CLOSED_FORMS",
+    "closed_form_law",
+    "closed_form_block",
     "state_field",
     "dump_state_grid",
 ]
@@ -201,36 +214,86 @@ def _rho_tilde(s, C):
     return rt, drt
 
 
-def _closed_form_call(slice_, n, x):
-    """Order n of a closed-form slice ((log_norm, gauss_re, gauss_im, scale),
-    theta) on scalar-or-array x."""
-    params, theta = slice_
-    n = int(n)
-    return _kernel_call(x, n, *params, (n + 0.5) * theta)
+def _closed_slice(M, k, w2, Ccoef, hbar, t):
+    """Kernel parameters and theta at t of the closed form of a family whose
+    law gives the mass M(t), k = Mdot/M and the constant reduced frequency
+    w_c^2: the ellipse data of C runs at w_c, the mass enters through the
+    width factor and the chirp's -k/2."""
+    if Ccoef <= 0:
+        raise ValueError("Ccoef must be positive")
+    if w2 <= 0:
+        raise OverdampedError(f"w_c^2 = {w2} <= 0: overdamped regime not supported")
+    w_c = math.sqrt(w2)
+    s = w_c * float(t)
+    rt, drt = _rho_tilde(s, Ccoef)
+    rt, drt = float(rt), float(drt * w_c)  # d/dt, not d/ds
+    params = (
+        _log_norm(M * Ccoef * w_c, hbar, rt),
+        -0.5 * M * Ccoef * w_c / (hbar * rt * rt),
+        0.5 * M * (drt / rt - 0.5 * k) / hbar,
+        math.sqrt(M * Ccoef * w_c / hbar) / rt,
+    )
+    return params, unwrapped_ellipse_angle(s, Ccoef)
 
 
-def _closed_form_block(slice_, orders, x, depth):
-    """The given orders of a closed-form slice on the ascending grid x, as
+# Each family's law (M, k, w_c^2) at t, from the family's own parameters
+# (its model's params()), never from a model's mass or a basis.
+
+def _sho_law(t, w_s):
+    if w_s <= 0:
+        raise ValueError("w_s must be positive")
+    return 1.0, 0.0, w_s * w_s
+
+
+def _ck_law(t, m, gamma, w1):
+    return m * math.exp(gamma * t), gamma, w1 * w1 - 0.25 * gamma * gamma
+
+
+def _lo_law(t, m0, gamma, mu, nu, w_lo):
+    if m0 <= 0:
+        raise ValueError("m0 must be positive")
+    if w_lo <= 0:
+        raise ValueError("w_lo must be positive")
+    # M as LoDampedPulsating.mass forms it and k as the factor dmass puts on
+    # it, so both agree bit for bit
+    M = float(m0 * np.exp(2.0 * (gamma * t + mu * np.sin(nu * t))))
+    return M, float(2.0 * (gamma + mu * nu * np.cos(nu * t))), w_lo * w_lo
+
+
+# the one map from a model family to its closed form: family -> (its
+# closed_form.kind, its law)
+CLOSED_FORMS = {
+    UnitMassSHO: ("sho", _sho_law),
+    CaldirolaKanai: ("ck", _ck_law),
+    LoDampedPulsating: ("lo", _lo_law),
+}
+
+
+def closed_form_law(model):
+    """t -> (M, k, w_c^2) of model's family from its own parameters
+    (model.params()), or None for a family without a closed form."""
+    if type(model) not in CLOSED_FORMS:
+        return None
+    return functools.partial(CLOSED_FORMS[type(model)][1], **model.params())
+
+
+def closed_form_block(model, Ccoef, orders, hbar, x, t, depth=None):
+    """The given orders at t of the closed-form state with pulsation
+    parameter Ccoef of model's family, on the ascending grid x, as
     state_block's rows (depth as there), from one recurrence."""
-    params, theta = slice_
+    law = closed_form_law(model)
+    if law is None:
+        raise ValueError(f"{type(model).__name__} has no closed-form state")
+    params, theta = _closed_slice(*law(t), Ccoef, hbar, t)
     return state_kernel_block(x, orders, *params, 0.0, 0.0, 0.5 * theta, theta,
                               depth=depth)
 
 
-def _sho_slice(w_s, Ccoef, hbar, t):
-    """Kernel parameters and theta of the constant-mass closed form at t."""
-    if w_s <= 0 or Ccoef <= 0:
-        raise ValueError("w_s and Ccoef must be positive")
-    s = w_s * float(t)
-    rt, drt = _rho_tilde(s, Ccoef)
-    rt, drt = float(rt), float(drt * w_s)  # d/dt, not d/ds
-    params = (
-        _log_norm(Ccoef * w_s, hbar, rt),
-        -0.5 * Ccoef * w_s / (hbar * rt * rt),
-        0.5 * drt / (hbar * rt),
-        math.sqrt(Ccoef * w_s / hbar) / rt,
-    )
-    return params, unwrapped_ellipse_angle(s, Ccoef)
+def _closed_form_call(slice_, n, x):
+    """Order n of a closed-form slice (_closed_slice) on scalar-or-array x."""
+    params, theta = slice_
+    n = int(n)
+    return _kernel_call(x, n, *params, (n + 0.5) * theta)
 
 
 def psi_sho(w_s, Ccoef, n, hbar, x, t):
@@ -239,37 +302,7 @@ def psi_sho(w_s, Ccoef, n, hbar, x, t):
     C = 1 is the stationary textbook state; C != 1 breathes with envelope
     rho_tilde = sqrt(1 + (C^2 - 1) cos^2(w_s t)), period pi/w_s.
     """
-    return _closed_form_call(_sho_slice(w_s, Ccoef, hbar, t), n, x)
-
-
-def psi_sho_block(w_s, Ccoef, orders, hbar, x, t, depth=None):
-    """psi_sho's given orders at t on the ascending grid x, one row each
-    (depth as in state_block)."""
-    return _closed_form_block(_sho_slice(w_s, Ccoef, hbar, t), orders, x, depth)
-
-
-def _ck_slice(m, gamma, w1, Ccoef, hbar, t):
-    """Kernel parameters and theta of the exponential-mass closed form at t."""
-    from .classical import OverdampedError
-
-    w_ck_sq = w1 * w1 - 0.25 * gamma * gamma
-    if w_ck_sq <= 0:
-        raise OverdampedError(
-            f"w1^2 - gamma^2/4 = {w_ck_sq} <= 0: overdamped regime not supported"
-        )
-    w_ck = math.sqrt(w_ck_sq)
-    t = float(t)
-    M = m * math.exp(gamma * t)
-    s = w_ck * t
-    rt, drt = _rho_tilde(s, Ccoef)
-    rt, drt = float(rt), float(drt * w_ck)
-    params = (
-        _log_norm(M * Ccoef * w_ck, hbar, rt),
-        -0.5 * M * Ccoef * w_ck / (hbar * rt * rt),
-        0.5 * M * (drt / rt - 0.5 * gamma) / hbar,
-        math.sqrt(M * Ccoef * w_ck / hbar) / rt,
-    )
-    return params, unwrapped_ellipse_angle(s, Ccoef)
+    return _closed_form_call(_closed_slice(*_sho_law(t, w_s), Ccoef, hbar, t), n, x)
 
 
 def psi_ck(m, gamma, w1, Ccoef, n, hbar, x, t):
@@ -279,36 +312,8 @@ def psi_ck(m, gamma, w1, Ccoef, n, hbar, x, t):
     frequency w_ck = sqrt(w1^2 - gamma^2/4), with the mass factor in the
     Gaussian width and the extra -gamma/2 in its imaginary part.
     """
-    return _closed_form_call(_ck_slice(m, gamma, w1, Ccoef, hbar, t), n, x)
-
-
-def psi_ck_block(m, gamma, w1, Ccoef, orders, hbar, x, t, depth=None):
-    """psi_ck's given orders at t on the ascending grid x, one row each
-    (depth as in state_block)."""
-    return _closed_form_block(_ck_slice(m, gamma, w1, Ccoef, hbar, t), orders, x,
-                              depth)
-
-
-def _lo_slice(m0, gamma, mu, nu, w_lo, Ccoef, hbar, t):
-    """Kernel parameters and theta of the damped-pulsating-mass closed form at t."""
-    if m0 <= 0:
-        raise ValueError("m0 must be positive")
-    if w_lo <= 0:
-        raise ValueError("w_lo must be positive")
-    m0, gamma, mu, nu, t = float(m0), float(gamma), float(mu), float(nu), float(t)
-    # LoDampedPulsating.mass/dmass term for term, so both agree bit for bit
-    M = float(m0 * np.exp(2.0 * (gamma * t + mu * np.sin(nu * t))))
-    dM = float(2.0 * (gamma + mu * nu * np.cos(nu * t)) * M)
-    s = w_lo * t
-    rt, drt = _rho_tilde(s, Ccoef)
-    rt, drt = float(rt), float(drt * w_lo)
-    params = (
-        _log_norm(M * Ccoef * w_lo, hbar, rt),
-        -0.5 * M * Ccoef * w_lo / (hbar * rt * rt),
-        0.5 * (M * drt / rt - 0.5 * dM) / hbar,
-        math.sqrt(M * Ccoef * w_lo / hbar) / rt,
-    )
-    return params, unwrapped_ellipse_angle(s, Ccoef)
+    return _closed_form_call(_closed_slice(*_ck_law(t, m, gamma, w1), Ccoef, hbar, t),
+                             n, x)
 
 
 def psi_lo(m0, gamma, mu, nu, w_lo, Ccoef, n, hbar, x, t):
@@ -318,14 +323,8 @@ def psi_lo(m0, gamma, mu, nu, w_lo, Ccoef, n, hbar, x, t):
     frequency, so the ellipse data runs at the constant reduced frequency
     w_lo; the mass enters through the width factor and -Mdot/2M.
     """
-    return _closed_form_call(_lo_slice(m0, gamma, mu, nu, w_lo, Ccoef, hbar, t), n, x)
-
-
-def psi_lo_block(m0, gamma, mu, nu, w_lo, Ccoef, orders, hbar, x, t, depth=None):
-    """psi_lo's given orders at t on the ascending grid x, one row each
-    (depth as in state_block)."""
-    return _closed_form_block(
-        _lo_slice(m0, gamma, mu, nu, w_lo, Ccoef, hbar, t), orders, x, depth)
+    return _closed_form_call(
+        _closed_slice(*_lo_law(t, m0, gamma, mu, nu, w_lo), Ccoef, hbar, t), n, x)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ its times once, for every check that reads it (see run_suite).  The
 residual reads its six other stencil times from one kernel pass into one
 stack per check, which each t refills; other states are one block per
 time, on which the chain's operators act whole.  The oracles keep their
-own parameters: the closed forms (psi_*_block) take their slice from their
-closed formulas, never from the basis, and only share the recurrence;
-delta_legacy stays an independent integral.
+own parameters: a closed form (closed_form_block) takes its slice from its
+family's law in tdho.states.CLOSED_FORMS, never from the basis or the
+model's mass, and only shares the recurrence; frequency_map's target is
+that law's w_c^2; delta_legacy stays an independent integral.
 
 The suite reads each state down to e^-READ_DEPTH (e^-80) of its slice's
 amplitude scale and takes the samples below as exact zeros; the kernel
@@ -45,21 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import delta_legacy, null_driven, reduced_basis, shift_particular
-from .models import (
-    CaldirolaKanai,
-    DomainError,
-    LoDampedPulsating,
-    UnitMassSHO,
-    frequency_scale,
-    reduced_frequency_squared,
-)
-from .states import (
-    StateSpec,
-    psi_ck_block,
-    psi_lo_block,
-    psi_sho_block,
-    state_field,
-)
+from .models import DomainError, UnitMassSHO, frequency_scale, reduced_frequency_squared
+from .states import StateSpec, closed_form_block, closed_form_law, state_field
 from .states import state_block as _state_block
 from .transforms import (
     BOUNDARY_RATIO,
@@ -561,15 +549,11 @@ def _run_frequency_map(ctx: SuiteContext, rows) -> list:
     family reduces to in closed form; a model without one is refused."""
     tol = DEFAULT_THRESHOLDS["frequency_map"]
     m = ctx.model
-    if isinstance(m, CaldirolaKanai):
-        target = m.w1**2 - 0.25 * m.gamma**2
-    elif isinstance(m, LoDampedPulsating):
-        target = m.w_lo**2
-    elif isinstance(m, UnitMassSHO):
-        target = m.w_s**2
-    else:
+    law = closed_form_law(m)
+    if law is None:
         raise ValueError(
             f"frequency_map has no closed-form reduced frequency for {type(m).__name__}")
+    target = law(m.t_min)[2]
     ts = np.linspace(m.t_min, m.t_max, 512)
     w02 = np.asarray(reduced_frequency_squared(m, ts), dtype=float)
     measured = float(np.max(np.abs(w02 - target)))
@@ -610,29 +594,22 @@ def _run_transform_chain(ctx: SuiteContext, rows) -> list:
 def _closed_form(ctx: SuiteContext):
     """The closed-form states of the model's family as a field (x, t) ->
     (len(ctx.ns), len(x)) rows, one per order of ctx.ns, on ascending x."""
-    m, C, hbar, ns = ctx.model, ctx.closed_form_C, ctx.hbar, ctx.ns
+    C = ctx.closed_form_C
     if C is None:
         raise ValueError("closed_form_agreement needs the closed-form C of the scenario")
-    if isinstance(m, UnitMassSHO):
-        return functools.partial(psi_sho_block, m.w_s, C, ns, hbar, depth=READ_DEPTH)
-    if isinstance(m, CaldirolaKanai):
-        return functools.partial(psi_ck_block, m.m, m.gamma, m.w1, C, ns, hbar,
-                                 depth=READ_DEPTH)
-    if isinstance(m, LoDampedPulsating):
-        return functools.partial(psi_lo_block, m.m0, m.gamma, m.mu, m.nu, m.w_lo,
-                                 C, ns, hbar, depth=READ_DEPTH)
-    raise ValueError(
-        f"closed_form_agreement has no closed form for {type(m).__name__}")
+    return functools.partial(closed_form_block, ctx.model, C, ctx.ns, ctx.hbar,
+                             depth=READ_DEPTH)
 
 
 def _run_closed_form(ctx: SuiteContext, rows) -> list:
     """The closed-form block of ctx.ns against the undriven general state's
-    block, one of each per t; undriven, that is the run's shared block."""
+    block (the state over null_driven), one of each per t; undriven, that is
+    the run's shared block."""
     tol = DEFAULT_THRESHOLDS["closed_form_agreement"]
     closed = _closed_form(ctx)
     xs = ctx.grid.xs()
     blocks = rows() if ctx.driven is None else state_block(
-        StateSpec(max(ctx.ns), ctx.hbar, ctx.basis), xs, ctx.times, ctx.ns)
+        ctx.state(max(ctx.ns), driven=null_driven(ctx.model)), xs, ctx.times, ctx.ns)
     per_t = []
     for t, block in zip(ctx.times, blocks):
         per_t.append([phase_aligned_distance(want, row)

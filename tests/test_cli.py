@@ -204,6 +204,36 @@ def test_closed_form_of_another_family_is_config_error(tmp_path, capsys, model, 
     assert err.startswith(f"error: closed_form kind {kind!r}") and err.count("\n") == 1
 
 
+def _driven_closed_form_doc(name, w_s=None):
+    """The bundled driven scenario with its family's closed form (C = 1) and
+    closed_form_agreement as its one check; w_s detunes its analytic SHO basis."""
+    doc = load_scenario(name)
+    kind = {"driven_sho": "sho", "driven_ck": "ck"}[name]
+    doc.update(closed_form={"kind": kind, "Ccoef": 1.0},
+               checks=["closed_form_agreement"])
+    if w_s is not None:
+        doc["basis"]["w_s"] = w_s
+    return doc
+
+
+@pytest.mark.parametrize("name", ["driven_sho", "driven_ck"])
+def test_closed_form_agreement_runs_on_a_driven_scenario(tmp_path, capsys, name):
+    """A driven scenario compares its closed form with the undriven state
+    over its basis: every row of every order and time passes (exit 0)."""
+    assert main(["verify", _write(tmp_path, _driven_closed_form_doc(name))]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 12 and all(r["pass"] for r in rows)
+
+
+def test_closed_form_agreement_fails_a_detuned_driven_basis(tmp_path, capsys):
+    """The same check on driven_sho over a basis detuned by 1 %: every row
+    fails (exit 1), none is refused."""
+    doc = _driven_closed_form_doc("driven_sho", w_s=1.01)
+    assert main(["verify", _write(tmp_path, doc)]) == 1
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 12 and not any(r["pass"] for r in rows)
+
+
 def _tabulated_doc(nodes, **overrides):
     """The exact table of M = 1 + 0.3 sin t, w^2 = 1 on [0, 6], with a
     numeric basis, n <= 3 at four times, and the checks that apply to it."""

@@ -14,15 +14,13 @@ import tdho
 import tdho._kernels as kernels
 from tdho._kernels._ref import _cutoff_radius, _hermite_function_rows
 from tdho.classical import analytic_basis_sho
+from tdho.models import CaldirolaKanai, LoDampedPulsating, UnitMassSHO
 from tdho.states import (
     StateSpec,
-    _ck_slice,
-    _lo_slice,
+    _closed_slice,
     _slice_params,
-    _sho_slice,
-    psi_ck_block,
-    psi_lo_block,
-    psi_sho_block,
+    closed_form_block,
+    closed_form_law,
     state_block,
     state_field,
 )
@@ -321,18 +319,14 @@ def _depth_case(name, driven_ck):
         params = _slice_params(spec, 1.0, with_driving=True)[0]
         return (lambda orders, x, **kw: state_block(spec, x, 1.0, orders, **kw),
                 (params[0], params[1], params[3], params[4]))
-    if name == "sho":
-        block = lambda orders, x, **kw: psi_sho_block(  # noqa: E731
-            1.3, 2.0, orders, 0.7, x, 1.0, **kw)
-        params = _sho_slice(1.3, 2.0, 0.7, 1.0)[0]
-    elif name == "ck":
-        block = lambda orders, x, **kw: psi_ck_block(  # noqa: E731
-            1.0, 0.6, 1.0, 1.0, orders, 1.0, x, 2.0, **kw)
-        params = _ck_slice(1.0, 0.6, 1.0, 1.0, 1.0, 2.0)[0]
-    else:
-        block = lambda orders, x, **kw: psi_lo_block(  # noqa: E731
-            1.0, 0.1, 0.2, 1.5, 1.0, 1.5, orders, 1.2, x, 3.0, **kw)
-        params = _lo_slice(1.0, 0.1, 0.2, 1.5, 1.0, 1.5, 1.2, 3.0)[0]
+    model, C, hbar, t = {
+        "sho": (UnitMassSHO(1.3), 2.0, 0.7, 1.0),
+        "ck": (CaldirolaKanai(1.0, 0.6, 1.0), 1.0, 1.0, 2.0),
+        "lo": (LoDampedPulsating(1.0, 0.1, 0.2, 1.5, 1.0), 1.5, 1.2, 3.0),
+    }[name]
+    block = lambda orders, x, **kw: closed_form_block(  # noqa: E731
+        model, C, orders, hbar, x, t, **kw)
+    params = _closed_slice(*closed_form_law(model)(t), C, hbar, t)[0]
     return block, (params[0], params[1], params[3], 0.0)
 
 

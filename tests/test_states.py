@@ -61,6 +61,18 @@ def test_psi_lo_rejects_nonpositive_mass_and_frequency():
         psi_lo(1.0, 0.1, 0.2, 3.0, -1.0, 1.0, 0, 1.0, X, 1.0)
 
 
+@pytest.mark.parametrize("Ccoef", [0.0, -1.0])
+@pytest.mark.parametrize("psi", [
+    lambda C: psi_sho(1.0, C, 0, 1.0, X, 1.0),
+    lambda C: psi_ck(1.0, 0.6, 1.0, C, 0, 1.0, X, 1.0),
+    lambda C: psi_lo(1.0, 0.1, 0.2, 3.0, 1.0, C, 0, 1.0, X, 1.0),
+], ids=["sho", "ck", "lo"])
+def test_closed_forms_refuse_nonpositive_ccoef(psi, Ccoef):
+    """Every family refuses C <= 0 with one message, not a math domain error."""
+    with pytest.raises(ValueError, match="^Ccoef must be positive$"):
+        psi(Ccoef)
+
+
 def test_psi_driven_requires_driven(sho_basis_c1):
     spec = StateSpec(0, 1.0, sho_basis_c1)
     with pytest.raises(ValueError, match="DrivenSolution"):
