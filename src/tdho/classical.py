@@ -357,7 +357,7 @@ def _gauss_panels(g, lo, hi):
         i = int(np.argmax(np.where(np.isnan(gap), np.inf, gap)))
         raise QuadratureError(
             f"integrand not resolved on [{lo[i]}, {hi[i]}]: 20- and 40-node "
-            f"Gauss-Legendre give {coarse[i]!r} and {fine[i]!r}"
+            f"Gauss-Legendre give {float(coarse[i])!r} and {float(fine[i])!r}"
         )
     return coarse
 

@@ -34,6 +34,17 @@ that lie far below its last bit.  A verdict can only move if its measured
 value sits within that rounding of its threshold.  schrodinger_residual,
 check_transform_equivalence, state_field and the CLI's state dump read at
 full depth.
+
+So at high order most of the grid holds exact zeros, and the reductions
+over it run on the states' support window (_support): the residual's
+stencils and norms, the Gram product, the closed-form distance, the
+stationarity drift and the chain's norms.  The window is read from the
+values, not from the kernel's cutoff, so any nonzero sample (NaN and inf
+too) lies inside it.  Zeros add nothing to a sum, a norm or a maximum, so
+the window moves results by rounding only: the order of summation changes.
+The residual's window is 8 columns wider, so the five-point stencils and
+their zeroed edges read on it what they read on the whole grid.  The
+resolution guard, moments and every DFT read the whole grid.
 """
 
 from __future__ import annotations
@@ -105,6 +116,30 @@ def _nondegenerate(size, name: str, where: str, undefined: str):
             f"not finite, so {undefined} is undefined"
         )
     return size
+
+
+def _support(*blocks, margin: int = 0) -> slice:
+    """The slice of grid columns (the last axis) outside which every block
+    is exactly zero, widened by margin columns each way and clipped to the
+    grid; the whole grid when every sample is zero.  It is read from the
+    values, one float64 view of each block scanned for != 0 and OR-reduced
+    over its rows, so NaN, inf and any sample a code path leaves nonzero
+    count."""
+    live = False
+    for block in blocks:
+        block = np.asarray(block)
+        wide = np.iscomplexobj(block)
+        flat = np.ascontiguousarray(block, np.complex128 if wide else np.float64)
+        flat = flat.view(np.float64)
+        cols = np.logical_or.reduce(flat.reshape(-1, flat.shape[-1]) != 0.0, axis=0)
+        if wide:  # a column is live where its real or its imaginary part is
+            cols = cols.view(np.uint16) != 0
+        live = live | cols
+    first = int(np.argmax(live))
+    if not live[first]:
+        return slice(None)
+    stop = live.size - int(np.argmax(live[::-1]))
+    return slice(max(first - margin, 0), min(stop + margin, live.size))
 
 
 # ---------------------------------------------------------------------------
@@ -281,22 +316,30 @@ def _check_stencil_domain(model, t, dt):
             f"the model domain [{model.t_min}, {model.t_max}]") from None
 
 
-def _residual_once(model, x, t, dt, hbar, psi, f_p1, f_m1, f_p2, f_m2, work):
+def _residual_once(model, x, cols, t, dt, hbar, psi, f_p1, f_m1, f_p2, f_m2, work):
     """Relative L2 residuals of the rows (..., len(x)) sampled at t, t ± dt
-    and t ± 2dt, one per row, formed in place: H psi in work, the time
-    derivative in f_p1 and f_m1, which are overwritten."""
-    dx = x[1] - x[0]
+    and t ± 2dt, one per row, over the columns cols of the grid x, outside
+    which every row is zero.  The rows are only read; H psi is formed in the
+    memory of work, a contiguous array with room for the window.  dx is the
+    grid's.  Inside each end of cols that is not the grid's, four columns
+    must be zero: the stencil's two zeroed edge columns then equal the full
+    grid's."""
+    points, dx = len(x), x[1] - x[0]
+    x = x[cols]
+    # numpy's elementwise loops run at half speed or less on a window of
+    # rows, which is strided, so the stencil reads one contiguous copy
+    psi = np.ascontiguousarray(psi[..., cols])
     M = float(model.mass(t))
     w2 = float(model.freq2(t))
     F = float(model.force_at(t))
-    h_psi = _d2(psi, dx, work)
+    h_psi = _d2(psi, dx, work.reshape(-1)[:psi.size].reshape(psi.shape))
     np.multiply(-(hbar * hbar) / (2.0 * M), h_psi, out=h_psi)
     h_psi += (0.5 * M * w2 * x * x - x * F) * psi
     h_norm = _nondegenerate(np.linalg.norm(h_psi, axis=-1), "‖H psi‖",
-                            f" at t = {t} on {len(x)} points", "its residual")
-    o_psi = np.subtract(f_p1, f_m1, out=f_p1)
+                            f" at t = {t} on {points} points", "its residual")
+    o_psi = np.subtract(f_p1[..., cols], f_m1[..., cols])
     np.multiply(8.0, o_psi, out=o_psi)
-    o_psi -= np.subtract(f_p2, f_m2, out=f_m1)
+    o_psi -= f_p2[..., cols] - f_m2[..., cols]
     o_psi /= 12.0 * dt
     np.multiply(1j * hbar, o_psi, out=o_psi)
     o_psi -= h_psi
@@ -306,15 +349,19 @@ def _residual_once(model, x, t, dt, hbar, psi, f_p1, f_m1, f_p2, f_m2, work):
 def _residual_pair(model, x, t, dt, hbar, at, work):
     """(fine, coarse) residuals of the rows at[k], sampled at t + k dt on x
     for each k in _STENCIL_STEPS.  The coarse stencil steps (2dt, 2dx): it
-    reads every other sample at t, t ± 2dt, t ± 4dt.  The fine stencil
-    overwrites at[±1], and the coarse one every other sample of at[±2] once
-    the fine one has read them; at[0] is only read.  work, shaped like
-    at[0], takes H psi."""
-    fine = _residual_once(model, x, t, dt, hbar, at[0], at[1], at[-1], at[2], at[-2],
-                          work)
-    coarse = _residual_once(model, x[::2], t, 2 * dt, hbar,
-                            *(at[k][..., ::2] for k in (0, 2, -2, 4, -4)),
-                            work[..., ::2])
+    reads every other sample at t, t ± 2dt, t ± 4dt.  The rows are only
+    read; work, a contiguous array shaped like at[0], takes H psi.
+
+    Both stencils run on one window of columns outside which all seven rows
+    are zero (_support), widened by 8 columns: four zero samples of the
+    coarse stencil inside each end.  The coarse stencil takes the window of
+    the full grid's every other sample, so it reads the same samples as on
+    the full grid."""
+    lo, hi, _ = _support(*at.values(), margin=8).indices(len(x))
+    fine = _residual_once(model, x, slice(lo, hi), t, dt, hbar,
+                          at[0], at[1], at[-1], at[2], at[-2], work)
+    coarse = _residual_once(model, x[::2], slice(lo // 2, (hi + 1) // 2), t, 2 * dt,
+                            hbar, *(at[k][..., ::2] for k in (0, 2, -2, 4, -4)), work)
     return fine, coarse
 
 
@@ -337,8 +384,7 @@ def schrodinger_residual(field, model, grid, t, dt=None, hbar=None) -> ResidualR
     if dt is None:
         dt = _residual_dt(model)
     _check_stencil_domain(model, t, dt)
-    # fresh complex copies: _residual_pair overwrites some of them
-    at = {k: np.array(field(x, t + k * dt), dtype=np.complex128)
+    at = {k: np.asarray(field(x, t + k * dt), dtype=np.complex128)
           for k in _STENCIL_STEPS}
     fine, coarse = (float(r) for r in _residual_pair(model, x, t, dt, hbar, at,
                                                      np.empty_like(at[0])))
@@ -370,10 +416,13 @@ def _chain_distance(driven, t, g0: GridFunction, direct):
     model = driven.model
     g1 = apply_U0_dagger(model, t, g0)
     g2 = apply_UF(model, driven, t, g1)
+    points = direct.shape[-1]
+    cols = _support(g2.values, direct)
+    chained, direct = g2.values[..., cols], direct[..., cols]
     direct_norm = _nondegenerate(np.linalg.norm(direct, axis=-1), "direct ‖psi‖",
-                                 f" at t = {t} on {direct.shape[-1]} points",
+                                 f" at t = {t} on {points} points",
                                  "the chain distance")
-    return np.linalg.norm(g2.values - direct, axis=-1) / direct_norm
+    return np.linalg.norm(chained - direct, axis=-1) / direct_norm
 
 
 def check_transform_equivalence(
@@ -395,15 +444,20 @@ def check_transform_equivalence(
 
 def check_stationarity(field, grid, times):
     """Max L1 distance of |psi|^2 from its value at times[0]: a float, or one
-    per row when field returns (rows, points) values."""
+    per row when field returns (rows, points) values.  Each drift is the
+    Simpson rule of the whole grid over the columns where either state is
+    nonzero (_support)."""
     x = grid.xs() if isinstance(grid, Grid) else np.asarray(grid, dtype=float)
     dx = x[1] - x[0]
+    weights = _unit_simpson_weights(len(x))
     times = np.asarray(times, dtype=float)
-    base = np.abs(np.asarray(field(x, times[0]))) ** 2
+    base = np.asarray(field(x, times[0]))
     worst = np.zeros(base.shape[:-1])
     for t in times[1:]:
-        dens = np.abs(np.asarray(field(x, t))) ** 2
-        worst = np.maximum(worst, simpson(np.abs(dens - base), dx=dx))
+        psi = np.asarray(field(x, t))
+        cols = _support(base, psi)
+        dens = np.abs(psi[..., cols]) ** 2 - np.abs(base[..., cols]) ** 2
+        worst = np.maximum(worst, dx * (np.abs(dens) @ weights[cols]))
     return float(worst) if worst.ndim == 0 else worst
 
 
@@ -604,7 +658,8 @@ def _closed_form(ctx: SuiteContext):
 def _run_closed_form(ctx: SuiteContext, rows) -> list:
     """The closed-form block of ctx.ns against the undriven general state's
     block (the state over null_driven), one of each per t; undriven, that is
-    the run's shared block."""
+    the run's shared block.  Each distance runs on the columns where either
+    block is nonzero (_support)."""
     tol = DEFAULT_THRESHOLDS["closed_form_agreement"]
     closed = _closed_form(ctx)
     xs = ctx.grid.xs()
@@ -612,8 +667,10 @@ def _run_closed_form(ctx: SuiteContext, rows) -> list:
         ctx.state(max(ctx.ns), driven=null_driven(ctx.model)), xs, ctx.times, ctx.ns)
     per_t = []
     for t, block in zip(ctx.times, blocks):
-        per_t.append([phase_aligned_distance(want, row)
-                      for want, row in zip(closed(xs, t), block)])
+        wanted = closed(xs, t)
+        cols = _support(wanted, block)
+        per_t.append([phase_aligned_distance(want[cols], row[cols])
+                      for want, row in zip(wanted, block)])
     return [CheckResult("closed_form_agreement", {"n": n, "t": t}, d, tol)
             for n, t, d in _n_then_t(ctx, per_t)]
 
@@ -698,29 +755,37 @@ def _run_delta_equivalence(ctx: SuiteContext, rows) -> list:
 def _run_orthonormality(ctx: SuiteContext, rows) -> list:
     """max |<psi_m|psi_n> - delta_mn| over m <= n <= nmax, from one block of
     orders 0..nmax per time on the scenario's grid and one Gram product of
-    plain sums, dx conj(rows) @ rows.T.  The block is refused unless every
-    row is resolved (_resolved_spectrum), where those sums converge
-    exponentially."""
+    plain sums, dx conj(rows) @ rows.T, over the block's nonzero columns
+    (_support).  The block is refused unless every row is resolved on the
+    whole grid (_resolved_spectrum), where those sums converge
+    exponentially.
+
+    The row names the lowest (t, m, n) whose deviation is within P eps of
+    the largest (P points): entries at rounding level tie, and rounding
+    must not move the named place."""
     tol = DEFAULT_THRESHOLDS["orthonormality"]
     n_max = ctx.orthonormality_nmax
     grid = ctx.grid
     xs = grid.xs()
     lower = np.tril_indices(n_max + 1, -1)
     spec = ctx.state(n_max)
-    worst = 0.0
-    worst_at = {}
+    errs = []
     for t in ctx.times:
         block = GridFunction(grid.x_min, grid.dx,
                              state_block(spec, xs, t, range(n_max + 1)), t, ctx.hbar)
         _resolved_spectrum(block, "orthonormality")
-        gram = grid.dx * (np.conj(block.values) @ block.values.T)
-        err = np.abs(gram - np.eye(n_max + 1))
+        # a contiguous copy: the product of the strided window raised the
+        # peak RSS of a high-order pass by 0.9 MB
+        live = np.ascontiguousarray(block.values[:, _support(block.values)])
+        err = np.abs(grid.dx * (np.conj(live) @ live.T) - np.eye(n_max + 1))
         err[lower] = -1.0  # each pair once, m <= n
-        m, n = np.unravel_index(np.argmax(err), err.shape)
-        if err[m, n] > worst:
-            worst = float(err[m, n])
-            worst_at = {"m": int(m), "n": int(n), "t": t}
-    return [CheckResult("orthonormality", worst_at, worst, tol)]
+        errs.append(err)
+    by_t = np.argsort(ctx.times, kind="stable")
+    errs = np.array(errs)[by_t]
+    worst = float(np.max(errs))
+    j, m, n = np.argwhere(errs >= worst - grid.points * np.finfo(float).eps)[0]
+    return [CheckResult("orthonormality", {"m": int(m), "n": int(n), "t": ctx.times[by_t[j]]},
+                        worst, tol)]
 
 
 def _run_stationarity(ctx: SuiteContext, rows) -> list:

@@ -290,6 +290,17 @@ def test_panel_integral_rejects_under_resolved_integrand():
         _panel_integral(lambda z: np.cos(200.0 * z), 0.0, 0.0, 2.0, 0.5)
 
 
+def test_quadrature_refusal_prints_plain_floats():
+    """The refusal names both rules' values as Python floats, not as the
+    repr of numpy scalars (np.float64(...) under numpy 2)."""
+    with pytest.raises(QuadratureError) as info:
+        _panel_integral(lambda z: np.cos(200.0 * z), 0.0, 0.0, 2.0, 0.5)
+    message = str(info.value)
+    assert "np.float64" not in message
+    coarse, fine = message.rsplit(" give ", 1)[1].split(" and ")
+    assert float(coarse) != float(fine)
+
+
 def test_shift_particular_rule(driven_sho):
     """x_p' = x_p + c u changes delta by -c M du (x_p + c u / 2) + const."""
     basis, drv = driven_sho

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 import warnings
 
 import numpy as np
@@ -383,6 +384,33 @@ def test_orthonormality_detects_a_scaled_row(monkeypatch, sho_basis_c1):
     assert result.params["m"] == 2 and result.params["n"] == 2
 
 
+@pytest.mark.parametrize("label", ["sho_stationary", "sho_breathing", "ck"])
+def test_orthonormality_names_its_place_stably(monkeypatch, label):
+    """Every Gram entry of an exact block sits at rounding level, so they tie:
+    the row names the lowest (t, m, n) within P eps of the largest, and
+    noise of 1e-16 of the block's peak on every sample (four draws) moves
+    neither that place nor, beyond rounding, the value."""
+    from tdho.cli import build_context
+
+    ctx = build_context(_high_n_document(random.Random(f"{label}/support"), label))
+    ctx.orthonormality_nmax = 16
+    [exact] = run_suite(ctx, ["orthonormality"])
+    block = tdho.verify.state_block
+    noise = np.random.default_rng(7)
+
+    def perturbed(spec, x, t, orders):
+        rows = block(spec, x, t, orders)
+        rows += 1e-16 * np.max(np.abs(rows)) * noise.standard_normal(rows.shape)
+        return rows
+
+    monkeypatch.setattr(tdho.verify, "state_block", perturbed)
+    for _ in range(4):
+        [moved] = run_suite(ctx, ["orthonormality"])
+        assert exact.passed and moved.passed
+        assert moved.params == exact.params
+        assert abs(moved.measured - exact.measured) < ctx.grid.points * np.finfo(float).eps
+
+
 def _spoil_row_2(spoil):
     """A state_block whose row 2 goes through spoil."""
     block = tdho.verify.state_block
@@ -743,9 +771,8 @@ def test_the_read_depth_moves_no_verdict(monkeypatch, bundled_context, bundled_r
     gives the same rows and verdicts, each measured value within 1e-5 of its
     threshold, on the bundled scenarios and on three documents with orders
     up to 64 (orthonormality to 16, as the benchmark runs them).
-    Orthonormality's params name where its largest deviation fell; every
-    deviation is at rounding level (1e-15), so that place is a tie that
-    rounding breaks, and only its value is compared."""
+    Orthonormality's params name the same place too: every deviation is at
+    rounding level (1e-15), and the row names the lowest of the ties."""
     from tdho.cli import build_context, load_scenario
 
     if name.startswith("high_n_"):
@@ -764,5 +791,99 @@ def test_the_read_depth_moves_no_verdict(monkeypatch, bundled_context, bundled_r
     for a, b in zip(shallow, deep):
         assert (a.check, a.threshold, a.op, a.passed) == (b.check, b.threshold, b.op,
                                                           b.passed)
-        assert a.check == "orthonormality" or a.params == b.params, (a, b)
+        assert a.params == b.params, (a, b)
         assert abs(a.measured - b.measured) <= 1e-5 * a.threshold, (a, b)
+
+
+# ---------------------------------------------------------------------------
+# the support window
+# ---------------------------------------------------------------------------
+
+def _whole_grid(*blocks, margin=0):
+    return slice(None)
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, "high_n_sho_stationary",
+                                  "high_n_sho_breathing", "high_n_ck"])
+def test_the_support_window_moves_rounding_only(monkeypatch, bundled_context,
+                                                bundled_results, name):
+    """The residual, Gram, closed-form, stationarity and chain reductions run
+    on the columns where the states are nonzero (_support); on the whole
+    grid they give the same rows, params and verdicts, and every measured
+    value within 1e-7 of its threshold, on the bundled scenarios and on
+    three documents with orders up to 64 (orthonormality to 16)."""
+    from tdho.cli import build_context, load_scenario
+
+    if name.startswith("high_n_"):
+        label = name[len("high_n_"):]
+        doc = _high_n_document(random.Random(f"{label}/support"), label)
+        ctx = build_context(doc)
+        ctx.orthonormality_nmax = 16
+        windowed = run_suite(ctx, doc["checks"])
+    else:
+        ctx, doc = bundled_context(name), load_scenario(name)
+        windowed = bundled_results(name)
+    monkeypatch.setattr(tdho.verify, "_support", _whole_grid)
+    whole = run_suite(ctx, doc["checks"])
+    assert len(windowed) == len(whole)
+    for a, b in zip(windowed, whole):
+        assert (a.check, a.params, a.threshold, a.op, a.passed) == (
+            b.check, b.params, b.threshold, b.op, b.passed)
+        assert abs(a.measured - b.measured) <= 1e-7 * a.threshold, (a, b)
+
+
+def test_every_grid_reduction_skips_the_zero_tails(monkeypatch):
+    """On a document with orders up to 64, each of the five reductions reads
+    a window narrower than the grid."""
+    from tdho.cli import build_context
+
+    doc = _high_n_document(random.Random("sho_breathing/support"), "sho_breathing")
+    ctx = build_context(doc)
+    support = tdho.verify._support
+    windows = {}
+
+    def recording(*blocks, margin=0):
+        cols = support(*blocks, margin=margin)
+        caller = sys._getframe(1).f_code.co_name
+        windows.setdefault(caller, []).append(cols.indices(ctx.grid.points))
+        return cols
+
+    monkeypatch.setattr(tdho.verify, "_support", recording)
+    run_suite(ctx, doc["checks"])
+    assert set(windows) == {"_residual_pair", "_run_orthonormality", "_run_closed_form",
+                            "check_stationarity", "_chain_distance"}
+    for caller, spans in windows.items():
+        for lo, hi, _ in spans:
+            assert hi - lo < ctx.grid.points // 2, (caller, lo, hi)
+
+
+def _leaking_block(row, column):
+    """A state_block whose order row leaks 1e-6 of its peak into one sample
+    of the grid's zero tail, past the kernel's cutoff."""
+    block = tdho.verify.state_block
+
+    def leaking(spec, x, t, orders, out=None):
+        rows = block(spec, x, t, orders, out=out)
+        rows[..., row, column] = 1e-6 * np.max(np.abs(rows[..., row, :]))
+        return rows
+
+    return leaking
+
+
+@pytest.mark.parametrize("column", [-1, 41])
+def test_the_residual_window_reads_a_leaked_sample(monkeypatch, sho_basis_c1, column):
+    """The window is read from the values, not from the kernel's cutoff: a
+    sample leaked into the zero tail, at the grid's edge or inside it, moves
+    the residual, and the windowed residual of the leaking state is its
+    whole-grid residual, fine and coarse (the order estimate)."""
+    ctx = _context(sho_basis_c1)
+    clean = run_suite(ctx, ["residual"])
+    monkeypatch.setattr(tdho.verify, "state_block", _leaking_block(1, column))
+    leaked = run_suite(ctx, ["residual"])
+    monkeypatch.setattr(tdho.verify, "_support", _whole_grid)
+    whole = run_suite(ctx, ["residual"])
+    for c, a, b in zip(clean, leaked, whole):
+        assert a.params == b.params and a.params["n"] == c.params["n"]
+        if c.params["n"] == ctx.ns[1]:
+            assert abs(a.measured - c.measured) > 1e-3 * c.measured, (a, c)
+        assert a.measured == pytest.approx(b.measured, rel=1e-12, abs=0.0), (a, b)
