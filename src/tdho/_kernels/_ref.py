@@ -206,43 +206,83 @@ def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
     one-slice call with its parameters.  Orders that are not requested are
     stepped through, not stored.
     """
-    x = np.asarray(x, dtype=np.float64)
-    orders = [int(k) for k in orders]
-    n = max(orders)
-    rows_of = {}  # order -> the rows that hold it
-    for i, k in enumerate(orders):
-        rows_of.setdefault(k, []).append(i)
-    # (8,) or (8, S); numpy refuses sequences of unequal lengths
-    table = np.array([log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0,
-                      dphase], dtype=np.float64)
-    if table.ndim > 2:
-        raise ValueError("slice parameters must be scalars or 1-D sequences")
+    x, orders, table, spans, (a, b) = _slices(x, orders, (
+        log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0, dphase), depth)
     shape = table.shape[1:] + (len(orders), len(x))
     if out is None:
         out = np.empty(shape, dtype=np.complex128)
     elif out.shape != shape or out.dtype != np.complex128:
         raise ValueError(f"out must be a complex128 array of shape {shape}")
     stack = out if table.ndim == 2 else out[np.newaxis]
-    table = table.reshape(8, -1)
-    windows = []  # (lo, hi) of each slice's cutoff window on x
-    for ln, gr, _, sc, shift, *_ in table.T.tolist():
-        radius = _cutoff_radius(n, ln, gr, sc, depth)  # bounds every lower order's
+    _fill(stack[..., a:b], x[a:b], orders, table, spans)
+    stack[..., :a] = 0.0
+    stack[..., b:] = 0.0
+    return out
+
+
+def state_kernel_window(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
+                        k_lin, phase0, dphase, depth=None):
+    """state_kernel_block's rows on the union of its slices' cutoff windows
+    only: (rows, offset), where rows[..., j] is column offset + j of the
+    block, bit for bit, and every column of the block outside
+    [offset, offset + rows.shape[-1]) is an exact zero.  The union is empty
+    (no columns, offset 0) when every slice lies below its floor.  A stack
+    of slices whose windows are far narrower than x takes that much less
+    memory."""
+    x, orders, table, spans, (a, b) = _slices(x, orders, (
+        log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0, dphase), depth)
+    rows = np.empty(table.shape[1:] + (len(orders), b - a), dtype=np.complex128)
+    _fill(rows if table.ndim == 2 else rows[np.newaxis], x[a:b], orders, table, spans)
+    return rows, a
+
+
+def _slices(x, orders, params, depth):
+    """(x, orders, table, spans, (a, b)) of a call: the slice parameters as
+    an (8,) or (8, S) table, the union [a, b) on x of the slices' cutoff
+    windows ((0, 0) if none holds a column), and each slice's window
+    relative to a ((0, 0) if it holds none).  One cutoff radius is solved
+    per distinct (log_norm, gauss_re, scale): slices that differ only in
+    shift or phase share it."""
+    x = np.asarray(x, dtype=np.float64)
+    orders = [int(k) for k in orders]
+    n = max(orders)
+    # (8,) or (8, S); numpy refuses sequences of unequal lengths
+    table = np.array(params, dtype=np.float64)
+    if table.ndim > 2:
+        raise ValueError("slice parameters must be scalars or 1-D sequences")
+    radii = {}
+    windows = []
+    for ln, gr, _, sc, shift, *_ in table.reshape(8, -1).T.tolist():
+        if (ln, gr, sc) not in radii:  # bounds every lower order's
+            radii[ln, gr, sc] = _cutoff_radius(n, ln, gr, sc, depth)
+        radius = radii[ln, gr, sc]
         windows.append((int(np.searchsorted(x, shift - radius, side="left")),
                         int(np.searchsorted(x, shift + radius, side="right"))))
     live = [w for w in windows if w[0] < w[1]]
-    if not live:
-        stack[...] = 0.0
-        return out
-    a, b = min(lo for lo, _ in live), max(hi for _, hi in live)
+    a, b = (min(lo for lo, _ in live), max(hi for _, hi in live)) if live else (0, 0)
     spans = [(lo - a, hi - a) if lo < hi else (0, 0) for lo, hi in windows]
+    return x, orders, table, spans, (a, b)
+
+
+def _fill(stack, xw, orders, table, spans):
+    """Write the rows of every slice into stack, (S, len(orders), W), over
+    the columns xw of the union of the cutoff windows, exact zeros outside
+    each slice's own span of them: the one core of state_kernel_block and
+    state_kernel_window."""
+    if not xw.size:
+        return
+    n = max(orders)
+    rows_of = {}  # order -> the rows that hold it
+    for i, k in enumerate(orders):
+        rows_of.setdefault(k, []).append(i)
+    table = table.reshape(8, -1)
     log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0, _ = (
         table[:, :, np.newaxis])
-    xw = x[a:b]
     d = xw - x_shift
     # the row written last holds the common factor until its own turn;
     # (gauss * d) * d, not gauss * (d * d): the other order rounds
     # differently and would move every reported number
-    base = stack[:, rows_of[n][-1], a:b]
+    base = stack[:, rows_of[n][-1]]
     phase = gauss_im * d
     phase *= d
     phase += k_lin * xw
@@ -254,7 +294,7 @@ def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
     log_amp += log_norm
     d *= scale  # xi from here on: no (S, W) buffer is made twice
     recurrence = _hermite_function_rows(n, d, log_amp, spans)
-    value = np.empty(b - a)
+    value = np.empty(xw.size)
     dphases = table[7].tolist()
     for k, (m, e) in enumerate(recurrence):
         if k not in rows_of:
@@ -265,10 +305,9 @@ def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
                                                            out=value[p:q])
             turn = cmath.exp(1j * (k * dphase))
             for i in rows_of[k]:
-                row = stack[s, i, a + p:a + q]
+                row = stack[s, i, p:q]
                 np.multiply(base[s, p:q], turn, out=row)
                 row *= v
     for s, (p, q) in enumerate(spans):
-        stack[s, :, :a + p] = 0.0
-        stack[s, :, a + q:] = 0.0
-    return out
+        stack[s, :, :p] = 0.0
+        stack[s, :, q:] = 0.0

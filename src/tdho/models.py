@@ -211,10 +211,15 @@ class OscillatorModel:
 
     # ---------------------------------------------------------------------
     def check_domain(self, t):
-        t = np.asarray(t)
         # small slack so finite-difference probes at domain ends don't trip
         eps = 1e-12 * max(abs(self.t_min), abs(self.t_max), 1.0)
-        if np.any(t < self.t_min - eps) or np.any(t > self.t_max + eps):
+        lo, hi = self.t_min - eps, self.t_max + eps
+        if isinstance(t, float):  # a Python or numpy float: the same IEEE test
+            outside = t < lo or t > hi
+        else:
+            t = np.asarray(t)
+            outside = np.any(t < lo) or np.any(t > hi)
+        if outside:
             raise DomainError(
                 f"t outside model domain [{self.t_min}, {self.t_max}]"
             )

@@ -24,9 +24,10 @@ from a model's mass or a basis.  One slice formula turns any law into the
 kernel parameters, with the same branch convention, so general/specialized
 comparisons need no phase alignment.  CLOSED_FORMS is the one map from a
 model family to its law and its closed_form.kind; closed_form_block gives
-any set of orders of a family's closed-form slice from the same one
-recurrence, and psi_sho, psi_ck and psi_lo one order from the family's
-parameters.
+any set of orders of a family's closed-form slices at one time or a stack
+of times from the same one recurrence (closed_form_window: on the slices'
+cutoff windows only), and psi_sho, psi_ck and psi_lo one order from the
+family's parameters.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import state_kernel, state_kernel_block
+from ._kernels import state_kernel, state_kernel_block, state_kernel_window
 from .classical import (
     ClassicalBasis,
     DrivenSolution,
@@ -61,6 +62,7 @@ __all__ = [
     "CLOSED_FORMS",
     "closed_form_law",
     "closed_form_block",
+    "closed_form_window",
     "state_field",
     "dump_state_grid",
 ]
@@ -277,16 +279,33 @@ def closed_form_law(model):
     return functools.partial(CLOSED_FORMS[type(model)][1], **model.params())
 
 
-def closed_form_block(model, Ccoef, orders, hbar, x, t, depth=None):
-    """The given orders at t of the closed-form state with pulsation
-    parameter Ccoef of model's family, on the ascending grid x, as
-    state_block's rows (depth as there), from one recurrence."""
+def _closed_columns(model, Ccoef, hbar, t):
+    """The kernel's slice parameters of the closed form with pulsation
+    parameter Ccoef of model's family at t: scalars for a scalar t, one
+    1-D column each for a 1-D sequence of times."""
     law = closed_form_law(model)
     if law is None:
         raise ValueError(f"{type(model).__name__} has no closed-form state")
-    params, theta = _closed_slice(*law(t), Ccoef, hbar, t)
-    return state_kernel_block(x, orders, *params, 0.0, 0.0, 0.5 * theta, theta,
+    slices = (_closed_slice(*law(s), Ccoef, hbar, s) for s in np.atleast_1d(t))
+    columns = np.array([params + (0.0, 0.0, 0.5 * theta, theta)
+                        for params, theta in slices]).T
+    return columns if np.ndim(t) else columns[:, 0]
+
+
+def closed_form_block(model, Ccoef, orders, hbar, x, t, depth=None):
+    """The given orders of the closed-form state with pulsation parameter
+    Ccoef of model's family at t, or at each of a 1-D sequence of times, on
+    the ascending grid x, as state_block's rows or stack (depth as there),
+    from one recurrence."""
+    return state_kernel_block(x, orders, *_closed_columns(model, Ccoef, hbar, t),
                               depth=depth)
+
+
+def closed_form_window(model, Ccoef, orders, hbar, x, t, depth=None):
+    """closed_form_block on the union of its slices' cutoff windows only:
+    (rows, offset) as state_kernel_window gives them."""
+    return state_kernel_window(x, orders, *_closed_columns(model, Ccoef, hbar, t),
+                               depth=depth)
 
 
 def _closed_form_call(slice_, n, x):

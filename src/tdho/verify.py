@@ -14,14 +14,18 @@ number next to the threshold it was judged against.
 
 The suite's checks read every order a scenario asks for at one time from
 one recurrence, and each run_suite call evaluates the scenario's state at
-its times once, for every check that reads it (see run_suite).  The
-residual reads its six other stencil times from one kernel pass into one
-stack per check, which each t refills; other states are one block per
-time, on which the chain's operators act whole.  The oracles keep their
-own parameters: a closed form (closed_form_block) takes its slice from its
-family's law in tdho.states.CLOSED_FORMS, never from the basis or the
-model's mass, and only shares the recurrence; frequency_map's target is
-that law's w_c^2; delta_legacy stays an independent integral.
+its times once, for every check that reads it (see run_suite).  Each check
+makes one stacked kernel call per set of times it reads: the closed forms,
+the chain's companion and the uncertainty check's undriven state are one
+stack over the scenario's times each, and stationarity's probe times one
+stack.  The residual reads its six other stencil times from one kernel
+pass into one stack per check, which each t refills.  Orthonormality alone
+reads one block per time, as its resolution guard needs the whole grid at
+each time.  The chain's operators act on each time's block whole.  The
+oracles keep their own parameters: a closed form (closed_form_block) takes
+its slice from its family's law in tdho.states.CLOSED_FORMS, never from the
+basis or the model's mass, and only shares the recurrence; frequency_map's
+target is that law's w_c^2; delta_legacy stays an independent integral.
 
 The suite reads each state down to e^-READ_DEPTH (e^-80) of its slice's
 amplitude scale and takes the samples below as exact zeros; the kernel
@@ -45,6 +49,13 @@ the window moves results by rounding only: the order of summation changes.
 The residual's window is 8 columns wider, so the five-point stencils and
 their zeroed edges read on it what they read on the whole grid.  The
 resolution guard, moments and every DFT read the whole grid.
+
+Stationarity's probe stack is not even stored whole: it lives on the
+kernel's window (closed_form_window), the union of its slices' cutoff
+windows, whose outside columns are the exact zeros the full block holds.
+Its drifts reduce there with the whole grid's Simpson weights, sliced at
+the window's offset, and _support still scans the stored values, so they
+are the whole-grid drifts bit for bit.
 """
 
 from __future__ import annotations
@@ -58,7 +69,13 @@ import numpy as np
 
 from .classical import delta_legacy, null_driven, reduced_basis, shift_particular
 from .models import DomainError, UnitMassSHO, frequency_scale, reduced_frequency_squared
-from .states import StateSpec, closed_form_block, closed_form_law, state_field
+from .states import (
+    StateSpec,
+    closed_form_block,
+    closed_form_law,
+    closed_form_window,
+    state_field,
+)
 from .states import state_block as _state_block
 from .transforms import (
     BOUNDARY_RATIO,
@@ -442,22 +459,30 @@ def check_transform_equivalence(
     return float(_chain_distance(driven, t, g0, direct))
 
 
+def _max_drift(base, later, dx, weights):
+    """Max L1 distance of |psi|^2 from base's over the states psi in later,
+    one per row of base.  Each drift is the Simpson rule over the columns
+    where either state is nonzero (_support), with weights, the whole
+    grid's Simpson weights sliced to the columns the states are stored on.
+    A NaN drift stays NaN."""
+    worst = np.zeros(base.shape[:-1])
+    for psi in later:
+        cols = _support(base, psi)
+        dens = np.abs(psi[..., cols]) ** 2 - np.abs(base[..., cols]) ** 2
+        worst = np.maximum(worst, dx * (np.abs(dens) @ weights[cols]))
+    return worst
+
+
 def check_stationarity(field, grid, times):
     """Max L1 distance of |psi|^2 from its value at times[0]: a float, or one
     per row when field returns (rows, points) values.  Each drift is the
     Simpson rule of the whole grid over the columns where either state is
     nonzero (_support)."""
     x = grid.xs() if isinstance(grid, Grid) else np.asarray(grid, dtype=float)
-    dx = x[1] - x[0]
-    weights = _unit_simpson_weights(len(x))
     times = np.asarray(times, dtype=float)
     base = np.asarray(field(x, times[0]))
-    worst = np.zeros(base.shape[:-1])
-    for t in times[1:]:
-        psi = np.asarray(field(x, t))
-        cols = _support(base, psi)
-        dens = np.abs(psi[..., cols]) ** 2 - np.abs(base[..., cols]) ** 2
-        worst = np.maximum(worst, dx * (np.abs(dens) @ weights[cols]))
+    worst = _max_drift(base, (np.asarray(field(x, t)) for t in times[1:]), x[1] - x[0],
+                       _unit_simpson_weights(len(x)))
     return float(worst) if worst.ndim == 0 else worst
 
 
@@ -616,10 +641,11 @@ def _run_frequency_map(ctx: SuiteContext, rows) -> list:
 
 def _run_transform_chain(ctx: SuiteContext, rows) -> list:
     """Both chain paths of every order per t: one block of the companion
-    state (g0, shared by the paths) goes through U0_dagger and U_F as a
-    whole, and is compared with the direct state, the run's shared block
-    (undriven, it is the state over null_driven).  The exact path's source
-    re-evaluates the companion block at the query points."""
+    state (g0, shared by the paths; one stack of them at all the times)
+    goes through U0_dagger and U_F as a whole, and is compared with the
+    direct state, the run's shared block (undriven, it is the state over
+    null_driven).  The exact path's source re-evaluates the companion block
+    at the query points."""
     tol_i = DEFAULT_THRESHOLDS["transform_chain"]
     tol_e = DEFAULT_THRESHOLDS["transform_chain_exact"]
     driven = ctx.driven if ctx.driven is not None else null_driven(ctx.model)
@@ -628,9 +654,9 @@ def _run_transform_chain(ctx: SuiteContext, rows) -> list:
     grid = ctx.grid
     xs = grid.xs()
     per_t = []
-    for t, direct in zip(ctx.times, rows()):
-        g0 = GridFunction(grid.x_min, grid.dx, state_block(companion, xs, t, ctx.ns),
-                          t, ctx.hbar)
+    companions = state_block(companion, xs, ctx.times, ctx.ns)
+    for t, direct, values in zip(ctx.times, rows(), companions):
+        g0 = GridFunction(grid.x_min, grid.dx, values, t, ctx.hbar)
         g0_exact = g0._with(g0.values, functools.partial(
             state_block, companion, t=t, orders=ctx.ns))
         interp = _chain_distance(driven, t, g0, direct)
@@ -645,29 +671,22 @@ def _run_transform_chain(ctx: SuiteContext, rows) -> list:
     return out
 
 
-def _closed_form(ctx: SuiteContext):
-    """The closed-form states of the model's family as a field (x, t) ->
-    (len(ctx.ns), len(x)) rows, one per order of ctx.ns, on ascending x."""
+def _run_closed_form(ctx: SuiteContext, rows) -> list:
+    """The closed-form block of ctx.ns against the undriven general state's
+    block (the state over null_driven) per t, each one stack over ctx.times;
+    undriven, the general one is the run's shared block.  Each distance runs
+    on the columns where either block is nonzero (_support)."""
+    tol = DEFAULT_THRESHOLDS["closed_form_agreement"]
     C = ctx.closed_form_C
     if C is None:
         raise ValueError("closed_form_agreement needs the closed-form C of the scenario")
-    return functools.partial(closed_form_block, ctx.model, C, ctx.ns, ctx.hbar,
-                             depth=READ_DEPTH)
-
-
-def _run_closed_form(ctx: SuiteContext, rows) -> list:
-    """The closed-form block of ctx.ns against the undriven general state's
-    block (the state over null_driven), one of each per t; undriven, that is
-    the run's shared block.  Each distance runs on the columns where either
-    block is nonzero (_support)."""
-    tol = DEFAULT_THRESHOLDS["closed_form_agreement"]
-    closed = _closed_form(ctx)
     xs = ctx.grid.xs()
     blocks = rows() if ctx.driven is None else state_block(
         ctx.state(max(ctx.ns), driven=null_driven(ctx.model)), xs, ctx.times, ctx.ns)
+    closed = closed_form_block(ctx.model, C, ctx.ns, ctx.hbar, xs, ctx.times,
+                               depth=READ_DEPTH)
     per_t = []
-    for t, block in zip(ctx.times, blocks):
-        wanted = closed(xs, t)
+    for wanted, block in zip(closed, blocks):
         cols = _support(wanted, block)
         per_t.append([phase_aligned_distance(want[cols], row[cols])
                       for want, row in zip(wanted, block)])
@@ -683,17 +702,18 @@ def _block_moments(block, grid: Grid, t, hbar) -> list:
 def _run_uncertainty(ctx: SuiteContext, rows) -> list:
     """Driven against undriven moments of every order per t, on the
     scenario's grid: equal variances, <x> shifted by x_p, <p> by M xdot_p.
-    The driven block is the run's shared one."""
+    The driven block is the run's shared one; the undriven one is one
+    stack over ctx.times."""
     tol = DEFAULT_THRESHOLDS["uncertainty"]
     if ctx.driven is None:
         raise ValueError("uncertainty check needs a driven scenario")
     grid = ctx.grid
-    plain_spec = ctx.state(max(ctx.ns), driven=null_driven(ctx.model))
+    plain = state_block(ctx.state(max(ctx.ns), driven=null_driven(ctx.model)), grid.xs(),
+                        ctx.times, ctx.ns)
     per_t = []
-    for t, driven_block in zip(ctx.times, rows()):
+    for t, driven_block, plain_block in zip(ctx.times, rows(), plain):
         m_driven = _block_moments(driven_block, grid, t, ctx.hbar)
-        m_plain = _block_moments(state_block(plain_spec, grid.xs(), t, ctx.ns), grid, t,
-                                 ctx.hbar)
+        m_plain = _block_moments(plain_block, grid, t, ctx.hbar)
         xp, dxp, _ = (float(q) for q in ctx.driven.slice(t))
         p_shift = float(ctx.model.mass(t)) * dxp
         per_t.append([
@@ -789,24 +809,37 @@ def _run_orthonormality(ctx: SuiteContext, rows) -> list:
 
 
 def _run_stationarity(ctx: SuiteContext, rows) -> list:
-    """check_stationarity of the closed-form block of ctx.ns, one call per
-    set of probe times."""
+    """The drift of the closed-form block of ctx.ns, as check_stationarity
+    measures it, from one stack over every probe time: for C = 1 nine
+    probes over one period, each against the first; otherwise a pair
+    (t, t + period) per t of the first three of ctx.times and the pair
+    (0, half a period).  The stack lives on its slices' cutoff window
+    (closed_form_window), whose outside columns are exact zeros, and each
+    drift reduces there with the whole grid's Simpson weights."""
     C = ctx.closed_form_C
     if not isinstance(ctx.model, UnitMassSHO) or C is None:
         raise ValueError("stationarity check applies to the constant-mass family")
     w_s = ctx.model.w_s
-    field = _closed_form(ctx)
+    period = math.pi / w_s
+    if C == 1.0:
+        probes = np.linspace(0.0, 2.0 * math.pi / w_s, 9)
+    else:
+        probes = [s for t in ctx.times[:3] for s in (t, t + period)] + [0.0, 0.5 * period]
     xs = ctx.grid.xs()
+    stack, offset = closed_form_window(ctx.model, C, ctx.ns, ctx.hbar, xs, probes,
+                                       depth=READ_DEPTH)
+    weights = _unit_simpson_weights(len(xs))[offset:offset + stack.shape[-1]]
+
+    def probe_drift(first, stop):  # of probes first + 1 .. stop - 1 from probe first
+        return _max_drift(stack[first], stack[first + 1:stop], xs[1] - xs[0], weights)
+
     if C == 1.0:
         tol = DEFAULT_THRESHOLDS["stationarity"]
-        drift = check_stationarity(field, xs, np.linspace(0.0, 2.0 * math.pi / w_s, 9))
         return [CheckResult("stationarity", {"n": n, "C": C}, float(d), tol)
-                for n, d in zip(ctx.ns, drift)]
+                for n, d in zip(ctx.ns, probe_drift(0, len(probes)))]
     tol_p = DEFAULT_THRESHOLDS["stationarity_period"]
     tol_c = DEFAULT_THRESHOLDS["stationarity_contrast"]
-    period = math.pi / w_s
-    drifts = [check_stationarity(field, xs, [t, t + period]) for t in ctx.times[:3]]
-    contrast = check_stationarity(field, xs, [0.0, 0.5 * period])
+    *drifts, contrast = [probe_drift(j, j + 2) for j in range(0, len(probes), 2)]
     out = []
     for i, n in enumerate(ctx.ns):
         for t, drift in zip(ctx.times, drifts):

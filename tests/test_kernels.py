@@ -21,6 +21,7 @@ from tdho.states import (
     _slice_params,
     closed_form_block,
     closed_form_law,
+    closed_form_window,
     state_block,
     state_field,
 )
@@ -273,9 +274,50 @@ _slice = st.tuples(
 @given(slices=st.lists(_slice, min_size=1, max_size=8),
        orders=st.lists(st.integers(0, 64), min_size=1, max_size=4))
 def test_stacked_call_is_one_call_per_slice(slices, orders):
-    """Any stack of 1-8 slices and any orders up to 64: bit for bit the
-    one-slice calls."""
-    _stacked_is_per_slice(np.linspace(-8.0, 8.0, 257), orders, slices)
+    """Any stack of 1-8 slices, some of them repeated, and any orders up to
+    64: bit for bit the one-slice calls."""
+    _stacked_is_per_slice(np.linspace(-8.0, 8.0, 257), orders, slices + slices[::2])
+
+
+def _counting_solves():
+    """A patch of _cutoff_radius that records the arguments of each solve."""
+    solve, calls = kernels._ref._cutoff_radius, []
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    return mock.patch.object(kernels._ref, "_cutoff_radius", counting), calls
+
+
+def test_slices_that_share_a_radius_share_one_solve():
+    """A call solves one cutoff radius per distinct (log_norm, gauss_re,
+    scale): slices that differ only in shift, chirp or phase, or repeat,
+    share it; the stack still holds each one-slice call's bytes."""
+    x = np.linspace(-12.0, 12.0, 1025)
+    slices = [(-0.2, -0.8, chirp, 1.2, shift, 0.3, phase, 0.9)
+              for chirp, shift, phase in ((0.1, 0.0, 0.0), (0.4, 2.0, 1.0),
+                                          (0.1, 0.0, 0.0), (-0.3, -1.5, 2.0))]
+    slices.append((-0.2, -0.7, 0.1, 1.2, 0.0, 0.3, 0.0, 0.9))
+    patch, calls = _counting_solves()
+    with patch:
+        _stacked_is_per_slice(x, [30, 2], slices, depth=DEPTH)
+    # the stacked call's two solves, then one per one-slice call
+    assert [c[1:] for c in calls[:2]] == [(-0.2, -0.8, 1.2, DEPTH),
+                                          (-0.2, -0.7, 1.2, DEPTH)]
+    assert len(calls) == 2 + len(slices)
+
+
+def test_the_stationarity_probes_share_one_solve():
+    """The nine C = 1 probes of one period are one stack with one solve:
+    the stationary state's amplitude does not move."""
+    model = UnitMassSHO(1.3, t_min=-1.0, t_max=6.0)
+    x = np.linspace(-15.0, 15.0, 2049)
+    probes = np.linspace(0.0, 2.0 * math.pi / 1.3, 9)
+    patch, calls = _counting_solves()
+    with patch:
+        rows, _ = closed_form_window(model, 1.0, [64, 3], 0.8, x, probes, depth=DEPTH)
+    assert len(calls) == 1 and rows.shape[:2] == (9, 2)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -371,6 +413,66 @@ def test_stacked_slices_at_a_depth_are_one_call_per_slice():
        orders=st.lists(st.integers(0, 64), min_size=1, max_size=4),
        depth=st.floats(0.0, 800.0))
 def test_stacked_call_at_any_depth_is_one_call_per_slice(slices, orders, depth):
-    """Any stack, any orders up to 64 and any depth: bit for bit the
-    one-slice calls at that depth."""
-    _stacked_is_per_slice(np.linspace(-8.0, 8.0, 257), orders, slices, depth=depth)
+    """Any stack, some slices repeated, any orders up to 64 and any depth:
+    bit for bit the one-slice calls at that depth."""
+    _stacked_is_per_slice(np.linspace(-8.0, 8.0, 257), orders, slices + slices[:1],
+                          depth=depth)
+
+
+# ---------------------------------------------------------------------------
+# the window form
+# ---------------------------------------------------------------------------
+
+def _window_is_block(x, orders, params, depth=None):
+    """state_kernel_window's rows are state_kernel_block's columns from its
+    offset on, bit for bit, and every other column of the block is an exact
+    zero.  Returns (rows, offset)."""
+    block = kernels.state_kernel_block(x, orders, *params, depth=depth)
+    rows, offset = kernels.state_kernel_window(x, orders, *params, depth=depth)
+    width = rows.shape[-1]
+    assert rows.shape == block.shape[:-1] + (width,)
+    assert rows.tobytes() == block[..., offset:offset + width].tobytes()
+    outside = np.concatenate([block[..., :offset], block[..., offset + width:]], axis=-1)
+    assert outside.tobytes() == np.zeros_like(outside).tobytes()
+    return rows, offset
+
+
+@pytest.mark.parametrize("depth", [None, DEPTH])
+@pytest.mark.parametrize("times", [1.3, [1.3, 0.2, 4.0, 1.3]])
+@pytest.mark.parametrize("with_driving", [True, False])
+def test_the_window_form_is_the_block_on_its_window(driven_ck, with_driving, times,
+                                                    depth):
+    """A driven or undriven state, one slice or a stack (one time twice),
+    read to LOG_FLOOR or to a depth: the window form holds the block's
+    columns on the union of the slices' cutoff windows, which is narrower
+    than the grid, and nothing else."""
+    spec = StateSpec(0, 1.0, *driven_ck)
+    slices = [_slice_params(spec, t, with_driving) for t in np.atleast_1d(times)]
+    columns = np.array([p + (0.5 * theta + shift, theta) for p, theta, shift in slices]).T
+    params = columns if np.ndim(times) else columns[:, 0]
+    x = np.linspace(-40.0, 40.0, 4097)
+    rows, offset = _window_is_block(x, [40, 0, 7], params, depth)
+    assert 0 < offset and offset + rows.shape[-1] < len(x)
+    edges = rows[..., [0, -1]].reshape(-1, 2)
+    assert np.all(np.any(edges != 0.0, axis=0))  # the union is tight
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(slices=st.lists(_slice, min_size=1, max_size=6),
+       orders=st.lists(st.integers(0, 64), min_size=1, max_size=4),
+       depth=st.one_of(st.none(), st.floats(0.0, 800.0)), scalar=st.booleans())
+def test_the_window_form_of_any_stack_is_the_block_on_its_window(slices, orders, depth,
+                                                                 scalar):
+    """Any one slice or stack, any orders and any depth, windows that reach
+    the grid's ends included."""
+    params = slices[0] if scalar else [list(c) for c in zip(*slices)]
+    _window_is_block(np.linspace(-8.0, 8.0, 257), orders, params, depth)
+
+
+def test_the_window_of_slices_below_their_floor_is_empty():
+    """Slices that lie below the floor everywhere on x have no window: no
+    columns at offset 0, and the block is all zeros."""
+    x = np.linspace(5.0, 9.0, 129)
+    slices = [(0.0, -2.0, 0.0, 2.0, shift, 0.0, 0.0, 0.0) for shift in (-30.0, -40.0)]
+    rows, offset = _window_is_block(x, [3, 1], [list(c) for c in zip(*slices)], DEPTH)
+    assert rows.shape == (2, 2, 0) and offset == 0

@@ -71,6 +71,37 @@ def test_domain_check():
         m.check_domain(np.array([1.0, -0.2]))
 
 
+def _refused(model, t) -> bool:
+    try:
+        model.check_domain(t)
+    except DomainError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("t_min, t_max", [(0.0, 5.0), (-1.0, 12.0), (-3e5, -2e5)])
+def test_domain_check_of_a_float_is_the_array_verdict(t_min, t_max):
+    """A float time (Python or numpy) takes the scalar path; its verdict is
+    the array path's for every input: on each side of both slack edges,
+    inside, far outside, NaN (never refused) and the infinities."""
+    m = UnitMassSHO(1.0, t_min=t_min, t_max=t_max)
+    eps = 1e-12 * max(abs(t_min), abs(t_max), 1.0)
+    edges = (t_min - eps, t_max + eps)
+    probes = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+    probes += [*edges, t_min, t_max, 0.5 * (t_min + t_max), 2.0 * t_max - t_min,
+               np.nan, np.inf, -np.inf]
+    verdicts = {}
+    for t in probes:
+        array = _refused(m, np.array([t]))
+        assert _refused(m, float(t)) == array == _refused(m, np.float64(t)), t
+        verdicts[float(t)] = array
+    lo, hi = edges
+    assert not verdicts[lo] and not verdicts[hi]
+    assert verdicts[float(np.nextafter(lo, -np.inf))]
+    assert verdicts[float(np.nextafter(hi, np.inf))]
+    assert not _refused(m, np.nan)
+
+
 # ---------------------------------------------------------------------------
 # reduced frequency map
 # ---------------------------------------------------------------------------

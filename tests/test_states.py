@@ -7,9 +7,12 @@ import pytest
 from scipy.integrate import simpson
 
 from tdho.classical import null_driven, reduced_basis
+from tdho.models import CaldirolaKanai, LoDampedPulsating, UnitMassSHO
 from tdho.states import (
     StateSpec,
     _x_column,
+    closed_form_block,
+    closed_form_window,
     dump_state_grid,
     psi_ck,
     psi_driven,
@@ -136,6 +139,28 @@ def test_psi_lo_equals_general_over_numeric_basis(lo_basis, lo_model, n):
         a = psi_lo(1.0, 0.1, 0.2, 3.0, 1.0, 1.0, n, 1.0, X, t)
         b = psi_general(spec, X, t)
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+@pytest.mark.parametrize("depth", [None, 80.0])
+@pytest.mark.parametrize("model, C", [
+    (UnitMassSHO(1.3, t_min=-1.0, t_max=12.0), 1.0),
+    (UnitMassSHO(1.3, t_min=-1.0, t_max=12.0), 2.0),
+    (CaldirolaKanai(1.0, 0.6, 1.0, t_min=-1.0, t_max=12.0), 1.0),
+    (LoDampedPulsating(1.0, 0.1, 0.2, 3.0, 1.0, t_min=-1.0, t_max=12.0), 1.5),
+], ids=["sho_c1", "sho_c2", "ck", "lo"])
+def test_stacked_closed_form_block_is_per_time(model, C, depth):
+    """closed_form_block over a 1-D sequence of times (one time twice, an
+    integer one too) holds, time by time, the bytes of its one-time calls;
+    closed_form_window holds the same columns on its window."""
+    times = [0.0, 2.5, 1, 7.25, 2.5]
+    orders = [24, 0, 5]
+    stack = closed_form_block(model, C, orders, 0.8, X, times, depth=depth)
+    assert stack.shape == (len(times), len(orders), len(X))
+    for t, rows in zip(times, stack):
+        assert rows.tobytes() == closed_form_block(model, C, orders, 0.8, X, t,
+                                                   depth=depth).tobytes()
+    window, offset = closed_form_window(model, C, orders, 0.8, X, times, depth=depth)
+    assert window.tobytes() == stack[..., offset:offset + window.shape[-1]].tobytes()
 
 
 def test_psi_sho_squeezed_density_breathes():

@@ -709,7 +709,9 @@ def test_each_run_evaluates_the_shared_block_once_and_afresh(monkeypatch,
     shared = []
 
     def counting(spec, x, t, orders, out=None):
-        if np.ndim(t) and list(t) == ctx.times:
+        # the shared spec: the chain's companion stack reads ctx.times too
+        shared_spec = spec.basis is ctx.basis and spec.driven is ctx.driven
+        if shared_spec and np.ndim(t) and list(t) == ctx.times:
             shared.append(t)
         return block(spec, x, t, orders, out=out)
 
@@ -851,10 +853,110 @@ def test_every_grid_reduction_skips_the_zero_tails(monkeypatch):
     monkeypatch.setattr(tdho.verify, "_support", recording)
     run_suite(ctx, doc["checks"])
     assert set(windows) == {"_residual_pair", "_run_orthonormality", "_run_closed_form",
-                            "check_stationarity", "_chain_distance"}
+                            "_max_drift", "_chain_distance"}
     for caller, spans in windows.items():
         for lo, hi, _ in spans:
             assert hi - lo < ctx.grid.points // 2, (caller, lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# stacked reads
+# ---------------------------------------------------------------------------
+
+def _per_slice(kernel):
+    """state_kernel_block as one one-slice call per slice of a stack."""
+    def per_slice(x, orders, *params, out=None, depth=None):
+        if np.ndim(params[0]) == 0:
+            return kernel(x, orders, *params, out=out, depth=depth)
+        stack = np.stack([kernel(x, orders, *p, depth=depth) for p in zip(*params)])
+        if out is None:
+            return stack
+        out[...] = stack
+        return out
+
+    return per_slice
+
+
+def _suite_case(name, bundled_context, bundled_results):
+    """(ctx, checks, results of one run_suite call) of a bundled scenario or
+    of one of the three high-order documents (orthonormality to 16)."""
+    from tdho.cli import build_context, load_scenario
+
+    if name.startswith("high_n_"):
+        label = name[len("high_n_"):]
+        doc = _high_n_document(random.Random(f"{label}/stacked"), label)
+        ctx = build_context(doc)
+        ctx.orthonormality_nmax = 16
+        return ctx, doc["checks"], run_suite(ctx, doc["checks"])
+    checks = load_scenario(name)["checks"]
+    return bundled_context(name), checks, bundled_results(name)
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, "high_n_sho_stationary",
+                                  "high_n_sho_breathing", "high_n_ck"])
+def test_stacked_reads_are_the_per_time_reads(monkeypatch, bundled_context,
+                                              bundled_results, name):
+    """Every stacked read of the suite (the shared block, the residual's
+    stencil stack, the closed forms, the chain's companion, the undriven
+    block, the stationarity probes) split into one kernel call per time,
+    and the probe stack taken on the whole grid: the report is the same,
+    byte for byte, on the bundled scenarios and three high-order
+    documents."""
+    ctx, checks, stacked = _suite_case(name, bundled_context, bundled_results)
+    per_slice = _per_slice(tdho.states.state_kernel_block)
+
+    def whole_grid(x, orders, *params, depth=None):
+        return per_slice(x, orders, *params, depth=depth), 0
+
+    monkeypatch.setattr(tdho.states, "state_kernel_block", per_slice)
+    monkeypatch.setattr(tdho.states, "state_kernel_window", whole_grid)
+    assert report_json(run_suite(ctx, checks)) == report_json(stacked)
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, "high_n_sho_stationary",
+                                  "high_n_sho_breathing", "high_n_ck"])
+def test_each_check_makes_one_kernel_call_per_set_of_times(monkeypatch, bundled_context,
+                                                           bundled_results, name):
+    """Run alone, each check reads the scenario's grid in one kernel call
+    per set of times: the shared block (all T times) where it reads it;
+    the closed forms, the chain's companion and the undriven block, T
+    slices each; one six-slice stencil stack per t; one probe stack (nine
+    for C = 1, else a pair per t of the first three and the half-period
+    pair); and orthonormality one call per t, as its DFT guard reads each
+    time on the whole grid.  The exact chain path's reads at its query
+    points are not on the grid and not counted."""
+    ctx, checks, _ = _suite_case(name, bundled_context, bundled_results)
+    xs = ctx.grid.xs()
+    T = len(ctx.times)
+    stencils = [6] * T
+    probes = 9 if ctx.closed_form_C == 1.0 else 2 * len(ctx.times[:3]) + 2
+    expected = {
+        "residual": [T, *stencils],
+        "closed_form_agreement": [T, T],
+        "transform_chain": [T, T],
+        "uncertainty": [T, T],
+        "stationarity": [probes],
+        "orthonormality": [1] * T,
+        "omega_constancy": [],
+        "frequency_map": [],
+        "delta_equivalence": [],
+    }
+    slices = []
+
+    def counting(kernel):
+        def count(x, orders, *params, **kw):
+            if np.array_equal(x, xs):
+                slices.append(1 if np.ndim(params[0]) == 0 else len(params[0]))
+            return kernel(x, orders, *params, **kw)
+
+        return count
+
+    for kernel in ("state_kernel_block", "state_kernel_window"):
+        monkeypatch.setattr(tdho.states, kernel, counting(getattr(tdho.states, kernel)))
+    for check in checks:
+        slices.clear()
+        run_suite(ctx, [check])
+        assert sorted(slices) == sorted(expected[check]), check
 
 
 def _leaking_block(row, column):
