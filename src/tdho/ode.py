@@ -16,6 +16,7 @@ trajectory solve.
 from __future__ import annotations
 
 import bisect
+import math
 import warnings
 
 import numpy as np
@@ -129,13 +130,6 @@ def _initial_step(fun, t0, y0, f0, t_end, direction, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _stages(fun, t, y, h, K, first, stop):
-    """Fill stages first..stop-1 of K from the stages before each."""
-    for s in range(first, stop):
-        dy = np.dot(K[:s].T, tableau.A[s, :s]) * h
-        K[s] = fun(t + tableau.C[s] * h, y + dy)
-
-
 def _error_norm(K, h, scale):
     """The step's RMS error estimate, the 5th-order estimate damped by
     the 3rd-order one (Hairer §II.10)."""
@@ -146,7 +140,7 @@ def _error_norm(K, h, scale):
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    return float(abs(h) * err5_norm_2 / np.sqrt(denom * len(scale)))
 
 
 def _march(f, t0, y0, t_end, rtol, atol):
@@ -163,14 +157,19 @@ def _march(f, t0, y0, t_end, rtol, atol):
     if t == t_stop:
         # one constant step: the zero polynomial about y0
         return [t, t], [(t, 1.0, y, np.zeros((7, len(y))))]
-    direction = np.sign(t_stop - t)
-    h_abs = _initial_step(fun, t, y, f_old, t_stop, direction, rtol, atol)
+    direction = float(np.sign(t_stop - t))
+    h_abs = float(_initial_step(fun, t, y, f_old, t_stop, direction, rtol, atol))
     # the 12 stages, the end-point slope, then the 3 dense-output stages
     K = np.empty((len(tableau.A), len(y)))
     n = tableau.N_STAGES
+    # per stage s >= 1, hoisted out of the steps: K's row s, the view of the
+    # stages before it, its tableau row and its node
+    stages = [(s, K[:s].T, tableau.A[s, :s], float(tableau.C[s]))
+              for s in range(1, len(K))]
+    step_stages, dense_stages = stages[:n - 1], stages[n:]
     ts, steps = [t], []
     while direction * (t - t_stop) < 0:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -180,9 +179,10 @@ def _march(f, t0, y0, t_end, rtol, atol):
             if direction * (t_new - t_stop) > 0:
                 t_new = t_stop
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = f_old
-            _stages(fun, t, y, h, K, 1, n)
+            for s, before, a, c in step_stages:
+                K[s] = fun(t + c * h, y + np.dot(before, a) * h)
             y_new = y + h * np.dot(K[:n].T, tableau.B)
             f_new = K[n] = fun(t + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
@@ -194,7 +194,8 @@ def _march(f, t0, y0, t_end, rtol, atol):
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
-        _stages(fun, t, y, h, K, n + 1, len(K))
+        for s, before, a, c in dense_stages:
+            K[s] = fun(t + c * h, y + np.dot(before, a) * h)
         F = np.empty((7, len(y)))
         delta_y = y_new - y
         F[0] = delta_y

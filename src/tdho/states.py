@@ -15,7 +15,7 @@ with x_p = delta = 0 in the undriven case.  With xi = sqrt(Omega/hbar) d / rho
 the kernel evaluates it as (Omega/hbar)^{1/4} rho^{-1/2} e^{-xi^2/2} h_n(xi)
 times the phases, where h_n = H_n / sqrt(2^n n! sqrt(pi)) comes from the
 normalised Hermite recurrence, so one pass gives any set of orders of a
-slice (state_block).
+slice (state_block; state_window: on the slices' cutoff windows only).
 
 The closed-form families (constant mass, exponential mass, pulsating mass)
 differ only in their law for the mass M(t), k = Mdot/M and the constant
@@ -56,6 +56,7 @@ __all__ = [
     "psi_general",
     "psi_driven",
     "state_block",
+    "state_window",
     "psi_sho",
     "psi_ck",
     "psi_lo",
@@ -174,11 +175,23 @@ def state_block(spec: StateSpec, x, t, orders, out=None, depth=None):
     when given, zeros each slice below e^-depth of its amplitude scale
     (state_kernel_block).
     """
+    return state_kernel_block(x, orders, *_state_columns(spec, t), out=out, depth=depth)
+
+
+def state_window(spec: StateSpec, x, t, orders, depth=None):
+    """state_block on the union of its slices' cutoff windows only:
+    (rows, offset) as state_kernel_window gives them."""
+    return state_kernel_window(x, orders, *_state_columns(spec, t), depth=depth)
+
+
+def _state_columns(spec: StateSpec, t):
+    """The kernel's slice parameters of spec's (driven, when it carries a
+    DrivenSolution) state at t: scalars for a scalar t, one 1-D column each
+    for a 1-D sequence of times."""
     slices = (_slice_params(spec, s, with_driving=True) for s in np.atleast_1d(t))
     columns = np.array([params + (0.5 * theta + phase_shift, theta)
                         for params, theta, phase_shift in slices]).T
-    return state_kernel_block(x, orders, *(columns if np.ndim(t) else columns[:, 0]),
-                              out=out, depth=depth)
+    return columns if np.ndim(t) else columns[:, 0]
 
 
 def psi_general(spec: StateSpec, x, t):

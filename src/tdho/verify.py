@@ -20,12 +20,13 @@ the chain's companion and the uncertainty check's undriven state are one
 stack over the scenario's times each, and stationarity's probe times one
 stack.  The residual reads its six other stencil times from one kernel
 pass into one stack per check, which each t refills.  Orthonormality alone
-reads one block per time, as its resolution guard needs the whole grid at
-each time.  The chain's operators act on each time's block whole.  The
-oracles keep their own parameters: a closed form (closed_form_block) takes
-its slice from its family's law in tdho.states.CLOSED_FORMS, never from the
-basis or the model's mass, and only shares the recurrence; frequency_map's
-target is that law's w_c^2; delta_legacy stays an independent integral.
+reads one window per time (state_window): a window over all its times
+would widen each time's Gram product.  The chain's operators act on each
+time's block whole.  The oracles keep their own parameters: a closed form
+(closed_form_block) takes its slice from its family's law in
+tdho.states.CLOSED_FORMS, never from the basis or the model's mass, and
+only shares the recurrence; frequency_map's target is that law's w_c^2;
+delta_legacy stays an independent integral.
 
 The suite reads each state down to e^-READ_DEPTH (e^-80) of its slice's
 amplitude scale and takes the samples below as exact zeros; the kernel
@@ -47,8 +48,12 @@ values, not from the kernel's cutoff, so any nonzero sample (NaN and inf
 too) lies inside it.  Zeros add nothing to a sum, a norm or a maximum, so
 the window moves results by rounding only: the order of summation changes.
 The residual's window is 8 columns wider, so the five-point stencils and
-their zeroed edges read on it what they read on the whole grid.  The
-resolution guard, moments and every DFT read the whole grid.
+their zeroed edges read on it what they read on the whole grid.  Moments
+and every DFT read the whole grid.  Orthonormality's resolution
+guard (_resolved_window) reads its window: the edge columns that lie in
+it, the three Nyquist bins as direct sums, and a Parseval bound on their
+ratio to the spectrum's peak; only when that bound cannot show the rows
+resolved does the whole grid's DFT (_resolved_spectrum) decide.
 
 Stationarity's probe stack is not even stored whole: it lives on the
 kernel's window (closed_form_window), the union of its slices' cutoff
@@ -77,6 +82,7 @@ from .states import (
     state_field,
 )
 from .states import state_block as _state_block
+from .states import state_window as _state_window
 from .transforms import (
     BOUNDARY_RATIO,
     Grid,
@@ -269,6 +275,49 @@ def _resolved_spectrum(g: GridFunction, what: str) -> np.ndarray:
             "use more points"
         )
     return spectrum
+
+
+def _nyquist_bins(live, offset: int, points: int) -> np.ndarray:
+    """The DFT bins P//2 - 1, P//2 and P//2 + 1 of each row of a block on
+    `points` columns that holds live at columns offset .. offset + W and
+    zeros elsewhere: (rows, 3) direct sums over the live columns."""
+    jk = np.outer(np.arange(offset, offset + live.shape[-1]),
+                  np.arange(-1, 2) + points // 2)
+    # angles 2 pi (jk mod P) / P, within one turn
+    return live @ np.exp(-2j * math.pi / points * (jk % points))
+
+
+def _resolved_window(live, offset: int, grid: Grid, t, what: str):
+    """Refuse live, the columns offset .. offset + W of a block of rows on
+    grid that is exactly zero on its other columns, as _resolved_spectrum
+    refuses that block, without the grid's DFT when the rows show
+    themselves resolved.
+
+    They do when every row's ‖psi‖² is finite and positive, the grid's
+    edge columns 0, 1, P - 2 and P - 1 that lie in the window (the others
+    hold zeros) stay below BOUNDARY_RATIO of its peak, and so do its three
+    bins around the Nyquist wavenumber, each a direct sum over the window:
+    by Parseval the DFT's peak is at least ‖psi‖₂ (sum_k |psi^_k|² =
+    P sum_j |psi_j|²), so band / ‖psi‖₂ bounds band / peak from above.
+    Otherwise _resolved_spectrum decides on the zero-padded block, with its
+    refusals and messages.
+    """
+    points, width = grid.points, live.shape[-1]
+    mag = np.abs(live)
+    norm2 = np.sum(mag ** 2, axis=-1)
+    resolved = bool(np.all(np.isfinite(norm2) & (norm2 > 0.0)))
+    edges = [c - offset for c in (0, 1, points - 2, points - 1)
+             if 0 <= c - offset < width]
+    if resolved and edges:
+        edge = np.max(mag[:, edges], axis=-1)
+        resolved = float(np.max(edge / np.max(mag, axis=-1))) < BOUNDARY_RATIO
+    if resolved:
+        band = np.max(np.abs(_nyquist_bins(live, offset, points)), axis=-1)
+        resolved = float(np.max(band / np.sqrt(norm2))) < BOUNDARY_RATIO
+    if not resolved:
+        block = np.zeros(live.shape[:-1] + (points,), dtype=np.complex128)
+        block[..., offset:offset + width] = live
+        _resolved_spectrum(GridFunction(grid.x_min, grid.dx, block, t), what)
 
 
 def moments(g: GridFunction) -> MomentReport:
@@ -524,8 +573,13 @@ READ_DEPTH = 80.0
 
 def state_block(spec: StateSpec, x, t, orders, out=None):
     """tdho.states.state_block read to READ_DEPTH: every block of a state
-    over a basis that the suite reads comes from here."""
+    over a basis that the suite reads comes from here or from state_window."""
     return _state_block(spec, x, t, orders, out=out, depth=READ_DEPTH)
+
+
+def state_window(spec: StateSpec, x, t, orders):
+    """tdho.states.state_window read to READ_DEPTH: (rows, offset)."""
+    return _state_window(spec, x, t, orders, depth=READ_DEPTH)
 
 
 @dataclass
@@ -773,12 +827,11 @@ def _run_delta_equivalence(ctx: SuiteContext, rows) -> list:
 
 
 def _run_orthonormality(ctx: SuiteContext, rows) -> list:
-    """max |<psi_m|psi_n> - delta_mn| over m <= n <= nmax, from one block of
-    orders 0..nmax per time on the scenario's grid and one Gram product of
-    plain sums, dx conj(rows) @ rows.T, over the block's nonzero columns
-    (_support).  The block is refused unless every row is resolved on the
-    whole grid (_resolved_spectrum), where those sums converge
-    exponentially.
+    """max |<psi_m|psi_n> - delta_mn| over m <= n <= nmax, from one window
+    of orders 0..nmax per time on the scenario's grid (state_window) and one
+    Gram product of plain sums, dx conj(rows) @ rows.T, over its nonzero
+    columns (_support).  The rows are refused unless each is resolved on the
+    whole grid (_resolved_window), where those sums converge exponentially.
 
     The row names the lowest (t, m, n) whose deviation is within P eps of
     the largest (P points): entries at rounding level tie, and rounding
@@ -791,12 +844,14 @@ def _run_orthonormality(ctx: SuiteContext, rows) -> list:
     spec = ctx.state(n_max)
     errs = []
     for t in ctx.times:
-        block = GridFunction(grid.x_min, grid.dx,
-                             state_block(spec, xs, t, range(n_max + 1)), t, ctx.hbar)
-        _resolved_spectrum(block, "orthonormality")
+        window, offset = state_window(spec, xs, t, range(n_max + 1))
+        # no column above the floor: every sample of the block is zero
+        cols = _support(window) if window.size else slice(None)
         # a contiguous copy: the product of the strided window raised the
         # peak RSS of a high-order pass by 0.9 MB
-        live = np.ascontiguousarray(block.values[:, _support(block.values)])
+        live = np.ascontiguousarray(window[:, cols])
+        _resolved_window(live, offset + cols.indices(window.shape[-1])[0], grid, t,
+                         "orthonormality")
         err = np.abs(grid.dx * (np.conj(live) @ live.T) - np.eye(n_max + 1))
         err[lower] = -1.0  # each pair once, m <= n
         errs.append(err)

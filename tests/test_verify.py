@@ -1,5 +1,6 @@
 """Quadrature, moments, the equation residual, and the check runners."""
 
+import dataclasses
 import json
 import random
 import sys
@@ -371,14 +372,14 @@ def test_gram_orthonormality_matches_pairwise_simpson(request, family):
 
 
 def test_orthonormality_detects_a_scaled_row(monkeypatch, sho_basis_c1):
-    block = tdho.verify.state_block
+    window = tdho.verify.state_window
 
     def scaled(spec, x, t, orders):
-        rows = block(spec, x, t, orders)
+        rows, offset = window(spec, x, t, orders)
         rows[2] *= 1.001
-        return rows
+        return rows, offset
 
-    monkeypatch.setattr(tdho.verify, "state_block", scaled)
+    monkeypatch.setattr(tdho.verify, "state_window", scaled)
     [result] = run_suite(_context(sho_basis_c1), ["orthonormality"])
     assert not result.passed
     assert result.params["m"] == 2 and result.params["n"] == 2
@@ -395,15 +396,15 @@ def test_orthonormality_names_its_place_stably(monkeypatch, label):
     ctx = build_context(_high_n_document(random.Random(f"{label}/support"), label))
     ctx.orthonormality_nmax = 16
     [exact] = run_suite(ctx, ["orthonormality"])
-    block = tdho.verify.state_block
+    window = tdho.verify.state_window
     noise = np.random.default_rng(7)
 
     def perturbed(spec, x, t, orders):
-        rows = block(spec, x, t, orders)
+        rows, offset = window(spec, x, t, orders)
         rows += 1e-16 * np.max(np.abs(rows)) * noise.standard_normal(rows.shape)
-        return rows
+        return rows, offset
 
-    monkeypatch.setattr(tdho.verify, "state_block", perturbed)
+    monkeypatch.setattr(tdho.verify, "state_window", perturbed)
     for _ in range(4):
         [moved] = run_suite(ctx, ["orthonormality"])
         assert exact.passed and moved.passed
@@ -411,14 +412,23 @@ def test_orthonormality_names_its_place_stably(monkeypatch, label):
         assert abs(moved.measured - exact.measured) < ctx.grid.points * np.finfo(float).eps
 
 
+def _zero_padded(rows, offset, points):
+    """The block on `points` columns that holds rows from column offset on
+    and zeros elsewhere."""
+    block = np.zeros(rows.shape[:-1] + (points,), dtype=np.complex128)
+    block[..., offset:offset + rows.shape[-1]] = rows
+    return block
+
+
 def _spoil_row_2(spoil):
-    """A state_block whose row 2 goes through spoil."""
-    block = tdho.verify.state_block
+    """A state_window whose row 2 goes through spoil, on the whole grid
+    (offset 0), so that spoil reaches the grid's edges."""
+    window = tdho.verify.state_window
 
     def spoiled(spec, x, t, orders):
-        rows = block(spec, x, t, orders)
-        spoil(rows[2])
-        return rows
+        block = _zero_padded(*window(spec, x, t, orders), len(x))
+        spoil(block[2])
+        return block, 0
 
     return spoiled
 
@@ -437,20 +447,184 @@ def test_orthonormality_refuses_one_unresolved_row(monkeypatch, sho_basis_c1,
                                                    spoil, where):
     """Plain sums are refused, not reported, when a single row of the block
     is not negligible at an edge of the grid or near its Nyquist wavenumber."""
-    monkeypatch.setattr(tdho.verify, "state_block", _spoil_row_2(spoil))
+    monkeypatch.setattr(tdho.verify, "state_window", _spoil_row_2(spoil))
     with pytest.raises(GridTooSmallError, match=f"not resolved.*{where}"):
         run_suite(_context(sho_basis_c1), ["orthonormality"])
 
 
 def test_orthonormality_refuses_a_zero_block(monkeypatch, sho_basis_c1):
     def zero_block(spec, x, t, orders):
-        return np.zeros((len(orders), len(x)), dtype=np.complex128)
+        return np.zeros((len(orders), len(x)), dtype=np.complex128), 0
 
-    monkeypatch.setattr(tdho.verify, "state_block", zero_block)
+    monkeypatch.setattr(tdho.verify, "state_window", zero_block)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DegenerateStateError, match="zero or not finite"):
             run_suite(_context(sho_basis_c1), ["orthonormality"])
+
+
+def test_orthonormality_refuses_a_grid_its_state_misses(sho_basis_c1):
+    """A grid that no slice's cutoff window reaches gives an empty window:
+    the block is zero, and refused as such."""
+    ctx = SuiteContext(basis=sho_basis_c1, driven=None, ns=[0, 1], times=[0.0, 1.0],
+                       grid=Grid(100.0, 112.0, 256), orthonormality_nmax=3)
+    with pytest.raises(DegenerateStateError, match="‖psi‖² = 0.0 at t = 0.0"):
+        run_suite(ctx, ["orthonormality"])
+
+
+# ---------------------------------------------------------------------------
+# orthonormality's resolution guard on the kernel's window
+# ---------------------------------------------------------------------------
+
+_GUARD_SCENARIOS = [*BUNDLED, "high_n_sho_stationary", "high_n_sho_breathing", "high_n_ck"]
+
+
+def _orthonormality_context(name, bundled_context):
+    """The context of a bundled scenario, or of one of the three documents
+    with orders up to 64, orthonormality to 16 as the benchmark runs it."""
+    from tdho.cli import build_context
+
+    if not name.startswith("high_n_"):
+        return bundled_context(name)
+    label = name[len("high_n_"):]
+    ctx = build_context(_high_n_document(random.Random(f"{label}/guard"), label))
+    ctx.orthonormality_nmax = 16
+    return ctx
+
+
+def _sho_c1_on_64_points():
+    """sho_c1 on an explicit 64-point grid over [-12, 12], too coarse for
+    its orders up to 8: the DFT's Nyquist bins reach 1.97e-8 of its peak."""
+    from tdho.cli import build_context, load_scenario
+
+    doc = load_scenario("sho_c1")
+    doc["grid"] = {"x_min": -12.0, "x_max": 12.0, "points": 64}
+    doc["checks"] = ["orthonormality"]
+    return build_context(doc)
+
+
+def _orthonormality_blocks(ctx):
+    """(t, block) per time: the rows of orders 0..nmax that orthonormality
+    reads, zero-padded to the whole grid."""
+    xs, n_max = ctx.grid.xs(), ctx.orthonormality_nmax
+    for t in ctx.times:
+        window = tdho.verify.state_window(ctx.state(n_max), xs, t, range(n_max + 1))
+        yield t, _zero_padded(*window, len(xs))
+
+
+def _live(block):
+    """(live, offset) of a block as orthonormality passes it to its guard:
+    the contiguous rows on their nonzero columns (_support)."""
+    cols = tdho.verify._support(block)
+    return np.ascontiguousarray(block[:, cols]), cols.indices(block.shape[-1])[0]
+
+
+def _verdict(guard, *args):
+    """None for a pass, else the refusal's type and message."""
+    try:
+        guard(*args)
+    except (GridTooSmallError, DegenerateStateError) as e:
+        return type(e), str(e)
+    return None
+
+
+def _guard_cases(bundled_context):
+    """(label, grid, t, block): the resolved blocks of the bundled scenarios
+    and the three high-order documents, one of those with a row leaked into
+    its zero tail at the grid's last column and at column 41, aliased at
+    the Nyquist wavenumber or zeroed, the 64-point sho_c1 block, and sho_c1
+    cut at ±8.5, where only the edge samples (5.2e-10 of the peak) refuse
+    it: its Nyquist bins stay below 5e-12 of its 2-norm."""
+    for name in _GUARD_SCENARIOS:
+        ctx = _orthonormality_context(name, bundled_context)
+        for t, block in _orthonormality_blocks(ctx):
+            yield f"{name} t={t}", ctx.grid, t, block
+    ctx = _orthonormality_context("high_n_sho_stationary", bundled_context)
+    t, block = next(_orthonormality_blocks(ctx))
+    for column in (-1, 41):
+        leaked = block.copy()
+        assert leaked[2, column] == 0.0
+        leaked[2, column] = 1e-6 * np.max(np.abs(leaked[2]))
+        yield f"leak at {column}", ctx.grid, t, leaked
+    aliased = block.copy()
+    _alias_at_nyquist(aliased[2])
+    yield "Nyquist alias", ctx.grid, t, aliased
+    yield "zero block", ctx.grid, t, np.zeros_like(block)
+    ctx = _sho_c1_on_64_points()
+    t, block = next(_orthonormality_blocks(ctx))
+    yield "sho_c1 on 64 points", ctx.grid, t, block
+    ctx = dataclasses.replace(bundled_context("sho_c1"), grid=Grid(-8.5, 8.5, 4096))
+    t, block = next(_orthonormality_blocks(ctx))
+    yield "sho_c1 cut at 8.5", ctx.grid, t, block
+
+
+def test_the_window_guard_gives_the_whole_grid_verdicts(bundled_context):
+    """_resolved_window on a block's live columns passes, or refuses with the
+    exception type and message, exactly as _resolved_spectrum on the whole
+    block does."""
+    expected_refusals = {
+        "leak at -1": (GridTooSmallError, "edge over peak"),
+        "leak at 41": (GridTooSmallError, "Nyquist bins over peak"),
+        "Nyquist alias": (GridTooSmallError, "Nyquist bins over peak"),
+        "zero block": (DegenerateStateError, "zero or not finite"),
+        "sho_c1 on 64 points": (GridTooSmallError, "Nyquist bins over peak 1.97e-08"),
+        "sho_c1 cut at 8.5": (GridTooSmallError, "edge over peak 5.21e-10"),
+    }
+    for label, grid, t, block in _guard_cases(bundled_context):
+        whole = _verdict(tdho.verify._resolved_spectrum,
+                         GridFunction(grid.x_min, grid.dx, block, t), "orthonormality")
+        live, offset = _live(block)
+        assert _verdict(tdho.verify._resolved_window, live, offset, grid, t,
+                        "orthonormality") == whole, label
+        if label in expected_refusals:
+            kind, message = expected_refusals[label]
+            assert whole[0] is kind and message in whole[1], (label, whole)
+        else:
+            assert whole is None, (label, whole)
+
+
+def test_the_nyquist_bins_are_the_dfts_and_bound_its_ratio(bundled_context):
+    """The guard's three direct sums are the DFT's bins around the Nyquist
+    wavenumber, to the rounding of a sum over the window, and on every row
+    of every nonzero block band / ‖psi‖₂ is at least the DFT's band / peak."""
+    eps = np.finfo(float).eps
+    for label, grid, t, block in _guard_cases(bundled_context):
+        if not block.any():
+            continue
+        points = grid.points
+        live, offset = _live(block)
+        bins = tdho.verify._nyquist_bins(live, offset, points)
+        spectrum = np.fft.fft(block, axis=-1)
+        dft_bins = spectrum[:, points // 2 - 1:points // 2 + 2]
+        l1 = np.sum(np.abs(live), axis=-1, keepdims=True)
+        assert np.all(np.abs(bins - dft_bins)
+                      <= (live.shape[-1] + points.bit_length()) * eps * l1), label
+        bound = np.max(np.abs(bins), axis=-1) / np.linalg.norm(live, axis=-1)
+        exact = (np.max(np.abs(dft_bins), axis=-1)
+                 / np.max(np.abs(spectrum), axis=-1))
+        assert np.all(bound >= exact), (label, bound, exact)
+
+
+def test_orthonormality_takes_the_dft_only_as_its_fallback(monkeypatch, bundled_context):
+    """run_suite's orthonormality makes no DFT on the resolved blocks of the
+    bundled scenarios and the three high-order documents, and exactly the
+    fallback's one on the 64-point sho_c1 copy, which it refuses."""
+    fft = np.fft.fft
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    for name in _GUARD_SCENARIOS:
+        [result] = run_suite(_orthonormality_context(name, bundled_context),
+                             ["orthonormality"])
+        assert result.passed, name
+    assert calls == []
+    with pytest.raises(GridTooSmallError, match="Nyquist bins over peak 1.97e-08"):
+        run_suite(_sho_c1_on_64_points(), ["orthonormality"])
+    assert len(calls) == 1
 
 
 def test_delta_equivalence_check_runs(driven_sho):
@@ -922,9 +1096,9 @@ def test_each_check_makes_one_kernel_call_per_set_of_times(monkeypatch, bundled_
     the closed forms, the chain's companion and the undriven block, T
     slices each; one six-slice stencil stack per t; one probe stack (nine
     for C = 1, else a pair per t of the first three and the half-period
-    pair); and orthonormality one call per t, as its DFT guard reads each
-    time on the whole grid.  The exact chain path's reads at its query
-    points are not on the grid and not counted."""
+    pair); and orthonormality one window call per t, as a window over all
+    its times would widen each time's Gram product.  The exact chain
+    path's reads at its query points are not on the grid and not counted."""
     ctx, checks, _ = _suite_case(name, bundled_context, bundled_results)
     xs = ctx.grid.xs()
     T = len(ctx.times)
