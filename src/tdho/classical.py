@@ -19,7 +19,6 @@ from .models import (
     CaldirolaKanai,
     OscillatorModel,
     ReducedUnitMass,
-    UnitMassSHO,
     frequency_scale,
 )
 from .ode import ODEError, solve_ode
@@ -281,7 +280,7 @@ def analytic_basis_sho(w_s, A, B, model=None, t_min=0.0, t_max=20.0) -> Classica
     if w_s <= 0 or A <= 0 or B <= 0:
         raise ValueError("w_s, A, B must all be positive")
     if model is None:
-        model = UnitMassSHO(w_s, t_min, t_max)
+        model = CaldirolaKanai(1.0, 0.0, w_s, t_min, t_max)
     return _AnalyticCKBasis(model, 1.0, 0.0, w_s, A, B)
 
 

@@ -27,7 +27,7 @@ from .classical import (
     solve_homogeneous,
     solve_particular,
 )
-from .models import CaldirolaKanai, UnitMassSHO, model_from_json
+from .models import CaldirolaKanai, model_from_json
 from .ode import ODEError
 from .states import CLOSED_FORMS, _x_column, dump_state_grid, state_field
 from .transforms import BOUNDARY_RATIO, Grid, _edge_ratio, policy_grid
@@ -206,14 +206,20 @@ def load_scenario(path) -> dict:
     return doc
 
 
+def _is_unit_mass_sho(model) -> bool:
+    """Whether model is the unit-mass oscillator the schema family
+    UnitMassSHO builds: a CaldirolaKanai model at m = 1, gamma = 0."""
+    return isinstance(model, CaldirolaKanai) and model.m == 1.0 and model.gamma == 0.0
+
+
 def _build_basis(scenario, model):
     b = scenario["basis"]
     kind = b["kind"]
     if kind == "analytic_sho":
-        if not isinstance(model, UnitMassSHO):
+        if not _is_unit_mass_sho(model):
             raise ScenarioError("analytic_sho basis needs a UnitMassSHO model")
         # w_s may be overridden to detune the basis (negative controls)
-        w_s = float(b.get("w_s", model.w_s))
+        w_s = float(b.get("w_s", model.w1))
         return analytic_basis_sho(w_s, b.get("A", 1.0), b.get("B", 1.0), model=model)
     if kind == "analytic_ck":
         if not isinstance(model, CaldirolaKanai):
@@ -237,7 +243,10 @@ def _closed_form_C(scenario, model):
     cf = scenario.get("closed_form")
     if cf is not None:
         kind = cf.get("kind")
-        if kind is not None and CLOSED_FORMS.get(type(model), (None,))[0] != kind:
+        kinds = {CLOSED_FORMS.get(type(model), (None,))[0]}
+        if _is_unit_mass_sho(model):
+            kinds.add("sho")
+        if kind is not None and kind not in kinds:
             raise ScenarioError(
                 f"closed_form kind {kind!r} is not the family of a "
                 f"{type(model).__name__} model"

@@ -22,7 +22,6 @@ __all__ = [
     "PolynomialForce",
     "force_from_json",
     "OscillatorModel",
-    "UnitMassSHO",
     "CaldirolaKanai",
     "LoDampedPulsating",
     "GeneralParametric",
@@ -251,37 +250,9 @@ class OscillatorModel:
         return f"{type(self).__name__}({json.dumps(self.params())})"
 
 
-class UnitMassSHO(OscillatorModel):
-    """Constant mass 1, constant frequency w_s."""
-
-    family = "UnitMassSHO"
-
-    def __init__(self, w_s: float, t_min=0.0, t_max=20.0, force=None):
-        super().__init__(t_min, t_max, force)
-        if w_s <= 0:
-            raise ValueError("w_s must be positive")
-        self.w_s = float(w_s)
-
-    def mass(self, t):
-        return 1.0 if np.isscalar(t) else np.ones(np.shape(t))
-
-    def dmass(self, t):
-        return 0.0 if np.isscalar(t) else np.zeros(np.shape(t))
-
-    d2mass = dmass
-
-    def freq2(self, t):
-        return self.w_s**2 if np.isscalar(t) else np.full(np.shape(t), self.w_s**2)
-
-    def ode_terms(self, t):
-        return 1.0, 0.0, self.w_s**2, float(self.force_at(t))
-
-    def params(self):
-        return {"w_s": self.w_s}
-
-
 class CaldirolaKanai(OscillatorModel):
-    """M(t) = m e^{gamma t}, constant frequency w1."""
+    """M(t) = m e^{gamma t}, constant frequency w1; at m = 1, gamma = 0 the
+    unit-mass oscillator (the schema family "UnitMassSHO")."""
 
     family = "CaldirolaKanai"
 
@@ -538,8 +509,17 @@ def frequency_scale(model: OscillatorModel) -> float:
     return float(max(scale, 1e-6))
 
 
+def _unit_mass_sho(p, lo, hi, f):
+    """The schema family "UnitMassSHO": the constant-frequency unit-mass
+    oscillator is the Caldirola-Kanai model at m = 1, gamma = 0."""
+    model = CaldirolaKanai(1.0, 0.0, p["w_s"], lo, hi, f)
+    if model.w1 <= 0:
+        raise ValueError("w_s must be positive")
+    return model
+
+
 _FAMILIES = {
-    "UnitMassSHO": lambda p, lo, hi, f: UnitMassSHO(p["w_s"], lo, hi, f),
+    "UnitMassSHO": _unit_mass_sho,
     "CaldirolaKanai": lambda p, lo, hi, f: CaldirolaKanai(
         p["m"], p["gamma"], p["w1"], lo, hi, f
     ),

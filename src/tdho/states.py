@@ -17,10 +17,10 @@ times the phases, where h_n = H_n / sqrt(2^n n! sqrt(pi)) comes from the
 normalised Hermite recurrence, so one pass gives any set of orders of a
 slice (state_block; state_window: on the slices' cutoff windows only).
 
-The closed-form families (constant mass, exponential mass, pulsating mass)
-differ only in their law for the mass M(t), k = Mdot/M and the constant
-reduced frequency w_c^2, which each reads from its own parameters, never
-from a model's mass or a basis.  One slice formula turns any law into the
+The closed-form families (exponential mass, constant at gamma = 0, and
+pulsating mass) differ only in their law for the mass M(t), k = Mdot/M and
+the constant reduced frequency w_c^2, which each reads from its own
+parameters, never from a model's mass or a basis.  One slice formula turns any law into the
 kernel parameters, with the same branch convention, so general/specialized
 comparisons need no phase alignment.  CLOSED_FORMS is the one map from a
 model family to its law and its closed_form.kind; closed_form_block gives
@@ -47,7 +47,7 @@ from .classical import (
     OverdampedError,
     unwrapped_ellipse_angle,
 )
-from .models import CaldirolaKanai, LoDampedPulsating, OscillatorModel, UnitMassSHO
+from .models import CaldirolaKanai, LoDampedPulsating, OscillatorModel
 
 __all__ = [
     "StateSpec",
@@ -254,12 +254,6 @@ def _closed_slice(M, k, w2, Ccoef, hbar, t):
 # Each family's law (M, k, w_c^2) at t, from the family's own parameters
 # (its model's params()), never from a model's mass or a basis.
 
-def _sho_law(t, w_s):
-    if w_s <= 0:
-        raise ValueError("w_s must be positive")
-    return 1.0, 0.0, w_s * w_s
-
-
 def _ck_law(t, m, gamma, w1):
     return m * math.exp(gamma * t), gamma, w1 * w1 - 0.25 * gamma * gamma
 
@@ -278,7 +272,6 @@ def _lo_law(t, m0, gamma, mu, nu, w_lo):
 # the one map from a model family to its closed form: family -> (its
 # closed_form.kind, its law)
 CLOSED_FORMS = {
-    UnitMassSHO: ("sho", _sho_law),
     CaldirolaKanai: ("ck", _ck_law),
     LoDampedPulsating: ("lo", _lo_law),
 }
@@ -329,12 +322,16 @@ def _closed_form_call(slice_, n, x):
 
 
 def psi_sho(w_s, Ccoef, n, hbar, x, t):
-    """Constant-mass oscillator eigenstate with pulsation parameter C.
+    """Unit-mass oscillator eigenstate with pulsation parameter C: psi_ck
+    at m = 1, gamma = 0.
 
     C = 1 is the stationary textbook state; C != 1 breathes with envelope
     rho_tilde = sqrt(1 + (C^2 - 1) cos^2(w_s t)), period pi/w_s.
     """
-    return _closed_form_call(_closed_slice(*_sho_law(t, w_s), Ccoef, hbar, t), n, x)
+    if w_s <= 0:
+        raise ValueError("w_s must be positive")
+    return _closed_form_call(_closed_slice(*_ck_law(t, 1.0, 0.0, w_s), Ccoef, hbar, t),
+                             n, x)
 
 
 def psi_ck(m, gamma, w1, Ccoef, n, hbar, x, t):

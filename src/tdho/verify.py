@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import delta_legacy, null_driven, reduced_basis, shift_particular
-from .models import DomainError, UnitMassSHO, frequency_scale, reduced_frequency_squared
+from .models import CaldirolaKanai, DomainError, frequency_scale, reduced_frequency_squared
 from .states import (
     StateSpec,
     closed_form_block,
@@ -864,7 +864,8 @@ def _run_orthonormality(ctx: SuiteContext, rows) -> list:
 
 
 def _run_stationarity(ctx: SuiteContext, rows) -> list:
-    """The drift of the closed-form block of ctx.ns, as check_stationarity
+    """The drift of the closed-form block of ctx.ns of a constant mass (a
+    CaldirolaKanai model at gamma = 0, period pi/w1), as check_stationarity
     measures it, from one stack over every probe time: for C = 1 nine
     probes over one period, each against the first; otherwise a pair
     (t, t + period) per t of the first three of ctx.times and the pair
@@ -872,17 +873,22 @@ def _run_stationarity(ctx: SuiteContext, rows) -> list:
     (closed_form_window), whose outside columns are exact zeros, and each
     drift reduces there with the whole grid's Simpson weights."""
     C = ctx.closed_form_C
-    if not isinstance(ctx.model, UnitMassSHO) or C is None:
+    model = ctx.model
+    if not isinstance(model, CaldirolaKanai) or model.gamma != 0.0 or C is None:
         raise ValueError("stationarity check applies to the constant-mass family")
-    w_s = ctx.model.w_s
-    period = math.pi / w_s
+    period = math.pi / model.w1
     if C == 1.0:
-        probes = np.linspace(0.0, 2.0 * math.pi / w_s, 9)
+        probes = np.linspace(0.0, 2.0 * math.pi / model.w1, 9)
     else:
         probes = [s for t in ctx.times[:3] for s in (t, t + period)] + [0.0, 0.5 * period]
     xs = ctx.grid.xs()
-    stack, offset = closed_form_window(ctx.model, C, ctx.ns, ctx.hbar, xs, probes,
+    stack, offset = closed_form_window(model, C, ctx.ns, ctx.hbar, xs, probes,
                                        depth=READ_DEPTH)
+    # a state the grid misses has no column in the window, and its drift
+    # would read 0.0; Σ|psi|² from the float view makes no stack-sized temporary
+    parts = stack.view(np.float64)
+    _nondegenerate(np.einsum("...j,...j->...", parts, parts), "stationarity: ‖psi‖²",
+                   f" on {len(xs)} points", "its drift")
     weights = _unit_simpson_weights(len(xs))[offset:offset + stack.shape[-1]]
 
     def probe_drift(first, stop):  # of probes first + 1 .. stop - 1 from probe first

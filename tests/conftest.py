@@ -18,7 +18,6 @@ from tdho.models import (
     CosineForce,
     ExpCosineForce,
     LoDampedPulsating,
-    UnitMassSHO,
 )
 
 # Shared desk-scale domain: starts below 0 so finite-difference probes at
@@ -56,7 +55,7 @@ def lo_basis(lo_model):
 @pytest.fixture(scope="session")
 def driven_sho():
     """Resonant-free driven SHO: F = cos 2t, particular x_p = -cos(2t)/3."""
-    model = UnitMassSHO(1.0, t_min=T_MIN, t_max=T_MAX, force=CosineForce(1.0, 2.0))
+    model = CaldirolaKanai(1.0, 0.0, 1.0, t_min=T_MIN, t_max=T_MAX, force=CosineForce(1.0, 2.0))
     basis = analytic_basis_sho(1.0, 1.0, 1.0, model=model, t_min=T_MIN, t_max=T_MAX)
     driven = solve_particular(model, -1.0 / 3.0, 0.0, t0=0.0, tol=1e-11)
     return basis, driven

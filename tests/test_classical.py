@@ -12,6 +12,7 @@ from tdho.classical import (
     SingularPathError,
     _panel_integral,
     analytic_basis_ck,
+    analytic_basis_sho,
     delta_legacy,
     export_basis_csv,
     export_driven_csv,
@@ -21,7 +22,7 @@ from tdho.classical import (
     solve_homogeneous,
     unwrapped_ellipse_angle,
 )
-from tdho.models import CaldirolaKanai, UnitMassSHO, reduced_frequency_squared
+from tdho.models import CaldirolaKanai, reduced_frequency_squared
 from tdho.ode import ODEError
 
 from conftest import T_MAX, T_MIN
@@ -105,7 +106,7 @@ def test_unwrapped_angle_is_continuous_and_winds(C):
 # ---------------------------------------------------------------------------
 
 def test_numeric_sho_matches_analytic():
-    m = UnitMassSHO(1.0, t_min=T_MIN, t_max=T_MAX)
+    m = CaldirolaKanai(1.0, 0.0, 1.0, t_min=T_MIN, t_max=T_MAX)
     b = solve_homogeneous(m, 1.0, 0.0, 0.0, 1.0, t0=0.0, tol=1e-11)
     ts = np.linspace(T_MIN, T_MAX, 300)
     u, _, v, _, _, _, theta = b.slice(ts)
@@ -141,15 +142,29 @@ def test_numeric_theta_continuity(lo_basis):
 
 
 def test_degenerate_pair_rejected():
-    m = UnitMassSHO(1.0, t_min=0.0, t_max=5.0)
+    m = CaldirolaKanai(1.0, 0.0, 1.0, t_min=0.0, t_max=5.0)
     with pytest.raises(DegenerateBasisError):
         solve_homogeneous(m, 1.0, 0.0, 2.0, 0.0, t0=0.0)  # v = 2u
 
 
 def test_omega_sign_rejected():
-    m = UnitMassSHO(1.0, t_min=0.0, t_max=5.0)
+    m = CaldirolaKanai(1.0, 0.0, 1.0, t_min=0.0, t_max=5.0)
     with pytest.raises(OmegaSignError):
         solve_homogeneous(m, 0.0, 1.0, 1.0, 0.0, t0=0.0)  # Omega = -1
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: solve_homogeneous(CaldirolaKanai(1.0, 0.0, 1.0), 1.0, 0.0, 0.0, 1.0, tol=0.0),
+     "tol must be positive"),
+    (lambda: analytic_basis_sho(1.0, 0.0, 1.0), "w_s, A, B must all be positive"),
+    (lambda: analytic_basis_sho(1.0, 1.0, -1.0), "w_s, A, B must all be positive"),
+    (lambda: analytic_basis_ck(1.0, 0.6, 1.0, -1.0, 1.0), "A, B must be positive"),
+    (lambda: analytic_basis_ck(1.0, 0.6, 1.0, 1.0, 0.0), "A, B must be positive"),
+], ids=["tol", "sho_A", "sho_B", "ck_A", "ck_B"])
+def test_nonpositive_basis_data_is_refused_as_value_error(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert refused.type is ValueError and str(refused.value) == message
 
 
 class _Circle:
@@ -168,7 +183,7 @@ def test_numeric_theta_table_resolves_fast_winding():
     """4097 nodes on [0, 2655] step theta by 6.48 rad, which unwraps to a
     smooth -0.20 rad: the table must be sized from the rate instead."""
     W = 10.0
-    b = NumericBasis(_Circle(W), UnitMassSHO(W, 0.0, 2655.0), W, t_ref=0.0)
+    b = NumericBasis(_Circle(W), CaldirolaKanai(1.0, 0.0, W, 0.0, 2655.0), W, t_ref=0.0)
     assert len(b._theta_ts) > 4097
     ts = np.array([1.0, 1000.0, 1777.7, 2655.0])
     np.testing.assert_allclose(b.slice(ts)[6], -W * ts, rtol=1e-12)
@@ -178,7 +193,7 @@ def test_numeric_theta_table_resolves_fast_winding():
 def test_numeric_theta_table_refuses_beyond_cap():
     W = 1e4  # about 3.4e7 nodes on [0, 2655]
     with pytest.raises(ODEError, match="theta table"):
-        NumericBasis(_Circle(W), UnitMassSHO(W, 0.0, 2655.0), W, t_ref=0.0)
+        NumericBasis(_Circle(W), CaldirolaKanai(1.0, 0.0, W, 0.0, 2655.0), W, t_ref=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +249,7 @@ def test_delta_rate_matches_definition(driven_sho):
 
 
 def test_null_driven_is_exactly_zero():
-    m = UnitMassSHO(1.0, t_min=0.0, t_max=5.0)
+    m = CaldirolaKanai(1.0, 0.0, 1.0, t_min=0.0, t_max=5.0)
     nd = null_driven(m)
     ts = np.linspace(0.0, 5.0, 7)
     for q in nd.slice(ts):

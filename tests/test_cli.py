@@ -14,7 +14,8 @@ import tdho
 import tdho.classical
 import tdho.verify
 from tdho.classical import QuadratureError
-from tdho.cli import ScenarioError, build_context, load_scenario, main
+from tdho.cli import ScenarioError, _build_basis, build_context, load_scenario, main
+from tdho.models import LoDampedPulsating
 from tdho.ode import ODEError
 from tdho.scenarios import BUNDLED, scenario_path
 
@@ -188,12 +189,16 @@ def test_build_context_rejects_mismatched_basis(tmp_path):
 
 
 @pytest.mark.parametrize("model,kind", [
-    ({"family": "UnitMassSHO", "params": {"w_s": 1.0}}, "ck"),
+    ({"family": "CaldirolaKanai", "params": {"m": 1.0, "gamma": 0.6, "w1": 1.0}},
+     "sho"),
+    ({"family": "CaldirolaKanai", "params": {"m": 2.0, "gamma": 0.0, "w1": 1.0}},
+     "sho"),
     ({"family": "CaldirolaKanai", "params": {"m": 1.0, "gamma": 0.6, "w1": 1.0}},
      "lo"),
-], ids=["ck_on_sho", "lo_on_ck"])
+], ids=["sho_on_ck", "sho_on_mass_2", "lo_on_ck"])
 def test_closed_form_of_another_family_is_config_error(tmp_path, capsys, model, kind):
-    """closed_form.kind must name the model's own family."""
+    """closed_form.kind must name the model's own family; "sho" names only
+    the unit-mass oscillator, CaldirolaKanai at m = 1, gamma = 0."""
     model.update(t_min=-1.0, t_max=12.0)
     doc = _scenario_doc(model=model, basis={"kind": "numeric",
                                             "ics": [1.0, 0.0, 0.0, 1.0]},
@@ -202,6 +207,64 @@ def test_closed_form_of_another_family_is_config_error(tmp_path, capsys, model, 
     assert main(["verify", _write(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: closed_form kind {kind!r}") and err.count("\n") == 1
+
+
+def test_ck_closed_form_of_a_unit_mass_document_is_its_sho_closed_form(tmp_path, capsys):
+    """A UnitMassSHO document builds CaldirolaKanai(1, 0, w_s), so its "ck"
+    closed form is its "sho" one: the same report, row for row."""
+    reports = []
+    for kind in ("sho", "ck"):
+        doc = load_scenario("sho_c1")
+        doc["closed_form"]["kind"] = kind
+        assert main(["verify", _write(tmp_path, doc, f"{kind}.json")]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+def _constant_mass_doc(m):
+    """A CaldirolaKanai document at gamma = 0: a breathing state (A = 2, B = 1)
+    of the constant mass m, with its closed form (C = 2)."""
+    return _scenario_doc(
+        model={"family": "CaldirolaKanai", "params": {"m": m, "gamma": 0.0, "w1": 1.3},
+               "t_min": -1.0, "t_max": 12.0},
+        basis={"kind": "analytic_ck", "A": 2.0, "B": 1.0},
+        states=[0, 1, 2, 3], times=[0.0, 1.0, 2.5],
+        closed_form={"kind": "ck", "Ccoef": 2.0},
+        checks=["closed_form_agreement", "orthonormality", "residual", "stationarity",
+                "transform_chain"])
+
+
+def test_a_constant_mass_other_than_one_passes_stationarity(tmp_path, capsys):
+    """Stationarity applies to every constant mass (CaldirolaKanai with
+    gamma = 0), with period pi/w1: at m = 2 every row of every check passes."""
+    assert main(["verify", _write(tmp_path, _constant_mass_doc(2.0))]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    stationarity = [r for r in rows if r["check"] == "stationarity"]
+    assert len(stationarity) == 4 * 4 and all(r["pass"] for r in rows)
+
+
+def test_stationarity_refuses_a_grid_that_misses_its_state(tmp_path, capsys):
+    """A grid far from the state holds no column of the probe stack: the
+    check refuses it as a zero state (a numerical error), as closed-form
+    agreement does, rather than report a zero drift."""
+    doc = load_scenario("sho_c1")
+    doc.update(grid={"x_min": 100.0, "x_max": 112.0, "points": 256},
+               checks=["stationarity"])
+    assert main(["verify", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        "numerical error: stationarity: ‖psi‖² = 0.0 on 256 points: the sampled "
+        "state is zero or not finite, so its drift is undefined\n")
+
+
+@pytest.mark.parametrize("basis,message", [
+    ({"kind": "analytic_ck"}, "analytic_ck basis needs a CaldirolaKanai model"),
+    ({"kind": "numeric"}, 'numeric basis needs "ics": [u0, du0, v0, dv0]'),
+], ids=["analytic_ck_on_lo", "numeric_without_ics"])
+def test_a_basis_the_model_cannot_take_is_a_scenario_error(basis, message):
+    model = LoDampedPulsating(1.0, 0.1, 0.2, 3.0, 1.0, t_min=-1.0, t_max=12.0)
+    with pytest.raises(ScenarioError) as refused:
+        _build_basis({"basis": basis}, model)
+    assert refused.type is ScenarioError and str(refused.value) == message
 
 
 def _driven_closed_form_doc(name, w_s=None):

@@ -14,7 +14,7 @@ import tdho
 import tdho._kernels as kernels
 from tdho._kernels._ref import _cutoff_radius, _hermite_function_rows
 from tdho.classical import analytic_basis_sho
-from tdho.models import CaldirolaKanai, LoDampedPulsating, UnitMassSHO
+from tdho.models import CaldirolaKanai, LoDampedPulsating
 from tdho.states import (
     StateSpec,
     _closed_slice,
@@ -264,6 +264,16 @@ def test_stacked_call_fills_out():
                                                                       complex))
 
 
+def test_slice_parameters_of_more_than_one_axis_are_refused():
+    x = np.linspace(-8.0, 8.0, 64)
+    params = [np.full((2, 2), p) for p in (-0.3, -0.8, 0.4, 1.1, 0.0, 0.2, 0.7, 1.5)]
+    for call in (kernels.state_kernel_block, kernels.state_kernel_window):
+        with pytest.raises(ValueError) as refused:
+            call(x, [0, 1], *params)
+        assert refused.type is ValueError
+        assert str(refused.value) == "slice parameters must be scalars or 1-D sequences"
+
+
 _slice = st.tuples(
     st.floats(-720.0, 5.0), st.floats(-2.0, -0.05), st.floats(-1.0, 1.0),
     st.floats(0.3, 2.0), st.floats(-6.0, 6.0), st.floats(-2.0, 2.0),
@@ -311,7 +321,7 @@ def test_slices_that_share_a_radius_share_one_solve():
 def test_the_stationarity_probes_share_one_solve():
     """The nine C = 1 probes of one period are one stack with one solve:
     the stationary state's amplitude does not move."""
-    model = UnitMassSHO(1.3, t_min=-1.0, t_max=6.0)
+    model = CaldirolaKanai(1.0, 0.0, 1.3, t_min=-1.0, t_max=6.0)
     x = np.linspace(-15.0, 15.0, 2049)
     probes = np.linspace(0.0, 2.0 * math.pi / 1.3, 9)
     patch, calls = _counting_solves()
@@ -362,7 +372,7 @@ def _depth_case(name, driven_ck):
         return (lambda orders, x, **kw: state_block(spec, x, 1.0, orders, **kw),
                 (params[0], params[1], params[3], params[4]))
     model, C, hbar, t = {
-        "sho": (UnitMassSHO(1.3), 2.0, 0.7, 1.0),
+        "sho": (CaldirolaKanai(1.0, 0.0, 1.3), 2.0, 0.7, 1.0),
         "ck": (CaldirolaKanai(1.0, 0.6, 1.0), 1.0, 1.0, 2.0),
         "lo": (LoDampedPulsating(1.0, 0.1, 0.2, 1.5, 1.0), 1.5, 1.2, 3.0),
     }[name]

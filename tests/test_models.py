@@ -17,7 +17,6 @@ from tdho.models import (
     LoDampedPulsating,
     PolynomialForce,
     ReducedUnitMass,
-    UnitMassSHO,
     force_from_json,
     frequency_scale,
     model_from_json,
@@ -38,7 +37,7 @@ def _fd1(fn, t, h=1e-6):
 # ---------------------------------------------------------------------------
 
 def test_unit_mass_sho_sample():
-    m = UnitMassSHO(1.3, t_min=-1.0, t_max=10.0)
+    m = CaldirolaKanai(1.0, 0.0, 1.3, t_min=-1.0, t_max=10.0)
     assert m.mass(2.0) == 1.0 and m.dmass(2.0) == 0.0 and m.d2mass(2.0) == 0.0
     assert m.freq2(2.0) == pytest.approx(1.69)
     assert m.force_at(2.0) == 0.0
@@ -62,7 +61,7 @@ def test_lo_mass_derivatives_match_finite_differences(t):
 
 
 def test_domain_check():
-    m = UnitMassSHO(1.0, t_min=0.0, t_max=5.0)
+    m = CaldirolaKanai(1.0, 0.0, 1.0, t_min=0.0, t_max=5.0)
     m.check_domain(0.0)
     m.check_domain(5.0)
     with pytest.raises(DomainError):
@@ -84,7 +83,7 @@ def test_domain_check_of_a_float_is_the_array_verdict(t_min, t_max):
     """A float time (Python or numpy) takes the scalar path; its verdict is
     the array path's for every input: on each side of both slack edges,
     inside, far outside, NaN (never refused) and the infinities."""
-    m = UnitMassSHO(1.0, t_min=t_min, t_max=t_max)
+    m = CaldirolaKanai(1.0, 0.0, 1.0, t_min=t_min, t_max=t_max)
     eps = 1e-12 * max(abs(t_min), abs(t_max), 1.0)
     edges = (t_min - eps, t_max + eps)
     probes = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
@@ -155,9 +154,9 @@ def test_force_is_zero_and_has_driving():
     assert ConstantForce(0.0).is_zero
     assert not ConstantForce(0.1).is_zero
     assert PolynomialForce([0.0, 0.0]).is_zero
-    m = UnitMassSHO(1.0, t_min=0.0, t_max=5.0, force=ConstantForce(0.0))
+    m = CaldirolaKanai(1.0, 0.0, 1.0, t_min=0.0, t_max=5.0, force=ConstantForce(0.0))
     assert not m.has_driving
-    m = UnitMassSHO(1.0, t_min=0.0, t_max=5.0, force=CosineForce(1.0, 2.0))
+    m = CaldirolaKanai(1.0, 0.0, 1.0, t_min=0.0, t_max=5.0, force=CosineForce(1.0, 2.0))
     assert m.has_driving
 
 
@@ -166,7 +165,7 @@ def test_frequency_scale_sees_stiffest_term():
     m = LoDampedPulsating(1.0, 0.1, 0.2, 3.0, 1.0, t_min=-1.0, t_max=10.0)
     assert frequency_scale(m) > np.sqrt(0.2 * 9.0) * 0.8
     # driven: the force frequency enters the scale
-    fast = UnitMassSHO(1.0, t_min=0.0, t_max=5.0, force=CosineForce(1.0, 25.0))
+    fast = CaldirolaKanai(1.0, 0.0, 1.0, t_min=0.0, t_max=5.0, force=CosineForce(1.0, 25.0))
     assert frequency_scale(fast) >= 25.0
 
 
@@ -269,7 +268,7 @@ def test_general_parametric_rejects_malformed_table(change, message):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("model", [
-    UnitMassSHO(1.3, t_min=-1.0, t_max=10.0),
+    CaldirolaKanai(1.0, 0.0, 1.3, t_min=-1.0, t_max=10.0),
     CaldirolaKanai(1.2, 0.6, 1.0, t_min=-1.0, t_max=10.0,
                    force=ExpCosineForce(1.0, 0.3, 1.0)),
     LoDampedPulsating(1.0, 0.1, 0.2, 3.0, 1.0, t_min=-1.0, t_max=10.0,
@@ -304,6 +303,32 @@ def test_model_from_json_rejects_unknown_family():
                          "t_min": 0.0, "t_max": 1.0})
 
 
+def test_unit_mass_sho_family_builds_the_ck_model_at_unit_mass():
+    """The schema family UnitMassSHO is CaldirolaKanai(1, 0, w_s); it still
+    refuses w_s <= 0."""
+    doc = {"family": "UnitMassSHO", "params": {"w_s": 1.3}, "t_min": -1.0, "t_max": 10.0}
+    model = model_from_json(doc)
+    assert type(model) is CaldirolaKanai
+    assert model.params() == {"m": 1.0, "gamma": 0.0, "w1": 1.3}
+    for w_s in (0.0, -1.3):
+        with pytest.raises(ValueError, match="^w_s must be positive$"):
+            model_from_json({**doc, "params": {"w_s": w_s}})
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: force_from_json({"kind": "sawtooth"}), "unknown force kind 'sawtooth'"),
+    (lambda: CaldirolaKanai(1.0, 0.0, 1.0, t_min=2.0, t_max=2.0),
+     "empty time domain [2.0, 2.0]"),
+    (lambda: CaldirolaKanai(0.0, 0.6, 1.0), "m must be positive"),
+    (lambda: LoDampedPulsating(-1.0, 0.1, 0.2, 3.0, 1.0), "m0 must be positive"),
+    (lambda: LoDampedPulsating(1.0, 0.1, 0.2, 3.0, 0.0), "w_lo must be positive"),
+], ids=["force_kind", "empty_domain", "ck_m", "lo_m0", "lo_w_lo"])
+def test_invalid_model_data_is_refused_as_value_error(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert refused.type is ValueError and str(refused.value) == message
+
+
 # ---------------------------------------------------------------------------
 # ode_terms: one read of the model per ODE step
 # ---------------------------------------------------------------------------
@@ -319,7 +344,7 @@ _ODE_FORCES = {
 
 def _ode_model(family, force):
     if family == "UnitMassSHO":
-        return UnitMassSHO(1.3, -1.0, 12.0, force)
+        return CaldirolaKanai(1.0, 0.0, 1.3, -1.0, 12.0, force)
     if family == "CaldirolaKanai":
         return CaldirolaKanai(1.2, 0.6, 1.1, -1.0, 12.0, force)
     if family == "LoDampedPulsating":

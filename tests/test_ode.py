@@ -117,6 +117,15 @@ def test_solution_that_blows_up_raises():
         solve_ode(lambda t, y: y * y, 0.0, [1.0], 0.0, 2.0)
 
 
+def test_a_non_finite_end_state_raises():
+    """y' = 1e306 from y(0) = 1e308 overflows to inf near t = 80 while every
+    step's error estimate stays finite: refused at the end of the march."""
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ODEError) as refused:
+        solve_ode(lambda t, y: np.array([1e306]), 0.0, [1e308], 0.0, 1000.0)
+    assert str(refused.value) == ("integration from t=0.0 towards t=1000.0 failed: "
+                                  "the end state is not finite")
+
+
 def test_too_small_rtol_is_clamped_with_a_warning():
     """rtol below 100 eps is raised to it, with scipy's warning."""
     with pytest.warns(UserWarning, match=r"`rtol` is too small"):
@@ -198,6 +207,21 @@ def test_dense_solution_matches_ode_solution_on_degenerate_span():
     _assert_same_bits(sol.ts, oracle.ts)
     _assert_same_bits(sol(1.5), oracle(1.5))
     _assert_same_bits(sol(np.array([1.5, 1.5])), oracle(np.array([1.5, 1.5])).T)
+
+
+def test_zero_slope_matches_ode_solution_bitwise():
+    """y' = 0: the initial step takes its d1, d2 <= 1e-15 branch and every
+    error norm is exactly zero; knots and dense output are scipy's."""
+    def still(t, y):
+        return np.zeros_like(y)
+
+    sol = solve_ode(still, 0.0, [1.0, -2.0], 0.0, 5.0)
+    oracle = _oracle(still, 0.0, [1.0, -2.0], 0.0, 5.0)
+    _assert_same_steps(sol, oracle)
+    _assert_same_values(sol, oracle, np.random.default_rng(3))
+    ts = np.linspace(0.0, 5.0, 101)
+    _assert_same_bits(sol(ts), oracle(ts).T)
+    np.testing.assert_array_equal(sol(ts), np.tile([1.0, -2.0], (101, 1)))
 
 
 @pytest.mark.parametrize("name", ["ck", "lo", "driven_sho", "driven_ck"])

@@ -1,13 +1,14 @@
 """Eigenstate construction: kernel wrappers, closed forms, grid dumps."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from tdho.classical import null_driven, reduced_basis
-from tdho.models import CaldirolaKanai, LoDampedPulsating, UnitMassSHO
+from tdho.classical import OverdampedError, null_driven, reduced_basis
+from tdho.models import CaldirolaKanai, GeneralParametric, LoDampedPulsating
 from tdho.states import (
     StateSpec,
     _x_column,
@@ -55,6 +56,26 @@ def test_psi_unit_mass_requires_unit_mass(ck_basis):
     spec = StateSpec(0, 1.0, ck_basis)
     with pytest.raises(ValueError, match="unit-mass"):
         psi_unit_mass(spec, X, 1.0)
+
+
+_TABLE = np.linspace(0.0, 3.0, 4)
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: StateSpec(0, 1.0, SimpleNamespace(omega=0.0)), ValueError,
+     "basis invariant Omega must be positive"),
+    (lambda: psi_ck(1.0, 3.0, 1.0, 1.0, 0, 1.0, X, 1.0), OverdampedError,
+     "w_c^2 = -1.25 <= 0: overdamped regime not supported"),
+    (lambda: closed_form_block(
+        GeneralParametric(_TABLE, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4)),
+        1.0, [0], 1.0, X, 1.0), ValueError, "GeneralParametric has no closed-form state"),
+    (lambda: psi_sho(0.0, 1.0, 0, 1.0, X, 1.0), ValueError, "w_s must be positive"),
+    (lambda: psi_sho(-1.0, 1.0, 0, 1.0, X, 1.0), ValueError, "w_s must be positive"),
+], ids=["omega", "overdamped", "no_closed_form", "w_s_zero", "w_s_negative"])
+def test_states_refuse_what_they_cannot_build(build, error, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert refused.type is error and str(refused.value) == message
 
 
 def test_psi_lo_rejects_nonpositive_mass_and_frequency():
@@ -143,8 +164,8 @@ def test_psi_lo_equals_general_over_numeric_basis(lo_basis, lo_model, n):
 
 @pytest.mark.parametrize("depth", [None, 80.0])
 @pytest.mark.parametrize("model, C", [
-    (UnitMassSHO(1.3, t_min=-1.0, t_max=12.0), 1.0),
-    (UnitMassSHO(1.3, t_min=-1.0, t_max=12.0), 2.0),
+    (CaldirolaKanai(1.0, 0.0, 1.3, t_min=-1.0, t_max=12.0), 1.0),
+    (CaldirolaKanai(1.0, 0.0, 1.3, t_min=-1.0, t_max=12.0), 2.0),
     (CaldirolaKanai(1.0, 0.6, 1.0, t_min=-1.0, t_max=12.0), 1.0),
     (LoDampedPulsating(1.0, 0.1, 0.2, 3.0, 1.0, t_min=-1.0, t_max=12.0), 1.5),
 ], ids=["sho_c1", "sho_c2", "ck", "lo"])
@@ -230,7 +251,9 @@ def test_dump_state_grid_layout_and_determinism(tmp_path, sho_basis_c1):
     doc = json.loads((tmp_path / "a.csv.json").read_text())
     assert doc["n"] == 1 and doc["hbar"] == 1.0 and doc["t"] == 0.5
     assert doc["grid"]["points"] == 129
-    assert doc["model"]["family"] == "UnitMassSHO"
+    # the schema family UnitMassSHO is the CaldirolaKanai model at m = 1, gamma = 0
+    assert doc["model"]["family"] == "CaldirolaKanai"
+    assert doc["model"]["params"] == {"m": 1.0, "gamma": 0.0, "w1": 1.0}
     assert side1.endswith(".json")
 
 

@@ -45,6 +45,18 @@ def test_grid_validation_and_accessors():
         Grid(-2.0, 2.0, 8)
 
 
+@pytest.mark.parametrize("values,dx,message", [
+    (np.ones(15), 0.1, "need 1-D or (rows, points) values of at least 16 samples"),
+    (np.ones((2, 15)), 0.1, "need 1-D or (rows, points) values of at least 16 samples"),
+    (np.ones(16), 0.0, "dx must be positive"),
+    (np.ones(16), -0.1, "dx must be positive"),
+], ids=["short", "short_rows", "zero_dx", "negative_dx"])
+def test_grid_function_refuses_short_values_and_nonpositive_dx(values, dx, message):
+    with pytest.raises(ValueError) as refused:
+        GridFunction(-1.0, dx, values, 0.0)
+    assert refused.type is ValueError and str(refused.value) == message
+
+
 def test_sample_on_grid_attaches_source():
     gf = sample_on_grid(_gauss_field, GRID, 0.0)
     # source is the field with t frozen in, for exact off-grid reads

@@ -14,7 +14,7 @@ import tdho.states
 import tdho.transforms
 import tdho.verify
 from tdho.classical import analytic_basis_sho
-from tdho.models import CaldirolaKanai, DomainError, LoDampedPulsating, UnitMassSHO
+from tdho.models import CaldirolaKanai, DomainError, LoDampedPulsating
 from tdho.scenarios import BUNDLED
 from tdho.states import (
     StateSpec,
@@ -162,7 +162,7 @@ def test_residual_small_for_exact_state(ck_basis):
 
 def test_residual_detects_detuned_state():
     """A basis detuned by 1% is not a solution: residual ~ 1e-2, flat order."""
-    model = UnitMassSHO(1.0, t_min=T_MIN, t_max=T_MAX)
+    model = CaldirolaKanai(1.0, 0.0, 1.0, t_min=T_MIN, t_max=T_MAX)
     wrong = analytic_basis_sho(1.01, 1.0, 1.0, model=model,
                                t_min=T_MIN, t_max=T_MAX)
     rep = schrodinger_residual(_state(wrong, 0), model, GRID, 1.0)
@@ -181,7 +181,7 @@ def test_residual_refuses_a_stencil_past_the_domain(sho_basis_c1):
 
 def test_residual_refuses_zero_state():
     """An identically zero state has no relative residual (0/0): refused."""
-    model = UnitMassSHO(1.0, t_min=T_MIN, t_max=T_MAX)
+    model = CaldirolaKanai(1.0, 0.0, 1.0, t_min=T_MIN, t_max=T_MAX)
 
     def zero(x, t):
         return np.zeros(np.shape(x), dtype=np.complex128)
@@ -635,6 +635,14 @@ def test_delta_equivalence_check_runs(driven_sho):
     assert all(r.passed for r in results)
 
 
+def test_delta_equivalence_check_needs_a_driven_scenario(sho_basis_c1):
+    ctx = _context(sho_basis_c1)
+    with pytest.raises(ValueError) as refused:
+        run_suite(ctx, ["delta_equivalence"])
+    assert refused.type is ValueError
+    assert str(refused.value) == "delta_equivalence check needs a driven scenario"
+
+
 def test_stationarity_check_rejects_non_sho(ck_basis):
     ctx = _context(ck_basis, closed_form_C=1.0)
     with pytest.raises(ValueError, match="constant-mass"):
@@ -761,10 +769,11 @@ def test_detuned_boost_fails_the_uncertainty_check(monkeypatch, bundled_context,
 
 
 def _closed_form_oracle(ctx, n):
-    """The per-order closed form of ctx's family as a (x, t) -> values field."""
+    """The per-order closed form of ctx's family as a (x, t) -> values field;
+    psi_sho on the unit-mass oscillator (CaldirolaKanai at m = 1, gamma = 0)."""
     m, C, hbar = ctx.model, ctx.closed_form_C, ctx.hbar
-    if isinstance(m, UnitMassSHO):
-        return lambda x, t: psi_sho(m.w_s, C, n, hbar, x, t)
+    if isinstance(m, CaldirolaKanai) and (m.m, m.gamma) == (1.0, 0.0):
+        return lambda x, t: psi_sho(m.w1, C, n, hbar, x, t)
     if isinstance(m, CaldirolaKanai):
         return lambda x, t: psi_ck(m.m, m.gamma, m.w1, C, n, hbar, x, t)
     assert isinstance(m, LoDampedPulsating)
@@ -792,7 +801,7 @@ def test_suite_stationarity_matches_per_order_check(bundled_context, name):
     closed-form block equals check_stationarity on each order's psi_sho."""
     ctx = bundled_context(name)
     results = run_suite(ctx, ["stationarity"])
-    w_s, C = ctx.model.w_s, ctx.closed_form_C
+    w_s, C = ctx.model.w1, ctx.closed_form_C
     period = np.pi / w_s
     if C == 1.0:
         probes = [((), np.linspace(0.0, 2.0 * np.pi / w_s, 9))]
