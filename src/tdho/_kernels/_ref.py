@@ -164,7 +164,7 @@ def state_kernel(x, n, log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phas
 
 
 def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
-                       k_lin, phase0, dphase, out=None, depth=None):
+                       k_lin, phase0, dphase, depth=None):
     """Eigenstate samples of the requested orders on the ascending grid x,
     from one recurrence that runs to max(orders), for one time slice or a
     stack of them.
@@ -179,7 +179,7 @@ def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
     polynomial.  The eight slice parameters (log_norm .. dphase) are all
     scalars, giving one slice's (len(orders), len(x)) rows, or all 1-D
     sequences of S slices, giving (S, len(orders), len(x)), entry s the
-    rows of slice s.  out, when given, is that array, filled and returned.
+    rows of slice s.
 
     Each slice keeps its own cutoff window: outside the cutoff radius of
     n = max(orders) around its x_shift every requested order is below
@@ -208,11 +208,7 @@ def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
     """
     x, orders, table, spans, (a, b) = _slices(x, orders, (
         log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0, dphase), depth)
-    shape = table.shape[1:] + (len(orders), len(x))
-    if out is None:
-        out = np.empty(shape, dtype=np.complex128)
-    elif out.shape != shape or out.dtype != np.complex128:
-        raise ValueError(f"out must be a complex128 array of shape {shape}")
+    out = np.empty(table.shape[1:] + (len(orders), len(x)), dtype=np.complex128)
     stack = out if table.ndim == 2 else out[np.newaxis]
     _fill(stack[..., a:b], x[a:b], orders, table, spans)
     stack[..., :a] = 0.0

@@ -162,7 +162,7 @@ def _eval_slice(spec: StateSpec, x, t, with_driving: bool):
                         x_shift, k_lin)
 
 
-def state_block(spec: StateSpec, x, t, orders, out=None, depth=None):
+def state_block(spec: StateSpec, x, t, orders, depth=None):
     """The given orders of spec's state at time t, or at each of a 1-D
     sequence of times, on the ascending grid x (spec.n is not read).
 
@@ -171,11 +171,10 @@ def state_block(spec: StateSpec, x, t, orders, out=None, depth=None):
     time comes from one recurrence to max(orders).  Returns the
     (len(orders), len(x)) rows for a scalar t, rows[i] being psi_{orders[i]}
     on x, and the (len(t), len(orders), len(x)) stack of them for a
-    sequence; out, when given, is that array, filled and returned.  depth,
-    when given, zeros each slice below e^-depth of its amplitude scale
-    (state_kernel_block).
+    sequence.  depth, when given, zeros each slice below e^-depth of its
+    amplitude scale (state_kernel_block).
     """
-    return state_kernel_block(x, orders, *_state_columns(spec, t), out=out, depth=depth)
+    return state_kernel_block(x, orders, *_state_columns(spec, t), depth=depth)
 
 
 def state_window(spec: StateSpec, x, t, orders, depth=None):

@@ -26,8 +26,15 @@ because compliant grid functions are negligible at their edges (the
 boundary invariant, enforced by the sizing policy below).
 
 A GridFunction holds one state's samples, or a stack of states on the same
-grid as (rows, points) values; every map acts along the last axis, so one
-pass (one exp(i phase(x)), one set of Lagrange weights) serves every row.
+grid as (rows, W) values, on a window of W columns of its grid: every other
+column holds exact zeros, and a whole-grid function is the window at
+offset 0.  Every map acts along the last axis, so one pass (one
+exp(i phase(x)), one set of Lagrange weights) serves every row, and writes
+onto a window of its own: the Lagrange read onto the columns whose image
+s x - d can reach the input's window, the source onto the columns its
+analytic map holds.  A window keeps the whole grid's x_min, dx and points,
+and every x and every Lagrange query index is computed as the whole grid
+computes it and then sliced, so each column holds the whole grid's bits.
 """
 
 from __future__ import annotations
@@ -81,20 +88,30 @@ class Grid:
 
 
 class GridFunction:
-    """Complex samples at x_i = x_min + i dx for one time slice: one state's
-    (points,) values or a stack of states' (rows, points) values.
+    """Complex samples at x_i = x_min + i dx, i = 0 .. points - 1, for one
+    time slice: one state's (W,) values or a stack of states' (rows, W)
+    values on the columns offset .. offset + W - 1 of the grid, every other
+    column an exact zero.  By default the window is the whole grid (offset
+    0, points = W).
 
     `source`, when present, is the analytic map the samples came from: called
-    with ascending query points x, it returns their values in the samples'
-    layout, (len(x),) for one state or (rows, len(x)) for a stack (a
-    state_block partial, for instance).  Transforms compose it so downstream
-    values stay exact instead of interpolation-limited.
+    with ascending query points x, it returns a window on them, (rows,
+    offset): their values at x[offset:offset + W] in the samples' layout,
+    (W,) for one state or (rows, W) for a stack, every other query an exact
+    zero (a state_window partial, for instance).  Transforms compose it so
+    downstream values stay exact instead of interpolation-limited.
     """
 
-    def __init__(self, x_min, dx, values, t, hbar=1.0, source=None):
+    def __init__(self, x_min, dx, values, t, hbar=1.0, source=None, offset=0,
+                 points=None):
         values = np.asarray(values, dtype=np.complex128)
-        if values.ndim not in (1, 2) or values.shape[-1] < 16:
+        width = values.shape[-1] if values.ndim else 0
+        points = width if points is None else int(points)
+        if values.ndim not in (1, 2) or points < 16:
             raise ValueError("need 1-D or (rows, points) values of at least 16 samples")
+        if not 0 <= offset <= points - width:
+            raise ValueError(f"a window of {width} columns at offset {offset} "
+                             f"does not fit a grid of {points} points")
         if dx <= 0:
             raise ValueError("dx must be positive")
         self.x_min = float(x_min)
@@ -103,17 +120,34 @@ class GridFunction:
         self.t = float(t)
         self.hbar = float(hbar)
         self.source = source
+        self.offset = int(offset)
+        self.points = points
 
     @property
     def x(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.values.shape[-1])
+        """The window's sample points, x_min + i dx as the whole grid forms
+        them."""
+        return self.x_min + self.dx * np.arange(self.offset,
+                                                self.offset + self.values.shape[-1])
 
     @property
     def x_max(self) -> float:
-        return self.x_min + self.dx * (self.values.shape[-1] - 1)
+        """The whole grid's last sample point."""
+        return self.x_min + self.dx * (self.points - 1)
 
-    def _with(self, values, source):
-        return GridFunction(self.x_min, self.dx, values, self.t, self.hbar, source)
+    def on_grid(self) -> GridFunction:
+        """This function on its whole grid: itself when its window is the
+        whole grid, else a copy with the zeros around the window filled in."""
+        width = self.values.shape[-1]
+        if width == self.points:
+            return self
+        values = np.zeros(self.values.shape[:-1] + (self.points,), dtype=np.complex128)
+        values[..., self.offset:self.offset + width] = self.values
+        return GridFunction(self.x_min, self.dx, values, self.t, self.hbar, self.source)
+
+    def _with(self, values, source, offset):
+        return GridFunction(self.x_min, self.dx, values, self.t, self.hbar, source,
+                            offset, self.points)
 
 
 def sample_on_grid(field, grid: Grid, t, attach_source: bool = True) -> GridFunction:
@@ -123,7 +157,7 @@ def sample_on_grid(field, grid: Grid, t, attach_source: bool = True) -> GridFunc
 
     if attach_source:
         def source(x):
-            return field(x, t)
+            return field(x, t), 0
     else:
         source = None
     return GridFunction(grid.x_min, grid.dx, values, t, getattr(field, "hbar", 1.0),
@@ -134,58 +168,96 @@ def sample_on_grid(field, grid: Grid, t, attach_source: bool = True) -> GridFunc
 _LAGRANGE_DENOM = np.array([-120.0, 24.0, -12.0, 12.0, -24.0, 120.0])
 
 
-def _lagrange_eval(g: GridFunction, xq: np.ndarray) -> np.ndarray:
-    """Six-point Lagrange read of the samples of every row at the 1-D query
-    points xq; exact zeros outside the span.
+def _lagrange_eval(g: GridFunction, xq: np.ndarray):
+    """Six-point Lagrange read of the samples of every row at the ascending
+    1-D query points xq, as a window on them: (rows, j), rows[..., i] the
+    read at xq[j + i], and every other query an exact zero, being outside
+    the grid's span or reading no column of g's window.
 
-    Each query takes the six samples around it, the stencil clipped to the
-    grid at either edge, so any polynomial of degree <= 5 is reproduced to
-    rounding everywhere in [x_min, x_max] (Fornberg, Math. Comp. 51 (1988)
-    699-706).  The stencils and weights are computed once for all rows.
+    Each query takes the six samples of the whole grid around it, the
+    stencil clipped to the grid at either edge, so any polynomial of degree
+    <= 5 is reproduced to rounding everywhere in [x_min, x_max] (Fornberg,
+    Math. Comp. 51 (1988) 699-706).  The stencils and weights are computed
+    once for all rows, from the whole grid's indices, and read g's window
+    with zeros around it: each query's read is the whole grid's, bit for
+    bit.
     """
     xq = np.asarray(xq, dtype=float)
-    out = np.zeros(g.values.shape[:-1] + xq.shape, dtype=np.complex128)
-    inside = (xq >= g.x_min) & (xq <= g.x_max)
+    lo, hi = g.offset, g.offset + g.values.shape[-1]
+    inside = np.flatnonzero((xq >= g.x_min) & (xq <= g.x_max))
     s = (xq[inside] - g.x_min) / g.dx
-    first = np.clip(np.floor(s).astype(np.intp) - 2, 0, g.values.shape[-1] - 6)
+    first = np.clip(np.floor(s).astype(np.intp) - 2, 0, g.points - 6)
+    # the queries whose stencil reads the window: one run, as first ascends
+    reach = np.flatnonzero((first + 6 > lo) & (first < hi))
+    if lo == hi or not reach.size:
+        return np.zeros(g.values.shape[:-1] + (0,), dtype=np.complex128), 0
+    s, first = s[reach[0]:reach[-1] + 1], first[reach[0]:reach[-1] + 1]
     offsets = np.arange(6)
     d = (s - first)[:, None] - offsets
     weights = np.stack(
         [np.prod(d[:, offsets != k], axis=1) for k in range(6)], axis=1
     ) / _LAGRANGE_DENOM
     del d
+    # the window on the columns the stencils read, zero-padded
+    base, top = int(first[0]), int(first[-1]) + 6
+    padded = np.zeros(g.values.shape[:-1] + (top - base,), dtype=np.complex128)
+    a, b = max(lo, base), min(hi, top)
+    padded[..., a - base:b - base] = g.values[..., a - lo:b - lo]
+    first -= base
     # summed term by term, in one order for every row; each term is read
     # into one buffer
     term = np.empty(g.values.shape[:-1] + first.shape, dtype=g.values.dtype)
-    acc = weights[:, 0] * np.take(g.values, first, axis=-1, out=term)
+    acc = weights[:, 0] * np.take(padded, first, axis=-1, out=term)
     for k in range(1, 6):
-        acc += np.multiply(weights[:, k], np.take(g.values, first + k, axis=-1, out=term),
+        acc += np.multiply(weights[:, k], np.take(padded, first + k, axis=-1, out=term),
                            out=term)
-    out[..., inside] = acc
-    return out
+    return acc, int(inside[reach[0]])
 
 
-def _edge_ratio(values) -> float:
-    """Largest of the two outermost samples at either end over the peak, of
-    the worst row of values (0 for a zero row).
+def _edge_ratio(values, offset: int = 0, points: int | None = None) -> float:
+    """Largest of the two outermost samples at either end of the grid over
+    the peak, of the worst row of values (0 for a zero row).  values is a
+    window at column offset of a grid of points samples (by default the
+    whole grid); the edge columns outside it are exact zeros.
 
     Two samples, since one may sit on a node: Hermite functions have only
     simple zeros, so the next sample is not one.
     """
+    width = np.shape(values)[-1]
+    points = width if points is None else points
+    edges = [c - offset for c in (0, 1, points - 2, points - 1) if 0 <= c - offset < width]
+    if not edges:
+        return 0.0
     mag = np.abs(values)
-    edge = np.max(mag[..., [0, 1, -2, -1]], axis=-1)
+    edge = np.max(mag[..., edges], axis=-1)
     peak = np.max(mag, axis=-1)
     return float(np.max(np.divide(edge, peak, out=np.zeros_like(peak),
                                   where=peak > 0.0)))
 
 
+def _reach(g: GridFunction, s, d):
+    """The columns [lo, hi) of g's grid whose image s x - d lies within 8
+    columns of g's window: every column whose six-point read can touch it,
+    with a column to spare against rounding."""
+    left = g.x_min + g.dx * (g.offset - 8)
+    right = g.x_min + g.dx * (g.offset + g.values.shape[-1] + 8)
+    lo = math.floor(((left + d) / s - g.x_min) / g.dx) - 1
+    hi = math.ceil(((right + d) / s - g.x_min) / g.dx) + 2
+    lo = min(max(lo, 0), g.points)
+    return lo, min(max(hi, lo), g.points)
+
+
 def _affine(g: GridFunction, op: str, s=1.0, d=0.0, alpha=0.0, k=0.0, c=0.0):
     """The module's map T, on g's samples and composed into its source.
 
-    A pure phase multiplies the samples.  A map that moves support
-    re-evaluates the source at s x - d, or Lagrange-reads the samples there,
-    and refuses (GridTooSmallError) a result whose two outermost samples at
-    either end reach BOUNDARY_RATIO of its peak (_edge_ratio).
+    A pure phase multiplies the samples, on g's window.  A map that moves
+    support re-evaluates the source at s x - d on every column of the grid,
+    or Lagrange-reads the samples there on the columns whose image can
+    reach g's window (_reach); either writes onto the window of columns
+    that holds its reads.  It refuses (GridTooSmallError) a result whose
+    two outermost samples at either end of the grid reach BOUNDARY_RATIO of
+    its peak (_edge_ratio), and an all-zero result of a nonzero g: the map
+    moved the state off the grid.
     """
     moves = s != 1.0 or d != 0.0
     if not moves and alpha == 0.0 and k == 0.0 and c == 0.0:
@@ -200,21 +272,37 @@ def _affine(g: GridFunction, op: str, s=1.0, d=0.0, alpha=0.0, k=0.0, c=0.0):
     if src is not None:
         def source(x):
             x = np.asarray(x)
-            return factor(x) * np.asarray(src(s * x - d))
-    x = g.x
+            rows, j = src(s * x - d)
+            rows = np.asarray(rows)
+            return factor(x[j:j + rows.shape[-1]]) * rows, j
     if not moves:
-        return g._with(factor(x) * g.values, source)
-    out = g._with(factor(x) * _lagrange_eval(g, s * x - d) if src is None
-                  else source(x), source)
-    ratio = _edge_ratio(out.values)
+        return g._with(factor(g.x) * g.values, source, g.offset)
+    lo, hi = (0, g.points) if src is not None else _reach(g, s, d)
+    x = g.x_min + g.dx * np.arange(lo, hi)
+    if src is None:
+        rows, j = _lagrange_eval(g, s * x - d)
+        rows = factor(x[j:j + rows.shape[-1]]) * rows
+    else:
+        rows, j = source(x)
+    out = g._with(rows, source, lo + j)
+    ratio = _edge_ratio(out.values, out.offset, out.points)
+    centre, half = 0.5 * (g.x_min + g.x_max), 0.5 * (g.x_max - g.x_min)
     if ratio >= BOUNDARY_RATIO:
         # how much wider the grid must be for the edge samples to decay
         # below threshold, assuming roughly Gaussian tails
-        grow = 1.0 + 0.5 * math.log(max(ratio / BOUNDARY_RATIO, 1.0 + 1e-9))
+        half *= 1.0 + 0.5 * math.log(max(ratio / BOUNDARY_RATIO, 1.0 + 1e-9))
         raise GridTooSmallError(
             f"{op} left boundary ratio {ratio:.2e} >= {BOUNDARY_RATIO:.0e}; "
             f"retry on a grid covering roughly "
-            f"[{g.x_min * grow:.3g}, {g.x_max * grow:.3g}]"
+            f"[{centre - half:.3g}, {centre + half:.3g}]"
+        )
+    if ratio == 0.0 and not np.any(out.values) and np.any(g.values):
+        # the samples' image: the grid's points x with s x - d on it
+        image = ((g.x_min + d) / s, (g.x_max + d) / s)
+        raise GridTooSmallError(
+            f"{op} moved every sample off the grid "
+            f"[{g.x_min:.3g}, {g.x_max:.3g}]; retry on a grid covering roughly "
+            f"[{min(g.x_min, image[0]):.3g}, {max(g.x_max, image[1]):.3g}]"
         )
     return out
 

@@ -17,16 +17,14 @@ one recurrence, and each run_suite call evaluates the scenario's state at
 its times once, for every check that reads it (see run_suite).  Each check
 makes one stacked kernel call per set of times it reads: the closed forms,
 the chain's companion and the uncertainty check's undriven state are one
-stack over the scenario's times each, and stationarity's probe times one
-stack.  The residual reads its six other stencil times from one kernel
-pass into one stack per check, which each t refills.  Orthonormality alone
-reads one window per time (state_window): a window over all its times
-would widen each time's Gram product.  The chain's operators act on each
-time's block whole.  The oracles keep their own parameters: a closed form
-(closed_form_block) takes its slice from its family's law in
-tdho.states.CLOSED_FORMS, never from the basis or the model's mass, and
-only shares the recurrence; frequency_map's target is that law's w_c^2;
-delta_legacy stays an independent integral.
+stack over the scenario's times each, stationarity's probe times one
+stack, and the residual's six other stencil times one stack per t.
+Orthonormality alone reads one call per time: a window over all its times
+would widen each time's Gram product.  The oracles keep their own
+parameters: a closed form (closed_form_window) takes its slice from its
+family's law in tdho.states.CLOSED_FORMS, never from the basis or the
+model's mass, and only shares the recurrence; frequency_map's target is
+that law's w_c^2; delta_legacy stays an independent integral.
 
 The suite reads each state down to e^-READ_DEPTH (e^-80) of its slice's
 amplitude scale and takes the samples below as exact zeros; the kernel
@@ -40,27 +38,32 @@ value sits within that rounding of its threshold.  schrodinger_residual,
 check_transform_equivalence, state_field and the CLI's state dump read at
 full depth.
 
-So at high order most of the grid holds exact zeros, and the reductions
-over it run on the states' support window (_support): the residual's
-stencils and norms, the Gram product, the closed-form distance, the
-stationarity drift and the chain's norms.  The window is read from the
-values, not from the kernel's cutoff, so any nonzero sample (NaN and inf
-too) lies inside it.  Zeros add nothing to a sum, a norm or a maximum, so
-the window moves results by rounding only: the order of summation changes.
-The residual's window is 8 columns wider, so the five-point stencils and
-their zeroed edges read on it what they read on the whole grid.  Moments
-and every DFT read the whole grid.  Orthonormality's resolution
-guard (_resolved_window) reads its window: the edge columns that lie in
-it, the three Nyquist bins as direct sums, and a Parseval bound on their
-ratio to the spectrum's peak; only when that bound cannot show the rows
-resolved does the whole grid's DFT (_resolved_spectrum) decide.
+So at high order most of the grid holds exact zeros, and no read of the
+suite stores them: every block lives on the kernel's cutoff window, as
+(rows, offset) from state_window or closed_form_window, the union of its
+slices' cutoff windows, whose outside columns are the exact zeros a
+whole-grid block holds.  The reductions run on the states' support
+window (_support), read from the stored values, not from the kernel's
+cutoff, so any nonzero sample (NaN and inf too) lies inside it: the
+residual's stencils and norms, the Gram product, the closed-form
+distance, the stationarity drift and the chain's norms.  Two windows
+meet on the union of their supports, each read there with zeros around
+it (_columns).  Zeros add nothing to a sum, a norm or a maximum, so the
+support window moves results by rounding only: the order of summation
+changes.  The residual's window is 8 columns wider, so the five-point
+stencils and their zeroed edges read on it what they read on the whole
+grid.  The chain's maps write onto windows of their own (see
+tdho.transforms), each column holding the whole grid's bits.  The
+stationarity drifts reduce with the whole grid's Simpson weights, sliced
+at the window's offset, so they are the whole-grid drifts bit for bit.
 
-Stationarity's probe stack is not even stored whole: it lives on the
-kernel's window (closed_form_window), the union of its slices' cutoff
-windows, whose outside columns are the exact zeros the full block holds.
-Its drifts reduce there with the whole grid's Simpson weights, sliced at
-the window's offset, and _support still scans the stored values, so they
-are the whole-grid drifts bit for bit.
+Moments and their DFT read the whole grid: uncertainty pads each row of
+its windows with zeros to it.  Orthonormality's resolution guard
+(_resolved_window) reads its window: the edge columns that lie in it, the
+three Nyquist bins as direct sums, and a Parseval bound on their ratio to
+the spectrum's peak; only when that bound cannot show the rows resolved
+does the whole grid's DFT (_resolved_spectrum) decide, on the
+zero-padded rows.
 """
 
 from __future__ import annotations
@@ -74,14 +77,7 @@ import numpy as np
 
 from .classical import delta_legacy, null_driven, reduced_basis, shift_particular
 from .models import CaldirolaKanai, DomainError, frequency_scale, reduced_frequency_squared
-from .states import (
-    StateSpec,
-    closed_form_block,
-    closed_form_law,
-    closed_form_window,
-    state_field,
-)
-from .states import state_block as _state_block
+from .states import StateSpec, closed_form_law, closed_form_window, state_field
 from .states import state_window as _state_window
 from .transforms import (
     BOUNDARY_RATIO,
@@ -141,28 +137,55 @@ def _nondegenerate(size, name: str, where: str, undefined: str):
     return size
 
 
-def _support(*blocks, margin: int = 0) -> slice:
-    """The slice of grid columns (the last axis) outside which every block
-    is exactly zero, widened by margin columns each way and clipped to the
-    grid; the whole grid when every sample is zero.  It is read from the
-    values, one float64 view of each block scanned for != 0 and OR-reduced
-    over its rows, so NaN, inf and any sample a code path leaves nonzero
-    count."""
-    live = False
-    for block in blocks:
+def _support(*windows, margin: int = 0) -> slice:
+    """The slice of grid columns outside which every window (rows, offset),
+    rows[..., j] being column offset + j, is exactly zero, widened by
+    margin columns each way: clipped at column 0, and at the grid's end by
+    the caller's .indices(points); the whole grid when every sample is
+    zero.  It is read from the values, one float64 view of each window
+    scanned for != 0 and OR-reduced over its rows, so NaN, inf and any
+    sample a code path leaves nonzero count."""
+    first, stop = None, None
+    for block, offset in windows:
         block = np.asarray(block)
+        if not block.size:
+            continue
         wide = np.iscomplexobj(block)
         flat = np.ascontiguousarray(block, np.complex128 if wide else np.float64)
         flat = flat.view(np.float64)
-        cols = np.logical_or.reduce(flat.reshape(-1, flat.shape[-1]) != 0.0, axis=0)
+        live = np.logical_or.reduce(flat.reshape(-1, flat.shape[-1]) != 0.0, axis=0)
         if wide:  # a column is live where its real or its imaginary part is
-            cols = cols.view(np.uint16) != 0
-        live = live | cols
-    first = int(np.argmax(live))
-    if not live[first]:
+            live = live.view(np.uint16) != 0
+        lo = int(np.argmax(live))
+        if not live[lo]:
+            continue
+        hi = offset + live.size - int(np.argmax(live[::-1]))
+        first = offset + lo if first is None else min(first, offset + lo)
+        stop = hi if stop is None else max(stop, hi)
+    if first is None:
         return slice(None)
-    stop = live.size - int(np.argmax(live[::-1]))
-    return slice(max(first - margin, 0), min(stop + margin, live.size))
+    return slice(max(first - margin, 0), stop + margin)
+
+
+def _columns(window, lo: int, hi: int):
+    """The grid columns lo .. hi - 1 of a window (rows, offset): a view of
+    rows when it holds them all, else a copy with zeros in the columns
+    outside it."""
+    rows, offset = window
+    width = rows.shape[-1]
+    if offset <= lo and hi <= offset + width:
+        return rows[..., lo - offset:hi - offset]
+    out = np.zeros(rows.shape[:-1] + (hi - lo,), dtype=rows.dtype)
+    a, b = max(lo, offset), min(hi, offset + width)
+    if a < b:
+        out[..., a - lo:b - lo] = rows[..., a - offset:b - offset]
+    return out
+
+
+def _per_time(window):
+    """The windows (rows, offset) of each time of a stacked window."""
+    stack, offset = window
+    return [(rows, offset) for rows in stack]
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +211,7 @@ def _d2(values: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
 
 def _check_same_grid(g1: GridFunction, g2: GridFunction):
     if (
-        len(g1.values) != len(g2.values)
+        g1.points != g2.points
         or abs(g1.x_min - g2.x_min) > 1e-12 * max(1.0, abs(g1.x_min))
         or abs(g1.dx - g2.dx) > 1e-12 * g1.dx
     ):
@@ -222,14 +245,16 @@ def simpson(y, dx: float):
 
 
 def norm(g: GridFunction) -> float:
-    """L2 norm sqrt(∫|psi|^2 dx) by composite Simpson quadrature."""
-    return math.sqrt(float(simpson(np.abs(g.values) ** 2, dx=g.dx)))
+    """L2 norm sqrt(∫|psi|^2 dx) by composite Simpson quadrature over the
+    whole grid."""
+    return math.sqrt(float(simpson(np.abs(g.on_grid().values) ** 2, dx=g.dx)))
 
 
 def inner_product(g1: GridFunction, g2: GridFunction) -> complex:
-    """⟨g1|g2⟩ = ∫ conj(g1) g2 dx by composite Simpson quadrature."""
+    """⟨g1|g2⟩ = ∫ conj(g1) g2 dx by composite Simpson quadrature over the
+    whole grid."""
     _check_same_grid(g1, g2)
-    integrand = np.conj(g1.values) * g2.values
+    integrand = np.conj(g1.on_grid().values) * g2.on_grid().values
     return complex(
         simpson(integrand.real, dx=g1.dx) + 1j * simpson(integrand.imag, dx=g1.dx)
     )
@@ -253,9 +278,10 @@ def _resolved_spectrum(g: GridFunction, what: str) -> np.ndarray:
     this order: a row that is zero or not finite (DegenerateStateError), a
     row whose two outermost samples at either end (_edge_ratio: one may sit
     on a node), or whose three DFT bins around the Nyquist wavenumber, reach
-    BOUNDARY_RATIO of its peak (GridTooSmallError).
+    BOUNDARY_RATIO of its peak (GridTooSmallError).  A window of the grid
+    is read zero-padded to the whole grid.
     """
-    values = g.values
+    values = g.on_grid().values
     points = values.shape[-1]
     _nondegenerate(np.sum(np.abs(values) ** 2, axis=-1), f"{what}: ‖psi‖²",
                    f" at t = {g.t}", "its sum over the grid")
@@ -302,22 +328,15 @@ def _resolved_window(live, offset: int, grid: Grid, t, what: str):
     Otherwise _resolved_spectrum decides on the zero-padded block, with its
     refusals and messages.
     """
-    points, width = grid.points, live.shape[-1]
-    mag = np.abs(live)
-    norm2 = np.sum(mag ** 2, axis=-1)
-    resolved = bool(np.all(np.isfinite(norm2) & (norm2 > 0.0)))
-    edges = [c - offset for c in (0, 1, points - 2, points - 1)
-             if 0 <= c - offset < width]
-    if resolved and edges:
-        edge = np.max(mag[:, edges], axis=-1)
-        resolved = float(np.max(edge / np.max(mag, axis=-1))) < BOUNDARY_RATIO
+    norm2 = np.sum(np.abs(live) ** 2, axis=-1)
+    resolved = (bool(np.all(np.isfinite(norm2) & (norm2 > 0.0)))
+                and _edge_ratio(live, offset, grid.points) < BOUNDARY_RATIO)
     if resolved:
-        band = np.max(np.abs(_nyquist_bins(live, offset, points)), axis=-1)
+        band = np.max(np.abs(_nyquist_bins(live, offset, grid.points)), axis=-1)
         resolved = float(np.max(band / np.sqrt(norm2))) < BOUNDARY_RATIO
     if not resolved:
-        block = np.zeros(live.shape[:-1] + (points,), dtype=np.complex128)
-        block[..., offset:offset + width] = live
-        _resolved_spectrum(GridFunction(grid.x_min, grid.dx, block, t), what)
+        _resolved_spectrum(GridFunction(grid.x_min, grid.dx, live, t, offset=offset,
+                                        points=grid.points), what)
 
 
 def moments(g: GridFunction) -> MomentReport:
@@ -327,12 +346,14 @@ def moments(g: GridFunction) -> MomentReport:
     Positions are plain sums over the samples, momenta sums over the
     wavenumbers k = 2 pi fftfreq(P, dx) of the DFT; both converge
     exponentially in the number of samples (the trapezoidal rule and the
-    spectral derivative of a smooth, decayed function).  A state that is
-    not negligible at either edge of the grid, or in the three DFT bins
-    around the Nyquist wavenumber, is not resolved: GridTooSmallError.
+    spectral derivative of a smooth, decayed function).  Both read the
+    whole grid: a window is zero-padded to it.  A state that is not
+    negligible at either edge of the grid, or in the three DFT bins around
+    the Nyquist wavenumber, is not resolved: GridTooSmallError.
     """
     if g.values.ndim != 1:
         raise ValueError("moments takes one state's (points,) samples, not a stack")
+    g = g.on_grid()
     spectrum = _resolved_spectrum(g, "moments")
     density = np.abs(g.values) ** 2
     n2 = float(np.sum(density))
@@ -382,52 +403,57 @@ def _check_stencil_domain(model, t, dt):
             f"the model domain [{model.t_min}, {model.t_max}]") from None
 
 
-def _residual_once(model, x, cols, t, dt, hbar, psi, f_p1, f_m1, f_p2, f_m2, work):
-    """Relative L2 residuals of the rows (..., len(x)) sampled at t, t ± dt
-    and t ± 2dt, one per row, over the columns cols of the grid x, outside
-    which every row is zero.  The rows are only read; H psi is formed in the
-    memory of work, a contiguous array with room for the window.  dx is the
-    grid's.  Inside each end of cols that is not the grid's, four columns
-    must be zero: the stencil's two zeroed edge columns then equal the full
-    grid's."""
-    points, dx = len(x), x[1] - x[0]
-    x = x[cols]
+def _residual_once(model, x, dx, points, t, dt, hbar, psi, d1, d2):
+    """Relative L2 residuals of the rows psi (..., len(x)) sampled at t, one
+    per row, with d1 and d2 their differences psi(t + dt) - psi(t - dt) and
+    psi(t + 2dt) - psi(t - 2dt), on the window x of a grid of points
+    samples dx apart, outside which every row is zero.  The rows are only
+    read.  Inside each end of the window that is not the grid's, four
+    columns must be zero: the stencil's two zeroed edge columns then equal
+    the full grid's."""
     # numpy's elementwise loops run at half speed or less on a window of
     # rows, which is strided, so the stencil reads one contiguous copy
-    psi = np.ascontiguousarray(psi[..., cols])
+    psi = np.ascontiguousarray(psi)
     M = float(model.mass(t))
     w2 = float(model.freq2(t))
     F = float(model.force_at(t))
-    h_psi = _d2(psi, dx, work.reshape(-1)[:psi.size].reshape(psi.shape))
+    h_psi = _d2(psi, dx, np.empty_like(psi))
     np.multiply(-(hbar * hbar) / (2.0 * M), h_psi, out=h_psi)
     h_psi += (0.5 * M * w2 * x * x - x * F) * psi
     h_norm = _nondegenerate(np.linalg.norm(h_psi, axis=-1), "‖H psi‖",
                             f" at t = {t} on {points} points", "its residual")
-    o_psi = np.subtract(f_p1[..., cols], f_m1[..., cols])
-    np.multiply(8.0, o_psi, out=o_psi)
-    o_psi -= f_p2[..., cols] - f_m2[..., cols]
+    o_psi = np.multiply(8.0, d1)
+    o_psi -= d2
     o_psi /= 12.0 * dt
     np.multiply(1j * hbar, o_psi, out=o_psi)
     o_psi -= h_psi
     return np.linalg.norm(o_psi, axis=-1) / h_norm
 
 
-def _residual_pair(model, x, t, dt, hbar, at, work):
-    """(fine, coarse) residuals of the rows at[k], sampled at t + k dt on x
-    for each k in _STENCIL_STEPS.  The coarse stencil steps (2dt, 2dx): it
-    reads every other sample at t, t ± 2dt, t ± 4dt.  The rows are only
-    read; work, a contiguous array shaped like at[0], takes H psi.
+def _residual_pair(model, x, t, dt, hbar, centre, stencil):
+    """(fine, coarse) residuals of the rows of centre, a window (rows,
+    offset) of the state at t on the grid x, with stencil the window of the
+    stack of its rows at t + k dt for each k in _STENCIL_STEPS[1:], in that
+    order.  The coarse stencil steps (2dt, 2dx): it reads every other
+    sample at t, t ± 2dt, t ± 4dt.  The windows are only read.
 
     Both stencils run on one window of columns outside which all seven rows
     are zero (_support), widened by 8 columns: four zero samples of the
-    coarse stencil inside each end.  The coarse stencil takes the window of
-    the full grid's every other sample, so it reads the same samples as on
-    the full grid."""
-    lo, hi, _ = _support(*at.values(), margin=8).indices(len(x))
-    fine = _residual_once(model, x, slice(lo, hi), t, dt, hbar,
-                          at[0], at[1], at[-1], at[2], at[-2], work)
-    coarse = _residual_once(model, x[::2], slice(lo // 2, (hi + 1) // 2), t, 2 * dt,
-                            hbar, *(at[k][..., ::2] for k in (0, 2, -2, 4, -4)), work)
+    coarse stencil inside each end.  The centre and the differences
+    psi(t + k dt) - psi(t - k dt) are read there, from the even column at
+    or below its start, with zeros outside their windows; the coarse
+    stencil takes the window of the full grid's every other sample, so it
+    reads the same samples as on the full grid."""
+    lo, hi, _ = _support(centre, stencil, margin=8).indices(len(x))
+    even = lo - lo % 2
+    rows, offset = stencil
+    psi = _columns(centre, even, hi)
+    d1, d2, d4 = _columns((rows[0::2] - rows[1::2], offset), even, hi)
+    fine = _residual_once(model, x[lo:hi], x[1] - x[0], len(x), t, dt, hbar,
+                          *(a[..., lo - even:] for a in (psi, d1, d2)))
+    coarse = _residual_once(model, x[::2][lo // 2:(hi + 1) // 2], x[2] - x[0],
+                            len(x[::2]), t, 2 * dt, hbar,
+                            *(a[..., ::2] for a in (psi, d2, d4)))
     return fine, coarse
 
 
@@ -450,10 +476,9 @@ def schrodinger_residual(field, model, grid, t, dt=None, hbar=None) -> ResidualR
     if dt is None:
         dt = _residual_dt(model)
     _check_stencil_domain(model, t, dt)
-    at = {k: np.asarray(field(x, t + k * dt), dtype=np.complex128)
-          for k in _STENCIL_STEPS}
-    fine, coarse = (float(r) for r in _residual_pair(model, x, t, dt, hbar, at,
-                                                     np.empty_like(at[0])))
+    at = [np.asarray(field(x, t + k * dt), dtype=np.complex128) for k in _STENCIL_STEPS]
+    fine, coarse = (float(r) for r in _residual_pair(model, x, t, dt, hbar, (at[0], 0),
+                                                     (np.stack(at[1:]), 0)))
     return ResidualReport(
         rel_l2_residual=fine,
         points=len(x),
@@ -477,16 +502,17 @@ def check_omega_constancy(basis) -> float:
 
 
 def _chain_distance(driven, t, g0: GridFunction, direct):
-    """Relative L2 distance between U_F U0_dagger g0 and the direct samples
-    on g0's grid, one per row of g0 and direct."""
+    """Relative L2 distance between U_F U0_dagger g0 and the direct samples,
+    a window (rows, offset) on g0's grid, one per row of g0 and direct,
+    over the columns where either is nonzero (_support)."""
     model = driven.model
     g1 = apply_U0_dagger(model, t, g0)
     g2 = apply_UF(model, driven, t, g1)
-    points = direct.shape[-1]
-    cols = _support(g2.values, direct)
-    chained, direct = g2.values[..., cols], direct[..., cols]
+    chained = (g2.values, g2.offset)
+    lo, hi, _ = _support(chained, direct).indices(g0.points)
+    chained, direct = _columns(chained, lo, hi), _columns(direct, lo, hi)
     direct_norm = _nondegenerate(np.linalg.norm(direct, axis=-1), "direct ‖psi‖",
-                                 f" at t = {t} on {points} points",
+                                 f" at t = {t} on {g0.points} points",
                                  "the chain distance")
     return np.linalg.norm(chained - direct, axis=-1) / direct_norm
 
@@ -505,7 +531,7 @@ def check_transform_equivalence(
     spec0 = StateSpec(n, hbar, reduced_basis(basis))
     g0 = sample_on_grid(state_field(spec0), grid, t, attach_source=exact)
     direct = np.asarray(state_field(StateSpec(n, hbar, basis, driven))(g0.x, t))
-    return float(_chain_distance(driven, t, g0, direct))
+    return float(_chain_distance(driven, t, g0, (direct, 0)))
 
 
 def _max_drift(base, later, dx, weights):
@@ -516,7 +542,7 @@ def _max_drift(base, later, dx, weights):
     A NaN drift stays NaN."""
     worst = np.zeros(base.shape[:-1])
     for psi in later:
-        cols = _support(base, psi)
+        cols = _support((base, 0), (psi, 0))
         dens = np.abs(psi[..., cols]) ** 2 - np.abs(base[..., cols]) ** 2
         worst = np.maximum(worst, dx * (np.abs(dens) @ weights[cols]))
     return worst
@@ -565,20 +591,15 @@ DEFAULT_THRESHOLDS = {
 }
 
 # Every state block the suite reads is zero below e^-READ_DEPTH of its
-# slice's amplitude scale (state_kernel_block's depth): at most
+# slice's amplitude scale (state_kernel_window's depth): at most
 # e^-80 / 0.358 ≈ 5e-35 of the state's peak for orders up to 1000, below
 # eps^2 and far below BOUNDARY_RATIO.  Change it only by that argument.
 READ_DEPTH = 80.0
 
 
-def state_block(spec: StateSpec, x, t, orders, out=None):
-    """tdho.states.state_block read to READ_DEPTH: every block of a state
-    over a basis that the suite reads comes from here or from state_window."""
-    return _state_block(spec, x, t, orders, out=out, depth=READ_DEPTH)
-
-
 def state_window(spec: StateSpec, x, t, orders):
-    """tdho.states.state_window read to READ_DEPTH: (rows, offset)."""
+    """tdho.states.state_window read to READ_DEPTH: (rows, offset).  Every
+    block of a state over a basis that the suite reads comes from here."""
     return _state_window(spec, x, t, orders, depth=READ_DEPTH)
 
 
@@ -646,9 +667,8 @@ def _n_then_t(ctx: SuiteContext, per_t):
 
 def _run_residual(ctx: SuiteContext, rows) -> list:
     """Fine and coarse residuals of every order.  The centre of the stencil
-    at each t is the run's shared block; one stack per check takes the
-    other six stencil times, which each t refills from one kernel pass, and
-    H psi."""
+    at each t is the run's shared window; the other six stencil times are
+    one window per t, from one kernel pass."""
     tol = DEFAULT_THRESHOLDS["residual"]
     model = ctx.model
     dt = _residual_dt(model)
@@ -656,14 +676,10 @@ def _run_residual(ctx: SuiteContext, rows) -> list:
         _check_stencil_domain(model, t, dt)
     xs = ctx.grid.xs()
     spec = ctx.state(max(ctx.ns))
-    off_centre = _STENCIL_STEPS[1:]
-    # slice 0 takes H psi; the rest, the off-centre stencil times
-    stack = np.empty((len(_STENCIL_STEPS), len(ctx.ns), len(xs)), dtype=np.complex128)
     per_t = []
-    for t, centre in zip(ctx.times, rows()):
-        state_block(spec, xs, [t + k * dt for k in off_centre], ctx.ns, out=stack[1:])
-        at = {0: centre, **dict(zip(off_centre, stack[1:]))}
-        fine, coarse = _residual_pair(model, xs, t, dt, ctx.hbar, at, stack[0])
+    for t, centre in zip(ctx.times, _per_time(rows())):
+        fine, coarse = _residual_pair(model, xs, t, dt, ctx.hbar, centre, state_window(
+            spec, xs, [t + k * dt for k in _STENCIL_STEPS[1:]], ctx.ns))
         per_t.append([(float(f), float(c)) for f, c in zip(fine, coarse)])
     return [CheckResult("residual",
                         {"n": n, "t": t, "order": round(_order(fine, coarse), 2)},
@@ -694,25 +710,27 @@ def _run_frequency_map(ctx: SuiteContext, rows) -> list:
 
 
 def _run_transform_chain(ctx: SuiteContext, rows) -> list:
-    """Both chain paths of every order per t: one block of the companion
+    """Both chain paths of every order per t: one window of the companion
     state (g0, shared by the paths; one stack of them at all the times)
-    goes through U0_dagger and U_F as a whole, and is compared with the
-    direct state, the run's shared block (undriven, it is the state over
-    null_driven).  The exact path's source re-evaluates the companion block
-    at the query points."""
+    goes through U0_dagger and U_F as a whole, each map writing onto the
+    window its reads reach, and is compared with the direct state, the
+    run's shared window (undriven, it is the state over null_driven).  The
+    exact path's source re-evaluates the companion's window at the query
+    points."""
     tol_i = DEFAULT_THRESHOLDS["transform_chain"]
     tol_e = DEFAULT_THRESHOLDS["transform_chain_exact"]
     driven = ctx.driven if ctx.driven is not None else null_driven(ctx.model)
     n_top = max(ctx.ns)
     companion = StateSpec(n_top, ctx.hbar, reduced_basis(ctx.basis))
     grid = ctx.grid
-    xs = grid.xs()
     per_t = []
-    companions = state_block(companion, xs, ctx.times, ctx.ns)
-    for t, direct, values in zip(ctx.times, rows(), companions):
-        g0 = GridFunction(grid.x_min, grid.dx, values, t, ctx.hbar)
+    companions = state_window(companion, grid.xs(), ctx.times, ctx.ns)
+    for t, direct, (values, offset) in zip(ctx.times, _per_time(rows()),
+                                           _per_time(companions)):
+        g0 = GridFunction(grid.x_min, grid.dx, values, t, ctx.hbar, offset=offset,
+                          points=grid.points)
         g0_exact = g0._with(g0.values, functools.partial(
-            state_block, companion, t=t, orders=ctx.ns))
+            state_window, companion, t=t, orders=ctx.ns), offset)
         interp = _chain_distance(driven, t, g0, direct)
         exact = _chain_distance(driven, t, g0_exact, direct)
         per_t.append([(float(i), float(e)) for i, e in zip(interp, exact)])
@@ -726,46 +744,49 @@ def _run_transform_chain(ctx: SuiteContext, rows) -> list:
 
 
 def _run_closed_form(ctx: SuiteContext, rows) -> list:
-    """The closed-form block of ctx.ns against the undriven general state's
-    block (the state over null_driven) per t, each one stack over ctx.times;
-    undriven, the general one is the run's shared block.  Each distance runs
-    on the columns where either block is nonzero (_support)."""
+    """The closed-form window of ctx.ns against the undriven general state's
+    window (the state over null_driven) per t, each one stack over
+    ctx.times; undriven, the general one is the run's shared window.  Each
+    distance runs on the columns where either is nonzero (_support)."""
     tol = DEFAULT_THRESHOLDS["closed_form_agreement"]
     C = ctx.closed_form_C
     if C is None:
         raise ValueError("closed_form_agreement needs the closed-form C of the scenario")
     xs = ctx.grid.xs()
-    blocks = rows() if ctx.driven is None else state_block(
+    blocks = rows() if ctx.driven is None else state_window(
         ctx.state(max(ctx.ns), driven=null_driven(ctx.model)), xs, ctx.times, ctx.ns)
-    closed = closed_form_block(ctx.model, C, ctx.ns, ctx.hbar, xs, ctx.times,
-                               depth=READ_DEPTH)
+    closed = closed_form_window(ctx.model, C, ctx.ns, ctx.hbar, xs, ctx.times,
+                                depth=READ_DEPTH)
     per_t = []
-    for wanted, block in zip(closed, blocks):
-        cols = _support(wanted, block)
-        per_t.append([phase_aligned_distance(want[cols], row[cols])
-                      for want, row in zip(wanted, block)])
+    for wanted, block in zip(_per_time(closed), _per_time(blocks)):
+        lo, hi, _ = _support(wanted, block).indices(len(xs))
+        per_t.append([phase_aligned_distance(want, row) for want, row in
+                      zip(_columns(wanted, lo, hi), _columns(block, lo, hi))])
     return [CheckResult("closed_form_agreement", {"n": n, "t": t}, d, tol)
             for n, t, d in _n_then_t(ctx, per_t)]
 
 
-def _block_moments(block, grid: Grid, t, hbar) -> list:
-    """moments of each row of one block at t on grid."""
-    return [moments(GridFunction(grid.x_min, grid.dx, row, t, hbar)) for row in block]
+def _block_moments(window, grid: Grid, t, hbar) -> list:
+    """moments of each row of one window (rows, offset) at t on grid."""
+    rows, offset = window
+    return [moments(GridFunction(grid.x_min, grid.dx, row, t, hbar, offset=offset,
+                                 points=grid.points)) for row in rows]
 
 
 def _run_uncertainty(ctx: SuiteContext, rows) -> list:
     """Driven against undriven moments of every order per t, on the
     scenario's grid: equal variances, <x> shifted by x_p, <p> by M xdot_p.
-    The driven block is the run's shared one; the undriven one is one
-    stack over ctx.times."""
+    The driven window is the run's shared one; the undriven one is one
+    stack over ctx.times; moments pads each row to the whole grid."""
     tol = DEFAULT_THRESHOLDS["uncertainty"]
     if ctx.driven is None:
         raise ValueError("uncertainty check needs a driven scenario")
     grid = ctx.grid
-    plain = state_block(ctx.state(max(ctx.ns), driven=null_driven(ctx.model)), grid.xs(),
-                        ctx.times, ctx.ns)
+    plain = state_window(ctx.state(max(ctx.ns), driven=null_driven(ctx.model)),
+                         grid.xs(), ctx.times, ctx.ns)
     per_t = []
-    for t, driven_block, plain_block in zip(ctx.times, rows(), plain):
+    for t, driven_block, plain_block in zip(ctx.times, _per_time(rows()),
+                                            _per_time(plain)):
         m_driven = _block_moments(driven_block, grid, t, ctx.hbar)
         m_plain = _block_moments(plain_block, grid, t, ctx.hbar)
         xp, dxp, _ = (float(q) for q in ctx.driven.slice(t))
@@ -844,14 +865,12 @@ def _run_orthonormality(ctx: SuiteContext, rows) -> list:
     spec = ctx.state(n_max)
     errs = []
     for t in ctx.times:
-        window, offset = state_window(spec, xs, t, range(n_max + 1))
-        # no column above the floor: every sample of the block is zero
-        cols = _support(window) if window.size else slice(None)
+        window = state_window(spec, xs, t, range(n_max + 1))
+        lo, hi, _ = _support(window).indices(grid.points)
         # a contiguous copy: the product of the strided window raised the
         # peak RSS of a high-order pass by 0.9 MB
-        live = np.ascontiguousarray(window[:, cols])
-        _resolved_window(live, offset + cols.indices(window.shape[-1])[0], grid, t,
-                         "orthonormality")
+        live = np.ascontiguousarray(_columns(window, lo, hi))
+        _resolved_window(live, lo, grid, t, "orthonormality")
         err = np.abs(grid.dx * (np.conj(live) @ live.T) - np.eye(n_max + 1))
         err[lower] = -1.0  # each pair once, m <= n
         errs.append(err)
@@ -915,7 +934,7 @@ def _run_stationarity(ctx: SuiteContext, rows) -> list:
     return out
 
 
-# each runner takes (ctx, rows); rows() is run_suite's shared block
+# each runner takes (ctx, rows); rows() is run_suite's shared window
 _CHECK_RUNNERS = {
     "residual": _run_residual,
     "omega_constancy": _run_omega,
@@ -938,7 +957,7 @@ def run_suite(ctx: SuiteContext, checks) -> list:
     DEFAULT_THRESHOLDS entries, which no caller can change.  Any other entry
     raises ValueError (a configuration error, not a failure).
 
-    The block of ctx.ns at ctx.times is one kernel pass, made when a check
+    The window of ctx.ns at ctx.times is one kernel pass, made when a check
     first needs it, and only read, by the residual (stencil centre), the
     chain (direct state), uncertainty (driven state) and, undriven,
     closed-form agreement.  It lives for this call only: the next call
@@ -950,7 +969,7 @@ def run_suite(ctx: SuiteContext, checks) -> list:
                 f"unknown check {name!r}; available: {', '.join(CHECK_NAMES)}"
             )
     rows = functools.cache(
-        lambda: state_block(ctx.state(max(ctx.ns)), ctx.grid.xs(), ctx.times, ctx.ns))
+        lambda: state_window(ctx.state(max(ctx.ns)), ctx.grid.xs(), ctx.times, ctx.ns))
     results = []
     for name in sorted(checks):
         results.extend(_CHECK_RUNNERS[name](ctx, rows))

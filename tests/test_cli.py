@@ -558,19 +558,16 @@ def test_verify_numerical_error_exit_2(monkeypatch, capsys, error):
     assert err.startswith("numerical error: ") and err.count("\n") == 1
 
 
-def _zero_block(spec, x, t, orders, out=None):
-    """state_block's zero rows: (len(orders), len(x)) at a scalar t, one such
-    block per time for a sequence of times, filled into out when given."""
-    if out is None:
-        out = np.empty(np.shape(t) + (len(orders), len(x)), dtype=np.complex128)
-    out[...] = 0.0
-    return out
+def _zero_window(spec, x, t, orders):
+    """state_window's zero rows on the whole grid (offset 0): (len(orders),
+    len(x)) at a scalar t, one such block per time for a sequence of times."""
+    return np.zeros(np.shape(t) + (len(orders), len(x)), dtype=np.complex128), 0
 
 
 def test_verify_degenerate_state_is_numerical_error(monkeypatch, capsys):
     """A zero state refused by the residual check is labelled numerical, not
     configuration."""
-    monkeypatch.setattr(tdho.verify, "state_block", _zero_block)
+    monkeypatch.setattr(tdho.verify, "state_window", _zero_window)
     assert main(["verify", "sho_c1", "--suite", "fast"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and "zero or not finite" in err
@@ -579,7 +576,7 @@ def test_verify_degenerate_state_is_numerical_error(monkeypatch, capsys):
 def test_verify_zero_state_in_the_chain_is_numerical_error(tmp_path, monkeypatch,
                                                            capsys):
     """The suite's transform chain refuses a zero state with exit 2."""
-    monkeypatch.setattr(tdho.verify, "state_block", _zero_block)
+    monkeypatch.setattr(tdho.verify, "state_window", _zero_window)
     path = _write(tmp_path, _scenario_doc(checks=["transform_chain"]))
     assert main(["verify", path]) == 2
     err = capsys.readouterr().err

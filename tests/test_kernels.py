@@ -182,12 +182,12 @@ def test_block_returns_only_the_requested_orders(driven_ck, orders):
 # stacks of time slices
 # ---------------------------------------------------------------------------
 
-def _stacked_is_per_slice(x, orders, slices, out=None, depth=None):
+def _stacked_is_per_slice(x, orders, slices, depth=None):
     """A stacked call over the slices (each the 8 parameters log_norm ..
     dphase) holds, slice by slice, the bytes of a one-slice call, both at
     the given depth."""
     got = kernels.state_kernel_block(x, orders, *(list(c) for c in zip(*slices)),
-                                     out=out, depth=depth)
+                                     depth=depth)
     assert got.shape == (len(slices), len(orders), len(x))
     for s, params in enumerate(slices):
         assert got[s].tobytes() == kernels.state_kernel_block(
@@ -246,22 +246,6 @@ def test_stacked_slices_on_the_rescale_path():
         warnings.simplefilter("error")
         got = _stacked_is_per_slice(x, [301, 0, 120], slices)
     assert np.all(np.isfinite(got)) and np.any(got[:, 0] != 0.0)
-
-
-def test_stacked_call_fills_out():
-    """out= is filled whole, garbage and all, and returned; a scalar call
-    fills a (rows, points) out the same way."""
-    x = np.linspace(-8.0, 8.0, 513)
-    slices = [(-0.3, -0.8, 0.4, 1.1, shift, 0.2, 0.7, 1.5) for shift in (-3.0, 2.5)]
-    out = np.full((2, 3, len(x)), np.nan + 1j * np.nan)
-    assert _stacked_is_per_slice(x, [4, 0, 4], slices, out=out) is out
-    one = np.full((3, len(x)), np.nan + 0j)
-    got = kernels.state_kernel_block(x, [4, 0, 4], *slices[1], out=one)
-    assert got is one
-    assert one.tobytes() == kernels.state_kernel_block(x, [4, 0, 4], *slices[1]).tobytes()
-    with pytest.raises(ValueError):
-        kernels.state_kernel_block(x, [4], *slices[1], out=np.empty((2, 1, len(x)),
-                                                                      complex))
 
 
 def test_slice_parameters_of_more_than_one_axis_are_refused():

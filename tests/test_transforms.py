@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdho.classical import null_driven, reduced_basis
 from tdho.models import reduced_frequency_squared
@@ -59,10 +61,13 @@ def test_grid_function_refuses_short_values_and_nonpositive_dx(values, dx, messa
 
 def test_sample_on_grid_attaches_source():
     gf = sample_on_grid(_gauss_field, GRID, 0.0)
-    # source is the field with t frozen in, for exact off-grid reads
+    # source is the field with t frozen in, for exact off-grid reads: a
+    # window on the query points that holds them all
     assert gf.source is not None
-    xq = np.array([0.123, -4.56])
-    np.testing.assert_allclose(gf.source(xq), _gauss_field(xq, 0.0), rtol=1e-15)
+    xq = np.array([-4.56, 0.123])
+    values, offset = gf.source(xq)
+    assert offset == 0
+    np.testing.assert_allclose(values, _gauss_field(xq, 0.0), rtol=1e-15)
     assert gf.t == 0.0
     np.testing.assert_allclose(gf.values, _gauss_field(GRID.xs(), 0.0))
     bare = sample_on_grid(_gauss_field, GRID, 0.0, attach_source=False)
@@ -130,7 +135,7 @@ def test_interpolated_path_accuracy():
     gf = sample_on_grid(_gauss_field, GRID, 0.0, attach_source=False)
     out = _affine(gf, "dilation", s=np.exp(0.37))
     want = np.exp(0.37 / 2.0) * _gauss_field(np.exp(0.37) * GRID.xs(), 0.0)
-    err = np.max(np.abs(out.values - want))
+    err = np.max(np.abs(out.on_grid().values - want))
     assert 1e-16 < err < 1e-9
 
 
@@ -148,7 +153,9 @@ def test_lagrange_read_reproduces_a_quintic():
     gf = GridFunction(grid.x_min, dx, np.polyval(coeffs, x), 0.0)
     peak = np.max(np.abs(gf.values))
     for xq in (x - d, x + d, np.exp(a) * x):
-        out = _lagrange_eval(gf, xq)
+        rows, j = _lagrange_eval(gf, xq)
+        out = np.zeros(len(xq), dtype=complex)
+        out[j:j + len(rows)] = rows
         inside = (xq >= grid.x_min) & (xq <= grid.x_max)
         assert not inside.all()
         assert np.all(out[~inside] == 0.0)
@@ -205,10 +212,10 @@ def test_stacked_rows_equal_single_row_primitives():
                lambda f: _affine(f, "quadratic phase", alpha=0.4),
                lambda f: _affine(f, "linear phase", k=-0.7),
                lambda f: _affine(f, "constant phase", c=2.1)):
-        out = op(g)
+        out = op(g).on_grid()
         assert out.values.shape == g.values.shape
         for i in range(2):
-            row = op(GridFunction(g.x_min, g.dx, g.values[i], 0.0)).values
+            row = op(GridFunction(g.x_min, g.dx, g.values[i], 0.0)).on_grid().values
             np.testing.assert_array_equal(out.values[i], row)
 
 
@@ -293,19 +300,24 @@ def test_each_composite_is_the_product_of_its_primitives(driven_ck, exact, rows)
         block = np.stack([f(np.asarray(x)) for f in fields])
         return block if rows > 1 else block[0]
 
+    def source(x):  # a window on x that holds every query point
+        return field(x), 0
+
     g = GridFunction(GRID.x_min, GRID.dx, field(GRID.xs()), t,
-                     source=field if exact else None)
+                     source=source if exact else None)
     # the six-point reads of chirped and unchirped samples differ by the
     # read's own error, here about 1e-14
     tol = 1e-14 if exact else 1e-12
     for fused, product in _primitive_products(model, drv, t).items():
         args = (model, t, g) if fused in (apply_U0, apply_U0_dagger) else (model, drv, t, g)
-        out, want = fused(*args), product(g)
+        out, want = fused(*args).on_grid(), product(g).on_grid()
         assert out.values.shape == g.values.shape
         assert np.max(np.abs(out.values - want.values)) < tol, fused.__name__
         if exact:
             xq = np.array([-1.37, 0.0, 0.41, 2.9])
-            np.testing.assert_allclose(out.source(xq), want.source(xq), rtol=0, atol=tol)
+            (got, j), (wanted, k) = out.source(xq), want.source(xq)
+            assert j == k == 0
+            np.testing.assert_allclose(got, wanted, rtol=0, atol=tol)
 
 
 def test_u0_inverts_u0_dagger(ck_basis):
@@ -407,3 +419,129 @@ def test_policy_grid_without_driving_ignores_xp(sho_basis_c1):
                      times=[0.0, 1.0])
     assert g1.x_min == pytest.approx(g2.x_min)
     assert g1.x_max == pytest.approx(g2.x_max)
+
+
+# ---------------------------------------------------------------------------
+# windows: a map reads and writes a window of columns of its grid
+# ---------------------------------------------------------------------------
+
+WINDOW_GRID = Grid(-8.0, 8.0, 256)
+
+
+def _window_pair(offset, width, rows, seed):
+    """(whole, window): one set of samples as a whole-grid function that is
+    zero outside the columns offset .. offset + width - 1, and as the
+    window of those columns."""
+    values = np.random.default_rng(seed).standard_normal((rows, width, 2)) @ [1.0, 1j]
+    values = values if rows > 1 else values[0]
+    whole = np.zeros(values.shape[:-1] + (WINDOW_GRID.points,), dtype=complex)
+    whole[..., offset:offset + width] = values
+    x_min, dx = WINDOW_GRID.x_min, WINDOW_GRID.dx
+    return (GridFunction(x_min, dx, whole, 0.0),
+            GridFunction(x_min, dx, values, 0.0, offset=offset, points=WINDOW_GRID.points))
+
+
+def _padded(values, offset, points):
+    out = np.zeros(np.shape(values)[:-1] + (points,), dtype=complex)
+    out[..., offset:offset + np.shape(values)[-1]] = values
+    return out
+
+
+def _refusal(op):
+    try:
+        return op(), None
+    except GridTooSmallError as e:
+        return None, str(e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=st.floats(0.4, 2.5), d=st.floats(-4.0, 4.0), offset=st.integers(0, 250),
+       width=st.integers(0, 120), rows=st.integers(1, 3), alpha=st.floats(-0.5, 0.5))
+def test_a_window_maps_as_the_whole_grid(s, d, offset, width, rows, alpha):
+    """_lagrange_eval and _affine on a window equal the whole-grid map of
+    the zero-padded samples bit for bit on the output window, every other
+    column of the whole-grid map is an exact zero, and a refusal of one is
+    the refusal of the other, message and all."""
+    width = min(width, WINDOW_GRID.points - offset)
+    whole, window = _window_pair(offset, width, rows, seed=offset + 1000 * width)
+    x = WINDOW_GRID.x_min + WINDOW_GRID.dx * np.arange(WINDOW_GRID.points)
+    xq = s * x - d
+    (w_rows, w_j), (v_rows, v_j) = _lagrange_eval(whole, xq), _lagrange_eval(window, xq)
+    want = _padded(w_rows, w_j, len(xq))
+    assert want[..., v_j:v_j + v_rows.shape[-1]].tobytes() == v_rows.tobytes()
+    assert np.array_equal(_padded(v_rows, v_j, len(xq)), want)
+    (w_out, w_err), (v_out, v_err) = (
+        _refusal(lambda g=g: _affine(g, "map", s=s, d=d, alpha=alpha))
+        for g in (whole, window))
+    assert w_err == v_err
+    if v_out is not None:
+        got = v_out.values
+        want = w_out.on_grid().values
+        assert want[..., v_out.offset:v_out.offset + got.shape[-1]].tobytes() == got.tobytes()
+        assert np.array_equal(v_out.on_grid().values, want)
+
+
+def test_a_window_narrower_than_sixteen_samples_maps():
+    """GridFunction's 16-sample minimum is the grid's, not the window's: a
+    5-column window and an empty one map, read and pad."""
+    whole, window = _window_pair(100, 5, 2, seed=3)
+    narrow = _affine(window, "translation", d=0.3)
+    assert narrow.points == WINDOW_GRID.points and narrow.values.shape[-1] < 16
+    assert np.array_equal(narrow.on_grid().values,
+                          _affine(whole, "translation", d=0.3).on_grid().values)
+    assert np.array_equal(window.x, whole.x[100:105])
+    empty = GridFunction(WINDOW_GRID.x_min, WINDOW_GRID.dx, np.zeros((2, 0)), 0.0,
+                         offset=7, points=WINDOW_GRID.points)
+    moved = _affine(empty, "dilation", s=1.5)
+    assert moved.values.shape == (2, 0)
+    assert not np.any(moved.on_grid().values)
+    with pytest.raises(ValueError) as refused:
+        GridFunction(0.0, 0.1, np.ones(5), 0.0, offset=12, points=16)
+    assert str(refused.value) == "a window of 5 columns at offset 12 does not fit a grid of 16 points"
+
+
+def test_the_retry_hint_widens_the_whole_grid_about_its_centre():
+    """A Gaussian at 6 on [2, 10] translated by 3.5 reaches the grid's right
+    edge; the hint names a grid about the centre 6 that covers [2, 10],
+    and the window of the samples' nonzero columns gets the same hint."""
+    grid = Grid(2.0, 10.0, 256)
+    x = grid.xs()
+    values = np.where(np.abs(x - 6.0) < 3.0, np.exp(-0.5 * (x - 6.0) ** 2), 0.0)
+    whole = GridFunction(grid.x_min, grid.dx, values, 0.0)
+    live = np.flatnonzero(values)
+    window = GridFunction(grid.x_min, grid.dx, values[live[0]:live[-1] + 1], 0.0,
+                          offset=live[0], points=grid.points)
+    hints = []
+    for g in (whole, window):
+        with pytest.raises(GridTooSmallError) as refused:
+            _affine(g, "translation", d=3.5)
+        hints.append(str(refused.value))
+    assert hints[0] == hints[1]
+    lo, hi = (float(v) for v in hints[0].split("[")[1].rstrip("]").split(","))
+    assert lo < 2.0 and hi > 10.0
+    assert 0.5 * (lo + hi) == pytest.approx(6.0, abs=0.05)
+
+
+def test_a_map_that_moves_the_state_off_the_grid_is_refused():
+    """On [-10, 10], psi_0 translated by 40 leaves nothing on the grid: the
+    interpolated path and an exact source read to the certifier's depth
+    (which holds no query point) refuse it, as the boundary ratio refuses
+    d = 8 and the exact source at full depth refuses d = 40."""
+    from tdho.classical import analytic_basis_sho
+    from tdho.verify import state_window
+
+    grid = Grid(-10.0, 10.0, 4096)
+    spec = StateSpec(0, 1.0, analytic_basis_sho(1.0, 1.0, 1.0))
+    lagrange = sample_on_grid(state_field(spec), grid, 0.0, attach_source=False)
+    full_depth = sample_on_grid(state_field(spec), grid, 0.0)
+    shallow = lagrange._with(lagrange.values,
+                             lambda x: state_window(spec, x, 0.0, [0]), 0)
+    for g in (lagrange, shallow):
+        with pytest.raises(GridTooSmallError) as refused:
+            _affine(g, "translation", d=40.0)
+        assert str(refused.value) == (
+            "translation moved every sample off the grid [-10, 10]; retry on a grid "
+            "covering roughly [-10, 50]")
+    for g, d in ((lagrange, 8.0), (full_depth, 40.0)):
+        with pytest.raises(GridTooSmallError, match="left boundary ratio"):
+            _affine(g, "translation", d=d)

@@ -515,7 +515,7 @@ def _orthonormality_blocks(ctx):
 def _live(block):
     """(live, offset) of a block as orthonormality passes it to its guard:
     the contiguous rows on their nonzero columns (_support)."""
-    cols = tdho.verify._support(block)
+    cols = tdho.verify._support((block, 0))
     return np.ascontiguousarray(block[:, cols]), cols.indices(block.shape[-1])[0]
 
 
@@ -888,17 +888,17 @@ def test_each_run_evaluates_the_shared_block_once_and_afresh(monkeypatch,
     seen, not a stale block."""
     ctx = _context(sho_basis_c1, closed_form_C=1.0)
     checks = ["closed_form_agreement", "residual", "transform_chain"]
-    block = tdho.verify.state_block
+    window = tdho.verify.state_window
     shared = []
 
-    def counting(spec, x, t, orders, out=None):
+    def counting(spec, x, t, orders):
         # the shared spec: the chain's companion stack reads ctx.times too
         shared_spec = spec.basis is ctx.basis and spec.driven is ctx.driven
         if shared_spec and np.ndim(t) and list(t) == ctx.times:
             shared.append(t)
-        return block(spec, x, t, orders, out=out)
+        return window(spec, x, t, orders)
 
-    monkeypatch.setattr(tdho.verify, "state_block", counting)
+    monkeypatch.setattr(tdho.verify, "state_window", counting)
     assert all(r.passed for r in run_suite(ctx, checks))
     assert len(shared) == 1
     slice_params = tdho.states._slice_params
@@ -1048,14 +1048,10 @@ def test_every_grid_reduction_skips_the_zero_tails(monkeypatch):
 
 def _per_slice(kernel):
     """state_kernel_block as one one-slice call per slice of a stack."""
-    def per_slice(x, orders, *params, out=None, depth=None):
+    def per_slice(x, orders, *params, depth=None):
         if np.ndim(params[0]) == 0:
-            return kernel(x, orders, *params, out=out, depth=depth)
-        stack = np.stack([kernel(x, orders, *p, depth=depth) for p in zip(*params)])
-        if out is None:
-            return stack
-        out[...] = stack
-        return out
+            return kernel(x, orders, *params, depth=depth)
+        return np.stack([kernel(x, orders, *p, depth=depth) for p in zip(*params)])
 
     return per_slice
 
@@ -1142,15 +1138,16 @@ def test_each_check_makes_one_kernel_call_per_set_of_times(monkeypatch, bundled_
         assert sorted(slices) == sorted(expected[check]), check
 
 
-def _leaking_block(row, column):
-    """A state_block whose order row leaks 1e-6 of its peak into one sample
-    of the grid's zero tail, past the kernel's cutoff."""
-    block = tdho.verify.state_block
+def _leaking_window(row, column):
+    """A state_window on the whole grid (offset 0) whose order row leaks
+    1e-6 of its peak into one sample of the grid's zero tail, past the
+    kernel's cutoff."""
+    window = tdho.verify.state_window
 
-    def leaking(spec, x, t, orders, out=None):
-        rows = block(spec, x, t, orders, out=out)
+    def leaking(spec, x, t, orders):
+        rows = _zero_padded(*window(spec, x, t, orders), len(x))
         rows[..., row, column] = 1e-6 * np.max(np.abs(rows[..., row, :]))
-        return rows
+        return rows, 0
 
     return leaking
 
@@ -1163,7 +1160,7 @@ def test_the_residual_window_reads_a_leaked_sample(monkeypatch, sho_basis_c1, co
     whole-grid residual, fine and coarse (the order estimate)."""
     ctx = _context(sho_basis_c1)
     clean = run_suite(ctx, ["residual"])
-    monkeypatch.setattr(tdho.verify, "state_block", _leaking_block(1, column))
+    monkeypatch.setattr(tdho.verify, "state_window", _leaking_window(1, column))
     leaked = run_suite(ctx, ["residual"])
     monkeypatch.setattr(tdho.verify, "_support", _whole_grid)
     whole = run_suite(ctx, ["residual"])
@@ -1172,3 +1169,85 @@ def test_the_residual_window_reads_a_leaked_sample(monkeypatch, sho_basis_c1, co
         if c.params["n"] == ctx.ns[1]:
             assert abs(a.measured - c.measured) > 1e-3 * c.measured, (a, c)
         assert a.measured == pytest.approx(b.measured, rel=1e-12, abs=0.0), (a, b)
+
+
+# ---------------------------------------------------------------------------
+# every read on the kernel's cutoff window
+# ---------------------------------------------------------------------------
+
+def _whole_grid_window(x, orders, *params, depth=None):
+    """state_kernel_window as a whole-grid reader: the block, at offset 0."""
+    return tdho.states.state_kernel_block(x, orders, *params, depth=depth), 0
+
+
+_SEEDED = [f"high_n_{label}/{seed}" for seed in range(1, 8)
+           for label in ("sho_stationary", "sho_breathing", "ck")]
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, *_SEEDED])
+def test_window_reads_are_the_whole_grid_reads(monkeypatch, bundled_context,
+                                               bundled_results, name):
+    """Every read of the suite (the shared rows, the residual's stencils, the
+    closed forms, the chain's companion and its exact source, the undriven
+    block, the probes and orthonormality) swapped for a whole-grid reader
+    at offset 0: the report is the same, byte for byte, on the bundled
+    scenarios and on the high-order documents of seeds 1 to 7
+    (orthonormality to 16)."""
+    from tdho.cli import build_context, load_scenario
+
+    if name.startswith("high_n_"):
+        label, seed = name[len("high_n_"):].split("/")
+        doc = _high_n_document(random.Random(f"{label}/{seed}"), label)
+        ctx = build_context(doc)
+        ctx.orthonormality_nmax = 16
+        checks, windowed = doc["checks"], run_suite(ctx, doc["checks"])
+    else:
+        ctx, checks = bundled_context(name), load_scenario(name)["checks"]
+        windowed = bundled_results(name)
+    monkeypatch.setattr(tdho.states, "state_kernel_window", _whole_grid_window)
+    assert report_json(run_suite(ctx, checks)) == report_json(windowed)
+
+
+def test_run_suite_reads_the_grid_through_windows_only(monkeypatch, bundled_context):
+    """Every kernel call of run_suite, over the bundled scenarios and three
+    documents with orders up to 64, is a window call: no whole-grid block
+    and no one-order read."""
+    from tdho.cli import build_context, load_scenario
+
+    cases = [(bundled_context(name), load_scenario(name)["checks"]) for name in BUNDLED]
+    for label in ("sho_stationary", "sho_breathing", "ck"):
+        doc = _high_n_document(random.Random(f"{label}/windows"), label)
+        cases.append((build_context(doc), doc["checks"]))
+    calls = {}
+
+    def counting(name):
+        kernel = getattr(tdho.states, name)
+
+        def count(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*args, **kwargs)
+
+        return count
+
+    for name in ("state_kernel", "state_kernel_block", "state_kernel_window"):
+        monkeypatch.setattr(tdho.states, name, counting(name))
+    for ctx, checks in cases:
+        run_suite(ctx, checks)
+    assert set(calls) == {"state_kernel_window"} and calls["state_kernel_window"] > 0
+
+
+@pytest.mark.parametrize("name, check, message", [
+    ("sho_c1", "residual", "‖H psi‖ = 0.0"),
+    ("ck", "transform_chain", "direct ‖psi‖ = 0.0"),
+    ("driven_ck", "transform_chain", "direct ‖psi‖ = 0.0"),
+    ("sho_c1", "closed_form_agreement", "max|a| = 0.0"),
+    ("driven_ck", "uncertainty", "moments: ‖psi‖² = 0.0"),
+])
+def test_a_grid_the_state_misses_is_a_degenerate_state(bundled_context, name, check,
+                                                       message):
+    """On a grid that no slice's cutoff window reaches every window is empty,
+    and each check refuses the zero state it reads as such."""
+    ctx = dataclasses.replace(bundled_context(name), grid=Grid(100.0, 112.0, 256))
+    with pytest.raises(DegenerateStateError) as refused:
+        run_suite(ctx, [check])
+    assert message in str(refused.value) and "zero or not finite" in str(refused.value)
