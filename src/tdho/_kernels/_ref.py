@@ -202,9 +202,12 @@ def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
     exponent-tracked recurrence runs, so no factor over- or underflows on
     its own; each slice decides on its window alone whether its exponents
     need tracking and when to rescale.  One recurrence runs over the union
-    of the windows, and every slice's rows are bit for bit those of a
-    one-slice call with its parameters.  Orders that are not requested are
-    stepped through, not stored.
+    of the windows, on one row per distinct amplitude (log_norm, gauss_re,
+    scale, x_shift, bitwise): slices that differ only in gauss_im, k_lin,
+    phase0 or dphase share every real factor, and each then takes its own
+    phase.  Every slice's rows are bit for bit those of a one-slice call
+    with its parameters.  Orders that are not requested are stepped
+    through, not stored.
     """
     x, orders, table, spans, (a, b) = _slices(x, orders, (
         log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0, dphase), depth)
@@ -232,6 +235,20 @@ def state_kernel_window(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
     return rows, a
 
 
+def cutoff_window(x, n, log_norm, gauss_re, scale, x_shift):
+    """The columns [a, b) of the ascending float64 grid x that a slice whose
+    largest order is n keeps at LOG_FLOOR (state_kernel_block without a
+    depth): every requested order is an exact zero on the columns outside
+    them.  Empty (a == b) when the slice lies below LOG_FLOOR on all of x."""
+    return _window(x, x_shift, _cutoff_radius(n, log_norm, gauss_re, scale))
+
+
+def _window(x, x_shift, radius):
+    """The columns of the ascending grid x within radius of x_shift."""
+    return (int(np.searchsorted(x, x_shift - radius, side="left")),
+            int(np.searchsorted(x, x_shift + radius, side="right")))
+
+
 def _slices(x, orders, params, depth):
     """(x, orders, table, spans, (a, b)) of a call: the slice parameters as
     an (8,) or (8, S) table, the union [a, b) on x of the slices' cutoff
@@ -251,9 +268,7 @@ def _slices(x, orders, params, depth):
     for ln, gr, _, sc, shift, *_ in table.reshape(8, -1).T.tolist():
         if (ln, gr, sc) not in radii:  # bounds every lower order's
             radii[ln, gr, sc] = _cutoff_radius(n, ln, gr, sc, depth)
-        radius = radii[ln, gr, sc]
-        windows.append((int(np.searchsorted(x, shift - radius, side="left")),
-                        int(np.searchsorted(x, shift + radius, side="right"))))
+        windows.append(_window(x, shift, radii[ln, gr, sc]))
     live = [w for w in windows if w[0] < w[1]]
     a, b = (min(lo for lo, _ in live), max(hi for _, hi in live)) if live else (0, 0)
     spans = [(lo - a, hi - a) if lo < hi else (0, 0) for lo, hi in windows]
@@ -264,7 +279,14 @@ def _fill(stack, xw, orders, table, spans):
     """Write the rows of every slice into stack, (S, len(orders), W), over
     the columns xw of the union of the cutoff windows, exact zeros outside
     each slice's own span of them: the one core of state_kernel_block and
-    state_kernel_window."""
+    state_kernel_window.
+
+    Slices whose amplitude (log_norm, gauss_re, scale, x_shift) is bitwise
+    the same share their span and every real factor
+    exp(log_norm + gauss_re d^2) h_k(xi), so the recurrence runs on one row
+    per distinct amplitude; each slice then takes its own phase and turn.
+    A call without repeated amplitudes reuses the phase's buffers and
+    allocates nothing new for the recurrence's input."""
     if not xw.size:
         return
     n = max(orders)
@@ -272,6 +294,10 @@ def _fill(stack, xw, orders, table, spans):
     for i, k in enumerate(orders):
         rows_of.setdefault(k, []).append(i)
     table = table.reshape(8, -1)
+    groups = {}  # amplitude bytes -> its slices, first come first
+    for s, key in enumerate(table[[0, 1, 3, 4]].T):
+        groups.setdefault(key.tobytes(), []).append(s)
+    groups = list(groups.values())
     log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0, _ = (
         table[:, :, np.newaxis])
     d = xw - x_shift
@@ -285,25 +311,35 @@ def _fill(stack, xw, orders, table, spans):
     phase += phase0
     np.multiply(1j, phase, out=base)
     np.exp(base, out=base)
+    firsts = [g[0] for g in groups]
+    if len(groups) < len(spans):
+        # one row per distinct amplitude in buffers of their own, so that
+        # the (S, W) ones are freed before the recurrence allocates
+        d = xw - x_shift[firsts]
+        phase = np.empty_like(d)
+        log_norm, gauss_re, scale = log_norm[firsts], gauss_re[firsts], scale[firsts]
     log_amp = np.multiply(gauss_re, d, out=phase)
     log_amp *= d
     log_amp += log_norm
     d *= scale  # xi from here on: no (S, W) buffer is made twice
-    recurrence = _hermite_function_rows(n, d, log_amp, spans)
+    recurrence = _hermite_function_rows(n, d, log_amp, [spans[s] for s in firsts])
     value = np.empty(xw.size)
     dphases = table[7].tolist()
     for k, (m, e) in enumerate(recurrence):
         if k not in rows_of:
             continue
-        # slice by slice on its own window: no (S, W) buffer for ldexp or cast
-        for s, ((p, q), dphase) in enumerate(zip(spans, dphases)):
-            v = m[s, p:q] if np.ndim(e) == 0 else np.ldexp(m[s, p:q], e[s, p:q],
+        # amplitude by amplitude on its own window: no (S, W) buffer for
+        # ldexp or cast
+        for u, slices in enumerate(groups):
+            p, q = spans[slices[0]]
+            v = m[u, p:q] if np.ndim(e) == 0 else np.ldexp(m[u, p:q], e[u, p:q],
                                                            out=value[p:q])
-            turn = cmath.exp(1j * (k * dphase))
-            for i in rows_of[k]:
-                row = stack[s, i, p:q]
-                np.multiply(base[s, p:q], turn, out=row)
-                row *= v
+            for s in slices:
+                turn = cmath.exp(1j * (k * dphases[s]))
+                for i in rows_of[k]:
+                    row = stack[s, i, p:q]
+                    np.multiply(base[s, p:q], turn, out=row)
+                    row *= v
     for s, (p, q) in enumerate(spans):
         stack[s, :, :p] = 0.0
         stack[s, :, q:] = 0.0

@@ -29,8 +29,8 @@ from .classical import (
 )
 from .models import CaldirolaKanai, model_from_json
 from .ode import ODEError
-from .states import CLOSED_FORMS, _x_column, dump_state_grid, state_field
-from .transforms import BOUNDARY_RATIO, Grid, _edge_ratio, policy_grid
+from .states import CLOSED_FORMS, _x_column, dump_state_grid, state_cutoff, state_field
+from .transforms import BOUNDARY_RATIO, Grid, _edge_columns, _edge_ratio, policy_grid
 from .verify import DegenerateStateError, SuiteContext, report_json, run_suite
 
 __all__ = ["main", "load_scenario", "build_context", "ScenarioError"]
@@ -328,11 +328,18 @@ def _validate_grid(ctx: SuiteContext):
 
     Two samples, since one may sit on a node (_edge_ratio).  Lower orders
     decay faster past the largest order's turning point, so its edges bound
-    theirs.
+    theirs.  A time whose cutoff window (state_cutoff, the columns the
+    kernel keeps at LOG_FLOOR) holds none of the edge columns is not read:
+    those samples are exact zeros and its ratio is 0.
     """
-    f = state_field(ctx.state(max(ctx.ns)))
+    spec = ctx.state(max(ctx.ns))
+    f = state_field(spec)
     xs = ctx.grid.xs()
+    edges = _edge_columns(len(xs))
     for t in ctx.times:
+        a, b = state_cutoff(spec, xs, t)
+        if not any(a <= c < b for c in edges):
+            continue
         ratio = _edge_ratio(f(xs, t))
         if ratio >= BOUNDARY_RATIO:
             raise ScenarioError(

@@ -15,7 +15,8 @@ with x_p = delta = 0 in the undriven case.  With xi = sqrt(Omega/hbar) d / rho
 the kernel evaluates it as (Omega/hbar)^{1/4} rho^{-1/2} e^{-xi^2/2} h_n(xi)
 times the phases, where h_n = H_n / sqrt(2^n n! sqrt(pi)) comes from the
 normalised Hermite recurrence, so one pass gives any set of orders of a
-slice (state_block; state_window: on the slices' cutoff windows only).
+slice or of a stack of them, on the slices' cutoff windows (state_window;
+state_cutoff names the window of one order).
 
 The closed-form families (exponential mass, constant at gamma = 0, and
 pulsating mass) differ only in their law for the mass M(t), k = Mdot/M and
@@ -23,11 +24,10 @@ the constant reduced frequency w_c^2, which each reads from its own
 parameters, never from a model's mass or a basis.  One slice formula turns any law into the
 kernel parameters, with the same branch convention, so general/specialized
 comparisons need no phase alignment.  CLOSED_FORMS is the one map from a
-model family to its law and its closed_form.kind; closed_form_block gives
+model family to its law and its closed_form.kind; closed_form_window gives
 any set of orders of a family's closed-form slices at one time or a stack
-of times from the same one recurrence (closed_form_window: on the slices'
-cutoff windows only), and psi_sho, psi_ck and psi_lo one order from the
-family's parameters.
+of times from the same one recurrence, on the slices' cutoff windows, and
+psi_sho, psi_ck and psi_lo one order from the family's parameters.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import state_kernel, state_kernel_block, state_kernel_window
+from ._kernels import cutoff_window, state_kernel, state_kernel_window
 from .classical import (
     ClassicalBasis,
     DrivenSolution,
@@ -55,14 +55,13 @@ __all__ = [
     "psi_unit_mass",
     "psi_general",
     "psi_driven",
-    "state_block",
     "state_window",
+    "state_cutoff",
     "psi_sho",
     "psi_ck",
     "psi_lo",
     "CLOSED_FORMS",
     "closed_form_law",
-    "closed_form_block",
     "closed_form_window",
     "state_field",
     "dump_state_grid",
@@ -162,25 +161,31 @@ def _eval_slice(spec: StateSpec, x, t, with_driving: bool):
                         x_shift, k_lin)
 
 
-def state_block(spec: StateSpec, x, t, orders, depth=None):
+def state_window(spec: StateSpec, x, t, orders, depth=None):
     """The given orders of spec's state at time t, or at each of a 1-D
-    sequence of times, on the ascending grid x (spec.n is not read).
+    sequence of times, on the ascending grid x (spec.n is not read), kept on
+    the union of the slices' cutoff windows: (rows, offset) as
+    state_kernel_window gives them.
 
     Driven when spec carries a DrivenSolution, as in state_field.  The
     classical data of each slice is evaluated once and every order at every
-    time comes from one recurrence to max(orders).  Returns the
-    (len(orders), len(x)) rows for a scalar t, rows[i] being psi_{orders[i]}
-    on x, and the (len(t), len(orders), len(x)) stack of them for a
-    sequence.  depth, when given, zeros each slice below e^-depth of its
-    amplitude scale (state_kernel_block).
+    time comes from one recurrence to max(orders).  rows is
+    (len(orders), W) for a scalar t, rows[i] being psi_{orders[i]} on
+    x[offset:offset + W], and the (len(t), len(orders), W) stack of them
+    for a sequence; every other column of x is an exact zero.  depth, when
+    given, zeros each slice below e^-depth of its amplitude scale
+    (state_kernel_block).
     """
-    return state_kernel_block(x, orders, *_state_columns(spec, t), depth=depth)
-
-
-def state_window(spec: StateSpec, x, t, orders, depth=None):
-    """state_block on the union of its slices' cutoff windows only:
-    (rows, offset) as state_kernel_window gives them."""
     return state_kernel_window(x, orders, *_state_columns(spec, t), depth=depth)
+
+
+def state_cutoff(spec: StateSpec, x, t):
+    """The columns [a, b) of the ascending grid x outside which
+    state_field(spec)(x, t) is exact zeros: the kernel's cutoff window of
+    order spec.n at t, at LOG_FLOOR (cutoff_window)."""
+    (log_norm, gauss_re, _, scale, x_shift, _), _, _ = _slice_params(
+        spec, t, with_driving=True)
+    return cutoff_window(x, spec.n, log_norm, gauss_re, scale, x_shift)
 
 
 def _state_columns(spec: StateSpec, t):
@@ -297,18 +302,11 @@ def _closed_columns(model, Ccoef, hbar, t):
     return columns if np.ndim(t) else columns[:, 0]
 
 
-def closed_form_block(model, Ccoef, orders, hbar, x, t, depth=None):
+def closed_form_window(model, Ccoef, orders, hbar, x, t, depth=None):
     """The given orders of the closed-form state with pulsation parameter
     Ccoef of model's family at t, or at each of a 1-D sequence of times, on
-    the ascending grid x, as state_block's rows or stack (depth as there),
-    from one recurrence."""
-    return state_kernel_block(x, orders, *_closed_columns(model, Ccoef, hbar, t),
-                              depth=depth)
-
-
-def closed_form_window(model, Ccoef, orders, hbar, x, t, depth=None):
-    """closed_form_block on the union of its slices' cutoff windows only:
-    (rows, offset) as state_kernel_window gives them."""
+    the ascending grid x, as state_window's (rows, offset) (depth as
+    there), from one recurrence."""
     return state_kernel_window(x, orders, *_closed_columns(model, Ccoef, hbar, t),
                                depth=depth)
 

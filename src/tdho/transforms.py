@@ -214,6 +214,12 @@ def _lagrange_eval(g: GridFunction, xq: np.ndarray):
     return acc, int(inside[reach[0]])
 
 
+def _edge_columns(points: int) -> tuple[int, ...]:
+    """The columns _edge_ratio reads on a grid of points samples: the two
+    outermost at either end."""
+    return (0, 1, points - 2, points - 1)
+
+
 def _edge_ratio(values, offset: int = 0, points: int | None = None) -> float:
     """Largest of the two outermost samples at either end of the grid over
     the peak, of the worst row of values (0 for a zero row).  values is a
@@ -225,7 +231,7 @@ def _edge_ratio(values, offset: int = 0, points: int | None = None) -> float:
     """
     width = np.shape(values)[-1]
     points = width if points is None else points
-    edges = [c - offset for c in (0, 1, points - 2, points - 1) if 0 <= c - offset < width]
+    edges = [c - offset for c in _edge_columns(points) if 0 <= c - offset < width]
     if not edges:
         return 0.0
     mag = np.abs(values)

@@ -1,23 +1,41 @@
 """Command-line interface: scenarios, exit codes, deterministic outputs."""
 
+import importlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+from contextlib import suppress
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import tdho
 import tdho.classical
+import tdho.states
 import tdho.verify
-from tdho.classical import QuadratureError
-from tdho.cli import ScenarioError, _build_basis, build_context, load_scenario, main
+from tdho.classical import QuadratureError, analytic_basis_ck, analytic_basis_sho
+from tdho.cli import (
+    ScenarioError,
+    _build_basis,
+    _validate_grid,
+    build_context,
+    load_scenario,
+    main,
+)
 from tdho.models import LoDampedPulsating
 from tdho.ode import ODEError
 from tdho.scenarios import BUNDLED, scenario_path
+from tdho.states import StateSpec, state_cutoff, state_field
+from tdho.transforms import Grid, _edge_ratio
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _scenario_doc(**overrides):
@@ -703,6 +721,115 @@ def test_a_node_on_the_edge_does_not_hide_a_leaking_grid(tmp_path, capsys, argv)
     assert main([command, _write(tmp_path, doc), *options, "--out", str(d)]) == 2
     assert "too small" in capsys.readouterr().err
     assert not d.exists()
+
+
+# ---------------------------------------------------------------------------
+# the grid guard reads only where the cutoff window reaches an edge
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(["sho", "ck", "driven_ck"]), n=st.integers(0, 64),
+       hbar=st.floats(0.3, 3.0), t=st.floats(-0.5, 11.5), C=st.floats(0.5, 2.0),
+       centre=st.floats(-20.0, 20.0), half=st.floats(0.5, 90.0),
+       points=st.integers(16, 700))
+def test_a_time_the_guard_skips_has_a_zero_edge_ratio(driven_ck, family, n, hbar, t,
+                                                      C, centre, half, points):
+    """Whenever the grid guard does not read a time, because the cutoff
+    window holds none of the four edge samples, the whole-grid read it skips
+    has _edge_ratio exactly 0.0: over grids, times, orders, hbar and
+    pulsation parameters of a breathing, an exponential-mass and a driven
+    state."""
+    if family == "driven_ck":
+        basis, driven = driven_ck
+    elif family == "sho":
+        basis, driven = analytic_basis_sho(1.0, C, 1.0, t_min=-1.0, t_max=12.0), None
+    else:
+        basis = analytic_basis_ck(1.0, 0.6, 1.0, C, 1.0, t_min=-1.0, t_max=12.0)
+        driven = None
+    spec = StateSpec(n, hbar, basis, driven)
+    grid = Grid(centre - half, centre + half, points)
+    read = _guard_reads(spec, grid, t)
+    event(f"skipped: {not read}")
+    if not read:
+        assert _edge_ratio(state_field(spec)(grid.xs(), t)) == 0.0
+
+
+def _guard_reads(spec, grid, t):
+    """Whether the grid guard reads state spec on grid at time t."""
+    ctx = SimpleNamespace(state=lambda _: spec, ns=[spec.n], grid=grid, times=[t])
+    with pytest.MonkeyPatch.context() as patch:
+        reads = _counting_reads(patch)
+        with suppress(ScenarioError):
+            _validate_grid(ctx)
+    return bool(reads)
+
+
+def test_the_guard_skips_a_time_by_single_columns(driven_ck):
+    """Grids whose ends sweep across the ends of a driven state's cutoff
+    window, a tenth of a column at a time, start the window on column 1 and
+    2 and end it on column P-1 and P-2: the guard reads the first and the
+    last and skips the other two, and every time it skips has a zero edge
+    ratio."""
+    spec, t, points = StateSpec(8, 1.0, *driven_ck), 1.3, 64
+    ref = Grid(-60.0, 60.0, 120001).xs()
+    a, b = state_cutoff(spec, ref, t)
+    assert 0 < a < b < len(ref)
+    left, right = ref[a], ref[b - 1]
+    dx = (right - left) / (points - 11)
+    width = dx * (points - 1)
+    seen = {}
+    for shift in np.linspace(-4.0, 4.0, 81) * dx:
+        for grid in (Grid(left + shift, left + shift + width, points),
+                     Grid(right + shift - width, right + shift, points)):
+            read = _guard_reads(spec, grid, t)
+            if not read:
+                assert _edge_ratio(state_field(spec)(grid.xs(), t)) == 0.0
+            lo, hi = state_cutoff(spec, grid.xs(), t)
+            seen.setdefault(("a", lo), set()).add(read)
+            seen.setdefault(("b", points - hi), set()).add(read)
+    assert seen[("a", 1)] == {True} and seen[("a", 2)] == {False}
+    assert seen[("b", 1)] == {True} and seen[("b", 2)] == {False}
+
+
+def _counting_reads(monkeypatch):
+    """Patch tdho.states.state_kernel, the kernel the grid guard reads
+    through (state_field), to count its calls."""
+    calls = []
+    kernel = tdho.states.state_kernel
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(tdho.states, "state_kernel", counting)
+    return calls
+
+
+def test_the_high_order_benchmark_documents_build_without_a_read(monkeypatch):
+    """The benchmark's high_n_states documents of seeds 1 to 7 (orders up to
+    64 on the policy grid) keep every cutoff window inside the grid's edges:
+    build_context validates their grids without one kernel read.  sho_c1's
+    three times are read."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    worker = importlib.import_module("worker")
+    calls = _counting_reads(monkeypatch)
+    for seed in range(1, 8):
+        for doc in worker.high_n_documents(random.Random(f"{seed}/documents")):
+            build_context(doc)
+    assert calls == []
+    build_context(load_scenario("sho_c1"))
+    assert len(calls) == 3
+
+
+def test_a_grid_too_small_for_sho_c1_is_refused_with_its_ratio(tmp_path, capsys):
+    """sho_c1 on the explicit grid [-3, 3] is read at t = 0 and refused
+    (exit 2) with the boundary ratio its edges read."""
+    doc = load_scenario("sho_c1")
+    doc["grid"] = {"x_min": -3, "x_max": 3, "points": 4096}
+    assert main(["verify", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        "error: grid Grid(x_min=-3.0, x_max=3.0, points=4096) too small for n=3 "
+        "at t=0.0: boundary ratio 3.70e-01\n")
 
 
 def test_classical_outputs(tmp_path, capsys):

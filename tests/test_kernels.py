@@ -12,6 +12,7 @@ from numpy.polynomial.hermite import hermval
 
 import tdho
 import tdho._kernels as kernels
+import tdho.states
 from tdho._kernels._ref import _cutoff_radius, _hermite_function_rows
 from tdho.classical import analytic_basis_sho
 from tdho.models import CaldirolaKanai, LoDampedPulsating
@@ -19,11 +20,10 @@ from tdho.states import (
     StateSpec,
     _closed_slice,
     _slice_params,
-    closed_form_block,
     closed_form_law,
     closed_form_window,
-    state_block,
     state_field,
+    state_window,
 )
 from tdho.transforms import policy_grid, sample_on_grid
 from tdho.verify import norm
@@ -155,11 +155,19 @@ def test_very_high_order_states_are_normalised_without_warnings(n):
         assert abs(norm(sample_on_grid(field, grid, 1.0)) - 1.0) < 1e-12
 
 
+def _on_grid(window, points):
+    """A (rows, offset) window zero-padded to the whole grid of points."""
+    rows, offset = window
+    block = np.zeros(rows.shape[:-1] + (points,), dtype=rows.dtype)
+    block[..., offset:offset + rows.shape[-1]] = rows
+    return block
+
+
 def _block_matches_fields(basis, driven, orders):
     spec = StateSpec(max(orders), 1.0, basis, driven)
     grid = policy_grid(basis, 12, driven=driven, times=[1.0], points=4096)
     xs = grid.xs()
-    rows = state_block(spec, xs, 1.0, orders)
+    rows = _on_grid(state_window(spec, xs, 1.0, orders), len(xs))
     assert rows.shape == (len(orders), len(xs))
     for k, row in zip(orders, rows):
         want = state_field(StateSpec(k, 1.0, basis, driven))(xs, 1.0)
@@ -215,9 +223,10 @@ def test_stacked_slices_keep_their_own_windows(driven_ck):
     grid = policy_grid(basis, 12, driven=driven, times=[1.0], points=4096)
     xs = grid.xs()
     times = [1.0 + k * 0.05 for k in (0, 1, -1, 2, -2, 4, -4)]
-    stack = state_block(spec, xs, times, [12, 0, 5])
+    stack = _on_grid(state_window(spec, xs, times, [12, 0, 5]), len(xs))
     for t, rows in zip(times, stack):
-        assert rows.tobytes() == state_block(spec, xs, t, [12, 0, 5]).tobytes()
+        assert rows.tobytes() == _on_grid(state_window(spec, xs, t, [12, 0, 5]),
+                                          len(xs)).tobytes()
     assert len({_support(rows) for rows in stack}) > 1
 
 
@@ -264,13 +273,120 @@ _slice = st.tuples(
     st.floats(-10.0, 10.0), st.floats(-3.0, 3.0))
 
 
+def _twins(slices, phases):
+    """The slices (log_norm .. dphase), then for each slice and each
+    (gauss_im, k_lin, phase0, dphase) of phases a twin with the slice's
+    amplitude (log_norm, gauss_re, scale, x_shift) and that phase."""
+    return list(slices) + [(ln, gr, gi, sc, shift, kl, p0, dp)
+                           for ln, gr, _, sc, shift, *_ in slices
+                           for gi, kl, p0, dp in phases]
+
+
+_phase = st.tuples(st.floats(-1.0, 1.0), st.floats(-2.0, 2.0), st.floats(-10.0, 10.0),
+                   st.floats(-3.0, 3.0))
+
+
+def _moved(slice_, shift):
+    """slice_ with its x_shift moved by shift: the same radius, another
+    amplitude."""
+    return slice_[:4] + (slice_[4] + shift,) + slice_[5:]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(slices=st.lists(_slice, min_size=1, max_size=8),
+       phases=st.lists(_phase, max_size=3), shift=st.floats(-1.0, 1.0),
        orders=st.lists(st.integers(0, 64), min_size=1, max_size=4))
-def test_stacked_call_is_one_call_per_slice(slices, orders):
-    """Any stack of 1-8 slices, some of them repeated, and any orders up to
-    64: bit for bit the one-slice calls."""
-    _stacked_is_per_slice(np.linspace(-8.0, 8.0, 257), orders, slices + slices[::2])
+def test_stacked_call_is_one_call_per_slice(slices, phases, shift, orders):
+    """Any stack of 1-8 slices, some of them repeated, with twins that share
+    a slice's amplitude (log_norm, gauss_re, scale, x_shift) but not its
+    gauss_im, k_lin, phase0 and dphase, and the slices moved by shift (the
+    same radius, another amplitude), and any orders up to 64: bit for bit
+    the one-slice calls."""
+    stack = _twins(slices, phases) + [_moved(s, shift) for s in slices] + slices[::2]
+    _stacked_is_per_slice(np.linspace(-8.0, 8.0, 257), orders, stack)
+
+
+def _counting_rows():
+    """A patch of _hermite_function_rows that records the rows each
+    recurrence runs on (xi.shape[0])."""
+    recurrence, rows = kernels._ref._hermite_function_rows, []
+
+    def counting(n, xi, log_amp, spans):
+        rows.append(xi.shape[0])
+        return recurrence(n, xi, log_amp, spans)
+
+    return mock.patch.object(kernels._ref, "_hermite_function_rows", counting), rows
+
+
+def _one_change(slice_):
+    """Four twins of a slice: each moves one of gauss_im, k_lin, phase0 and
+    dphase, and keeps the amplitude."""
+    ln, gr, gi, sc, shift, kl, p0, dp = slice_
+    return [(ln, gr, gi + 0.3, sc, shift, kl, p0, dp),
+            (ln, gr, gi, sc, shift, kl + 0.5, p0, dp),
+            (ln, gr, gi, sc, shift, kl, p0 + 1.0, dp),
+            (ln, gr, gi, sc, shift, kl, p0, dp - 1.2)]
+
+
+@pytest.mark.parametrize("x, orders, slices", [
+    # the fast path: the Gaussian stays in the normal range on each window
+    (np.linspace(-10.0, 10.0, 1025), [64, 7],
+     [(0.0, -0.5, 0.2, 1.0, 0.0, 0.0, 0.3, 0.7), (-3.0, -0.6, 0.1, 1.1, 1.5, 0.2, 0.0, 0.4)]),
+    # exponents tracked: read to LOG_FLOOR, the amplitude leaves the normal
+    # range at large xi
+    (np.linspace(-40.0, 40.0, 2049), [64, 0],
+     [(-680.0, -0.5, -0.2, 1.0, 0.5, 0.1, -0.4, 1.1), (0.0, -0.5, 0.2, 1.0, -1.0, 0.0, 0.0, 0.5)]),
+    # the rescale path: orders past 300
+    (np.linspace(-40.0, 40.0, 4097), [301, 0, 120],
+     [(0.0, -0.5, 0.1, 1.0, 0.2, 0.0, 0.0, 0.5), (0.0, -0.605, 0.1, 1.1, 0.22, 0.0, 0.0, 0.5)]),
+], ids=["fast", "tracked", "rescaled"])
+def test_one_recurrence_row_per_distinct_amplitude(x, orders, slices):
+    """Twins that differ from a slice in gauss_im, k_lin, phase0 or dphase
+    alone share its recurrence row, and a slice moved in x_shift alone does
+    not: a stack of two amplitudes, their eight twins and the first moved
+    runs the recurrence on three rows, on the fast, the exponent-tracked and
+    the rescale path, and holds each one-slice call's bytes."""
+    stack = slices + [twin for slice_ in slices for twin in _one_change(slice_)]
+    stack.append(_moved(slices[0], 0.25))
+    patch, rows = _counting_rows()
+    with patch, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernels.state_kernel_block(x, orders, *(list(c) for c in zip(*stack)))
+    assert rows == [3]
+    for s, params in enumerate(stack):
+        assert got[s].tobytes() == kernels.state_kernel_block(x, orders, *params).tobytes()
+    assert len({rows.tobytes() for rows in got}) == len(stack)
+
+
+def test_stationary_stencils_and_probes_share_their_recurrence_rows():
+    """On a sho_c1 copy with states [0, 32, 64] each stacked call runs the
+    recurrence on one row per distinct amplitude.  The nine stationarity
+    probes (the closed form's rho is exactly 1) run on one row.  The
+    residual's six-slice stencil stacks run on one or two: the basis reads
+    rho = sqrt(cos^2 + sin^2), 1 or 1 - 2^-53 by the time."""
+    from tdho.cli import build_context, load_scenario
+    from tdho.verify import run_suite
+
+    doc = load_scenario("sho_c1")
+    doc["states"] = [0, 32, 64]
+    ctx = build_context(doc)
+    amplitudes = []
+    window = tdho.states.state_kernel_window
+
+    def counting(x, orders, *params, **kw):
+        table = np.array(params[:5])[[0, 1, 3, 4]].T
+        amplitudes.append((len(table), len({row.tobytes() for row in table})))
+        return window(x, orders, *params, **kw)
+
+    for check, slices, most in (("residual", 6, 2), ("stationarity", 9, 1)):
+        amplitudes.clear()
+        patch, rows = _counting_rows()
+        with patch, mock.patch.object(tdho.states, "state_kernel_window", counting):
+            run_suite(ctx, [check])
+        assert rows == [distinct for _, distinct in amplitudes], check
+        stacks = [distinct for size, distinct in amplitudes if size == slices]
+        assert len(stacks) == (len(ctx.times) if check == "residual" else 1), check
+        assert max(stacks) <= most and 1 in stacks, check
 
 
 def _counting_solves():
@@ -353,15 +469,16 @@ def _depth_case(name, driven_ck):
     if name == "driven_ck":
         spec = StateSpec(0, 1.0, *driven_ck)
         params = _slice_params(spec, 1.0, with_driving=True)[0]
-        return (lambda orders, x, **kw: state_block(spec, x, 1.0, orders, **kw),
+        return (lambda orders, x, **kw: _on_grid(state_window(spec, x, 1.0, orders, **kw),
+                                                 len(x)),
                 (params[0], params[1], params[3], params[4]))
     model, C, hbar, t = {
         "sho": (CaldirolaKanai(1.0, 0.0, 1.3), 2.0, 0.7, 1.0),
         "ck": (CaldirolaKanai(1.0, 0.6, 1.0), 1.0, 1.0, 2.0),
         "lo": (LoDampedPulsating(1.0, 0.1, 0.2, 1.5, 1.0), 1.5, 1.2, 3.0),
     }[name]
-    block = lambda orders, x, **kw: closed_form_block(  # noqa: E731
-        model, C, orders, hbar, x, t, **kw)
+    block = lambda orders, x, **kw: _on_grid(closed_form_window(  # noqa: E731
+        model, C, orders, hbar, x, t, **kw), len(x))
     params = _closed_slice(*closed_form_law(model)(t), C, hbar, t)[0]
     return block, (params[0], params[1], params[3], 0.0)
 
@@ -404,13 +521,15 @@ def test_stacked_slices_at_a_depth_are_one_call_per_slice():
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(slices=st.lists(_slice, min_size=1, max_size=6),
+       phases=st.lists(_phase, max_size=3),
        orders=st.lists(st.integers(0, 64), min_size=1, max_size=4),
        depth=st.floats(0.0, 800.0))
-def test_stacked_call_at_any_depth_is_one_call_per_slice(slices, orders, depth):
-    """Any stack, some slices repeated, any orders up to 64 and any depth:
-    bit for bit the one-slice calls at that depth."""
-    _stacked_is_per_slice(np.linspace(-8.0, 8.0, 257), orders, slices + slices[:1],
-                          depth=depth)
+def test_stacked_call_at_any_depth_is_one_call_per_slice(slices, phases, orders, depth):
+    """Any stack, some slices repeated and some twinned in their phases
+    alone, any orders up to 64 and any depth: bit for bit the one-slice
+    calls at that depth."""
+    _stacked_is_per_slice(np.linspace(-8.0, 8.0, 257), orders,
+                          _twins(slices, phases) + slices[:1], depth=depth)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from tdho.models import CaldirolaKanai, GeneralParametric, LoDampedPulsating
 from tdho.states import (
     StateSpec,
     _x_column,
-    closed_form_block,
     closed_form_window,
     dump_state_grid,
     psi_ck,
@@ -25,6 +24,14 @@ from tdho.states import (
 )
 
 X = np.linspace(-12.0, 12.0, 4097)
+
+
+def _on_grid(window, points=len(X)):
+    """A (rows, offset) window zero-padded to the whole grid of points."""
+    rows, offset = window
+    block = np.zeros(rows.shape[:-1] + (points,), dtype=rows.dtype)
+    block[..., offset:offset + rows.shape[-1]] = rows
+    return block
 
 
 def _norm(values, x=X):
@@ -66,7 +73,7 @@ _TABLE = np.linspace(0.0, 3.0, 4)
      "basis invariant Omega must be positive"),
     (lambda: psi_ck(1.0, 3.0, 1.0, 1.0, 0, 1.0, X, 1.0), OverdampedError,
      "w_c^2 = -1.25 <= 0: overdamped regime not supported"),
-    (lambda: closed_form_block(
+    (lambda: closed_form_window(
         GeneralParametric(_TABLE, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4)),
         1.0, [0], 1.0, X, 1.0), ValueError, "GeneralParametric has no closed-form state"),
     (lambda: psi_sho(0.0, 1.0, 0, 1.0, X, 1.0), ValueError, "w_s must be positive"),
@@ -170,18 +177,21 @@ def test_psi_lo_equals_general_over_numeric_basis(lo_basis, lo_model, n):
     (LoDampedPulsating(1.0, 0.1, 0.2, 3.0, 1.0, t_min=-1.0, t_max=12.0), 1.5),
 ], ids=["sho_c1", "sho_c2", "ck", "lo"])
 def test_stacked_closed_form_block_is_per_time(model, C, depth):
-    """closed_form_block over a 1-D sequence of times (one time twice, an
-    integer one too) holds, time by time, the bytes of its one-time calls;
-    closed_form_window holds the same columns on its window."""
+    """closed_form_window over a 1-D sequence of times (one time twice, an
+    integer one too), zero-padded to the whole grid, holds, time by time,
+    the bytes of its one-time calls; its window is the union of theirs."""
     times = [0.0, 2.5, 1, 7.25, 2.5]
     orders = [24, 0, 5]
-    stack = closed_form_block(model, C, orders, 0.8, X, times, depth=depth)
-    assert stack.shape == (len(times), len(orders), len(X))
-    for t, rows in zip(times, stack):
-        assert rows.tobytes() == closed_form_block(model, C, orders, 0.8, X, t,
-                                                   depth=depth).tobytes()
     window, offset = closed_form_window(model, C, orders, 0.8, X, times, depth=depth)
-    assert window.tobytes() == stack[..., offset:offset + window.shape[-1]].tobytes()
+    stack = _on_grid((window, offset))
+    assert stack.shape == (len(times), len(orders), len(X))
+    spans = []
+    for t, rows in zip(times, stack):
+        one = closed_form_window(model, C, orders, 0.8, X, t, depth=depth)
+        assert rows.tobytes() == _on_grid(one).tobytes()
+        spans.append((one[1], one[1] + one[0].shape[-1]))
+    assert (offset, offset + window.shape[-1]) == (min(a for a, _ in spans),
+                                                   max(b for _, b in spans))
 
 
 def test_psi_sho_squeezed_density_breathes():

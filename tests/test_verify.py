@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson as scipy_simpson
 
+import tdho._kernels
 import tdho.states
 import tdho.transforms
 import tdho.verify
@@ -1082,12 +1083,11 @@ def test_stacked_reads_are_the_per_time_reads(monkeypatch, bundled_context,
     byte for byte, on the bundled scenarios and three high-order
     documents."""
     ctx, checks, stacked = _suite_case(name, bundled_context, bundled_results)
-    per_slice = _per_slice(tdho.states.state_kernel_block)
+    per_slice = _per_slice(tdho._kernels.state_kernel_block)
 
     def whole_grid(x, orders, *params, depth=None):
         return per_slice(x, orders, *params, depth=depth), 0
 
-    monkeypatch.setattr(tdho.states, "state_kernel_block", per_slice)
     monkeypatch.setattr(tdho.states, "state_kernel_window", whole_grid)
     assert report_json(run_suite(ctx, checks)) == report_json(stacked)
 
@@ -1130,8 +1130,8 @@ def test_each_check_makes_one_kernel_call_per_set_of_times(monkeypatch, bundled_
 
         return count
 
-    for kernel in ("state_kernel_block", "state_kernel_window"):
-        monkeypatch.setattr(tdho.states, kernel, counting(getattr(tdho.states, kernel)))
+    monkeypatch.setattr(tdho.states, "state_kernel_window",
+                        counting(tdho.states.state_kernel_window))
     for check in checks:
         slices.clear()
         run_suite(ctx, [check])
@@ -1177,7 +1177,7 @@ def test_the_residual_window_reads_a_leaked_sample(monkeypatch, sho_basis_c1, co
 
 def _whole_grid_window(x, orders, *params, depth=None):
     """state_kernel_window as a whole-grid reader: the block, at offset 0."""
-    return tdho.states.state_kernel_block(x, orders, *params, depth=depth), 0
+    return tdho._kernels.state_kernel_block(x, orders, *params, depth=depth), 0
 
 
 _SEEDED = [f"high_n_{label}/{seed}" for seed in range(1, 8)
@@ -1229,7 +1229,7 @@ def test_run_suite_reads_the_grid_through_windows_only(monkeypatch, bundled_cont
 
         return count
 
-    for name in ("state_kernel", "state_kernel_block", "state_kernel_window"):
+    for name in ("state_kernel", "state_kernel_window"):
         monkeypatch.setattr(tdho.states, name, counting(name))
     for ctx, checks in cases:
         run_suite(ctx, checks)
