@@ -4,6 +4,5 @@ log-space Gaussian and the phase factors, in numpy (``_ref``)."""
 from ._ref import (  # noqa: F401
     cutoff_window,
     state_kernel,
-    state_kernel_block,
     state_kernel_window,
 )

@@ -151,23 +151,28 @@ def _hermite_function_rows(n, xi, log_amp, spans):
 
 
 def state_kernel(x, n, log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0):
-    """Order n of state_kernel_block at the points x, in any order and shape:
-    a one-row block (dphase = 0) on the sorted points, put back in x's order
-    and shape."""
+    """Order n of state_kernel_window at the points x, in any order and
+    shape: its one row (dphase = 0) on the sorted points, zero-padded and
+    put back in x's order and shape."""
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()
     order = np.argsort(flat, kind="stable")
-    out = np.empty(flat.shape, dtype=np.complex128)
-    out[order] = state_kernel_block(flat[order], [n], log_norm, gauss_re, gauss_im,
-                                    scale, x_shift, k_lin, phase0, 0.0)[0]
+    rows, a = state_kernel_window(flat[order], [n], log_norm, gauss_re, gauss_im,
+                                  scale, x_shift, k_lin, phase0, 0.0)
+    out = np.zeros(flat.shape, dtype=np.complex128)
+    out[order[a:a + rows.shape[-1]]] = rows[0]
     return out.reshape(x.shape)
 
 
-def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
-                       k_lin, phase0, dphase, depth=None):
+def state_kernel_window(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
+                        k_lin, phase0, dphase, depth=None):
     """Eigenstate samples of the requested orders on the ascending grid x,
     from one recurrence that runs to max(orders), for one time slice or a
-    stack of them.
+    stack of them, kept on the union of the slices' cutoff windows:
+    (rows, offset), rows[..., j] the samples at x[offset + j], and every
+    sample at the columns of x outside [offset, offset + rows.shape[-1]) an
+    exact zero.  The union is empty (no columns, offset 0) when every slice
+    lies below its floor.
 
     With d = x - x_shift and xi = scale * d, row i holds order k = orders[i]:
 
@@ -177,9 +182,9 @@ def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
 
     where h_k = H_k / sqrt(2^k k! sqrt(pi)) is the normalised Hermite
     polynomial.  The eight slice parameters (log_norm .. dphase) are all
-    scalars, giving one slice's (len(orders), len(x)) rows, or all 1-D
-    sequences of S slices, giving (S, len(orders), len(x)), entry s the
-    rows of slice s.
+    scalars, giving one slice's (len(orders), W) rows, or all 1-D
+    sequences of S slices, giving (S, len(orders), W), entry s the rows of
+    slice s.
 
     Each slice keeps its own cutoff window: outside the cutoff radius of
     n = max(orders) around its x_shift every requested order is below
@@ -205,29 +210,11 @@ def state_kernel_block(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
     of the windows, on one row per distinct amplitude (log_norm, gauss_re,
     scale, x_shift, bitwise): slices that differ only in gauss_im, k_lin,
     phase0 or dphase share every real factor, and each then takes its own
-    phase.  Every slice's rows are bit for bit those of a one-slice call
-    with its parameters.  Orders that are not requested are stepped
-    through, not stored.
+    phase.  Every slice's rows, zero-padded to x, are bit for bit those of
+    a one-slice call with its parameters.  Orders that are not requested
+    are stepped through, not stored.  A stack of slices whose windows are
+    far narrower than x takes that much less memory than x's columns.
     """
-    x, orders, table, spans, (a, b) = _slices(x, orders, (
-        log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0, dphase), depth)
-    out = np.empty(table.shape[1:] + (len(orders), len(x)), dtype=np.complex128)
-    stack = out if table.ndim == 2 else out[np.newaxis]
-    _fill(stack[..., a:b], x[a:b], orders, table, spans)
-    stack[..., :a] = 0.0
-    stack[..., b:] = 0.0
-    return out
-
-
-def state_kernel_window(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
-                        k_lin, phase0, dphase, depth=None):
-    """state_kernel_block's rows on the union of its slices' cutoff windows
-    only: (rows, offset), where rows[..., j] is column offset + j of the
-    block, bit for bit, and every column of the block outside
-    [offset, offset + rows.shape[-1]) is an exact zero.  The union is empty
-    (no columns, offset 0) when every slice lies below its floor.  A stack
-    of slices whose windows are far narrower than x takes that much less
-    memory."""
     x, orders, table, spans, (a, b) = _slices(x, orders, (
         log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0, dphase), depth)
     rows = np.empty(table.shape[1:] + (len(orders), b - a), dtype=np.complex128)
@@ -237,7 +224,7 @@ def state_kernel_window(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
 
 def cutoff_window(x, n, log_norm, gauss_re, scale, x_shift):
     """The columns [a, b) of the ascending float64 grid x that a slice whose
-    largest order is n keeps at LOG_FLOOR (state_kernel_block without a
+    largest order is n keeps at LOG_FLOOR (state_kernel_window without a
     depth): every requested order is an exact zero on the columns outside
     them.  Empty (a == b) when the slice lies below LOG_FLOOR on all of x."""
     return _window(x, x_shift, _cutoff_radius(n, log_norm, gauss_re, scale))
@@ -278,8 +265,7 @@ def _slices(x, orders, params, depth):
 def _fill(stack, xw, orders, table, spans):
     """Write the rows of every slice into stack, (S, len(orders), W), over
     the columns xw of the union of the cutoff windows, exact zeros outside
-    each slice's own span of them: the one core of state_kernel_block and
-    state_kernel_window.
+    each slice's own span of them: the core of state_kernel_window.
 
     Slices whose amplitude (log_norm, gauss_re, scale, x_shift) is bitwise
     the same share their span and every real factor

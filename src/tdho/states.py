@@ -174,7 +174,7 @@ def state_window(spec: StateSpec, x, t, orders, depth=None):
     x[offset:offset + W], and the (len(t), len(orders), W) stack of them
     for a sequence; every other column of x is an exact zero.  depth, when
     given, zeros each slice below e^-depth of its amplitude scale
-    (state_kernel_block).
+    (state_kernel_window).
     """
     return state_kernel_window(x, orders, *_state_columns(spec, t), depth=depth)
 

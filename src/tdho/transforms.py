@@ -25,16 +25,18 @@ samples; out-of-span reads are taken as zero, which is consistent only
 because compliant grid functions are negligible at their edges (the
 boundary invariant, enforced by the sizing policy below).
 
-A GridFunction holds one state's samples, or a stack of states on the same
-grid as (rows, W) values, on a window of W columns of its grid: every other
-column holds exact zeros, and a whole-grid function is the window at
-offset 0.  Every map acts along the last axis, so one pass (one
-exp(i phase(x)), one set of Lagrange weights) serves every row, and writes
-onto a window of its own: the Lagrange read onto the columns whose image
-s x - d can reach the input's window, the source onto the columns its
-analytic map holds.  A window keeps the whole grid's x_min, dx and points,
-and every x and every Lagrange query index is computed as the whole grid
-computes it and then sliced, so each column holds the whole grid's bits.
+A GridFunction is the one window type: one state's samples, a stack of
+states on the same grid as (rows, W) values, or a stack of those over
+times, on a window of W columns of its grid.  Every other column holds
+exact zeros, and a whole-grid function is the window at offset 0.  Every
+map acts along the last axis, so one pass (one exp(i phase(x)), one set of
+Lagrange weights) serves every row, and writes onto a window of its own:
+the Lagrange read onto the columns whose image s x - d can reach the
+input's window, the source onto the columns its analytic map holds.  A
+window keeps the whole grid's x_min, dx and points, and every x and every
+Lagrange query index is computed as the whole grid computes it and then
+sliced, so each column holds the whole grid's bits.  A kernel window
+(rows, offset) on a grid's points becomes one through _grid_window.
 """
 
 from __future__ import annotations
@@ -88,11 +90,14 @@ class Grid:
 
 
 class GridFunction:
-    """Complex samples at x_i = x_min + i dx, i = 0 .. points - 1, for one
-    time slice: one state's (W,) values or a stack of states' (rows, W)
-    values on the columns offset .. offset + W - 1 of the grid, every other
-    column an exact zero.  By default the window is the whole grid (offset
-    0, points = W).
+    """Complex samples at x_i = x_min + i dx, i = 0 .. points - 1, on the
+    columns offset .. offset + W - 1 of the grid, every other column an
+    exact zero.  By default the window is the whole grid (offset 0,
+    points = W).  values are one state's (W,) samples or a stack of
+    states' (rows, W) at the time t; with t a sequence of times, values
+    hold one such entry per time along their first axis.  Indexing or
+    iterating gives entry j of that axis, a view of values on the same
+    window: time j of a stack over times, else row j at t.
 
     `source`, when present, is the analytic map the samples came from: called
     with ascending query points x, it returns a window on them, (rows,
@@ -107,7 +112,7 @@ class GridFunction:
         values = np.asarray(values, dtype=np.complex128)
         width = values.shape[-1] if values.ndim else 0
         points = width if points is None else int(points)
-        if values.ndim not in (1, 2) or points < 16:
+        if values.ndim not in (1, 2, 3) or points < 16:
             raise ValueError("need 1-D or (rows, points) values of at least 16 samples")
         if not 0 <= offset <= points - width:
             raise ValueError(f"a window of {width} columns at offset {offset} "
@@ -117,7 +122,8 @@ class GridFunction:
         self.x_min = float(x_min)
         self.dx = float(dx)
         self.values = values
-        self.t = float(t)
+        sequence = isinstance(t, (list, tuple, np.ndarray))
+        self.t = tuple(map(float, t)) if sequence else float(t)
         self.hbar = float(hbar)
         self.source = source
         self.offset = int(offset)
@@ -135,19 +141,41 @@ class GridFunction:
         """The whole grid's last sample point."""
         return self.x_min + self.dx * (self.points - 1)
 
-    def on_grid(self) -> GridFunction:
-        """This function on its whole grid: itself when its window is the
-        whole grid, else a copy with the zeros around the window filled in."""
-        width = self.values.shape[-1]
-        if width == self.points:
-            return self
-        values = np.zeros(self.values.shape[:-1] + (self.points,), dtype=np.complex128)
-        values[..., self.offset:self.offset + width] = self.values
-        return GridFunction(self.x_min, self.dx, values, self.t, self.hbar, self.source)
+    def __getitem__(self, j) -> GridFunction:
+        t = self.t[j] if isinstance(self.t, tuple) else None
+        return self._with(self.values[j], t=t)
 
-    def _with(self, values, source, offset):
-        return GridFunction(self.x_min, self.dx, values, self.t, self.hbar, source,
-                            offset, self.points)
+    def __iter__(self):
+        return (self[j] for j in range(len(self.values)))
+
+    def columns(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The grid columns lo .. hi - 1 (by default all of them) of the
+        values, zeros outside the window: a view of values when the window
+        holds every one, else a copy."""
+        hi = self.points if hi is None else hi
+        offset, width = self.offset, self.values.shape[-1]
+        if offset <= lo and hi <= offset + width:
+            return self.values[..., lo - offset:hi - offset]
+        out = np.zeros(self.values.shape[:-1] + (hi - lo,), dtype=np.complex128)
+        a, b = max(lo, offset), min(hi, offset + width)
+        if a < b:
+            out[..., a - lo:b - lo] = self.values[..., a - offset:b - offset]
+        return out
+
+    def _with(self, values, source=None, offset=None, t=None) -> GridFunction:
+        """values on this function's grid, by default at its offset and t."""
+        return GridFunction(self.x_min, self.dx, values, self.t if t is None else t,
+                            self.hbar, source, self.offset if offset is None else offset,
+                            self.points)
+
+
+def _grid_window(grid: Grid, window, t, hbar: float = 1.0) -> GridFunction:
+    """A kernel window (rows, offset) on the points of grid, as the
+    GridFunction of rows at t (one time, or one per entry of rows' first
+    axis)."""
+    rows, offset = window
+    return GridFunction(grid.x_min, grid.dx, rows, t, hbar, offset=offset,
+                        points=grid.points)
 
 
 def sample_on_grid(field, grid: Grid, t, attach_source: bool = True) -> GridFunction:
@@ -198,11 +226,10 @@ def _lagrange_eval(g: GridFunction, xq: np.ndarray):
         [np.prod(d[:, offsets != k], axis=1) for k in range(6)], axis=1
     ) / _LAGRANGE_DENOM
     del d
-    # the window on the columns the stencils read, zero-padded
-    base, top = int(first[0]), int(first[-1]) + 6
-    padded = np.zeros(g.values.shape[:-1] + (top - base,), dtype=np.complex128)
-    a, b = max(lo, base), min(hi, top)
-    padded[..., a - base:b - base] = g.values[..., a - lo:b - lo]
+    # the columns the stencils read, zeros around the window; contiguous,
+    # as np.take copies a strided input on every call
+    base = int(first[0])
+    padded = np.ascontiguousarray(g.columns(base, int(first[-1]) + 6))
     first -= base
     # summed term by term, in one order for every row; each term is read
     # into one buffer

@@ -39,23 +39,24 @@ check_transform_equivalence, state_field and the CLI's state dump read at
 full depth.
 
 So at high order most of the grid holds exact zeros, and no read of the
-suite stores them: every block lives on the kernel's cutoff window, as
-(rows, offset) from state_window or closed_form_window, the union of its
-slices' cutoff windows, whose outside columns are the exact zeros a
-whole-grid block holds.  The reductions run on the states' support
-window (_support), read from the stored values, not from the kernel's
-cutoff, so any nonzero sample (NaN and inf too) lies inside it: the
-residual's stencils and norms, the Gram product, the closed-form
-distance, the stationarity drift and the chain's norms.  Two windows
-meet on the union of their supports, each read there with zeros around
-it (_columns).  Zeros add nothing to a sum, a norm or a maximum, so the
-support window moves results by rounding only: the order of summation
-changes.  The residual's window is 8 columns wider, so the five-point
-stencils and their zeroed edges read on it what they read on the whole
-grid.  The chain's maps write onto windows of their own (see
-tdho.transforms), each column holding the whole grid's bits.  The
-stationarity drifts reduce with the whole grid's Simpson weights, sliced
-at the window's offset, so they are the whole-grid drifts bit for bit.
+suite stores them: every block it reads is a GridFunction (see
+tdho.transforms) on the kernel's cutoff window, the union of its slices'
+cutoff windows, whose outside columns are the exact zeros a whole-grid
+block holds.  A block over several times is one stack, and each time's
+window is a view of it.  The reductions run on the states' support window
+(_support), read from the stored values, not from the kernel's cutoff, so
+any nonzero sample (NaN and inf too) lies inside it: the residual's
+stencils and norms, the Gram product, the closed-form distance, the
+stationarity drift and the chain's norms.  Two windows meet on the union
+of their supports, each read there with zeros around it
+(GridFunction.columns).  Zeros add nothing to a sum, a norm or a maximum,
+so the support window moves results by rounding only: the order of
+summation changes.  The residual's window is 8 columns wider, so the
+five-point stencils and their zeroed edges read on it what they read on
+the whole grid.  The chain's maps write onto windows of their own, each
+column holding the whole grid's bits.  The stationarity drifts reduce
+with the whole grid's Simpson weights on the support's columns, so they
+are the whole-grid drifts bit for bit.
 
 Moments and their DFT read the whole grid: uncertainty pads each row of
 its windows with zeros to it.  Orthonormality's resolution guard
@@ -85,6 +86,7 @@ from .transforms import (
     GridFunction,
     GridTooSmallError,
     _edge_ratio,
+    _grid_window,
     apply_U0_dagger,
     apply_UF,
     sample_on_grid,
@@ -137,55 +139,30 @@ def _nondegenerate(size, name: str, where: str, undefined: str):
     return size
 
 
-def _support(*windows, margin: int = 0) -> slice:
-    """The slice of grid columns outside which every window (rows, offset),
-    rows[..., j] being column offset + j, is exactly zero, widened by
-    margin columns each way: clipped at column 0, and at the grid's end by
-    the caller's .indices(points); the whole grid when every sample is
-    zero.  It is read from the values, one float64 view of each window
-    scanned for != 0 and OR-reduced over its rows, so NaN, inf and any
-    sample a code path leaves nonzero count."""
+def _support(*windows: GridFunction, margin: int = 0) -> slice:
+    """The slice of grid columns outside which every window is exactly
+    zero, widened by margin columns each way: clipped at column 0, and at
+    the grid's end by the caller's .indices(points); the whole grid when
+    every sample is zero.  It is read from the values, one float64 view of
+    each window scanned for != 0 and OR-reduced over its rows, so NaN, inf
+    and any sample a code path leaves nonzero count."""
     first, stop = None, None
-    for block, offset in windows:
-        block = np.asarray(block)
-        if not block.size:
+    for g in windows:
+        if not g.values.size:
             continue
-        wide = np.iscomplexobj(block)
-        flat = np.ascontiguousarray(block, np.complex128 if wide else np.float64)
-        flat = flat.view(np.float64)
+        flat = np.ascontiguousarray(g.values).view(np.float64)
         live = np.logical_or.reduce(flat.reshape(-1, flat.shape[-1]) != 0.0, axis=0)
-        if wide:  # a column is live where its real or its imaginary part is
-            live = live.view(np.uint16) != 0
+        # a column is live where its real or its imaginary part is
+        live = live.view(np.uint16) != 0
         lo = int(np.argmax(live))
         if not live[lo]:
             continue
-        hi = offset + live.size - int(np.argmax(live[::-1]))
-        first = offset + lo if first is None else min(first, offset + lo)
+        hi = g.offset + live.size - int(np.argmax(live[::-1]))
+        first = g.offset + lo if first is None else min(first, g.offset + lo)
         stop = hi if stop is None else max(stop, hi)
     if first is None:
         return slice(None)
     return slice(max(first - margin, 0), stop + margin)
-
-
-def _columns(window, lo: int, hi: int):
-    """The grid columns lo .. hi - 1 of a window (rows, offset): a view of
-    rows when it holds them all, else a copy with zeros in the columns
-    outside it."""
-    rows, offset = window
-    width = rows.shape[-1]
-    if offset <= lo and hi <= offset + width:
-        return rows[..., lo - offset:hi - offset]
-    out = np.zeros(rows.shape[:-1] + (hi - lo,), dtype=rows.dtype)
-    a, b = max(lo, offset), min(hi, offset + width)
-    if a < b:
-        out[..., a - lo:b - lo] = rows[..., a - offset:b - offset]
-    return out
-
-
-def _per_time(window):
-    """The windows (rows, offset) of each time of a stacked window."""
-    stack, offset = window
-    return [(rows, offset) for rows in stack]
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +224,14 @@ def simpson(y, dx: float):
 def norm(g: GridFunction) -> float:
     """L2 norm sqrt(∫|psi|^2 dx) by composite Simpson quadrature over the
     whole grid."""
-    return math.sqrt(float(simpson(np.abs(g.on_grid().values) ** 2, dx=g.dx)))
+    return math.sqrt(float(simpson(np.abs(g.columns()) ** 2, dx=g.dx)))
 
 
 def inner_product(g1: GridFunction, g2: GridFunction) -> complex:
     """⟨g1|g2⟩ = ∫ conj(g1) g2 dx by composite Simpson quadrature over the
     whole grid."""
     _check_same_grid(g1, g2)
-    integrand = np.conj(g1.on_grid().values) * g2.on_grid().values
+    integrand = np.conj(g1.columns()) * g2.columns()
     return complex(
         simpson(integrand.real, dx=g1.dx) + 1j * simpson(integrand.imag, dx=g1.dx)
     )
@@ -281,7 +258,7 @@ def _resolved_spectrum(g: GridFunction, what: str) -> np.ndarray:
     BOUNDARY_RATIO of its peak (GridTooSmallError).  A window of the grid
     is read zero-padded to the whole grid.
     """
-    values = g.on_grid().values
+    values = g.columns()
     points = values.shape[-1]
     _nondegenerate(np.sum(np.abs(values) ** 2, axis=-1), f"{what}: ‖psi‖²",
                    f" at t = {g.t}", "its sum over the grid")
@@ -303,21 +280,19 @@ def _resolved_spectrum(g: GridFunction, what: str) -> np.ndarray:
     return spectrum
 
 
-def _nyquist_bins(live, offset: int, points: int) -> np.ndarray:
-    """The DFT bins P//2 - 1, P//2 and P//2 + 1 of each row of a block on
-    `points` columns that holds live at columns offset .. offset + W and
-    zeros elsewhere: (rows, 3) direct sums over the live columns."""
-    jk = np.outer(np.arange(offset, offset + live.shape[-1]),
-                  np.arange(-1, 2) + points // 2)
+def _nyquist_bins(g: GridFunction) -> np.ndarray:
+    """The DFT bins P//2 - 1, P//2 and P//2 + 1 over the P points of g's
+    grid of each row of g: (rows, 3) direct sums over its window, as its
+    other columns hold zeros."""
+    jk = np.outer(np.arange(g.offset, g.offset + g.values.shape[-1]),
+                  np.arange(-1, 2) + g.points // 2)
     # angles 2 pi (jk mod P) / P, within one turn
-    return live @ np.exp(-2j * math.pi / points * (jk % points))
+    return g.values @ np.exp(-2j * math.pi / g.points * (jk % g.points))
 
 
-def _resolved_window(live, offset: int, grid: Grid, t, what: str):
-    """Refuse live, the columns offset .. offset + W of a block of rows on
-    grid that is exactly zero on its other columns, as _resolved_spectrum
-    refuses that block, without the grid's DFT when the rows show
-    themselves resolved.
+def _resolved_window(g: GridFunction, what: str):
+    """Refuse the rows of g as _resolved_spectrum refuses them, without the
+    grid's DFT when they show themselves resolved.
 
     They do when every row's ‖psi‖² is finite and positive, the grid's
     edge columns 0, 1, P - 2 and P - 1 that lie in the window (the others
@@ -325,18 +300,17 @@ def _resolved_window(live, offset: int, grid: Grid, t, what: str):
     bins around the Nyquist wavenumber, each a direct sum over the window:
     by Parseval the DFT's peak is at least ‖psi‖₂ (sum_k |psi^_k|² =
     P sum_j |psi_j|²), so band / ‖psi‖₂ bounds band / peak from above.
-    Otherwise _resolved_spectrum decides on the zero-padded block, with its
+    Otherwise _resolved_spectrum decides on the zero-padded rows, with its
     refusals and messages.
     """
-    norm2 = np.sum(np.abs(live) ** 2, axis=-1)
+    norm2 = np.sum(np.abs(g.values) ** 2, axis=-1)
     resolved = (bool(np.all(np.isfinite(norm2) & (norm2 > 0.0)))
-                and _edge_ratio(live, offset, grid.points) < BOUNDARY_RATIO)
+                and _edge_ratio(g.values, g.offset, g.points) < BOUNDARY_RATIO)
     if resolved:
-        band = np.max(np.abs(_nyquist_bins(live, offset, grid.points)), axis=-1)
+        band = np.max(np.abs(_nyquist_bins(g)), axis=-1)
         resolved = float(np.max(band / np.sqrt(norm2))) < BOUNDARY_RATIO
     if not resolved:
-        _resolved_spectrum(GridFunction(grid.x_min, grid.dx, live, t, offset=offset,
-                                        points=grid.points), what)
+        _resolved_spectrum(g, what)
 
 
 def moments(g: GridFunction) -> MomentReport:
@@ -353,7 +327,7 @@ def moments(g: GridFunction) -> MomentReport:
     """
     if g.values.ndim != 1:
         raise ValueError("moments takes one state's (points,) samples, not a stack")
-    g = g.on_grid()
+    g = g._with(g.columns(), offset=0)
     spectrum = _resolved_spectrum(g, "moments")
     density = np.abs(g.values) ** 2
     n2 = float(np.sum(density))
@@ -430,12 +404,12 @@ def _residual_once(model, x, dx, points, t, dt, hbar, psi, d1, d2):
     return np.linalg.norm(o_psi, axis=-1) / h_norm
 
 
-def _residual_pair(model, x, t, dt, hbar, centre, stencil):
-    """(fine, coarse) residuals of the rows of centre, a window (rows,
-    offset) of the state at t on the grid x, with stencil the window of the
-    stack of its rows at t + k dt for each k in _STENCIL_STEPS[1:], in that
-    order.  The coarse stencil steps (2dt, 2dx): it reads every other
-    sample at t, t ± 2dt, t ± 4dt.  The windows are only read.
+def _residual_pair(model, x, t, dt, centre: GridFunction, stencil: GridFunction):
+    """(fine, coarse) residuals of the rows of centre, the state at t on
+    the grid x, with stencil the stack of its rows at t + k dt for each k in
+    _STENCIL_STEPS[1:], in that order.  The coarse stencil steps (2dt, 2dx):
+    it reads every other sample at t, t ± 2dt, t ± 4dt.  The windows are
+    only read.
 
     Both stencils run on one window of columns outside which all seven rows
     are zero (_support), widened by 8 columns: four zero samples of the
@@ -446,13 +420,15 @@ def _residual_pair(model, x, t, dt, hbar, centre, stencil):
     reads the same samples as on the full grid."""
     lo, hi, _ = _support(centre, stencil, margin=8).indices(len(x))
     even = lo - lo % 2
-    rows, offset = stencil
-    psi = _columns(centre, even, hi)
-    d1, d2, d4 = _columns((rows[0::2] - rows[1::2], offset), even, hi)
-    fine = _residual_once(model, x[lo:hi], x[1] - x[0], len(x), t, dt, hbar,
+    rows = stencil.values
+    psi = centre.columns(even, hi)
+    # the differences on their window live only until they are padded
+    d1, d2, d4 = centre._with(rows[0::2] - rows[1::2],
+                              offset=stencil.offset).columns(even, hi)
+    fine = _residual_once(model, x[lo:hi], x[1] - x[0], len(x), t, dt, centre.hbar,
                           *(a[..., lo - even:] for a in (psi, d1, d2)))
     coarse = _residual_once(model, x[::2][lo // 2:(hi + 1) // 2], x[2] - x[0],
-                            len(x[::2]), t, 2 * dt, hbar,
+                            len(x[::2]), t, 2 * dt, centre.hbar,
                             *(a[..., ::2] for a in (psi, d2, d4)))
     return fine, coarse
 
@@ -462,7 +438,8 @@ def _order(fine, coarse) -> float:
     return math.log2(coarse / fine) if fine > 0 else float("inf")
 
 
-def schrodinger_residual(field, model, grid, t, dt=None, hbar=None) -> ResidualReport:
+def schrodinger_residual(field, model, grid: Grid, t, dt=None,
+                         hbar=None) -> ResidualReport:
     """Relative L2 residual ‖(i hbar ∂t - H) psi‖ / ‖H psi‖ at time t.
 
     The time derivative differences fresh analytic field evaluations at
@@ -472,13 +449,15 @@ def schrodinger_residual(field, model, grid, t, dt=None, hbar=None) -> ResidualR
     estimate.
     """
     hbar = getattr(field, "hbar", 1.0) if hbar is None else hbar
-    x = grid.xs() if isinstance(grid, Grid) else np.asarray(grid, dtype=float)
+    x = grid.xs()
     if dt is None:
         dt = _residual_dt(model)
     _check_stencil_domain(model, t, dt)
-    at = [np.asarray(field(x, t + k * dt), dtype=np.complex128) for k in _STENCIL_STEPS]
-    fine, coarse = (float(r) for r in _residual_pair(model, x, t, dt, hbar, (at[0], 0),
-                                                     (np.stack(at[1:]), 0)))
+    times = [t + k * dt for k in _STENCIL_STEPS]
+    at = [field(x, s) for s in times]
+    centre = GridFunction(grid.x_min, grid.dx, at[0], t, hbar)
+    stencil = centre._with(np.stack(at[1:]), t=times[1:])
+    fine, coarse = (float(r) for r in _residual_pair(model, x, t, dt, centre, stencil))
     return ResidualReport(
         rel_l2_residual=fine,
         points=len(x),
@@ -501,16 +480,14 @@ def check_omega_constancy(basis) -> float:
     return float(np.max(np.abs(vals - basis.omega)) / abs(basis.omega))
 
 
-def _chain_distance(driven, t, g0: GridFunction, direct):
-    """Relative L2 distance between U_F U0_dagger g0 and the direct samples,
-    a window (rows, offset) on g0's grid, one per row of g0 and direct,
-    over the columns where either is nonzero (_support)."""
+def _chain_distance(driven, t, g0: GridFunction, direct: GridFunction):
+    """Relative L2 distance between U_F U0_dagger g0 and the direct samples
+    on g0's grid, one per row of g0 and direct, over the columns where
+    either is nonzero (_support)."""
     model = driven.model
-    g1 = apply_U0_dagger(model, t, g0)
-    g2 = apply_UF(model, driven, t, g1)
-    chained = (g2.values, g2.offset)
+    chained = apply_UF(model, driven, t, apply_U0_dagger(model, t, g0))
     lo, hi, _ = _support(chained, direct).indices(g0.points)
-    chained, direct = _columns(chained, lo, hi), _columns(direct, lo, hi)
+    chained, direct = chained.columns(lo, hi), direct.columns(lo, hi)
     direct_norm = _nondegenerate(np.linalg.norm(direct, axis=-1), "direct ‖psi‖",
                                  f" at t = {t} on {g0.points} points",
                                  "the chain distance")
@@ -530,34 +507,33 @@ def check_transform_equivalence(
         driven = null_driven(basis.model)
     spec0 = StateSpec(n, hbar, reduced_basis(basis))
     g0 = sample_on_grid(state_field(spec0), grid, t, attach_source=exact)
-    direct = np.asarray(state_field(StateSpec(n, hbar, basis, driven))(g0.x, t))
-    return float(_chain_distance(driven, t, g0, (direct, 0)))
+    direct = state_field(StateSpec(n, hbar, basis, driven))(g0.x, t)
+    return float(_chain_distance(driven, t, g0, g0._with(direct)))
 
 
-def _max_drift(base, later, dx, weights):
+def _max_drift(base: GridFunction, later, dx):
     """Max L1 distance of |psi|^2 from base's over the states psi in later,
-    one per row of base.  Each drift is the Simpson rule over the columns
-    where either state is nonzero (_support), with weights, the whole
-    grid's Simpson weights sliced to the columns the states are stored on.
-    A NaN drift stays NaN."""
-    worst = np.zeros(base.shape[:-1])
+    one per row of base.  Each drift is the whole grid's Simpson rule, its
+    samples dx apart, over the columns where either state is nonzero
+    (_support).  A NaN drift stays NaN."""
+    weights = _unit_simpson_weights(base.points)
+    worst = np.zeros(base.values.shape[:-1])
     for psi in later:
-        cols = _support((base, 0), (psi, 0))
-        dens = np.abs(psi[..., cols]) ** 2 - np.abs(base[..., cols]) ** 2
-        worst = np.maximum(worst, dx * (np.abs(dens) @ weights[cols]))
+        lo, hi, _ = _support(base, psi).indices(base.points)
+        dens = np.abs(psi.columns(lo, hi)) ** 2 - np.abs(base.columns(lo, hi)) ** 2
+        worst = np.maximum(worst, dx * (np.abs(dens) @ weights[lo:hi]))
     return worst
 
 
-def check_stationarity(field, grid, times):
+def check_stationarity(field, grid: Grid, times):
     """Max L1 distance of |psi|^2 from its value at times[0]: a float, or one
     per row when field returns (rows, points) values.  Each drift is the
     Simpson rule of the whole grid over the columns where either state is
     nonzero (_support)."""
-    x = grid.xs() if isinstance(grid, Grid) else np.asarray(grid, dtype=float)
-    times = np.asarray(times, dtype=float)
-    base = np.asarray(field(x, times[0]))
-    worst = _max_drift(base, (np.asarray(field(x, t)) for t in times[1:]), x[1] - x[0],
-                       _unit_simpson_weights(len(x)))
+    x = grid.xs()
+    states = (GridFunction(grid.x_min, grid.dx, field(x, t), t)
+              for t in np.asarray(times, dtype=float))
+    worst = _max_drift(next(states), states, x[1] - x[0])
     return float(worst) if worst.ndim == 0 else worst
 
 
@@ -597,10 +573,20 @@ DEFAULT_THRESHOLDS = {
 READ_DEPTH = 80.0
 
 
-def state_window(spec: StateSpec, x, t, orders):
-    """tdho.states.state_window read to READ_DEPTH: (rows, offset).  Every
-    block of a state over a basis that the suite reads comes from here."""
-    return _state_window(spec, x, t, orders, depth=READ_DEPTH)
+def state_window(spec: StateSpec, grid: Grid, t, orders) -> GridFunction:
+    """tdho.states.state_window on grid's points, read to READ_DEPTH, as a
+    GridFunction at t.  Every block of a state over a basis that the suite
+    reads on its grid comes from here."""
+    return _grid_window(grid, _state_window(spec, grid.xs(), t, orders, depth=READ_DEPTH),
+                        t, spec.hbar)
+
+
+def _closed_forms(ctx, times) -> GridFunction:
+    """The closed form of ctx.ns with C = ctx.closed_form_C at each of
+    times (closed_form_window) on ctx.grid, read to READ_DEPTH."""
+    return _grid_window(ctx.grid, closed_form_window(
+        ctx.model, ctx.closed_form_C, ctx.ns, ctx.hbar, ctx.grid.xs(), times,
+        depth=READ_DEPTH), times, ctx.hbar)
 
 
 @dataclass
@@ -677,9 +663,9 @@ def _run_residual(ctx: SuiteContext, rows) -> list:
     xs = ctx.grid.xs()
     spec = ctx.state(max(ctx.ns))
     per_t = []
-    for t, centre in zip(ctx.times, _per_time(rows())):
-        fine, coarse = _residual_pair(model, xs, t, dt, ctx.hbar, centre, state_window(
-            spec, xs, [t + k * dt for k in _STENCIL_STEPS[1:]], ctx.ns))
+    for t, centre in zip(ctx.times, rows()):
+        fine, coarse = _residual_pair(model, xs, t, dt, centre, state_window(
+            spec, ctx.grid, [t + k * dt for k in _STENCIL_STEPS[1:]], ctx.ns))
         per_t.append([(float(f), float(c)) for f, c in zip(fine, coarse)])
     return [CheckResult("residual",
                         {"n": n, "t": t, "order": round(_order(fine, coarse), 2)},
@@ -722,15 +708,11 @@ def _run_transform_chain(ctx: SuiteContext, rows) -> list:
     driven = ctx.driven if ctx.driven is not None else null_driven(ctx.model)
     n_top = max(ctx.ns)
     companion = StateSpec(n_top, ctx.hbar, reduced_basis(ctx.basis))
-    grid = ctx.grid
     per_t = []
-    companions = state_window(companion, grid.xs(), ctx.times, ctx.ns)
-    for t, direct, (values, offset) in zip(ctx.times, _per_time(rows()),
-                                           _per_time(companions)):
-        g0 = GridFunction(grid.x_min, grid.dx, values, t, ctx.hbar, offset=offset,
-                          points=grid.points)
+    companions = state_window(companion, ctx.grid, ctx.times, ctx.ns)
+    for t, direct, g0 in zip(ctx.times, rows(), companions):
         g0_exact = g0._with(g0.values, functools.partial(
-            state_window, companion, t=t, orders=ctx.ns), offset)
+            _state_window, companion, t=t, orders=ctx.ns, depth=READ_DEPTH))
         interp = _chain_distance(driven, t, g0, direct)
         exact = _chain_distance(driven, t, g0_exact, direct)
         per_t.append([(float(i), float(e)) for i, e in zip(interp, exact)])
@@ -752,25 +734,16 @@ def _run_closed_form(ctx: SuiteContext, rows) -> list:
     C = ctx.closed_form_C
     if C is None:
         raise ValueError("closed_form_agreement needs the closed-form C of the scenario")
-    xs = ctx.grid.xs()
     blocks = rows() if ctx.driven is None else state_window(
-        ctx.state(max(ctx.ns), driven=null_driven(ctx.model)), xs, ctx.times, ctx.ns)
-    closed = closed_form_window(ctx.model, C, ctx.ns, ctx.hbar, xs, ctx.times,
-                                depth=READ_DEPTH)
+        ctx.state(max(ctx.ns), driven=null_driven(ctx.model)), ctx.grid, ctx.times,
+        ctx.ns)
     per_t = []
-    for wanted, block in zip(_per_time(closed), _per_time(blocks)):
-        lo, hi, _ = _support(wanted, block).indices(len(xs))
+    for wanted, block in zip(_closed_forms(ctx, ctx.times), blocks):
+        lo, hi, _ = _support(wanted, block).indices(ctx.grid.points)
         per_t.append([phase_aligned_distance(want, row) for want, row in
-                      zip(_columns(wanted, lo, hi), _columns(block, lo, hi))])
+                      zip(wanted.columns(lo, hi), block.columns(lo, hi))])
     return [CheckResult("closed_form_agreement", {"n": n, "t": t}, d, tol)
             for n, t, d in _n_then_t(ctx, per_t)]
-
-
-def _block_moments(window, grid: Grid, t, hbar) -> list:
-    """moments of each row of one window (rows, offset) at t on grid."""
-    rows, offset = window
-    return [moments(GridFunction(grid.x_min, grid.dx, row, t, hbar, offset=offset,
-                                 points=grid.points)) for row in rows]
 
 
 def _run_uncertainty(ctx: SuiteContext, rows) -> list:
@@ -781,14 +754,12 @@ def _run_uncertainty(ctx: SuiteContext, rows) -> list:
     tol = DEFAULT_THRESHOLDS["uncertainty"]
     if ctx.driven is None:
         raise ValueError("uncertainty check needs a driven scenario")
-    grid = ctx.grid
     plain = state_window(ctx.state(max(ctx.ns), driven=null_driven(ctx.model)),
-                         grid.xs(), ctx.times, ctx.ns)
+                         ctx.grid, ctx.times, ctx.ns)
     per_t = []
-    for t, driven_block, plain_block in zip(ctx.times, _per_time(rows()),
-                                            _per_time(plain)):
-        m_driven = _block_moments(driven_block, grid, t, ctx.hbar)
-        m_plain = _block_moments(plain_block, grid, t, ctx.hbar)
+    for t, driven_rows, plain_rows in zip(ctx.times, rows(), plain):
+        m_driven = [moments(row) for row in driven_rows]
+        m_plain = [moments(row) for row in plain_rows]
         xp, dxp, _ = (float(q) for q in ctx.driven.slice(t))
         p_shift = float(ctx.model.mass(t)) * dxp
         per_t.append([
@@ -860,17 +831,16 @@ def _run_orthonormality(ctx: SuiteContext, rows) -> list:
     tol = DEFAULT_THRESHOLDS["orthonormality"]
     n_max = ctx.orthonormality_nmax
     grid = ctx.grid
-    xs = grid.xs()
     lower = np.tril_indices(n_max + 1, -1)
     spec = ctx.state(n_max)
     errs = []
     for t in ctx.times:
-        window = state_window(spec, xs, t, range(n_max + 1))
+        window = state_window(spec, grid, t, range(n_max + 1))
         lo, hi, _ = _support(window).indices(grid.points)
         # a contiguous copy: the product of the strided window raised the
         # peak RSS of a high-order pass by 0.9 MB
-        live = np.ascontiguousarray(_columns(window, lo, hi))
-        _resolved_window(live, lo, grid, t, "orthonormality")
+        live = np.ascontiguousarray(window.columns(lo, hi))
+        _resolved_window(window._with(live, offset=lo), "orthonormality")
         err = np.abs(grid.dx * (np.conj(live) @ live.T) - np.eye(n_max + 1))
         err[lower] = -1.0  # each pair once, m <= n
         errs.append(err)
@@ -900,18 +870,16 @@ def _run_stationarity(ctx: SuiteContext, rows) -> list:
         probes = np.linspace(0.0, 2.0 * math.pi / model.w1, 9)
     else:
         probes = [s for t in ctx.times[:3] for s in (t, t + period)] + [0.0, 0.5 * period]
-    xs = ctx.grid.xs()
-    stack, offset = closed_form_window(model, C, ctx.ns, ctx.hbar, xs, probes,
-                                       depth=READ_DEPTH)
+    stack = _closed_forms(ctx, probes)
     # a state the grid misses has no column in the window, and its drift
     # would read 0.0; Σ|psi|² from the float view makes no stack-sized temporary
-    parts = stack.view(np.float64)
+    parts = stack.values.view(np.float64)
     _nondegenerate(np.einsum("...j,...j->...", parts, parts), "stationarity: ‖psi‖²",
-                   f" on {len(xs)} points", "its drift")
-    weights = _unit_simpson_weights(len(xs))[offset:offset + stack.shape[-1]]
+                   f" on {stack.points} points", "its drift")
+    xs = ctx.grid.xs()
 
     def probe_drift(first, stop):  # of probes first + 1 .. stop - 1 from probe first
-        return _max_drift(stack[first], stack[first + 1:stop], xs[1] - xs[0], weights)
+        return _max_drift(stack[first], stack[first + 1:stop], xs[1] - xs[0])
 
     if C == 1.0:
         tol = DEFAULT_THRESHOLDS["stationarity"]
@@ -969,7 +937,7 @@ def run_suite(ctx: SuiteContext, checks) -> list:
                 f"unknown check {name!r}; available: {', '.join(CHECK_NAMES)}"
             )
     rows = functools.cache(
-        lambda: state_window(ctx.state(max(ctx.ns)), ctx.grid.xs(), ctx.times, ctx.ns))
+        lambda: state_window(ctx.state(max(ctx.ns)), ctx.grid, ctx.times, ctx.ns))
     results = []
     for name in sorted(checks):
         results.extend(_CHECK_RUNNERS[name](ctx, rows))

@@ -7,6 +7,7 @@ suite fast without weakening any tolerance.
 import numpy as np
 import pytest
 
+from tdho._kernels import state_kernel_window
 from tdho.classical import (
     analytic_basis_ck,
     analytic_basis_sho,
@@ -77,3 +78,17 @@ def driven_ck():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(42)
+
+
+def on_grid(window, points):
+    """A kernel window (rows, offset) zero-padded to the whole grid of
+    points columns."""
+    rows, offset = window
+    block = np.zeros(rows.shape[:-1] + (points,), dtype=rows.dtype)
+    block[..., offset:offset + rows.shape[-1]] = rows
+    return block
+
+
+def kernel_block(x, orders, *params, depth=None):
+    """state_kernel_window's rows zero-padded to the whole of x."""
+    return on_grid(state_kernel_window(x, orders, *params, depth=depth), len(x))

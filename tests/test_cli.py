@@ -33,7 +33,7 @@ from tdho.models import LoDampedPulsating
 from tdho.ode import ODEError
 from tdho.scenarios import BUNDLED, scenario_path
 from tdho.states import StateSpec, state_cutoff, state_field
-from tdho.transforms import Grid, _edge_ratio
+from tdho.transforms import Grid, GridFunction, _edge_ratio
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -576,10 +576,11 @@ def test_verify_numerical_error_exit_2(monkeypatch, capsys, error):
     assert err.startswith("numerical error: ") and err.count("\n") == 1
 
 
-def _zero_window(spec, x, t, orders):
+def _zero_window(spec, grid, t, orders):
     """state_window's zero rows on the whole grid (offset 0): (len(orders),
-    len(x)) at a scalar t, one such block per time for a sequence of times."""
-    return np.zeros(np.shape(t) + (len(orders), len(x)), dtype=np.complex128), 0
+    points) at a scalar t, one such block per time for a sequence of times."""
+    return GridFunction(grid.x_min, grid.dx,
+                        np.zeros(np.shape(t) + (len(orders), grid.points)), t)
 
 
 def test_verify_degenerate_state_is_numerical_error(monkeypatch, capsys):

@@ -28,6 +28,8 @@ from tdho.states import (
 from tdho.transforms import policy_grid, sample_on_grid
 from tdho.verify import norm
 
+from conftest import kernel_block, on_grid
+
 
 def test_backend_is_declared():
     assert tdho.kernel_backend == "numpy"
@@ -68,7 +70,7 @@ def test_hermite_known_values():
 def test_state_kernel_matches_direct_formula(rng):
     """Random kernel parameters against a literal transcription, for one
     order through state_kernel and for several, each with its own phase
-    k * dphase, through state_kernel_block; the kernel carries the
+    k * dphase, through state_kernel_window zero-padded; the kernel carries the
     normalised h_n = H_n / sqrt(2^n n! sqrt(pi)).
 
     Near a root of h_k both evaluations lose relative accuracy, so each
@@ -106,7 +108,7 @@ def test_state_kernel_matches_direct_formula(rng):
             assert np.all(err <= bound), float(np.max(err / bound))
 
         check(kernels.state_kernel(x, n, *params), n, phase0)
-        rows = kernels.state_kernel_block(x, orders, *params, dphase)
+        rows = kernel_block(x, orders, *params, dphase)
         for k, row in zip(orders, rows):
             check(row, k, phase0 + k * dphase)
 
@@ -155,19 +157,11 @@ def test_very_high_order_states_are_normalised_without_warnings(n):
         assert abs(norm(sample_on_grid(field, grid, 1.0)) - 1.0) < 1e-12
 
 
-def _on_grid(window, points):
-    """A (rows, offset) window zero-padded to the whole grid of points."""
-    rows, offset = window
-    block = np.zeros(rows.shape[:-1] + (points,), dtype=rows.dtype)
-    block[..., offset:offset + rows.shape[-1]] = rows
-    return block
-
-
 def _block_matches_fields(basis, driven, orders):
     spec = StateSpec(max(orders), 1.0, basis, driven)
     grid = policy_grid(basis, 12, driven=driven, times=[1.0], points=4096)
     xs = grid.xs()
-    rows = _on_grid(state_window(spec, xs, 1.0, orders), len(xs))
+    rows = on_grid(state_window(spec, xs, 1.0, orders), len(xs))
     assert rows.shape == (len(orders), len(xs))
     for k, row in zip(orders, rows):
         want = state_field(StateSpec(k, 1.0, basis, driven))(xs, 1.0)
@@ -194,12 +188,10 @@ def _stacked_is_per_slice(x, orders, slices, depth=None):
     """A stacked call over the slices (each the 8 parameters log_norm ..
     dphase) holds, slice by slice, the bytes of a one-slice call, both at
     the given depth."""
-    got = kernels.state_kernel_block(x, orders, *(list(c) for c in zip(*slices)),
-                                     depth=depth)
+    got = kernel_block(x, orders, *(list(c) for c in zip(*slices)), depth=depth)
     assert got.shape == (len(slices), len(orders), len(x))
     for s, params in enumerate(slices):
-        assert got[s].tobytes() == kernels.state_kernel_block(
-            x, orders, *params, depth=depth).tobytes()
+        assert got[s].tobytes() == kernel_block(x, orders, *params, depth=depth).tobytes()
     return got
 
 
@@ -223,9 +215,9 @@ def test_stacked_slices_keep_their_own_windows(driven_ck):
     grid = policy_grid(basis, 12, driven=driven, times=[1.0], points=4096)
     xs = grid.xs()
     times = [1.0 + k * 0.05 for k in (0, 1, -1, 2, -2, 4, -4)]
-    stack = _on_grid(state_window(spec, xs, times, [12, 0, 5]), len(xs))
+    stack = on_grid(state_window(spec, xs, times, [12, 0, 5]), len(xs))
     for t, rows in zip(times, stack):
-        assert rows.tobytes() == _on_grid(state_window(spec, xs, t, [12, 0, 5]),
+        assert rows.tobytes() == on_grid(state_window(spec, xs, t, [12, 0, 5]),
                                           len(xs)).tobytes()
     assert len({_support(rows) for rows in stack}) > 1
 
@@ -260,11 +252,10 @@ def test_stacked_slices_on_the_rescale_path():
 def test_slice_parameters_of_more_than_one_axis_are_refused():
     x = np.linspace(-8.0, 8.0, 64)
     params = [np.full((2, 2), p) for p in (-0.3, -0.8, 0.4, 1.1, 0.0, 0.2, 0.7, 1.5)]
-    for call in (kernels.state_kernel_block, kernels.state_kernel_window):
-        with pytest.raises(ValueError) as refused:
-            call(x, [0, 1], *params)
-        assert refused.type is ValueError
-        assert str(refused.value) == "slice parameters must be scalars or 1-D sequences"
+    with pytest.raises(ValueError) as refused:
+        kernels.state_kernel_window(x, [0, 1], *params)
+    assert refused.type is ValueError
+    assert str(refused.value) == "slice parameters must be scalars or 1-D sequences"
 
 
 _slice = st.tuples(
@@ -351,10 +342,10 @@ def test_one_recurrence_row_per_distinct_amplitude(x, orders, slices):
     patch, rows = _counting_rows()
     with patch, warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = kernels.state_kernel_block(x, orders, *(list(c) for c in zip(*stack)))
+        got = kernel_block(x, orders, *(list(c) for c in zip(*stack)))
     assert rows == [3]
     for s, params in enumerate(stack):
-        assert got[s].tobytes() == kernels.state_kernel_block(x, orders, *params).tobytes()
+        assert got[s].tobytes() == kernel_block(x, orders, *params).tobytes()
     assert len({rows.tobytes() for rows in got}) == len(stack)
 
 
@@ -448,11 +439,11 @@ def test_the_top_order_cutoff_radius_bounds_every_lower_order(n, log_norm, scale
     half = max(1.5 * radii[-1], 1.0)
     x = np.linspace(-half, half, 513) + 0.4
     params = (log_norm, gauss_re, 0.3, scale, 0.4, 0.2, 0.1, 0.7)
-    got = kernels.state_kernel_block(x, orders, *params)
+    got = kernel_block(x, orders, *params)
     solve = kernels._ref._cutoff_radius
     with mock.patch.object(kernels._ref, "_cutoff_radius",
                            lambda _, *a: max(solve(k, *a) for k in orders)):
-        want = kernels.state_kernel_block(x, orders, *params)
+        want = kernel_block(x, orders, *params)
     assert got.tobytes() == want.tobytes()
 
 
@@ -469,7 +460,7 @@ def _depth_case(name, driven_ck):
     if name == "driven_ck":
         spec = StateSpec(0, 1.0, *driven_ck)
         params = _slice_params(spec, 1.0, with_driving=True)[0]
-        return (lambda orders, x, **kw: _on_grid(state_window(spec, x, 1.0, orders, **kw),
+        return (lambda orders, x, **kw: on_grid(state_window(spec, x, 1.0, orders, **kw),
                                                  len(x)),
                 (params[0], params[1], params[3], params[4]))
     model, C, hbar, t = {
@@ -477,7 +468,7 @@ def _depth_case(name, driven_ck):
         "ck": (CaldirolaKanai(1.0, 0.6, 1.0), 1.0, 1.0, 2.0),
         "lo": (LoDampedPulsating(1.0, 0.1, 0.2, 1.5, 1.0), 1.5, 1.2, 3.0),
     }[name]
-    block = lambda orders, x, **kw: _on_grid(closed_form_window(  # noqa: E731
+    block = lambda orders, x, **kw: on_grid(closed_form_window(  # noqa: E731
         model, C, orders, hbar, x, t, **kw), len(x))
     params = _closed_slice(*closed_form_law(model)(t), C, hbar, t)[0]
     return block, (params[0], params[1], params[3], 0.0)
@@ -537,16 +528,23 @@ def test_stacked_call_at_any_depth_is_one_call_per_slice(slices, phases, orders,
 # ---------------------------------------------------------------------------
 
 def _window_is_block(x, orders, params, depth=None):
-    """state_kernel_window's rows are state_kernel_block's columns from its
-    offset on, bit for bit, and every other column of the block is an exact
-    zero.  Returns (rows, offset)."""
-    block = kernels.state_kernel_block(x, orders, *params, depth=depth)
+    """state_kernel_window's (rows, offset), whose rows fit x from column
+    offset on; and state_kernel is the window zero-padded: for each slice
+    and each order k, state_kernel on x shuffled holds, bit for bit, the
+    slice's window of [k] (dphase = 0, read to LOG_FLOOR) zero-padded and
+    shuffled alike.  The direct-formula and underflow tests show that the
+    window holds every sample above the floor.  Returns (rows, offset)."""
     rows, offset = kernels.state_kernel_window(x, orders, *params, depth=depth)
     width = rows.shape[-1]
-    assert rows.shape == block.shape[:-1] + (width,)
-    assert rows.tobytes() == block[..., offset:offset + width].tobytes()
-    outside = np.concatenate([block[..., :offset], block[..., offset + width:]], axis=-1)
-    assert outside.tobytes() == np.zeros_like(outside).tobytes()
+    assert rows.shape == np.shape(params[0]) + (len(orders), width)
+    assert 0 <= offset <= len(x) - width
+    shuffled = np.random.default_rng(width).permutation(len(x))
+    for slice_ in np.array(params, dtype=float).reshape(8, -1).T:
+        kernel_params = slice_[:7].tolist()
+        for k in orders:
+            padded = kernel_block(x, [k], *kernel_params, 0.0)[0]
+            got = kernels.state_kernel(x[shuffled], k, *kernel_params)
+            assert got.tobytes() == padded[shuffled].tobytes()
     return rows, offset
 
 

@@ -23,15 +23,9 @@ from tdho.states import (
     state_field,
 )
 
+from conftest import on_grid
+
 X = np.linspace(-12.0, 12.0, 4097)
-
-
-def _on_grid(window, points=len(X)):
-    """A (rows, offset) window zero-padded to the whole grid of points."""
-    rows, offset = window
-    block = np.zeros(rows.shape[:-1] + (points,), dtype=rows.dtype)
-    block[..., offset:offset + rows.shape[-1]] = rows
-    return block
 
 
 def _norm(values, x=X):
@@ -183,12 +177,12 @@ def test_stacked_closed_form_block_is_per_time(model, C, depth):
     times = [0.0, 2.5, 1, 7.25, 2.5]
     orders = [24, 0, 5]
     window, offset = closed_form_window(model, C, orders, 0.8, X, times, depth=depth)
-    stack = _on_grid((window, offset))
+    stack = on_grid((window, offset), len(X))
     assert stack.shape == (len(times), len(orders), len(X))
     spans = []
     for t, rows in zip(times, stack):
         one = closed_form_window(model, C, orders, 0.8, X, t, depth=depth)
-        assert rows.tobytes() == _on_grid(one).tobytes()
+        assert rows.tobytes() == on_grid(one, len(X)).tobytes()
         spans.append((one[1], one[1] + one[0].shape[-1]))
     assert (offset, offset + window.shape[-1]) == (min(a for a, _ in spans),
                                                    max(b for _, b in spans))

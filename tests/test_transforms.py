@@ -135,7 +135,7 @@ def test_interpolated_path_accuracy():
     gf = sample_on_grid(_gauss_field, GRID, 0.0, attach_source=False)
     out = _affine(gf, "dilation", s=np.exp(0.37))
     want = np.exp(0.37 / 2.0) * _gauss_field(np.exp(0.37) * GRID.xs(), 0.0)
-    err = np.max(np.abs(out.on_grid().values - want))
+    err = np.max(np.abs(out.columns() - want))
     assert 1e-16 < err < 1e-9
 
 
@@ -212,11 +212,11 @@ def test_stacked_rows_equal_single_row_primitives():
                lambda f: _affine(f, "quadratic phase", alpha=0.4),
                lambda f: _affine(f, "linear phase", k=-0.7),
                lambda f: _affine(f, "constant phase", c=2.1)):
-        out = op(g).on_grid()
-        assert out.values.shape == g.values.shape
+        out = op(g).columns()
+        assert out.shape == g.values.shape
         for i in range(2):
-            row = op(GridFunction(g.x_min, g.dx, g.values[i], 0.0)).on_grid().values
-            np.testing.assert_array_equal(out.values[i], row)
+            row = op(GridFunction(g.x_min, g.dx, g.values[i], 0.0)).columns()
+            np.testing.assert_array_equal(out[i], row)
 
 
 @pytest.mark.parametrize("leaky_row", [0, 1])
@@ -310,9 +310,9 @@ def test_each_composite_is_the_product_of_its_primitives(driven_ck, exact, rows)
     tol = 1e-14 if exact else 1e-12
     for fused, product in _primitive_products(model, drv, t).items():
         args = (model, t, g) if fused in (apply_U0, apply_U0_dagger) else (model, drv, t, g)
-        out, want = fused(*args).on_grid(), product(g).on_grid()
-        assert out.values.shape == g.values.shape
-        assert np.max(np.abs(out.values - want.values)) < tol, fused.__name__
+        out, want = fused(*args), product(g)
+        assert out.columns().shape == g.values.shape
+        assert np.max(np.abs(out.columns() - want.columns())) < tol, fused.__name__
         if exact:
             xq = np.array([-1.37, 0.0, 0.41, 2.9])
             (got, j), (wanted, k) = out.source(xq), want.source(xq)
@@ -476,9 +476,55 @@ def test_a_window_maps_as_the_whole_grid(s, d, offset, width, rows, alpha):
     assert w_err == v_err
     if v_out is not None:
         got = v_out.values
-        want = w_out.on_grid().values
+        want = w_out.columns()
         assert want[..., v_out.offset:v_out.offset + got.shape[-1]].tobytes() == got.tobytes()
-        assert np.array_equal(v_out.on_grid().values, want)
+        assert np.array_equal(v_out.columns(), want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(points=st.integers(16, 48), lead=st.sampled_from([(), (2,), (3, 2)]),
+       data=st.data())
+def test_columns_read_a_window_with_zeros_around_it(points, lead, data):
+    """columns(lo, hi) is the slice lo:hi of the samples zero-padded to the
+    whole grid, for a window at any offset and of any width (0 included)
+    and any range of the grid, inside, overlapping or outside the window,
+    on 1-, 2- and 3-D values; it is a view of the values when the window
+    holds the range, and the whole grid by default."""
+    offset = data.draw(st.integers(0, points), label="offset")
+    width = data.draw(st.integers(0, points - offset), label="width")
+    lo = data.draw(st.integers(0, points), label="lo")
+    hi = data.draw(st.integers(lo, points), label="hi")
+    values = np.random.default_rng(width).standard_normal(lead + (width, 2)) @ [1.0, 1j]
+    t = tuple(range(lead[0])) if len(lead) == 2 else 0.0
+    g = GridFunction(-1.0, 0.1, values, t, offset=offset, points=points)
+    whole = np.zeros(lead + (points,), dtype=complex)
+    whole[..., offset:offset + width] = values
+    got = g.columns(lo, hi)
+    assert got.shape == lead + (hi - lo,) and got.dtype == np.complex128
+    assert got.tobytes() == whole[..., lo:hi].tobytes()
+    inside = offset <= lo and hi <= offset + width
+    assert (got.base is g.values) == inside
+    if inside and got.size:
+        assert np.shares_memory(got, g.values)
+    assert g.columns().tobytes() == whole.tobytes()
+
+
+def test_a_stack_over_times_gives_views_at_their_times():
+    """Indexing or iterating a stack over times gives each time's window, a
+    view of the stack at that time; indexing one time's rows gives a row at
+    that time, and a slice of the stack keeps its times."""
+    values = np.random.default_rng(5).standard_normal((3, 2, 7, 2)) @ [1.0, 1j]
+    g = GridFunction(-1.0, 0.1, values, [0.5, 1.5, 2.5], hbar=0.7, offset=4, points=32)
+    assert g.t == (0.5, 1.5, 2.5) and len(list(g)) == 3
+    for j, at in enumerate(g):
+        assert (at.t, at.hbar, at.offset, at.points) == (0.5 + j, 0.7, 4, 32)
+        assert at.values.shape == (2, 7) and np.shares_memory(at.values, g.values)
+        assert at.values.tobytes() == values[j].tobytes()
+        row = at[1]
+        assert row.t == at.t and row.values.tobytes() == values[j, 1].tobytes()
+        assert np.shares_memory(row.values, g.values)
+    later = g[1:]
+    assert later.t == (1.5, 2.5) and np.shares_memory(later.values, g.values)
 
 
 def test_a_window_narrower_than_sixteen_samples_maps():
@@ -487,14 +533,14 @@ def test_a_window_narrower_than_sixteen_samples_maps():
     whole, window = _window_pair(100, 5, 2, seed=3)
     narrow = _affine(window, "translation", d=0.3)
     assert narrow.points == WINDOW_GRID.points and narrow.values.shape[-1] < 16
-    assert np.array_equal(narrow.on_grid().values,
-                          _affine(whole, "translation", d=0.3).on_grid().values)
+    assert np.array_equal(narrow.columns(),
+                          _affine(whole, "translation", d=0.3).columns())
     assert np.array_equal(window.x, whole.x[100:105])
     empty = GridFunction(WINDOW_GRID.x_min, WINDOW_GRID.dx, np.zeros((2, 0)), 0.0,
                          offset=7, points=WINDOW_GRID.points)
     moved = _affine(empty, "dilation", s=1.5)
     assert moved.values.shape == (2, 0)
-    assert not np.any(moved.on_grid().values)
+    assert not np.any(moved.columns())
     with pytest.raises(ValueError) as refused:
         GridFunction(0.0, 0.1, np.ones(5), 0.0, offset=12, points=16)
     assert str(refused.value) == "a window of 5 columns at offset 12 does not fit a grid of 16 points"
@@ -528,14 +574,15 @@ def test_a_map_that_moves_the_state_off_the_grid_is_refused():
     (which holds no query point) refuse it, as the boundary ratio refuses
     d = 8 and the exact source at full depth refuses d = 40."""
     from tdho.classical import analytic_basis_sho
-    from tdho.verify import state_window
+    from tdho.states import state_window
+    from tdho.verify import READ_DEPTH
 
     grid = Grid(-10.0, 10.0, 4096)
     spec = StateSpec(0, 1.0, analytic_basis_sho(1.0, 1.0, 1.0))
     lagrange = sample_on_grid(state_field(spec), grid, 0.0, attach_source=False)
     full_depth = sample_on_grid(state_field(spec), grid, 0.0)
     shallow = lagrange._with(lagrange.values,
-                             lambda x: state_window(spec, x, 0.0, [0]), 0)
+                             lambda x: state_window(spec, x, 0.0, [0], depth=READ_DEPTH))
     for g in (lagrange, shallow):
         with pytest.raises(GridTooSmallError) as refused:
             _affine(g, "translation", d=40.0)

@@ -46,7 +46,7 @@ from tdho.verify import (
     simpson,
 )
 
-from conftest import T_MAX, T_MIN
+from conftest import T_MAX, T_MIN, kernel_block
 
 GRID = Grid(-16.0, 16.0, 4096)
 
@@ -375,10 +375,10 @@ def test_gram_orthonormality_matches_pairwise_simpson(request, family):
 def test_orthonormality_detects_a_scaled_row(monkeypatch, sho_basis_c1):
     window = tdho.verify.state_window
 
-    def scaled(spec, x, t, orders):
-        rows, offset = window(spec, x, t, orders)
-        rows[2] *= 1.001
-        return rows, offset
+    def scaled(spec, grid, t, orders):
+        g = window(spec, grid, t, orders)
+        g.values[2] *= 1.001
+        return g
 
     monkeypatch.setattr(tdho.verify, "state_window", scaled)
     [result] = run_suite(_context(sho_basis_c1), ["orthonormality"])
@@ -400,10 +400,11 @@ def test_orthonormality_names_its_place_stably(monkeypatch, label):
     window = tdho.verify.state_window
     noise = np.random.default_rng(7)
 
-    def perturbed(spec, x, t, orders):
-        rows, offset = window(spec, x, t, orders)
+    def perturbed(spec, grid, t, orders):
+        g = window(spec, grid, t, orders)
+        rows = g.values
         rows += 1e-16 * np.max(np.abs(rows)) * noise.standard_normal(rows.shape)
-        return rows, offset
+        return g
 
     monkeypatch.setattr(tdho.verify, "state_window", perturbed)
     for _ in range(4):
@@ -413,12 +414,9 @@ def test_orthonormality_names_its_place_stably(monkeypatch, label):
         assert abs(moved.measured - exact.measured) < ctx.grid.points * np.finfo(float).eps
 
 
-def _zero_padded(rows, offset, points):
-    """The block on `points` columns that holds rows from column offset on
-    and zeros elsewhere."""
-    block = np.zeros(rows.shape[:-1] + (points,), dtype=np.complex128)
-    block[..., offset:offset + rows.shape[-1]] = rows
-    return block
+def _whole(g):
+    """g zero-padded to its whole grid (offset 0), in values of its own."""
+    return g._with(np.array(g.columns()), offset=0)
 
 
 def _spoil_row_2(spoil):
@@ -426,10 +424,10 @@ def _spoil_row_2(spoil):
     (offset 0), so that spoil reaches the grid's edges."""
     window = tdho.verify.state_window
 
-    def spoiled(spec, x, t, orders):
-        block = _zero_padded(*window(spec, x, t, orders), len(x))
-        spoil(block[2])
-        return block, 0
+    def spoiled(spec, grid, t, orders):
+        g = _whole(window(spec, grid, t, orders))
+        spoil(g.values[2])
+        return g
 
     return spoiled
 
@@ -454,8 +452,8 @@ def test_orthonormality_refuses_one_unresolved_row(monkeypatch, sho_basis_c1,
 
 
 def test_orthonormality_refuses_a_zero_block(monkeypatch, sho_basis_c1):
-    def zero_block(spec, x, t, orders):
-        return np.zeros((len(orders), len(x)), dtype=np.complex128), 0
+    def zero_block(spec, grid, t, orders):
+        return GridFunction(grid.x_min, grid.dx, np.zeros((len(orders), grid.points)), t)
 
     monkeypatch.setattr(tdho.verify, "state_window", zero_block)
     with warnings.catch_warnings():
@@ -507,17 +505,18 @@ def _sho_c1_on_64_points():
 def _orthonormality_blocks(ctx):
     """(t, block) per time: the rows of orders 0..nmax that orthonormality
     reads, zero-padded to the whole grid."""
-    xs, n_max = ctx.grid.xs(), ctx.orthonormality_nmax
+    n_max = ctx.orthonormality_nmax
     for t in ctx.times:
-        window = tdho.verify.state_window(ctx.state(n_max), xs, t, range(n_max + 1))
-        yield t, _zero_padded(*window, len(xs))
+        window = tdho.verify.state_window(ctx.state(n_max), ctx.grid, t, range(n_max + 1))
+        yield t, np.array(window.columns())
 
 
-def _live(block):
-    """(live, offset) of a block as orthonormality passes it to its guard:
-    the contiguous rows on their nonzero columns (_support)."""
-    cols = tdho.verify._support((block, 0))
-    return np.ascontiguousarray(block[:, cols]), cols.indices(block.shape[-1])[0]
+def _live(grid, t, block):
+    """The window of a block as orthonormality passes it to its guard: the
+    contiguous rows on their nonzero columns (_support)."""
+    whole = GridFunction(grid.x_min, grid.dx, block, t)
+    lo, hi, _ = tdho.verify._support(whole).indices(grid.points)
+    return whole._with(np.ascontiguousarray(block[:, lo:hi]), offset=lo)
 
 
 def _verdict(guard, *args):
@@ -574,8 +573,7 @@ def test_the_window_guard_gives_the_whole_grid_verdicts(bundled_context):
     for label, grid, t, block in _guard_cases(bundled_context):
         whole = _verdict(tdho.verify._resolved_spectrum,
                          GridFunction(grid.x_min, grid.dx, block, t), "orthonormality")
-        live, offset = _live(block)
-        assert _verdict(tdho.verify._resolved_window, live, offset, grid, t,
+        assert _verdict(tdho.verify._resolved_window, _live(grid, t, block),
                         "orthonormality") == whole, label
         if label in expected_refusals:
             kind, message = expected_refusals[label]
@@ -593,14 +591,14 @@ def test_the_nyquist_bins_are_the_dfts_and_bound_its_ratio(bundled_context):
         if not block.any():
             continue
         points = grid.points
-        live, offset = _live(block)
-        bins = tdho.verify._nyquist_bins(live, offset, points)
+        live = _live(grid, t, block)
+        bins = tdho.verify._nyquist_bins(live)
         spectrum = np.fft.fft(block, axis=-1)
         dft_bins = spectrum[:, points // 2 - 1:points // 2 + 2]
-        l1 = np.sum(np.abs(live), axis=-1, keepdims=True)
+        l1 = np.sum(np.abs(live.values), axis=-1, keepdims=True)
         assert np.all(np.abs(bins - dft_bins)
-                      <= (live.shape[-1] + points.bit_length()) * eps * l1), label
-        bound = np.max(np.abs(bins), axis=-1) / np.linalg.norm(live, axis=-1)
+                      <= (live.values.shape[-1] + points.bit_length()) * eps * l1), label
+        bound = np.max(np.abs(bins), axis=-1) / np.linalg.norm(live.values, axis=-1)
         exact = (np.max(np.abs(dft_bins), axis=-1)
                  / np.max(np.abs(spectrum), axis=-1))
         assert np.all(bound >= exact), (label, bound, exact)
@@ -892,12 +890,12 @@ def test_each_run_evaluates_the_shared_block_once_and_afresh(monkeypatch,
     window = tdho.verify.state_window
     shared = []
 
-    def counting(spec, x, t, orders):
+    def counting(spec, grid, t, orders):
         # the shared spec: the chain's companion stack reads ctx.times too
         shared_spec = spec.basis is ctx.basis and spec.driven is ctx.driven
         if shared_spec and np.ndim(t) and list(t) == ctx.times:
             shared.append(t)
-        return window(spec, x, t, orders)
+        return window(spec, grid, t, orders)
 
     monkeypatch.setattr(tdho.verify, "state_window", counting)
     assert all(r.passed for r in run_suite(ctx, checks))
@@ -1048,7 +1046,7 @@ def test_every_grid_reduction_skips_the_zero_tails(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _per_slice(kernel):
-    """state_kernel_block as one one-slice call per slice of a stack."""
+    """A whole-grid kernel as one one-slice call per slice of a stack."""
     def per_slice(x, orders, *params, depth=None):
         if np.ndim(params[0]) == 0:
             return kernel(x, orders, *params, depth=depth)
@@ -1083,7 +1081,7 @@ def test_stacked_reads_are_the_per_time_reads(monkeypatch, bundled_context,
     byte for byte, on the bundled scenarios and three high-order
     documents."""
     ctx, checks, stacked = _suite_case(name, bundled_context, bundled_results)
-    per_slice = _per_slice(tdho._kernels.state_kernel_block)
+    per_slice = _per_slice(kernel_block)
 
     def whole_grid(x, orders, *params, depth=None):
         return per_slice(x, orders, *params, depth=depth), 0
@@ -1138,16 +1136,63 @@ def test_each_check_makes_one_kernel_call_per_set_of_times(monkeypatch, bundled_
         assert sorted(slices) == sorted(expected[check]), check
 
 
+def test_each_time_reads_a_view_of_its_stack(monkeypatch, bundled_context):
+    """Every window of one time that the checks read from a stacked kernel
+    call shares memory with that call's rows: the residual's centre, the
+    chain's direct state and companion, both closed-form windows, the rows
+    the moments read and the stationarity probes.  No stack is copied time
+    by time."""
+    from tdho.cli import load_scenario
+
+    stacks, reads = [], []
+    window = tdho.states.state_kernel_window
+
+    def recording(x, orders, *params, **kw):
+        rows, offset = window(x, orders, *params, **kw)
+        if np.ndim(params[0]):
+            stacks.append(rows)
+        return rows, offset
+
+    support = tdho.verify._support
+    stacked_args = {"_residual_pair": [0], "_chain_distance": [1],
+                    "_run_closed_form": [0, 1], "_max_drift": [0, 1]}
+
+    def support_reads(*windows, margin=0):
+        caller = sys._getframe(1).f_code.co_name
+        reads.extend((caller, windows[i]) for i in stacked_args.get(caller, []))
+        return support(*windows, margin=margin)
+
+    def reading(name, fn):
+        def read(*args):
+            reads.append((name, args[-1]))
+            return fn(*args)
+
+        return read
+
+    monkeypatch.setattr(tdho.states, "state_kernel_window", recording)
+    monkeypatch.setattr(tdho.verify, "_support", support_reads)
+    monkeypatch.setattr(tdho.verify, "apply_U0_dagger",
+                        reading("companion", tdho.verify.apply_U0_dagger))
+    monkeypatch.setattr(tdho.verify, "moments", reading("moments", tdho.verify.moments))
+    for name in BUNDLED:
+        run_suite(bundled_context(name), load_scenario(name)["checks"])
+    assert {where for where, _ in reads} == {*stacked_args, "companion", "moments"}
+    for where, g in reads:
+        assert g.values.ndim < stacks[0].ndim
+        assert any(np.shares_memory(g.values, stack) for stack in stacks), where
+
+
 def _leaking_window(row, column):
     """A state_window on the whole grid (offset 0) whose order row leaks
     1e-6 of its peak into one sample of the grid's zero tail, past the
     kernel's cutoff."""
     window = tdho.verify.state_window
 
-    def leaking(spec, x, t, orders):
-        rows = _zero_padded(*window(spec, x, t, orders), len(x))
+    def leaking(spec, grid, t, orders):
+        g = _whole(window(spec, grid, t, orders))
+        rows = g.values
         rows[..., row, column] = 1e-6 * np.max(np.abs(rows[..., row, :]))
-        return rows, 0
+        return g
 
     return leaking
 
@@ -1176,8 +1221,9 @@ def test_the_residual_window_reads_a_leaked_sample(monkeypatch, sho_basis_c1, co
 # ---------------------------------------------------------------------------
 
 def _whole_grid_window(x, orders, *params, depth=None):
-    """state_kernel_window as a whole-grid reader: the block, at offset 0."""
-    return tdho._kernels.state_kernel_block(x, orders, *params, depth=depth), 0
+    """state_kernel_window as a whole-grid reader: its rows zero-padded to
+    the whole grid, at offset 0."""
+    return kernel_block(x, orders, *params, depth=depth), 0
 
 
 _SEEDED = [f"high_n_{label}/{seed}" for seed in range(1, 8)
