@@ -90,7 +90,7 @@ COPIES = [
     # show its rows resolved, and the whole grid's DFT refuses them
     ("sho_c1_64", "sho_c1",
      {"grid": {"x_min": -12.0, "x_max": 12.0, "points": 64}, "checks": ["orthonormality"]},
-     2, "Nyquist bins over peak"),
+     2, "numerical error: orthonormality: state not resolved"),
 ]
 
 

@@ -4,8 +4,8 @@ One JSON scenario file describes everything (model, basis, driving, states,
 grid, times, checks); the subcommands only select an action and output
 paths.  Exit codes: 0 all checks pass, 1 any check failed, 2 configuration
 error (bad schema, unknown check, inconsistent grid, unwritable output path)
-or numerical error (an integration or quadrature that cannot be resolved, or
-a state that samples to zero).
+or numerical error (an integration or quadrature that cannot be resolved, a
+state that samples to zero, or a grid that does not resolve a state).
 """
 
 from __future__ import annotations
@@ -29,8 +29,15 @@ from .classical import (
 )
 from .models import CaldirolaKanai, model_from_json
 from .ode import ODEError
-from .states import CLOSED_FORMS, _x_column, dump_state_grid, state_cutoff, state_field
-from .transforms import BOUNDARY_RATIO, Grid, _edge_columns, _edge_ratio, policy_grid
+from .states import CLOSED_FORMS, dump_state_grid, state_cutoff, state_field
+from .transforms import (
+    BOUNDARY_RATIO,
+    Grid,
+    GridTooSmallError,
+    _edge_columns,
+    _edge_ratio,
+    policy_grid,
+)
 from .verify import DegenerateStateError, SuiteContext, report_json, run_suite
 
 __all__ = ["main", "load_scenario", "build_context", "ScenarioError"]
@@ -360,14 +367,11 @@ def cmd_state(args) -> int:
     ctx = build_context(scenario)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    xs = ctx.grid.xs()
-    x_column = _x_column(xs)  # every file shares it
     for n in ctx.ns:
         f = state_field(ctx.state(n))
         for t in ctx.times:
             csv_path = out_dir / f"state_n{n}_t{t:g}.csv"
-            dump_state_grid(f, xs, t, csv_path, meta={"scenario": scenario["name"]},
-                            x_column=x_column)
+            dump_state_grid(f, ctx.grid, t, csv_path, meta={"scenario": scenario["name"]})
             print(csv_path)
     return 0
 
@@ -441,7 +445,7 @@ def main(argv=None) -> int:
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ODEError, QuadratureError, DegenerateStateError) as e:
+    except (ODEError, QuadratureError, DegenerateStateError, GridTooSmallError) as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

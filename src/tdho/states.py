@@ -387,27 +387,21 @@ def state_field(spec: StateSpec) -> WavefunctionField:
     return WavefunctionField(fn, label, spec)
 
 
-def _x_column(x) -> list:
-    """The x column of dump_state_grid's CSV, one string per sample."""
-    return ["%.17g" % v for v in np.asarray(x, dtype=np.float64).tolist()]
+@functools.lru_cache(maxsize=8)
+def _x_column(grid) -> tuple:
+    """The x column of dump_state_grid's CSV on grid, one string per sample:
+    formatted once per grid, as every file on it shares the column."""
+    return tuple("%.17g" % v for v in grid.xs().tolist())
 
 
-def dump_state_grid(field: WavefunctionField, x, t: float, csv_path, meta=None,
-                    x_column=None):
-    """Write samples as CSV (x, re_psi, im_psi, abs2) plus a JSON sidecar.
-
-    x_column, when given, is _x_column(x): a run that writes many files on
-    one grid formats its x values once."""
-    x = np.asarray(x, dtype=np.float64)
-    if x_column is None:
-        x_column = _x_column(x)
-    elif len(x_column) != len(x):
-        raise ValueError(f"x_column has {len(x_column)} entries for {len(x)} points")
-    values = field(x, t)
+def dump_state_grid(field: WavefunctionField, grid, t: float, csv_path, meta=None):
+    """Write the samples of field at t on grid (a tdho.transforms.Grid) as
+    CSV (x, re_psi, im_psi, abs2) plus a JSON sidecar."""
+    values = field(grid.xs(), t)
     # abs2 as a per-row abs(psi)**2 forms it, hypot then pow:
     # np.abs(values)**2 differs from it in the last bit for many values
     abs2 = [h**2 for h in np.hypot(values.real, values.imag).tolist()]
-    rows = zip(x_column, values.real.tolist(), values.imag.tolist(), abs2)
+    rows = zip(_x_column(grid), values.real.tolist(), values.imag.tolist(), abs2)
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,re_psi,im_psi,abs2\n")
         fh.write("%s,%.17g,%.17g,%.17g\n" * len(abs2)
@@ -420,9 +414,9 @@ def dump_state_grid(field: WavefunctionField, x, t: float, csv_path, meta=None,
         "t": float(t),
         "model": spec.model.to_json(),
         "grid": {
-            "x_min": float(x[0]),
-            "x_max": float(x[-1]),
-            "points": int(len(x)),
+            "x_min": float(grid.x_min),
+            "x_max": float(grid.x_max),
+            "points": grid.points,
         },
         "spec": spec.describe(),
     }

@@ -33,14 +33,17 @@ map acts along the last axis, so one pass (one exp(i phase(x)), one set of
 Lagrange weights) serves every row, and writes onto a window of its own:
 the Lagrange read onto the columns whose image s x - d can reach the
 input's window, the source onto the columns its analytic map holds.  A
-window keeps the whole grid's x_min, dx and points, and every x and every
-Lagrange query index is computed as the whole grid computes it and then
-sliced, so each column holds the whole grid's bits.  A kernel window
-(rows, offset) on a grid's points becomes one through _grid_window.
+window holds the Grid it lives on, which alone forms the sample points
+(Grid.xs) and the spacing (Grid.dx): every x is a slice of the grid's one
+x array and every Lagrange query index is computed as the whole grid
+computes it, so each column holds the whole grid's bits.  A kernel window
+(rows, offset) on a grid's points is GridFunction(grid, rows, t,
+offset=offset).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,8 +84,16 @@ class Grid:
         if self.points < 16:
             raise ValueError("need at least 16 samples")
 
+    @functools.cached_property
+    def _xs(self) -> np.ndarray:
+        x = np.linspace(self.x_min, self.x_max, self.points)
+        x.setflags(write=False)
+        return x
+
     def xs(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.points)
+        """The grid's sample points, linspace(x_min, x_max, points): one
+        read-only array per grid, formed on the first call."""
+        return self._xs
 
     @property
     def dx(self) -> float:
@@ -90,14 +101,14 @@ class Grid:
 
 
 class GridFunction:
-    """Complex samples at x_i = x_min + i dx, i = 0 .. points - 1, on the
-    columns offset .. offset + W - 1 of the grid, every other column an
-    exact zero.  By default the window is the whole grid (offset 0,
-    points = W).  values are one state's (W,) samples or a stack of
-    states' (rows, W) at the time t; with t a sequence of times, values
-    hold one such entry per time along their first axis.  Indexing or
-    iterating gives entry j of that axis, a view of values on the same
-    window: time j of a stack over times, else row j at t.
+    """Complex samples at the points grid.xs() of their grid, on the columns
+    offset .. offset + W - 1, every other column an exact zero.  By default
+    the window is the whole grid (offset 0, W = grid.points).  values are
+    one state's (W,) samples or a stack of states' (rows, W) at the time t;
+    with t a sequence of times, values hold one such entry per time along
+    their first axis.  Indexing or iterating gives entry j of that axis, a
+    view of values on the same window: time j of a stack over times, else
+    row j at t.
 
     `source`, when present, is the analytic map the samples came from: called
     with ascending query points x, it returns a window on them, (rows,
@@ -107,39 +118,26 @@ class GridFunction:
     downstream values stay exact instead of interpolation-limited.
     """
 
-    def __init__(self, x_min, dx, values, t, hbar=1.0, source=None, offset=0,
-                 points=None):
+    def __init__(self, grid: Grid, values, t, hbar=1.0, source=None, offset=0):
         values = np.asarray(values, dtype=np.complex128)
-        width = values.shape[-1] if values.ndim else 0
-        points = width if points is None else int(points)
-        if values.ndim not in (1, 2, 3) or points < 16:
-            raise ValueError("need 1-D or (rows, points) values of at least 16 samples")
-        if not 0 <= offset <= points - width:
+        if values.ndim not in (1, 2, 3):
+            raise ValueError("need (W,), (rows, W) or (times, rows, W) values")
+        width = values.shape[-1]
+        if not 0 <= offset <= grid.points - width:
             raise ValueError(f"a window of {width} columns at offset {offset} "
-                             f"does not fit a grid of {points} points")
-        if dx <= 0:
-            raise ValueError("dx must be positive")
-        self.x_min = float(x_min)
-        self.dx = float(dx)
+                             f"does not fit a grid of {grid.points} points")
+        self.grid = grid
         self.values = values
         sequence = isinstance(t, (list, tuple, np.ndarray))
         self.t = tuple(map(float, t)) if sequence else float(t)
         self.hbar = float(hbar)
         self.source = source
         self.offset = int(offset)
-        self.points = points
 
     @property
     def x(self) -> np.ndarray:
-        """The window's sample points, x_min + i dx as the whole grid forms
-        them."""
-        return self.x_min + self.dx * np.arange(self.offset,
-                                                self.offset + self.values.shape[-1])
-
-    @property
-    def x_max(self) -> float:
-        """The whole grid's last sample point."""
-        return self.x_min + self.dx * (self.points - 1)
+        """The window's sample points, a view of the grid's."""
+        return self.grid.xs()[self.offset:self.offset + self.values.shape[-1]]
 
     def __getitem__(self, j) -> GridFunction:
         t = self.t[j] if isinstance(self.t, tuple) else None
@@ -152,7 +150,7 @@ class GridFunction:
         """The grid columns lo .. hi - 1 (by default all of them) of the
         values, zeros outside the window: a view of values when the window
         holds every one, else a copy."""
-        hi = self.points if hi is None else hi
+        hi = self.grid.points if hi is None else hi
         offset, width = self.offset, self.values.shape[-1]
         if offset <= lo and hi <= offset + width:
             return self.values[..., lo - offset:hi - offset]
@@ -164,18 +162,8 @@ class GridFunction:
 
     def _with(self, values, source=None, offset=None, t=None) -> GridFunction:
         """values on this function's grid, by default at its offset and t."""
-        return GridFunction(self.x_min, self.dx, values, self.t if t is None else t,
-                            self.hbar, source, self.offset if offset is None else offset,
-                            self.points)
-
-
-def _grid_window(grid: Grid, window, t, hbar: float = 1.0) -> GridFunction:
-    """A kernel window (rows, offset) on the points of grid, as the
-    GridFunction of rows at t (one time, or one per entry of rows' first
-    axis)."""
-    rows, offset = window
-    return GridFunction(grid.x_min, grid.dx, rows, t, hbar, offset=offset,
-                        points=grid.points)
+        return GridFunction(self.grid, values, self.t if t is None else t, self.hbar,
+                            source, self.offset if offset is None else offset)
 
 
 def sample_on_grid(field, grid: Grid, t, attach_source: bool = True) -> GridFunction:
@@ -188,8 +176,7 @@ def sample_on_grid(field, grid: Grid, t, attach_source: bool = True) -> GridFunc
             return field(x, t), 0
     else:
         source = None
-    return GridFunction(grid.x_min, grid.dx, values, t, getattr(field, "hbar", 1.0),
-                        source)
+    return GridFunction(grid, values, t, getattr(field, "hbar", 1.0), source)
 
 
 # denominators prod_{j != k} (k - j) of the six-point Lagrange weights
@@ -202,19 +189,20 @@ def _lagrange_eval(g: GridFunction, xq: np.ndarray):
     read at xq[j + i], and every other query an exact zero, being outside
     the grid's span or reading no column of g's window.
 
-    Each query takes the six samples of the whole grid around it, the
-    stencil clipped to the grid at either edge, so any polynomial of degree
-    <= 5 is reproduced to rounding everywhere in [x_min, x_max] (Fornberg,
-    Math. Comp. 51 (1988) 699-706).  The stencils and weights are computed
-    once for all rows, from the whole grid's indices, and read g's window
-    with zeros around it: each query's read is the whole grid's, bit for
-    bit.
+    Each query takes the six samples of the whole grid g.grid around it,
+    the stencil clipped to the grid at either edge, so any polynomial of
+    degree <= 5 is reproduced to rounding everywhere in [grid.x_min,
+    grid.x_max] (Fornberg, Math. Comp. 51 (1988) 699-706).  The stencils and
+    weights are computed once for all rows, from the whole grid's indices,
+    and read g's window with zeros around it: each query's read is the
+    whole grid's, bit for bit.
     """
     xq = np.asarray(xq, dtype=float)
+    grid = g.grid
     lo, hi = g.offset, g.offset + g.values.shape[-1]
-    inside = np.flatnonzero((xq >= g.x_min) & (xq <= g.x_max))
-    s = (xq[inside] - g.x_min) / g.dx
-    first = np.clip(np.floor(s).astype(np.intp) - 2, 0, g.points - 6)
+    inside = np.flatnonzero((xq >= grid.x_min) & (xq <= grid.x_max))
+    s = (xq[inside] - grid.x_min) / grid.dx
+    first = np.clip(np.floor(s).astype(np.intp) - 2, 0, grid.points - 6)
     # the queries whose stencil reads the window: one run, as first ascends
     reach = np.flatnonzero((first + 6 > lo) & (first < hi))
     if lo == hi or not reach.size:
@@ -272,12 +260,13 @@ def _reach(g: GridFunction, s, d):
     """The columns [lo, hi) of g's grid whose image s x - d lies within 8
     columns of g's window: every column whose six-point read can touch it,
     with a column to spare against rounding."""
-    left = g.x_min + g.dx * (g.offset - 8)
-    right = g.x_min + g.dx * (g.offset + g.values.shape[-1] + 8)
-    lo = math.floor(((left + d) / s - g.x_min) / g.dx) - 1
-    hi = math.ceil(((right + d) / s - g.x_min) / g.dx) + 2
-    lo = min(max(lo, 0), g.points)
-    return lo, min(max(hi, lo), g.points)
+    grid = g.grid
+    left = grid.x_min + grid.dx * (g.offset - 8)
+    right = grid.x_min + grid.dx * (g.offset + g.values.shape[-1] + 8)
+    lo = math.floor(((left + d) / s - grid.x_min) / grid.dx) - 1
+    hi = math.ceil(((right + d) / s - grid.x_min) / grid.dx) + 2
+    lo = min(max(lo, 0), grid.points)
+    return lo, min(max(hi, lo), grid.points)
 
 
 def _affine(g: GridFunction, op: str, s=1.0, d=0.0, alpha=0.0, k=0.0, c=0.0):
@@ -310,16 +299,17 @@ def _affine(g: GridFunction, op: str, s=1.0, d=0.0, alpha=0.0, k=0.0, c=0.0):
             return factor(x[j:j + rows.shape[-1]]) * rows, j
     if not moves:
         return g._with(factor(g.x) * g.values, source, g.offset)
-    lo, hi = (0, g.points) if src is not None else _reach(g, s, d)
-    x = g.x_min + g.dx * np.arange(lo, hi)
+    grid = g.grid
+    lo, hi = (0, grid.points) if src is not None else _reach(g, s, d)
+    x = grid.xs()[lo:hi]
     if src is None:
         rows, j = _lagrange_eval(g, s * x - d)
         rows = factor(x[j:j + rows.shape[-1]]) * rows
     else:
         rows, j = source(x)
     out = g._with(rows, source, lo + j)
-    ratio = _edge_ratio(out.values, out.offset, out.points)
-    centre, half = 0.5 * (g.x_min + g.x_max), 0.5 * (g.x_max - g.x_min)
+    ratio = _edge_ratio(out.values, out.offset, grid.points)
+    centre, half = 0.5 * (grid.x_min + grid.x_max), 0.5 * (grid.x_max - grid.x_min)
     if ratio >= BOUNDARY_RATIO:
         # how much wider the grid must be for the edge samples to decay
         # below threshold, assuming roughly Gaussian tails
@@ -331,11 +321,11 @@ def _affine(g: GridFunction, op: str, s=1.0, d=0.0, alpha=0.0, k=0.0, c=0.0):
         )
     if ratio == 0.0 and not np.any(out.values) and np.any(g.values):
         # the samples' image: the grid's points x with s x - d on it
-        image = ((g.x_min + d) / s, (g.x_max + d) / s)
+        image = ((grid.x_min + d) / s, (grid.x_max + d) / s)
         raise GridTooSmallError(
             f"{op} moved every sample off the grid "
-            f"[{g.x_min:.3g}, {g.x_max:.3g}]; retry on a grid covering roughly "
-            f"[{min(g.x_min, image[0]):.3g}, {max(g.x_max, image[1]):.3g}]"
+            f"[{grid.x_min:.3g}, {grid.x_max:.3g}]; retry on a grid covering roughly "
+            f"[{min(grid.x_min, image[0]):.3g}, {max(grid.x_max, image[1]):.3g}]"
         )
     return out
 

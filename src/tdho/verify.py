@@ -42,7 +42,9 @@ So at high order most of the grid holds exact zeros, and no read of the
 suite stores them: every block it reads is a GridFunction (see
 tdho.transforms) on the kernel's cutoff window, the union of its slices'
 cutoff windows, whose outside columns are the exact zeros a whole-grid
-block holds.  A block over several times is one stack, and each time's
+block holds.  A block holds the Grid it lives on: every x, stencil step
+and quadrature weight reads its points (Grid.xs) and spacing
+(Grid.dx).  A block over several times is one stack, and each time's
 window is a view of it.  The reductions run on the states' support window
 (_support), read from the stored values, not from the kernel's cutoff, so
 any nonzero sample (NaN and inf too) lies inside it: the residual's
@@ -86,7 +88,6 @@ from .transforms import (
     GridFunction,
     GridTooSmallError,
     _edge_ratio,
-    _grid_window,
     apply_U0_dagger,
     apply_UF,
     sample_on_grid,
@@ -117,7 +118,7 @@ __all__ = [
 
 
 class GridMismatchError(ValueError):
-    """Two grid functions do not share the same sample points."""
+    """Two grid functions live on unequal Grids (x_min, x_max or points)."""
 
 
 class DegenerateStateError(ValueError):
@@ -187,11 +188,7 @@ def _d2(values: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_same_grid(g1: GridFunction, g2: GridFunction):
-    if (
-        g1.points != g2.points
-        or abs(g1.x_min - g2.x_min) > 1e-12 * max(1.0, abs(g1.x_min))
-        or abs(g1.dx - g2.dx) > 1e-12 * g1.dx
-    ):
+    if g1.grid != g2.grid:
         raise GridMismatchError("grid functions are sampled on different grids")
 
 
@@ -224,7 +221,7 @@ def simpson(y, dx: float):
 def norm(g: GridFunction) -> float:
     """L2 norm sqrt(∫|psi|^2 dx) by composite Simpson quadrature over the
     whole grid."""
-    return math.sqrt(float(simpson(np.abs(g.columns()) ** 2, dx=g.dx)))
+    return math.sqrt(float(simpson(np.abs(g.columns()) ** 2, dx=g.grid.dx)))
 
 
 def inner_product(g1: GridFunction, g2: GridFunction) -> complex:
@@ -232,9 +229,8 @@ def inner_product(g1: GridFunction, g2: GridFunction) -> complex:
     whole grid."""
     _check_same_grid(g1, g2)
     integrand = np.conj(g1.columns()) * g2.columns()
-    return complex(
-        simpson(integrand.real, dx=g1.dx) + 1j * simpson(integrand.imag, dx=g1.dx)
-    )
+    dx = g1.grid.dx
+    return complex(simpson(integrand.real, dx=dx) + 1j * simpson(integrand.imag, dx=dx))
 
 
 @dataclass(frozen=True)
@@ -284,10 +280,11 @@ def _nyquist_bins(g: GridFunction) -> np.ndarray:
     """The DFT bins P//2 - 1, P//2 and P//2 + 1 over the P points of g's
     grid of each row of g: (rows, 3) direct sums over its window, as its
     other columns hold zeros."""
+    points = g.grid.points
     jk = np.outer(np.arange(g.offset, g.offset + g.values.shape[-1]),
-                  np.arange(-1, 2) + g.points // 2)
+                  np.arange(-1, 2) + points // 2)
     # angles 2 pi (jk mod P) / P, within one turn
-    return g.values @ np.exp(-2j * math.pi / g.points * (jk % g.points))
+    return g.values @ np.exp(-2j * math.pi / points * (jk % points))
 
 
 def _resolved_window(g: GridFunction, what: str):
@@ -305,7 +302,7 @@ def _resolved_window(g: GridFunction, what: str):
     """
     norm2 = np.sum(np.abs(g.values) ** 2, axis=-1)
     resolved = (bool(np.all(np.isfinite(norm2) & (norm2 > 0.0)))
-                and _edge_ratio(g.values, g.offset, g.points) < BOUNDARY_RATIO)
+                and _edge_ratio(g.values, g.offset, g.grid.points) < BOUNDARY_RATIO)
     if resolved:
         band = np.max(np.abs(_nyquist_bins(g)), axis=-1)
         resolved = float(np.max(band / np.sqrt(norm2))) < BOUNDARY_RATIO
@@ -334,7 +331,7 @@ def moments(g: GridFunction) -> MomentReport:
     x = g.x
     mean_x = float(x @ density) / n2
     var_x = float((x - mean_x) ** 2 @ density) / n2
-    k = 2.0 * math.pi * np.fft.fftfreq(len(g.values), g.dx)
+    k = 2.0 * math.pi * np.fft.fftfreq(len(g.values), g.grid.dx)
     power = spectrum**2
     total = float(np.sum(power))
     mean_k = float(k @ power) / total
@@ -404,9 +401,9 @@ def _residual_once(model, x, dx, points, t, dt, hbar, psi, d1, d2):
     return np.linalg.norm(o_psi, axis=-1) / h_norm
 
 
-def _residual_pair(model, x, t, dt, centre: GridFunction, stencil: GridFunction):
+def _residual_pair(model, t, dt, centre: GridFunction, stencil: GridFunction):
     """(fine, coarse) residuals of the rows of centre, the state at t on
-    the grid x, with stencil the stack of its rows at t + k dt for each k in
+    its grid, with stencil the stack of its rows at t + k dt for each k in
     _STENCIL_STEPS[1:], in that order.  The coarse stencil steps (2dt, 2dx):
     it reads every other sample at t, t ± 2dt, t ± 4dt.  The windows are
     only read.
@@ -418,18 +415,19 @@ def _residual_pair(model, x, t, dt, centre: GridFunction, stencil: GridFunction)
     or below its start, with zeros outside their windows; the coarse
     stencil takes the window of the full grid's every other sample, so it
     reads the same samples as on the full grid."""
-    lo, hi, _ = _support(centre, stencil, margin=8).indices(len(x))
+    grid = centre.grid
+    x = grid.xs()
+    lo, hi, _ = _support(centre, stencil, margin=8).indices(grid.points)
     even = lo - lo % 2
     rows = stencil.values
     psi = centre.columns(even, hi)
     # the differences on their window live only until they are padded
     d1, d2, d4 = centre._with(rows[0::2] - rows[1::2],
                               offset=stencil.offset).columns(even, hi)
-    fine = _residual_once(model, x[lo:hi], x[1] - x[0], len(x), t, dt, centre.hbar,
+    fine = _residual_once(model, x[lo:hi], grid.dx, grid.points, t, dt, centre.hbar,
                           *(a[..., lo - even:] for a in (psi, d1, d2)))
-    coarse = _residual_once(model, x[::2][lo // 2:(hi + 1) // 2], x[2] - x[0],
-                            len(x[::2]), t, 2 * dt, centre.hbar,
-                            *(a[..., ::2] for a in (psi, d2, d4)))
+    coarse = _residual_once(model, x[even:hi:2], 2 * grid.dx, (grid.points + 1) // 2,
+                            t, 2 * dt, centre.hbar, *(a[..., ::2] for a in (psi, d2, d4)))
     return fine, coarse
 
 
@@ -449,19 +447,18 @@ def schrodinger_residual(field, model, grid: Grid, t, dt=None,
     estimate.
     """
     hbar = getattr(field, "hbar", 1.0) if hbar is None else hbar
-    x = grid.xs()
     if dt is None:
         dt = _residual_dt(model)
     _check_stencil_domain(model, t, dt)
     times = [t + k * dt for k in _STENCIL_STEPS]
-    at = [field(x, s) for s in times]
-    centre = GridFunction(grid.x_min, grid.dx, at[0], t, hbar)
+    at = [field(grid.xs(), s) for s in times]
+    centre = GridFunction(grid, at[0], t, hbar)
     stencil = centre._with(np.stack(at[1:]), t=times[1:])
-    fine, coarse = (float(r) for r in _residual_pair(model, x, t, dt, centre, stencil))
+    fine, coarse = (float(r) for r in _residual_pair(model, t, dt, centre, stencil))
     return ResidualReport(
         rel_l2_residual=fine,
-        points=len(x),
-        dx=float(x[1] - x[0]),
+        points=grid.points,
+        dx=grid.dx,
         dt=float(dt),
         residual_coarse=coarse,
         convergence_order_estimate=_order(fine, coarse),
@@ -486,10 +483,10 @@ def _chain_distance(driven, t, g0: GridFunction, direct: GridFunction):
     either is nonzero (_support)."""
     model = driven.model
     chained = apply_UF(model, driven, t, apply_U0_dagger(model, t, g0))
-    lo, hi, _ = _support(chained, direct).indices(g0.points)
+    lo, hi, _ = _support(chained, direct).indices(g0.grid.points)
     chained, direct = chained.columns(lo, hi), direct.columns(lo, hi)
     direct_norm = _nondegenerate(np.linalg.norm(direct, axis=-1), "direct ‖psi‖",
-                                 f" at t = {t} on {g0.points} points",
+                                 f" at t = {t} on {g0.grid.points} points",
                                  "the chain distance")
     return np.linalg.norm(chained - direct, axis=-1) / direct_norm
 
@@ -511,17 +508,18 @@ def check_transform_equivalence(
     return float(_chain_distance(driven, t, g0, g0._with(direct)))
 
 
-def _max_drift(base: GridFunction, later, dx):
+def _max_drift(base: GridFunction, later):
     """Max L1 distance of |psi|^2 from base's over the states psi in later,
-    one per row of base.  Each drift is the whole grid's Simpson rule, its
-    samples dx apart, over the columns where either state is nonzero
-    (_support).  A NaN drift stays NaN."""
-    weights = _unit_simpson_weights(base.points)
+    one per row of base.  Each drift is the Simpson rule of base's whole
+    grid over the columns where either state is nonzero (_support).  A NaN
+    drift stays NaN."""
+    grid = base.grid
+    weights = _unit_simpson_weights(grid.points)
     worst = np.zeros(base.values.shape[:-1])
     for psi in later:
-        lo, hi, _ = _support(base, psi).indices(base.points)
+        lo, hi, _ = _support(base, psi).indices(grid.points)
         dens = np.abs(psi.columns(lo, hi)) ** 2 - np.abs(base.columns(lo, hi)) ** 2
-        worst = np.maximum(worst, dx * (np.abs(dens) @ weights[lo:hi]))
+        worst = np.maximum(worst, grid.dx * (np.abs(dens) @ weights[lo:hi]))
     return worst
 
 
@@ -531,9 +529,8 @@ def check_stationarity(field, grid: Grid, times):
     Simpson rule of the whole grid over the columns where either state is
     nonzero (_support)."""
     x = grid.xs()
-    states = (GridFunction(grid.x_min, grid.dx, field(x, t), t)
-              for t in np.asarray(times, dtype=float))
-    worst = _max_drift(next(states), states, x[1] - x[0])
+    states = (GridFunction(grid, field(x, t), t) for t in np.asarray(times, dtype=float))
+    worst = _max_drift(next(states), states)
     return float(worst) if worst.ndim == 0 else worst
 
 
@@ -577,16 +574,16 @@ def state_window(spec: StateSpec, grid: Grid, t, orders) -> GridFunction:
     """tdho.states.state_window on grid's points, read to READ_DEPTH, as a
     GridFunction at t.  Every block of a state over a basis that the suite
     reads on its grid comes from here."""
-    return _grid_window(grid, _state_window(spec, grid.xs(), t, orders, depth=READ_DEPTH),
-                        t, spec.hbar)
+    rows, offset = _state_window(spec, grid.xs(), t, orders, depth=READ_DEPTH)
+    return GridFunction(grid, rows, t, spec.hbar, offset=offset)
 
 
 def _closed_forms(ctx, times) -> GridFunction:
     """The closed form of ctx.ns with C = ctx.closed_form_C at each of
     times (closed_form_window) on ctx.grid, read to READ_DEPTH."""
-    return _grid_window(ctx.grid, closed_form_window(
-        ctx.model, ctx.closed_form_C, ctx.ns, ctx.hbar, ctx.grid.xs(), times,
-        depth=READ_DEPTH), times, ctx.hbar)
+    rows, offset = closed_form_window(ctx.model, ctx.closed_form_C, ctx.ns, ctx.hbar,
+                                      ctx.grid.xs(), times, depth=READ_DEPTH)
+    return GridFunction(ctx.grid, rows, times, ctx.hbar, offset=offset)
 
 
 @dataclass
@@ -660,11 +657,10 @@ def _run_residual(ctx: SuiteContext, rows) -> list:
     dt = _residual_dt(model)
     for t in ctx.times:
         _check_stencil_domain(model, t, dt)
-    xs = ctx.grid.xs()
     spec = ctx.state(max(ctx.ns))
     per_t = []
     for t, centre in zip(ctx.times, rows()):
-        fine, coarse = _residual_pair(model, xs, t, dt, centre, state_window(
+        fine, coarse = _residual_pair(model, t, dt, centre, state_window(
             spec, ctx.grid, [t + k * dt for k in _STENCIL_STEPS[1:]], ctx.ns))
         per_t.append([(float(f), float(c)) for f, c in zip(fine, coarse)])
     return [CheckResult("residual",
@@ -875,11 +871,10 @@ def _run_stationarity(ctx: SuiteContext, rows) -> list:
     # would read 0.0; Σ|psi|² from the float view makes no stack-sized temporary
     parts = stack.values.view(np.float64)
     _nondegenerate(np.einsum("...j,...j->...", parts, parts), "stationarity: ‖psi‖²",
-                   f" on {stack.points} points", "its drift")
-    xs = ctx.grid.xs()
+                   f" on {ctx.grid.points} points", "its drift")
 
     def probe_drift(first, stop):  # of probes first + 1 .. stop - 1 from probe first
-        return _max_drift(stack[first], stack[first + 1:stop], xs[1] - xs[0])
+        return _max_drift(stack[first], stack[first + 1:stop])
 
     if C == 1.0:
         tol = DEFAULT_THRESHOLDS["stationarity"]

@@ -489,6 +489,7 @@ def test_uncertainty_is_correct_or_refused_at_any_grid_size(tmp_path, capsys, na
     rc = main(["verify", _write(tmp_path, doc)])
     captured = capsys.readouterr()
     if rc == 2:
+        assert captured.err.startswith("numerical error: moments: state not resolved")
         assert "not resolved" in captured.err
         assert points < 4096
     else:
@@ -509,6 +510,7 @@ def test_orthonormality_is_correct_or_refused_on_a_coarse_grid(tmp_path, capsys,
     captured = capsys.readouterr()
     if points < 128:
         assert rc == 2 and "not resolved" in captured.err
+        assert captured.err.startswith("numerical error: orthonormality: state not resolved")
     else:
         [row] = [r for r in json.loads(captured.out) if r["check"] == "orthonormality"]
         assert row["pass"] and row["measured"] <= 1e-13
@@ -579,8 +581,7 @@ def test_verify_numerical_error_exit_2(monkeypatch, capsys, error):
 def _zero_window(spec, grid, t, orders):
     """state_window's zero rows on the whole grid (offset 0): (len(orders),
     points) at a scalar t, one such block per time for a sequence of times."""
-    return GridFunction(grid.x_min, grid.dx,
-                        np.zeros(np.shape(t) + (len(orders), grid.points)), t)
+    return GridFunction(grid, np.zeros(np.shape(t) + (len(orders), grid.points)), t)
 
 
 def test_verify_degenerate_state_is_numerical_error(monkeypatch, capsys):

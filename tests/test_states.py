@@ -9,6 +9,7 @@ from scipy.integrate import simpson
 
 from tdho.classical import OverdampedError, null_driven, reduced_basis
 from tdho.models import CaldirolaKanai, GeneralParametric, LoDampedPulsating
+from tdho.cli import build_context, load_scenario, main
 from tdho.states import (
     StateSpec,
     _x_column,
@@ -22,6 +23,7 @@ from tdho.states import (
     psi_unit_mass,
     state_field,
 )
+from tdho.transforms import Grid
 
 from conftest import on_grid
 
@@ -244,17 +246,17 @@ def test_state_field_picks_driven_path(driven_sho):
 def test_dump_state_grid_layout_and_determinism(tmp_path, sho_basis_c1):
     spec = StateSpec(1, 1.0, sho_basis_c1)
     field = state_field(spec)
-    x = np.linspace(-8.0, 8.0, 129)
+    grid = Grid(-8.0, 8.0, 129)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    side1 = dump_state_grid(field, x, 0.5, p1)
-    dump_state_grid(field, x, 0.5, p2)
+    side1 = dump_state_grid(field, grid, 0.5, p1)
+    dump_state_grid(field, grid, 0.5, p2)
     assert p1.read_bytes() == p2.read_bytes()
     lines = p1.read_text().strip().split("\n")
     assert lines[0] == "x,re_psi,im_psi,abs2"
     assert len(lines) == 130
     doc = json.loads((tmp_path / "a.csv.json").read_text())
     assert doc["n"] == 1 and doc["hbar"] == 1.0 and doc["t"] == 0.5
-    assert doc["grid"]["points"] == 129
+    assert doc["grid"] == {"x_min": -8.0, "x_max": 8.0, "points": 129}
     # the schema family UnitMassSHO is the CaldirolaKanai model at m = 1, gamma = 0
     assert doc["model"]["family"] == "CaldirolaKanai"
     assert doc["model"]["params"] == {"m": 1.0, "gamma": 0.0, "w1": 1.0}
@@ -265,27 +267,32 @@ def test_dump_state_grid_text_equals_per_row_formula(tmp_path, sho_basis_c1):
     """The CSV is the text of a per-row `%.17g` of x, re, im and
     abs(psi)**2 over numpy scalars, tails that underflow included."""
     field = state_field(StateSpec(3, 1.0, sho_basis_c1))
-    x = np.linspace(-40.0, 40.0, 801)
+    grid = Grid(-40.0, 40.0, 801)
+    x = grid.xs()
     values = field(x, 0.5)
     assert np.any(values.real == 0.0) and np.any(values.imag == 0.0)
     assert np.any((np.abs(values) > 0.0) & (np.abs(values) < 1e-200))
-    dump_state_grid(field, x, 0.5, tmp_path / "a.csv")
+    dump_state_grid(field, grid, 0.5, tmp_path / "a.csv")
     expected = "x,re_psi,im_psi,abs2\n" + "".join(
         "%.17g,%.17g,%.17g,%.17g\n" % (xi, vi.real, vi.imag, abs(vi) ** 2)
         for xi, vi in zip(x, values))
     assert (tmp_path / "a.csv").read_text() == expected
 
 
-def test_dump_state_grid_with_a_preformatted_x_column(tmp_path, sho_basis_c1):
-    """A run that formats its grid's x column once writes the bytes of a
-    dump that formats it itself; a column of another length is refused."""
-    field = state_field(StateSpec(2, 1.0, sho_basis_c1))
-    x = np.linspace(-40.0, 40.0, 801)
-    dump_state_grid(field, x, 0.5, tmp_path / "a.csv")
-    dump_state_grid(field, x, 0.5, tmp_path / "b.csv", x_column=_x_column(x))
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    with pytest.raises(ValueError, match="x_column has 800 entries for 801 points"):
-        dump_state_grid(field, x, 0.5, tmp_path / "c.csv", x_column=_x_column(x[1:]))
+def test_a_state_run_formats_its_x_column_once(tmp_path, capsys):
+    """`tdho state` over several orders and times formats its grid's x column
+    once, and every CSV's x column is the `%.17g` of grid.xs()."""
+    grid = build_context(load_scenario("sho_c1")).grid
+    _x_column.cache_clear()
+    assert main(["state", "sho_c1", "--out", str(tmp_path)]) == 0
+    written = capsys.readouterr().out.split()
+    assert len(written) > 2
+    info = _x_column.cache_info()
+    assert (info.misses, info.hits) == (1, len(written) - 1)
+    want = ["%.17g" % v for v in grid.xs()]
+    for path in written:
+        with open(path, encoding="utf-8") as fh:
+            assert [line.split(",")[0] for line in fh.read().split()[1:]] == want
 
 
 def test_reduced_companion_state_is_unit_mass_eigenstate(ck_basis):

@@ -47,15 +47,20 @@ def test_grid_validation_and_accessors():
         Grid(-2.0, 2.0, 8)
 
 
-@pytest.mark.parametrize("values,dx,message", [
-    (np.ones(15), 0.1, "need 1-D or (rows, points) values of at least 16 samples"),
-    (np.ones((2, 15)), 0.1, "need 1-D or (rows, points) values of at least 16 samples"),
-    (np.ones(16), 0.0, "dx must be positive"),
-    (np.ones(16), -0.1, "dx must be positive"),
-], ids=["short", "short_rows", "zero_dx", "negative_dx"])
-def test_grid_function_refuses_short_values_and_nonpositive_dx(values, dx, message):
+@pytest.mark.parametrize("values,offset,message", [
+    (np.ones(()), 0, "need (W,), (rows, W) or (times, rows, W) values"),
+    (np.ones((2, 2, 2, 16)), 0, "need (W,), (rows, W) or (times, rows, W) values"),
+    (np.ones(17), 0, "a window of 17 columns at offset 0 does not fit a grid of 16 points"),
+    (np.ones((2, 8)), 9, "a window of 8 columns at offset 9 does not fit a grid of 16 points"),
+    (np.ones(8), -1, "a window of 8 columns at offset -1 does not fit a grid of 16 points"),
+], ids=["scalar", "four_axes", "too_wide", "past_the_end", "negative_offset"])
+def test_grid_function_refuses_bad_ndim_and_windows_that_do_not_fit(values, offset,
+                                                                    message):
+    """A GridFunction refuses values of the wrong ndim and a window that does
+    not fit its grid; a grid's spacing and size are Grid's refusals
+    (test_grid_validation_and_accessors)."""
     with pytest.raises(ValueError) as refused:
-        GridFunction(-1.0, dx, values, 0.0)
+        GridFunction(Grid(-1.0, 0.5, 16), values, 0.0, offset=offset)
     assert refused.type is ValueError and str(refused.value) == message
 
 
@@ -123,8 +128,8 @@ def test_phase_factors():
 
 
 def test_phases_respect_hbar():
-    gf = GridFunction(GRID.x_min, GRID.dx, _gauss_field(GRID.xs(), 0.0), 0.0,
-                      hbar=0.5, source=_gauss_field)
+    gf = GridFunction(GRID, _gauss_field(GRID.xs(), 0.0), 0.0, hbar=0.5,
+                      source=_gauss_field)
     out = _affine(gf, "linear phase", k=0.3)
     np.testing.assert_allclose(out.values,
                                np.exp(0.6j * GRID.xs()) * gf.values, rtol=1e-15)
@@ -150,7 +155,7 @@ def test_lagrange_read_reproduces_a_quintic():
     d, a = 1.37 * dx, 0.3 * dx
     coeffs = (0.8 - 0.3j) * np.poly([grid.x_min + d, grid.x_max - d,
                                      0.3 + 0.2j, -0.5 - 0.1j, 0.7j])
-    gf = GridFunction(grid.x_min, dx, np.polyval(coeffs, x), 0.0)
+    gf = GridFunction(grid, np.polyval(coeffs, x), 0.0)
     peak = np.max(np.abs(gf.values))
     for xq in (x - d, x + d, np.exp(a) * x):
         rows, j = _lagrange_eval(gf, xq)
@@ -192,7 +197,7 @@ def test_support_guard_raises():
 
 def _stack(*fields):
     x = GRID.xs()
-    return GridFunction(GRID.x_min, GRID.dx, np.stack([f(x) for f in fields]), 0.0)
+    return GridFunction(GRID, np.stack([f(x) for f in fields]), 0.0)
 
 
 def _narrow(x):
@@ -215,7 +220,7 @@ def test_stacked_rows_equal_single_row_primitives():
         out = op(g).columns()
         assert out.shape == g.values.shape
         for i in range(2):
-            row = op(GridFunction(g.x_min, g.dx, g.values[i], 0.0)).columns()
+            row = op(GridFunction(g.grid, g.values[i], 0.0)).columns()
             np.testing.assert_array_equal(out[i], row)
 
 
@@ -227,7 +232,7 @@ def test_one_leaking_row_fails_the_support_guard(leaky_row):
     fields = [_narrow, _narrow]
     fields[leaky_row] = _wide
     g = _stack(*fields)
-    alone = GridFunction(g.x_min, g.dx, g.values[1 - leaky_row], 0.0)
+    alone = GridFunction(g.grid, g.values[1 - leaky_row], 0.0)
     assert _edge_ratio(g.values) == pytest.approx(_edge_ratio(g.values[leaky_row]))
     for op in (lambda f: _affine(f, "dilation", s=np.exp(-0.3)),
                lambda f: _affine(f, "translation", d=1.3)):
@@ -303,8 +308,7 @@ def test_each_composite_is_the_product_of_its_primitives(driven_ck, exact, rows)
     def source(x):  # a window on x that holds every query point
         return field(x), 0
 
-    g = GridFunction(GRID.x_min, GRID.dx, field(GRID.xs()), t,
-                     source=source if exact else None)
+    g = GridFunction(GRID, field(GRID.xs()), t, source=source if exact else None)
     # the six-point reads of chirped and unchirped samples differ by the
     # read's own error, here about 1e-14
     tol = 1e-14 if exact else 1e-12
@@ -436,9 +440,8 @@ def _window_pair(offset, width, rows, seed):
     values = values if rows > 1 else values[0]
     whole = np.zeros(values.shape[:-1] + (WINDOW_GRID.points,), dtype=complex)
     whole[..., offset:offset + width] = values
-    x_min, dx = WINDOW_GRID.x_min, WINDOW_GRID.dx
-    return (GridFunction(x_min, dx, whole, 0.0),
-            GridFunction(x_min, dx, values, 0.0, offset=offset, points=WINDOW_GRID.points))
+    return (GridFunction(WINDOW_GRID, whole, 0.0),
+            GridFunction(WINDOW_GRID, values, 0.0, offset=offset))
 
 
 def _padded(values, offset, points):
@@ -464,8 +467,7 @@ def test_a_window_maps_as_the_whole_grid(s, d, offset, width, rows, alpha):
     the refusal of the other, message and all."""
     width = min(width, WINDOW_GRID.points - offset)
     whole, window = _window_pair(offset, width, rows, seed=offset + 1000 * width)
-    x = WINDOW_GRID.x_min + WINDOW_GRID.dx * np.arange(WINDOW_GRID.points)
-    xq = s * x - d
+    xq = s * WINDOW_GRID.xs() - d
     (w_rows, w_j), (v_rows, v_j) = _lagrange_eval(whole, xq), _lagrange_eval(window, xq)
     want = _padded(w_rows, w_j, len(xq))
     assert want[..., v_j:v_j + v_rows.shape[-1]].tobytes() == v_rows.tobytes()
@@ -496,7 +498,7 @@ def test_columns_read_a_window_with_zeros_around_it(points, lead, data):
     hi = data.draw(st.integers(lo, points), label="hi")
     values = np.random.default_rng(width).standard_normal(lead + (width, 2)) @ [1.0, 1j]
     t = tuple(range(lead[0])) if len(lead) == 2 else 0.0
-    g = GridFunction(-1.0, 0.1, values, t, offset=offset, points=points)
+    g = GridFunction(Grid(-1.0, 1.0, points), values, t, offset=offset)
     whole = np.zeros(lead + (points,), dtype=complex)
     whole[..., offset:offset + width] = values
     got = g.columns(lo, hi)
@@ -514,10 +516,11 @@ def test_a_stack_over_times_gives_views_at_their_times():
     view of the stack at that time; indexing one time's rows gives a row at
     that time, and a slice of the stack keeps its times."""
     values = np.random.default_rng(5).standard_normal((3, 2, 7, 2)) @ [1.0, 1j]
-    g = GridFunction(-1.0, 0.1, values, [0.5, 1.5, 2.5], hbar=0.7, offset=4, points=32)
+    grid = Grid(-1.0, 2.1, 32)
+    g = GridFunction(grid, values, [0.5, 1.5, 2.5], hbar=0.7, offset=4)
     assert g.t == (0.5, 1.5, 2.5) and len(list(g)) == 3
     for j, at in enumerate(g):
-        assert (at.t, at.hbar, at.offset, at.points) == (0.5 + j, 0.7, 4, 32)
+        assert (at.t, at.hbar, at.offset, at.grid) == (0.5 + j, 0.7, 4, grid)
         assert at.values.shape == (2, 7) and np.shares_memory(at.values, g.values)
         assert at.values.tobytes() == values[j].tobytes()
         row = at[1]
@@ -528,21 +531,20 @@ def test_a_stack_over_times_gives_views_at_their_times():
 
 
 def test_a_window_narrower_than_sixteen_samples_maps():
-    """GridFunction's 16-sample minimum is the grid's, not the window's: a
-    5-column window and an empty one map, read and pad."""
+    """The 16-sample minimum is the grid's, not the window's: a 5-column
+    window and an empty one map, read and pad."""
     whole, window = _window_pair(100, 5, 2, seed=3)
     narrow = _affine(window, "translation", d=0.3)
-    assert narrow.points == WINDOW_GRID.points and narrow.values.shape[-1] < 16
+    assert narrow.grid == WINDOW_GRID and narrow.values.shape[-1] < 16
     assert np.array_equal(narrow.columns(),
                           _affine(whole, "translation", d=0.3).columns())
     assert np.array_equal(window.x, whole.x[100:105])
-    empty = GridFunction(WINDOW_GRID.x_min, WINDOW_GRID.dx, np.zeros((2, 0)), 0.0,
-                         offset=7, points=WINDOW_GRID.points)
+    empty = GridFunction(WINDOW_GRID, np.zeros((2, 0)), 0.0, offset=7)
     moved = _affine(empty, "dilation", s=1.5)
     assert moved.values.shape == (2, 0)
     assert not np.any(moved.columns())
     with pytest.raises(ValueError) as refused:
-        GridFunction(0.0, 0.1, np.ones(5), 0.0, offset=12, points=16)
+        GridFunction(Grid(0.0, 1.5, 16), np.ones(5), 0.0, offset=12)
     assert str(refused.value) == "a window of 5 columns at offset 12 does not fit a grid of 16 points"
 
 
@@ -553,10 +555,9 @@ def test_the_retry_hint_widens_the_whole_grid_about_its_centre():
     grid = Grid(2.0, 10.0, 256)
     x = grid.xs()
     values = np.where(np.abs(x - 6.0) < 3.0, np.exp(-0.5 * (x - 6.0) ** 2), 0.0)
-    whole = GridFunction(grid.x_min, grid.dx, values, 0.0)
+    whole = GridFunction(grid, values, 0.0)
     live = np.flatnonzero(values)
-    window = GridFunction(grid.x_min, grid.dx, values[live[0]:live[-1] + 1], 0.0,
-                          offset=live[0], points=grid.points)
+    window = GridFunction(grid, values[live[0]:live[-1] + 1], 0.0, offset=live[0])
     hints = []
     for g in (whole, window):
         with pytest.raises(GridTooSmallError) as refused:

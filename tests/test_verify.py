@@ -81,10 +81,15 @@ def test_inner_product_orthonormal_pair(ck_basis):
 
 
 def test_inner_product_grid_mismatch(ck_basis):
+    """Two functions share a grid when their Grids are equal: an equal Grid
+    built apart passes, and one x_max an ulp away is another grid."""
     g0 = sample_on_grid(_state(ck_basis, 0), GRID, 1.0)
-    g1 = sample_on_grid(_state(ck_basis, 0), Grid(-16.0, 16.0, 2048), 1.0)
-    with pytest.raises(GridMismatchError):
-        inner_product(g0, g1)
+    twin = sample_on_grid(_state(ck_basis, 0), Grid(-16.0, 16.0, 4096), 1.0)
+    assert inner_product(g0, twin).real == pytest.approx(1.0, abs=1e-12)
+    for grid in (Grid(-16.0, 16.0, 2048), Grid(-16.0, np.nextafter(16.0, 17.0), 4096)):
+        g1 = sample_on_grid(_state(ck_basis, 0), grid, 1.0)
+        with pytest.raises(GridMismatchError):
+            inner_product(g0, g1)
 
 
 def test_moments_of_known_states(sho_basis_c1):
@@ -114,8 +119,8 @@ def test_p2_forms_cross_check(sho_basis_c2):
     fine = Grid(-16.0, 16.0, 32768)
     gf = sample_on_grid(_state(sho_basis_c2, 2), fine, 1.3)
     rep = moments(gf)
-    n2 = simpson(np.abs(gf.values) ** 2, dx=gf.dx)
-    gradient = simpson(np.abs(_five_point_d1(gf.values, gf.dx)) ** 2, dx=gf.dx) / n2
+    n2 = simpson(np.abs(gf.values) ** 2, dx=fine.dx)
+    gradient = simpson(np.abs(_five_point_d1(gf.values, fine.dx)) ** 2, dx=fine.dx) / n2
     assert rep.var_p + rep.mean_p**2 == pytest.approx(gradient, abs=1e-8)
 
 
@@ -128,12 +133,12 @@ def test_moments_refuse_an_unresolved_state(sho_basis_c1):
         moments(sample_on_grid(field, Grid(-3.0, 3.0, 256), 0.0))
     with pytest.raises(GridTooSmallError, match="not resolved.*Nyquist"):
         moments(sample_on_grid(field, Grid(-16.0, 16.0, 32), 0.0))
-    zero = GridFunction(-16.0, GRID.dx, np.zeros(GRID.points), 0.0)
+    zero = GridFunction(GRID, np.zeros(GRID.points), 0.0)
     with pytest.raises(DegenerateStateError, match="zero or not finite"):
         moments(zero)
     g = sample_on_grid(field, GRID, 0.0)
     with pytest.raises(ValueError, match="one state"):
-        moments(GridFunction(g.x_min, g.dx, np.stack([g.values, g.values]), 0.0))
+        moments(GridFunction(g.grid, np.stack([g.values, g.values]), 0.0))
 
 
 def test_moments_refuse_a_state_cut_at_its_node(sho_basis_c1):
@@ -143,7 +148,7 @@ def test_moments_refuse_a_state_cut_at_its_node(sho_basis_c1):
     not only later for its Nyquist bins."""
     g = sample_on_grid(_state(sho_basis_c1, 1), Grid(-10.0, 0.0, 4096), 0.0)
     assert g.values[-1] == 0.0
-    assert np.sum(np.abs(g.values) ** 2) * g.dx == pytest.approx(0.5)
+    assert np.sum(np.abs(g.values) ** 2) * g.grid.dx == pytest.approx(0.5)
     with pytest.raises(GridTooSmallError, match="edge over peak 4.0.e-03.*widen the grid"):
         moments(g)
 
@@ -453,7 +458,7 @@ def test_orthonormality_refuses_one_unresolved_row(monkeypatch, sho_basis_c1,
 
 def test_orthonormality_refuses_a_zero_block(monkeypatch, sho_basis_c1):
     def zero_block(spec, grid, t, orders):
-        return GridFunction(grid.x_min, grid.dx, np.zeros((len(orders), grid.points)), t)
+        return GridFunction(grid, np.zeros((len(orders), grid.points)), t)
 
     monkeypatch.setattr(tdho.verify, "state_window", zero_block)
     with warnings.catch_warnings():
@@ -514,7 +519,7 @@ def _orthonormality_blocks(ctx):
 def _live(grid, t, block):
     """The window of a block as orthonormality passes it to its guard: the
     contiguous rows on their nonzero columns (_support)."""
-    whole = GridFunction(grid.x_min, grid.dx, block, t)
+    whole = GridFunction(grid, block, t)
     lo, hi, _ = tdho.verify._support(whole).indices(grid.points)
     return whole._with(np.ascontiguousarray(block[:, lo:hi]), offset=lo)
 
@@ -572,7 +577,7 @@ def test_the_window_guard_gives_the_whole_grid_verdicts(bundled_context):
     }
     for label, grid, t, block in _guard_cases(bundled_context):
         whole = _verdict(tdho.verify._resolved_spectrum,
-                         GridFunction(grid.x_min, grid.dx, block, t), "orthonormality")
+                         GridFunction(grid, block, t), "orthonormality")
         assert _verdict(tdho.verify._resolved_window, _live(grid, t, block),
                         "orthonormality") == whole, label
         if label in expected_refusals:
@@ -1180,6 +1185,35 @@ def test_each_time_reads_a_view_of_its_stack(monkeypatch, bundled_context):
     for where, g in reads:
         assert g.values.ndim < stacks[0].ndim
         assert any(np.shares_memory(g.values, stack) for stack in stacks), where
+
+
+def test_every_window_reads_its_grids_points(monkeypatch, bundled_context):
+    """On driven_ck's policy grid, where x_min + dx (P - 1) is not x_max,
+    the x of every GridFunction the suite makes (the shared rows, the
+    companion stack, each chain map's output, the rows the moments pad to
+    the whole grid) is its slice of linspace(x_min, x_max, P), bit for bit;
+    grid.xs() is one read-only array."""
+    from tdho.cli import load_scenario
+
+    ctx = bundled_context("driven_ck")
+    grid = ctx.grid
+    assert grid.x_min + grid.dx * (grid.points - 1) != grid.x_max
+    assert grid.xs() is grid.xs() and not grid.xs().flags.writeable
+    made = []
+    init = GridFunction.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(GridFunction, "__init__", recording)
+    run_suite(ctx, load_scenario("driven_ck")["checks"])
+    points = np.linspace(grid.x_min, grid.x_max, grid.points)
+    assert made and {g.grid for g in made} == {grid}
+    for g in made:
+        lo, hi = g.offset, g.offset + g.values.shape[-1]
+        assert g.x.tobytes() == points[lo:hi].tobytes(), (lo, hi)
+    assert any(g.offset + g.values.shape[-1] == grid.points for g in made)
 
 
 def _leaking_window(row, column):
