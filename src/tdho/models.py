@@ -36,6 +36,12 @@ class DomainError(ValueError):
     """Raised when a time lies outside a model's domain."""
 
 
+def _constant(value, t):
+    """value at each time of t, in t's shape; a scalar t builds no array,
+    since the trajectory ODEs read forces at one time per step."""
+    return value + 0.0 * t
+
+
 # ---------------------------------------------------------------------------
 # driving-force families
 # ---------------------------------------------------------------------------
@@ -62,7 +68,7 @@ class ConstantForce(Force):
         self.F0 = float(F0)
 
     def __call__(self, t):
-        return self.F0 if np.isscalar(t) else np.full(np.shape(t), self.F0)
+        return _constant(self.F0, t)
 
     @property
     def is_zero(self):
@@ -224,9 +230,8 @@ class OscillatorModel:
             )
 
     def force_at(self, t):
-        if self.force is None:
-            return 0.0 if np.isscalar(t) else np.zeros(np.shape(t))
-        return self.force(t)
+        """F(t); 0.0 without a force, which broadcasts against any t."""
+        return 0.0 if self.force is None else self.force(t)
 
     @property
     def has_driving(self) -> bool:
@@ -265,8 +270,7 @@ class CaldirolaKanai(OscillatorModel):
         self.w1 = float(w1)
 
     def mass(self, t):
-        return self.m * np.exp(self.gamma * np.asarray(t, dtype=float)) if not np.isscalar(t) \
-            else self.m * math.exp(self.gamma * t)
+        return self.m * np.exp(self.gamma * np.asarray(t, dtype=float))
 
     def dmass(self, t):
         return self.gamma * self.mass(t)
@@ -275,10 +279,10 @@ class CaldirolaKanai(OscillatorModel):
         return self.gamma**2 * self.mass(t)
 
     def freq2(self, t):
-        return self.w1**2 if np.isscalar(t) else np.full(np.shape(t), self.w1**2)
+        return _constant(self.w1**2, t)
 
     def ode_terms(self, t):
-        M = self.m * math.exp(self.gamma * t)
+        M = float(self.m * np.exp(self.gamma * t))
         # (gamma M) / M, as dmass / mass rounds it, not gamma
         return M, self.gamma * M / M, self.w1**2, float(self.force_at(t))
 
@@ -311,8 +315,7 @@ class LoDampedPulsating(OscillatorModel):
         return self.gamma * t + self.mu * np.sin(self.nu * t)
 
     def mass(self, t):
-        return self.m0 * np.exp(2.0 * self._g(np.asarray(t, dtype=float)
-                                              if not np.isscalar(t) else t))
+        return self.m0 * np.exp(2.0 * self._g(np.asarray(t, dtype=float)))
 
     def dmass(self, t):
         dg = self.gamma + self.mu * self.nu * np.cos(self.nu * t)
@@ -326,7 +329,7 @@ class LoDampedPulsating(OscillatorModel):
     def freq2(self, t):
         # with g = gamma t + mu sin(nu t) and sqrt(M) = sqrt(m0) e^g, the
         # frequency that reduces to w_lo is w_lo^2 + g'^2 + g''
-        t = np.asarray(t, dtype=float) if not np.isscalar(t) else t
+        t = np.asarray(t, dtype=float)
         dg = self.gamma + self.mu * self.nu * np.cos(self.nu * t)
         d2g = -self.mu * self.nu**2 * np.sin(self.nu * t)
         return self.w_lo**2 + dg * dg + d2g
@@ -461,10 +464,10 @@ class ReducedUnitMass(OscillatorModel):
         self.base = base
 
     def mass(self, t):
-        return 1.0 if np.isscalar(t) else np.ones(np.shape(t))
+        return _constant(1.0, t)
 
     def dmass(self, t):
-        return 0.0 if np.isscalar(t) else np.zeros(np.shape(t))
+        return _constant(0.0, t)
 
     d2mass = dmass
 

@@ -15,7 +15,6 @@ trajectory solve.
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 
@@ -50,8 +49,9 @@ class DenseSolution:
         y = (((F6 x + F5)(1-x) + F4) x + ... + F0) x + y_old,  x = (t - t_old)/h
 
     in numpy over all query times at once, so the values are bit-identical
-    to scipy's.  A scalar time gives shape (ncomponents,), an array of
-    times gives (len(t), ncomponents).
+    to scipy's.  A caller reads a stack of times in one call; a scalar time
+    takes the same array path as a one-time stack and gives shape
+    (ncomponents,), an array of times (len(t), ncomponents).
     """
 
     def __init__(self, ts, steps):
@@ -64,7 +64,6 @@ class DenseSolution:
         self._h = np.array(h, dtype=np.float64)
         self._y_old = np.array(y_old, dtype=np.float64)
         self._F = np.array(F, dtype=np.float64)
-        self._knots = self.ts.tolist()
 
     @property
     def ncomponents(self):
@@ -72,8 +71,6 @@ class DenseSolution:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
-        if t.ndim == 0:
-            return self._at(float(t))
         flat = t.ravel()
         if flat.size:
             self._check_span(flat.min(), flat.max())
@@ -82,14 +79,6 @@ class DenseSolution:
         # F gathered one row at a time: memory stays at (points, components)
         y = _dop853_poly(lambda j: self._F[k, j], x) + self._y_old[k]
         return y.reshape(t.shape + (self.ncomponents,))
-
-    def _at(self, t):
-        """Scalar fast path: the same recurrence on Python floats."""
-        self._check_span(t, t)
-        k = min(max(bisect.bisect_left(self._knots, t) - 1, 0), len(self._h) - 1)
-        x = (t - float(self._t_old[k])) / float(self._h[k])
-        return np.array([_dop853_poly(f.__getitem__, x) + y0
-                         for f, y0 in zip(self._F[k].T.tolist(), self._y_old[k].tolist())])
 
     def _check_span(self, lo, hi):
         if lo < self.t_min - self._slack or hi > self.t_max + self._slack:

@@ -16,7 +16,11 @@ the kernel evaluates it as (Omega/hbar)^{1/4} rho^{-1/2} e^{-xi^2/2} h_n(xi)
 times the phases, where h_n = H_n / sqrt(2^n n! sqrt(pi)) comes from the
 normalised Hermite recurrence, so one pass gives any set of orders of a
 slice or of a stack of them, on the slices' cutoff windows (state_window;
-state_cutoff names the window of one order).
+state_cutoff names the window of one order).  The classical data of a stack
+of times is read once, as arrays: one domain check, one basis slice, one
+mass read and one driven slice for the whole stack.  A single time is a
+stack of one and takes the same path, so a slice read alone has the bits
+it has in any stack.
 
 The closed-form families (exponential mass, constant at gamma = 0, and
 pulsating mass) differ only in their law for the mass M(t), k = Mdot/M and
@@ -27,7 +31,8 @@ comparisons need no phase alignment.  CLOSED_FORMS is the one map from a
 model family to its law and its closed_form.kind; closed_form_window gives
 any set of orders of a family's closed-form slices at one time or a stack
 of times from the same one recurrence, on the slices' cutoff windows, and
-psi_sho, psi_ck and psi_lo one order from the family's parameters.
+psi_sho, psi_ck and psi_lo one order from the family's parameters; a law,
+too, reads a whole stack of times at once.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,56 +113,49 @@ class StateSpec:
 
 def _log_norm(omega, hbar, rho):
     """ln[(Omega/hbar)^{1/4} rho^{-1/2}], the factor in front of h_n(xi) e^{-xi^2/2}."""
-    return 0.25 * math.log(omega / hbar) - 0.5 * math.log(rho)
+    return 0.25 * np.log(omega / hbar) - 0.5 * np.log(rho)
 
 
-def _kernel_call(x, n, log_norm, gauss_re, gauss_im, scale, phase0,
-                 x_shift=0.0, k_lin=0.0):
-    """state_kernel on scalar-or-array x (a scalar x returns a complex)."""
-    out = state_kernel(x, n, log_norm, gauss_re, gauss_im, scale,
-                       x_shift, k_lin, phase0)
+def _kernel_call(x, n, *params):
+    """state_kernel of order n with the seven slice parameters params on
+    scalar-or-array x (a scalar x returns a complex)."""
+    out = state_kernel(x, n, *params)
     return complex(out) if out.ndim == 0 else out
 
 
-def _slice_params(spec: StateSpec, t, with_driving: bool):
-    """Kernel parameters of spec's classical data at scalar time t, shared by
-    every order: ((log_norm, gauss_re, gauss_im, scale, x_shift, k_lin),
-    theta, delta/hbar).  Order n takes the phase (n + 1/2) theta + delta/hbar."""
-    basis, model, hbar = spec.basis, spec.model, spec.hbar
-    t = float(t)
-    model.check_domain(t)
-    rho, drho, theta = (float(q) for q in basis.slice(t)[4:])
-    M = float(model.mass(t))
-    omega = basis.omega
-
+def _slice_params(spec: StateSpec, ts, with_driving: bool):
+    """Kernel parameters of spec's classical data at the 1-D times ts, one
+    array each, shared by every order: ((log_norm, gauss_re, gauss_im,
+    scale, x_shift, k_lin), theta, delta/hbar).  Order n takes the phase
+    (n + 1/2) theta + delta/hbar.  The basis, the mass and the driven
+    solution are each read once for the whole stack."""
+    basis, model, hbar, omega = spec.basis, spec.model, spec.hbar, spec.basis.omega
+    ts = np.asarray(ts, dtype=float)
+    model.check_domain(ts)
+    rho, drho, theta = basis.slice(ts)[4:]
+    M = model.mass(ts)
     if with_driving and spec.driven is not None:
-        xp, dxp, delta = spec.driven.slice(t)
-        x_shift = float(xp)
-        k_lin = M * float(dxp) / hbar
-        phase_shift = float(delta) / hbar
+        xp, dxp, delta = spec.driven.slice(ts)
+        shift, phase_shift = (xp, M * dxp / hbar), delta / hbar
     else:
-        x_shift = 0.0
-        k_lin = 0.0
-        phase_shift = 0.0
-
+        zero = np.zeros(ts.shape)
+        shift, phase_shift = (zero, zero), zero
     params = (
         _log_norm(omega, hbar, rho),
         -0.5 * omega / (hbar * rho * rho),
         0.5 * M * drho / (hbar * rho),
-        math.sqrt(omega / hbar) / rho,
-        x_shift,
-        k_lin,
+        np.sqrt(omega / hbar) / rho,
+        *shift,
     )
     return params, theta, phase_shift
 
 
 def _eval_slice(spec: StateSpec, x, t, with_driving: bool):
-    """Evaluate the kernel at scalar time t for scalar-or-array x."""
-    params, theta, phase_shift = _slice_params(spec, t, with_driving)
-    log_norm, gauss_re, gauss_im, scale, x_shift, k_lin = params
+    """Evaluate the kernel at scalar time t, a stack of one, for
+    scalar-or-array x."""
+    params, theta, phase_shift = _slice_params(spec, [float(t)], with_driving)
     phase0 = (spec.n + 0.5) * theta + phase_shift
-    return _kernel_call(x, spec.n, log_norm, gauss_re, gauss_im, scale, phase0,
-                        x_shift, k_lin)
+    return _kernel_call(x, spec.n, *(p[0] for p in params + (phase0,)))
 
 
 def state_window(spec: StateSpec, x, t, orders, depth=None):
@@ -168,8 +165,8 @@ def state_window(spec: StateSpec, x, t, orders, depth=None):
     state_kernel_window gives them.
 
     Driven when spec carries a DrivenSolution, as in state_field.  The
-    classical data of each slice is evaluated once and every order at every
-    time comes from one recurrence to max(orders).  rows is
+    classical data of all the times is read once, as one stack, and every
+    order at every time comes from one recurrence to max(orders).  rows is
     (len(orders), W) for a scalar t, rows[i] being psi_{orders[i]} on
     x[offset:offset + W], and the (len(t), len(orders), W) stack of them
     for a sequence; every other column of x is an exact zero.  depth, when
@@ -183,18 +180,16 @@ def state_cutoff(spec: StateSpec, x, t):
     """The columns [a, b) of the ascending grid x outside which
     state_field(spec)(x, t) is exact zeros: the kernel's cutoff window of
     order spec.n at t, at LOG_FLOOR (cutoff_window)."""
-    (log_norm, gauss_re, _, scale, x_shift, _), _, _ = _slice_params(
-        spec, t, with_driving=True)
+    log_norm, gauss_re, _, scale, x_shift = _state_columns(spec, float(t))[:5]
     return cutoff_window(x, spec.n, log_norm, gauss_re, scale, x_shift)
 
 
 def _state_columns(spec: StateSpec, t):
     """The kernel's slice parameters of spec's (driven, when it carries a
-    DrivenSolution) state at t: scalars for a scalar t, one 1-D column each
-    for a 1-D sequence of times."""
-    slices = (_slice_params(spec, s, with_driving=True) for s in np.atleast_1d(t))
-    columns = np.array([params + (0.5 * theta + phase_shift, theta)
-                        for params, theta, phase_shift in slices]).T
+    DrivenSolution) state at t, from one read of the stack np.atleast_1d(t):
+    scalars for a scalar t, one 1-D column each for a 1-D sequence of times."""
+    params, theta, phase_shift = _slice_params(spec, np.atleast_1d(t), with_driving=True)
+    columns = np.array(params + (0.5 * theta + phase_shift, theta))
     return columns if np.ndim(t) else columns[:, 0]
 
 
@@ -233,33 +228,13 @@ def _rho_tilde(s, C):
     return rt, drt
 
 
-def _closed_slice(M, k, w2, Ccoef, hbar, t):
-    """Kernel parameters and theta at t of the closed form of a family whose
-    law gives the mass M(t), k = Mdot/M and the constant reduced frequency
-    w_c^2: the ellipse data of C runs at w_c, the mass enters through the
-    width factor and the chirp's -k/2."""
-    if Ccoef <= 0:
-        raise ValueError("Ccoef must be positive")
-    if w2 <= 0:
-        raise OverdampedError(f"w_c^2 = {w2} <= 0: overdamped regime not supported")
-    w_c = math.sqrt(w2)
-    s = w_c * float(t)
-    rt, drt = _rho_tilde(s, Ccoef)
-    rt, drt = float(rt), float(drt * w_c)  # d/dt, not d/ds
-    params = (
-        _log_norm(M * Ccoef * w_c, hbar, rt),
-        -0.5 * M * Ccoef * w_c / (hbar * rt * rt),
-        0.5 * M * (drt / rt - 0.5 * k) / hbar,
-        math.sqrt(M * Ccoef * w_c / hbar) / rt,
-    )
-    return params, unwrapped_ellipse_angle(s, Ccoef)
-
-
-# Each family's law (M, k, w_c^2) at t, from the family's own parameters
-# (its model's params()), never from a model's mass or a basis.
+# Each family's law (M, k, w_c^2) at t, a time or a 1-D array of them, from
+# the family's own parameters (its model's params()), never from a model's
+# mass or a basis.
 
 def _ck_law(t, m, gamma, w1):
-    return m * math.exp(gamma * t), gamma, w1 * w1 - 0.25 * gamma * gamma
+    # M as CaldirolaKanai.mass forms it
+    return m * np.exp(gamma * t), gamma, w1 * w1 - 0.25 * gamma * gamma
 
 
 def _lo_law(t, m0, gamma, mu, nu, w_lo):
@@ -269,8 +244,8 @@ def _lo_law(t, m0, gamma, mu, nu, w_lo):
         raise ValueError("w_lo must be positive")
     # M as LoDampedPulsating.mass forms it and k as the factor dmass puts on
     # it, so both agree bit for bit
-    M = float(m0 * np.exp(2.0 * (gamma * t + mu * np.sin(nu * t))))
-    return M, float(2.0 * (gamma + mu * nu * np.cos(nu * t))), w_lo * w_lo
+    M = m0 * np.exp(2.0 * (gamma * t + mu * np.sin(nu * t)))
+    return M, 2.0 * (gamma + mu * nu * np.cos(nu * t)), w_lo * w_lo
 
 
 # the one map from a model family to its closed form: family -> (its
@@ -283,22 +258,42 @@ CLOSED_FORMS = {
 
 def closed_form_law(model):
     """t -> (M, k, w_c^2) of model's family from its own parameters
-    (model.params()), or None for a family without a closed form."""
+    (model.params()), at a time or at a 1-D array of them, or None for a
+    family without a closed form."""
     if type(model) not in CLOSED_FORMS:
         return None
     return functools.partial(CLOSED_FORMS[type(model)][1], **model.params())
 
 
-def _closed_columns(model, Ccoef, hbar, t):
+def _closed_columns(law, Ccoef, hbar, t):
     """The kernel's slice parameters of the closed form with pulsation
-    parameter Ccoef of model's family at t: scalars for a scalar t, one
-    1-D column each for a 1-D sequence of times."""
-    law = closed_form_law(model)
-    if law is None:
-        raise ValueError(f"{type(model).__name__} has no closed-form state")
-    slices = (_closed_slice(*law(s), Ccoef, hbar, s) for s in np.atleast_1d(t))
-    columns = np.array([params + (0.0, 0.0, 0.5 * theta, theta)
-                        for params, theta in slices]).T
+    parameter Ccoef of the family whose law gives the mass M(t),
+    k = Mdot/M and the constant reduced frequency w_c^2, at t, from one
+    read of the stack np.atleast_1d(t): scalars for a scalar t, one 1-D
+    column each for a 1-D sequence of times.  The ellipse data of C runs at
+    w_c; the mass enters through the width factor and the chirp's -k/2."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    M, k, w2 = law(ts)
+    if Ccoef <= 0:
+        raise ValueError("Ccoef must be positive")
+    if w2 <= 0:
+        raise OverdampedError(f"w_c^2 = {w2} <= 0: overdamped regime not supported")
+    w_c = np.sqrt(w2)
+    s = w_c * ts
+    rt, drt = _rho_tilde(s, Ccoef)
+    drt = drt * w_c  # d/dt, not d/ds
+    theta = unwrapped_ellipse_angle(s, Ccoef)
+    zero = np.zeros(ts.shape)
+    columns = np.array((
+        _log_norm(M * Ccoef * w_c, hbar, rt),
+        -0.5 * M * Ccoef * w_c / (hbar * rt * rt),
+        0.5 * M * (drt / rt - 0.5 * k) / hbar,
+        np.sqrt(M * Ccoef * w_c / hbar) / rt,
+        zero,
+        zero,
+        0.5 * theta,
+        theta,
+    ))
     return columns if np.ndim(t) else columns[:, 0]
 
 
@@ -307,15 +302,19 @@ def closed_form_window(model, Ccoef, orders, hbar, x, t, depth=None):
     Ccoef of model's family at t, or at each of a 1-D sequence of times, on
     the ascending grid x, as state_window's (rows, offset) (depth as
     there), from one recurrence."""
-    return state_kernel_window(x, orders, *_closed_columns(model, Ccoef, hbar, t),
+    law = closed_form_law(model)
+    if law is None:
+        raise ValueError(f"{type(model).__name__} has no closed-form state")
+    return state_kernel_window(x, orders, *_closed_columns(law, Ccoef, hbar, t),
                                depth=depth)
 
 
-def _closed_form_call(slice_, n, x):
-    """Order n of a closed-form slice (_closed_slice) on scalar-or-array x."""
-    params, theta = slice_
+def _closed_form_call(law, Ccoef, n, hbar, x, t):
+    """Order n of the closed form of law (_closed_columns) at scalar time
+    t on scalar-or-array x."""
     n = int(n)
-    return _kernel_call(x, n, *params, (n + 0.5) * theta)
+    columns = _closed_columns(law, Ccoef, hbar, float(t))
+    return _kernel_call(x, n, *columns[:6], (n + 0.5) * columns[7])
 
 
 def psi_sho(w_s, Ccoef, n, hbar, x, t):
@@ -327,8 +326,8 @@ def psi_sho(w_s, Ccoef, n, hbar, x, t):
     """
     if w_s <= 0:
         raise ValueError("w_s must be positive")
-    return _closed_form_call(_closed_slice(*_ck_law(t, 1.0, 0.0, w_s), Ccoef, hbar, t),
-                             n, x)
+    law = functools.partial(_ck_law, m=1.0, gamma=0.0, w1=w_s)
+    return _closed_form_call(law, Ccoef, n, hbar, x, t)
 
 
 def psi_ck(m, gamma, w1, Ccoef, n, hbar, x, t):
@@ -338,8 +337,8 @@ def psi_ck(m, gamma, w1, Ccoef, n, hbar, x, t):
     frequency w_ck = sqrt(w1^2 - gamma^2/4), with the mass factor in the
     Gaussian width and the extra -gamma/2 in its imaginary part.
     """
-    return _closed_form_call(_closed_slice(*_ck_law(t, m, gamma, w1), Ccoef, hbar, t),
-                             n, x)
+    law = functools.partial(_ck_law, m=m, gamma=gamma, w1=w1)
+    return _closed_form_call(law, Ccoef, n, hbar, x, t)
 
 
 def psi_lo(m0, gamma, mu, nu, w_lo, Ccoef, n, hbar, x, t):
@@ -349,8 +348,8 @@ def psi_lo(m0, gamma, mu, nu, w_lo, Ccoef, n, hbar, x, t):
     frequency, so the ellipse data runs at the constant reduced frequency
     w_lo; the mass enters through the width factor and -Mdot/2M.
     """
-    return _closed_form_call(
-        _closed_slice(*_lo_law(t, m0, gamma, mu, nu, w_lo), Ccoef, hbar, t), n, x)
+    law = functools.partial(_lo_law, m0=m0, gamma=gamma, mu=mu, nu=nu, w_lo=w_lo)
+    return _closed_form_call(law, Ccoef, n, hbar, x, t)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from tdho.classical import analytic_basis_sho
 from tdho.models import CaldirolaKanai, LoDampedPulsating
 from tdho.states import (
     StateSpec,
-    _closed_slice,
+    _closed_columns,
     _slice_params,
     closed_form_law,
     closed_form_window,
@@ -459,7 +459,7 @@ def _depth_case(name, driven_ck):
     slice: the driven state at t = 1 or a closed-form family's state."""
     if name == "driven_ck":
         spec = StateSpec(0, 1.0, *driven_ck)
-        params = _slice_params(spec, 1.0, with_driving=True)[0]
+        params = [p[0] for p in _slice_params(spec, [1.0], with_driving=True)[0]]
         return (lambda orders, x, **kw: on_grid(state_window(spec, x, 1.0, orders, **kw),
                                                  len(x)),
                 (params[0], params[1], params[3], params[4]))
@@ -470,7 +470,7 @@ def _depth_case(name, driven_ck):
     }[name]
     block = lambda orders, x, **kw: on_grid(closed_form_window(  # noqa: E731
         model, C, orders, hbar, x, t, **kw), len(x))
-    params = _closed_slice(*closed_form_law(model)(t), C, hbar, t)[0]
+    params = _closed_columns(closed_form_law(model), C, hbar, t)
     return block, (params[0], params[1], params[3], 0.0)
 
 
@@ -558,8 +558,8 @@ def test_the_window_form_is_the_block_on_its_window(driven_ck, with_driving, tim
     columns on the union of the slices' cutoff windows, which is narrower
     than the grid, and nothing else."""
     spec = StateSpec(0, 1.0, *driven_ck)
-    slices = [_slice_params(spec, t, with_driving) for t in np.atleast_1d(times)]
-    columns = np.array([p + (0.5 * theta + shift, theta) for p, theta, shift in slices]).T
+    params, theta, shift = _slice_params(spec, np.atleast_1d(times), with_driving)
+    columns = np.array(params + (0.5 * theta + shift, theta))
     params = columns if np.ndim(times) else columns[:, 0]
     x = np.linspace(-40.0, 40.0, 4097)
     rows, offset = _window_is_block(x, [40, 0, 7], params, depth)

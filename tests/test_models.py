@@ -374,3 +374,39 @@ def _ode_terms_match(model, rng):
             want = (M, model.dmass(t) / M, model.freq2(t), model.force_at(t))
             assert all(type(q) is float for q in got)
             assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes(), t
+
+
+# ---------------------------------------------------------------------------
+# a scalar read is the array read
+# ---------------------------------------------------------------------------
+
+PARITY_TIMES = np.linspace(-1.0, 12.0, 10001)
+
+
+def _scalar_reads_are_the_array_read(model, names):
+    for name in names:
+        read = getattr(model, name)
+        # force_at without a force reads 0.0, which broadcasts
+        want = np.broadcast_to(np.asarray(read(PARITY_TIMES), dtype=float),
+                               PARITY_TIMES.shape)
+        got = np.array([read(t) for t in PARITY_TIMES.tolist()], dtype=float)
+        differ = np.count_nonzero(got.view(np.int64) != want.view(np.int64))
+        assert differ == 0, f"{name} differs at {differ} of {len(PARITY_TIMES)} times"
+
+
+@pytest.mark.parametrize("family", ["UnitMassSHO", "CaldirolaKanai", "LoDampedPulsating",
+                                    "GeneralParametric", "ReducedUnitMass"])
+def test_a_scalar_read_is_the_array_read_bit_for_bit(family):
+    """mass, dmass, d2mass, freq2 and force_at at each of 10001 times on
+    [-1, 12], one Python float at a time, equal one read of the array of
+    them bit for bit: a slice read alone is the slice read in a stack."""
+    model = (ReducedUnitMass(_ode_model("LoDampedPulsating", None))
+             if family == "ReducedUnitMass" else _ode_model(family, None))
+    _scalar_reads_are_the_array_read(model, ("mass", "dmass", "d2mass", "freq2",
+                                             "force_at"))
+
+
+@pytest.mark.parametrize("force", sorted(_ODE_FORCES))
+def test_a_scalar_force_read_is_the_array_read_bit_for_bit(force):
+    _scalar_reads_are_the_array_read(_ode_model("CaldirolaKanai", _ODE_FORCES[force]),
+                                     ("force_at",))

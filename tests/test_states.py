@@ -10,9 +10,13 @@ from scipy.integrate import simpson
 from tdho.classical import OverdampedError, null_driven, reduced_basis
 from tdho.models import CaldirolaKanai, GeneralParametric, LoDampedPulsating
 from tdho.cli import build_context, load_scenario, main
+from tdho._kernels import cutoff_window, state_kernel
 from tdho.states import (
     StateSpec,
+    _closed_columns,
+    _slice_params,
     _x_column,
+    closed_form_law,
     closed_form_window,
     dump_state_grid,
     psi_ck,
@@ -21,7 +25,9 @@ from tdho.states import (
     psi_lo,
     psi_sho,
     psi_unit_mass,
+    state_cutoff,
     state_field,
+    state_window,
 )
 from tdho.transforms import Grid
 
@@ -165,29 +171,80 @@ def test_psi_lo_equals_general_over_numeric_basis(lo_basis, lo_model, n):
         assert np.max(np.abs(a - b)) < 1e-9
 
 
+def _psi_sho(model, *args):
+    return psi_sho(model.w1, *args)
+
+
+def _psi_ck(model, *args):
+    return psi_ck(model.m, model.gamma, model.w1, *args)
+
+
+def _psi_lo(model, *args):
+    return psi_lo(model.m0, model.gamma, model.mu, model.nu, model.w_lo, *args)
+
+
 @pytest.mark.parametrize("depth", [None, 80.0])
-@pytest.mark.parametrize("model, C", [
-    (CaldirolaKanai(1.0, 0.0, 1.3, t_min=-1.0, t_max=12.0), 1.0),
-    (CaldirolaKanai(1.0, 0.0, 1.3, t_min=-1.0, t_max=12.0), 2.0),
-    (CaldirolaKanai(1.0, 0.6, 1.0, t_min=-1.0, t_max=12.0), 1.0),
-    (LoDampedPulsating(1.0, 0.1, 0.2, 3.0, 1.0, t_min=-1.0, t_max=12.0), 1.5),
+@pytest.mark.parametrize("model, C, psi", [
+    (CaldirolaKanai(1.0, 0.0, 1.3, t_min=-1.0, t_max=12.0), 1.0, _psi_sho),
+    (CaldirolaKanai(1.0, 0.0, 1.3, t_min=-1.0, t_max=12.0), 2.0, _psi_sho),
+    (CaldirolaKanai(1.0, 0.6, 1.0, t_min=-1.0, t_max=12.0), 1.0, _psi_ck),
+    (LoDampedPulsating(1.0, 0.1, 0.2, 3.0, 1.0, t_min=-1.0, t_max=12.0), 1.5, _psi_lo),
 ], ids=["sho_c1", "sho_c2", "ck", "lo"])
-def test_stacked_closed_form_block_is_per_time(model, C, depth):
+def test_stacked_closed_form_block_is_per_time(model, C, psi, depth):
     """closed_form_window over a 1-D sequence of times (one time twice, an
     integer one too), zero-padded to the whole grid, holds, time by time,
-    the bytes of its one-time calls; its window is the union of theirs."""
-    times = [0.0, 2.5, 1, 7.25, 2.5]
-    orders = [24, 0, 5]
+    the bytes of its one-time calls; its window is the union of theirs.
+    The family's psi at each time is the kernel of that time's slice in the
+    stack (at t = 3.5, math.exp(0.6 t) is not np.exp's)."""
+    times = [0.0, 2.5, 1, 7.25, 2.5, 3.5]
+    orders, n = [24, 0, 5], 5
     window, offset = closed_form_window(model, C, orders, 0.8, X, times, depth=depth)
     stack = on_grid((window, offset), len(X))
     assert stack.shape == (len(times), len(orders), len(X))
+    columns = _closed_columns(closed_form_law(model), C, 0.8, times)
     spans = []
-    for t, rows in zip(times, stack):
+    for i, (t, rows) in enumerate(zip(times, stack)):
         one = closed_form_window(model, C, orders, 0.8, X, t, depth=depth)
         assert rows.tobytes() == on_grid(one, len(X)).tobytes()
         spans.append((one[1], one[1] + one[0].shape[-1]))
+        want = state_kernel(X, n, *columns[:6, i], (n + 0.5) * columns[7, i])
+        assert psi(model, C, n, 0.8, X, t).tobytes() == want.tobytes(), t
     assert (offset, offset + window.shape[-1]) == (min(a for a, _ in spans),
                                                    max(b for _, b in spans))
+
+
+# a stack of times, some twice, on [-1, 6]
+STACK = np.concatenate([np.linspace(-1.0, 6.0, 29), [2.5, 0.0, 2.5]])
+
+
+def _stack_spec(name):
+    """Order 3 of the bundled ck scenario over its numeric basis or over the
+    basis's reduced companion, or of driven_ck with its particular path."""
+    ctx = build_context(load_scenario("driven_ck" if name == "driven_ck" else "ck"))
+    basis = reduced_basis(ctx.basis) if name == "companion" else ctx.basis
+    return StateSpec(3, ctx.hbar, basis, ctx.driven)
+
+
+@pytest.mark.parametrize("name", ["ck", "driven_ck", "companion"])
+def test_a_stack_of_times_reads_as_one_call_per_time(name):
+    """state_window over a stack of times holds, time by time, the bytes of
+    its one-time calls; at each time state_cutoff is the cutoff window, and
+    the state's field the kernel, of that time's slice in the stack."""
+    spec = _stack_spec(name)
+    assert (spec.driven is not None) == (name == "driven_ck")
+    orders = [7, 0, 3]
+    stack = on_grid(state_window(spec, X, STACK, orders), len(X))
+    params, theta, phase_shift = _slice_params(spec, STACK, with_driving=True)
+    field = state_field(spec)
+    for i, t in enumerate(STACK.tolist()):
+        one = on_grid(state_window(spec, X, t, orders), len(X))
+        assert stack[i].tobytes() == one.tobytes(), t
+        log_norm, gauss_re, _, scale, x_shift, _ = (p[i] for p in params)
+        assert state_cutoff(spec, X, t) == cutoff_window(X, spec.n, log_norm, gauss_re,
+                                                         scale, x_shift)
+        phase0 = (spec.n + 0.5) * theta[i] + phase_shift[i]
+        want = state_kernel(X, spec.n, *(p[i] for p in params), phase0)
+        assert field(X, t).tobytes() == want.tobytes(), t
 
 
 def test_psi_sho_squeezed_density_breathes():

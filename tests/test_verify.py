@@ -759,8 +759,8 @@ def test_detuned_boost_fails_the_uncertainty_check(monkeypatch, bundled_context,
     assert all(r.passed for r in run_suite(ctx, ["uncertainty"]))
     slice_params = tdho.states._slice_params
 
-    def detuned(spec, t, with_driving):
-        params, theta, phase_shift = slice_params(spec, t, with_driving)
+    def detuned(spec, ts, with_driving):
+        params, theta, phase_shift = slice_params(spec, ts, with_driving)
         if with_driving and spec.driven is not None:
             params = params[:5] + (1.001 * params[5],)
         return params, theta, phase_shift
@@ -907,8 +907,8 @@ def test_each_run_evaluates_the_shared_block_once_and_afresh(monkeypatch,
     assert len(shared) == 1
     slice_params = tdho.states._slice_params
 
-    def narrower(spec, t, with_driving):
-        params, theta, phase_shift = slice_params(spec, t, with_driving)
+    def narrower(spec, ts, with_driving):
+        params, theta, phase_shift = slice_params(spec, ts, with_driving)
         return params[:1] + (1.001 * params[1],) + params[2:], theta, phase_shift
 
     monkeypatch.setattr(tdho.states, "_slice_params", narrower)
