@@ -87,10 +87,11 @@ class ClassicalBasis:
     def slice(self, t):
         """(u, du, v, dv, rho, drho, theta) at t from one read."""
         u, du, v, dv, theta = self._read(t)
-        rho = np.sqrt(u ** 2 + v ** 2)
-        # assembled from the trajectory derivatives, never finite-differenced;
-        # u*u and u**2 round differently on numpy scalars, so rho is not reused
-        drho = (u * du + v * dv) / np.sqrt(u * u + v * v)
+        # u * u, not u ** 2: on numpy scalars the power rounds differently
+        # from the array square, and a scalar read must be the stack's bits
+        rho = np.sqrt(u * u + v * v)
+        # assembled from the trajectory derivatives, never finite-differenced
+        drho = (u * du + v * dv) / rho
         return u, du, v, dv, rho, drho, theta
 
     def omega_check(self, t):

@@ -26,17 +26,21 @@ family's law in tdho.states.CLOSED_FORMS, never from the basis or the
 model's mass, and only shares the recurrence; frequency_map's target is
 that law's w_c^2; delta_legacy stays an independent integral.
 
-The suite reads each state down to e^-READ_DEPTH (e^-80) of its slice's
+The suite reads each state down to e^-READ_DEPTH (e^-40) of its slice's
 amplitude scale and takes the samples below as exact zeros; the kernel
 alone reads to e^-700 (LOG_FLOOR).  An order's peak is at least 0.358 of
-that scale up to n = 1000, so every zeroed sample is below 5e-35 of its
-row's peak: under eps^2, where no norm, sum or maximum the checks form can
-see it, and 25 orders below BOUNDARY_RATIO.  What a narrower window does
-move is rounding: a slice may skip exponent tracking, and a sum loses terms
-that lie far below its last bit.  A verdict can only move if its measured
-value sits within that rounding of its threshold.  schrodinger_residual,
-check_transform_equivalence, state_field and the CLI's state dump read at
-full depth.
+that scale up to n = 1000, so every zeroed sample is below 1.2e-17 of its
+row's peak, under eps/16, and no reduction the checks form can see it.
+Norms, Gram entries, the stationarity drift and the moments' sums see it
+squared, below 1.4e-34 of the peak's square; the closed-form distance, a
+maximum, sees it below the rounding of the peak-sized terms it compares;
+the Nyquist bins and the moments' DFT, linear sums over at most 4096
+points, see at most 5e-14 of the peak, four orders below BOUNDARY_RATIO.
+What a narrower window does move is rounding: a slice may skip exponent
+tracking, and a sum loses terms that lie below its last bit.  A verdict
+can only move if its measured value sits within that rounding of its
+threshold.  schrodinger_residual, check_transform_equivalence, state_field
+and the CLI's state dump read at full depth.
 
 So at high order most of the grid holds exact zeros, and no read of the
 suite stores them: every block it reads is a GridFunction (see
@@ -565,9 +569,13 @@ DEFAULT_THRESHOLDS = {
 
 # Every state block the suite reads is zero below e^-READ_DEPTH of its
 # slice's amplitude scale (state_kernel_window's depth): at most
-# e^-80 / 0.358 ≈ 5e-35 of the state's peak for orders up to 1000, below
-# eps^2 and far below BOUNDARY_RATIO.  Change it only by that argument.
-READ_DEPTH = 80.0
+# e^-40 / 0.358 ≈ 1.2e-17 of the state's peak for orders up to 1000, under
+# eps/16.  A norm or Gram entry sees that squared, below 1.4e-34 of the
+# peak's square; a maximum sees it under the rounding of the peak; a
+# linear sum over 4096 points under 5e-14 of the peak, far below
+# BOUNDARY_RATIO.  Change it only by that argument, given in full in the
+# module docstring.
+READ_DEPTH = 40.0
 
 
 def state_window(spec: StateSpec, grid: Grid, t, orders) -> GridFunction:

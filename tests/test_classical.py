@@ -359,7 +359,7 @@ def test_basis_slice_equals_per_method_reads(name, sho_basis_c2, ck_basis, lo_ba
         assert len(got) == 7
         u, du, v, dv, rho, drho, theta = got
         assert np.shape(theta) == np.shape(t)
-        _assert_same_bits(rho, np.sqrt(u ** 2 + v ** 2))
+        _assert_same_bits(rho, np.sqrt(u * u + v * v))
         _assert_same_bits(drho, (u * du + v * dv) / np.sqrt(u * u + v * v))
         _assert_same_bits(basis.omega_check(t),
                           basis.model.mass(t) * (dv * u - du * v))
@@ -369,6 +369,23 @@ def test_basis_slice_equals_per_method_reads(name, sho_basis_c2, ck_basis, lo_ba
         base, got = lo_basis.slice(t), basis.slice(t)
         _assert_same_bits(got[1], np.sqrt(M) * (base[1] + 0.5 * (dM / M) * base[0]))
         _assert_same_bits(got[6], base[6])
+
+
+@pytest.mark.parametrize("name", ["sho_c2", "ck", "ck_scenario"])
+def test_a_scalar_slice_is_its_stack_read(name, sho_basis_c2, ck_basis):
+    """basis.slice(t) at one time is, bit for bit, that time's entry of the
+    slice over a stack of 5001 times: the analytic SHO and CK bases and the
+    bundled ck scenario's numeric basis."""
+    if name == "ck_scenario":
+        from tdho.cli import build_context, load_scenario
+
+        basis = build_context(load_scenario("ck")).basis
+    else:
+        basis = {"sho_c2": sho_basis_c2, "ck": ck_basis}[name]
+    ts = np.linspace(basis.model.t_min, basis.model.t_max, 5001)
+    stack = np.array(basis.slice(ts))
+    one = np.array([basis.slice(t) for t in ts]).T
+    _assert_same_bits(one, stack)
 
 
 def test_driven_slices_equal_per_method_reads(driven_sho):

@@ -451,7 +451,7 @@ def test_the_top_order_cutoff_radius_bounds_every_lower_order(n, log_norm, scale
 # read depth
 # ---------------------------------------------------------------------------
 
-DEPTH = 80.0
+DEPTH = tdho.verify.READ_DEPTH
 
 
 def _depth_case(name, driven_ck):
@@ -478,9 +478,12 @@ def _depth_case(name, driven_ck):
 @pytest.mark.parametrize("n", [0, 3, 12, 64])
 def test_a_depth_zeros_only_what_lies_below_it(driven_ck, name, n):
     """With a depth, samples outside the top order's cutoff radius at that
-    depth are exact zeros; every sample equals the full-depth block within
-    1e-13 of its row's peak; depth=None is the call without it, byte for
-    byte."""
+    depth are exact zeros, and in the full-depth block each lies below
+    eps/16 of its row's peak (e^-depth / 0.358, see
+    test_every_order_peaks_above_its_bound); inside, where the shallower
+    slice may skip exponent tracking, every sample equals the full-depth
+    block within 1e-13 of its row's peak; depth=None is the call without
+    it, byte for byte."""
     block, (log_norm, gauss_re, scale, x_shift) = _depth_case(name, driven_ck)
     orders = sorted({n, n // 2, 0}, reverse=True)
     full_radius = _cutoff_radius(n, log_norm, gauss_re, scale)
@@ -494,7 +497,20 @@ def test_a_depth_zeros_only_what_lies_below_it(driven_ck, name, n):
     assert np.all(got[:, outside] == 0.0)
     assert np.any(full[:, outside] != 0.0)  # the depth cut something
     peak = np.max(np.abs(full), axis=1, keepdims=True)
+    assert np.all(np.abs(full[:, outside]) <= np.finfo(float).eps / 16 * peak)
     assert np.all(np.abs(got - full) <= 1e-13 * peak)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 16, 64, 256, 1000])
+def test_every_order_peaks_above_its_bound(n):
+    """max |h_n(xi)| e^{-xi^2/2} >= 0.358 (read on xi in [0, sqrt(2n+1) + 2],
+    past the last turning point, with step 0.002), the bound on which
+    READ_DEPTH rests: a sample below e^-READ_DEPTH of the amplitude scale is
+    then below eps/16 of its row's peak."""
+    xi = np.arange(0.0, math.sqrt(2 * n + 1) + 2.0, 0.002)
+    peak = np.max(np.abs(kernels.state_kernel(xi, n, 0.0, -0.5, 0.0, 1.0, 0.0, 0.0, 0.0)))
+    assert peak >= 0.358
+    assert math.exp(-DEPTH) / 0.358 < np.finfo(float).eps / 16
 
 
 def test_stacked_slices_at_a_depth_are_one_call_per_slice():
@@ -503,7 +519,8 @@ def test_stacked_slices_at_a_depth_are_one_call_per_slice():
     their own window, narrower than at full depth where the floor rose."""
     x = np.linspace(-30.0, 30.0, 2049)
     slices = [(log_norm, -0.5, 0.2, 1.0, shift, 0.3, 0.1, 0.9)
-              for log_norm, shift in ((0.0, -2.0), (-5.0, 1.0), (-650.0, 0.0))]
+              for log_norm, shift in ((0.0, -2.0), (-5.0, 1.0), (-680.0, 0.0))]
+    assert -680.0 - DEPTH < kernels._ref.LOG_FLOOR
     got = _stacked_is_per_slice(x, [24, 3, 0], slices, depth=DEPTH)
     full = _stacked_is_per_slice(x, [24, 3, 0], slices)
     widths = [np.count_nonzero(np.any(rows != 0.0, axis=0)) for rows in (*got, *full)]

@@ -952,16 +952,18 @@ def _high_n_document(rng: random.Random, label: str) -> dict:
             "grid": {"policy": True}, "checks": checks}
 
 
-@pytest.mark.parametrize("name", [*BUNDLED, "high_n_sho_stationary",
-                                  "high_n_sho_breathing", "high_n_ck"])
+@pytest.mark.parametrize("name", [*BUNDLED, *(f"{name}/fast" for name in BUNDLED),
+                                  "high_n_sho_stationary", "high_n_sho_breathing",
+                                  "high_n_ck"])
 def test_the_read_depth_moves_no_verdict(monkeypatch, bundled_context, bundled_results,
                                          name):
     """The suite read to READ_DEPTH and read to LOG_FLOOR (READ_DEPTH = None)
     gives the same rows and verdicts, each measured value within 1e-5 of its
-    threshold, on the bundled scenarios and on three documents with orders
-    up to 64 (orthonormality to 16, as the benchmark runs them).
-    Orthonormality's params name the same place too: every deviation is at
-    rounding level (1e-15), and the row names the lowest of the ties."""
+    threshold, on the bundled scenarios, full and with their fast contexts
+    (tdho verify --suite fast), and on three documents with orders up to 64
+    (orthonormality to 16, as the benchmark runs them).  Orthonormality's
+    params name the same place too: every deviation is at rounding level
+    (1e-15), and the row names the lowest of the ties."""
     from tdho.cli import build_context, load_scenario
 
     if name.startswith("high_n_"):
@@ -970,10 +972,14 @@ def test_the_read_depth_moves_no_verdict(monkeypatch, bundled_context, bundled_r
         ctx = build_context(doc)
         ctx.orthonormality_nmax = 16
         shallow = run_suite(ctx, doc["checks"])
+    elif name.endswith("/fast"):
+        doc = load_scenario(name[:-len("/fast")])
+        ctx = build_context(doc, fast=True)
+        shallow = run_suite(ctx, doc["checks"])
     else:
         ctx, doc = bundled_context(name), load_scenario(name)
         shallow = bundled_results(name)
-    assert tdho.verify.READ_DEPTH == 80.0
+    assert tdho.verify.READ_DEPTH == 40.0
     monkeypatch.setattr(tdho.verify, "READ_DEPTH", None)
     deep = run_suite(ctx, doc["checks"])
     assert len(shallow) == len(deep)
