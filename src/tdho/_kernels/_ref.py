@@ -150,18 +150,19 @@ def _hermite_function_rows(n, xi, log_amp, spans):
         yield h, e
 
 
-def state_kernel(x, n, log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0):
-    """Order n of state_kernel_window at the points x, in any order and
-    shape: its one row (dphase = 0) on the sorted points, zero-padded and
-    put back in x's order and shape."""
+def state_kernel(x, n, *params):
+    """Order n of state_kernel_window with the eight scalar slice
+    parameters params (log_norm .. dphase), read to LOG_FLOOR, at the
+    points x in any order and shape: its one row on the sorted points,
+    zero-padded and put back in x's order and shape (a complex for a
+    scalar x)."""
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()
     order = np.argsort(flat, kind="stable")
-    rows, a = state_kernel_window(flat[order], [n], log_norm, gauss_re, gauss_im,
-                                  scale, x_shift, k_lin, phase0, 0.0)
+    rows, a = state_kernel_window(flat[order], [n], *params)
     out = np.zeros(flat.shape, dtype=np.complex128)
     out[order[a:a + rows.shape[-1]]] = rows[0]
-    return out.reshape(x.shape)
+    return out.reshape(x.shape)[()]
 
 
 def state_kernel_window(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,

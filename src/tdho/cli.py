@@ -366,6 +366,16 @@ def cmd_state(args) -> int:
         scenario = {**scenario, "times": args.t}
     ctx = build_context(scenario)
     out_dir = Path(args.out)
+    # a file is named by its time's 6 significant digits: refuse two times
+    # that share them before writing anything, as one would overwrite the other
+    named = {}
+    for t in ctx.times:
+        if f"{t:g}" in named:
+            raise ScenarioError(
+                f"times {named[f'{t:g}']!r} and {t!r} both write "
+                f"{out_dir / f'state_n{ctx.ns[0]}_t{t:g}.csv'}; give times that "
+                "differ in their first 6 significant digits")
+        named[f"{t:g}"] = t
     out_dir.mkdir(parents=True, exist_ok=True)
     for n in ctx.ns:
         f = state_field(ctx.state(n))

@@ -22,12 +22,21 @@ mass read and one driven slice for the whole stack.  A single time is a
 stack of one and takes the same path, so a slice read alone has the bits
 it has in any stack.
 
+Every read, of one order or of many, forms the kernel's eight slice
+columns in one place (_columns) and hands all eight to it; order n's phase
+(n + 1/2) theta + delta/hbar is the kernel's phase0 + n dphase, formed
+there alone.  So a field read of order n (state_field, psi_*) is, bit for
+bit, the row of a full-depth state_kernel_window read of [n] over its
+slice or over any stack of slices that holds it.  Window reads
+(state_window, closed_form_window) stop at e^-READ_DEPTH of each slice's
+amplitude scale; field reads go down to the kernel's LOG_FLOOR.
+
 The closed-form families (exponential mass, constant at gamma = 0, and
 pulsating mass) differ only in their law for the mass M(t), k = Mdot/M and
 the constant reduced frequency w_c^2, which each reads from its own
-parameters, never from a model's mass or a basis.  One slice formula turns any law into the
-kernel parameters, with the same branch convention, so general/specialized
-comparisons need no phase alignment.  CLOSED_FORMS is the one map from a
+parameters, never from a model's mass or a basis.  One slice formula turns
+any law into the kernel parameters, with the same branch convention, so
+general/specialized comparisons need no phase alignment.  CLOSED_FORMS is the one map from a
 model family to its law and its closed_form.kind; closed_form_window gives
 any set of orders of a family's closed-form slices at one time or a stack
 of times from the same one recurrence, on the slices' cutoff windows, and
@@ -111,91 +120,85 @@ class StateSpec:
         return doc
 
 
-def _log_norm(omega, hbar, rho):
-    """ln[(Omega/hbar)^{1/4} rho^{-1/2}], the factor in front of h_n(xi) e^{-xi^2/2}."""
-    return 0.25 * np.log(omega / hbar) - 0.5 * np.log(rho)
+# Every state block the suite reads is zero below e^-READ_DEPTH of its
+# slice's amplitude scale (state_kernel_window's depth): at most
+# e^-40 / 0.358 ≈ 1.2e-17 of the state's peak for orders up to 1000, under
+# eps/16.  A norm or Gram entry sees that squared, below 1.4e-34 of the
+# peak's square; a maximum sees it under the rounding of the peak; a
+# linear sum over 4096 points under 5e-14 of the peak, far below
+# BOUNDARY_RATIO.  Change it only by that argument, given in full in
+# tdho.verify's module docstring.
+READ_DEPTH = 40.0
 
 
-def _kernel_call(x, n, *params):
-    """state_kernel of order n with the seven slice parameters params on
-    scalar-or-array x (a scalar x returns a complex)."""
-    out = state_kernel(x, n, *params)
-    return complex(out) if out.ndim == 0 else out
+def _columns(t, omega, hbar, rho, gauss_im, theta, x_shift, k_lin, phase_shift):
+    """The kernel's eight slice columns of a state whose invariant (with the
+    mass folded in) is omega, with envelope rho, chirp gauss_im, angle theta,
+    centre x_shift, linear phase k_lin and phase offset phase_shift, each
+    given at every time of the stack np.atleast_1d(t): scalars for a scalar
+    t, one 1-D column each for a 1-D sequence of times.  Order n takes the
+    phase phase0 + n dphase = (n + 1/2) theta + phase_shift."""
+    columns = np.array((
+        0.25 * np.log(omega / hbar) - 0.5 * np.log(rho),
+        -0.5 * omega / (hbar * rho * rho),
+        gauss_im,
+        np.sqrt(omega / hbar) / rho,
+        x_shift,
+        k_lin,
+        0.5 * theta + phase_shift,
+        theta,
+    ))
+    return columns if np.ndim(t) else columns[:, 0]
 
 
-def _slice_params(spec: StateSpec, ts, with_driving: bool):
-    """Kernel parameters of spec's classical data at the 1-D times ts, one
-    array each, shared by every order: ((log_norm, gauss_re, gauss_im,
-    scale, x_shift, k_lin), theta, delta/hbar).  Order n takes the phase
-    (n + 1/2) theta + delta/hbar.  The basis, the mass and the driven
-    solution are each read once for the whole stack."""
-    basis, model, hbar, omega = spec.basis, spec.model, spec.hbar, spec.basis.omega
-    ts = np.asarray(ts, dtype=float)
+def _slice_params(spec: StateSpec, t, with_driving: bool = True):
+    """The kernel's eight slice columns (log_norm, gauss_re, gauss_im, scale,
+    x_shift, k_lin, phase0, dphase) of spec's state at t, driven when
+    with_driving and spec carries a DrivenSolution: scalars for a scalar t,
+    one 1-D column each for a 1-D sequence of times (_columns).  The basis,
+    the mass and the driven solution are each read once for the whole
+    stack."""
+    basis, model, hbar = spec.basis, spec.model, spec.hbar
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     model.check_domain(ts)
     rho, drho, theta = basis.slice(ts)[4:]
     M = model.mass(ts)
     if with_driving and spec.driven is not None:
         xp, dxp, delta = spec.driven.slice(ts)
-        shift, phase_shift = (xp, M * dxp / hbar), delta / hbar
+        shift = (xp, M * dxp / hbar, delta / hbar)
     else:
-        zero = np.zeros(ts.shape)
-        shift, phase_shift = (zero, zero), zero
-    params = (
-        _log_norm(omega, hbar, rho),
-        -0.5 * omega / (hbar * rho * rho),
-        0.5 * M * drho / (hbar * rho),
-        np.sqrt(omega / hbar) / rho,
-        *shift,
-    )
-    return params, theta, phase_shift
+        shift = (np.zeros(ts.shape),) * 3
+    return _columns(t, basis.omega, hbar, rho, 0.5 * M * drho / (hbar * rho), theta,
+                    *shift)
 
 
-def _eval_slice(spec: StateSpec, x, t, with_driving: bool):
-    """Evaluate the kernel at scalar time t, a stack of one, for
-    scalar-or-array x."""
-    params, theta, phase_shift = _slice_params(spec, [float(t)], with_driving)
-    phase0 = (spec.n + 0.5) * theta + phase_shift
-    return _kernel_call(x, spec.n, *(p[0] for p in params + (phase0,)))
-
-
-def state_window(spec: StateSpec, x, t, orders, depth=None):
+def state_window(spec: StateSpec, x, t, orders):
     """The given orders of spec's state at time t, or at each of a 1-D
-    sequence of times, on the ascending grid x (spec.n is not read), kept on
-    the union of the slices' cutoff windows: (rows, offset) as
-    state_kernel_window gives them.
+    sequence of times, on the ascending grid x (spec.n is not read), read
+    to READ_DEPTH: (rows, offset) as state_kernel_window gives them.
 
     Driven when spec carries a DrivenSolution, as in state_field.  The
     classical data of all the times is read once, as one stack, and every
     order at every time comes from one recurrence to max(orders).  rows is
     (len(orders), W) for a scalar t, rows[i] being psi_{orders[i]} on
     x[offset:offset + W], and the (len(t), len(orders), W) stack of them
-    for a sequence; every other column of x is an exact zero.  depth, when
-    given, zeros each slice below e^-depth of its amplitude scale
-    (state_kernel_window).
+    for a sequence; every other column of x is an exact zero, as is every
+    sample below e^-READ_DEPTH of its slice's amplitude scale.
     """
-    return state_kernel_window(x, orders, *_state_columns(spec, t), depth=depth)
+    return state_kernel_window(x, orders, *_slice_params(spec, t), depth=READ_DEPTH)
 
 
 def state_cutoff(spec: StateSpec, x, t):
     """The columns [a, b) of the ascending grid x outside which
     state_field(spec)(x, t) is exact zeros: the kernel's cutoff window of
     order spec.n at t, at LOG_FLOOR (cutoff_window)."""
-    log_norm, gauss_re, _, scale, x_shift = _state_columns(spec, float(t))[:5]
+    log_norm, gauss_re, _, scale, x_shift = _slice_params(spec, float(t))[:5]
     return cutoff_window(x, spec.n, log_norm, gauss_re, scale, x_shift)
-
-
-def _state_columns(spec: StateSpec, t):
-    """The kernel's slice parameters of spec's (driven, when it carries a
-    DrivenSolution) state at t, from one read of the stack np.atleast_1d(t):
-    scalars for a scalar t, one 1-D column each for a 1-D sequence of times."""
-    params, theta, phase_shift = _slice_params(spec, np.atleast_1d(t), with_driving=True)
-    columns = np.array(params + (0.5 * theta + phase_shift, theta))
-    return columns if np.ndim(t) else columns[:, 0]
 
 
 def psi_general(spec: StateSpec, x, t):
     """Eigenstate of the undriven variable-mass oscillator over spec.basis."""
-    return _eval_slice(spec, x, t, with_driving=False)
+    return state_kernel(x, spec.n, *_slice_params(spec, float(t), with_driving=False))
 
 
 def psi_unit_mass(spec: StateSpec, x, t):
@@ -203,7 +206,7 @@ def psi_unit_mass(spec: StateSpec, x, t):
     M = float(spec.model.mass(t))
     if abs(M - 1.0) > 1e-12:
         raise ValueError(f"psi_unit_mass needs a unit-mass model; M({t}) = {M}")
-    return _eval_slice(spec, x, t, with_driving=False)
+    return psi_general(spec, x, t)
 
 
 def psi_driven(spec: StateSpec, x, t):
@@ -214,7 +217,7 @@ def psi_driven(spec: StateSpec, x, t):
     """
     if spec.driven is None:
         raise ValueError("StateSpec has no DrivenSolution attached")
-    return _eval_slice(spec, x, t, with_driving=True)
+    return state_kernel(x, spec.n, *_slice_params(spec, float(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +269,13 @@ def closed_form_law(model):
 
 
 def _closed_columns(law, Ccoef, hbar, t):
-    """The kernel's slice parameters of the closed form with pulsation
+    """The kernel's eight slice columns of the closed form with pulsation
     parameter Ccoef of the family whose law gives the mass M(t),
     k = Mdot/M and the constant reduced frequency w_c^2, at t, from one
     read of the stack np.atleast_1d(t): scalars for a scalar t, one 1-D
-    column each for a 1-D sequence of times.  The ellipse data of C runs at
-    w_c; the mass enters through the width factor and the chirp's -k/2."""
+    column each for a 1-D sequence of times (_columns).  The ellipse data
+    of C runs at w_c; the mass enters through the width factor and the
+    chirp's -k/2."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     M, k, w2 = law(ts)
     if Ccoef <= 0:
@@ -282,39 +286,21 @@ def _closed_columns(law, Ccoef, hbar, t):
     s = w_c * ts
     rt, drt = _rho_tilde(s, Ccoef)
     drt = drt * w_c  # d/dt, not d/ds
-    theta = unwrapped_ellipse_angle(s, Ccoef)
     zero = np.zeros(ts.shape)
-    columns = np.array((
-        _log_norm(M * Ccoef * w_c, hbar, rt),
-        -0.5 * M * Ccoef * w_c / (hbar * rt * rt),
-        0.5 * M * (drt / rt - 0.5 * k) / hbar,
-        np.sqrt(M * Ccoef * w_c / hbar) / rt,
-        zero,
-        zero,
-        0.5 * theta,
-        theta,
-    ))
-    return columns if np.ndim(t) else columns[:, 0]
+    return _columns(t, M * Ccoef * w_c, hbar, rt, 0.5 * M * (drt / rt - 0.5 * k) / hbar,
+                    unwrapped_ellipse_angle(s, Ccoef), zero, zero, zero)
 
 
-def closed_form_window(model, Ccoef, orders, hbar, x, t, depth=None):
+def closed_form_window(model, Ccoef, orders, hbar, x, t):
     """The given orders of the closed-form state with pulsation parameter
     Ccoef of model's family at t, or at each of a 1-D sequence of times, on
-    the ascending grid x, as state_window's (rows, offset) (depth as
-    there), from one recurrence."""
+    the ascending grid x, as state_window's (rows, offset), read to
+    READ_DEPTH, from one recurrence."""
     law = closed_form_law(model)
     if law is None:
         raise ValueError(f"{type(model).__name__} has no closed-form state")
     return state_kernel_window(x, orders, *_closed_columns(law, Ccoef, hbar, t),
-                               depth=depth)
-
-
-def _closed_form_call(law, Ccoef, n, hbar, x, t):
-    """Order n of the closed form of law (_closed_columns) at scalar time
-    t on scalar-or-array x."""
-    n = int(n)
-    columns = _closed_columns(law, Ccoef, hbar, float(t))
-    return _kernel_call(x, n, *columns[:6], (n + 0.5) * columns[7])
+                               depth=READ_DEPTH)
 
 
 def psi_sho(w_s, Ccoef, n, hbar, x, t):
@@ -326,8 +312,7 @@ def psi_sho(w_s, Ccoef, n, hbar, x, t):
     """
     if w_s <= 0:
         raise ValueError("w_s must be positive")
-    law = functools.partial(_ck_law, m=1.0, gamma=0.0, w1=w_s)
-    return _closed_form_call(law, Ccoef, n, hbar, x, t)
+    return psi_ck(1.0, 0.0, w_s, Ccoef, n, hbar, x, t)
 
 
 def psi_ck(m, gamma, w1, Ccoef, n, hbar, x, t):
@@ -338,7 +323,7 @@ def psi_ck(m, gamma, w1, Ccoef, n, hbar, x, t):
     Gaussian width and the extra -gamma/2 in its imaginary part.
     """
     law = functools.partial(_ck_law, m=m, gamma=gamma, w1=w1)
-    return _closed_form_call(law, Ccoef, n, hbar, x, t)
+    return state_kernel(x, int(n), *_closed_columns(law, Ccoef, hbar, float(t)))
 
 
 def psi_lo(m0, gamma, mu, nu, w_lo, Ccoef, n, hbar, x, t):
@@ -349,7 +334,7 @@ def psi_lo(m0, gamma, mu, nu, w_lo, Ccoef, n, hbar, x, t):
     w_lo; the mass enters through the width factor and -Mdot/2M.
     """
     law = functools.partial(_lo_law, m0=m0, gamma=gamma, mu=mu, nu=nu, w_lo=w_lo)
-    return _closed_form_call(law, Ccoef, n, hbar, x, t)
+    return state_kernel(x, int(n), *_closed_columns(law, Ccoef, hbar, float(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +362,8 @@ class WavefunctionField:
 
 def state_field(spec: StateSpec) -> WavefunctionField:
     """Field for the general (or driven, when attached) eigenstate."""
-    if spec.driven is not None:
-        fn = lambda x, t: psi_driven(spec, x, t)  # noqa: E731
-        label = f"psi_driven[n={spec.n}]"
-    else:
-        fn = lambda x, t: psi_general(spec, x, t)  # noqa: E731
-        label = f"psi_general[n={spec.n}]"
-    return WavefunctionField(fn, label, spec)
+    fn = psi_general if spec.driven is None else psi_driven
+    return WavefunctionField(functools.partial(fn, spec), f"{fn.__name__}[n={spec.n}]", spec)
 
 
 @functools.lru_cache(maxsize=8)

@@ -256,30 +256,17 @@ def _edge_ratio(values, offset: int = 0, points: int | None = None) -> float:
                                   where=peak > 0.0)))
 
 
-def _reach(g: GridFunction, s, d):
-    """The columns [lo, hi) of g's grid whose image s x - d lies within 8
-    columns of g's window: every column whose six-point read can touch it,
-    with a column to spare against rounding."""
-    grid = g.grid
-    left = grid.x_min + grid.dx * (g.offset - 8)
-    right = grid.x_min + grid.dx * (g.offset + g.values.shape[-1] + 8)
-    lo = math.floor(((left + d) / s - grid.x_min) / grid.dx) - 1
-    hi = math.ceil(((right + d) / s - grid.x_min) / grid.dx) + 2
-    lo = min(max(lo, 0), grid.points)
-    return lo, min(max(hi, lo), grid.points)
-
-
 def _affine(g: GridFunction, op: str, s=1.0, d=0.0, alpha=0.0, k=0.0, c=0.0):
     """The module's map T, on g's samples and composed into its source.
 
     A pure phase multiplies the samples, on g's window.  A map that moves
     support re-evaluates the source at s x - d on every column of the grid,
-    or Lagrange-reads the samples there on the columns whose image can
-    reach g's window (_reach); either writes onto the window of columns
-    that holds its reads.  It refuses (GridTooSmallError) a result whose
-    two outermost samples at either end of the grid reach BOUNDARY_RATIO of
-    its peak (_edge_ratio), and an all-zero result of a nonzero g: the map
-    moved the state off the grid.
+    or Lagrange-reads the samples there (_lagrange_eval keeps the queries
+    whose stencil reads g's window); either writes onto the window of
+    columns that holds its reads.  It refuses (GridTooSmallError) a result
+    whose two outermost samples at either end of the grid reach
+    BOUNDARY_RATIO of its peak (_edge_ratio), and an all-zero result of a
+    nonzero g: the map moved the state off the grid.
     """
     moves = s != 1.0 or d != 0.0
     if not moves and alpha == 0.0 and k == 0.0 and c == 0.0:
@@ -300,14 +287,13 @@ def _affine(g: GridFunction, op: str, s=1.0, d=0.0, alpha=0.0, k=0.0, c=0.0):
     if not moves:
         return g._with(factor(g.x) * g.values, source, g.offset)
     grid = g.grid
-    lo, hi = (0, grid.points) if src is not None else _reach(g, s, d)
-    x = grid.xs()[lo:hi]
+    x = grid.xs()
     if src is None:
         rows, j = _lagrange_eval(g, s * x - d)
         rows = factor(x[j:j + rows.shape[-1]]) * rows
     else:
         rows, j = source(x)
-    out = g._with(rows, source, lo + j)
+    out = g._with(rows, source, j)
     ratio = _edge_ratio(out.values, out.offset, grid.points)
     centre, half = 0.5 * (grid.x_min + grid.x_max), 0.5 * (grid.x_max - grid.x_min)
     if ratio >= BOUNDARY_RATIO:

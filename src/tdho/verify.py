@@ -27,8 +27,10 @@ model's mass, and only shares the recurrence; frequency_map's target is
 that law's w_c^2; delta_legacy stays an independent integral.
 
 The suite reads each state down to e^-READ_DEPTH (e^-40) of its slice's
-amplitude scale and takes the samples below as exact zeros; the kernel
-alone reads to e^-700 (LOG_FLOOR).  An order's peak is at least 0.358 of
+amplitude scale and takes the samples below as exact zeros: every
+tdho.states.state_window and closed_form_window read stops there (the
+constant lives in tdho.states and is re-exported here).  The kernel alone
+reads to e^-700 (LOG_FLOOR).  An order's peak is at least 0.358 of
 that scale up to n = 1000, so every zeroed sample is below 1.2e-17 of its
 row's peak, under eps/16, and no reduction the checks form can see it.
 Norms, Gram entries, the stationarity drift and the moments' sums see it
@@ -84,7 +86,7 @@ import numpy as np
 
 from .classical import delta_legacy, null_driven, reduced_basis, shift_particular
 from .models import CaldirolaKanai, DomainError, frequency_scale, reduced_frequency_squared
-from .states import StateSpec, closed_form_law, closed_form_window, state_field
+from .states import READ_DEPTH, StateSpec, closed_form_law, closed_form_window, state_field
 from .states import state_window as _state_window
 from .transforms import (
     BOUNDARY_RATIO,
@@ -567,30 +569,20 @@ DEFAULT_THRESHOLDS = {
     "stationarity_contrast": 1e-2,
 }
 
-# Every state block the suite reads is zero below e^-READ_DEPTH of its
-# slice's amplitude scale (state_kernel_window's depth): at most
-# e^-40 / 0.358 ≈ 1.2e-17 of the state's peak for orders up to 1000, under
-# eps/16.  A norm or Gram entry sees that squared, below 1.4e-34 of the
-# peak's square; a maximum sees it under the rounding of the peak; a
-# linear sum over 4096 points under 5e-14 of the peak, far below
-# BOUNDARY_RATIO.  Change it only by that argument, given in full in the
-# module docstring.
-READ_DEPTH = 40.0
-
 
 def state_window(spec: StateSpec, grid: Grid, t, orders) -> GridFunction:
-    """tdho.states.state_window on grid's points, read to READ_DEPTH, as a
-    GridFunction at t.  Every block of a state over a basis that the suite
-    reads on its grid comes from here."""
-    rows, offset = _state_window(spec, grid.xs(), t, orders, depth=READ_DEPTH)
+    """tdho.states.state_window on grid's points, as a GridFunction at t.
+    Every block of a state over a basis that the suite reads on its grid
+    comes from here."""
+    rows, offset = _state_window(spec, grid.xs(), t, orders)
     return GridFunction(grid, rows, t, spec.hbar, offset=offset)
 
 
 def _closed_forms(ctx, times) -> GridFunction:
     """The closed form of ctx.ns with C = ctx.closed_form_C at each of
-    times (closed_form_window) on ctx.grid, read to READ_DEPTH."""
+    times (closed_form_window) on ctx.grid."""
     rows, offset = closed_form_window(ctx.model, ctx.closed_form_C, ctx.ns, ctx.hbar,
-                                      ctx.grid.xs(), times, depth=READ_DEPTH)
+                                      ctx.grid.xs(), times)
     return GridFunction(ctx.grid, rows, times, ctx.hbar, offset=offset)
 
 
@@ -716,7 +708,7 @@ def _run_transform_chain(ctx: SuiteContext, rows) -> list:
     companions = state_window(companion, ctx.grid, ctx.times, ctx.ns)
     for t, direct, g0 in zip(ctx.times, rows(), companions):
         g0_exact = g0._with(g0.values, functools.partial(
-            _state_window, companion, t=t, orders=ctx.ns, depth=READ_DEPTH))
+            _state_window, companion, t=t, orders=ctx.ns))
         interp = _chain_distance(driven, t, g0, direct)
         exact = _chain_distance(driven, t, g0_exact, direct)
         per_t.append([(float(i), float(e)) for i, e in zip(interp, exact)])

@@ -700,6 +700,20 @@ def test_state_at_other_times_refuses_a_grid_too_small_for_them(tmp_path, capsys
     assert not d.exists()
 
 
+def test_state_refuses_two_times_that_name_one_file(tmp_path, capsys):
+    """Two --t times that format alike (%g) would write the same files: the
+    run is refused (exit 2) with both times and the file named, and nothing
+    is written."""
+    d = tmp_path / "out"
+    assert main(["state", "sho_c1", "--t", "1.0", "1.0000001", "--out", str(d)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        f"error: times 1.0 and 1.0000001 both write {d / 'state_n0_t1.csv'}; give "
+        "times that differ in their first 6 significant digits\n")
+    assert not d.exists()
+
+
 def _grid_ending_on_the_node_doc(tmp_path):
     """The pushed ground and first excited states at t = pi on a grid that
     ends at x_p(pi): half of each state lies past the edge, and the edge

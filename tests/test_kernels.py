@@ -107,7 +107,7 @@ def test_state_kernel_matches_direct_formula(rng):
             bound = 5e-13 * envelope * np.hypot(h(k), h(k - 1)) + 1e-300
             assert np.all(err <= bound), float(np.max(err / bound))
 
-        check(kernels.state_kernel(x, n, *params), n, phase0)
+        check(kernels.state_kernel(x, n, *params, dphase), n, phase0 + n * dphase)
         rows = kernel_block(x, orders, *params, dphase)
         for k, row in zip(orders, rows):
             check(row, k, phase0 + k * dphase)
@@ -117,7 +117,7 @@ def test_state_kernel_takes_points_in_any_order(rng):
     """Shuffled and descending points give the ascending result permuted,
     bit for bit, in the shape of x."""
     x = np.linspace(-8.0, 8.0, 1001)
-    args = (7, -0.3, -0.8, 0.4, 1.1, 0.2, 0.7, 1.5)
+    args = (7, -0.3, -0.8, 0.4, 1.1, 0.2, 0.7, 1.5, 0.0)
     ascending = kernels.state_kernel(x, *args)
     for perm in (rng.permutation(len(x)), np.arange(len(x))[::-1]):
         got = kernels.state_kernel(x[perm], *args)
@@ -130,7 +130,7 @@ def test_state_kernel_underflow_short_circuit():
     """Far tail underflows to exactly 0, without overflow warnings."""
     x = np.linspace(-500.0, 500.0, 101)
     with np.errstate(over="raise", invalid="raise"):
-        vals = kernels.state_kernel(x, 40, 0.0, -1.0, 0.3, 1.0, 0.0, 0.0, 0.0)
+        vals = kernels.state_kernel(x, 40, 0.0, -1.0, 0.3, 1.0, 0.0, 0.0, 0.0, 0.0)
     assert np.all(np.isfinite(vals))
     assert vals[0] == 0.0 and vals[-1] == 0.0
     assert vals[len(x) // 2] != 0.0
@@ -161,7 +161,7 @@ def _block_matches_fields(basis, driven, orders):
     spec = StateSpec(max(orders), 1.0, basis, driven)
     grid = policy_grid(basis, 12, driven=driven, times=[1.0], points=4096)
     xs = grid.xs()
-    rows = on_grid(state_window(spec, xs, 1.0, orders), len(xs))
+    rows = kernel_block(xs, orders, *_slice_params(spec, 1.0))
     assert rows.shape == (len(orders), len(xs))
     for k, row in zip(orders, rows):
         want = state_field(StateSpec(k, 1.0, basis, driven))(xs, 1.0)
@@ -417,7 +417,7 @@ def test_the_stationarity_probes_share_one_solve():
     probes = np.linspace(0.0, 2.0 * math.pi / 1.3, 9)
     patch, calls = _counting_solves()
     with patch:
-        rows, _ = closed_form_window(model, 1.0, [64, 3], 0.8, x, probes, depth=DEPTH)
+        rows, _ = closed_form_window(model, 1.0, [64, 3], 0.8, x, probes)
     assert len(calls) == 1 and rows.shape[:2] == (9, 2)
 
 
@@ -455,23 +455,21 @@ DEPTH = tdho.verify.READ_DEPTH
 
 
 def _depth_case(name, driven_ck):
-    """(block(orders, x, **kw), (log_norm, gauss_re, scale, x_shift)) of one
-    slice: the driven state at t = 1 or a closed-form family's state."""
+    """(read(orders, x), params) of one slice: the driven state at t = 1
+    (state_window) or a closed-form family's state (closed_form_window),
+    zero-padded to x, and the slice's eight kernel parameters."""
     if name == "driven_ck":
         spec = StateSpec(0, 1.0, *driven_ck)
-        params = [p[0] for p in _slice_params(spec, [1.0], with_driving=True)[0]]
-        return (lambda orders, x, **kw: on_grid(state_window(spec, x, 1.0, orders, **kw),
-                                                 len(x)),
-                (params[0], params[1], params[3], params[4]))
+        return (lambda orders, x: on_grid(state_window(spec, x, 1.0, orders), len(x)),
+                _slice_params(spec, 1.0))
     model, C, hbar, t = {
         "sho": (CaldirolaKanai(1.0, 0.0, 1.3), 2.0, 0.7, 1.0),
         "ck": (CaldirolaKanai(1.0, 0.6, 1.0), 1.0, 1.0, 2.0),
         "lo": (LoDampedPulsating(1.0, 0.1, 0.2, 1.5, 1.0), 1.5, 1.2, 3.0),
     }[name]
-    block = lambda orders, x, **kw: on_grid(closed_form_window(  # noqa: E731
-        model, C, orders, hbar, x, t, **kw), len(x))
-    params = _closed_columns(closed_form_law(model), C, hbar, t)
-    return block, (params[0], params[1], params[3], 0.0)
+    read = lambda orders, x: on_grid(closed_form_window(  # noqa: E731
+        model, C, orders, hbar, x, t), len(x))
+    return read, _closed_columns(closed_form_law(model), C, hbar, t)
 
 
 @pytest.mark.parametrize("name", ["driven_ck", "sho", "ck", "lo"])
@@ -483,16 +481,18 @@ def test_a_depth_zeros_only_what_lies_below_it(driven_ck, name, n):
     test_every_order_peaks_above_its_bound); inside, where the shallower
     slice may skip exponent tracking, every sample equals the full-depth
     block within 1e-13 of its row's peak; depth=None is the call without
-    it, byte for byte."""
-    block, (log_norm, gauss_re, scale, x_shift) = _depth_case(name, driven_ck)
+    it, byte for byte; the state's public read is the block at DEPTH."""
+    read, params = _depth_case(name, driven_ck)
+    log_norm, gauss_re, _, scale, x_shift = params[:5]
     orders = sorted({n, n // 2, 0}, reverse=True)
     full_radius = _cutoff_radius(n, log_norm, gauss_re, scale)
     radius = _cutoff_radius(n, log_norm, gauss_re, scale, DEPTH)
     assert radius < full_radius
     x = x_shift + np.linspace(-1.2, 1.2, 4001) * full_radius
-    full = block(orders, x)
-    got = block(orders, x, depth=DEPTH)
-    assert block(orders, x, depth=None).tobytes() == full.tobytes()
+    full = kernel_block(x, orders, *params)
+    got = kernel_block(x, orders, *params, depth=DEPTH)
+    assert kernel_block(x, orders, *params, depth=None).tobytes() == full.tobytes()
+    assert read(orders, x).tobytes() == got.tobytes()
     outside = np.abs(x - x_shift) > radius
     assert np.all(got[:, outside] == 0.0)
     assert np.any(full[:, outside] != 0.0)  # the depth cut something
@@ -508,7 +508,8 @@ def test_every_order_peaks_above_its_bound(n):
     READ_DEPTH rests: a sample below e^-READ_DEPTH of the amplitude scale is
     then below eps/16 of its row's peak."""
     xi = np.arange(0.0, math.sqrt(2 * n + 1) + 2.0, 0.002)
-    peak = np.max(np.abs(kernels.state_kernel(xi, n, 0.0, -0.5, 0.0, 1.0, 0.0, 0.0, 0.0)))
+    peak = np.max(np.abs(kernels.state_kernel(xi, n, 0.0, -0.5, 0.0, 1.0, 0.0, 0.0, 0.0,
+                                              0.0)))
     assert peak >= 0.358
     assert math.exp(-DEPTH) / 0.358 < np.finfo(float).eps / 16
 
@@ -548,8 +549,8 @@ def _window_is_block(x, orders, params, depth=None):
     """state_kernel_window's (rows, offset), whose rows fit x from column
     offset on; and state_kernel is the window zero-padded: for each slice
     and each order k, state_kernel on x shuffled holds, bit for bit, the
-    slice's window of [k] (dphase = 0, read to LOG_FLOOR) zero-padded and
-    shuffled alike.  The direct-formula and underflow tests show that the
+    slice's window of [k] (read to LOG_FLOOR) zero-padded and shuffled
+    alike.  The direct-formula and underflow tests show that the
     window holds every sample above the floor.  Returns (rows, offset)."""
     rows, offset = kernels.state_kernel_window(x, orders, *params, depth=depth)
     width = rows.shape[-1]
@@ -557,9 +558,9 @@ def _window_is_block(x, orders, params, depth=None):
     assert 0 <= offset <= len(x) - width
     shuffled = np.random.default_rng(width).permutation(len(x))
     for slice_ in np.array(params, dtype=float).reshape(8, -1).T:
-        kernel_params = slice_[:7].tolist()
+        kernel_params = slice_.tolist()
         for k in orders:
-            padded = kernel_block(x, [k], *kernel_params, 0.0)[0]
+            padded = kernel_block(x, [k], *kernel_params)[0]
             got = kernels.state_kernel(x[shuffled], k, *kernel_params)
             assert got.tobytes() == padded[shuffled].tobytes()
     return rows, offset
@@ -575,9 +576,7 @@ def test_the_window_form_is_the_block_on_its_window(driven_ck, with_driving, tim
     columns on the union of the slices' cutoff windows, which is narrower
     than the grid, and nothing else."""
     spec = StateSpec(0, 1.0, *driven_ck)
-    params, theta, shift = _slice_params(spec, np.atleast_1d(times), with_driving)
-    columns = np.array(params + (0.5 * theta + shift, theta))
-    params = columns if np.ndim(times) else columns[:, 0]
+    params = _slice_params(spec, times, with_driving)
     x = np.linspace(-40.0, 40.0, 4097)
     rows, offset = _window_is_block(x, [40, 0, 7], params, depth)
     assert 0 < offset and offset + rows.shape[-1] < len(x)

@@ -9,9 +9,11 @@ from scipy.integrate import simpson
 
 from tdho.classical import OverdampedError, null_driven, reduced_basis
 from tdho.models import CaldirolaKanai, GeneralParametric, LoDampedPulsating
+from tdho.scenarios import BUNDLED
 from tdho.cli import build_context, load_scenario, main
-from tdho._kernels import cutoff_window, state_kernel
+from tdho._kernels import cutoff_window, state_kernel, state_kernel_window
 from tdho.states import (
+    READ_DEPTH,
     StateSpec,
     _closed_columns,
     _slice_params,
@@ -191,23 +193,33 @@ def _psi_lo(model, *args):
     (LoDampedPulsating(1.0, 0.1, 0.2, 3.0, 1.0, t_min=-1.0, t_max=12.0), 1.5, _psi_lo),
 ], ids=["sho_c1", "sho_c2", "ck", "lo"])
 def test_stacked_closed_form_block_is_per_time(model, C, psi, depth):
-    """closed_form_window over a 1-D sequence of times (one time twice, an
-    integer one too), zero-padded to the whole grid, holds, time by time,
+    """The closed form's slice columns over a 1-D sequence of times (one
+    time twice, an integer one too), read in one kernel call to LOG_FLOOR
+    or to a depth and zero-padded to the whole grid, hold, time by time,
     the bytes of its one-time calls; its window is the union of theirs.
-    The family's psi at each time is the kernel of that time's slice in the
-    stack (at t = 3.5, math.exp(0.6 t) is not np.exp's)."""
+    closed_form_window is that read at READ_DEPTH.  The family's psi at
+    each time is the kernel of that time's slice in the stack (at t = 3.5,
+    math.exp(0.6 t) is not np.exp's)."""
     times = [0.0, 2.5, 1, 7.25, 2.5, 3.5]
     orders, n = [24, 0, 5], 5
-    window, offset = closed_form_window(model, C, orders, 0.8, X, times, depth=depth)
+    law = closed_form_law(model)
+
+    def read(t, depth=depth):
+        return state_kernel_window(X, orders, *_closed_columns(law, C, 0.8, t),
+                                   depth=depth)
+
+    window, offset = read(times)
     stack = on_grid((window, offset), len(X))
     assert stack.shape == (len(times), len(orders), len(X))
-    columns = _closed_columns(closed_form_law(model), C, 0.8, times)
+    assert on_grid(closed_form_window(model, C, orders, 0.8, X, times), len(X)).tobytes() \
+        == on_grid(read(times, READ_DEPTH), len(X)).tobytes()
+    columns = _closed_columns(law, C, 0.8, times)
     spans = []
     for i, (t, rows) in enumerate(zip(times, stack)):
-        one = closed_form_window(model, C, orders, 0.8, X, t, depth=depth)
+        one = read(t)
         assert rows.tobytes() == on_grid(one, len(X)).tobytes()
         spans.append((one[1], one[1] + one[0].shape[-1]))
-        want = state_kernel(X, n, *columns[:6, i], (n + 0.5) * columns[7, i])
+        want = state_kernel(X, n, *columns[:, i])
         assert psi(model, C, n, 0.8, X, t).tobytes() == want.tobytes(), t
     assert (offset, offset + window.shape[-1]) == (min(a for a, _ in spans),
                                                    max(b for _, b in spans))
@@ -234,17 +246,33 @@ def test_a_stack_of_times_reads_as_one_call_per_time(name):
     assert (spec.driven is not None) == (name == "driven_ck")
     orders = [7, 0, 3]
     stack = on_grid(state_window(spec, X, STACK, orders), len(X))
-    params, theta, phase_shift = _slice_params(spec, STACK, with_driving=True)
+    params = _slice_params(spec, STACK)
     field = state_field(spec)
     for i, t in enumerate(STACK.tolist()):
         one = on_grid(state_window(spec, X, t, orders), len(X))
         assert stack[i].tobytes() == one.tobytes(), t
-        log_norm, gauss_re, _, scale, x_shift, _ = (p[i] for p in params)
+        log_norm, gauss_re, _, scale, x_shift = params[:5, i]
         assert state_cutoff(spec, X, t) == cutoff_window(X, spec.n, log_norm, gauss_re,
                                                          scale, x_shift)
-        phase0 = (spec.n + 0.5) * theta[i] + phase_shift[i]
-        want = state_kernel(X, spec.n, *(p[i] for p in params), phase0)
+        want = state_kernel(X, spec.n, *params[:, i])
         assert field(X, t).tobytes() == want.tobytes(), t
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_a_field_read_is_its_orders_row_of_the_stacked_window_read(name):
+    """For each order of a bundled scenario, one full-depth (LOG_FLOOR)
+    state_kernel_window read of its slices at all its times, zero-padded to
+    its grid, holds at each time the bytes of state_field there: order n's
+    phase (n + 1/2) theta + delta/hbar is formed in the kernel alone."""
+    ctx = build_context(load_scenario(name))
+    xs = ctx.grid.xs()
+    for n in ctx.ns:
+        spec = ctx.state(n)
+        stack = on_grid(state_kernel_window(xs, [n], *_slice_params(spec, ctx.times)),
+                        len(xs))
+        field = state_field(spec)
+        for t, rows in zip(ctx.times, stack):
+            assert rows[0].tobytes() == field(xs, t).tobytes(), (n, t)
 
 
 def test_psi_sho_squeezed_density_breathes():

@@ -576,14 +576,13 @@ def test_a_map_that_moves_the_state_off_the_grid_is_refused():
     d = 8 and the exact source at full depth refuses d = 40."""
     from tdho.classical import analytic_basis_sho
     from tdho.states import state_window
-    from tdho.verify import READ_DEPTH
 
     grid = Grid(-10.0, 10.0, 4096)
     spec = StateSpec(0, 1.0, analytic_basis_sho(1.0, 1.0, 1.0))
     lagrange = sample_on_grid(state_field(spec), grid, 0.0, attach_source=False)
     full_depth = sample_on_grid(state_field(spec), grid, 0.0)
     shallow = lagrange._with(lagrange.values,
-                             lambda x: state_window(spec, x, 0.0, [0], depth=READ_DEPTH))
+                             lambda x: state_window(spec, x, 0.0, [0]))
     for g in (lagrange, shallow):
         with pytest.raises(GridTooSmallError) as refused:
             _affine(g, "translation", d=40.0)

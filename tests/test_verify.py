@@ -759,11 +759,11 @@ def test_detuned_boost_fails_the_uncertainty_check(monkeypatch, bundled_context,
     assert all(r.passed for r in run_suite(ctx, ["uncertainty"]))
     slice_params = tdho.states._slice_params
 
-    def detuned(spec, ts, with_driving):
-        params, theta, phase_shift = slice_params(spec, ts, with_driving)
+    def detuned(spec, t, with_driving=True):
+        params = slice_params(spec, t, with_driving)
         if with_driving and spec.driven is not None:
-            params = params[:5] + (1.001 * params[5],)
-        return params, theta, phase_shift
+            params[5] = 1.001 * params[5]
+        return params
 
     monkeypatch.setattr(tdho.states, "_slice_params", detuned)
     results = run_suite(ctx, ["uncertainty"])
@@ -907,9 +907,10 @@ def test_each_run_evaluates_the_shared_block_once_and_afresh(monkeypatch,
     assert len(shared) == 1
     slice_params = tdho.states._slice_params
 
-    def narrower(spec, ts, with_driving):
-        params, theta, phase_shift = slice_params(spec, ts, with_driving)
-        return params[:1] + (1.001 * params[1],) + params[2:], theta, phase_shift
+    def narrower(spec, t, with_driving=True):
+        params = slice_params(spec, t, with_driving)
+        params[1] = 1.001 * params[1]
+        return params
 
     monkeypatch.setattr(tdho.states, "_slice_params", narrower)
     results = run_suite(ctx, checks)
@@ -979,8 +980,8 @@ def test_the_read_depth_moves_no_verdict(monkeypatch, bundled_context, bundled_r
     else:
         ctx, doc = bundled_context(name), load_scenario(name)
         shallow = bundled_results(name)
-    assert tdho.verify.READ_DEPTH == 40.0
-    monkeypatch.setattr(tdho.verify, "READ_DEPTH", None)
+    assert tdho.verify.READ_DEPTH == tdho.states.READ_DEPTH == 40.0
+    monkeypatch.setattr(tdho.states, "READ_DEPTH", None)
     deep = run_suite(ctx, doc["checks"])
     assert len(shallow) == len(deep)
     for a, b in zip(shallow, deep):
