@@ -77,6 +77,12 @@ COPIES = [
       "basis": {"kind": "analytic_ck", "A": 2.0, "B": 1.0},
       "closed_form": {"kind": "ck", "Ccoef": 2.0},
       "checks": ["closed_form_agreement", "stationarity"]}, 0, None),
+    # theta winds about 72 rad over the domain: the marched theta agrees
+    # with the family's closed form, which unwraps its own angle
+    ("lo_fast_winding", "lo",
+     {"model.params.w_lo": 6.0, "basis.ics": [1.0, -0.7, 0.0, 6.0],
+      "closed_form": {"kind": "lo", "Ccoef": 1.0},
+      "checks": ["closed_form_agreement", "omega_constancy", "frequency_map"]}, 0, None),
     # "sho" names the unit-mass oscillator only
     ("ck_as_sho", "ck", {"closed_form": {"kind": "sho"}}, 2, None),
     # every threshold is the certifier's, none the document's

@@ -21,7 +21,7 @@ from .models import (
     ReducedUnitMass,
     frequency_scale,
 )
-from .ode import ODEError, solve_ode
+from .ode import solve_ode
 
 __all__ = [
     "DegenerateBasisError",
@@ -140,66 +140,25 @@ class _AnalyticCKBasis(ClassicalBasis):
                 unwrapped_ellipse_angle(wt, self.A / self.B))
 
 
-_THETA_TABLE_CAP = 2**20 + 1
-
-
 class NumericBasis(ClassicalBasis):
-    """Basis backed by dense ODE output; theta from an unwrapped table.
+    """Basis backed by dense ODE output of (u, du, v, dv, theta).
 
-    The table nodes are close enough that theta moves by less than pi/2
-    between neighbours, so numpy's unwrap picks the right branch; each query
-    then computes the exact principal argument and snaps it to the branch
-    the table indicates.
+    The march carries theta with its own step control, so the marched
+    theta tracks the winding however fast it turns; each query computes the
+    exact principal argument and snaps it to the marched theta's branch.
     """
 
-    def __init__(self, sol, model, omega, t_ref):
+    def __init__(self, sol, model, omega):
         self.model = model
         self.omega = float(omega)
-        self.t_ref = float(t_ref)
         self._sol = sol
-        self._build_theta_table()
 
     def _read(self, t):
         y = self._sol(t)
         u, v = y[..., 0], y[..., 2]
         raw = np.arctan2(-v, u)
-        ref = np.interp(t, self._theta_ts, self._theta_table)
-        theta = raw + _TWO_PI * np.round((ref - raw) / _TWO_PI)
+        theta = raw + _TWO_PI * np.round((y[..., 4] - raw) / _TWO_PI)
         return u, y[..., 1], v, y[..., 3], theta if theta.ndim else float(theta)
-
-    def _build_theta_table(self):
-        """Size the nodes from the pointwise rate |thetadot| = |u vdot - v udot|/rho^2.
-
-        The unwrapped steps alone cannot tell a step s from s - 2pi, so a
-        table too coarse for the winding would look smooth and be wrong by
-        whole turns.  The spacing keeps rate x spacing below pi/2 at every
-        node (and the unwrapped steps too); past _THETA_TABLE_CAP nodes the
-        basis is refused.
-        """
-        lo, hi = self.model.t_min, self.model.t_max
-        n = 4097
-        while True:
-            ts = np.linspace(lo, hi, n)
-            y = self._sol(ts)
-            u, du, v, dv = y[:, 0], y[:, 1], y[:, 2], y[:, 3]
-            unwrapped = np.unwrap(np.arctan2(-v, u))
-            rate = np.max(np.abs(u * dv - v * du) / (u * u + v * v))
-            step = max((ts[1] - ts[0]) * rate, np.max(np.abs(np.diff(unwrapped))))
-            if step < 0.5 * np.pi:
-                break
-            # aim at pi/4 per node so that the next table passes
-            need = (n - 1) * step / (0.25 * np.pi) + 1
-            if not need <= _THETA_TABLE_CAP:  # also catches NaN
-                raise ODEError(
-                    f"theta table on [{lo}, {hi}] needs {need:.4g} nodes, above "
-                    f"the cap of {_THETA_TABLE_CAP}: theta winds too fast"
-                )
-            n = max(2 * n - 1, math.ceil(need))
-        # fix the branch so theta(t_ref) lands in (-pi, pi]
-        th0 = np.interp(self.t_ref, ts, unwrapped)
-        unwrapped -= _TWO_PI * math.floor((th0 + np.pi) / _TWO_PI)
-        self._theta_ts = ts
-        self._theta_table = unwrapped
 
 
 class ReducedBasis(ClassicalBasis):
@@ -241,7 +200,8 @@ def solve_homogeneous(
     tol: float = 1e-10,
     t0=None,
 ) -> ClassicalBasis:
-    """Integrate the homogeneous pair (u, v) across the model domain.
+    """Integrate the homogeneous pair (u, v), and theta with it, across the
+    model domain.
 
     Omega is fixed from the initial data; Omega <= 0 is rejected rather
     than silently repaired, since a sign flip would alter every phase
@@ -265,14 +225,16 @@ def solve_homogeneous(
 
     def rhs(t, y):
         _, r, w2, _ = model.ode_terms(t)
-        u, du, v, dv = y.tolist()
-        return np.array([du, -r * du - w2 * u, dv, -r * dv - w2 * v])
+        u, du, v, dv, _ = y.tolist()
+        # theta = arg(u - iv) turns at (v·udot - u·vdot)/rho^2
+        return np.array([du, -r * du - w2 * u, dv, -r * dv - w2 * v,
+                         (v * du - u * dv) / (u * u + v * v)])
 
     sol = solve_ode(
-        rhs, t0, [u0, du0, v0, dv0], model.t_min, model.t_max,
+        rhs, t0, [u0, du0, v0, dv0, math.atan2(-v0, u0)], model.t_min, model.t_max,
         rtol=tol, atol=1e-2 * tol,
     )
-    return NumericBasis(sol, model, omega, t_ref=t0)
+    return NumericBasis(sol, model, omega)
 
 
 def analytic_basis_sho(w_s, A, B, model=None, t_min=0.0, t_max=20.0) -> ClassicalBasis:

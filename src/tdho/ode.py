@@ -6,7 +6,7 @@ output is as accurate between steps as at them, so no step cap is needed.
 The two marches are joined into one piecewise evaluator over the whole span.
 
 The march is a port of scipy's DOP853 path (`solve_ivp(method="DOP853",
-dense_output=True)` with no max_step): it performs the same numpy
+dense_output=True)` with no max_step): it performs the same floating-point
 operations in the same order, so every knot and every dense-output row is
 bit-identical to scipy's, which is its test oracle.  Porting it keeps
 scipy.integrate, and the scipy modules that it loads, out of every
@@ -63,7 +63,10 @@ class DenseSolution:
         self._t_old = np.array(t_old, dtype=np.float64)
         self._h = np.array(h, dtype=np.float64)
         self._y_old = np.array(y_old, dtype=np.float64)
-        self._F = np.array(F, dtype=np.float64)
+        # row-major (7, steps, components), so each row's gather is one
+        # contiguous take; _F is its (steps, 7, components) view
+        self._rows = np.stack(F, axis=1)
+        self._F = self._rows.transpose(1, 0, 2)
 
     @property
     def ncomponents(self):
@@ -77,7 +80,7 @@ class DenseSolution:
         k = np.clip(np.searchsorted(self.ts, flat, side="left") - 1, 0, len(self._h) - 1)
         x = ((flat - self._t_old[k]) / self._h[k])[:, None]
         # F gathered one row at a time: memory stays at (points, components)
-        y = _dop853_poly(lambda j: self._F[k, j], x) + self._y_old[k]
+        y = _dop853_poly(lambda j: self._rows[j].take(k, 0), x) + self._y_old.take(k, 0)
         return y.reshape(t.shape + (self.ncomponents,))
 
     def _check_span(self, lo, hi):
@@ -98,7 +101,8 @@ def _dop853_poly(row, x):
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    # math.sqrt(x.dot(x)) is np.linalg.norm of a 1-D float array, undispatched
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _initial_step(fun, t0, y0, f0, t_end, direction, rtol, atol):
@@ -119,13 +123,13 @@ def _initial_step(fun, t0, y0, f0, t_end, direction, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _error_norm(K, h, scale):
-    """The step's RMS error estimate, the 5th-order estimate damped by
-    the 3rd-order one (Hairer §II.10)."""
-    err5 = np.dot(K.T, tableau.E5) / scale
-    err3 = np.dot(K.T, tableau.E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
+def _error_norm(KT, h, scale):
+    """The step's RMS error estimate from the transposed stages KT, the
+    5th-order estimate damped by the 3rd-order one (Hairer §II.10)."""
+    err5 = KT.dot(tableau.E5) / scale
+    err3 = KT.dot(tableau.E3) / scale
+    err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+    err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
@@ -135,19 +139,16 @@ def _error_norm(K, h, scale):
 def _march(f, t0, y0, t_end, rtol, atol):
     """DOP853 from t0 to t_end; returns (ts, steps) in time order, each
     step (t_old, h, y_old, F) as DenseSolution takes it."""
-    def fun(t, y):
-        return np.asarray(f(t, y), dtype=float)
-
     def fail(reason):
         return ODEError(f"integration from t={t0} towards t={t_end} failed: {reason}")
 
     t, t_stop, y = float(t0), float(t_end), y0
-    f_old = fun(t, y)
+    f_old = f(t, y)
     if t == t_stop:
         # one constant step: the zero polynomial about y0
         return [t, t], [(t, 1.0, y, np.zeros((7, len(y))))]
     direction = float(np.sign(t_stop - t))
-    h_abs = float(_initial_step(fun, t, y, f_old, t_stop, direction, rtol, atol))
+    h_abs = float(_initial_step(f, t, y, f_old, t_stop, direction, rtol, atol))
     # the 12 stages, the end-point slope, then the 3 dense-output stages
     K = np.empty((len(tableau.A), len(y)))
     n = tableau.N_STAGES
@@ -155,6 +156,7 @@ def _march(f, t0, y0, t_end, rtol, atol):
     # stages before it, its tableau row and its node
     stages = [(s, K[:s].T, tableau.A[s, :s], float(tableau.C[s]))
               for s in range(1, len(K))]
+    step_T, error_T = K[:n].T, K[:n + 1].T  # the stages the step and its error weigh
     step_stages, dense_stages = stages[:n - 1], stages[n:]
     ts, steps = [t], []
     while direction * (t - t_stop) < 0:
@@ -171,11 +173,11 @@ def _march(f, t0, y0, t_end, rtol, atol):
             h_abs = abs(h)
             K[0] = f_old
             for s, before, a, c in step_stages:
-                K[s] = fun(t + c * h, y + np.dot(before, a) * h)
-            y_new = y + h * np.dot(K[:n].T, tableau.B)
-            f_new = K[n] = fun(t + h, y_new)
+                K[s] = f(t + c * h, y + before.dot(a) * h)
+            y_new = y + h * step_T.dot(tableau.B)
+            f_new = K[n] = f(t + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K[:n + 1], h, scale)
+            error_norm = _error_norm(error_T, h, scale)
             if error_norm < 1:
                 factor = (MAX_FACTOR if error_norm == 0 else
                           min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT))
@@ -184,13 +186,13 @@ def _march(f, t0, y0, t_end, rtol, atol):
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
         for s, before, a, c in dense_stages:
-            K[s] = fun(t + c * h, y + np.dot(before, a) * h)
+            K[s] = f(t + c * h, y + before.dot(a) * h)
         F = np.empty((7, len(y)))
         delta_y = y_new - y
         F[0] = delta_y
         F[1] = h * f_old - delta_y
         F[2] = 2 * delta_y - h * (f_new + f_old)
-        F[3:] = h * np.dot(tableau.D, K)
+        F[3:] = h * tableau.D.dot(K)
         steps.append((t, h, y, F))
         t, y, f_old = t_new, y_new, f_new
         ts.append(t)
@@ -204,8 +206,9 @@ def _march(f, t0, y0, t_end, rtol, atol):
 def solve_ode(f, t0, y0, t_lo, t_hi, rtol=1e-10, atol=1e-12):
     """Integrate dy/dt = f(t, y) with initial data y(t0) = y0 over [t_lo, t_hi].
 
-    t0 may sit anywhere inside the span; integration marches in both
-    directions from it.  Returns a DenseSolution.
+    f returns a float64 array of y's shape.  t0 may sit anywhere inside the
+    span; integration marches in both directions from it.  Returns a
+    DenseSolution.
     """
     if not (t_lo <= t0 <= t_hi):
         raise ODEError(f"t0={t0} outside requested span [{t_lo}, {t_hi}]")

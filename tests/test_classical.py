@@ -23,7 +23,6 @@ from tdho.classical import (
     unwrapped_ellipse_angle,
 )
 from tdho.models import CaldirolaKanai, reduced_frequency_squared
-from tdho.ode import ODEError
 
 from conftest import T_MAX, T_MIN
 
@@ -168,7 +167,8 @@ def test_nonpositive_basis_data_is_refused_as_value_error(build, message):
 
 
 class _Circle:
-    """Stub dense solution u = cos Wt, v = sin Wt, so theta = -W t."""
+    """Stub dense solution u = cos Wt, v = sin Wt with its marched
+    theta = -W t."""
 
     def __init__(self, W):
         self.W = W
@@ -176,24 +176,30 @@ class _Circle:
     def __call__(self, t):
         wt = self.W * np.asarray(t, dtype=float)
         return np.stack([np.cos(wt), -self.W * np.sin(wt),
-                         np.sin(wt), self.W * np.cos(wt)], axis=-1)
+                         np.sin(wt), self.W * np.cos(wt), -wt], axis=-1)
 
 
-def test_numeric_theta_table_resolves_fast_winding():
-    """4097 nodes on [0, 2655] step theta by 6.48 rad, which unwraps to a
-    smooth -0.20 rad: the table must be sized from the rate instead."""
+def test_numeric_theta_resolves_fast_winding():
+    """theta winds 26,550 rad on [0, 2655]: each principal argument snaps
+    to the marched theta's branch."""
     W = 10.0
-    b = NumericBasis(_Circle(W), CaldirolaKanai(1.0, 0.0, W, 0.0, 2655.0), W, t_ref=0.0)
-    assert len(b._theta_ts) > 4097
+    b = NumericBasis(_Circle(W), CaldirolaKanai(1.0, 0.0, W, 0.0, 2655.0), W)
     ts = np.array([1.0, 1000.0, 1777.7, 2655.0])
     np.testing.assert_allclose(b.slice(ts)[6], -W * ts, rtol=1e-12)
     assert b.slice(1000.0)[6] == pytest.approx(-10000.0, rel=1e-12)
 
 
-def test_numeric_theta_table_refuses_beyond_cap():
-    W = 1e4  # about 3.4e7 nodes on [0, 2655]
-    with pytest.raises(ODEError, match="theta table"):
-        NumericBasis(_Circle(W), CaldirolaKanai(1.0, 0.0, W, 0.0, 2655.0), W, t_ref=0.0)
+@pytest.mark.parametrize("B", [0.1, 0.01])
+def test_numeric_theta_marched_on_eccentric_basis(B):
+    """theta turns A/B times its mean rate as (u, v) crosses the minor
+    axis, up to 100 times at B = 0.01; the march's step control resolves
+    it."""
+    w_ck = np.sqrt(0.91)
+    m = CaldirolaKanai(1.0, 0.6, 1.0, t_min=-1.0, t_max=12.0)
+    b = solve_homogeneous(m, 1.0, -0.3, 0.0, B * w_ck, t0=0.0, tol=1e-11)
+    exact = analytic_basis_ck(1.0, 0.6, 1.0, 1.0, B, model=m)
+    ts = np.linspace(-1.0, 12.0, 20001)
+    np.testing.assert_allclose(b.slice(ts)[6], exact.slice(ts)[6], rtol=0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
