@@ -52,6 +52,11 @@ COPIES = [
     ("driven_ck_windows", "driven_ck",
      {"states": [0, 16], "closed_form": CK_1,
       "checks": ["transform_chain", "uncertainty", "closed_form_agreement"]}, 0, None),
+    # U_F on a displaced, boosted state at hbar != 1: the exact chain maps
+    # the companion's kernel columns through coefficients divided by hbar
+    ("driven_ck_displaced", "driven_ck",
+     {"hbar": 0.5, "driving.xp0": 1.0, "driving.dxp0": -0.5,
+      "checks": ["transform_chain", "uncertainty"]}, 0, None),
     # orders up to 64 leave most of the grid exact zeros: the Gram product,
     # the closed-form distance and the stationarity drift run on the
     # states' support window

@@ -58,6 +58,7 @@ from .classical import (
     ClassicalBasis,
     DrivenSolution,
     OverdampedError,
+    null_driven,
     unwrapped_ellipse_angle,
 )
 from .models import CaldirolaKanai, LoDampedPulsating, OscillatorModel
@@ -151,19 +152,18 @@ def _columns(t, omega, hbar, rho, gauss_im, theta, x_shift, k_lin, phase_shift):
     return columns if np.ndim(t) else columns[:, 0]
 
 
-def _slice_params(spec: StateSpec, t, with_driving: bool = True):
+def _slice_params(spec: StateSpec, t):
     """The kernel's eight slice columns (log_norm, gauss_re, gauss_im, scale,
-    x_shift, k_lin, phase0, dphase) of spec's state at t, driven when
-    with_driving and spec carries a DrivenSolution: scalars for a scalar t,
-    one 1-D column each for a 1-D sequence of times (_columns).  The basis,
-    the mass and the driven solution are each read once for the whole
-    stack."""
+    x_shift, k_lin, phase0, dphase) of spec's state at t, driven when spec
+    carries a DrivenSolution: scalars for a scalar t, one 1-D column each
+    for a 1-D sequence of times (_columns).  The basis, the mass and the
+    driven solution are each read once for the whole stack."""
     basis, model, hbar = spec.basis, spec.model, spec.hbar
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     model.check_domain(ts)
     rho, drho, theta = basis.slice(ts)[4:]
     M = model.mass(ts)
-    if with_driving and spec.driven is not None:
+    if spec.driven is not None:
         xp, dxp, delta = spec.driven.slice(ts)
         shift = (xp, M * dxp / hbar, delta / hbar)
     else:
@@ -197,8 +197,11 @@ def state_cutoff(spec: StateSpec, x, t):
 
 
 def psi_general(spec: StateSpec, x, t):
-    """Eigenstate of the undriven variable-mass oscillator over spec.basis."""
-    return state_kernel(x, spec.n, *_slice_params(spec, float(t), with_driving=False))
+    """Eigenstate of the undriven variable-mass oscillator over spec.basis:
+    a driven spec is read over null_driven."""
+    if spec.driven is not None:
+        spec = StateSpec(spec.n, spec.hbar, spec.basis, null_driven(spec.model))
+    return state_kernel(x, spec.n, *_slice_params(spec, float(t)))
 
 
 def psi_unit_mass(spec: StateSpec, x, t):

@@ -19,11 +19,13 @@ acting right-to-left as written, each fused into one map:
     U_F_dag = Translation(-x_p) . LinearPhase(-M xdot_p) . ConstPhase(-delta)
               d = -x_p, k = -M xdot_p, c = -M xdot_p x_p - delta
 
-A map that moves support (s != 1 or d != 0) either re-evaluates an attached
-analytic source exactly or falls back to a six-point Lagrange read of the
-samples; out-of-span reads are taken as zero, which is consistent only
-because compliant grid functions are negligible at their edges (the
-boundary invariant, enforced by the sizing policy below).
+Each composite's parameters come from one coefficient function and act in
+two forms: on a state's eight kernel columns in closed form
+(_affine_columns), and on samples (_affine), where a map that moves support
+(s != 1 or d != 0) takes a six-point Lagrange read; out-of-span reads are
+taken as zero, which is consistent only because compliant grid functions
+are negligible at their edges (the boundary invariant, enforced by the
+sizing policy below and by _refuse_unsupported, for either form).
 
 A GridFunction is the one window type: one state's samples, a stack of
 states on the same grid as (rows, W) values, or a stack of those over
@@ -31,8 +33,7 @@ times, on a window of W columns of its grid.  Every other column holds
 exact zeros, and a whole-grid function is the window at offset 0.  Every
 map acts along the last axis, so one pass (one exp(i phase(x)), one set of
 Lagrange weights) serves every row, and writes onto a window of its own:
-the Lagrange read onto the columns whose image s x - d can reach the
-input's window, the source onto the columns its analytic map holds.  A
+the columns whose image s x - d can reach the input's window.  A
 window holds the Grid it lives on, which alone forms the sample points
 (Grid.xs) and the spacing (Grid.dx): every x is a slice of the grid's one
 x array and every Lagrange query index is computed as the whole grid
@@ -109,16 +110,9 @@ class GridFunction:
     their first axis.  Indexing or iterating gives entry j of that axis, a
     view of values on the same window: time j of a stack over times, else
     row j at t.
-
-    `source`, when present, is the analytic map the samples came from: called
-    with ascending query points x, it returns a window on them, (rows,
-    offset): their values at x[offset:offset + W] in the samples' layout,
-    (W,) for one state or (rows, W) for a stack, every other query an exact
-    zero (a state_window partial, for instance).  Transforms compose it so
-    downstream values stay exact instead of interpolation-limited.
     """
 
-    def __init__(self, grid: Grid, values, t, hbar=1.0, source=None, offset=0):
+    def __init__(self, grid: Grid, values, t, hbar=1.0, offset=0):
         values = np.asarray(values, dtype=np.complex128)
         if values.ndim not in (1, 2, 3):
             raise ValueError("need (W,), (rows, W) or (times, rows, W) values")
@@ -131,7 +125,6 @@ class GridFunction:
         sequence = isinstance(t, (list, tuple, np.ndarray))
         self.t = tuple(map(float, t)) if sequence else float(t)
         self.hbar = float(hbar)
-        self.source = source
         self.offset = int(offset)
 
     @property
@@ -160,23 +153,15 @@ class GridFunction:
             out[..., a - lo:b - lo] = self.values[..., a - offset:b - offset]
         return out
 
-    def _with(self, values, source=None, offset=None, t=None) -> GridFunction:
+    def _with(self, values, offset=None, t=None) -> GridFunction:
         """values on this function's grid, by default at its offset and t."""
         return GridFunction(self.grid, values, self.t if t is None else t, self.hbar,
-                            source, self.offset if offset is None else offset)
+                            self.offset if offset is None else offset)
 
 
-def sample_on_grid(field, grid: Grid, t, attach_source: bool = True) -> GridFunction:
+def sample_on_grid(field, grid: Grid, t) -> GridFunction:
     """Evaluate a wavefunction field on a grid at one time."""
-    xs = grid.xs()
-    values = field(xs, t)
-
-    if attach_source:
-        def source(x):
-            return field(x, t), 0
-    else:
-        source = None
-    return GridFunction(grid, values, t, getattr(field, "hbar", 1.0), source)
+    return GridFunction(grid, field(grid.xs(), t), t, getattr(field, "hbar", 1.0))
 
 
 # denominators prod_{j != k} (k - j) of the six-point Lagrange weights
@@ -256,64 +241,57 @@ def _edge_ratio(values, offset: int = 0, points: int | None = None) -> float:
                                   where=peak > 0.0)))
 
 
-def _affine(g: GridFunction, op: str, s=1.0, d=0.0, alpha=0.0, k=0.0, c=0.0):
-    """The module's map T, on g's samples and composed into its source.
-
-    A pure phase multiplies the samples, on g's window.  A map that moves
-    support re-evaluates the source at s x - d on every column of the grid,
-    or Lagrange-reads the samples there (_lagrange_eval keeps the queries
-    whose stencil reads g's window); either writes onto the window of
-    columns that holds its reads.  It refuses (GridTooSmallError) a result
-    whose two outermost samples at either end of the grid reach
-    BOUNDARY_RATIO of its peak (_edge_ratio), and an all-zero result of a
-    nonzero g: the map moved the state off the grid.
-    """
-    moves = s != 1.0 or d != 0.0
-    if not moves and alpha == 0.0 and k == 0.0 and c == 0.0:
-        return g
-    root_s = math.sqrt(s)
-    a2, a1, a0 = alpha / g.hbar, k / g.hbar, c / g.hbar
-
-    def factor(x):
-        return root_s * np.exp(1j * ((a2 * x + a1) * x + a0))
-
-    src, source = g.source, None
-    if src is not None:
-        def source(x):
-            x = np.asarray(x)
-            rows, j = src(s * x - d)
-            rows = np.asarray(rows)
-            return factor(x[j:j + rows.shape[-1]]) * rows, j
-    if not moves:
-        return g._with(factor(g.x) * g.values, source, g.offset)
-    grid = g.grid
-    x = grid.xs()
-    if src is None:
-        rows, j = _lagrange_eval(g, s * x - d)
-        rows = factor(x[j:j + rows.shape[-1]]) * rows
-    else:
-        rows, j = source(x)
-    out = g._with(rows, source, j)
+def _refuse_unsupported(op: str, g: GridFunction, out: GridFunction, s=1.0, d=0.0):
+    """Refuse (GridTooSmallError) out, g's image under a map that reads g at
+    s x - d, if its two outermost samples at either end of the grid reach
+    BOUNDARY_RATIO of its peak (_edge_ratio), or if it is zero and g is not."""
+    grid = out.grid
     ratio = _edge_ratio(out.values, out.offset, grid.points)
-    centre, half = 0.5 * (grid.x_min + grid.x_max), 0.5 * (grid.x_max - grid.x_min)
     if ratio >= BOUNDARY_RATIO:
         # how much wider the grid must be for the edge samples to decay
         # below threshold, assuming roughly Gaussian tails
+        centre, half = 0.5 * (grid.x_min + grid.x_max), 0.5 * (grid.x_max - grid.x_min)
         half *= 1.0 + 0.5 * math.log(max(ratio / BOUNDARY_RATIO, 1.0 + 1e-9))
-        raise GridTooSmallError(
-            f"{op} left boundary ratio {ratio:.2e} >= {BOUNDARY_RATIO:.0e}; "
-            f"retry on a grid covering roughly "
-            f"[{centre - half:.3g}, {centre + half:.3g}]"
-        )
-    if ratio == 0.0 and not np.any(out.values) and np.any(g.values):
-        # the samples' image: the grid's points x with s x - d on it
-        image = ((grid.x_min + d) / s, (grid.x_max + d) / s)
-        raise GridTooSmallError(
-            f"{op} moved every sample off the grid "
-            f"[{grid.x_min:.3g}, {grid.x_max:.3g}]; retry on a grid covering roughly "
-            f"[{min(grid.x_min, image[0]):.3g}, {max(grid.x_max, image[1]):.3g}]"
-        )
+        why, lo, hi = (f"left boundary ratio {ratio:.2e} >= {BOUNDARY_RATIO:.0e}",
+                       centre - half, centre + half)
+    elif ratio == 0.0 and not np.any(out.values) and np.any(g.values):
+        # the grid joined with the samples' image, the points x with s x - d on it
+        why = f"moved every sample off the grid [{grid.x_min:.3g}, {grid.x_max:.3g}]"
+        lo, hi = min(grid.x_min, (grid.x_min + d) / s), max(grid.x_max, (grid.x_max + d) / s)
+    else:
+        return
+    raise GridTooSmallError(f"{op} {why}; retry on a grid covering roughly "
+                            f"[{lo:.3g}, {hi:.3g}]")
+
+
+def _affine(g: GridFunction, op: str, s=1.0, d=0.0, alpha=0.0, k=0.0, c=0.0):
+    """The module's map T on g's samples: a pure phase multiplies them on
+    g's window; a map that moves support Lagrange-reads them at s x - d
+    (_lagrange_eval) onto the window of columns its reads reach."""
+    moves = s != 1.0 or d != 0.0
+    if not moves and alpha == 0.0 and k == 0.0 and c == 0.0:
+        return g
+    x = g.grid.xs()
+    rows, j = _lagrange_eval(g, s * x - d) if moves else (g.values, g.offset)
+    a2, a1, a0 = alpha / g.hbar, k / g.hbar, c / g.hbar
+    x = x[j:j + rows.shape[-1]]
+    out = g._with(math.sqrt(s) * np.exp(1j * ((a2 * x + a1) * x + a0)) * rows, j)
+    if moves:
+        _refuse_unsupported(op, g, out, s, d)
     return out
+
+
+def _affine_columns(columns, hbar, s=1.0, d=0.0, alpha=0.0, k=0.0, c=0.0):
+    """The eight kernel columns (tdho._kernels.state_kernel_window) of T psi
+    from psi's: scalars, or 1-D stacks over slices, as are the parameters.
+    The factor's alpha x^2 is centred at 0, not at the new centre x_shift',
+    so k_lin and phase0 take 2 alpha x_shift'/hbar and -alpha x_shift'^2/hbar."""
+    log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0, dphase = columns
+    shift = (x_shift + d) / s
+    return np.array((log_norm + 0.5 * np.log(s), gauss_re * s * s,
+                     gauss_im * s * s + alpha / hbar, scale * s, shift,
+                     s * k_lin + (k + 2.0 * alpha * shift) / hbar,
+                     phase0 - k_lin * d + (c - alpha * shift * shift) / hbar, dphase))
 
 
 # ---------------------------------------------------------------------------
@@ -326,34 +304,51 @@ def _read(model: OscillatorModel, t, *names):
     return [float(getattr(model, name)(t)) for name in names]
 
 
+# each composite's (s, d, alpha, k, c) at t, on samples and on columns
+def _U0_coefficients(model: OscillatorModel, t):
+    M, dM = _read(model, t, "mass", "dmass")
+    return M ** -0.5, 0.0, 0.25 * dM / M, 0.0, 0.0
+
+
+def _U0_dagger_coefficients(model: OscillatorModel, t):
+    M, dM = _read(model, t, "mass", "dmass")
+    return M ** 0.5, 0.0, -0.25 * dM, 0.0, 0.0
+
+
+def _UF_coefficients(model: OscillatorModel, driven, t):
+    [M] = _read(model, t, "mass")
+    xp, dxp, delta = (float(q) for q in driven.slice(t))
+    return 1.0, xp, 0.0, M * dxp, delta
+
+
+def _UF_dagger_coefficients(model: OscillatorModel, driven, t):
+    [M] = _read(model, t, "mass")
+    xp, dxp, delta = (float(q) for q in driven.slice(t))
+    p = M * dxp
+    return 1.0, -xp, 0.0, -p, -p * xp - delta
+
+
 def apply_U0(model: OscillatorModel, t, g: GridFunction) -> GridFunction:
     """Mass reduction QuadraticPhase(Mdot/4M) . Dilation(-ln M/2):
     M^{-1/4} e^{i Mdot x^2 / 4M hbar} g(x / sqrt(M))."""
-    M, dM = _read(model, t, "mass", "dmass")
-    return _affine(g, f"U0(t={t})", s=M ** -0.5, alpha=0.25 * dM / M)
+    return _affine(g, f"U0(t={t})", *_U0_coefficients(model, t))
 
 
 def apply_U0_dagger(model: OscillatorModel, t, g: GridFunction) -> GridFunction:
     """Inverse reduction Dilation(+ln M/2) . QuadraticPhase(-Mdot/4M):
     M^{1/4} e^{-i Mdot x^2 / 4 hbar} g(sqrt(M) x)."""
-    M, dM = _read(model, t, "mass", "dmass")
-    return _affine(g, f"U0_dagger(t={t})", s=M ** 0.5, alpha=-0.25 * dM)
+    return _affine(g, f"U0_dagger(t={t})", *_U0_dagger_coefficients(model, t))
 
 
 def apply_UF(model: OscillatorModel, driven, t, g: GridFunction) -> GridFunction:
     """Driving operator ConstPhase(delta) . LinearPhase(M xdot_p) .
     Translation(x_p): e^{i(M xdot_p x + delta)/hbar} g(x - x_p)."""
-    [M] = _read(model, t, "mass")
-    xp, dxp, delta = (float(q) for q in driven.slice(t))
-    return _affine(g, f"U_F(t={t})", d=xp, k=M * dxp, c=delta)
+    return _affine(g, f"U_F(t={t})", *_UF_coefficients(model, driven, t))
 
 
 def apply_UF_dagger(model: OscillatorModel, driven, t, g: GridFunction) -> GridFunction:
     """e^{-i(M xdot_p (x + x_p) + delta)/hbar} g(x + x_p)."""
-    [M] = _read(model, t, "mass")
-    xp, dxp, delta = (float(q) for q in driven.slice(t))
-    p = M * dxp
-    return _affine(g, f"U_F_dagger(t={t})", d=-xp, k=-p, c=-p * xp - delta)
+    return _affine(g, f"U_F_dagger(t={t})", *_UF_dagger_coefficients(model, driven, t))
 
 
 # ---------------------------------------------------------------------------

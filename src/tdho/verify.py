@@ -16,9 +16,11 @@ The suite's checks read every order a scenario asks for at one time from
 one recurrence, and each run_suite call evaluates the scenario's state at
 its times once, for every check that reads it (see run_suite).  Each check
 makes one stacked kernel call per set of times it reads: the closed forms,
-the chain's companion and the uncertainty check's undriven state are one
-stack over the scenario's times each, stationarity's probe times one
-stack, and the residual's six other stencil times one stack per t.
+the chain's companion, its image under U_F U0_dagger on the exact path
+(the companion's kernel columns mapped in closed form) and the
+uncertainty check's undriven state are one stack over the scenario's
+times each, stationarity's probe times one stack, and the residual's six
+other stencil times one stack per t.
 Orthonormality alone reads one call per time: a window over all its times
 would widen each time's Gram product.  The oracles keep their own
 parameters: a closed form (closed_form_window) takes its slice from its
@@ -84,16 +86,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import states as _states
+from . import transforms as _transforms
 from .classical import delta_legacy, null_driven, reduced_basis, shift_particular
 from .models import CaldirolaKanai, DomainError, frequency_scale, reduced_frequency_squared
 from .states import READ_DEPTH, StateSpec, closed_form_law, closed_form_window, state_field
-from .states import state_window as _state_window
 from .transforms import (
     BOUNDARY_RATIO,
     Grid,
     GridFunction,
     GridTooSmallError,
+    _affine_columns,
     _edge_ratio,
+    _refuse_unsupported,
     apply_U0_dagger,
     apply_UF,
     sample_on_grid,
@@ -483,18 +488,38 @@ def check_omega_constancy(basis) -> float:
     return float(np.max(np.abs(vals - basis.omega)) / abs(basis.omega))
 
 
-def _chain_distance(driven, t, g0: GridFunction, direct: GridFunction):
-    """Relative L2 distance between U_F U0_dagger g0 and the direct samples
-    on g0's grid, one per row of g0 and direct, over the columns where
-    either is nonzero (_support)."""
-    model = driven.model
-    chained = apply_UF(model, driven, t, apply_U0_dagger(model, t, g0))
-    lo, hi, _ = _support(chained, direct).indices(g0.grid.points)
+def _chain_distance(chained: GridFunction, direct: GridFunction):
+    """Relative L2 distance between chained and direct at direct.t, one per
+    row of either, over the columns where either is nonzero (_support)."""
+    where = f" at t = {direct.t} on {direct.grid.points} points"
+    lo, hi, _ = _support(chained, direct).indices(direct.grid.points)
     chained, direct = chained.columns(lo, hi), direct.columns(lo, hi)
-    direct_norm = _nondegenerate(np.linalg.norm(direct, axis=-1), "direct ‖psi‖",
-                                 f" at t = {t} on {g0.grid.points} points",
+    direct_norm = _nondegenerate(np.linalg.norm(direct, axis=-1), "direct ‖psi‖", where,
                                  "the chain distance")
     return np.linalg.norm(chained - direct, axis=-1) / direct_norm
+
+
+def _exact_chain(driven, spec0: StateSpec, g0: GridFunction, orders, depth=None):
+    """U_F U0_dagger on spec0's kernel columns at the times of g0, a stack of
+    its windows: read once, mapped with the samples' coefficients, drawn as
+    orders by one kernel call to depth and guarded as samples would be; g0
+    itself where both maps are the identity at every time."""
+    model = driven.model
+    # (5, 2, T): U0_dagger's and then U_F's (s, d, alpha, k, c) at each time,
+    # read through the module as the samples' maps read them
+    maps = np.array([(_transforms._U0_dagger_coefficients(model, t),
+                      _transforms._UF_coefficients(model, driven, t)) for t in g0.t]).T
+    if (maps[0] == 1.0).all() and not maps[1:].any():
+        return g0
+    columns = _states._slice_params(spec0, g0.t)
+    for coefficients in maps.transpose(1, 0, 2):
+        columns = _affine_columns(columns, spec0.hbar, *coefficients)
+    rows, offset = _states.state_kernel_window(g0.grid.xs(), orders, *columns, depth=depth)
+    out = g0._with(rows.reshape(g0.values.shape[:-1] + rows.shape[-1:]), offset)
+    (s0, s1), (d0, d1) = maps[0], maps[1]  # the chain reads g0 at s0 s1 x - s0 d1 - d0
+    for t, before, after, s, d in zip(g0.t, g0, out, s0 * s1, s0 * d1 + d0):
+        _refuse_unsupported(f"U_F U0_dagger(t={t})", before, after, s, d)
+    return out
 
 
 def check_transform_equivalence(
@@ -503,15 +528,20 @@ def check_transform_equivalence(
     """Relative L2 distance between the operator chain and the direct state.
 
     The unit-mass eigenstate psi_n^0 (built over the companion basis
-    sqrt(M)(u, v)) is pushed through U0_dagger and U_F on the grid and
-    compared to the directly evaluated displaced state.
+    sqrt(M)(u, v)) is pushed through U0_dagger and U_F, on its samples or
+    (exact) on its kernel columns drawn at full depth, and compared to the
+    directly evaluated displaced state on the grid.
     """
-    if driven is None:
-        driven = null_driven(basis.model)
+    model = basis.model
+    driven = null_driven(model) if driven is None else driven
     spec0 = StateSpec(n, hbar, reduced_basis(basis))
-    g0 = sample_on_grid(state_field(spec0), grid, t, attach_source=exact)
+    g0 = sample_on_grid(state_field(spec0), grid, t)
+    if exact:
+        chained = _exact_chain(driven, spec0, g0._with(g0.values[None], t=[t]), [n])[0]
+    else:
+        chained = apply_UF(model, driven, t, apply_U0_dagger(model, t, g0))
     direct = state_field(StateSpec(n, hbar, basis, driven))(g0.x, t)
-    return float(_chain_distance(driven, t, g0, g0._with(direct)))
+    return float(_chain_distance(chained, g0._with(direct)))
 
 
 def _max_drift(base: GridFunction, later):
@@ -574,7 +604,7 @@ def state_window(spec: StateSpec, grid: Grid, t, orders) -> GridFunction:
     """tdho.states.state_window on grid's points, as a GridFunction at t.
     Every block of a state over a basis that the suite reads on its grid
     comes from here."""
-    rows, offset = _state_window(spec, grid.xs(), t, orders)
+    rows, offset = _states.state_window(spec, grid.xs(), t, orders)
     return GridFunction(grid, rows, t, spec.hbar, offset=offset)
 
 
@@ -692,26 +722,23 @@ def _run_frequency_map(ctx: SuiteContext, rows) -> list:
 
 
 def _run_transform_chain(ctx: SuiteContext, rows) -> list:
-    """Both chain paths of every order per t: one window of the companion
-    state (g0, shared by the paths; one stack of them at all the times)
-    goes through U0_dagger and U_F as a whole, each map writing onto the
-    window its reads reach, and is compared with the direct state, the
-    run's shared window (undriven, it is the state over null_driven).  The
-    exact path's source re-evaluates the companion's window at the query
-    points."""
+    """Both chain paths of every order per t against the direct state, the
+    run's shared window (undriven, the state over null_driven): one window
+    of the companion state (one stack of them at all the times) goes
+    through U0_dagger and U_F on its samples, each map writing onto the
+    window its reads reach, and on its kernel columns (_exact_chain)."""
     tol_i = DEFAULT_THRESHOLDS["transform_chain"]
     tol_e = DEFAULT_THRESHOLDS["transform_chain_exact"]
-    driven = ctx.driven if ctx.driven is not None else null_driven(ctx.model)
-    n_top = max(ctx.ns)
-    companion = StateSpec(n_top, ctx.hbar, reduced_basis(ctx.basis))
-    per_t = []
+    model = ctx.model
+    driven = ctx.driven if ctx.driven is not None else null_driven(model)
+    companion = StateSpec(max(ctx.ns), ctx.hbar, reduced_basis(ctx.basis))
     companions = state_window(companion, ctx.grid, ctx.times, ctx.ns)
-    for t, direct, g0 in zip(ctx.times, rows(), companions):
-        g0_exact = g0._with(g0.values, functools.partial(
-            _state_window, companion, t=t, orders=ctx.ns))
-        interp = _chain_distance(driven, t, g0, direct)
-        exact = _chain_distance(driven, t, g0_exact, direct)
-        per_t.append([(float(i), float(e)) for i, e in zip(interp, exact)])
+    exacts = _exact_chain(driven, companion, companions, ctx.ns, _states.READ_DEPTH)
+    per_t = []
+    for t, direct, g0, chained in zip(ctx.times, rows(), companions, exacts):
+        interp = apply_UF(model, driven, t, apply_U0_dagger(model, t, g0))
+        per_t.append([(float(i), float(e)) for i, e in zip(
+            _chain_distance(interp, direct), _chain_distance(chained, direct))])
     out = []
     for n, t, (interp, exact) in _n_then_t(ctx, per_t):
         out.append(CheckResult(

@@ -14,7 +14,7 @@ import tdho
 import tdho._kernels as kernels
 import tdho.states
 from tdho._kernels._ref import _cutoff_radius, _hermite_function_rows
-from tdho.classical import analytic_basis_sho
+from tdho.classical import analytic_basis_sho, null_driven
 from tdho.models import CaldirolaKanai, LoDampedPulsating
 from tdho.states import (
     StateSpec,
@@ -571,12 +571,13 @@ def _window_is_block(x, orders, params, depth=None):
 @pytest.mark.parametrize("with_driving", [True, False])
 def test_the_window_form_is_the_block_on_its_window(driven_ck, with_driving, times,
                                                     depth):
-    """A driven or undriven state, one slice or a stack (one time twice),
-    read to LOG_FLOOR or to a depth: the window form holds the block's
-    columns on the union of the slices' cutoff windows, which is narrower
-    than the grid, and nothing else."""
-    spec = StateSpec(0, 1.0, *driven_ck)
-    params = _slice_params(spec, times, with_driving)
+    """A driven state or the same state over null_driven, one slice or a
+    stack (one time twice), read to LOG_FLOOR or to a depth: the window
+    form holds the block's columns on the union of the slices' cutoff
+    windows, which is narrower than the grid, and nothing else."""
+    basis, driven = driven_ck
+    spec = StateSpec(0, 1.0, basis, driven if with_driving else null_driven(basis.model))
+    params = _slice_params(spec, times)
     x = np.linspace(-40.0, 40.0, 4097)
     rows, offset = _window_is_block(x, [40, 0, 7], params, depth)
     assert 0 < offset and offset + rows.shape[-1] < len(x)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdho._kernels import state_kernel, state_kernel_window
 from tdho.classical import null_driven, reduced_basis
 from tdho.models import reduced_frequency_squared
-from tdho.states import StateSpec, state_field
+from tdho.states import READ_DEPTH, StateSpec, _slice_params, state_field
 from tdho.transforms import (
     BOUNDARY_RATIO,
     Grid,
@@ -21,16 +22,48 @@ from tdho.transforms import (
     policy_grid,
     sample_on_grid,
     _affine,
+    _affine_columns,
     _edge_ratio,
     _lagrange_eval,
+    _refuse_unsupported,
+    _U0_coefficients,
+    _U0_dagger_coefficients,
+    _UF_coefficients,
+    _UF_dagger_coefficients,
     unit_mass_parameters,
 )
+
+from conftest import kernel_block
 
 GRID = Grid(-14.0, 14.0, 4096)
 
 
 def _gauss_field(x, t):
     return np.pi**-0.25 * np.exp(-((x - 0.3) ** 2) / 2.0) * np.exp(0.2j * x)
+
+
+# _gauss_field as the kernel's eight slice columns (log_norm, gauss_re,
+# gauss_im, scale, x_shift, k_lin, phase0, dphase) of order 0, whose
+# h_0 = pi^{-1/4} holds the normalisation
+_GAUSS = np.array([0.0, -0.5, 0.0, 1.0, 0.3, 0.2, 0.0, 0.0])
+
+
+def _drawn(columns, n=0, x=GRID.xs()):
+    """Order n of the state with the given kernel columns on x, read to
+    LOG_FLOOR."""
+    return state_kernel(x, n, *columns)
+
+
+def _map_drawn(g, columns, n, op, depth=None, **params):
+    """The map with params on the state whose kernel columns are columns
+    (g its samples), drawn as order n on g's grid to depth and judged as
+    the map on g would be (_refuse_unsupported)."""
+    rows, offset = state_kernel_window(g.grid.xs(), [n],
+                                       *_affine_columns(columns, g.hbar, **params),
+                                       depth=depth)
+    out = g._with(rows[0], offset)
+    _refuse_unsupported(op, g, out, params.get("s", 1.0), params.get("d", 0.0))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -64,19 +97,10 @@ def test_grid_function_refuses_bad_ndim_and_windows_that_do_not_fit(values, offs
     assert refused.type is ValueError and str(refused.value) == message
 
 
-def test_sample_on_grid_attaches_source():
+def test_sample_on_grid_samples_the_field():
     gf = sample_on_grid(_gauss_field, GRID, 0.0)
-    # source is the field with t frozen in, for exact off-grid reads: a
-    # window on the query points that holds them all
-    assert gf.source is not None
-    xq = np.array([-4.56, 0.123])
-    values, offset = gf.source(xq)
-    assert offset == 0
-    np.testing.assert_allclose(values, _gauss_field(xq, 0.0), rtol=1e-15)
-    assert gf.t == 0.0
-    np.testing.assert_allclose(gf.values, _gauss_field(GRID.xs(), 0.0))
-    bare = sample_on_grid(_gauss_field, GRID, 0.0, attach_source=False)
-    assert bare.source is None
+    assert (gf.t, gf.offset, gf.grid, gf.hbar) == (0.0, 0, GRID, 1.0)
+    assert gf.values.tobytes() == _gauss_field(GRID.xs(), 0.0).tobytes()
 
 
 def test_boundary_ratio_and_compliance():
@@ -87,16 +111,15 @@ def test_boundary_ratio_and_compliance():
 
 
 # ---------------------------------------------------------------------------
-# primitive operators (exact source path): each sets one parameter of
-# _affine, Dilation(a) being s = e^a
+# primitive operators: each sets one parameter of _affine (on samples) and
+# _affine_columns (on kernel columns), Dilation(a) being s = e^a
 # ---------------------------------------------------------------------------
 
 def test_dilation_action():
-    gf = sample_on_grid(_gauss_field, GRID, 0.0)
     a = 0.37
-    out = _affine(gf, "dilation", s=np.exp(a))
+    out = _drawn(_affine_columns(_GAUSS, 1.0, s=np.exp(a)))
     want = np.exp(a / 2.0) * _gauss_field(np.exp(a) * GRID.xs(), 0.0)
-    np.testing.assert_allclose(out.values, want, atol=1e-15)
+    np.testing.assert_allclose(out, want, atol=1e-15)
 
 
 def test_dilation_preserves_norm():
@@ -107,10 +130,8 @@ def test_dilation_preserves_norm():
 
 
 def test_translation_action():
-    gf = sample_on_grid(_gauss_field, GRID, 0.0)
-    out = _affine(gf, "translation", d=1.25)
-    np.testing.assert_allclose(out.values,
-                               _gauss_field(GRID.xs() - 1.25, 0.0), atol=1e-15)
+    out = _drawn(_affine_columns(_GAUSS, 1.0, d=1.25))
+    np.testing.assert_allclose(out, _gauss_field(GRID.xs() - 1.25, 0.0), atol=1e-15)
 
 
 def test_phase_factors():
@@ -128,16 +149,19 @@ def test_phase_factors():
 
 
 def test_phases_respect_hbar():
-    gf = GridFunction(GRID, _gauss_field(GRID.xs(), 0.0), 0.0, hbar=0.5,
-                      source=_gauss_field)
-    out = _affine(gf, "linear phase", k=0.3)
-    np.testing.assert_allclose(out.values,
+    """On columns and on samples, k enters as k / hbar."""
+    unboosted = _GAUSS * [1, 1, 1, 1, 1, 0, 1, 1]
+    out = _drawn(_affine_columns(unboosted, 0.5, k=0.3))
+    np.testing.assert_allclose(out, np.exp(0.6j * GRID.xs()) * _drawn(unboosted),
+                               rtol=1e-15)
+    gf = GridFunction(GRID, _gauss_field(GRID.xs(), 0.0), 0.0, hbar=0.5)
+    np.testing.assert_allclose(_affine(gf, "linear phase", k=0.3).values,
                                np.exp(0.6j * GRID.xs()) * gf.values, rtol=1e-15)
 
 
 def test_interpolated_path_accuracy():
-    """Without a source the dilation falls back to a six-point Lagrange read."""
-    gf = sample_on_grid(_gauss_field, GRID, 0.0, attach_source=False)
+    """On samples the dilation is a six-point Lagrange read."""
+    gf = sample_on_grid(_gauss_field, GRID, 0.0)
     out = _affine(gf, "dilation", s=np.exp(0.37))
     want = np.exp(0.37 / 2.0) * _gauss_field(np.exp(0.37) * GRID.xs(), 0.0)
     err = np.max(np.abs(out.columns() - want))
@@ -176,21 +200,27 @@ def _psi_1(x, t):
     return np.sqrt(2.0) * np.pi**-0.25 * x * np.exp(-0.5 * x * x)
 
 
-@pytest.mark.parametrize("attach_source", [True, False], ids=["source", "lagrange"])
+# psi_1 as kernel columns: h_1(x) = sqrt(2) pi^{-1/4} x
+_PSI_1 = np.array([0.0, -0.5, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("on_columns", [True, False], ids=["source", "lagrange"])
 @pytest.mark.parametrize("d", [10.0, 9.9])
-def test_support_guard_sees_a_node_on_the_edge(d, attach_source):
+def test_support_guard_sees_a_node_on_the_edge(d, on_columns):
     """psi_1 translated by d = 10 on [-10, 10] has its node on the last
     sample and half its norm off the grid; the sample next to it is not
-    small, so the map is refused, like the one that stops 0.1 short."""
-    g = sample_on_grid(_psi_1, Grid(-10.0, 10.0, 4096), 0.0,
-                       attach_source=attach_source)
+    small, so the map is refused, like the one that stops 0.1 short, on
+    the state's analytic source (its kernel columns) and on its samples."""
+    g = sample_on_grid(_psi_1, Grid(-10.0, 10.0, 4096), 0.0)
     with pytest.raises(GridTooSmallError):
-        _affine(g, "translation", d=d)
+        if on_columns:
+            _map_drawn(g, _PSI_1, 1, "translation", d=d)
+        else:
+            _affine(g, "translation", d=d)
 
 
 def test_support_guard_raises():
-    gf = sample_on_grid(_gauss_field, Grid(-3.0, 3.0, 256), 0.0,
-                        attach_source=False)
+    gf = sample_on_grid(_gauss_field, Grid(-3.0, 3.0, 256), 0.0)
     with pytest.raises(GridTooSmallError):
         _affine(gf, "dilation", s=np.exp(-1.0))  # reads e x, up to |x| ~ 8.1
 
@@ -245,83 +275,91 @@ def test_one_leaking_row_fails_the_support_guard(leaky_row):
 # composed operators
 # ---------------------------------------------------------------------------
 
+_COEFFICIENTS = {apply_U0: _U0_coefficients, apply_U0_dagger: _U0_dagger_coefficients,
+                 apply_UF: _UF_coefficients, apply_UF_dagger: _UF_dagger_coefficients}
+
+
+def _args(fused, model, driven, t):
+    """The arguments before g of a composite, and of its coefficient
+    function."""
+    return (model, t) if fused in (apply_U0, apply_U0_dagger) else (model, driven, t)
+
+
 def test_u0_dagger_closed_form(ck_basis):
-    """U0^dag psi(x) = M^{1/4} e^{-i Mdot x^2 / 4 hbar} psi(sqrt(M) x)."""
+    """U0^dag psi(x) = M^{1/4} e^{-i Mdot x^2 / 4 hbar} psi(sqrt(M) x), on the
+    companion's kernel columns."""
     model = ck_basis.model
     t = 1.3
     M, dM = model.mass(t), model.dmass(t)
     spec = StateSpec(1, 1.0, reduced_basis(ck_basis))
     base = state_field(spec)
-    gf = sample_on_grid(base, GRID, t)
-    out = apply_U0_dagger(model, t, gf)
+    columns = _affine_columns(_slice_params(spec, t), 1.0, *_U0_dagger_coefficients(model, t))
     x = GRID.xs()
     want = M**0.25 * np.exp(-0.25j * dM * x**2) * base(np.sqrt(M) * x, t)
-    np.testing.assert_allclose(out.values, want, atol=1e-14)
+    np.testing.assert_allclose(_drawn(columns, 1), want, atol=1e-14)
 
 
-def _primitive_products(model, driven, t):
-    """The four composites as products of the paper's primitives, one _affine
-    map per primitive with that primitive's parameter, acting right-to-left:
+def _primitives(model, driven, t):
+    """The four composites as products of the paper's primitives, one map
+    per primitive with that primitive's parameter, acting right-to-left:
     Dilation(a) is s = e^a; Translation(d), QuadraticPhase(alpha),
     LinearPhase(k) and ConstPhase(c) set d, alpha, k and c."""
     M, dM = float(model.mass(t)), float(model.dmass(t))
     xp, dxp, delta = (float(q) for q in driven.slice(t))
     p = M * dxp
-
-    def product(*maps):
-        def apply(g):
-            for op, params in reversed(maps):
-                g = _affine(g, op, **params)
-            return g
-        return apply
-
     return {
-        apply_U0: product(("quadratic phase", {"alpha": 0.25 * dM / M}),
-                          ("dilation", {"s": np.exp(-0.5 * np.log(M))})),
-        apply_U0_dagger: product(("dilation", {"s": np.exp(0.5 * np.log(M))}),
-                                 ("quadratic phase", {"alpha": -0.25 * dM / M})),
-        apply_UF: product(("constant phase", {"c": delta}),
-                          ("linear phase", {"k": p}),
-                          ("translation", {"d": xp})),
-        apply_UF_dagger: product(("translation", {"d": -xp}),
-                                 ("linear phase", {"k": -p}),
-                                 ("constant phase", {"c": -delta})),
+        apply_U0: [("quadratic phase", {"alpha": 0.25 * dM / M}),
+                   ("dilation", {"s": np.exp(-0.5 * np.log(M))})],
+        apply_U0_dagger: [("dilation", {"s": np.exp(0.5 * np.log(M))}),
+                          ("quadratic phase", {"alpha": -0.25 * dM / M})],
+        apply_UF: [("constant phase", {"c": delta}),
+                   ("linear phase", {"k": p}),
+                   ("translation", {"d": xp})],
+        apply_UF_dagger: [("translation", {"d": -xp}),
+                          ("linear phase", {"k": -p}),
+                          ("constant phase", {"c": -delta})],
     }
+
+
+# _narrow and _narrow(x - 0.7) as kernel columns of order 0
+_NARROW = np.array([[0.25 * np.log(np.pi)] * 2, [-0.5] * 2, [0.0] * 2, [1.0] * 2,
+                    [0.0, 0.7], [0.4] * 2, [0.0, -0.28], [0.0] * 2])
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["source", "lagrange"])
 @pytest.mark.parametrize("rows", [1, 2])
 def test_each_composite_is_the_product_of_its_primitives(driven_ck, exact, rows):
     """Each fused composite equals the composition of its primitives, on one
-    state and on a stack: to rounding when a source is re-evaluated, to the
-    accuracy of the six-point read when the samples are interpolated."""
+    state and on a stack: to rounding on the states' analytic source, their
+    kernel columns (a stack of slices), and to the accuracy of the
+    six-point read on their samples."""
     basis, drv = driven_ck
     model = basis.model
     t = 1.3
     assert model.dmass(t) != 0.0 and drv.slice(t)[0] != 0.0
-    fields = [_narrow, lambda x: _narrow(x - 0.7)][:rows]
-
-    def field(x):
-        block = np.stack([f(np.asarray(x)) for f in fields])
-        return block if rows > 1 else block[0]
-
-    def source(x):  # a window on x that holds every query point
-        return field(x), 0
-
-    g = GridFunction(GRID, field(GRID.xs()), t, source=source if exact else None)
+    x = GRID.xs()
+    columns = _NARROW[:, :rows]
+    g = GridFunction(GRID, kernel_block(x, [0], *columns)[:, 0], t)
+    if rows == 1:
+        g = g[0]
     # the six-point reads of chirped and unchirped samples differ by the
     # read's own error, here about 1e-14
     tol = 1e-14 if exact else 1e-12
-    for fused, product in _primitive_products(model, drv, t).items():
-        args = (model, t, g) if fused in (apply_U0, apply_U0_dagger) else (model, drv, t, g)
-        out, want = fused(*args), product(g)
-        assert out.columns().shape == g.values.shape
-        assert np.max(np.abs(out.columns() - want.columns())) < tol, fused.__name__
+    for fused, primitives in _primitives(model, drv, t).items():
+        args = _args(fused, model, drv, t)
         if exact:
-            xq = np.array([-1.37, 0.0, 0.41, 2.9])
-            (got, j), (wanted, k) = out.source(xq), want.source(xq)
-            assert j == k == 0
-            np.testing.assert_allclose(got, wanted, rtol=0, atol=tol)
+            want = columns
+            for _, params in reversed(primitives):
+                want = _affine_columns(want, 1.0, **params)
+            out = _affine_columns(columns, 1.0, *_COEFFICIENTS[fused](*args))
+            out, want = (kernel_block(x, [0], *c)[:, 0] for c in (out, want))
+        else:
+            want = g
+            for op, params in reversed(primitives):
+                want = _affine(want, op, **params)
+            out, want = fused(*args, g).columns(), want.columns()
+        assert out.shape[-1] == GRID.points
+        assert np.max(np.abs(out - want)) < tol, fused.__name__
 
 
 def test_u0_inverts_u0_dagger(ck_basis):
@@ -332,32 +370,66 @@ def test_u0_inverts_u0_dagger(ck_basis):
 
 
 def test_uf_action_and_inverse(driven_sho):
+    """U_F and its inverse on kernel columns."""
     basis, drv = driven_sho
     model = basis.model
     t = 2.5
-    gf = sample_on_grid(_gauss_field, GRID, t)
-    out = apply_UF(model, drv, t, gf)
+    out = _affine_columns(_GAUSS, 1.0, *_UF_coefficients(model, drv, t))
     x = GRID.xs()
     xp, dxp, delta = drv.slice(t)
     want = (np.exp(1j * delta) * np.exp(1j * model.mass(t) * dxp * x)
             * _gauss_field(x - xp, t))
-    np.testing.assert_allclose(out.values, want, atol=1e-13)
-    back = apply_UF_dagger(model, drv, t, out)
-    np.testing.assert_allclose(back.values, gf.values, atol=1e-13)
+    np.testing.assert_allclose(_drawn(out), want, atol=1e-13)
+    back = _affine_columns(out, 1.0, *_UF_dagger_coefficients(model, drv, t))
+    np.testing.assert_allclose(_drawn(back), _gauss_field(x, t), atol=1e-13)
 
 
 def test_chain_reproduces_driven_state_exactly(driven_sho):
-    """U_F U0^dag on the reduced eigenstate equals the driven state."""
+    """U_F U0^dag on the reduced eigenstate's kernel columns gives the
+    driven state."""
     basis, drv = driven_sho
     model = basis.model
-    red = reduced_basis(basis)
     t = 1.0
-    spec0 = StateSpec(2, 1.0, red)
-    specF = StateSpec(2, 1.0, basis, drv)
-    gf = sample_on_grid(state_field(spec0), GRID, t)
-    chained = apply_UF(model, drv, t, apply_U0_dagger(model, t, gf))
-    direct = state_field(specF)(GRID.xs(), t)
-    assert np.max(np.abs(chained.values - direct)) < 1e-13
+    columns = _slice_params(StateSpec(2, 1.0, reduced_basis(basis)), t)
+    columns = _affine_columns(columns, 1.0, *_U0_dagger_coefficients(model, t))
+    columns = _affine_columns(columns, 1.0, *_UF_coefficients(model, drv, t))
+    direct = state_field(StateSpec(2, 1.0, basis, drv))(GRID.xs(), t)
+    assert np.max(np.abs(_drawn(columns, 2) - direct)) < 1e-13
+
+
+# a displaced, chirped, boosted packet at hbar = 0.5 as kernel columns
+_PACKET_HBAR = 0.5
+_PACKET = np.array([0.1, -0.5 * 1.3**2, 0.2, 1.3, 1.1, 1.0, 0.3, 0.7])
+
+
+@pytest.mark.parametrize("fused", list(_COEFFICIENTS), ids=lambda f: f.__name__)
+def test_the_column_map_is_the_map_on_samples(driven_ck, fused):
+    """Each composite's map on a packet's kernel columns, drawn as orders 0
+    and 3, equals the composite on the packet's samples (to the six-point
+    read's accuracy) and the map's formula sqrt(s) e^{i((alpha x + k) x +
+    c)/hbar} psi(s x - d) (to rounding), at each of three times; mapped as
+    one stack over the times, each slice is its time's map bit for bit.
+    The packet is displaced, so the quadratic phase's terms in k_lin and
+    phase0 are tested."""
+    basis, drv = driven_ck
+    model = basis.model
+    times = [0.4, 1.3, 2.1]
+    x = GRID.xs()
+    g = GridFunction(GRID, kernel_block(x, [0, 3], *_PACKET), times[0], hbar=_PACKET_HBAR)
+    assert _edge_ratio(g.values) < BOUNDARY_RATIO
+    coefficients = [_COEFFICIENTS[fused](*_args(fused, model, drv, t)) for t in times]
+    stack = _affine_columns(np.repeat(_PACKET[:, None], len(times), axis=1), _PACKET_HBAR,
+                            *np.array(coefficients).T)
+    for j, (t, (s, d, alpha, k, c)) in enumerate(zip(times, coefficients)):
+        columns = _affine_columns(_PACKET, _PACKET_HBAR, s, d, alpha, k, c)
+        assert columns.tobytes() == stack[:, j].tobytes()
+        out = kernel_block(x, [0, 3], *columns)
+        peak = np.max(np.abs(out))
+        formula = (np.sqrt(s) * np.exp(1j * ((alpha * x + k) * x + c) / _PACKET_HBAR)
+                   * kernel_block(s * x - d, [0, 3], *_PACKET))
+        assert np.max(np.abs(out - formula)) < 1e-14 * peak, (fused.__name__, t)
+        samples = fused(*_args(fused, model, drv, t), g._with(g.values, t=t)).columns()
+        assert np.max(np.abs(out - samples)) < 1e-11 * peak, (fused.__name__, t)
 
 
 # ---------------------------------------------------------------------------
@@ -571,24 +643,27 @@ def test_the_retry_hint_widens_the_whole_grid_about_its_centre():
 
 def test_a_map_that_moves_the_state_off_the_grid_is_refused():
     """On [-10, 10], psi_0 translated by 40 leaves nothing on the grid: the
-    interpolated path and an exact source read to the certifier's depth
-    (which holds no query point) refuse it, as the boundary ratio refuses
-    d = 8 and the exact source at full depth refuses d = 40."""
+    map on its samples and on its kernel columns drawn to the certifier's
+    depth (which holds no grid point) refuse it, as the boundary ratio
+    refuses d = 8 on the samples and d = 40 on the columns drawn at full
+    depth."""
     from tdho.classical import analytic_basis_sho
-    from tdho.states import state_window
 
     grid = Grid(-10.0, 10.0, 4096)
     spec = StateSpec(0, 1.0, analytic_basis_sho(1.0, 1.0, 1.0))
-    lagrange = sample_on_grid(state_field(spec), grid, 0.0, attach_source=False)
-    full_depth = sample_on_grid(state_field(spec), grid, 0.0)
-    shallow = lagrange._with(lagrange.values,
-                             lambda x: state_window(spec, x, 0.0, [0]))
-    for g in (lagrange, shallow):
+    g = sample_on_grid(state_field(spec), grid, 0.0)
+    columns = _slice_params(spec, 0.0)
+    maps = {
+        "samples": lambda d: _affine(g, "translation", d=d),
+        "shallow": lambda d: _map_drawn(g, columns, 0, "translation", READ_DEPTH, d=d),
+        "full_depth": lambda d: _map_drawn(g, columns, 0, "translation", d=d),
+    }
+    for form in ("samples", "shallow"):
         with pytest.raises(GridTooSmallError) as refused:
-            _affine(g, "translation", d=40.0)
+            maps[form](40.0)
         assert str(refused.value) == (
             "translation moved every sample off the grid [-10, 10]; retry on a grid "
             "covering roughly [-10, 50]")
-    for g, d in ((lagrange, 8.0), (full_depth, 40.0)):
+    for form, d in (("samples", 8.0), ("full_depth", 40.0)):
         with pytest.raises(GridTooSmallError, match="left boundary ratio"):
-            _affine(g, "translation", d=d)
+            maps[form](d)

@@ -759,9 +759,9 @@ def test_detuned_boost_fails_the_uncertainty_check(monkeypatch, bundled_context,
     assert all(r.passed for r in run_suite(ctx, ["uncertainty"]))
     slice_params = tdho.states._slice_params
 
-    def detuned(spec, t, with_driving=True):
-        params = slice_params(spec, t, with_driving)
-        if with_driving and spec.driven is not None:
+    def detuned(spec, t):
+        params = slice_params(spec, t)
+        if spec.driven is not None:
             params[5] = 1.001 * params[5]
         return params
 
@@ -868,20 +868,44 @@ def test_residual_order_estimate_of_bundled_scenarios(bundled_results, name):
 
 def test_perturbed_translation_fails_the_suite_chain(monkeypatch, bundled_context):
     """A U_F that translates by 1.001 x_p breaks the driven chain: every
-    driven_sho row of both paths fails.  The composites are single affine
-    maps, so the shift is perturbed in the one map; U0_dagger moves no
-    centre (d = 0) and is untouched."""
+    driven_sho row of both paths fails.  Both paths read U_F's parameters
+    from its one coefficient function, so the shift is perturbed there
+    once, for the samples and the columns alike; U0_dagger moves no centre
+    (d = 0) and is untouched."""
     ctx = bundled_context("driven_sho")
     assert all(r.passed for r in run_suite(ctx, ["transform_chain"]))
-    affine = tdho.transforms._affine
+    coefficients = tdho.transforms._UF_coefficients
 
-    def off_by_a_permille(g, op, s=1.0, d=0.0, **phase):
-        return affine(g, op, s, 1.001 * d, **phase)
+    def off_by_a_permille(model, driven, t):
+        s, d, alpha, k, c = coefficients(model, driven, t)
+        return s, 1.001 * d, alpha, k, c
 
-    monkeypatch.setattr(tdho.transforms, "_affine", off_by_a_permille)
+    monkeypatch.setattr(tdho.transforms, "_UF_coefficients", off_by_a_permille)
     results = run_suite(ctx, ["transform_chain"])
     assert len(results) == 2 * len(ctx.ns) * len(ctx.times)
     assert not any(r.passed for r in results)
+
+
+def test_a_boosted_direct_state_fails_the_exact_chain(monkeypatch, bundled_context):
+    """The exact path maps the companion's own columns, never the direct
+    state's: a driven state whose k_lin is 1.0001 times too large fails
+    every driven_ck exact row where the boost is nonzero (t != 0, as
+    xdot_p(0) = 0), while the companion, undriven, is untouched."""
+    ctx = bundled_context("driven_ck")
+    assert all(r.passed for r in run_suite(ctx, ["transform_chain"]))
+    slice_params = tdho.states._slice_params
+
+    def boosted(spec, t):
+        params = slice_params(spec, t)
+        if spec.driven is not None:
+            params[5] = 1.0001 * params[5]
+        return params
+
+    monkeypatch.setattr(tdho.states, "_slice_params", boosted)
+    exact = [r for r in run_suite(ctx, ["transform_chain"]) if r.params["path"] == "exact"]
+    assert len(exact) == len(ctx.ns) * len(ctx.times) == 12
+    assert [r.params["t"] for r in exact if not r.passed] == [
+        t for _ in ctx.ns for t in ctx.times if t != 0.0]
 
 
 def test_each_run_evaluates_the_shared_block_once_and_afresh(monkeypatch,
@@ -907,8 +931,8 @@ def test_each_run_evaluates_the_shared_block_once_and_afresh(monkeypatch,
     assert len(shared) == 1
     slice_params = tdho.states._slice_params
 
-    def narrower(spec, t, with_driving=True):
-        params = slice_params(spec, t, with_driving)
+    def narrower(spec, t):
+        params = slice_params(spec, t)
         params[1] = 1.001 * params[1]
         return params
 
@@ -1109,20 +1133,24 @@ def test_each_check_makes_one_kernel_call_per_set_of_times(monkeypatch, bundled_
     """Run alone, each check reads the scenario's grid in one kernel call
     per set of times: the shared block (all T times) where it reads it;
     the closed forms, the chain's companion and the undriven block, T
-    slices each; one six-slice stencil stack per t; one probe stack (nine
-    for C = 1, else a pair per t of the first three and the half-period
-    pair); and orthonormality one window call per t, as a window over all
-    its times would widen each time's Gram product.  The exact chain
-    path's reads at its query points are not on the grid and not counted."""
+    slices each, and the exact chain's mapped columns, T slices, unless
+    both maps are the identity at every time (unit mass, undriven); one
+    six-slice stencil stack per t; one probe stack (nine for C = 1, else a
+    pair per t of the first three and the half-period pair); and
+    orthonormality one window call per t, as a window over all its times
+    would widen each time's Gram product."""
     ctx, checks, _ = _suite_case(name, bundled_context, bundled_results)
     xs = ctx.grid.xs()
     T = len(ctx.times)
     stencils = [6] * T
     probes = 9 if ctx.closed_form_C == 1.0 else 2 * len(ctx.times[:3]) + 2
+    model = ctx.model
+    moves = ctx.driven is not None or any(
+        (model.mass(t), model.dmass(t)) != (1.0, 0.0) for t in ctx.times)
     expected = {
         "residual": [T, *stencils],
         "closed_form_agreement": [T, T],
-        "transform_chain": [T, T],
+        "transform_chain": [T, T, T] if moves else [T, T],
         "uncertainty": [T, T],
         "stationarity": [probes],
         "orthonormality": [1] * T,
@@ -1275,8 +1303,8 @@ _SEEDED = [f"high_n_{label}/{seed}" for seed in range(1, 8)
 def test_window_reads_are_the_whole_grid_reads(monkeypatch, bundled_context,
                                                bundled_results, name):
     """Every read of the suite (the shared rows, the residual's stencils, the
-    closed forms, the chain's companion and its exact source, the undriven
-    block, the probes and orthonormality) swapped for a whole-grid reader
+    closed forms, the chain's companion and its mapped kernel columns, the
+    undriven block, the probes and orthonormality) swapped for a whole-grid reader
     at offset 0: the report is the same, byte for byte, on the bundled
     scenarios and on the high-order documents of seeds 1 to 7
     (orthonormality to 16)."""
