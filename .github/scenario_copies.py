@@ -57,6 +57,12 @@ COPIES = [
     ("driven_ck_displaced", "driven_ck",
      {"hbar": 0.5, "driving.xp0": 1.0, "driving.dxp0": -0.5,
       "checks": ["transform_chain", "uncertainty"]}, 0, None),
+    # the polynomial and constant forces, read from their documents as the
+    # bundled scenarios read cosine and expcosine
+    ("driven_polynomial", "driven_sho",
+     {"driving.force": {"kind": "polynomial", "coeffs": [0.3, -0.2, 0.05]}}, 0, None),
+    ("driven_constant", "driven_sho", {"driving.force": {"kind": "constant", "F0": 0.5}},
+     0, None),
     # orders up to 64 leave most of the grid exact zeros: the Gram product,
     # the closed-form distance and the stationarity drift run on the
     # states' support window

@@ -19,6 +19,7 @@ from .models import (
     CaldirolaKanai,
     OscillatorModel,
     ReducedUnitMass,
+    _is_unit_mass_sho,
     frequency_scale,
 )
 from .ode import solve_ode
@@ -118,15 +119,16 @@ def unwrapped_ellipse_angle(s, C):
 
 
 class _AnalyticCKBasis(ClassicalBasis):
-    """u = A e^{-gamma t/2} cos(w_ck t), v = B e^{-gamma t/2} sin(w_ck t)."""
+    """u = A e^{-gamma t/2} cos(w_ck t), v = B e^{-gamma t/2} sin(w_ck t),
+    with m and gamma those of the CaldirolaKanai model."""
 
-    def __init__(self, model, m, gamma, w_ck, A, B):
+    def __init__(self, model, w_ck, A, B):
         self.model = model
-        self.gamma = float(gamma)
+        self.gamma = model.gamma
         self.w_ck = float(w_ck)
         self.A = float(A)
         self.B = float(B)
-        self.omega = m * A * B * w_ck
+        self.omega = model.m * A * B * w_ck
 
     def _read(self, t):
         t = np.asarray(t, dtype=float)
@@ -237,28 +239,32 @@ def solve_homogeneous(
     return NumericBasis(sol, model, omega)
 
 
-def analytic_basis_sho(w_s, A, B, model=None, t_min=0.0, t_max=20.0) -> ClassicalBasis:
-    """Closed-form SHO basis u = A cos(w_s t), v = B sin(w_s t); Omega = A·B·w_s:
-    the Caldirola–Kanai basis at m = 1, gamma = 0."""
+def analytic_basis_sho(model, A=1.0, B=1.0, w_s=None) -> ClassicalBasis:
+    """Closed-form basis u = A cos(w_s t), v = B sin(w_s t) of the unit-mass
+    oscillator `model` (a CaldirolaKanai model at m = 1, gamma = 0); Omega =
+    A·B·w_s.  w_s is the model's w1 unless given: another value detunes the
+    basis on purpose, as negative controls do.  Any other model is refused."""
+    if not _is_unit_mass_sho(model):
+        raise ValueError("analytic_sho basis needs a UnitMassSHO model")
+    w_s = model.w1 if w_s is None else w_s
     if w_s <= 0 or A <= 0 or B <= 0:
         raise ValueError("w_s, A, B must all be positive")
-    if model is None:
-        model = CaldirolaKanai(1.0, 0.0, w_s, t_min, t_max)
-    return _AnalyticCKBasis(model, 1.0, 0.0, w_s, A, B)
+    return _AnalyticCKBasis(model, w_s, A, B)
 
 
-def analytic_basis_ck(m, gamma, w1, A, B, model=None, t_min=0.0, t_max=20.0) -> ClassicalBasis:
-    """Closed-form basis for M = m·e^{gamma t} with w_ck^2 = w1^2 - gamma^2/4."""
+def analytic_basis_ck(model, A=1.0, B=1.0) -> ClassicalBasis:
+    """Closed-form basis of a CaldirolaKanai model, M = m·e^{gamma t}, with
+    w_ck^2 = w1^2 - gamma^2/4; any other model is refused."""
+    if not isinstance(model, CaldirolaKanai):
+        raise ValueError("analytic_ck basis needs a CaldirolaKanai model")
     if A <= 0 or B <= 0:
         raise ValueError("A, B must be positive")
-    w_ck_sq = w1**2 - 0.25 * gamma**2
+    w_ck_sq = model.w1**2 - 0.25 * model.gamma**2
     if w_ck_sq <= 0:
         raise OverdampedError(
             f"w1^2 - gamma^2/4 = {w_ck_sq} <= 0: overdamped regime not supported"
         )
-    if model is None:
-        model = CaldirolaKanai(m, gamma, w1, t_min, t_max)
-    return _AnalyticCKBasis(model, m, gamma, math.sqrt(w_ck_sq), A, B)
+    return _AnalyticCKBasis(model, math.sqrt(w_ck_sq), A, B)
 
 
 # ---------------------------------------------------------------------------

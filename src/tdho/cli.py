@@ -27,7 +27,14 @@ from .classical import (
     solve_homogeneous,
     solve_particular,
 )
-from .models import CaldirolaKanai, model_from_json
+from .models import (
+    _FAMILIES,
+    _FORCE_KINDS,
+    CaldirolaKanai,
+    GeneralParametric,
+    _is_unit_mass_sho,
+    model_from_json,
+)
 from .ode import ODEError
 from .states import CLOSED_FORMS, dump_state_grid, state_cutoff, state_field
 from .transforms import (
@@ -75,28 +82,17 @@ SCENARIO_SCHEMA = {
             "type": "object",
             "required": ["family", "params", "t_min", "t_max"],
             "properties": {
-                "family": {
-                    "enum": [
-                        "UnitMassSHO",
-                        "CaldirolaKanai",
-                        "LoDampedPulsating",
-                        "GeneralParametric",
-                    ]
-                },
+                "family": {"enum": [*_FAMILIES, "GeneralParametric"]},
                 "params": {"type": "object"},
                 "t_min": {"type": "number"},
                 "t_max": {"type": "number"},
             },
             # the parameters each family's constructor reads
             "allOf": [
-                _when("family", "UnitMassSHO", _numbers("w_s"), "params"),
-                _when("family", "CaldirolaKanai", _numbers("m", "gamma", "w1"),
-                      "params"),
-                _when("family", "LoDampedPulsating",
-                      _numbers("m0", "gamma", "mu", "nu", "w_lo"), "params"),
+                *(_when("family", family, _numbers(*build.keys), "params")
+                  for family, build in _FAMILIES.items()),
                 _when("family", "GeneralParametric",
-                      {k: _NUMBER_ARRAY for k in ("t", "M", "dM", "d2M", "w2")},
-                      "params"),
+                      {k: _NUMBER_ARRAY for k in GeneralParametric.keys}, "params"),
             ],
         },
         "basis": {
@@ -124,14 +120,12 @@ SCENARIO_SCHEMA = {
                 "force": {
                     "type": "object",
                     "required": ["kind"],
-                    # the keys each force's constructor reads
+                    # the keys each force's constructor reads; phase may be absent
                     "allOf": [
-                        _when("kind", "constant", _numbers("F0")),
-                        _when("kind", "cosine", _numbers("amplitude", "omega")),
-                        _when("kind", "expcosine",
-                              _numbers("amplitude", "rate", "omega")),
-                        _when("kind", "polynomial",
-                              {"coeffs": {**_NUMBER_ARRAY, "minItems": 1}}),
+                        _when("kind", kind, {"coeffs": {**_NUMBER_ARRAY, "minItems": 1}}
+                              if kind == "polynomial"
+                              else _numbers(*(k for k in cls.keys if k != "phase")))
+                        for kind, cls in _FORCE_KINDS.items()
                     ],
                 },
                 "xp0": {"type": "number"},
@@ -213,12 +207,6 @@ def load_scenario(path) -> dict:
     return doc
 
 
-def _is_unit_mass_sho(model) -> bool:
-    """Whether model is the unit-mass oscillator the schema family
-    UnitMassSHO builds: a CaldirolaKanai model at m = 1, gamma = 0."""
-    return isinstance(model, CaldirolaKanai) and model.m == 1.0 and model.gamma == 0.0
-
-
 def _build_basis(scenario, model):
     b = scenario["basis"]
     kind = b["kind"]
@@ -226,15 +214,11 @@ def _build_basis(scenario, model):
         if not _is_unit_mass_sho(model):
             raise ScenarioError("analytic_sho basis needs a UnitMassSHO model")
         # w_s may be overridden to detune the basis (negative controls)
-        w_s = float(b.get("w_s", model.w1))
-        return analytic_basis_sho(w_s, b.get("A", 1.0), b.get("B", 1.0), model=model)
+        return analytic_basis_sho(model, b.get("A", 1.0), b.get("B", 1.0), b.get("w_s"))
     if kind == "analytic_ck":
         if not isinstance(model, CaldirolaKanai):
             raise ScenarioError("analytic_ck basis needs a CaldirolaKanai model")
-        return analytic_basis_ck(
-            model.m, model.gamma, model.w1, b.get("A", 1.0), b.get("B", 1.0),
-            model=model,
-        )
+        return analytic_basis_ck(model, b.get("A", 1.0), b.get("B", 1.0))
     ics = b.get("ics")
     if ics is None:
         raise ScenarioError("numeric basis needs \"ics\": [u0, du0, v0, dv0]")

@@ -47,6 +47,12 @@ def _constant(value, t):
 # ---------------------------------------------------------------------------
 
 class Force:
+    """A driving force F(t).  `keys` names its constructor's arguments in
+    order: they are its JSON document's keys, next to its `kind`."""
+
+    kind = ""
+    keys = ()
+
     def __call__(self, t):
         raise NotImplementedError
 
@@ -60,10 +66,17 @@ class Force:
         return 0.0
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        # a copy of each list, so the document never aliases the force
+        doc = {"kind": self.kind}
+        for k in self.keys:
+            v = getattr(self, k)
+            doc[k] = list(v) if isinstance(v, list) else v
+        return doc
 
 
 class ConstantForce(Force):
+    kind, keys = "constant", ("F0",)
+
     def __init__(self, F0: float):
         self.F0 = float(F0)
 
@@ -74,12 +87,11 @@ class ConstantForce(Force):
     def is_zero(self):
         return self.F0 == 0.0
 
-    def to_json(self):
-        return {"kind": "constant", "F0": self.F0}
-
 
 class CosineForce(Force):
     """F(t) = amplitude * cos(omega*t + phase)."""
+
+    kind, keys = "cosine", ("amplitude", "omega", "phase")
 
     def __init__(self, amplitude: float, omega: float, phase: float = 0.0):
         self.amplitude = float(amplitude)
@@ -96,14 +108,6 @@ class CosineForce(Force):
     def frequency_hint(self):
         return abs(self.omega)
 
-    def to_json(self):
-        return {
-            "kind": "cosine",
-            "amplitude": self.amplitude,
-            "omega": self.omega,
-            "phase": self.phase,
-        }
-
 
 class ExpCosineForce(Force):
     """F(t) = amplitude * e^{rate*t} * cos(omega*t + phase).
@@ -111,6 +115,8 @@ class ExpCosineForce(Force):
     The natural drive for an exponentially growing mass: with rate = gamma/2
     the reduced (unit-mass) force of a C-K model is a plain cosine.
     """
+
+    kind, keys = "expcosine", ("amplitude", "rate", "omega", "phase")
 
     def __init__(self, amplitude: float, rate: float, omega: float, phase: float = 0.0):
         self.amplitude = float(amplitude)
@@ -128,18 +134,11 @@ class ExpCosineForce(Force):
     def frequency_hint(self):
         return max(abs(self.omega), abs(self.rate))
 
-    def to_json(self):
-        return {
-            "kind": "expcosine",
-            "amplitude": self.amplitude,
-            "rate": self.rate,
-            "omega": self.omega,
-            "phase": self.phase,
-        }
-
 
 class PolynomialForce(Force):
     """F(t) = sum_k coeffs[k] * t^k."""
+
+    kind, keys = "polynomial", ("coeffs",)
 
     def __init__(self, coeffs):
         self.coeffs = [float(c) for c in coeffs]
@@ -151,18 +150,9 @@ class PolynomialForce(Force):
     def is_zero(self):
         return all(c == 0.0 for c in self.coeffs)
 
-    def to_json(self):
-        return {"kind": "polynomial", "coeffs": list(self.coeffs)}
 
-
-_FORCE_KINDS = {
-    "constant": lambda d: ConstantForce(d["F0"]),
-    "cosine": lambda d: CosineForce(d["amplitude"], d["omega"], d.get("phase", 0.0)),
-    "expcosine": lambda d: ExpCosineForce(
-        d["amplitude"], d["rate"], d["omega"], d.get("phase", 0.0)
-    ),
-    "polynomial": lambda d: PolynomialForce(d["coeffs"]),
-}
+_FORCE_KINDS = {cls.kind: cls for cls in
+                (ConstantForce, CosineForce, ExpCosineForce, PolynomialForce)}
 
 
 def force_from_json(doc) -> Force | None:
@@ -171,7 +161,9 @@ def force_from_json(doc) -> Force | None:
     kind = doc.get("kind")
     if kind not in _FORCE_KINDS:
         raise ValueError(f"unknown force kind {kind!r}")
-    return _FORCE_KINDS[kind](doc)
+    cls = _FORCE_KINDS[kind]
+    # phase, the one argument with a default, may be absent
+    return cls(*(doc[k] for k in cls.keys if k in doc or k != "phase"))
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +174,12 @@ class OscillatorModel:
     """Base: positive, twice-differentiable M(t) and w^2(t) on [t_min, t_max].
 
     Subclasses implement mass/dmass/d2mass/freq2 in closed form; evaluation
-    is pure and instances are immutable after construction.
+    is pure and instances are immutable after construction.  `keys` names
+    the family's parameters in constructor order, each an attribute.
     """
 
     family = "base"
+    keys = ()
 
     def __init__(self, t_min: float, t_max: float, force: Force | None = None):
         if not (t_min < t_max):
@@ -238,7 +232,9 @@ class OscillatorModel:
         return self.force is not None and not self.force.is_zero
 
     def params(self) -> dict:
-        raise NotImplementedError
+        """The family's parameters by name, in `keys` order: its JSON
+        document's "params", and the keyword arguments of its closed form."""
+        return {k: getattr(self, k) for k in self.keys}
 
     def to_json(self) -> dict:
         doc = {
@@ -260,6 +256,7 @@ class CaldirolaKanai(OscillatorModel):
     unit-mass oscillator (the schema family "UnitMassSHO")."""
 
     family = "CaldirolaKanai"
+    keys = ("m", "gamma", "w1")
 
     def __init__(self, m: float, gamma: float, w1: float, t_min=0.0, t_max=20.0, force=None):
         super().__init__(t_min, t_max, force)
@@ -286,9 +283,6 @@ class CaldirolaKanai(OscillatorModel):
         # (gamma M) / M, as dmass / mass rounds it, not gamma
         return M, self.gamma * M / M, self.w1**2, float(self.force_at(t))
 
-    def params(self):
-        return {"m": self.m, "gamma": self.gamma, "w1": self.w1}
-
 
 class LoDampedPulsating(OscillatorModel):
     """M(t) = m0 exp[2(gamma t + mu sin(nu t))], frequency compensating to w_lo.
@@ -298,6 +292,7 @@ class LoDampedPulsating(OscillatorModel):
     """
 
     family = "LoDampedPulsating"
+    keys = ("m0", "gamma", "mu", "nu", "w_lo")
 
     def __init__(self, m0, gamma, mu, nu, w_lo, t_min=0.0, t_max=20.0, force=None):
         super().__init__(t_min, t_max, force)
@@ -314,24 +309,25 @@ class LoDampedPulsating(OscillatorModel):
     def _g(self, t):
         return self.gamma * t + self.mu * np.sin(self.nu * t)
 
+    def _dg(self, t):
+        """(g', g'') at t."""
+        return (self.gamma + self.mu * self.nu * np.cos(self.nu * t),
+                -self.mu * self.nu**2 * np.sin(self.nu * t))
+
     def mass(self, t):
         return self.m0 * np.exp(2.0 * self._g(np.asarray(t, dtype=float)))
 
     def dmass(self, t):
-        dg = self.gamma + self.mu * self.nu * np.cos(self.nu * t)
-        return 2.0 * dg * self.mass(t)
+        return 2.0 * self._dg(t)[0] * self.mass(t)
 
     def d2mass(self, t):
-        dg = self.gamma + self.mu * self.nu * np.cos(self.nu * t)
-        d2g = -self.mu * self.nu**2 * np.sin(self.nu * t)
+        dg, d2g = self._dg(t)
         return (4.0 * dg * dg + 2.0 * d2g) * self.mass(t)
 
     def freq2(self, t):
         # with g = gamma t + mu sin(nu t) and sqrt(M) = sqrt(m0) e^g, the
         # frequency that reduces to w_lo is w_lo^2 + g'^2 + g''
-        t = np.asarray(t, dtype=float)
-        dg = self.gamma + self.mu * self.nu * np.cos(self.nu * t)
-        d2g = -self.mu * self.nu**2 * np.sin(self.nu * t)
+        dg, d2g = self._dg(np.asarray(t, dtype=float))
         return self.w_lo**2 + dg * dg + d2g
 
     def ode_terms(self, t):
@@ -343,15 +339,6 @@ class LoDampedPulsating(OscillatorModel):
         dg = self.gamma + self.mu * self.nu * cos
         d2g = -self.mu * self.nu**2 * sin
         return M, 2.0 * dg * M / M, self.w_lo**2 + dg * dg + d2g, float(self.force_at(t))
-
-    def params(self):
-        return {
-            "m0": self.m0,
-            "gamma": self.gamma,
-            "mu": self.mu,
-            "nu": self.nu,
-            "w_lo": self.w_lo,
-        }
 
 
 class _Hermite:
@@ -416,6 +403,7 @@ class GeneralParametric(OscillatorModel):
     """
 
     family = "GeneralParametric"
+    keys = ("t", "M", "dM", "d2M", "w2")
 
     def __init__(self, ts, M, dM, d2M, w2, force=None):
         ts = np.asarray(ts, dtype=float)
@@ -424,13 +412,13 @@ class GeneralParametric(OscillatorModel):
             raise ValueError("need at least 4 time nodes")
         if not np.all(np.diff(ts) > 0):
             raise ValueError("time nodes must be strictly increasing")
-        for name, tab in zip(("M", "dM", "d2M", "w2"), tables):
+        for name, tab in zip(self.keys[1:], tables):
             if tab.shape != ts.shape:
                 raise ValueError(f"{name} has {tab.size} values for {ts.size} time nodes")
         if np.any(tables[0] <= 0):
             raise ValueError("M must be positive everywhere")
         super().__init__(ts[0], ts[-1], force)
-        self._tables = dict(zip(("t", "M", "dM", "d2M", "w2"), [ts, *tables]))
+        self._tables = dict(zip(self.keys, [ts, *tables]))
         self._M = _Hermite(ts, tables[:3])
         self._w2 = _Hermite(ts, [tables[3], _not_a_knot_slopes(ts, tables[3])])
 
@@ -512,23 +500,30 @@ def frequency_scale(model: OscillatorModel) -> float:
     return float(max(scale, 1e-6))
 
 
-def _unit_mass_sho(p, lo, hi, f):
+def _unit_mass_sho(w_s, t_min, t_max, force):
     """The schema family "UnitMassSHO": the constant-frequency unit-mass
     oscillator is the Caldirola-Kanai model at m = 1, gamma = 0."""
-    model = CaldirolaKanai(1.0, 0.0, p["w_s"], lo, hi, f)
+    model = CaldirolaKanai(1.0, 0.0, w_s, t_min, t_max, force)
     if model.w1 <= 0:
         raise ValueError("w_s must be positive")
     return model
 
 
+_unit_mass_sho.keys = ("w_s",)
+
+
+def _is_unit_mass_sho(model) -> bool:
+    """Whether model is the unit-mass oscillator that the family
+    "UnitMassSHO" builds: a CaldirolaKanai model at m = 1, gamma = 0."""
+    return isinstance(model, CaldirolaKanai) and model.m == 1.0 and model.gamma == 0.0
+
+
+# the families of a model_from_json document with a declared time domain;
+# each constructor takes its `keys`, then t_min, t_max and the force
 _FAMILIES = {
     "UnitMassSHO": _unit_mass_sho,
-    "CaldirolaKanai": lambda p, lo, hi, f: CaldirolaKanai(
-        p["m"], p["gamma"], p["w1"], lo, hi, f
-    ),
-    "LoDampedPulsating": lambda p, lo, hi, f: LoDampedPulsating(
-        p["m0"], p["gamma"], p["mu"], p["nu"], p["w_lo"], lo, hi, f
-    ),
+    "CaldirolaKanai": CaldirolaKanai,
+    "LoDampedPulsating": LoDampedPulsating,
 }
 
 
@@ -538,9 +533,10 @@ def model_from_json(doc: dict) -> OscillatorModel:
     force = force_from_json(doc.get("force"))
     if family == "GeneralParametric":
         p = doc["params"]
-        return GeneralParametric(p["t"], p["M"], p["dM"], p["d2M"], p["w2"], force)
+        return GeneralParametric(*(p[k] for k in GeneralParametric.keys), force)
     if family == "ReducedUnitMass":
         return ReducedUnitMass(model_from_json(doc["params"]["base"]))
     if family not in _FAMILIES:
         raise ValueError(f"unknown model family {family!r}")
-    return _FAMILIES[family](doc["params"], doc["t_min"], doc["t_max"], force)
+    build, p = _FAMILIES[family], doc["params"]
+    return build(*(p[k] for k in build.keys), doc["t_min"], doc["t_max"], force)

@@ -29,17 +29,17 @@ TIMES = (0.0, 1.0, 2.5)
 
 @pytest.fixture(scope="session")
 def sho_basis_c1():
-    return analytic_basis_sho(1.0, 1.0, 1.0, t_min=T_MIN, t_max=T_MAX)
+    return analytic_basis_sho(CaldirolaKanai(1.0, 0.0, 1.0, t_min=T_MIN, t_max=T_MAX))
 
 
 @pytest.fixture(scope="session")
 def sho_basis_c2():
-    return analytic_basis_sho(1.0, 2.0, 1.0, t_min=T_MIN, t_max=T_MAX)
+    return analytic_basis_sho(CaldirolaKanai(1.0, 0.0, 1.0, t_min=T_MIN, t_max=T_MAX), 2.0, 1.0)
 
 
 @pytest.fixture(scope="session")
 def ck_basis():
-    return analytic_basis_ck(1.0, 0.6, 1.0, 1.0, 1.0, t_min=T_MIN, t_max=T_MAX)
+    return analytic_basis_ck(CaldirolaKanai(1.0, 0.6, 1.0, t_min=T_MIN, t_max=T_MAX))
 
 
 @pytest.fixture(scope="session")
@@ -57,7 +57,7 @@ def lo_basis(lo_model):
 def driven_sho():
     """Resonant-free driven SHO: F = cos 2t, particular x_p = -cos(2t)/3."""
     model = CaldirolaKanai(1.0, 0.0, 1.0, t_min=T_MIN, t_max=T_MAX, force=CosineForce(1.0, 2.0))
-    basis = analytic_basis_sho(1.0, 1.0, 1.0, model=model, t_min=T_MIN, t_max=T_MAX)
+    basis = analytic_basis_sho(model)
     driven = solve_particular(model, -1.0 / 3.0, 0.0, t0=0.0, tol=1e-11)
     return basis, driven
 
@@ -69,8 +69,7 @@ def driven_ck():
         1.0, 0.6, 1.0, t_min=T_MIN, t_max=T_MAX,
         force=ExpCosineForce(1.0, 0.3, 1.0),
     )
-    basis = analytic_basis_ck(1.0, 0.6, 1.0, 1.0, 1.0, model=model,
-                              t_min=T_MIN, t_max=T_MAX)
+    basis = analytic_basis_ck(model)
     driven = solve_particular(model, 0.0, 0.0, t0=0.0, tol=1e-11)
     return basis, driven
 

@@ -22,7 +22,7 @@ from tdho.classical import (
     solve_homogeneous,
     unwrapped_ellipse_angle,
 )
-from tdho.models import CaldirolaKanai, reduced_frequency_squared
+from tdho.models import CaldirolaKanai, LoDampedPulsating, reduced_frequency_squared
 
 from conftest import T_MAX, T_MIN
 
@@ -65,7 +65,7 @@ def test_ck_basis_envelope_and_omega(ck_basis):
 
 def test_ck_overdamped_rejected():
     with pytest.raises(OverdampedError):
-        analytic_basis_ck(1.0, 2.0, 1.0, 1.0, 1.0, t_min=0.0, t_max=5.0)
+        analytic_basis_ck(CaldirolaKanai(1.0, 2.0, 1.0, t_min=0.0, t_max=5.0))
 
 
 def test_drho_never_differenced(sho_basis_c2):
@@ -155,15 +155,48 @@ def test_omega_sign_rejected():
 @pytest.mark.parametrize("build,message", [
     (lambda: solve_homogeneous(CaldirolaKanai(1.0, 0.0, 1.0), 1.0, 0.0, 0.0, 1.0, tol=0.0),
      "tol must be positive"),
-    (lambda: analytic_basis_sho(1.0, 0.0, 1.0), "w_s, A, B must all be positive"),
-    (lambda: analytic_basis_sho(1.0, 1.0, -1.0), "w_s, A, B must all be positive"),
-    (lambda: analytic_basis_ck(1.0, 0.6, 1.0, -1.0, 1.0), "A, B must be positive"),
-    (lambda: analytic_basis_ck(1.0, 0.6, 1.0, 1.0, 0.0), "A, B must be positive"),
+    (lambda: analytic_basis_sho(CaldirolaKanai(1.0, 0.0, 1.0), 0.0, 1.0),
+     "w_s, A, B must all be positive"),
+    (lambda: analytic_basis_sho(CaldirolaKanai(1.0, 0.0, 1.0), 1.0, -1.0),
+     "w_s, A, B must all be positive"),
+    (lambda: analytic_basis_ck(CaldirolaKanai(1.0, 0.6, 1.0), -1.0, 1.0),
+     "A, B must be positive"),
+    (lambda: analytic_basis_ck(CaldirolaKanai(1.0, 0.6, 1.0), 1.0, 0.0),
+     "A, B must be positive"),
 ], ids=["tol", "sho_A", "sho_B", "ck_A", "ck_B"])
 def test_nonpositive_basis_data_is_refused_as_value_error(build, message):
     with pytest.raises(ValueError) as refused:
         build()
     assert refused.type is ValueError and str(refused.value) == message
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: analytic_basis_ck(
+        LoDampedPulsating(1.0, 0.1, 0.2, 3.0, 1.0, t_min=-1.0, t_max=12.0)),
+     "analytic_ck basis needs a CaldirolaKanai model"),
+    (lambda: analytic_basis_sho(CaldirolaKanai(2.0, 0.3, 1.5, t_min=-1.0, t_max=12.0)),
+     "analytic_sho basis needs a UnitMassSHO model"),
+    (lambda: analytic_basis_sho(CaldirolaKanai(1.0, 0.3, 1.5, t_min=-1.0, t_max=12.0)),
+     "analytic_sho basis needs a UnitMassSHO model"),
+    (lambda: analytic_basis_sho(CaldirolaKanai(2.0, 0.0, 1.5, t_min=-1.0, t_max=12.0)),
+     "analytic_sho basis needs a UnitMassSHO model"),
+], ids=["ck_of_lo", "sho_of_ck", "sho_of_damped", "sho_of_heavy"])
+def test_an_analytic_basis_refuses_a_model_of_another_family(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert refused.type is ValueError and str(refused.value) == message
+
+
+def test_an_analytic_ck_basis_solves_the_model_it_reads():
+    """m, gamma and w1 come from the model alone: on M = 2 e^{0.3 t}, w1 = 1.5
+    the invariant M (vdot u - udot v) holds Omega = m A B w_ck at every time."""
+    model = CaldirolaKanai(2.0, 0.3, 1.5, t_min=-1.0, t_max=12.0)
+    basis = analytic_basis_ck(model, 1.0, 2.0)
+    w_ck = np.sqrt(1.5**2 - 0.25 * 0.3**2)
+    assert basis.model is model
+    assert basis.omega == pytest.approx(2.0 * 2.0 * w_ck, rel=1e-15)
+    ts = np.linspace(-1.0, 12.0, 101)
+    np.testing.assert_allclose(basis.omega_check(ts), basis.omega, rtol=1e-13)
 
 
 class _Circle:
@@ -197,7 +230,7 @@ def test_numeric_theta_marched_on_eccentric_basis(B):
     w_ck = np.sqrt(0.91)
     m = CaldirolaKanai(1.0, 0.6, 1.0, t_min=-1.0, t_max=12.0)
     b = solve_homogeneous(m, 1.0, -0.3, 0.0, B * w_ck, t0=0.0, tol=1e-11)
-    exact = analytic_basis_ck(1.0, 0.6, 1.0, 1.0, B, model=m)
+    exact = analytic_basis_ck(m, 1.0, B)
     ts = np.linspace(-1.0, 12.0, 20001)
     np.testing.assert_allclose(b.slice(ts)[6], exact.slice(ts)[6], rtol=0, atol=1e-9)
 

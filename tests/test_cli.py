@@ -29,7 +29,7 @@ from tdho.cli import (
     load_scenario,
     main,
 )
-from tdho.models import LoDampedPulsating
+from tdho.models import CaldirolaKanai, LoDampedPulsating
 from tdho.ode import ODEError
 from tdho.scenarios import BUNDLED, scenario_path
 from tdho.states import StateSpec, state_cutoff, state_field
@@ -758,9 +758,10 @@ def test_a_time_the_guard_skips_has_a_zero_edge_ratio(driven_ck, family, n, hbar
     if family == "driven_ck":
         basis, driven = driven_ck
     elif family == "sho":
-        basis, driven = analytic_basis_sho(1.0, C, 1.0, t_min=-1.0, t_max=12.0), None
+        model = CaldirolaKanai(1.0, 0.0, 1.0, t_min=-1.0, t_max=12.0)
+        basis, driven = analytic_basis_sho(model, C, 1.0), None
     else:
-        basis = analytic_basis_ck(1.0, 0.6, 1.0, C, 1.0, t_min=-1.0, t_max=12.0)
+        basis = analytic_basis_ck(CaldirolaKanai(1.0, 0.6, 1.0, t_min=-1.0, t_max=12.0), C, 1.0)
         driven = None
     spec = StateSpec(n, hbar, basis, driven)
     grid = Grid(centre - half, centre + half, points)

@@ -137,7 +137,7 @@ def test_state_kernel_underflow_short_circuit():
 
 
 def test_high_order_state_keeps_its_norm():
-    basis = analytic_basis_sho(1.0, 1.0, 1.0, t_min=-1.0, t_max=12.0)
+    basis = analytic_basis_sho(CaldirolaKanai(1.0, 0.0, 1.0, t_min=-1.0, t_max=12.0))
     grid = policy_grid(basis, 200, points=16384)
     field = state_field(StateSpec(200, 1.0, basis))
     assert abs(norm(sample_on_grid(field, grid, 1.0)) - 1.0) < 1e-12
@@ -149,7 +149,7 @@ def test_very_high_order_states_are_normalised_without_warnings(n):
     the exponent-tracked recurrence keeps every order normalised.  65537
     points put about 6 samples on the shortest wavelength of the density at
     n=1000, enough for Simpson's rule to be exact to rounding."""
-    basis = analytic_basis_sho(1.0, 1.0, 1.0, t_min=-1.0, t_max=12.0)
+    basis = analytic_basis_sho(CaldirolaKanai(1.0, 0.0, 1.0, t_min=-1.0, t_max=12.0))
     grid = policy_grid(basis, n, points=65537)
     field = state_field(StateSpec(n, 1.0, basis))
     with warnings.catch_warnings():

@@ -297,6 +297,62 @@ def test_force_json_round_trip():
     assert force_from_json(None) is None
 
 
+def test_force_json_is_independent_of_the_force():
+    """Mutating a document's coeffs leaves the force as it was."""
+    f = PolynomialForce([1.0, -2.0])
+    doc = f.to_json()
+    doc["coeffs"].append(5.0)
+    doc["coeffs"][0] = 9.0
+    assert f.coeffs == [1.0, -2.0]
+    assert f.to_json() == {"kind": "polynomial", "coeffs": [1.0, -2.0]}
+
+
+@pytest.mark.parametrize("doc,force", [
+    ({"kind": "cosine", "amplitude": 2.0, "omega": 3.0}, CosineForce(2.0, 3.0, 0.0)),
+    ({"kind": "expcosine", "amplitude": 1.0, "rate": 0.3, "omega": 1.0},
+     ExpCosineForce(1.0, 0.3, 1.0, 0.0)),
+], ids=["cosine", "expcosine"])
+def test_force_document_without_phase_reads_phase_zero(doc, force):
+    clone = force_from_json(doc)
+    assert clone.phase == 0.0
+    assert clone.to_json() == {**doc, "phase": 0.0} == force.to_json()
+
+
+_CK_DOC = {"family": "CaldirolaKanai", "params": {"m": 1.0, "gamma": 0.6, "w1": 1.0},
+           "t_min": 0.0, "t_max": 1.0}
+
+
+@pytest.mark.parametrize("build,key", [
+    (lambda: force_from_json({"kind": "constant"}), "F0"),
+    (lambda: force_from_json({"kind": "cosine", "amplitude": 1.0, "phase": 0.2}), "omega"),
+    (lambda: force_from_json({"kind": "expcosine", "amplitude": 1.0, "omega": 1.0}), "rate"),
+    (lambda: force_from_json({"kind": "polynomial"}), "coeffs"),
+    (lambda: model_from_json({**_CK_DOC, "params": {"m": 1.0, "w1": 1.0}}), "gamma"),
+    (lambda: model_from_json({**_CK_DOC, "family": "LoDampedPulsating",
+                              "params": {"m0": 1.0, "gamma": 0.1, "mu": 0.2, "nu": 3.0}}),
+     "w_lo"),
+    (lambda: model_from_json({**_CK_DOC, "family": "UnitMassSHO", "params": {}}), "w_s"),
+    (lambda: model_from_json({**_CK_DOC, "family": "GeneralParametric",
+                              "params": {"t": [0.0, 1.0, 2.0, 3.0]}}), "M"),
+], ids=["constant", "cosine", "expcosine", "polynomial", "ck", "lo", "unit_mass", "general"])
+def test_a_document_without_a_required_key_raises_key_error_naming_it(build, key):
+    with pytest.raises(KeyError) as missing:
+        build()
+    assert missing.type is KeyError and missing.value.args == (key,)
+
+
+@pytest.mark.parametrize("model,keys", [
+    (CaldirolaKanai(1.2, 0.6, 1.0), ["m", "gamma", "w1"]),
+    (LoDampedPulsating(1.0, 0.1, 0.2, 3.0, 1.0), ["m0", "gamma", "mu", "nu", "w_lo"]),
+], ids=["ck", "lo"])
+def test_params_list_the_constructor_arguments_in_order(model, keys):
+    """params() and the document's "params" hold the constructor's
+    arguments in its order, so the document rebuilds the model."""
+    assert list(model.params()) == keys
+    assert list(model.to_json()["params"]) == keys
+    assert model_from_json(model.to_json()).params() == model.params()
+
+
 def test_model_from_json_rejects_unknown_family():
     with pytest.raises(ValueError):
         model_from_json({"family": "NoSuchFamily", "params": {},

@@ -648,9 +648,10 @@ def test_a_map_that_moves_the_state_off_the_grid_is_refused():
     refuses d = 8 on the samples and d = 40 on the columns drawn at full
     depth."""
     from tdho.classical import analytic_basis_sho
+    from tdho.models import CaldirolaKanai
 
     grid = Grid(-10.0, 10.0, 4096)
-    spec = StateSpec(0, 1.0, analytic_basis_sho(1.0, 1.0, 1.0))
+    spec = StateSpec(0, 1.0, analytic_basis_sho(CaldirolaKanai(1.0, 0.0, 1.0)))
     g = sample_on_grid(state_field(spec), grid, 0.0)
     columns = _slice_params(spec, 0.0)
     maps = {

@@ -169,8 +169,7 @@ def test_residual_small_for_exact_state(ck_basis):
 def test_residual_detects_detuned_state():
     """A basis detuned by 1% is not a solution: residual ~ 1e-2, flat order."""
     model = CaldirolaKanai(1.0, 0.0, 1.0, t_min=T_MIN, t_max=T_MAX)
-    wrong = analytic_basis_sho(1.01, 1.0, 1.0, model=model,
-                               t_min=T_MIN, t_max=T_MAX)
+    wrong = analytic_basis_sho(model, w_s=1.01)
     rep = schrodinger_residual(_state(wrong, 0), model, GRID, 1.0)
     assert rep.rel_l2_residual > 1e-3
     assert rep.residual_coarse / rep.rel_l2_residual < 8.0
