@@ -63,6 +63,11 @@ COPIES = [
      {"driving.force": {"kind": "polynomial", "coeffs": [0.3, -0.2, 0.05]}}, 0, None),
     ("driven_constant", "driven_sho", {"driving.force": {"kind": "constant", "F0": 0.5}},
      0, None),
+    # a force key that no constructor reads is refused, never dropped, and
+    # an optional phase must be a number
+    ("driven_force_phase_misspelt", "driven_sho", {"driving.force.phse": 0.3}, 2, "'phse'"),
+    ("driven_force_phase_not_a_number", "driven_sho", {"driving.force.phase": "abc"},
+     2, "scenario schema violation at $.driving.force.phase"),
     # orders up to 64 leave most of the grid exact zeros: the Gram product,
     # the closed-form distance and the stationarity drift run on the
     # states' support window

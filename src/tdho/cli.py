@@ -61,10 +61,10 @@ def _numbers(*names) -> dict:
 _NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}}
 
 
-def _when(key, value, properties: dict, inside=None) -> dict:
-    """Subschema: where `key` is `value`, every entry of `properties` is
-    required with its schema (under the object `inside`, when given)."""
-    then = {"required": list(properties), "properties": properties}
+def _when(key, value, properties: dict, inside=None, optional=()) -> dict:
+    """Subschema: where `key` is `value`, every entry of `properties` not in
+    `optional` is required with its schema (under object `inside`, if given)."""
+    then = {"required": [k for k in properties if k not in optional], "properties": properties}
     if inside is not None:
         then = {"required": [inside], "properties": {inside: then}}
     return {"if": {"required": [key], "properties": {key: {"const": value}}},
@@ -123,8 +123,8 @@ SCENARIO_SCHEMA = {
                     # the keys each force's constructor reads; phase may be absent
                     "allOf": [
                         _when("kind", kind, {"coeffs": {**_NUMBER_ARRAY, "minItems": 1}}
-                              if kind == "polynomial"
-                              else _numbers(*(k for k in cls.keys if k != "phase")))
+                              if kind == "polynomial" else _numbers(*cls.keys),
+                              optional=("phase",))
                         for kind, cls in _FORCE_KINDS.items()
                     ],
                 },

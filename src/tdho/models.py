@@ -155,6 +155,15 @@ _FORCE_KINDS = {cls.kind: cls for cls in
                 (ConstantForce, CosineForce, ExpCosineForce, PolynomialForce)}
 
 
+def _only_keys(doc: dict, keys, what: str) -> dict:
+    """doc, once each of its keys is one of keys: a key that no constructor
+    reads (a misspelt one, say) is a ValueError naming it, never dropped."""
+    if unknown := [k for k in doc if k not in keys]:
+        raise ValueError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
+                         f"it reads {', '.join(keys)}")
+    return doc
+
+
 def force_from_json(doc) -> Force | None:
     if doc is None:
         return None
@@ -162,6 +171,7 @@ def force_from_json(doc) -> Force | None:
     if kind not in _FORCE_KINDS:
         raise ValueError(f"unknown force kind {kind!r}")
     cls = _FORCE_KINDS[kind]
+    _only_keys(doc, ("kind", *cls.keys), f"{kind} force")
     # phase, the one argument with a default, may be absent
     return cls(*(doc[k] for k in cls.keys if k in doc or k != "phase"))
 
@@ -531,12 +541,13 @@ def model_from_json(doc: dict) -> OscillatorModel:
     """Rebuild a model from its JSON document (see to_json)."""
     family = doc.get("family")
     force = force_from_json(doc.get("force"))
-    if family == "GeneralParametric":
-        p = doc["params"]
-        return GeneralParametric(*(p[k] for k in GeneralParametric.keys), force)
     if family == "ReducedUnitMass":
         return ReducedUnitMass(model_from_json(doc["params"]["base"]))
-    if family not in _FAMILIES:
+    if family == "GeneralParametric":  # its domain is its table's
+        build, domain = GeneralParametric, ()
+    elif family in _FAMILIES:
+        build, domain = _FAMILIES[family], (doc["t_min"], doc["t_max"])
+    else:
         raise ValueError(f"unknown model family {family!r}")
-    build, p = _FAMILIES[family], doc["params"]
-    return build(*(p[k] for k in build.keys), doc["t_min"], doc["t_max"], force)
+    p = _only_keys(doc["params"], build.keys, f"{family} params")
+    return build(*(p[k] for k in build.keys), *domain, force)

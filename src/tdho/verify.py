@@ -1,16 +1,15 @@
 """Independent numerical certification of the constructed states.
 
 Nothing here reuses the formulas being checked: time derivatives come from
-fourth-order finite differencing of fresh state evaluations, the residual's
-spatial derivative from the five-point stencil, norms, inner products and
-the stationarity drift from composite Simpson quadrature (one weight
-vector: scipy's rule from 1.11 on, with its end correction for an even
-number of samples).  Orthonormality and position moments are plain sums
-over the samples of the scenario's grid and momentum moments sums over
-the DFT's wavenumbers; they converge exponentially while the state is
-negligible at the grid's edges and near the Nyquist wavenumber, and one
-guard refuses a state that is not.  Every check returns the measured
-number next to the threshold it was judged against.
+fourth-order finite differencing of fresh state evaluations, and the
+residual's spatial derivative from the five-point stencil.  Every integral
+is a plain sum dx Σ over the grid's samples (norms, inner products, the
+Gram product, the stationarity drift and position moments), and momentum
+moments sum over the DFT's wavenumbers: for a state negligible at the
+grid's edges and near the Nyquist wavenumber both converge exponentially
+(the trapezoidal rule), and one guard refuses a state that is not.  Every
+check returns the measured number next to the threshold it was judged
+against.
 
 The suite's checks read every order a scenario asks for at one time from
 one recurrence, and each run_suite call evaluates the scenario's state at
@@ -50,31 +49,28 @@ So at high order most of the grid holds exact zeros, and no read of the
 suite stores them: every block it reads is a GridFunction (see
 tdho.transforms) on the kernel's cutoff window, the union of its slices'
 cutoff windows, whose outside columns are the exact zeros a whole-grid
-block holds.  A block holds the Grid it lives on: every x, stencil step
-and quadrature weight reads its points (Grid.xs) and spacing
-(Grid.dx).  A block over several times is one stack, and each time's
-window is a view of it.  The reductions run on the states' support window
-(_support), read from the stored values, not from the kernel's cutoff, so
-any nonzero sample (NaN and inf too) lies inside it: the residual's
-stencils and norms, the Gram product, the closed-form distance, the
-stationarity drift and the chain's norms.  Two windows meet on the union
-of their supports, each read there with zeros around it
-(GridFunction.columns).  Zeros add nothing to a sum, a norm or a maximum,
-so the support window moves results by rounding only: the order of
+block holds.  A block holds the Grid it lives on: every x, stencil step and
+sum reads its points (Grid.xs) and spacing (Grid.dx).  A block over several
+times is one stack, and each time's window is a view of it.  The reductions
+run on the states' support window (_support), read from the stored values,
+not from the kernel's cutoff, so any nonzero sample (NaN and inf too) lies
+inside it: the residual's stencils and norms, the Gram product, the
+closed-form distance, the stationarity drift and the chain's norms.  Two
+windows meet on the union of their supports, each read there with zeros
+around it (GridFunction.columns).  Zeros add nothing to a sum, a norm or a
+maximum, so the support window moves results by rounding only: the order of
 summation changes.  The residual's window is 8 columns wider, so the
-five-point stencils and their zeroed edges read on it what they read on
-the whole grid.  The chain's maps write onto windows of their own, each
-column holding the whole grid's bits.  The stationarity drifts reduce
-with the whole grid's Simpson weights on the support's columns, so they
-are the whole-grid drifts bit for bit.
+five-point stencils and their zeroed edges read on it what they read on the
+whole grid.  The chain's maps write onto windows of their own, each column
+holding the whole grid's bits.
 
-Moments and their DFT read the whole grid: uncertainty pads each row of
-its windows with zeros to it.  Orthonormality's resolution guard
-(_resolved_window) reads its window: the edge columns that lie in it, the
-three Nyquist bins as direct sums, and a Parseval bound on their ratio to
-the spectrum's peak; only when that bound cannot show the rows resolved
-does the whole grid's DFT (_resolved_spectrum) decide, on the
-zero-padded rows.
+Moments and their DFT read the whole grid: uncertainty pads each row of its
+windows with zeros to it.  The resolution guard (_resolved_window) that
+orthonormality, norms, inner products and the stationarity drift run reads
+its window: the edge columns that lie in it, the three Nyquist bins as
+direct sums, and a Parseval bound on their ratio to the spectrum's peak;
+only when that bound cannot show the rows resolved does the whole grid's
+DFT (_resolved_spectrum) decide, on the zero-padded rows.
 """
 
 from __future__ import annotations
@@ -198,50 +194,46 @@ def _d2(values: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
 # quadrature observables
 # ---------------------------------------------------------------------------
 
-def _check_same_grid(g1: GridFunction, g2: GridFunction):
-    if g1.grid != g2.grid:
-        raise GridMismatchError("grid functions are sampled on different grids")
-
-
-@functools.lru_cache(maxsize=8)
-def _unit_simpson_weights(points: int) -> np.ndarray:
-    """Weights w with ∫ y dx ≈ dx * (w @ y) over `points` samples: composite
-    Simpson, plus scipy's correction for the last interval (Cartwright)
-    when `points` is even.  Read-only, as the cache shares it."""
-    if points < 3:
+def simpson(y, dx: float):
+    """Composite Simpson integral along the last axis of real samples y
+    spaced dx apart, by scipy.integrate.simpson's rule from scipy 1.11 on,
+    end correction for an even count included.  No check calls it."""
+    y = np.asarray(y)
+    w = np.zeros(y.shape[-1])
+    if w.size < 3:
         raise ValueError("Simpson's rule needs at least 3 samples")
-    w = np.zeros(points)
-    odd = points - 1 + points % 2  # samples under the plain composite rule
+    odd = w.size - 1 + w.size % 2  # samples under the plain composite rule
     w[1:odd - 1:2] = 4.0 / 3.0
     w[2:odd - 1:2] = 2.0 / 3.0
     w[0] = w[odd - 1] = 1.0 / 3.0
-    if odd < points:
+    if odd < w.size:
         w[-3:] += (-1.0 / 12.0, 8.0 / 12.0, 5.0 / 12.0)
-    w.setflags(write=False)
-    return w
+    return dx * (y @ w)
 
 
-def simpson(y, dx: float):
-    """Composite Simpson integral along the last axis of real samples y
-    spaced dx apart, by the rule of scipy.integrate.simpson from scipy 1.11
-    on."""
-    y = np.asarray(y)
-    return dx * (y @ _unit_simpson_weights(y.shape[-1]))
+def _resolved_columns(what: str, *gs: GridFunction) -> list:
+    """Each of gs, states on one grid, as a contiguous copy of the columns
+    where any of them is nonzero (_support), once each is resolved there
+    (_resolved_window): the columns that a plain sum dx Σ reads."""
+    lo, hi, _ = _support(*gs).indices(gs[0].grid.points)
+    out = [np.ascontiguousarray(g.columns(lo, hi)) for g in gs]
+    for g, live in zip(gs, out):
+        _resolved_window(g._with(live, offset=lo), what)
+    return out
 
 
 def norm(g: GridFunction) -> float:
-    """L2 norm sqrt(∫|psi|^2 dx) by composite Simpson quadrature over the
-    whole grid."""
-    return math.sqrt(float(simpson(np.abs(g.columns()) ** 2, dx=g.grid.dx)))
+    """L2 norm sqrt(dx Σ|psi|²) of one state (_resolved_columns)."""
+    [live] = _resolved_columns("norm", g)
+    return math.sqrt(g.grid.dx * float(np.vdot(live, live).real))
 
 
 def inner_product(g1: GridFunction, g2: GridFunction) -> complex:
-    """⟨g1|g2⟩ = ∫ conj(g1) g2 dx by composite Simpson quadrature over the
-    whole grid."""
-    _check_same_grid(g1, g2)
-    integrand = np.conj(g1.columns()) * g2.columns()
-    dx = g1.grid.dx
-    return complex(simpson(integrand.real, dx=dx) + 1j * simpson(integrand.imag, dx=dx))
+    """⟨g1|g2⟩ = dx Σ conj(g1) g2 of two states (_resolved_columns)."""
+    if g1.grid != g2.grid:
+        raise GridMismatchError("grid functions are sampled on different grids")
+    a, b = _resolved_columns("inner product", g1, g2)
+    return complex(g1.grid.dx * np.vdot(a, b))
 
 
 @dataclass(frozen=True)
@@ -545,25 +537,22 @@ def check_transform_equivalence(
 
 
 def _max_drift(base: GridFunction, later):
-    """Max L1 distance of |psi|^2 from base's over the states psi in later,
-    one per row of base.  Each drift is the Simpson rule of base's whole
-    grid over the columns where either state is nonzero (_support).  A NaN
-    drift stays NaN."""
-    grid = base.grid
-    weights = _unit_simpson_weights(grid.points)
+    """Max L1 distance dx Σ ||psi|² - |base|²| over the states psi in later,
+    one per row of base, over the columns where either is nonzero
+    (_support); each state refused unless resolved (_resolved_window)."""
+    _resolved_window(base, "stationarity")
     worst = np.zeros(base.values.shape[:-1])
     for psi in later:
-        lo, hi, _ = _support(base, psi).indices(grid.points)
+        _resolved_window(psi, "stationarity")
+        lo, hi, _ = _support(base, psi).indices(base.grid.points)
         dens = np.abs(psi.columns(lo, hi)) ** 2 - np.abs(base.columns(lo, hi)) ** 2
-        worst = np.maximum(worst, grid.dx * (np.abs(dens) @ weights[lo:hi]))
+        worst = np.maximum(worst, base.grid.dx * np.sum(np.abs(dens), axis=-1))
     return worst
 
 
 def check_stationarity(field, grid: Grid, times):
-    """Max L1 distance of |psi|^2 from its value at times[0]: a float, or one
-    per row when field returns (rows, points) values.  Each drift is the
-    Simpson rule of the whole grid over the columns where either state is
-    nonzero (_support)."""
+    """Max L1 distance of |psi|^2 from its value at times[0] (_max_drift): a
+    float, or one per row when field returns (rows, points) values."""
     x = grid.xs()
     states = (GridFunction(grid, field(x, t), t) for t in np.asarray(times, dtype=float))
     worst = _max_drift(next(states), states)
@@ -858,12 +847,10 @@ def _run_orthonormality(ctx: SuiteContext, rows) -> list:
     spec = ctx.state(n_max)
     errs = []
     for t in ctx.times:
-        window = state_window(spec, grid, t, range(n_max + 1))
-        lo, hi, _ = _support(window).indices(grid.points)
         # a contiguous copy: the product of the strided window raised the
         # peak RSS of a high-order pass by 0.9 MB
-        live = np.ascontiguousarray(window.columns(lo, hi))
-        _resolved_window(window._with(live, offset=lo), "orthonormality")
+        [live] = _resolved_columns("orthonormality",
+                                   state_window(spec, grid, t, range(n_max + 1)))
         err = np.abs(grid.dx * (np.conj(live) @ live.T) - np.eye(n_max + 1))
         err[lower] = -1.0  # each pair once, m <= n
         errs.append(err)
@@ -883,7 +870,7 @@ def _run_stationarity(ctx: SuiteContext, rows) -> list:
     (t, t + period) per t of the first three of ctx.times and the pair
     (0, half a period).  The stack lives on its slices' cutoff window
     (closed_form_window), whose outside columns are exact zeros, and each
-    drift reduces there with the whole grid's Simpson weights."""
+    drift is a plain sum there (_max_drift)."""
     C = ctx.closed_form_C
     model = ctx.model
     if not isinstance(model, CaldirolaKanai) or model.gamma != 0.0 or C is None:

@@ -274,6 +274,19 @@ def test_stationarity_refuses_a_grid_that_misses_its_state(tmp_path, capsys):
         "state is zero or not finite, so its drift is undefined\n")
 
 
+def test_stationarity_refuses_a_probe_the_grid_cuts_off(tmp_path, capsys):
+    """sho_c2's breathing state is narrowest at t = pi/2: a grid that holds
+    it there passes the grid guard, but cuts off the wide t = 0 probe of the
+    half-period contrast, which is refused rather than summed."""
+    doc = load_scenario("sho_c2")
+    doc.update(times=[math.pi / 2], grid={"x_min": -7.0, "x_max": 7.0, "points": 512},
+               checks=["stationarity"])
+    assert main(["verify", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "numerical error: stationarity: state not resolved at t = 0.0 on 512 points: "
+        "edge over peak")
+
+
 @pytest.mark.parametrize("basis,message", [
     ({"kind": "analytic_ck"}, "analytic_ck basis needs a CaldirolaKanai model"),
     ({"kind": "numeric"}, 'numeric basis needs "ics": [u0, du0, v0, dv0]'),
@@ -381,8 +394,12 @@ _SHO = {"family": "UnitMassSHO", "t_min": -1.0, "t_max": 12.0}
     ({"driving": {"force": {"kind": "polynomial", "coeffs": []}}}, "[] should be non-empty"),
     ({"grid": {"x_min": -8.0}}, "'x_max' is a dependency of 'x_min'"),
     ({"grid": {"x_max": 8.0}}, "'x_min' is a dependency of 'x_max'"),
+    ({"driving": {"force": {"kind": "cosine", "amplitude": 1.0, "omega": 2.0,
+                            "phase": "abc"}}},
+     "at $.driving.force.phase: 'abc' is not of type 'number'"),
 ], ids=["no_params", "w_s_list", "ck_no_gamma", "general_no_M", "cosine_no_amplitude",
-        "expcosine_no_rate", "polynomial_no_coeffs", "x_min_alone", "x_max_alone"])
+        "expcosine_no_rate", "polynomial_no_coeffs", "x_min_alone", "x_max_alone",
+        "cosine_phase_not_a_number"])
 def test_malformed_scenario_is_schema_error(tmp_path, capsys, overrides, where):
     """Missing or mistyped family parameters and force keys, and half a grid
     span, are refused by the schema (exit 2), not by a KeyError or TypeError."""

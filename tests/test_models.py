@@ -341,6 +341,29 @@ def test_a_document_without_a_required_key_raises_key_error_naming_it(build, key
     assert missing.type is KeyError and missing.value.args == (key,)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: force_from_json({"kind": "cosine", "amplitude": 1.0, "omega": 2.0, "phse": 0.3}),
+     "unknown cosine force key(s) 'phse'; it reads kind, amplitude, omega, phase"),
+    (lambda: model_from_json({**_CK_DOC, "params": {"m": 1.0, "gamma": 0.6, "w1": 1.0,
+                                                    "w_s": 1.0, "mu": 0.2}}),
+     "unknown CaldirolaKanai params key(s) 'w_s', 'mu'; it reads m, gamma, w1"),
+    (lambda: model_from_json({**_CK_DOC, "family": "UnitMassSHO",
+                              "params": {"w_s": 1.0, "gamma": 0.0}}),
+     "unknown UnitMassSHO params key(s) 'gamma'; it reads w_s"),
+    (lambda: model_from_json({**_CK_DOC, "family": "GeneralParametric",
+                              "params": {"t": [0.0, 1.0, 2.0, 3.0], "M": [1.0] * 4,
+                                         "dM": [0.0] * 4, "d2M": [0.0] * 4,
+                                         "w2": [1.0] * 4, "w": [1.0] * 4}}),
+     "unknown GeneralParametric params key(s) 'w'; it reads t, M, dM, d2M, w2"),
+], ids=["cosine", "ck", "unit_mass", "general"])
+def test_a_document_key_that_no_constructor_reads_is_refused(build, message):
+    """A key outside the class's `keys` (besides a force's kind) is named in
+    a ValueError, never dropped: a misspelt phase does not run at phase 0."""
+    with pytest.raises(ValueError) as unknown:
+        build()
+    assert str(unknown.value) == message
+
+
 @pytest.mark.parametrize("model,keys", [
     (CaldirolaKanai(1.2, 0.6, 1.0), ["m", "gamma", "w1"]),
     (LoDampedPulsating(1.0, 0.1, 0.2, 3.0, 1.0), ["m0", "gamma", "mu", "nu", "w_lo"]),

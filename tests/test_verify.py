@@ -92,6 +92,22 @@ def test_inner_product_grid_mismatch(ck_basis):
             inner_product(g0, g1)
 
 
+def test_norm_and_inner_product_refuse_a_state_at_the_grid_edge():
+    """A Gaussian centred half a width from the grid's edge is not resolved
+    on it: its norm and every inner product with it are refused, not
+    summed (composite Simpson read its norm as 1.16)."""
+    grid = Grid(-4.0, 4.0, 256)
+    leaking = GridFunction(grid, np.exp(-(grid.xs() - 3.5) ** 2 / 2) + 0j, 0.0)
+    inside = GridFunction(grid, np.exp(-4.0 * grid.xs() ** 2) + 0j, 0.0)
+    assert inner_product(inside, inside).real == pytest.approx(norm(inside) ** 2, rel=1e-15)
+    refused = "state not resolved at t = 0.0 on 256 points: edge over peak"
+    with pytest.raises(GridTooSmallError, match=f"norm: {refused}"):
+        norm(leaking)
+    for pair in [(leaking, leaking), (inside, leaking), (leaking, inside)]:
+        with pytest.raises(GridTooSmallError, match=f"inner product: {refused}"):
+            inner_product(*pair)
+
+
 def test_moments_of_known_states(sho_basis_c1):
     """C = 1 stationary states: var_x = var_p = n + 1/2 to rounding, on the
     4096-point scenario grid as on the 32768-point one."""
@@ -250,18 +266,24 @@ def test_check_stationarity(sho_basis_c1, sho_basis_c2):
     assert check_stationarity(f2, GRID, [0.3, 0.3 + np.pi / 2]) > 1e-2
 
 
-def test_check_stationarity_reports_a_non_finite_drift(sho_basis_c1):
-    """A density that turns NaN at a later time is a NaN drift, which fails
-    every threshold, never a drift of 0."""
+@pytest.mark.parametrize("case,value", [("zero", "0.0 at t = 0.0"),
+                                        ("nan_later", "nan at t = 1.0")],
+                         ids=["zero", "nan_later"])
+def test_check_stationarity_refuses_a_degenerate_state(sho_basis_c1, case, value):
+    """A field that is zero everywhere, or turns NaN at a later time, is
+    refused: its drift is never a number, and never 0."""
     field = _state(sho_basis_c1, 1)
 
     def spoiled(x, t):
         values = field(x, t)
-        if t > 0.0:
+        if case == "zero":
+            values[:] = 0.0
+        elif t > 0.0:
             values[len(values) // 2] = np.nan
         return values
 
-    assert np.isnan(check_stationarity(spoiled, GRID, [0.0, 1.0, 2.0]))
+    with pytest.raises(DegenerateStateError, match=f"stationarity: ‖psi‖² = {value}"):
+        check_stationarity(spoiled, GRID, [0.0, 1.0, 2.0])
 
 
 def test_check_stationarity_of_stacked_rows_is_per_row(sho_basis_c2):
@@ -1069,7 +1091,8 @@ def test_every_grid_reduction_skips_the_zero_tails(monkeypatch):
 
     monkeypatch.setattr(tdho.verify, "_support", recording)
     run_suite(ctx, doc["checks"])
-    assert set(windows) == {"_residual_pair", "_run_orthonormality", "_run_closed_form",
+    # orthonormality's Gram product reads its window through _resolved_columns
+    assert set(windows) == {"_residual_pair", "_resolved_columns", "_run_closed_form",
                             "_max_drift", "_chain_distance"}
     for caller, spans in windows.items():
         for lo, hi, _ in spans:
