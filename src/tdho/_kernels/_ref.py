@@ -7,77 +7,68 @@ import numpy as np
 
 # Points whose amplitude bound is below e^LOG_FLOOR are returned as exact
 # zeros (float64 underflows to 0 a bit below e^-745).  A call with a depth
-# raises its slices' floor to log_norm - depth, never lowers it below this.
+# raises its slices' floor to ln sqrt(scale) - depth, never below this.
 LOG_FLOOR = -700.0
 
 _LN2 = math.log(2.0)
 _LOG_PI_4 = 0.25 * math.log(math.pi)
 _PI_M14 = math.pi ** -0.25
-# Cramér: |H_n(xi)| e^{-xi^2/2} <= 1.086435 sqrt(2^n n!) for every n and xi
-_LOG_CRAMER = math.log(1.0865)
 # the recurrence is rescaled before a bound on its terms can pass e^600;
 # float64 overflows above e^709
 _RESCALE_LOG = 600.0
 
 
-def _cutoff_radius(n, log_norm, gauss_re, scale, depth=None):
-    """Radius R such that exp(log_norm + gauss_re d^2) |h_n(scale d)| is
-    below e^floor wherever |d| > R, where floor is LOG_FLOOR or, with a
-    depth, max(LOG_FLOOR, log_norm - depth).
+def _floor_depth(scale, depth=None):
+    """How far a slice's floor lies below its amplitude scale: ln sqrt(scale)
+    - LOG_FLOOR (over 328 for every float64 scale), or the depth if smaller."""
+    base = 0.5 * math.log(scale) - LOG_FLOOR
+    return base if depth is None else min(base, depth)
 
-    h_n = H_n / sqrt(2^n n! sqrt(pi)) is the normalised Hermite polynomial.
-    Two bounds on ln|h_n(xi)| hold for every xi:
 
-        U1 = n ln(2|xi|) + n^2/(4 xi^2) - ln sqrt(2^n n! sqrt(pi))
-             (term by term on the explicit sum of H_n),
-        U2 = ln 1.0865 - ln(pi)/4 + xi^2/2   (Cramér).
+def _xi_radius(n, base):
+    """Radius X such that e^{-xi^2/2} |h_n(xi)| is below e^-base wherever
+    |xi| > X: the root of the excess E_n(xi), base - xi^2/2 plus the bound
 
-    The smaller of their radii is returned, inf when neither decays.
-    """
-    if gauss_re >= 0.0:
-        return math.inf
-    a = -gauss_re
-    s2 = scale * scale
-    base = log_norm - LOG_FLOOR
-    if depth is not None:
-        base = min(base, depth)
-    radius = math.inf
-    if a > 0.5 * s2:
-        radius = math.sqrt(max(base + _LOG_CRAMER - _LOG_PI_4, 0.0) / (a - 0.5 * s2))
+        ln|h_n(xi)| <= n ln(2|xi|) + n^2/(4 xi^2) - ln sqrt(2^n n! sqrt(pi))
+
+    that holds term by term on the explicit sum of H_n."""
     c = base - 0.5 * (n * _LN2 + math.lgamma(n + 1)) - _LOG_PI_4
     if n == 0:
-        return min(radius, math.sqrt(max(c, 0.0) / a))
-    if s2 == 0.0:
-        return radius
-    q = 0.25 * n * n / s2
+        return math.sqrt(2.0 * max(c, 0.0))
+    q = 0.25 * n * n
 
-    def excess(d):  # ln of the U1 amplitude bound at d, minus the floor
-        return c - a * d * d + n * math.log(2.0 * abs(scale) * d) + q / (d * d)
+    def excess(xi):  # ln of the amplitude bound at xi, plus base
+        return c - 0.5 * xi * xi + n * math.log(2.0 * xi) + q / (xi * xi)
 
-    # excess decreases for d >= d0, where -2ad + n/d changes sign
-    lo = math.sqrt(0.5 * n / a)
+    # excess decreases for xi >= sqrt(n), where -xi + n/xi changes sign
+    lo = math.sqrt(n)
     if excess(lo) <= 0.0:
-        return min(radius, lo)
-    # n ln(d/d0) <= n (d/d0 - 1) and q/d^2 <= q/d0^2 give an upper bracket
-    b = n / lo
-    c_hi = excess(lo) + a * lo * lo - n
-    hi = (b + math.sqrt(b * b + 4.0 * a * c_hi)) / (2.0 * a)
+        return lo
+    # n ln(xi/lo) <= n (xi/lo - 1) and q/xi^2 <= q/lo^2 bound excess(xi) by
+    # excess(lo) - (xi - lo)^2 / 2: an upper bracket
+    hi = lo + math.sqrt(2.0 * excess(lo))
     # Newton from the right, safeguarded by bisection; excess(hi) <= 0 holds
-    d = hi
+    xi = hi
     for _ in range(60):
-        g = excess(d)
+        g = excess(xi)
         if g > 0.0:
-            lo = d
+            lo = xi
         else:
-            hi = d
-        slope = -2.0 * a * d + n / d - 2.0 * q / (d * d * d)
-        new = d - g / slope
+            hi = xi
+        slope = -xi + n / xi - 2.0 * q / (xi * xi * xi)
+        new = xi - g / slope
         if not lo < new < hi:
             new = 0.5 * (lo + hi)
-        if abs(new - d) <= 1e-9 * d:
+        if abs(new - xi) <= 1e-9 * xi:
             break
-        d = new
-    return min(radius, hi)
+        xi = new
+    return hi
+
+
+def _cutoff_radius(n, scale, depth=None):
+    """Radius R such that sqrt(scale) e^{-xi^2/2} |h_n(xi)|, xi = scale d, is
+    below e^floor wherever |d| > R (the floor of state_kernel_window)."""
+    return _xi_radius(n, _floor_depth(scale, depth)) / scale
 
 
 def _hermite_function_rows(n, xi, log_amp, spans):
@@ -151,11 +142,10 @@ def _hermite_function_rows(n, xi, log_amp, spans):
 
 
 def state_kernel(x, n, *params):
-    """Order n of state_kernel_window with the eight scalar slice
-    parameters params (log_norm .. dphase), read to LOG_FLOOR, at the
-    points x in any order and shape: its one row on the sorted points,
-    zero-padded and put back in x's order and shape (a complex for a
-    scalar x)."""
+    """Order n of state_kernel_window with the six scalar slice parameters
+    params (gauss_im .. dphase), read to LOG_FLOOR, at the points x in any
+    order and shape: its one row on the sorted points, zero-padded and put
+    back in x's order and shape (a complex for a scalar x)."""
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()
     order = np.argsort(flat, kind="stable")
@@ -165,8 +155,8 @@ def state_kernel(x, n, *params):
     return out.reshape(x.shape)[()]
 
 
-def state_kernel_window(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
-                        k_lin, phase0, dphase, depth=None):
+def state_kernel_window(x, orders, gauss_im, scale, x_shift, k_lin, phase0, dphase,
+                        depth=None):
     """Eigenstate samples of the requested orders on the ascending grid x,
     from one recurrence that runs to max(orders), for one time slice or a
     stack of them, kept on the union of the slices' cutoff windows:
@@ -177,58 +167,59 @@ def state_kernel_window(x, orders, log_norm, gauss_re, gauss_im, scale, x_shift,
 
     With d = x - x_shift and xi = scale * d, row i holds order k = orders[i]:
 
-        exp(log_norm + gauss_re * d^2)
-        * h_k(xi)
+        sqrt(scale) * exp(-xi^2 / 2) * h_k(xi)
         * exp(i * (gauss_im * d^2 + k_lin * x + phase0 + k * dphase)),
 
     where h_k = H_k / sqrt(2^k k! sqrt(pi)) is the normalised Hermite
-    polynomial.  The eight slice parameters (log_norm .. dphase) are all
-    scalars, giving one slice's (len(orders), W) rows, or all 1-D
-    sequences of S slices, giving (S, len(orders), W), entry s the rows of
-    slice s.
+    polynomial: a normalised state, for any parameters, as every unitary
+    image of a normalised unit-mass eigenstate is.  The six slice
+    parameters (gauss_im .. dphase) are all scalars, giving one slice's
+    (len(orders), W) rows, or all 1-D sequences of S slices, giving
+    (S, len(orders), W), entry s the rows of slice s.
 
     Each slice keeps its own cutoff window: outside the cutoff radius of
     n = max(orders) around its x_shift every requested order is below
     e^floor, and those samples are exact zeros.  The floor is LOG_FLOOR,
-    or, with a depth, max(LOG_FLOOR, log_norm - depth): a slice is then read
-    down to e^-depth of its amplitude scale e^log_norm and no further.  For
-    a state's Gaussian (gauss_re = -scale^2 / 2) the peak of |row| is at
-    least 0.358 e^log_norm for every order up to 1000, so a zeroed sample
-    is below e^-depth / 0.358 of its row's peak.  One solve serves all
-    orders, as _cutoff_radius grows with n.  The floor does not depend on
-    n, with a depth or without, so the argument that follows holds for
-    both.  The Cramér radius does not depend on n; the U1 radius R_n is the
-    first d >= sqrt(n / 2a), a = -gauss_re, where excess E_n(d) <= 0, and
-    E_n falls from there on.  With xi = scale d, u = 2 xi^2 / (n + 1) and
+    or, with a depth, max(LOG_FLOOR, ln sqrt(scale) - depth): a slice is
+    then read down to e^-depth of its amplitude scale sqrt(scale) and no
+    further.  The peak of |row| is at least 0.358 sqrt(scale) for every
+    order up to 1000, so a zeroed sample is below e^-depth / 0.358 of its
+    row's peak.  The floor's depth below the amplitude scale,
+    min(ln sqrt(scale) - LOG_FLOOR, depth), is all the radius reads
+    besides n: one root in xi (_xi_radius), over scale.  One solve serves
+    all orders, as that root grows with n.  The depth does not depend on
+    n, so the argument that follows holds at any depth.  The root X_n is
+    the first xi >= sqrt(n) where the excess E_n(xi) <= 0, and E_n falls
+    from there on.  With u = 2 xi^2 / (n + 1) and
     k = (2n + 1) / (2n + 2) >= 1/2,
-    E_{n+1}(d) - E_n(d) = ln u / 2 + k / u >= (ln 2k + 1) / 2 >= 1/2 for
-    every d (least at u = 2k).  So E_n(R_{n+1}) < E_{n+1}(R_{n+1}) <= 0 at
-    R_{n+1} >= sqrt((n + 1) / 2a): R_n <= R_{n+1}, apart by far more than
-    the root solve's relative tolerance of 1e-9.  Inside, the
-    exponent-tracked recurrence runs, so no factor over- or underflows on
-    its own; each slice decides on its window alone whether its exponents
-    need tracking and when to rescale.  One recurrence runs over the union
-    of the windows, on one row per distinct amplitude (log_norm, gauss_re,
-    scale, x_shift, bitwise): slices that differ only in gauss_im, k_lin,
-    phase0 or dphase share every real factor, and each then takes its own
-    phase.  Every slice's rows, zero-padded to x, are bit for bit those of
-    a one-slice call with its parameters.  Orders that are not requested
-    are stepped through, not stored.  A stack of slices whose windows are
-    far narrower than x takes that much less memory than x's columns.
+    E_{n+1}(xi) - E_n(xi) = ln u / 2 + k / u >= (ln 2k + 1) / 2 >= 1/2 for
+    every xi (least at u = 2k).  So E_n(X_{n+1}) < E_{n+1}(X_{n+1}) <= 0 at
+    X_{n+1} >= sqrt(n + 1): X_n <= X_{n+1}, apart by far more than the root
+    solve's relative tolerance of 1e-9.  Inside, the exponent-tracked
+    recurrence runs, so no factor over- or underflows on its own; each
+    slice decides on its window alone whether its exponents need tracking
+    and when to rescale.  One recurrence runs over the union of the
+    windows, on one row per distinct amplitude (scale, x_shift, bitwise):
+    slices that differ only in gauss_im, k_lin, phase0 or dphase share
+    every real factor, and each then takes its own phase.  Every slice's
+    rows, zero-padded to x, are bit for bit those of a one-slice call with
+    its parameters.  Orders that are not requested are stepped through,
+    not stored.  A stack of slices whose windows are far narrower than x
+    takes that much less memory than x's columns.
     """
     x, orders, table, spans, (a, b) = _slices(x, orders, (
-        log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0, dphase), depth)
+        gauss_im, scale, x_shift, k_lin, phase0, dphase), depth)
     rows = np.empty(table.shape[1:] + (len(orders), b - a), dtype=np.complex128)
     _fill(rows if table.ndim == 2 else rows[np.newaxis], x[a:b], orders, table, spans)
     return rows, a
 
 
-def cutoff_window(x, n, log_norm, gauss_re, scale, x_shift):
+def cutoff_window(x, n, scale, x_shift):
     """The columns [a, b) of the ascending float64 grid x that a slice whose
     largest order is n keeps at LOG_FLOOR (state_kernel_window without a
     depth): every requested order is an exact zero on the columns outside
     them.  Empty (a == b) when the slice lies below LOG_FLOOR on all of x."""
-    return _window(x, x_shift, _cutoff_radius(n, log_norm, gauss_re, scale))
+    return _window(x, x_shift, _cutoff_radius(n, scale))
 
 
 def _window(x, x_shift, radius):
@@ -239,24 +230,26 @@ def _window(x, x_shift, radius):
 
 def _slices(x, orders, params, depth):
     """(x, orders, table, spans, (a, b)) of a call: the slice parameters as
-    an (8,) or (8, S) table, the union [a, b) on x of the slices' cutoff
+    a (6,) or (6, S) table, the union [a, b) on x of the slices' cutoff
     windows ((0, 0) if none holds a column), and each slice's window
-    relative to a ((0, 0) if it holds none).  One cutoff radius is solved
-    per distinct (log_norm, gauss_re, scale): slices that differ only in
-    shift or phase share it."""
+    relative to a ((0, 0) if it holds none).  One root in xi is solved per
+    distinct depth of the floor below the amplitude (_floor_depth), and
+    each slice's radius is that root over its scale: at a depth every
+    slice shares one solve."""
     x = np.asarray(x, dtype=np.float64)
     orders = [int(k) for k in orders]
     n = max(orders)
-    # (8,) or (8, S); numpy refuses sequences of unequal lengths
+    # (6,) or (6, S); numpy refuses sequences of unequal lengths
     table = np.array(params, dtype=np.float64)
     if table.ndim > 2:
         raise ValueError("slice parameters must be scalars or 1-D sequences")
-    radii = {}
+    roots = {}
     windows = []
-    for ln, gr, _, sc, shift, *_ in table.reshape(8, -1).T.tolist():
-        if (ln, gr, sc) not in radii:  # bounds every lower order's
-            radii[ln, gr, sc] = _cutoff_radius(n, ln, gr, sc, depth)
-        windows.append(_window(x, shift, radii[ln, gr, sc]))
+    for _, scale, shift, *_ in table.reshape(6, -1).T.tolist():
+        base = _floor_depth(scale, depth)
+        if base not in roots:  # bounds every lower order's
+            roots[base] = _xi_radius(n, base)
+        windows.append(_window(x, shift, roots[base] / scale))
     live = [w for w in windows if w[0] < w[1]]
     a, b = (min(lo for lo, _ in live), max(hi for _, hi in live)) if live else (0, 0)
     spans = [(lo - a, hi - a) if lo < hi else (0, 0) for lo, hi in windows]
@@ -268,25 +261,24 @@ def _fill(stack, xw, orders, table, spans):
     the columns xw of the union of the cutoff windows, exact zeros outside
     each slice's own span of them: the core of state_kernel_window.
 
-    Slices whose amplitude (log_norm, gauss_re, scale, x_shift) is bitwise
-    the same share their span and every real factor
-    exp(log_norm + gauss_re d^2) h_k(xi), so the recurrence runs on one row
-    per distinct amplitude; each slice then takes its own phase and turn.
-    A call without repeated amplitudes reuses the phase's buffers and
-    allocates nothing new for the recurrence's input."""
+    Slices whose amplitude (scale, x_shift) is bitwise the same share their
+    span and every real factor sqrt(scale) e^{-xi^2/2} h_k(xi), so the
+    recurrence runs on one row per distinct amplitude; each slice then
+    takes its own phase and turn.  A call without repeated amplitudes
+    reuses the phase's buffers and allocates nothing new for the
+    recurrence's input."""
     if not xw.size:
         return
     n = max(orders)
     rows_of = {}  # order -> the rows that hold it
     for i, k in enumerate(orders):
         rows_of.setdefault(k, []).append(i)
-    table = table.reshape(8, -1)
+    table = table.reshape(6, -1)
     groups = {}  # amplitude bytes -> its slices, first come first
-    for s, key in enumerate(table[[0, 1, 3, 4]].T):
+    for s, key in enumerate(table[1:3].T):
         groups.setdefault(key.tobytes(), []).append(s)
     groups = list(groups.values())
-    log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0, _ = (
-        table[:, :, np.newaxis])
+    gauss_im, scale, x_shift, k_lin, phase0, _ = table[:, :, np.newaxis]
     d = xw - x_shift
     # the row written last holds the common factor until its own turn;
     # (gauss * d) * d, not gauss * (d * d): the other order rounds
@@ -304,14 +296,14 @@ def _fill(stack, xw, orders, table, spans):
         # the (S, W) ones are freed before the recurrence allocates
         d = xw - x_shift[firsts]
         phase = np.empty_like(d)
-        log_norm, gauss_re, scale = log_norm[firsts], gauss_re[firsts], scale[firsts]
-    log_amp = np.multiply(gauss_re, d, out=phase)
-    log_amp *= d
-    log_amp += log_norm
+        scale = scale[firsts]
     d *= scale  # xi from here on: no (S, W) buffer is made twice
+    log_amp = np.multiply(d, d, out=phase)
+    log_amp *= -0.5
+    log_amp += 0.5 * np.log(scale)
     recurrence = _hermite_function_rows(n, d, log_amp, [spans[s] for s in firsts])
     value = np.empty(xw.size)
-    dphases = table[7].tolist()
+    dphases = table[5].tolist()
     for k, (m, e) in enumerate(recurrence):
         if k not in rows_of:
             continue

@@ -11,8 +11,8 @@ delta.  The common evaluation kernel is
                   * H_n(sqrt(Omega/hbar) d / rho)
                   * exp[i (M xdot_p x + delta)/hbar],      d = x - x_p,
 
-with x_p = delta = 0 in the undriven case.  With xi = sqrt(Omega/hbar) d / rho
-the kernel evaluates it as (Omega/hbar)^{1/4} rho^{-1/2} e^{-xi^2/2} h_n(xi)
+with x_p = delta = 0 in the undriven case.  With scale = sqrt(Omega/hbar) / rho
+and xi = scale d the kernel evaluates it as sqrt(scale) e^{-xi^2/2} h_n(xi)
 times the phases, where h_n = H_n / sqrt(2^n n! sqrt(pi)) comes from the
 normalised Hermite recurrence, so one pass gives any set of orders of a
 slice or of a stack of them, on the slices' cutoff windows (state_window;
@@ -22,12 +22,14 @@ mass read and one driven slice for the whole stack.  A single time is a
 stack of one and takes the same path, so a slice read alone has the bits
 it has in any stack.
 
-Every read, of one order or of many, forms the kernel's eight slice
-columns in one place (_columns) and hands all eight to it; order n's phase
-(n + 1/2) theta + delta/hbar is the kernel's phase0 + n dphase, formed
-there alone.  So a field read of order n (state_field, psi_*) is, bit for
-bit, the row of a full-depth state_kernel_window read of [n] over its
-slice or over any stack of slices that holds it.  Window reads
+Every read, of one order or of many, forms the kernel's six slice columns
+(chirp, scale, centre, linear phase, phase0 and dphase) in one place
+(_columns) and hands all six to it.  The kernel alone forms the
+normalisation sqrt(scale) e^{-xi^2/2}, so every read is a normalised
+state, and order n's phase (n + 1/2) theta + delta/hbar, as
+phase0 + n dphase.  So a field read of order n (state_field, psi_*) is,
+bit for bit, the row of a full-depth state_kernel_window read of [n] over
+its slice or over any stack of slices that holds it.  Window reads
 (state_window, closed_form_window) stop at e^-READ_DEPTH of each slice's
 amplitude scale; field reads go down to the kernel's LOG_FLOOR.
 
@@ -133,15 +135,14 @@ READ_DEPTH = 40.0
 
 
 def _columns(t, omega, hbar, rho, gauss_im, theta, x_shift, k_lin, phase_shift):
-    """The kernel's eight slice columns of a state whose invariant (with the
+    """The kernel's six slice columns of a state whose invariant (with the
     mass folded in) is omega, with envelope rho, chirp gauss_im, angle theta,
     centre x_shift, linear phase k_lin and phase offset phase_shift, each
     given at every time of the stack np.atleast_1d(t): scalars for a scalar
-    t, one 1-D column each for a 1-D sequence of times.  Order n takes the
-    phase phase0 + n dphase = (n + 1/2) theta + phase_shift."""
+    t, one 1-D column each for a 1-D sequence of times.  The kernel forms
+    the normalisation from the scale alone.  Order n takes the phase
+    phase0 + n dphase = (n + 1/2) theta + phase_shift."""
     columns = np.array((
-        0.25 * np.log(omega / hbar) - 0.5 * np.log(rho),
-        -0.5 * omega / (hbar * rho * rho),
         gauss_im,
         np.sqrt(omega / hbar) / rho,
         x_shift,
@@ -153,10 +154,10 @@ def _columns(t, omega, hbar, rho, gauss_im, theta, x_shift, k_lin, phase_shift):
 
 
 def _slice_params(spec: StateSpec, t):
-    """The kernel's eight slice columns (log_norm, gauss_re, gauss_im, scale,
-    x_shift, k_lin, phase0, dphase) of spec's state at t, driven when spec
-    carries a DrivenSolution: scalars for a scalar t, one 1-D column each
-    for a 1-D sequence of times (_columns).  The basis, the mass and the
+    """The kernel's six slice columns (gauss_im, scale, x_shift, k_lin,
+    phase0, dphase) of spec's state at t, driven when spec carries a
+    DrivenSolution: scalars for a scalar t, one 1-D column each for a 1-D
+    sequence of times (_columns).  The basis, the mass and the
     driven solution are each read once for the whole stack."""
     basis, model, hbar = spec.basis, spec.model, spec.hbar
     ts = np.atleast_1d(np.asarray(t, dtype=float))
@@ -192,8 +193,8 @@ def state_cutoff(spec: StateSpec, x, t):
     """The columns [a, b) of the ascending grid x outside which
     state_field(spec)(x, t) is exact zeros: the kernel's cutoff window of
     order spec.n at t, at LOG_FLOOR (cutoff_window)."""
-    log_norm, gauss_re, _, scale, x_shift = _slice_params(spec, float(t))[:5]
-    return cutoff_window(x, spec.n, log_norm, gauss_re, scale, x_shift)
+    _, scale, x_shift = _slice_params(spec, float(t))[:3]
+    return cutoff_window(x, spec.n, scale, x_shift)
 
 
 def psi_general(spec: StateSpec, x, t):
@@ -272,7 +273,7 @@ def closed_form_law(model):
 
 
 def _closed_columns(law, Ccoef, hbar, t):
-    """The kernel's eight slice columns of the closed form with pulsation
+    """The kernel's six slice columns of the closed form with pulsation
     parameter Ccoef of the family whose law gives the mass M(t),
     k = Mdot/M and the constant reduced frequency w_c^2, at t, from one
     read of the stack np.atleast_1d(t): scalars for a scalar t, one 1-D

@@ -20,7 +20,7 @@ acting right-to-left as written, each fused into one map:
               d = -x_p, k = -M xdot_p, c = -M xdot_p x_p - delta
 
 Each composite's parameters come from one coefficient function and act in
-two forms: on a state's eight kernel columns in closed form
+two forms: on a state's six kernel columns in closed form
 (_affine_columns), and on samples (_affine), where a map that moves support
 (s != 1 or d != 0) takes a six-point Lagrange read; out-of-span reads are
 taken as zero, which is consistent only because compliant grid functions
@@ -282,14 +282,14 @@ def _affine(g: GridFunction, op: str, s=1.0, d=0.0, alpha=0.0, k=0.0, c=0.0):
 
 
 def _affine_columns(columns, hbar, s=1.0, d=0.0, alpha=0.0, k=0.0, c=0.0):
-    """The eight kernel columns (tdho._kernels.state_kernel_window) of T psi
+    """The six kernel columns (tdho._kernels.state_kernel_window) of T psi
     from psi's: scalars, or 1-D stacks over slices, as are the parameters.
+    The map's factor sqrt(s) needs no column: the kernel forms sqrt(scale s).
     The factor's alpha x^2 is centred at 0, not at the new centre x_shift',
     so k_lin and phase0 take 2 alpha x_shift'/hbar and -alpha x_shift'^2/hbar."""
-    log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0, dphase = columns
+    gauss_im, scale, x_shift, k_lin, phase0, dphase = columns
     shift = (x_shift + d) / s
-    return np.array((log_norm + 0.5 * np.log(s), gauss_re * s * s,
-                     gauss_im * s * s + alpha / hbar, scale * s, shift,
+    return np.array((gauss_im * s * s + alpha / hbar, scale * s, shift,
                      s * k_lin + (k + 2.0 * alpha * shift) / hbar,
                      phase0 - k_lin * d + (c - alpha * shift * shift) / hbar, dphase))
 

@@ -13,7 +13,7 @@ from numpy.polynomial.hermite import hermval
 import tdho
 import tdho._kernels as kernels
 import tdho.states
-from tdho._kernels._ref import _cutoff_radius, _hermite_function_rows
+from tdho._kernels._ref import _cutoff_radius, _floor_depth, _hermite_function_rows
 from tdho.classical import analytic_basis_sho, null_driven
 from tdho.models import CaldirolaKanai, LoDampedPulsating
 from tdho.states import (
@@ -29,6 +29,8 @@ from tdho.transforms import policy_grid, sample_on_grid
 from tdho.verify import norm
 
 from conftest import kernel_block, on_grid
+
+DEPTH = tdho.verify.READ_DEPTH
 
 
 def test_backend_is_declared():
@@ -68,30 +70,31 @@ def test_hermite_known_values():
 
 
 def test_state_kernel_matches_direct_formula(rng):
-    """Random kernel parameters against a literal transcription, for one
-    order through state_kernel and for several, each with its own phase
-    k * dphase, through state_kernel_window zero-padded; the kernel carries the
-    normalised h_n = H_n / sqrt(2^n n! sqrt(pi)).
+    """Random kernel parameters against a literal transcription
+    sqrt(scale) e^{-xi^2/2} h_k(xi) times the phases, for one order through
+    state_kernel and for several, each with its own phase k * dphase,
+    through state_kernel_window zero-padded; the kernel carries the
+    normalised h_n = H_n / sqrt(2^n n! sqrt(pi)).  Any six columns give a
+    normalised state: on a grid wider than the cutoff window every drawn
+    order has dx * sum |row|^2 = 1.
 
     Near a root of h_k both evaluations lose relative accuracy, so each
-    sample is bounded relative to exp(log_norm + gauss_re d^2) times
+    sample is bounded relative to sqrt(scale) e^{-xi^2/2} times
     sqrt(h_k^2 + h_{k-1}^2)(xi): that is |want| away from the roots, and it
     does not vanish at them (h_k and h_{k-1} have no common root)."""
     x = np.linspace(-6.0, 6.0, 257)
     for _ in range(20):
         n = int(rng.integers(0, 9))
         orders = [int(k) for k in rng.choice(9, size=3, replace=False)]
-        log_norm = float(rng.uniform(-2.0, 0.5))
-        gauss_re = float(rng.uniform(-2.0, -0.1))
         gauss_im = float(rng.uniform(-1.0, 1.0))
         scale = float(rng.uniform(0.3, 2.0))
         x_shift = float(rng.uniform(-1.0, 1.0))
         k_lin = float(rng.uniform(-2.0, 2.0))
         phase0 = float(rng.uniform(-10.0, 10.0))
         dphase = float(rng.uniform(-3.0, 3.0))
-        params = (log_norm, gauss_re, gauss_im, scale, x_shift, k_lin, phase0)
+        params = (gauss_im, scale, x_shift, k_lin, phase0)
         d = x - x_shift
-        envelope = np.exp(log_norm + gauss_re * d * d)
+        envelope = np.sqrt(scale) * np.exp(-0.5 * (scale * d) ** 2)
 
         def h(k):
             if k < 0:
@@ -111,13 +114,20 @@ def test_state_kernel_matches_direct_formula(rng):
         rows = kernel_block(x, orders, *params, dphase)
         for k, row in zip(orders, rows):
             check(row, k, phase0 + k * dphase)
+        # xi steps of 1.1 X / 512 < 0.1, X the cutoff root in xi
+        radius = 1.1 * _cutoff_radius(max(orders + [n]), scale)
+        wide = np.linspace(x_shift - radius, x_shift + radius, 1025)
+        rows = kernel_block(wide, orders + [n], *params, dphase)
+        assert np.all(rows[:, [0, -1]] == 0.0)
+        norms = (wide[1] - wide[0]) * np.sum(np.abs(rows) ** 2, axis=-1)
+        assert np.all(np.abs(norms - 1.0) <= 1e-12), norms
 
 
 def test_state_kernel_takes_points_in_any_order(rng):
     """Shuffled and descending points give the ascending result permuted,
     bit for bit, in the shape of x."""
     x = np.linspace(-8.0, 8.0, 1001)
-    args = (7, -0.3, -0.8, 0.4, 1.1, 0.2, 0.7, 1.5, 0.0)
+    args = (7, 0.4, 1.1, 0.2, 0.7, 1.5, 0.0)
     ascending = kernels.state_kernel(x, *args)
     for perm in (rng.permutation(len(x)), np.arange(len(x))[::-1]):
         got = kernels.state_kernel(x[perm], *args)
@@ -130,7 +140,7 @@ def test_state_kernel_underflow_short_circuit():
     """Far tail underflows to exactly 0, without overflow warnings."""
     x = np.linspace(-500.0, 500.0, 101)
     with np.errstate(over="raise", invalid="raise"):
-        vals = kernels.state_kernel(x, 40, 0.0, -1.0, 0.3, 1.0, 0.0, 0.0, 0.0, 0.0)
+        vals = kernels.state_kernel(x, 40, 0.3, 1.0, 0.0, 0.0, 0.0, 0.0)
     assert np.all(np.isfinite(vals))
     assert vals[0] == 0.0 and vals[-1] == 0.0
     assert vals[len(x) // 2] != 0.0
@@ -185,7 +195,7 @@ def test_block_returns_only_the_requested_orders(driven_ck, orders):
 # ---------------------------------------------------------------------------
 
 def _stacked_is_per_slice(x, orders, slices, depth=None):
-    """A stacked call over the slices (each the 8 parameters log_norm ..
+    """A stacked call over the slices (each the 6 parameters gauss_im ..
     dphase) holds, slice by slice, the bytes of a one-slice call, both at
     the given depth."""
     got = kernel_block(x, orders, *(list(c) for c in zip(*slices)), depth=depth)
@@ -205,7 +215,7 @@ def test_stacked_slices_keep_their_own_windows(driven_ck):
     each is zero outside its own window.  The residual's seven stencil
     times of a driven state are such a stack."""
     x = np.linspace(-12.0, 12.0, 2001)
-    slices = [(-0.2, -50.0, 0.3, 10.0, shift, 0.4, 0.1, 1.3) for shift in (-5.0, 0.5, 5.0)]
+    slices = [(0.3, 10.0, shift, 0.4, 0.1, 1.3) for shift in (-5.0, 0.5, 5.0)]
     got = _stacked_is_per_slice(x, [0, 3, 9], slices)
     supports = [_support(rows) for rows in got]
     assert len(set(supports)) == 3 and all(0 < a < b < len(x) - 1 for a, b in supports)
@@ -223,26 +233,26 @@ def test_stacked_slices_keep_their_own_windows(driven_ck):
 
 
 def test_stacked_fast_and_exponent_tracked_slices():
-    """A slice whose Gaussian stays in the normal range on its window (the
-    fast path) beside one whose own-window log amplitude falls below
-    LOG_FLOOR (exponents tracked): each keeps its own decision."""
+    """A slice whose Gaussian stays in the normal range on the grid (the
+    fast path) beside a narrower one whose whole cutoff window lies on the
+    grid, so that its log amplitude falls below LOG_FLOOR there (exponents
+    tracked): each keeps its own decision."""
     x = np.linspace(-10.0, 10.0, 1025)
-    fast = (0.0, -0.5, 0.2, 1.0, 0.0, 0.0, 0.3, 0.7)
-    tracked = (-680.0, -0.5, -0.2, 1.0, 0.5, 0.1, -0.4, 1.1)
+    fast = (0.2, 1.0, 0.0, 0.0, 0.3, 0.7)
+    tracked = (-0.2, 5.0, 0.5, 0.1, -0.4, 1.1)
     got = _stacked_is_per_slice(x, [64, 7], [fast, tracked, fast])
     for params, rows, is_tracked in ((fast, got[0], False), (tracked, got[1], True)):
-        log_norm, gauss_re, x_shift = params[0], params[1], params[4]
+        scale, x_shift = params[1], params[2]
         a, b = _support(rows)
-        d2 = float(np.max((x[[a, b]] - x_shift) ** 2))
-        assert (log_norm + gauss_re * d2 < kernels._ref.LOG_FLOOR) == is_tracked
+        xi2 = float(np.max((scale * (x[[a, b]] - x_shift)) ** 2))
+        assert (0.5 * math.log(scale) - 0.5 * xi2 < kernels._ref.LOG_FLOOR) == is_tracked
 
 
 def test_stacked_slices_on_the_rescale_path():
     """Orders past 300 rescale the recurrence; each slice rescales on its
     own bound, and its rows stay those of a one-slice call."""
     x = np.linspace(-40.0, 40.0, 4097)
-    slices = [(0.0, -0.5 * sc * sc, 0.1, sc, 0.2 * sc, 0.0, 0.0, 0.5)
-              for sc in (1.0, 1.1, 0.9)]
+    slices = [(0.1, sc, 0.2 * sc, 0.0, 0.0, 0.5) for sc in (1.0, 1.1, 0.9)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _stacked_is_per_slice(x, [301, 0, 120], slices)
@@ -251,25 +261,26 @@ def test_stacked_slices_on_the_rescale_path():
 
 def test_slice_parameters_of_more_than_one_axis_are_refused():
     x = np.linspace(-8.0, 8.0, 64)
-    params = [np.full((2, 2), p) for p in (-0.3, -0.8, 0.4, 1.1, 0.0, 0.2, 0.7, 1.5)]
+    params = [np.full((2, 2), p) for p in (0.4, 1.1, 0.0, 0.2, 0.7, 1.5)]
     with pytest.raises(ValueError) as refused:
         kernels.state_kernel_window(x, [0, 1], *params)
     assert refused.type is ValueError
     assert str(refused.value) == "slice parameters must be scalars or 1-D sequences"
 
 
+# scales past about 2.7 put a slice's whole cutoff window on [-8, 8], where
+# its log amplitude falls below LOG_FLOOR and its exponents are tracked
 _slice = st.tuples(
-    st.floats(-720.0, 5.0), st.floats(-2.0, -0.05), st.floats(-1.0, 1.0),
-    st.floats(0.3, 2.0), st.floats(-6.0, 6.0), st.floats(-2.0, 2.0),
-    st.floats(-10.0, 10.0), st.floats(-3.0, 3.0))
+    st.floats(-1.0, 1.0), st.floats(0.3, 8.0), st.floats(-6.0, 6.0),
+    st.floats(-2.0, 2.0), st.floats(-10.0, 10.0), st.floats(-3.0, 3.0))
 
 
 def _twins(slices, phases):
-    """The slices (log_norm .. dphase), then for each slice and each
+    """The slices (gauss_im .. dphase), then for each slice and each
     (gauss_im, k_lin, phase0, dphase) of phases a twin with the slice's
-    amplitude (log_norm, gauss_re, scale, x_shift) and that phase."""
-    return list(slices) + [(ln, gr, gi, sc, shift, kl, p0, dp)
-                           for ln, gr, _, sc, shift, *_ in slices
+    amplitude (scale, x_shift) and that phase."""
+    return list(slices) + [(gi, sc, shift, kl, p0, dp)
+                           for _, sc, shift, *_ in slices
                            for gi, kl, p0, dp in phases]
 
 
@@ -280,7 +291,7 @@ _phase = st.tuples(st.floats(-1.0, 1.0), st.floats(-2.0, 2.0), st.floats(-10.0, 
 def _moved(slice_, shift):
     """slice_ with its x_shift moved by shift: the same radius, another
     amplitude."""
-    return slice_[:4] + (slice_[4] + shift,) + slice_[5:]
+    return slice_[:2] + (slice_[2] + shift,) + slice_[3:]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -289,7 +300,7 @@ def _moved(slice_, shift):
        orders=st.lists(st.integers(0, 64), min_size=1, max_size=4))
 def test_stacked_call_is_one_call_per_slice(slices, phases, shift, orders):
     """Any stack of 1-8 slices, some of them repeated, with twins that share
-    a slice's amplitude (log_norm, gauss_re, scale, x_shift) but not its
+    a slice's amplitude (scale, x_shift) but not its
     gauss_im, k_lin, phase0 and dphase, and the slices moved by shift (the
     same radius, another amplitude), and any orders up to 64: bit for bit
     the one-slice calls."""
@@ -312,24 +323,24 @@ def _counting_rows():
 def _one_change(slice_):
     """Four twins of a slice: each moves one of gauss_im, k_lin, phase0 and
     dphase, and keeps the amplitude."""
-    ln, gr, gi, sc, shift, kl, p0, dp = slice_
-    return [(ln, gr, gi + 0.3, sc, shift, kl, p0, dp),
-            (ln, gr, gi, sc, shift, kl + 0.5, p0, dp),
-            (ln, gr, gi, sc, shift, kl, p0 + 1.0, dp),
-            (ln, gr, gi, sc, shift, kl, p0, dp - 1.2)]
+    gi, sc, shift, kl, p0, dp = slice_
+    return [(gi + 0.3, sc, shift, kl, p0, dp),
+            (gi, sc, shift, kl + 0.5, p0, dp),
+            (gi, sc, shift, kl, p0 + 1.0, dp),
+            (gi, sc, shift, kl, p0, dp - 1.2)]
 
 
 @pytest.mark.parametrize("x, orders, slices", [
     # the fast path: the Gaussian stays in the normal range on each window
     (np.linspace(-10.0, 10.0, 1025), [64, 7],
-     [(0.0, -0.5, 0.2, 1.0, 0.0, 0.0, 0.3, 0.7), (-3.0, -0.6, 0.1, 1.1, 1.5, 0.2, 0.0, 0.4)]),
+     [(0.2, 1.0, 0.0, 0.0, 0.3, 0.7), (0.1, 1.1, 1.5, 0.2, 0.0, 0.4)]),
     # exponents tracked: read to LOG_FLOOR, the amplitude leaves the normal
     # range at large xi
     (np.linspace(-40.0, 40.0, 2049), [64, 0],
-     [(-680.0, -0.5, -0.2, 1.0, 0.5, 0.1, -0.4, 1.1), (0.0, -0.5, 0.2, 1.0, -1.0, 0.0, 0.0, 0.5)]),
+     [(-0.2, 1.0, 0.5, 0.1, -0.4, 1.1), (0.2, 1.0, -1.0, 0.0, 0.0, 0.5)]),
     # the rescale path: orders past 300
     (np.linspace(-40.0, 40.0, 4097), [301, 0, 120],
-     [(0.0, -0.5, 0.1, 1.0, 0.2, 0.0, 0.0, 0.5), (0.0, -0.605, 0.1, 1.1, 0.22, 0.0, 0.0, 0.5)]),
+     [(0.1, 1.0, 0.2, 0.0, 0.0, 0.5), (0.1, 1.1, 0.22, 0.0, 0.0, 0.5)]),
 ], ids=["fast", "tracked", "rescaled"])
 def test_one_recurrence_row_per_distinct_amplitude(x, orders, slices):
     """Twins that differ from a slice in gauss_im, k_lin, phase0 or dphase
@@ -365,7 +376,7 @@ def test_stationary_stencils_and_probes_share_their_recurrence_rows():
     window = tdho.states.state_kernel_window
 
     def counting(x, orders, *params, **kw):
-        table = np.array(params[:5])[[0, 1, 3, 4]].T
+        table = np.array(params[1:3]).T
         amplitudes.append((len(table), len({row.tobytes() for row in table})))
         return window(x, orders, *params, **kw)
 
@@ -381,37 +392,41 @@ def test_stationary_stencils_and_probes_share_their_recurrence_rows():
 
 
 def _counting_solves():
-    """A patch of _cutoff_radius that records the arguments of each solve."""
-    solve, calls = kernels._ref._cutoff_radius, []
+    """A patch of _xi_radius that records the arguments of each solve."""
+    solve, calls = kernels._ref._xi_radius, []
 
     def counting(*args):
         calls.append(args)
         return solve(*args)
 
-    return mock.patch.object(kernels._ref, "_cutoff_radius", counting), calls
+    return mock.patch.object(kernels._ref, "_xi_radius", counting), calls
 
 
 def test_slices_that_share_a_radius_share_one_solve():
-    """A call solves one cutoff radius per distinct (log_norm, gauss_re,
-    scale): slices that differ only in shift, chirp or phase, or repeat,
-    share it; the stack still holds each one-slice call's bytes."""
+    """A call solves one root in xi per distinct depth of the floor below
+    the amplitude (_floor_depth), and each slice's radius is that root over
+    its scale.  At a depth the floor lies that depth below every slice's
+    amplitude, so a stack of any scales, shifts, chirps and phases makes
+    one solve; read to LOG_FLOOR, it makes one per distinct scale.  The
+    stack still holds each one-slice call's bytes."""
     x = np.linspace(-12.0, 12.0, 1025)
-    slices = [(-0.2, -0.8, chirp, 1.2, shift, 0.3, phase, 0.9)
-              for chirp, shift, phase in ((0.1, 0.0, 0.0), (0.4, 2.0, 1.0),
-                                          (0.1, 0.0, 0.0), (-0.3, -1.5, 2.0))]
-    slices.append((-0.2, -0.7, 0.1, 1.2, 0.0, 0.3, 0.0, 0.9))
-    patch, calls = _counting_solves()
-    with patch:
-        _stacked_is_per_slice(x, [30, 2], slices, depth=DEPTH)
-    # the stacked call's two solves, then one per one-slice call
-    assert [c[1:] for c in calls[:2]] == [(-0.2, -0.8, 1.2, DEPTH),
-                                          (-0.2, -0.7, 1.2, DEPTH)]
-    assert len(calls) == 2 + len(slices)
+    slices = [(chirp, scale, shift, 0.3, phase, 0.9)
+              for chirp, scale, shift, phase in ((0.1, 1.2, 0.0, 0.0), (0.4, 1.2, 2.0, 1.0),
+                                                 (0.1, 1.2, 0.0, 0.0), (-0.3, 0.8, -1.5, 2.0),
+                                                 (0.1, 1.5, 0.0, 0.0))]
+    for depth, bases in ((DEPTH, [DEPTH]),
+                         (None, [_floor_depth(scale) for scale in (1.2, 0.8, 1.5)])):
+        patch, calls = _counting_solves()
+        with patch:
+            _stacked_is_per_slice(x, [30, 2], slices, depth=depth)
+        # the stacked call's solves, then one per one-slice call
+        assert calls[:len(bases)] == [(30, base) for base in bases], depth
+        assert len(calls) == len(bases) + len(slices), depth
 
 
 def test_the_stationarity_probes_share_one_solve():
-    """The nine C = 1 probes of one period are one stack with one solve:
-    the stationary state's amplitude does not move."""
+    """The nine C = 1 probes of one period are one stack with one solve, as
+    every stack read to a depth is."""
     model = CaldirolaKanai(1.0, 0.0, 1.3, t_min=-1.0, t_max=6.0)
     x = np.linspace(-15.0, 15.0, 2049)
     probes = np.linspace(0.0, 2.0 * math.pi / 1.3, 9)
@@ -422,28 +437,24 @@ def test_the_stationarity_probes_share_one_solve():
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(0, 1000), log_norm=st.floats(-720.0, 5.0),
-       scale=st.floats(0.05, 3.0), gauss_re=st.one_of(st.none(), st.floats(-5.0, -1e-3)),
+@given(n=st.integers(0, 1000), scale=st.floats(0.05, 3.0),
+       depth=st.one_of(st.none(), st.floats(0.0, 800.0)),
        lower=st.lists(st.integers(0, 1000), max_size=3))
-def test_the_top_order_cutoff_radius_bounds_every_lower_order(n, log_norm, scale,
-                                                              gauss_re, lower):
+def test_the_top_order_cutoff_radius_bounds_every_lower_order(n, scale, depth, lower):
     """A block solves one cutoff radius, its top order's: that radius is at
-    least every lower order's, for a state's Gaussian (gauss_re = -scale^2/2)
-    or any other, and the block equals, byte for byte, one cut at the widest
-    of its orders' radii."""
-    if gauss_re is None:
-        gauss_re = -0.5 * scale * scale
-    radii = [_cutoff_radius(k, log_norm, gauss_re, scale) for k in range(n + 1)]
+    least every lower order's, at any depth, and the block equals, byte for
+    byte, one cut at the widest of its orders' radii."""
+    radii = [_cutoff_radius(k, scale, depth) for k in range(n + 1)]
     assert max(radii) == radii[-1]
     orders = [k % (n + 1) for k in lower] + [n]
     half = max(1.5 * radii[-1], 1.0)
     x = np.linspace(-half, half, 513) + 0.4
-    params = (log_norm, gauss_re, 0.3, scale, 0.4, 0.2, 0.1, 0.7)
-    got = kernel_block(x, orders, *params)
-    solve = kernels._ref._cutoff_radius
-    with mock.patch.object(kernels._ref, "_cutoff_radius",
-                           lambda _, *a: max(solve(k, *a) for k in orders)):
-        want = kernel_block(x, orders, *params)
+    params = (0.3, scale, 0.4, 0.2, 0.1, 0.7)
+    got = kernel_block(x, orders, *params, depth=depth)
+    solve = kernels._ref._xi_radius
+    with mock.patch.object(kernels._ref, "_xi_radius",
+                           lambda _, base: max(solve(k, base) for k in orders)):
+        want = kernel_block(x, orders, *params, depth=depth)
     assert got.tobytes() == want.tobytes()
 
 
@@ -451,13 +462,10 @@ def test_the_top_order_cutoff_radius_bounds_every_lower_order(n, log_norm, scale
 # read depth
 # ---------------------------------------------------------------------------
 
-DEPTH = tdho.verify.READ_DEPTH
-
-
 def _depth_case(name, driven_ck):
     """(read(orders, x), params) of one slice: the driven state at t = 1
     (state_window) or a closed-form family's state (closed_form_window),
-    zero-padded to x, and the slice's eight kernel parameters."""
+    zero-padded to x, and the slice's six kernel parameters."""
     if name == "driven_ck":
         spec = StateSpec(0, 1.0, *driven_ck)
         return (lambda orders, x: on_grid(state_window(spec, x, 1.0, orders), len(x)),
@@ -483,10 +491,10 @@ def test_a_depth_zeros_only_what_lies_below_it(driven_ck, name, n):
     block within 1e-13 of its row's peak; depth=None is the call without
     it, byte for byte; the state's public read is the block at DEPTH."""
     read, params = _depth_case(name, driven_ck)
-    log_norm, gauss_re, _, scale, x_shift = params[:5]
+    _, scale, x_shift = params[:3]
     orders = sorted({n, n // 2, 0}, reverse=True)
-    full_radius = _cutoff_radius(n, log_norm, gauss_re, scale)
-    radius = _cutoff_radius(n, log_norm, gauss_re, scale, DEPTH)
+    full_radius = _cutoff_radius(n, scale)
+    radius = _cutoff_radius(n, scale, DEPTH)
     assert radius < full_radius
     x = x_shift + np.linspace(-1.2, 1.2, 4001) * full_radius
     full = kernel_block(x, orders, *params)
@@ -508,24 +516,25 @@ def test_every_order_peaks_above_its_bound(n):
     READ_DEPTH rests: a sample below e^-READ_DEPTH of the amplitude scale is
     then below eps/16 of its row's peak."""
     xi = np.arange(0.0, math.sqrt(2 * n + 1) + 2.0, 0.002)
-    peak = np.max(np.abs(kernels.state_kernel(xi, n, 0.0, -0.5, 0.0, 1.0, 0.0, 0.0, 0.0,
-                                              0.0)))
+    peak = np.max(np.abs(kernels.state_kernel(xi, n, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)))
     assert peak >= 0.358
     assert math.exp(-DEPTH) / 0.358 < np.finfo(float).eps / 16
 
 
 def test_stacked_slices_at_a_depth_are_one_call_per_slice():
     """A stack read to a depth holds each slice's one-slice call at that
-    depth: slices whose floors differ (one already at LOG_FLOOR) each keep
-    their own window, narrower than at full depth where the floor rose."""
+    depth: slices of distinct scales each keep their own window, narrower
+    than at full depth.  No float64 scale puts its amplitude within DEPTH of
+    LOG_FLOOR, so at DEPTH the floor lies DEPTH below every amplitude."""
     x = np.linspace(-30.0, 30.0, 2049)
-    slices = [(log_norm, -0.5, 0.2, 1.0, shift, 0.3, 0.1, 0.9)
-              for log_norm, shift in ((0.0, -2.0), (-5.0, 1.0), (-680.0, 0.0))]
-    assert -680.0 - DEPTH < kernels._ref.LOG_FLOOR
+    slices = [(0.2, scale, shift, 0.3, 0.1, 0.9)
+              for scale, shift in ((1.0, -2.0), (2.5, 1.0), (0.5, 0.0))]
+    assert _floor_depth(np.nextafter(0.0, 1.0), DEPTH) == DEPTH
     got = _stacked_is_per_slice(x, [24, 3, 0], slices, depth=DEPTH)
     full = _stacked_is_per_slice(x, [24, 3, 0], slices)
     widths = [np.count_nonzero(np.any(rows != 0.0, axis=0)) for rows in (*got, *full)]
-    assert widths[0] < widths[3] and widths[1] < widths[4] and widths[2] == widths[5]
+    assert len(set(widths[:3])) == 3
+    assert all(widths[i] < widths[i + 3] for i in range(3))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -557,7 +566,7 @@ def _window_is_block(x, orders, params, depth=None):
     assert rows.shape == np.shape(params[0]) + (len(orders), width)
     assert 0 <= offset <= len(x) - width
     shuffled = np.random.default_rng(width).permutation(len(x))
-    for slice_ in np.array(params, dtype=float).reshape(8, -1).T:
+    for slice_ in np.array(params, dtype=float).reshape(6, -1).T:
         kernel_params = slice_.tolist()
         for k in orders:
             padded = kernel_block(x, [k], *kernel_params)[0]
@@ -601,6 +610,6 @@ def test_the_window_of_slices_below_their_floor_is_empty():
     """Slices that lie below the floor everywhere on x have no window: no
     columns at offset 0, and the block is all zeros."""
     x = np.linspace(5.0, 9.0, 129)
-    slices = [(0.0, -2.0, 0.0, 2.0, shift, 0.0, 0.0, 0.0) for shift in (-30.0, -40.0)]
+    slices = [(0.0, 2.0, shift, 0.0, 0.0, 0.0) for shift in (-30.0, -40.0)]
     rows, offset = _window_is_block(x, [3, 1], [list(c) for c in zip(*slices)], DEPTH)
     assert rows.shape == (2, 2, 0) and offset == 0

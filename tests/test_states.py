@@ -251,9 +251,8 @@ def test_a_stack_of_times_reads_as_one_call_per_time(name):
     for i, t in enumerate(STACK.tolist()):
         one = on_grid(state_window(spec, X, t, orders), len(X))
         assert stack[i].tobytes() == one.tobytes(), t
-        log_norm, gauss_re, _, scale, x_shift = params[:5, i]
-        assert state_cutoff(spec, X, t) == cutoff_window(X, spec.n, log_norm, gauss_re,
-                                                         scale, x_shift)
+        _, scale, x_shift = params[:3, i]
+        assert state_cutoff(spec, X, t) == cutoff_window(X, spec.n, scale, x_shift)
         want = state_kernel(X, spec.n, *params[:, i])
         assert field(X, t).tobytes() == want.tobytes(), t
 

@@ -42,10 +42,10 @@ def _gauss_field(x, t):
     return np.pi**-0.25 * np.exp(-((x - 0.3) ** 2) / 2.0) * np.exp(0.2j * x)
 
 
-# _gauss_field as the kernel's eight slice columns (log_norm, gauss_re,
-# gauss_im, scale, x_shift, k_lin, phase0, dphase) of order 0, whose
-# h_0 = pi^{-1/4} holds the normalisation
-_GAUSS = np.array([0.0, -0.5, 0.0, 1.0, 0.3, 0.2, 0.0, 0.0])
+# _gauss_field as the kernel's six slice columns (gauss_im, scale, x_shift,
+# k_lin, phase0, dphase) of order 0, whose h_0 = pi^{-1/4} holds the
+# normalisation
+_GAUSS = np.array([0.0, 1.0, 0.3, 0.2, 0.0, 0.0])
 
 
 def _drawn(columns, n=0, x=GRID.xs()):
@@ -150,7 +150,7 @@ def test_phase_factors():
 
 def test_phases_respect_hbar():
     """On columns and on samples, k enters as k / hbar."""
-    unboosted = _GAUSS * [1, 1, 1, 1, 1, 0, 1, 1]
+    unboosted = _GAUSS * [1, 1, 1, 0, 1, 1]
     out = _drawn(_affine_columns(unboosted, 0.5, k=0.3))
     np.testing.assert_allclose(out, np.exp(0.6j * GRID.xs()) * _drawn(unboosted),
                                rtol=1e-15)
@@ -201,7 +201,7 @@ def _psi_1(x, t):
 
 
 # psi_1 as kernel columns: h_1(x) = sqrt(2) pi^{-1/4} x
-_PSI_1 = np.array([0.0, -0.5, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+_PSI_1 = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("on_columns", [True, False], ids=["source", "lagrange"])
@@ -321,9 +321,8 @@ def _primitives(model, driven, t):
     }
 
 
-# _narrow and _narrow(x - 0.7) as kernel columns of order 0
-_NARROW = np.array([[0.25 * np.log(np.pi)] * 2, [-0.5] * 2, [0.0] * 2, [1.0] * 2,
-                    [0.0, 0.7], [0.4] * 2, [0.0, -0.28], [0.0] * 2])
+# _narrow and _narrow(x - 0.7), normalised, as kernel columns of order 0
+_NARROW = np.array([[0.0] * 2, [1.0] * 2, [0.0, 0.7], [0.4] * 2, [0.0, -0.28], [0.0] * 2])
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["source", "lagrange"])
@@ -399,7 +398,7 @@ def test_chain_reproduces_driven_state_exactly(driven_sho):
 
 # a displaced, chirped, boosted packet at hbar = 0.5 as kernel columns
 _PACKET_HBAR = 0.5
-_PACKET = np.array([0.1, -0.5 * 1.3**2, 0.2, 1.3, 1.1, 1.0, 0.3, 0.7])
+_PACKET = np.array([0.2, 1.3, 1.1, 1.0, 0.3, 0.7])
 
 
 @pytest.mark.parametrize("fused", list(_COEFFICIENTS), ids=lambda f: f.__name__)

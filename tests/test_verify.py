@@ -783,7 +783,7 @@ def test_detuned_boost_fails_the_uncertainty_check(monkeypatch, bundled_context,
     def detuned(spec, t):
         params = slice_params(spec, t)
         if spec.driven is not None:
-            params[5] = 1.001 * params[5]
+            params[3] = 1.001 * params[3]
         return params
 
     monkeypatch.setattr(tdho.states, "_slice_params", detuned)
@@ -919,7 +919,7 @@ def test_a_boosted_direct_state_fails_the_exact_chain(monkeypatch, bundled_conte
     def boosted(spec, t):
         params = slice_params(spec, t)
         if spec.driven is not None:
-            params[5] = 1.0001 * params[5]
+            params[3] = 1.0001 * params[3]
         return params
 
     monkeypatch.setattr(tdho.states, "_slice_params", boosted)
