@@ -1,6 +1,16 @@
-"""Pure-numpy implementation of the grid kernels."""
+"""Pure-numpy implementation of the grid kernels.
 
-import cmath
+A state is sqrt(scale) e^{-xi^2/2} h_k(xi) times its phases.  The kernel
+runs the monic recurrence f_{k+1} = xi f_k - (k/2) f_{k-1} (DLMF §18.9),
+three array passes per step, on values with a binary exponent per point
+(Bunck, BIT 49 (2009) 281-295), rescaled before the growth bound
+max(xi_max + k/2, 1) per step lets them overflow.  h_k = c_k f_k, with
+c_k = sqrt(2^k / k!) a float mantissa times a power of two that joins
+those exponents, is formed for the requested orders only, so nothing
+under- or overflows on its own up to n = 1000.
+"""
+
+import functools
 import math
 
 import numpy as np
@@ -71,27 +81,68 @@ def _cutoff_radius(n, scale, depth=None):
     return _xi_radius(n, _floor_depth(scale, depth)) / scale
 
 
-def _hermite_function_rows(n, xi, log_amp, spans):
-    """exp(log_amp) h_k(xi) for k = 0..n on a stack of slices, as (mantissa,
-    exponent) pairs.
+@functools.lru_cache(maxsize=64)
+def _monic_norms(orders):
+    """c_k = sqrt(2^k / k!), which takes the monic f_k to h_k, for the tuple
+    orders as (K, 1) columns (mantissa, power, c_k): c_k = mantissa *
+    2^power with mantissa in [0.5, 1), from k! exactly and rounded once, so
+    that c_1000 ~ 1e-1133 keeps every bit; c_k itself is 0 or subnormal
+    past k ~ 345."""
+    mantissa, power = [], []
+    for k in orders:
+        factorial = math.factorial(k)
+        shift = (factorial.bit_length() - k) // 2 + 64  # a root of >= 63 bits
+        m, p = math.frexp(float(math.isqrt((1 << (k + 2 * shift)) // factorial)))
+        mantissa.append(m)
+        power.append(p - shift)
+    mantissa = np.array(mantissa)[:, np.newaxis]
+    power = np.array(power, dtype=np.int32)[:, np.newaxis]
+    columns = mantissa, power, np.ldexp(mantissa, power)
+    for column in columns:  # shared by every call with these orders
+        column.setflags(write=False)
+    return columns
+
+
+def _monic_growth(n, xi_max):
+    """sum_{k < n} ln max(xi_max + k/2, 1): the monic recurrence's growth
+    bound over n steps on columns where |xi| <= xi_max."""
+    first = max(0, math.ceil(2.0 * (1.0 - xi_max)))  # xi_max + k/2 >= 1 from here
+    if first >= n:
+        return 0.0
+    return (math.lgamma(2.0 * xi_max + n) - math.lgamma(2.0 * xi_max + first)
+            - (n - first) * _LN2)
+
+
+def _hermite_function_rows(orders, xi, log_amp, spans):
+    """exp(log_amp) h_k(xi) for the ascending orders k on a stack of slices:
+    (norms, rows), the value of order orders[j] on slice s being
+    norms[j, s] * np.ldexp(m[s], e[s]) for the j-th (m, e) of rows.
 
     xi and log_amp are (S, W): slice s lives on its columns spans[s] = (a, b)
-    and is zero on the others; log_amp is overwritten.  The normalised
-    recurrence h_0 = pi^{-1/4}, h_1 = sqrt(2) xi h_0, h_{k+1} =
-    sqrt(2/(k+1)) xi h_k - sqrt(k/(k+1)) h_{k-1} (DLMF §18.9) runs on
-    m = value * 2^-e with an integer exponent e per point (Bunck, BIT 49
-    (2009) 281-295).  Where exp(log_amp) would
-    leave the normal float range on a slice's columns, e starts there as its
-    binary exponent, so the Gaussian never underflows on its own; elsewhere
-    e stays 0.  A slice's two recurrence terms are divided by a power of
-    two, which is exact, before a bound on their growth over its columns
-    could overflow.  So each slice decides from its own columns alone, as a
-    one-slice call on them would.  Yields (m_k, e) for k = 0..n, m_k (S, W)
-    and e (S, W), or the int 0 when no slice tracks exponents;
-    np.ldexp(m_k, e) is the value.  The next step overwrites both.
+    and is zero on the others; log_amp is overwritten.  The monic recurrence
+    f_0 = pi^{-1/4}, f_1 = xi f_0, f_{k+1} = xi f_k - (k/2) f_{k-1}
+    (DLMF §18.9: f_k = pi^{-1/4} H_k / 2^k) takes three array passes per
+    step, and h_k = c_k f_k with c_k = sqrt(2^k / k!) (_monic_norms) is
+    applied to the requested orders only.  It runs on m = f * 2^-e with an
+    integer exponent e per point (Bunck, BIT 49 (2009) 281-295).  Where
+    exp(log_amp) would leave the normal float range on a slice's columns, e
+    starts there as its binary exponent, so the Gaussian never underflows
+    on its own; elsewhere e stays 0.  A slice's two recurrence terms are
+    divided by a power of two, which is exact, before a bound on their
+    growth over its columns could overflow: max(|f_{k+1}|, |f_k|) <=
+    max(xi_max + k/2, 1) max(|f_k|, |f_{k-1}|).  So each slice decides from
+    its own columns alone, as a one-slice call on them would.
+
+    norms is (K, S) for the K orders.  On a slice that tracks exponents or
+    may rescale, norms holds c_k's mantissa and c_k's power of two rides
+    that slice's e; on any other, e is 0 and norms holds c_k whole, which
+    the growth bound keeps in the normal float range.  rows yields (m, e)
+    for the requested orders only: m (S, W), and e (S, W) or the int 0
+    when no slice carries exponents.  The next step overwrites both.
     """
+    n = orders[-1]
     e = np.zeros(xi.shape, dtype=np.int32)
-    tracked = False
+    carry = np.zeros(len(spans), dtype=bool)  # slices whose exponents may move
     watch = []  # [slice, max |xi|, growth bound] of slices that may overflow
     for s, (a, b) in enumerate(spans):
         log_amp[s, :a] = log_amp[s, b:] = -np.inf  # exp(-inf): exact zeros
@@ -101,44 +152,58 @@ def _hermite_function_rows(n, xi, log_amp, spans):
         xi_max = float(np.max(np.abs(xi[s, a:b])))
         amp_hi = float(np.max(amp))
         if LOG_FLOOR < float(np.min(amp)) and amp_hi < _RESCALE_LOG:
-            bound = amp_hi - _LOG_PI_4  # ln max(|h_k|, |h_{k-1}|) is at most this
+            bound = amp_hi - _LOG_PI_4  # ln max(|f_k|, |f_{k-1}|) is at most this
         else:
             exponent = np.floor(amp * (1.0 / _LN2))
-            amp -= exponent * _LN2  # h_0 below 2 pi^{-1/4} < 2
+            amp -= exponent * _LN2  # f_0 below 2 pi^{-1/4} < 2
             e[s, a:b] = exponent
-            tracked = True
+            carry[s] = True
             bound = _LN2
-        # max(|h_{k+1}|, |h_k|) <= max(a_k xi_max + b_k, 1) max(|h_k|, |h_{k-1}|),
-        # and a_k xi_max + b_k <= sqrt(2) xi_max + 1 for every k
-        if bound + n * math.log(math.sqrt(2.0) * xi_max + 1.0) > _RESCALE_LOG:
+        if bound + _monic_growth(n, xi_max) > _RESCALE_LOG:
             watch.append([s, xi_max, bound])
-    if not (tracked or watch):
-        e = 0  # every exponent stays 0, and ldexp(m, 0) is m
-    h = np.exp(log_amp, out=log_amp)  # log_amp's buffer holds h from here on
-    h *= _PI_M14
-    yield h, e
+            carry[s] = True
+    mantissa, power, whole = _monic_norms(tuple(orders))
+    norms = np.where(carry, mantissa, whole)
+    if carry.any():
+        powers = np.where(carry, power, 0)[:, :, np.newaxis]
+    else:
+        e = powers = 0  # every exponent stays 0, and ldexp(m, 0) is m
+    f = np.exp(log_amp, out=log_amp)  # log_amp's buffer holds f from here on
+    f *= _PI_M14
+    return norms, _monic_rows(orders, xi, f, e, powers, watch)
+
+
+def _monic_rows(orders, xi, f, e, powers, watch):
+    """The recurrence of _hermite_function_rows from f = f_0 on, yielding
+    (f_k, e + powers[j]) for the j-th requested order k."""
+    tracked = np.ndim(e) > 0
+    shifted = np.empty_like(e) if tracked else None
     # three buffers in turn: no step allocates
-    h_prev = np.zeros_like(h)
-    h_next = np.empty_like(h)
-    for k in range(n):
-        a_k = math.sqrt(2.0 / (k + 1))
-        b_k = math.sqrt(k / (k + 1))
+    f_prev = np.zeros_like(f)
+    f_next = np.empty_like(f)
+    j = 0  # the next requested order's index
+    for k in range(orders[-1] + 1):
+        if k == orders[j]:
+            yield f, (np.add(e, powers[j], out=shifted) if tracked else 0)
+            j += 1
+            if j == len(orders):
+                return
+        # the step from order k to k + 1
         for w in watch:
             s, xi_max, bound = w
-            step = math.log(max(a_k * xi_max + b_k, 1.0))
+            step = math.log(max(xi_max + 0.5 * k, 1.0))
             if bound + step > _RESCALE_LOG:
-                _, ex = np.frexp(np.maximum(np.abs(h[s]), np.abs(h_prev[s])))
-                np.ldexp(h[s], -ex, out=h[s])
-                np.ldexp(h_prev[s], -ex, out=h_prev[s])
+                _, ex = np.frexp(np.maximum(np.abs(f[s]), np.abs(f_prev[s])))
+                np.ldexp(f[s], -ex, out=f[s])
+                np.ldexp(f_prev[s], -ex, out=f_prev[s])
                 e[s] += ex
                 bound = 0.0
             w[2] = bound + step
-        np.multiply(xi, h, out=h_next)
-        h_next *= a_k
-        h_prev *= b_k
-        h_next -= h_prev
-        h_prev, h, h_next = h, h_next, h_prev
-        yield h, e
+        np.multiply(xi, f, out=f_next)
+        if k:
+            f_prev *= 0.5 * k
+            f_next -= f_prev
+        f_prev, f, f_next = f, f_next, f_prev
 
 
 def state_kernel(x, n, *params):
@@ -264,9 +329,11 @@ def _fill(stack, xw, orders, table, spans):
     Slices whose amplitude (scale, x_shift) is bitwise the same share their
     span and every real factor sqrt(scale) e^{-xi^2/2} h_k(xi), so the
     recurrence runs on one row per distinct amplitude; each slice then
-    takes its own phase and turn.  A call without repeated amplitudes
-    reuses the phase's buffers and allocates nothing new for the
-    recurrence's input."""
+    takes its real row by its amplitude, and its own phase and turn.  Each
+    requested order is written for all slices at once, with one multiply
+    and one in-place multiply.  A call without repeated amplitudes reuses
+    the phase's buffers and allocates nothing new for the recurrence's
+    input."""
     if not xw.size:
         return
     n = max(orders)
@@ -274,10 +341,14 @@ def _fill(stack, xw, orders, table, spans):
     for i, k in enumerate(orders):
         rows_of.setdefault(k, []).append(i)
     table = table.reshape(6, -1)
-    groups = {}  # amplitude bytes -> its slices, first come first
+    groups = {}  # amplitude bytes -> its index among the distinct ones
+    firsts, group_of = [], []  # each amplitude's first slice, each slice's amplitude
     for s, key in enumerate(table[1:3].T):
-        groups.setdefault(key.tobytes(), []).append(s)
-    groups = list(groups.values())
+        g = groups.setdefault(key.tobytes(), len(groups))
+        if g == len(firsts):
+            firsts.append(s)
+        group_of.append(g)
+    shared = len(firsts) < len(spans)
     gauss_im, scale, x_shift, k_lin, phase0, _ = table[:, :, np.newaxis]
     d = xw - x_shift
     # the row written last holds the common factor until its own turn;
@@ -290,8 +361,7 @@ def _fill(stack, xw, orders, table, spans):
     phase += phase0
     np.multiply(1j, phase, out=base)
     np.exp(base, out=base)
-    firsts = [g[0] for g in groups]
-    if len(groups) < len(spans):
+    if shared:
         # one row per distinct amplitude in buffers of their own, so that
         # the (S, W) ones are freed before the recurrence allocates
         d = xw - x_shift[firsts]
@@ -301,24 +371,27 @@ def _fill(stack, xw, orders, table, spans):
     log_amp = np.multiply(d, d, out=phase)
     log_amp *= -0.5
     log_amp += 0.5 * np.log(scale)
-    recurrence = _hermite_function_rows(n, d, log_amp, [spans[s] for s in firsts])
-    value = np.empty(xw.size)
-    dphases = table[5].tolist()
-    for k, (m, e) in enumerate(recurrence):
-        if k not in rows_of:
-            continue
-        # amplitude by amplitude on its own window: no (S, W) buffer for
-        # ldexp or cast
-        for u, slices in enumerate(groups):
-            p, q = spans[slices[0]]
-            v = m[u, p:q] if np.ndim(e) == 0 else np.ldexp(m[u, p:q], e[u, p:q],
-                                                           out=value[p:q])
-            for s in slices:
-                turn = cmath.exp(1j * (k * dphases[s]))
-                for i in rows_of[k]:
-                    row = stack[s, i, p:q]
-                    np.multiply(base[s, p:q], turn, out=row)
-                    row *= v
+    ks = sorted(rows_of)
+    norms, recurrence = _hermite_function_rows(ks, d, log_amp,
+                                               [spans[s] for s in firsts])
+    value = np.empty_like(d)
+    # every requested order's c_k e^{i k dphase} per slice, as (K, S)
+    turns = np.exp(1j * np.multiply.outer(ks, table[5]))
+    if shared:
+        group_of = np.array(group_of)
+        norms = norms[:, group_of]
+    # one amplitude's real row broadcasts; several are taken per slice
+    real = np.empty(base.shape) if len(firsts) > 1 and shared else None
+    turns *= norms
+    for k, turn, (m, e) in zip(ks, turns[:, :, np.newaxis], recurrence):
+        v = m if np.ndim(e) == 0 else np.ldexp(m, e, out=value)
+        if real is not None:
+            v = np.take(v, group_of, axis=0, out=real)
+        for i in rows_of[k]:
+            row = stack[:, i]
+            np.multiply(base, turn, out=row)
+            row *= v
+    # the products above leave signed zeros outside a slice's span
     for s, (p, q) in enumerate(spans):
         stack[s, :, :p] = 0.0
         stack[s, :, q:] = 0.0

@@ -13,8 +13,9 @@ delta.  The common evaluation kernel is
 
 with x_p = delta = 0 in the undriven case.  With scale = sqrt(Omega/hbar) / rho
 and xi = scale d the kernel evaluates it as sqrt(scale) e^{-xi^2/2} h_n(xi)
-times the phases, where h_n = H_n / sqrt(2^n n! sqrt(pi)) comes from the
-normalised Hermite recurrence, so one pass gives any set of orders of a
+times the phases, where h_n = H_n / sqrt(2^n n! sqrt(pi)) is the monic
+Hermite recurrence's f_n times sqrt(2^n / n!), that normalisation applied to
+the requested orders only, so one pass gives any set of orders of a
 slice or of a stack of them, on the slices' cutoff windows (state_window;
 state_cutoff names the window of one order).  The classical data of a stack
 of times is read once, as arrays: one domain check, one basis slice, one

@@ -279,6 +279,15 @@ def _resolved_spectrum(g: GridFunction, what: str) -> np.ndarray:
     return spectrum
 
 
+@functools.lru_cache(maxsize=1)
+def _roots_of_unity(points: int) -> np.ndarray:
+    """e^{-2 pi i j / P} for j = 0 .. P - 1: the DFT's twiddles on P points,
+    angles within one turn."""
+    roots = np.exp(-2j * math.pi / points * np.arange(points))
+    roots.setflags(write=False)  # shared by every call on P points
+    return roots
+
+
 def _nyquist_bins(g: GridFunction) -> np.ndarray:
     """The DFT bins P//2 - 1, P//2 and P//2 + 1 over the P points of g's
     grid of each row of g: (rows, 3) direct sums over its window, as its
@@ -286,8 +295,7 @@ def _nyquist_bins(g: GridFunction) -> np.ndarray:
     points = g.grid.points
     jk = np.outer(np.arange(g.offset, g.offset + g.values.shape[-1]),
                   np.arange(-1, 2) + points // 2)
-    # angles 2 pi (jk mod P) / P, within one turn
-    return g.values @ np.exp(-2j * math.pi / points * (jk % points))
+    return g.values @ _roots_of_unity(points)[jk % points]
 
 
 def _resolved_window(g: GridFunction, what: str):
@@ -561,12 +569,22 @@ def check_stationarity(field, grid: Grid, times):
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Max pointwise |a - e^{i phi} b| / max|a| with a single best phase."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    peak = _nondegenerate(np.max(np.abs(a)), "max|a|", "", "the relative distance")
-    overlap = np.vdot(b, a)
-    phi = overlap / abs(overlap) if overlap != 0 else 1.0
-    return float(np.max(np.abs(a - phi * b)) / peak)
+    return float(_phase_aligned_distances(np.reshape(a, (1, -1)),
+                                          np.reshape(b, (1, -1)))[0])
+
+
+def _phase_aligned_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """phase_aligned_distance of each row of a against the same row of b,
+    (R, W) each: one best phase per row, from one np.vdot per row (a phase
+    of 1 where a row's overlap is 0)."""
+    peak = _nondegenerate(np.max(np.abs(a), axis=-1), "max|a|", "",
+                          "the relative distance")
+    phi = []
+    for row_a, row_b in zip(a, b):
+        overlap = np.vdot(row_b, row_a)
+        phi.append(overlap / abs(overlap) if overlap != 0 else 1.0)
+    phi = np.array(phi, dtype=np.complex128)[:, np.newaxis]
+    return np.max(np.abs(a - phi * b), axis=-1) / peak
 
 
 # ---------------------------------------------------------------------------
@@ -752,8 +770,8 @@ def _run_closed_form(ctx: SuiteContext, rows) -> list:
     per_t = []
     for wanted, block in zip(_closed_forms(ctx, ctx.times), blocks):
         lo, hi, _ = _support(wanted, block).indices(ctx.grid.points)
-        per_t.append([phase_aligned_distance(want, row) for want, row in
-                      zip(wanted.columns(lo, hi), block.columns(lo, hi))])
+        per_t.append(_phase_aligned_distances(wanted.columns(lo, hi),
+                                              block.columns(lo, hi)).tolist())
     return [CheckResult("closed_form_agreement", {"n": n, "t": t}, d, tol)
             for n, t, d in _n_then_t(ctx, per_t)]
 

@@ -4,6 +4,7 @@ import math
 import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,14 @@ from numpy.polynomial.hermite import hermval
 import tdho
 import tdho._kernels as kernels
 import tdho.states
-from tdho._kernels._ref import _cutoff_radius, _floor_depth, _hermite_function_rows
+from tdho._kernels._ref import (
+    _RESCALE_LOG,
+    LOG_FLOOR,
+    _cutoff_radius,
+    _floor_depth,
+    _hermite_function_rows,
+    _monic_growth,
+)
 from tdho.classical import analytic_basis_sho, null_driven
 from tdho.models import CaldirolaKanai, LoDampedPulsating
 from tdho.states import (
@@ -38,10 +46,10 @@ def test_backend_is_declared():
 
 
 def _hermite_rows(n, xi):
-    """h_0..h_n at xi from the kernel's normalised recurrence."""
-    rows = _hermite_function_rows(n, xi[np.newaxis], np.zeros((1, len(xi))),
-                                  [(0, len(xi))])
-    return [np.ldexp(m, e)[0] for m, e in rows]
+    """h_0..h_n at xi from the kernel's recurrence, each row times its norm."""
+    norms, rows = _hermite_function_rows(list(range(n + 1)), xi[np.newaxis],
+                                         np.zeros((1, len(xi))), [(0, len(xi))])
+    return [c[0] * np.ldexp(m, e)[0] for c, (m, e) in zip(norms, rows)]
 
 
 def _hermite_norm(n):
@@ -165,6 +173,40 @@ def test_very_high_order_states_are_normalised_without_warnings(n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert abs(norm(sample_on_grid(field, grid, 1.0)) - 1.0) < 1e-12
+
+
+def _mp_hermite_function(n, xi, scale):
+    """sqrt(scale) e^{-xi^2/2} H_n(xi) / sqrt(2^n n! sqrt(pi)) at the float
+    xi, in 60-digit arithmetic, rounded once."""
+    with mpmath.workdps(60):
+        xi = mpmath.mpf(float(xi))
+        norm = mpmath.sqrt(mpmath.mpf(2) ** n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+        return float(mpmath.sqrt(scale) * mpmath.exp(-xi * xi / 2)
+                     * mpmath.hermite(n, xi) / norm)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 64, 300, 1000])
+def test_state_kernel_matches_mpmath_at_high_order(n):
+    """Rows of order n against mpmath's normalised Hermite function at the
+    kernel's own xi = (x - x_shift) * scale, to 1e-13 of the row's peak, over
+    the cutoff window: one slice read by state_kernel to LOG_FLOOR, where
+    from n = 64 on the Gaussian leaves the normal range and exponents are
+    tracked, and one read to READ_DEPTH; from n = 300 on both rows pass the
+    growth bound and rescale."""
+    scale, shift = 1.25, 0.5
+    params = (0.0, scale, shift, 0.0, 0.0, 0.0)
+    for depth in (None, DEPTH):
+        radius = _cutoff_radius(n, scale, depth)
+        x = np.linspace(shift - radius, shift + radius, 401)
+        xi = (x - shift) * scale
+        if depth is None:
+            got = kernels.state_kernel(x, n, *params)
+            assert n < 64 or 0.5 * math.log(scale) - 0.5 * float(xi[0]) ** 2 <= LOG_FLOOR
+        else:
+            got = kernel_block(x, [n], *params, depth=depth)[0]
+        assert n < 300 or _monic_growth(n, float(np.max(np.abs(xi)))) > _RESCALE_LOG
+        want = np.array([_mp_hermite_function(n, v, scale) for v in xi])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), depth
 
 
 def _block_matches_fields(basis, driven, orders):
@@ -313,9 +355,9 @@ def _counting_rows():
     recurrence runs on (xi.shape[0])."""
     recurrence, rows = kernels._ref._hermite_function_rows, []
 
-    def counting(n, xi, log_amp, spans):
+    def counting(orders, xi, log_amp, spans):
         rows.append(xi.shape[0])
-        return recurrence(n, xi, log_amp, spans)
+        return recurrence(orders, xi, log_amp, spans)
 
     return mock.patch.object(kernels._ref, "_hermite_function_rows", counting), rows
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import random
 import sys
 import warnings
@@ -630,6 +631,20 @@ def test_the_nyquist_bins_are_the_dfts_and_bound_its_ratio(bundled_context):
         assert np.all(bound >= exact), (label, bound, exact)
 
 
+@pytest.mark.parametrize("points", [257, 256])
+def test_the_nyquist_bins_read_one_table_of_roots(rng, points):
+    """On an odd and an even grid, the bins from the cached table of the
+    grid's roots of unity are bit for bit the direct sums over a fresh
+    e^{-2 pi i (jk mod P) / P}, for windows at several offsets and widths."""
+    grid = Grid(-5.0, 5.0, points)
+    for offset, width in [(0, points), (3, 40), (points // 2, 1), (points - 17, 17)]:
+        values = rng.normal(size=(2, width)) + 1j * rng.normal(size=(2, width))
+        jk = np.outer(np.arange(offset, offset + width), np.arange(-1, 2) + points // 2)
+        want = values @ np.exp(-2j * math.pi / points * (jk % points))
+        got = tdho.verify._nyquist_bins(GridFunction(grid, values, 0.0, offset=offset))
+        assert got.tobytes() == want.tobytes(), (offset, width)
+
+
 def test_orthonormality_takes_the_dft_only_as_its_fallback(monkeypatch, bundled_context):
     """run_suite's orthonormality makes no DFT on the resolved blocks of the
     bundled scenarios and the three high-order documents, and exactly the
@@ -818,6 +833,31 @@ def test_suite_closed_form_matches_per_order_fields(bundled_context, name):
         for t in ctx.times:
             want = phase_aligned_distance(closed(xs, t), general(xs, t))
             assert abs(rows[n, t, None].measured - want) < 1e-12
+
+
+def test_closed_form_distances_are_one_call_of_the_per_row_ones(bundled_context):
+    """On bundled ck the suite's one stacked call per time gives, bit for
+    bit, phase_aligned_distance of each row, and run_suite reports those
+    values; a zero row among them is refused with the one-row message."""
+    ctx = bundled_context("ck")
+    rows = _suite_rows(ctx, "closed_form_agreement")
+    closed = tdho.verify._closed_forms(ctx, ctx.times)
+    general = tdho.verify.state_window(ctx.state(max(ctx.ns)), ctx.grid, ctx.times, ctx.ns)
+    for t, wanted, block in zip(ctx.times, closed, general):
+        lo, hi, _ = tdho.verify._support(wanted, block).indices(ctx.grid.points)
+        a, b = wanted.columns(lo, hi), block.columns(lo, hi)
+        stacked = tdho.verify._phase_aligned_distances(a, b)
+        assert stacked.tolist() == [phase_aligned_distance(w, r) for w, r in zip(a, b)]
+        assert stacked.tolist() == [rows[n, t, None].measured for n in ctx.ns]
+    a = a.copy()
+    a[1] = 0.0
+    with pytest.raises(DegenerateStateError) as stacked_error:
+        tdho.verify._phase_aligned_distances(a, b)
+    with pytest.raises(DegenerateStateError) as row_error:
+        phase_aligned_distance(a[1], b[1])
+    assert str(stacked_error.value) == str(row_error.value)
+    assert str(row_error.value) == ("max|a| = 0.0: the sampled state is zero or not "
+                                    "finite, so the relative distance is undefined")
 
 
 @pytest.mark.parametrize("name", ["sho_c1", "sho_c2"])
