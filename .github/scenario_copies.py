@@ -99,6 +99,13 @@ COPIES = [
      {"model.params.w_lo": 6.0, "basis.ics": [1.0, -0.7, 0.0, 6.0],
       "closed_form": {"kind": "lo", "Ccoef": 1.0},
       "checks": ["closed_form_agreement", "omega_constancy", "frequency_map"]}, 0, None),
+    # a driven Lo model: its scalar ODE read with a force, and its law in
+    # the chain, the shift rule and the legacy delta
+    ("driven_lo", "lo",
+     {"driving": {"force": {"kind": "cosine", "amplitude": 0.5, "omega": 1.3},
+                  "xp0": 0.0, "dxp0": 0.0, "t0": 0.0, "tol": 1e-11},
+      "checks": ["residual", "uncertainty", "transform_chain", "delta_equivalence",
+                 "omega_constancy"]}, 0, None),
     # "sho" names the unit-mass oscillator only
     ("ck_as_sho", "ck", {"closed_form": {"kind": "sho"}}, 2, None),
     # every threshold is the certifier's, none the document's

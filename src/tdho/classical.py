@@ -178,9 +178,8 @@ class ReducedBasis(ClassicalBasis):
 
     def _read(self, t):
         u, du, v, dv, theta = self.base._read(t)
-        m = self.base.model
-        M = m.mass(t)
-        root_m, k = np.sqrt(M), 0.5 * (m.dmass(t) / M)
+        M, dM, _, _ = self.base.model.terms(t)
+        root_m, k = np.sqrt(M), 0.5 * (dM / M)
         return (root_m * u, root_m * (du + k * u), root_m * v, root_m * (dv + k * v),
                 theta)
 
@@ -413,7 +412,8 @@ def shift_particular(
 
     def rate(t):
         xp, dxp = path(t)
-        return _delta_rate(model.mass(t), model.freq2(t), xp, dxp)
+        M, _, _, w2 = model.terms(t)
+        return _delta_rate(M, w2, xp, dxp)
 
     delta = _panel_integral(rate, driven.t0, model.t_min, model.t_max,
                             _panel_width(model))

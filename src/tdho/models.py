@@ -1,7 +1,11 @@
 """Oscillator parameter families M(t), w^2(t), F(t).
 
-All builtin families carry closed-form first and second mass derivatives;
-nothing here is ever finite-differenced.  The unit-mass reduction
+A family states its law once, as `terms(t)` = (M, Mdot, Mddot, w^2) in
+closed form; nothing here is ever finite-differenced.  `mass`, `dmass`,
+`d2mass` and `freq2` are reads of `terms`, and a reader of two or more of
+them takes all from one `terms` call.  The Caldirola-Kanai and Lo families
+keep a scalar `ode_terms` of their own, the trajectory ODE's fast path,
+pinned bit for bit to those reads by the tests.  The unit-mass reduction
 w0^2 = w^2 + (1/4)(Mdot/M)^2 - (1/2)(Mddot/M) lives here too, since it only
 needs the model data.
 """
@@ -183,9 +187,10 @@ def force_from_json(doc) -> Force | None:
 class OscillatorModel:
     """Base: positive, twice-differentiable M(t) and w^2(t) on [t_min, t_max].
 
-    Subclasses implement mass/dmass/d2mass/freq2 in closed form; evaluation
-    is pure and instances are immutable after construction.  `keys` names
-    the family's parameters in constructor order, each an attribute.
+    A family implements `terms` in closed form, and nothing else of its
+    law; evaluation is pure and instances are immutable after construction.
+    `keys` names the family's parameters in constructor order, each an
+    attribute.
     """
 
     family = "base"
@@ -199,24 +204,27 @@ class OscillatorModel:
         self.force = force
 
     # closed-form family data -------------------------------------------
-    def mass(self, t):
+    def terms(self, t):
+        """(M, Mdot, Mddot, w^2) at a time or an array of times."""
         raise NotImplementedError
+
+    def mass(self, t):
+        return self.terms(t)[0]
 
     def dmass(self, t):
-        raise NotImplementedError
+        return self.terms(t)[1]
 
     def d2mass(self, t):
-        raise NotImplementedError
+        return self.terms(t)[2]
 
     def freq2(self, t):
-        raise NotImplementedError
+        return self.terms(t)[3]
 
     def ode_terms(self, t):
         """(M, Mdot/M, w^2, F) at one time t as floats: everything a step of
         the trajectory ODEs reads of the model."""
-        M = self.mass(t)
-        return (float(M), float(self.dmass(t) / M), float(self.freq2(t)),
-                float(self.force_at(t)))
+        M, dM, _, w2 = self.terms(t)
+        return float(M), float(dM / M), float(w2), float(self.force_at(t))
 
     # ---------------------------------------------------------------------
     def check_domain(self, t):
@@ -276,17 +284,9 @@ class CaldirolaKanai(OscillatorModel):
         self.gamma = float(gamma)
         self.w1 = float(w1)
 
-    def mass(self, t):
-        return self.m * np.exp(self.gamma * np.asarray(t, dtype=float))
-
-    def dmass(self, t):
-        return self.gamma * self.mass(t)
-
-    def d2mass(self, t):
-        return self.gamma**2 * self.mass(t)
-
-    def freq2(self, t):
-        return _constant(self.w1**2, t)
+    def terms(self, t):
+        M = self.m * np.exp(self.gamma * np.asarray(t, dtype=float))
+        return M, self.gamma * M, self.gamma**2 * M, _constant(self.w1**2, t)
 
     def ode_terms(self, t):
         M = float(self.m * np.exp(self.gamma * t))
@@ -316,32 +316,18 @@ class LoDampedPulsating(OscillatorModel):
         self.nu = float(nu)
         self.w_lo = float(w_lo)
 
-    def _g(self, t):
-        return self.gamma * t + self.mu * np.sin(self.nu * t)
-
-    def _dg(self, t):
-        """(g', g'') at t."""
-        return (self.gamma + self.mu * self.nu * np.cos(self.nu * t),
-                -self.mu * self.nu**2 * np.sin(self.nu * t))
-
-    def mass(self, t):
-        return self.m0 * np.exp(2.0 * self._g(np.asarray(t, dtype=float)))
-
-    def dmass(self, t):
-        return 2.0 * self._dg(t)[0] * self.mass(t)
-
-    def d2mass(self, t):
-        dg, d2g = self._dg(t)
-        return (4.0 * dg * dg + 2.0 * d2g) * self.mass(t)
-
-    def freq2(self, t):
+    def terms(self, t):
         # with g = gamma t + mu sin(nu t) and sqrt(M) = sqrt(m0) e^g, the
         # frequency that reduces to w_lo is w_lo^2 + g'^2 + g''
-        dg, d2g = self._dg(np.asarray(t, dtype=float))
-        return self.w_lo**2 + dg * dg + d2g
+        t = np.asarray(t, dtype=float)
+        sin, cos = np.sin(self.nu * t), np.cos(self.nu * t)
+        M = self.m0 * np.exp(2.0 * (self.gamma * t + self.mu * sin))
+        dg = self.gamma + self.mu * self.nu * cos
+        d2g = -self.mu * self.nu**2 * sin
+        return M, 2.0 * dg * M, (4.0 * dg * dg + 2.0 * d2g) * M, self.w_lo**2 + dg * dg + d2g
 
     def ode_terms(self, t):
-        # mass, dmass and freq2 term for term, from one sine and one cosine
+        # terms term for term, as floats, from one sine and one cosine
         t = float(t)
         nt = self.nu * t
         sin, cos = float(np.sin(nt)), float(np.cos(nt))
@@ -432,17 +418,8 @@ class GeneralParametric(OscillatorModel):
         self._M = _Hermite(ts, tables[:3])
         self._w2 = _Hermite(ts, [tables[3], _not_a_knot_slopes(ts, tables[3])])
 
-    def mass(self, t):
-        return self._M(t)
-
-    def dmass(self, t):
-        return self._M(t, 1)
-
-    def d2mass(self, t):
-        return self._M(t, 2)
-
-    def freq2(self, t):
-        return self._w2(t)
+    def terms(self, t):
+        return self._M(t), self._M(t, 1), self._M(t, 2), self._w2(t)
 
     def params(self):
         return {k: v.tolist() for k, v in self._tables.items()}
@@ -461,16 +438,9 @@ class ReducedUnitMass(OscillatorModel):
         super().__init__(base.t_min, base.t_max, None)
         self.base = base
 
-    def mass(self, t):
-        return _constant(1.0, t)
-
-    def dmass(self, t):
-        return _constant(0.0, t)
-
-    d2mass = dmass
-
-    def freq2(self, t):
-        return reduced_frequency_squared(self.base, t)
+    def terms(self, t):
+        zero = _constant(0.0, t)
+        return _constant(1.0, t), zero, zero, reduced_frequency_squared(self.base, t)
 
     def params(self):
         return {"base": self.base.to_json()}
@@ -486,10 +456,8 @@ def reduced_frequency_squared(model: OscillatorModel, t):
     Equivalently w^2 - (1/sqrt(M)) d^2(sqrt M)/dt^2.
     """
     model.check_domain(t)
-    M = model.mass(t)
-    dM = model.dmass(t)
-    d2M = model.d2mass(t)
-    return model.freq2(t) + 0.25 * (dM / M) ** 2 - 0.5 * (d2M / M)
+    M, dM, d2M, w2 = model.terms(t)
+    return w2 + 0.25 * (dM / M) ** 2 - 0.5 * (d2M / M)
 
 
 def frequency_scale(model: OscillatorModel) -> float:
@@ -499,12 +467,11 @@ def frequency_scale(model: OscillatorModel) -> float:
     Used to choose finite-difference dt and quadrature panel widths.
     """
     ts = np.linspace(model.t_min, model.t_max, 128)
-    w2 = np.max(np.abs(model.freq2(ts)))
+    M, dM, d2M, w2 = model.terms(ts)
     w02 = np.max(np.abs(reduced_frequency_squared(model, ts)))
-    scale = math.sqrt(max(w2, w02, 1e-12))
-    M = model.mass(ts)
-    scale = max(scale, np.max(np.abs(model.dmass(ts) / M)))
-    scale = max(scale, math.sqrt(np.max(np.abs(model.d2mass(ts) / M))))
+    scale = math.sqrt(max(np.max(np.abs(w2)), w02, 1e-12))
+    scale = max(scale, np.max(np.abs(dM / M)))
+    scale = max(scale, math.sqrt(np.max(np.abs(d2M / M))))
     if model.force is not None:
         scale = max(scale, model.force.frequency_hint())
     return float(max(scale, 1e-6))

@@ -64,9 +64,8 @@ class DenseSolution:
         self._h = np.array(h, dtype=np.float64)
         self._y_old = np.array(y_old, dtype=np.float64)
         # row-major (7, steps, components), so each row's gather is one
-        # contiguous take; _F is its (steps, 7, components) view
+        # contiguous take
         self._rows = np.stack(F, axis=1)
-        self._F = self._rows.transpose(1, 0, 2)
 
     @property
     def ncomponents(self):

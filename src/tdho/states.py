@@ -241,7 +241,7 @@ def _rho_tilde(s, C):
 # mass or a basis.
 
 def _ck_law(t, m, gamma, w1):
-    # M as CaldirolaKanai.mass forms it
+    # M as CaldirolaKanai.terms forms it
     return m * np.exp(gamma * t), gamma, w1 * w1 - 0.25 * gamma * gamma
 
 
@@ -250,8 +250,8 @@ def _lo_law(t, m0, gamma, mu, nu, w_lo):
         raise ValueError("m0 must be positive")
     if w_lo <= 0:
         raise ValueError("w_lo must be positive")
-    # M as LoDampedPulsating.mass forms it and k as the factor dmass puts on
-    # it, so both agree bit for bit
+    # M as LoDampedPulsating.terms forms it and k as the factor its Mdot puts
+    # on it, so both agree bit for bit
     M = m0 * np.exp(2.0 * (gamma * t + mu * np.sin(nu * t)))
     return M, 2.0 * (gamma + mu * nu * np.cos(nu * t)), w_lo * w_lo
 

@@ -298,31 +298,31 @@ def _affine_columns(columns, hbar, s=1.0, d=0.0, alpha=0.0, k=0.0, c=0.0):
 # composites
 # ---------------------------------------------------------------------------
 
-def _read(model: OscillatorModel, t, *names):
-    """The named model functions at t as floats, after the domain check."""
+def _read(model: OscillatorModel, t):
+    """(M, Mdot, Mddot, w^2) at t as floats, after the domain check."""
     model.check_domain(t)
-    return [float(getattr(model, name)(t)) for name in names]
+    return [float(q) for q in model.terms(t)]
 
 
 # each composite's (s, d, alpha, k, c) at t, on samples and on columns
 def _U0_coefficients(model: OscillatorModel, t):
-    M, dM = _read(model, t, "mass", "dmass")
+    M, dM, _, _ = _read(model, t)
     return M ** -0.5, 0.0, 0.25 * dM / M, 0.0, 0.0
 
 
 def _U0_dagger_coefficients(model: OscillatorModel, t):
-    M, dM = _read(model, t, "mass", "dmass")
+    M, dM, _, _ = _read(model, t)
     return M ** 0.5, 0.0, -0.25 * dM, 0.0, 0.0
 
 
 def _UF_coefficients(model: OscillatorModel, driven, t):
-    [M] = _read(model, t, "mass")
+    M = _read(model, t)[0]
     xp, dxp, delta = (float(q) for q in driven.slice(t))
     return 1.0, xp, 0.0, M * dxp, delta
 
 
 def _UF_dagger_coefficients(model: OscillatorModel, driven, t):
-    [M] = _read(model, t, "mass")
+    M = _read(model, t)[0]
     xp, dxp, delta = (float(q) for q in driven.slice(t))
     p = M * dxp
     return 1.0, -xp, 0.0, -p, -p * xp - delta
@@ -358,7 +358,7 @@ def apply_UF_dagger(model: OscillatorModel, driven, t, g: GridFunction) -> GridF
 def unit_mass_parameters(model: OscillatorModel, t):
     """(alpha, beta, dalpha, dbeta) of the canonical reduction beta = -ln M,
     alpha = Mdot/4M (the choice that kills the cross term)."""
-    M, dM, d2M = _read(model, t, "mass", "dmass", "d2mass")
+    M, dM, d2M, _ = _read(model, t)
     beta = -math.log(M)
     dbeta = -dM / M
     alpha = 0.25 * dM / M
@@ -369,7 +369,7 @@ def unit_mass_parameters(model: OscillatorModel, t):
 def hnew_coefficients(model: OscillatorModel, t, alpha, beta, dalpha, dbeta):
     """Coefficients (kinetic, cross, potential) of the transformed
     Hamiltonian  kinetic p^2 + cross (xp + px) + potential x^2."""
-    M, w2 = _read(model, t, "mass", "freq2")
+    M, _, _, w2 = _read(model, t)
     m_eff = M * math.exp(beta)
     kinetic = 0.5 / m_eff
     cross = -0.25 * dbeta - alpha / m_eff

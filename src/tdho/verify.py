@@ -396,8 +396,7 @@ def _residual_once(model, x, dx, points, t, dt, hbar, psi, d1, d2):
     # numpy's elementwise loops run at half speed or less on a window of
     # rows, which is strided, so the stencil reads one contiguous copy
     psi = np.ascontiguousarray(psi)
-    M = float(model.mass(t))
-    w2 = float(model.freq2(t))
+    M, _, _, w2 = (float(q) for q in model.terms(t))
     F = float(model.force_at(t))
     h_psi = _d2(psi, dx, np.empty_like(psi))
     np.multiply(-(hbar * hbar) / (2.0 * M), h_psi, out=h_psi)

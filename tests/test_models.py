@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from tdho.classical import ReducedBasis, solve_homogeneous
 from tdho.models import (
     CaldirolaKanai,
     ConstantForce,
@@ -15,6 +16,7 @@ from tdho.models import (
     ExpCosineForce,
     GeneralParametric,
     LoDampedPulsating,
+    OscillatorModel,
     PolynomialForce,
     ReducedUnitMass,
     force_from_json,
@@ -22,6 +24,8 @@ from tdho.models import (
     model_from_json,
     reduced_frequency_squared,
 )
+from tdho.transforms import _U0_coefficients
+from tdho.verify import check_omega_constancy
 
 
 def _fd2(fn, t, h=1e-5):
@@ -489,3 +493,62 @@ def test_a_scalar_read_is_the_array_read_bit_for_bit(family):
 def test_a_scalar_force_read_is_the_array_read_bit_for_bit(force):
     _scalar_reads_are_the_array_read(_ode_model("CaldirolaKanai", _ODE_FORCES[force]),
                                      ("force_at",))
+
+
+# ---------------------------------------------------------------------------
+# one law per family: terms
+# ---------------------------------------------------------------------------
+
+class _SineMass(OscillatorModel):
+    """M = 2 + sin t, w^2 = 1 + 0.1 t, stated as terms alone."""
+
+    family = "SineMass"
+
+    def terms(self, t):
+        t = np.asarray(t, dtype=float)
+        return 2.0 + np.sin(t), np.cos(t), -np.sin(t), 1.0 + 0.1 * t
+
+
+def test_a_family_that_states_only_terms_works_through_every_read():
+    """mass ... freq2, the base ode_terms, the reduced frequency and a
+    numeric basis all read a family that implements terms and nothing else."""
+    model = _SineMass(0.0, 10.0, CosineForce(0.5, 1.3))
+    ts = np.linspace(0.0, 10.0, 101)
+    M = 2.0 + np.sin(ts)
+    for read, want in zip((model.mass, model.dmass, model.d2mass, model.freq2),
+                          (M, np.cos(ts), -np.sin(ts), 1.0 + 0.1 * ts)):
+        assert np.array_equal(read(ts), want)
+    for t in ts[::10].tolist():
+        got = model.ode_terms(t)
+        assert all(type(q) is float for q in got)
+        m = 2.0 + np.sin(t)
+        np.testing.assert_allclose(got, (m, np.cos(t) / m, 1.0 + 0.1 * t,
+                                         0.5 * np.cos(1.3 * t)), rtol=1e-15)
+    w02 = 1.0 + 0.1 * ts + 0.25 * (np.cos(ts) / M) ** 2 + 0.5 * np.sin(ts) / M
+    np.testing.assert_allclose(reduced_frequency_squared(model, ts), w02, rtol=1e-14)
+    basis = solve_homogeneous(_SineMass(0.0, 10.0), 1.0, 0.0, 0.0, 1.0)
+    assert check_omega_constancy(basis) < 1e-8
+
+
+def test_each_reader_of_the_law_makes_one_terms_call(monkeypatch):
+    model = _ode_model("LoDampedPulsating", None)
+    reduced = ReducedBasis(solve_homogeneous(model, 1.0, -0.7, 0.0, 1.0))
+    calls = []
+    terms = model.terms
+
+    def counting(t):
+        calls.append(t)
+        return terms(t)
+
+    monkeypatch.setattr(model, "terms", counting)
+    ts = np.linspace(0.0, 5.0, 7)
+    # the chain's coefficients are one time's floats
+    reads = [("reduced_frequency_squared", lambda t: reduced_frequency_squared(model, t),
+              (2.5, ts)),
+             ("_U0_coefficients", lambda t: _U0_coefficients(model, t), (2.5,)),
+             ("ReducedBasis._read", reduced._read, (2.5, ts))]
+    for name, read, times in reads:
+        for t in times:
+            calls.clear()
+            read(t)
+            assert len(calls) == 1, name

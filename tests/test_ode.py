@@ -168,8 +168,10 @@ def _assert_same_bits(got, want):
 def _assert_same_steps(sol, oracle):
     """The knots and every step's stacked dense-output data."""
     _assert_same_bits(sol.ts, oracle.ts)
-    for name, attr in (("_t_old", "t_old"), ("_h", "h"), ("_y_old", "y_old"), ("_F", "F")):
+    for name, attr in (("_t_old", "t_old"), ("_h", "h"), ("_y_old", "y_old")):
         _assert_same_bits(getattr(sol, name), [getattr(i, attr) for i in oracle.interpolants])
+    # _rows is (7, steps, components); each step's F is (7, components)
+    _assert_same_bits(sol._rows.transpose(1, 0, 2), [i.F for i in oracle.interpolants])
 
 
 def _assert_same_values(sol, oracle, rng):
