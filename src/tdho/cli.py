@@ -16,7 +16,10 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
+from . import states as _states
 from ._schema import best_match
 from .classical import (
     QuadratureError,
@@ -31,12 +34,14 @@ from .models import (
     _FAMILIES,
     _FORCE_KINDS,
     CaldirolaKanai,
+    DomainError,
     GeneralParametric,
     _is_unit_mass_sho,
     model_from_json,
 )
+from ._kernels import cutoff_window
 from .ode import ODEError
-from .states import CLOSED_FORMS, dump_state_grid, state_cutoff, state_field
+from .states import CLOSED_FORMS, dump_state_grid, state_field
 from .transforms import (
     BOUNDARY_RATIO,
     Grid,
@@ -319,24 +324,62 @@ def _validate_grid(ctx: SuiteContext):
 
     Two samples, since one may sit on a node (_edge_ratio).  Lower orders
     decay faster past the largest order's turning point, so its edges bound
-    theirs.  A time whose cutoff window (state_cutoff, the columns the
-    kernel keeps at LOG_FLOOR) holds none of the edge columns is not read:
-    those samples are exact zeros and its ratio is 0.
+    theirs.  The kernel columns of every time come from one stacked read
+    (_slice_params).  A time whose cutoff window (the columns the kernel
+    keeps at LOG_FLOOR, as state_cutoff gives them) holds none of the edge
+    columns is not read: those samples are exact zeros and its ratio is 0.
+    Any other time is first read on its probe columns (_probe_columns): any
+    sample bounds the grid's peak from below, so edges below half the bar
+    over the probes' peak keep the whole grid's ratio below it, the half
+    absorbing the rounding by which a read of a few columns and a read of
+    the whole grid differ.  Otherwise the whole grid decides, read as
+    state_field reads it.
     """
     spec = ctx.state(max(ctx.ns))
-    f = state_field(spec)
-    xs = ctx.grid.xs()
+    for j, t in enumerate(ctx.times):
+        try:
+            spec.model.check_domain(float(t))
+        except DomainError:
+            # refused in time order, as one read per time refuses: the
+            # times before it are guarded first
+            _guard_times(spec, ctx.grid, ctx.times[:j])
+            raise
+    _guard_times(spec, ctx.grid, ctx.times)
+
+
+def _guard_times(spec, grid, times):
+    """_validate_grid over times, each inside the model's domain."""
+    if not times:
+        return
+    n, xs = spec.n, grid.xs()
     edges = _edge_columns(len(xs))
-    for t in ctx.times:
-        a, b = state_cutoff(spec, xs, t)
+    for t, column in zip(times, _states._slice_params(spec, times).T.tolist()):
+        _, scale, x_shift = column[:3]
+        a, b = cutoff_window(xs, n, scale, x_shift)
         if not any(a <= c < b for c in edges):
             continue
-        ratio = _edge_ratio(f(xs, t))
+        probe = np.abs(_states.state_kernel(xs[_probe_columns(xs, n, scale, x_shift)],
+                                            n, *column))
+        bar = 0.5 * BOUNDARY_RATIO * float(np.max(probe))
+        # a bar in the normal float range keeps the two reads' rounding relative
+        if float(np.max(probe[[0, 1, -2, -1]])) < bar and bar >= sys.float_info.min:
+            continue
+        ratio = _edge_ratio(_states.state_kernel(xs, n, *column))
         if ratio >= BOUNDARY_RATIO:
-            raise ScenarioError(
-                f"grid {ctx.grid} too small for n={max(ctx.ns)} at t={t}: "
-                f"boundary ratio {ratio:.2e}"
-            )
+            raise ScenarioError(f"grid {grid} too small for n={n} at t={t}: "
+                                f"boundary ratio {ratio:.2e}")
+
+
+def _probe_columns(xs, n, scale, x_shift) -> list:
+    """The grid columns the guard reads first for order n of a slice: the
+    four edge columns (_edge_columns), which come first and last, and the
+    columns at or after x_shift + xi/scale for nine xi evenly over
+    [-sqrt(2n + 1), sqrt(2n + 1)], the classically allowed region where the
+    order peaks; ascending, each once."""
+    reach = math.sqrt(2 * n + 1) / scale
+    targets = x_shift + reach * np.linspace(-1.0, 1.0, 9)
+    inside = np.minimum(np.searchsorted(xs, targets), len(xs) - 1)
+    return sorted({*_edge_columns(len(xs)), *inside.tolist()})
 
 
 # ---------------------------------------------------------------------------

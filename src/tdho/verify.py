@@ -64,13 +64,14 @@ five-point stencils and their zeroed edges read on it what they read on the
 whole grid.  The chain's maps write onto windows of their own, each column
 holding the whole grid's bits.
 
-Moments and their DFT read the whole grid: uncertainty pads each row of its
-windows with zeros to it.  The resolution guard (_resolved_window) that
-orthonormality, norms, inner products and the stationarity drift run reads
-its window: the edge columns that lie in it, the three Nyquist bins as
-direct sums, and a Parseval bound on their ratio to the spectrum's peak;
-only when that bound cannot show the rows resolved does the whole grid's
-DFT (_resolved_spectrum) decide, on the zero-padded rows.
+Moments and their DFT read the whole grid: uncertainty pads each time's
+stack of rows with zeros to it, one DFT per stack (_stack_moments).  The
+resolution guard (_resolved_window) that orthonormality, norms, inner
+products and the stationarity drift run reads its window: the edge
+columns that lie in it, the three Nyquist bins as direct sums, and a
+Parseval bound on their ratio to the spectrum's peak; only when that bound
+cannot show the rows resolved does the whole grid's DFT
+(_resolved_spectrum) decide, on the zero-padded rows.
 """
 
 from __future__ import annotations
@@ -245,9 +246,10 @@ class MomentReport:
     t: float
 
 
-def _resolved_spectrum(g: GridFunction, what: str) -> np.ndarray:
-    """|DFT| along the last axis of g's samples, one state or a stack of
-    states, once every row is shown fit for plain sums over the grid.
+def _resolved_spectrum(g: GridFunction, what: str):
+    """(|psi|², |DFT|) along the last axis of g's samples, one state or a
+    stack of states, once every row is shown fit for plain sums over the
+    grid.
 
     Such sums converge exponentially only while a state is negligible at
     both edges of the grid and near the Nyquist wavenumber.  Refused, in
@@ -259,7 +261,8 @@ def _resolved_spectrum(g: GridFunction, what: str) -> np.ndarray:
     """
     values = g.columns()
     points = values.shape[-1]
-    _nondegenerate(np.sum(np.abs(values) ** 2, axis=-1), f"{what}: ‖psi‖²",
+    density = np.abs(values) ** 2
+    _nondegenerate(np.sum(density, axis=-1), f"{what}: ‖psi‖²",
                    f" at t = {g.t}", "its sum over the grid")
     ratio = _edge_ratio(values)
     if ratio >= BOUNDARY_RATIO:
@@ -276,7 +279,7 @@ def _resolved_spectrum(g: GridFunction, what: str) -> np.ndarray:
             f"Nyquist bins over peak {nyquist:.2e} >= {BOUNDARY_RATIO:.0e}; "
             "use more points"
         )
-    return spectrum
+    return density, spectrum
 
 
 @functools.lru_cache(maxsize=1)
@@ -335,19 +338,37 @@ def moments(g: GridFunction) -> MomentReport:
     """
     if g.values.ndim != 1:
         raise ValueError("moments takes one state's (points,) samples, not a stack")
+    [report] = _stack_moments(g._with(g.values[np.newaxis]))
+    return report
+
+
+def _stack_moments(g: GridFunction) -> list:
+    """moments of each row of g, a (rows, W) stack of states at one time,
+    from one zero-padded (rows, P) array, one |psi|², one DFT and one
+    wavenumber vector.  Each row's sums are its own 1-D dots, so every
+    moment holds the bits of moments(row).  A refused stack is read again
+    row by row, so that the refusal names the first row moments refuses,
+    with that row's ratio."""
     g = g._with(g.columns(), offset=0)
-    spectrum = _resolved_spectrum(g, "moments")
-    density = np.abs(g.values) ** 2
-    n2 = float(np.sum(density))
+    try:
+        densities, spectra = _resolved_spectrum(g, "moments")
+    except (DegenerateStateError, GridTooSmallError):
+        if len(g.values) > 1:
+            for row in g:
+                moments(row)
+        raise
     x = g.x
-    mean_x = float(x @ density) / n2
-    var_x = float((x - mean_x) ** 2 @ density) / n2
-    k = 2.0 * math.pi * np.fft.fftfreq(len(g.values), g.grid.dx)
-    power = spectrum**2
-    total = float(np.sum(power))
-    mean_k = float(k @ power) / total
-    var_k = float((k - mean_k) ** 2 @ power) / total
-    return MomentReport(mean_x, var_x, g.hbar * mean_k, g.hbar**2 * var_k, g.t)
+    k = 2.0 * math.pi * np.fft.fftfreq(g.grid.points, g.grid.dx)
+    reports = []
+    for density, power in zip(densities, spectra**2):
+        n2 = float(np.sum(density))
+        mean_x = float(x @ density) / n2
+        var_x = float((x - mean_x) ** 2 @ density) / n2
+        total = float(np.sum(power))
+        mean_k = float(k @ power) / total
+        var_k = float((k - mean_k) ** 2 @ power) / total
+        reports.append(MomentReport(mean_x, var_x, g.hbar * mean_k, g.hbar**2 * var_k, g.t))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -779,18 +800,19 @@ def _run_uncertainty(ctx: SuiteContext, rows) -> list:
     """Driven against undriven moments of every order per t, on the
     scenario's grid: equal variances, <x> shifted by x_p, <p> by M xdot_p.
     The driven window is the run's shared one; the undriven one is one
-    stack over ctx.times; moments pads each row to the whole grid."""
+    stack over ctx.times.  The moments of each time's driven and undriven
+    rows come from one padded read each (_stack_moments), and x_p, xdot_p
+    and M are read once for all the times."""
     tol = DEFAULT_THRESHOLDS["uncertainty"]
     if ctx.driven is None:
         raise ValueError("uncertainty check needs a driven scenario")
     plain = state_window(ctx.state(max(ctx.ns), driven=null_driven(ctx.model)),
                          ctx.grid, ctx.times, ctx.ns)
+    ts = np.array(ctx.times)
+    xps, dxps, _ = ctx.driven.slice(ts)
+    p_shifts = (ctx.model.mass(ts) * dxps).tolist()
     per_t = []
-    for t, driven_rows, plain_rows in zip(ctx.times, rows(), plain):
-        m_driven = [moments(row) for row in driven_rows]
-        m_plain = [moments(row) for row in plain_rows]
-        xp, dxp, _ = (float(q) for q in ctx.driven.slice(t))
-        p_shift = float(ctx.model.mass(t)) * dxp
+    for driven_rows, plain_rows, xp, p_shift in zip(rows(), plain, xps.tolist(), p_shifts):
         per_t.append([
             max(
                 abs(m_f.var_x - m_0.var_x),
@@ -798,7 +820,7 @@ def _run_uncertainty(ctx: SuiteContext, rows) -> list:
                 abs(m_f.mean_x - m_0.mean_x - xp),
                 abs(m_f.mean_p - m_0.mean_p - p_shift),
             )
-            for m_f, m_0 in zip(m_driven, m_plain)
+            for m_f, m_0 in zip(_stack_moments(driven_rows), _stack_moments(plain_rows))
         ])
     return [CheckResult("uncertainty", {"n": n, "t": t}, d, tol)
             for n, t, d in _n_then_t(ctx, per_t)]

@@ -33,7 +33,7 @@ from tdho.models import CaldirolaKanai, LoDampedPulsating
 from tdho.ode import ODEError
 from tdho.scenarios import BUNDLED, scenario_path
 from tdho.states import StateSpec, state_cutoff, state_field
-from tdho.transforms import Grid, GridFunction, _edge_ratio
+from tdho.transforms import BOUNDARY_RATIO, Grid, GridFunction, _edge_ratio
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -864,6 +864,118 @@ def test_a_grid_too_small_for_sho_c1_is_refused_with_its_ratio(tmp_path, capsys)
     assert capsys.readouterr().err == (
         "error: grid Grid(x_min=-3.0, x_max=3.0, points=4096) too small for n=3 "
         "at t=0.0: boundary ratio 3.70e-01\n")
+
+
+def _guard_verdict_is_the_whole_grids(spec, grid, t):
+    """The grid guard refuses spec on grid at time t exactly when the
+    whole-grid read state_field(spec)(grid.xs(), t) reaches BOUNDARY_RATIO
+    at its edges, with that read's ratio in its message; the ratio."""
+    ratio = _edge_ratio(state_field(spec)(grid.xs(), t))
+    ctx = SimpleNamespace(state=lambda _: spec, ns=[spec.n], grid=grid, times=[t])
+    if ratio < BOUNDARY_RATIO:
+        _validate_grid(ctx)
+        return ratio
+    with pytest.raises(ScenarioError) as refused:
+        _validate_grid(ctx)
+    assert str(refused.value) == (
+        f"grid {grid} too small for n={spec.n} at t={t}: boundary ratio {ratio:.2e}")
+    return ratio
+
+
+def _guard_spec(driven_ck, family, n, hbar, C):
+    """Order n at hbar of a breathing (C), an exponential-mass (C) or the
+    driven_ck fixture's state."""
+    if family == "driven_ck":
+        return StateSpec(n, hbar, *driven_ck)
+    if family == "sho":
+        model = CaldirolaKanai(1.0, 0.0, 1.0, t_min=-1.0, t_max=12.0)
+        return StateSpec(n, hbar, analytic_basis_sho(model, C, 1.0))
+    model = CaldirolaKanai(1.0, 0.6, 1.0, t_min=-1.0, t_max=12.0)
+    return StateSpec(n, hbar, analytic_basis_ck(model, C, 1.0))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(["sho", "ck", "driven_ck"]), n=st.integers(0, 64),
+       hbar=st.floats(0.3, 3.0), t=st.floats(-0.5, 11.5), C=st.floats(0.5, 2.0),
+       centre=st.floats(-20.0, 20.0), half=st.floats(0.5, 90.0),
+       points=st.integers(16, 700))
+def test_the_guard_refuses_exactly_where_the_whole_grid_does(driven_ck, family, n, hbar,
+                                                             t, C, centre, half, points):
+    """The guard decides a time from a read of its probe columns where that
+    shows the edges far below the peak, and from the whole grid otherwise:
+    over the draws of the skip test, it refuses exactly the grids whose
+    whole-grid read reaches BOUNDARY_RATIO, with that read's ratio."""
+    spec = _guard_spec(driven_ck, family, n, hbar, C)
+    ratio = _guard_verdict_is_the_whole_grids(spec, Grid(centre - half, centre + half,
+                                                         points), t)
+    event(f"refused: {ratio >= BOUNDARY_RATIO}")
+
+
+@pytest.mark.parametrize("family", ["sho", "ck", "driven_ck"])
+@pytest.mark.parametrize("n", [0, 12])
+def test_the_guard_decides_at_the_bar_as_the_whole_grid(driven_ck, family, n):
+    """Grids whose width brings the whole-grid edge ratio within a factor
+    of 3 of BOUNDARY_RATIO, on both sides of it, where a probe read and the
+    whole grid's could part: the guard refuses exactly where the whole grid
+    reaches the bar."""
+    spec = _guard_spec(driven_ck, family, n, 1.0, 1.3)
+    t = 4.1
+
+    def ratio(half):
+        return _edge_ratio(state_field(spec)(Grid(0.2 - half, 0.2 + half, 301).xs(), t))
+
+    lo, hi = 1.0, 40.0  # the bar is crossed between these half-widths
+    assert ratio(lo) >= BOUNDARY_RATIO > ratio(hi)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ratio(mid) >= BOUNDARY_RATIO else (lo, mid)
+    ratios = [_guard_verdict_is_the_whole_grids(spec, Grid(0.2 - half, 0.2 + half, 301), t)
+              for half in np.linspace(0.97, 1.03, 61) * hi]
+    near = [r for r in ratios if BOUNDARY_RATIO / 3 < r < 3 * BOUNDARY_RATIO]
+    assert min(near) < BOUNDARY_RATIO <= max(near)
+
+
+def test_a_bundled_build_reads_its_slices_once_and_never_the_whole_grid(monkeypatch):
+    """Each bundled scenario's build reads the kernel columns of all its
+    times in one stacked _slice_params call, and the grid guard reads no
+    time on all of the grid's points."""
+    reads = _counting_reads(monkeypatch)
+    stacks = []
+    params = tdho.states._slice_params
+
+    def counting(spec, t):
+        stacks.append(t)
+        return params(spec, t)
+
+    monkeypatch.setattr(tdho.states, "_slice_params", counting)
+    for name in BUNDLED:
+        reads.clear()
+        stacks.clear()
+        ctx = build_context(load_scenario(name))
+        assert stacks == [ctx.times], name
+        assert reads and all(len(x) < ctx.grid.points for x, *_ in reads), name
+
+
+def test_a_bundled_run_leaves_numpy_ma_unimported():
+    """Building and verifying the bundled scenarios in a fresh process
+    imports no numpy.ma, which np.unique and np.union1d import on their
+    first call and which adds to a process's peak RSS."""
+    src = str(Path(tdho.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from tdho.cli import build_context, load_scenario\n"
+        "from tdho.scenarios import BUNDLED\n"
+        "from tdho.verify import run_suite\n"
+        "for name in BUNDLED:\n"
+        "    doc = load_scenario(name)\n"
+        "    run_suite(build_context(doc), doc['checks'])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.stdout.split() == ["False"], proc.stderr
 
 
 def test_classical_outputs(tmp_path, capsys):

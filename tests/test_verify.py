@@ -786,6 +786,70 @@ def test_suite_uncertainty_matches_per_order_moments(bundled_context, name):
             assert abs(rows[n, t, None].measured - want) < 1e-10
 
 
+def _uncertainty_stacks(ctx):
+    """The driven and the undriven window of ctx.ns at each of ctx.times, as
+    the uncertainty check reads them: (driven (K, W), undriven (K, W)) per t."""
+    from tdho.classical import null_driven
+
+    driven = tdho.verify.state_window(ctx.state(max(ctx.ns)), ctx.grid, ctx.times, ctx.ns)
+    plain = tdho.verify.state_window(ctx.state(max(ctx.ns), null_driven(ctx.model)),
+                                     ctx.grid, ctx.times, ctx.ns)
+    return list(zip(driven, plain))
+
+
+def _row_moments(g):
+    """The moments of one row g, each sum formed on its own padded samples
+    and their own DFT."""
+    values = g.columns()
+    density = np.abs(values) ** 2
+    n2 = float(np.sum(density))
+    x = g.grid.xs()
+    mean_x = float(x @ density) / n2
+    var_x = float((x - mean_x) ** 2 @ density) / n2
+    k = 2.0 * math.pi * np.fft.fftfreq(len(values), g.grid.dx)
+    power = np.abs(np.fft.fft(values)) ** 2
+    total = float(np.sum(power))
+    mean_k = float(k @ power) / total
+    var_k = float((k - mean_k) ** 2 @ power) / total
+    return tdho.verify.MomentReport(mean_x, var_x, g.hbar * mean_k, g.hbar**2 * var_k, g.t)
+
+
+@pytest.mark.parametrize("name", ["driven_sho", "driven_ck"])
+def test_a_stack_reads_the_moments_of_each_row(bundled_context, name):
+    """The moments of a stack of rows at one time, from one padded array and
+    one DFT, are each row's moments bit for bit (moments, and each row's
+    sums over its own DFT), for the driven and the undriven stack at every
+    time of the scenario."""
+    for stacks in _uncertainty_stacks(bundled_context(name)):
+        for g in stacks:
+            assert len(g.values) > 1
+            stacked = repr(tdho.verify._stack_moments(g))
+            assert stacked == repr([moments(row) for row in g])
+            assert stacked == repr([_row_moments(row) for row in g])
+
+
+@pytest.mark.parametrize("points", [64, 96, 128, 192, 256])
+def test_a_refused_stack_names_the_row_moments_refuses_first(points):
+    """On driven_ck's grid at 64 to 256 points the uncertainty check is
+    refused with the class and message of the first row that moments
+    refuses in the check's order (per time, the driven rows then the
+    undriven ones), not with the ratio of the stack's worst row."""
+    from tdho.cli import build_context, load_scenario
+
+    doc = load_scenario("driven_ck")
+    doc["grid"]["points"] = points
+    ctx = build_context(doc)
+    with pytest.raises((GridTooSmallError, DegenerateStateError)) as first:
+        for stacks in _uncertainty_stacks(ctx):
+            for g in stacks:
+                for row in g:
+                    moments(row)
+    with pytest.raises(type(first.value)) as refused:
+        run_suite(ctx, ["uncertainty"])
+    assert type(refused.value) is type(first.value)
+    assert str(refused.value) == str(first.value)
+
+
 @pytest.mark.parametrize("name", ["driven_sho", "driven_ck"])
 def test_detuned_boost_fails_the_uncertainty_check(monkeypatch, bundled_context, name):
     """A driven state whose boost M xdot_p / hbar is 1.001 times too large
@@ -1275,7 +1339,8 @@ def test_each_time_reads_a_view_of_its_stack(monkeypatch, bundled_context):
     monkeypatch.setattr(tdho.verify, "_support", support_reads)
     monkeypatch.setattr(tdho.verify, "apply_U0_dagger",
                         reading("companion", tdho.verify.apply_U0_dagger))
-    monkeypatch.setattr(tdho.verify, "moments", reading("moments", tdho.verify.moments))
+    monkeypatch.setattr(tdho.verify, "_stack_moments",
+                        reading("moments", tdho.verify._stack_moments))
     for name in BUNDLED:
         run_suite(bundled_context(name), load_scenario(name)["checks"])
     assert {where for where, _ in reads} == {*stacked_args, "companion", "moments"}
