@@ -111,6 +111,10 @@ COPIES = [
     # every threshold is the certifier's, none the document's
     ("loosened", "negative_control",
      {"checks": [{"name": "residual", "tolerance": 1.0}]}, 2, None),
+    # a time past the model's domain is refused before any trajectory is
+    # solved, with the times it refuses
+    ("out_of_domain", "ck", {"times": [0.0, 50.0]},
+     2, "configuration error: t outside model domain [-1.0, 12.0]: 50.0"),
     # a grid section that asks for the policy grid and gives bounds
     ("contradictory_grid", "sho_c1",
      {"grid": {"policy": True, "x_min": -3.0, "x_max": 3.0}, "checks": ["residual"]},

@@ -3,9 +3,10 @@
 One JSON scenario file describes everything (model, basis, driving, states,
 grid, times, checks); the subcommands only select an action and output
 paths.  Exit codes: 0 all checks pass, 1 any check failed, 2 configuration
-error (bad schema, unknown check, inconsistent grid, unwritable output path)
-or numerical error (an integration or quadrature that cannot be resolved, a
-state that samples to zero, or a grid that does not resolve a state).
+error (bad schema, unknown check, inconsistent grid, a time outside the
+model's domain, unwritable output path) or numerical error (an integration
+or quadrature that cannot be resolved, a state that samples to zero, or a
+grid that does not resolve a state).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .models import (
     _FAMILIES,
     _FORCE_KINDS,
     CaldirolaKanai,
-    DomainError,
     GeneralParametric,
     _is_unit_mass_sho,
     model_from_json,
@@ -264,6 +264,10 @@ def build_context(scenario: dict, fast: bool = False):
     if declared != [model.t_min, model.t_max]:
         raise ScenarioError(f"model declares the time domain {declared}, but its "
                             f"table spans [{model.t_min}, {model.t_max}]")
+    # every state exists on the domain only: refuse a time outside it
+    # before anything is solved
+    times = [float(t) for t in scenario["times"]]
+    model.check_domain(times)
 
     basis = _build_basis(scenario, model)
     closed_form_C = _closed_form_C(scenario, model)
@@ -281,7 +285,6 @@ def build_context(scenario: dict, fast: bool = False):
 
     hbar = float(scenario.get("hbar", 1.0))
     ns = sorted(set(int(n) for n in scenario["states"]))
-    times = [float(t) for t in scenario["times"]]
     ortho_nmax = 8
     if fast:
         ns = [n for n in ns if n <= 2] or ns[:1]
@@ -326,34 +329,19 @@ def _validate_grid(ctx: SuiteContext):
     decay faster past the largest order's turning point, so its edges bound
     theirs.  The kernel columns of every time come from one stacked read
     (_slice_params).  A time whose cutoff window (the columns the kernel
-    keeps at LOG_FLOOR, as state_cutoff gives them) holds none of the edge
-    columns is not read: those samples are exact zeros and its ratio is 0.
-    Any other time is first read on its probe columns (_probe_columns): any
-    sample bounds the grid's peak from below, so edges below half the bar
-    over the probes' peak keep the whole grid's ratio below it, the half
-    absorbing the rounding by which a read of a few columns and a read of
-    the whole grid differ.  Otherwise the whole grid decides, read as
-    state_field reads it.
+    keeps at LOG_FLOOR, cutoff_window) holds none of the edge columns is
+    not read: those samples are exact zeros and its ratio is 0.  Any other
+    time is first read on its probe columns (_probe_columns): any sample
+    bounds the grid's peak from below, so edges below half the bar over the
+    probes' peak keep the whole grid's ratio below it, the half absorbing
+    the rounding by which a read of a few columns and a read of the whole
+    grid differ.  Otherwise the whole grid decides, read as state_field
+    reads it.
     """
-    spec = ctx.state(max(ctx.ns))
-    for j, t in enumerate(ctx.times):
-        try:
-            spec.model.check_domain(float(t))
-        except DomainError:
-            # refused in time order, as one read per time refuses: the
-            # times before it are guarded first
-            _guard_times(spec, ctx.grid, ctx.times[:j])
-            raise
-    _guard_times(spec, ctx.grid, ctx.times)
-
-
-def _guard_times(spec, grid, times):
-    """_validate_grid over times, each inside the model's domain."""
-    if not times:
-        return
+    spec, grid = ctx.state(max(ctx.ns)), ctx.grid
     n, xs = spec.n, grid.xs()
     edges = _edge_columns(len(xs))
-    for t, column in zip(times, _states._slice_params(spec, times).T.tolist()):
+    for t, column in zip(ctx.times, _states._slice_params(spec, ctx.times).T.tolist()):
         _, scale, x_shift = column[:3]
         a, b = cutoff_window(xs, n, scale, x_shift)
         if not any(a <= c < b for c in edges):

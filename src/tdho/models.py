@@ -237,9 +237,10 @@ class OscillatorModel:
             t = np.asarray(t)
             outside = np.any(t < lo) or np.any(t > hi)
         if outside:
-            raise DomainError(
-                f"t outside model domain [{self.t_min}, {self.t_max}]"
-            )
+            ts = np.atleast_1d(np.asarray(t, dtype=float))
+            refused = ts[(ts < lo) | (ts > hi)].tolist()
+            raise DomainError(f"t outside model domain [{self.t_min}, {self.t_max}]: "
+                              + ", ".join(map(str, refused)))
 
     def force_at(self, t):
         """F(t); 0.0 without a force, which broadcasts against any t."""

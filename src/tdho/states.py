@@ -17,11 +17,11 @@ times the phases, where h_n = H_n / sqrt(2^n n! sqrt(pi)) is the monic
 Hermite recurrence's f_n times sqrt(2^n / n!), that normalisation applied to
 the requested orders only, so one pass gives any set of orders of a
 slice or of a stack of them, on the slices' cutoff windows (state_window;
-state_cutoff names the window of one order).  The classical data of a stack
-of times is read once, as arrays: one domain check, one basis slice, one
-mass read and one driven slice for the whole stack.  A single time is a
-stack of one and takes the same path, so a slice read alone has the bits
-it has in any stack.
+tdho._kernels.cutoff_window names the window of one order).  The classical
+data of a stack of times is read once, as arrays: one domain check, one
+basis slice, one mass read and one driven slice for the whole stack.  A
+single time is a stack of one and takes the same path, so a slice read
+alone has the bits it has in any stack.
 
 Every read, of one order or of many, forms the kernel's six slice columns
 (chirp, scale, centre, linear phase, phase0 and dphase) in one place
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import cutoff_window, state_kernel, state_kernel_window
+from ._kernels import state_kernel, state_kernel_window
 from .classical import (
     ClassicalBasis,
     DrivenSolution,
@@ -73,7 +73,6 @@ __all__ = [
     "psi_general",
     "psi_driven",
     "state_window",
-    "state_cutoff",
     "psi_sho",
     "psi_ck",
     "psi_lo",
@@ -188,14 +187,6 @@ def state_window(spec: StateSpec, x, t, orders):
     sample below e^-READ_DEPTH of its slice's amplitude scale.
     """
     return state_kernel_window(x, orders, *_slice_params(spec, t), depth=READ_DEPTH)
-
-
-def state_cutoff(spec: StateSpec, x, t):
-    """The columns [a, b) of the ascending grid x outside which
-    state_field(spec)(x, t) is exact zeros: the kernel's cutoff window of
-    order spec.n at t, at LOG_FLOOR (cutoff_window)."""
-    _, scale, x_shift = _slice_params(spec, float(t))[:3]
-    return cutoff_window(x, spec.n, scale, x_shift)
 
 
 def psi_general(spec: StateSpec, x, t):

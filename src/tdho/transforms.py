@@ -122,8 +122,7 @@ class GridFunction:
                              f"does not fit a grid of {grid.points} points")
         self.grid = grid
         self.values = values
-        sequence = isinstance(t, (list, tuple, np.ndarray))
-        self.t = tuple(map(float, t)) if sequence else float(t)
+        self.t = tuple(map(float, t)) if np.ndim(t) else float(t)
         self.hbar = float(hbar)
         self.offset = int(offset)
 

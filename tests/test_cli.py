@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 import tdho
 import tdho.classical
+import tdho.cli
 import tdho.states
 import tdho.verify
+from tdho._kernels import cutoff_window
 from tdho.classical import QuadratureError, analytic_basis_ck, analytic_basis_sho
 from tdho.cli import (
     ScenarioError,
@@ -32,7 +34,7 @@ from tdho.cli import (
 from tdho.models import CaldirolaKanai, LoDampedPulsating
 from tdho.ode import ODEError
 from tdho.scenarios import BUNDLED, scenario_path
-from tdho.states import StateSpec, state_cutoff, state_field
+from tdho.states import StateSpec, _slice_params, state_field
 from tdho.transforms import BOUNDARY_RATIO, Grid, GridFunction, _edge_ratio
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -559,6 +561,61 @@ def test_residual_names_its_stencil_when_it_leaves_the_domain(tmp_path, capsys):
         assert words in err, err
 
 
+OUT_OF_DOMAIN = "configuration error: t outside model domain [-1.0, 12.0]: 50.0\n"
+
+
+def _never_solved(monkeypatch):
+    """Make the basis and particular solves that tdho.cli calls fail the test."""
+    def solve(*args, **kwargs):
+        raise AssertionError("a trajectory was solved before the domain check")
+
+    for name in ("solve_homogeneous", "solve_particular"):
+        monkeypatch.setattr(tdho.cli, name, solve)
+
+
+@pytest.mark.parametrize("command", ["verify", "state", "classical"])
+@pytest.mark.parametrize("name", ["sho_c1", "ck", "lo", "driven_sho", "driven_ck"])
+def test_a_time_outside_the_domain_is_refused_before_any_solve(tmp_path, capsys,
+                                                              monkeypatch, name, command):
+    """A sample time past the model's domain [-1, 12] is a configuration
+    error (exit 2) that names it, on every family and command: build_context
+    refuses it before the basis or the particular solution is solved, and
+    nothing is written."""
+    _never_solved(monkeypatch)
+    doc = load_scenario(name)
+    doc["times"] = [0.0, 50.0]
+    out = tmp_path / "out"
+    argv = [command, _write(tmp_path, doc)]
+    assert main(argv if command == "verify" else [*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", OUT_OF_DOMAIN)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, suite", [
+    ({"x_min": -3, "x_max": 3, "points": 4096}, "full"),
+    ({"policy": True}, "fast"),
+], ids=["grid_too_small_at_0", "past_the_fast_suite_times"])
+def test_the_domain_refusal_comes_first(tmp_path, capsys, grid, suite):
+    """The domain refusal wins over a grid too small at an earlier time (on
+    [-3, 3], sho_c1 is refused at t = 0), and covers the times that
+    --suite fast does not sample (its first three)."""
+    doc = load_scenario("sho_c1")
+    doc["grid"] = grid
+    doc["times"] = [0.0, 1.0, 2.5, 50.0]
+    assert main(["verify", _write(tmp_path, doc), "--suite", suite]) == 2
+    assert capsys.readouterr().err == OUT_OF_DOMAIN
+
+
+def test_state_refuses_a_t_outside_the_domain(tmp_path, capsys, monkeypatch):
+    """tdho state --t replaces the scenario's times, and a --t time past the
+    domain is refused as a scenario time is."""
+    _never_solved(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["state", "sho_c1", "--t", "50", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", OUT_OF_DOMAIN)
+    assert not out.exists()
+
+
 def test_verify_leaves_scipy_interpolate_unimported(tmp_path):
     """No command imports scipy, a cold `tdho verify` of a tabulated model
     included, and none imports jsonschema."""
@@ -806,7 +863,7 @@ def test_the_guard_skips_a_time_by_single_columns(driven_ck):
     ratio."""
     spec, t, points = StateSpec(8, 1.0, *driven_ck), 1.3, 64
     ref = Grid(-60.0, 60.0, 120001).xs()
-    a, b = state_cutoff(spec, ref, t)
+    a, b = cutoff_window(ref, spec.n, *_slice_params(spec, t)[1:3])
     assert 0 < a < b < len(ref)
     left, right = ref[a], ref[b - 1]
     dx = (right - left) / (points - 11)
@@ -818,7 +875,7 @@ def test_the_guard_skips_a_time_by_single_columns(driven_ck):
             read = _guard_reads(spec, grid, t)
             if not read:
                 assert _edge_ratio(state_field(spec)(grid.xs(), t)) == 0.0
-            lo, hi = state_cutoff(spec, grid.xs(), t)
+            lo, hi = cutoff_window(grid.xs(), spec.n, *_slice_params(spec, t)[1:3])
             seen.setdefault(("a", lo), set()).add(read)
             seen.setdefault(("b", points - hi), set()).add(read)
     assert seen[("a", 1)] == {True} and seen[("a", 2)] == {False}

@@ -27,7 +27,6 @@ from tdho.states import (
     psi_lo,
     psi_sho,
     psi_unit_mass,
-    state_cutoff,
     state_field,
     state_window,
 )
@@ -240,8 +239,9 @@ def _stack_spec(name):
 @pytest.mark.parametrize("name", ["ck", "driven_ck", "companion"])
 def test_a_stack_of_times_reads_as_one_call_per_time(name):
     """state_window over a stack of times holds, time by time, the bytes of
-    its one-time calls; at each time state_cutoff is the cutoff window, and
-    the state's field the kernel, of that time's slice in the stack."""
+    its one-time calls; at each time the cutoff window of its one-time
+    slice is that of its slice in the stack, and the state's field is the
+    kernel of that slice."""
     spec = _stack_spec(name)
     assert (spec.driven is not None) == (name == "driven_ck")
     orders = [7, 0, 3]
@@ -252,7 +252,8 @@ def test_a_stack_of_times_reads_as_one_call_per_time(name):
         one = on_grid(state_window(spec, X, t, orders), len(X))
         assert stack[i].tobytes() == one.tobytes(), t
         _, scale, x_shift = params[:3, i]
-        assert state_cutoff(spec, X, t) == cutoff_window(X, spec.n, scale, x_shift)
+        one_time = cutoff_window(X, spec.n, *_slice_params(spec, t)[1:3])
+        assert one_time == cutoff_window(X, spec.n, scale, x_shift)
         want = state_kernel(X, spec.n, *params[:, i])
         assert field(X, t).tobytes() == want.tobytes(), t
 

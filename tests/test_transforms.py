@@ -103,6 +103,16 @@ def test_sample_on_grid_samples_the_field():
     assert gf.values.tobytes() == _gauss_field(GRID.xs(), 0.0).tobytes()
 
 
+def test_a_0d_time_samples_as_its_float(driven_ck):
+    """A 0-d array time is one time, not a sequence: sampled at np.array(t),
+    a state's GridFunction holds the float t and the bits of its read at t."""
+    field = state_field(StateSpec(3, 1.0, *driven_ck))
+    at_0d = sample_on_grid(field, GRID, np.array(1.3))
+    at_float = sample_on_grid(field, GRID, 1.3)
+    assert type(at_0d.t) is float and at_0d.t == at_float.t == 1.3
+    assert at_0d.values.tobytes() == at_float.values.tobytes()
+
+
 def test_boundary_ratio_and_compliance():
     gf = sample_on_grid(_gauss_field, GRID, 0.0)
     assert _edge_ratio(gf.values) < BOUNDARY_RATIO
