@@ -2,8 +2,8 @@
 
     python scenario_copies.py OUT_DIR TDHO_COMMAND...
 
-Each row of COPIES names a bundled scenario (or None for a document built
-here), the top-level keys it overrides (a dotted key sets a nested one),
+Each row of COPIES names a bundled scenario (or None for the tabulated
+document built here), the top-level keys it overrides (a dotted key sets a nested one),
 the exit code `tdho verify` must return and a text its stderr must hold
 (or None).  Every copy is written to OUT_DIR/<name>.json and verified with
 TDHO_COMMAND, e.g. the installed `tdho` or `python -m tdho.cli`; stdout
@@ -42,6 +42,12 @@ CK_1 = {"kind": "ck", "Ccoef": 1.0}
 COPIES = [
     # a tabulated model passes every row without scipy
     ("tabulated", None, {}, 0, None),
+    # the paper's general case, mass and frequency both tabulated and driven:
+    # every table node is an edge of the particular path's quadrature panels
+    ("tabulated_driven", None,
+     {"model.params.w2": (1.0 + 0.2 * np.cos(2.0 * np.linspace(0.0, 6.0, 31))).tolist(),
+      "basis.tol": 1e-11, "driving": {"force": {"kind": "cosine", "amplitude": 1.0, "omega": 1.3}},
+      "checks": ["omega_constancy", "residual", "transform_chain", "uncertainty"]}, 0, None),
     # a driven scenario compares its family's closed form with the
     # undriven state over its basis
     ("driven_closed_form", "driven_ck",
@@ -133,9 +139,8 @@ COPIES = [
 
 
 def document(base, overrides) -> dict:
-    if base is None:
-        return tabulated()
-    doc = json.loads(Path(scenario_path(base)).read_text(encoding="utf-8"))
+    doc = (tabulated() if base is None
+           else json.loads(Path(scenario_path(base)).read_text(encoding="utf-8")))
     for key, value in overrides.items():
         *parents, last = key.split(".")
         target = doc

@@ -5,7 +5,8 @@ A basis is a pair (u, v) of independent real solutions of
 Omega = M (vdot u - udot v) is constant and must be positive; the envelope
 rho = sqrt(u^2 + v^2) and the continuously unwrapped angle
 theta = arg(u - iv) parameterize the quantum states.  Driven models add a
-particular solution x_p and the accumulated phase integral delta(t).
+particular solution x_p and the phase integral delta(t), by quadrature over
+the basis: DOP853 marches the numeric bases only.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .models import (
     _is_unit_mass_sho,
     frequency_scale,
 )
-from .ode import solve_ode
+from .ode import DenseSolution, solve_ode
 
 __all__ = [
     "DegenerateBasisError",
@@ -67,19 +68,21 @@ class SingularPathError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """A delta integral is not resolved (its 20- and 40-node Gauss-Legendre
-    panels disagree) or is queried outside its tabulated span."""
+    """A panel integral is not resolved (its q- and 2q-node Gauss-Legendre
+    rules disagree) or is queried outside its tabulated span."""
 
 
 class ClassicalBasis:
     """Base class; subclasses provide model, omega and _read.
 
     Every quantity of a time slice comes from one read of the trajectory:
-    callers index `slice(t)`.
+    callers index `slice(t)`.  `tol` is the relative tolerance the
+    trajectory was solved to; a closed form is exact to rounding.
     """
 
     model: OscillatorModel
     omega: float
+    tol: float = 0.0
 
     def _read(self, t):
         """(u, du, v, dv, theta) at t from one evaluation of the trajectory."""
@@ -150,9 +153,10 @@ class NumericBasis(ClassicalBasis):
     exact principal argument and snaps it to the marched theta's branch.
     """
 
-    def __init__(self, sol, model, omega):
+    def __init__(self, sol, model, omega, tol=0.0):
         self.model = model
         self.omega = float(omega)
+        self.tol = float(tol)
         self._sol = sol
 
     def _read(self, t):
@@ -175,6 +179,7 @@ class ReducedBasis(ClassicalBasis):
         self.base = base
         self.model = ReducedUnitMass(base.model)
         self.omega = base.omega
+        self.tol = base.tol
 
     def _read(self, t):
         u, du, v, dv, theta = self.base._read(t)
@@ -225,7 +230,7 @@ def solve_homogeneous(
         )
 
     def rhs(t, y):
-        _, r, w2, _ = model.ode_terms(t)
+        _, r, w2 = model.ode_terms(t)
         u, du, v, dv, _ = y.tolist()
         # theta = arg(u - iv) turns at (v·udot - u·vdot)/rho^2
         return np.array([du, -r * du - w2 * u, dv, -r * dv - w2 * v,
@@ -235,7 +240,7 @@ def solve_homogeneous(
         rhs, t0, [u0, du0, v0, dv0, math.atan2(-v0, u0)], model.t_min, model.t_max,
         rtol=tol, atol=1e-2 * tol,
     )
-    return NumericBasis(sol, model, omega)
+    return NumericBasis(sol, model, omega, tol)
 
 
 def analytic_basis_sho(model, A=1.0, B=1.0, w_s=None) -> ClassicalBasis:
@@ -274,13 +279,16 @@ class DrivenSolution:
     """Particular solution x_p with velocity and phase integral delta.
 
     delta obeys d(delta)/dt = (M w^2/2) x_p^2 - (M/2) xdot_p^2 with
-    delta(t0) = 0.  `read(t)` returns (x_p, xdot_p, delta) at t in one pass.
+    delta(t0) = 0.  `read(t)` returns (x_p, xdot_p, delta) at t in one pass;
+    `tol` is the relative tolerance of its quadrature, which a shifted path
+    (shift_particular) keeps.
     """
 
-    def __init__(self, read, t0: float, model: OscillatorModel):
+    def __init__(self, read, t0: float, model: OscillatorModel, tol: float = 1e-10):
         self._read = read
         self.t0 = float(t0)
         self.model = model
+        self.tol = float(tol)
 
     def slice(self, t):
         """(x_p, xdot_p, delta) at t from one read."""
@@ -296,37 +304,43 @@ def null_driven(model: OscillatorModel) -> DrivenSolution:
     return DrivenSolution(read, model.t_min, model)
 
 
-def _delta_rate(M, w2, xp, dxp):
-    return 0.5 * M * w2 * xp * xp - 0.5 * M * dxp * dxp
-
-
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _gauss_panels(g, lo, hi):
-    """20-node Gauss–Legendre integrals of g over each [lo_i, hi_i].
-
-    g is called once, on the 20- and the 40-node points of every panel
-    together; a panel whose two rules differ by more than 1e-10 of its
-    integral of |g| raises QuadratureError.
-    """
-    if lo.size == 0:
-        return np.zeros(0)
-    (x20, w20), (x40, w40) = _gauss_legendre(20), _gauss_legendre(40)
+def _panel_nodes(lo, hi, q):
+    """The q- then 2q-node Gauss points of each [lo_i, hi_i], and its half width."""
     mid, half = 0.5 * (hi + lo)[:, None], 0.5 * (hi - lo)[:, None]
-    z = mid + half * np.concatenate([x20, x40])
-    vals = half * np.asarray(g(z.ravel()), dtype=float).reshape(z.shape)
-    coarse, fine = vals[:, :20] @ w20, vals[:, 20:] @ w40
-    gap = np.abs(coarse - fine) - 1e-10 * (np.abs(vals[:, 20:]) @ w40)
+    return mid + half * np.concatenate([_gauss_legendre(q)[0], _gauss_legendre(2 * q)[0]]), half
+
+
+def _two_rules(vals, q, lo, hi, bound):
+    """q-node panel integrals from vals, g times the half width at the points of
+    _panel_nodes; rules that differ by over `bound` of ∫|g| raise QuadratureError."""
+    (_, wq), (_, w2q) = _gauss_legendre(q), _gauss_legendre(2 * q)
+    coarse, fine = vals[:, :q] @ wq, vals[:, q:] @ w2q
+    gap = np.abs(coarse - fine) - bound * (np.abs(vals[:, q:]) @ w2q)
     if not np.all(gap <= 0.0):  # also catches NaN
         i = int(np.argmax(np.where(np.isnan(gap), np.inf, gap)))
         raise QuadratureError(
-            f"integrand not resolved on [{lo[i]}, {hi[i]}]: 20- and 40-node "
+            f"integrand not resolved on [{lo[i]}, {hi[i]}]: {q}- and {2 * q}-node "
             f"Gauss-Legendre give {float(coarse[i])!r} and {float(fine[i])!r}"
         )
     return coarse
+
+
+def _gauss_panels(g, lo, hi):
+    """20-node Gauss–Legendre integrals of g over each [lo_i, hi_i], g called once
+    on the 20- and 40-node points together, checked to 1e-10 (_two_rules)."""
+    z, half = _panel_nodes(lo, hi, 20)
+    return _two_rules(half * np.asarray(g(z.ravel()), dtype=float).reshape(z.shape),
+                      20, lo, hi, 1e-10)
+
+
+def _from_edge(p, k):
+    """Integrals from edge k to every edge of panels whose integrals are p."""
+    return np.concatenate([-np.cumsum(p[:k][::-1])[::-1], [0.0], np.cumsum(p[k:])])
 
 
 def _panel_integral(g, t0, t_lo, t_hi, width):
@@ -339,11 +353,8 @@ def _panel_integral(g, t0, t_lo, t_hi, width):
     k_lo = math.floor((t0 - t_lo) / width)
     k_hi = math.floor((t_hi - t0) / width)
     ks = np.arange(-k_lo, k_hi, dtype=float)
-    p = _gauss_panels(g, t0 + ks * width, t0 + (ks + 1.0) * width)
     # table[k + k_lo] = integral from t0 to t0 + k*width
-    table = np.concatenate(
-        [-np.cumsum(p[:k_lo][::-1])[::-1], [0.0], np.cumsum(p[k_lo:])]
-    )
+    table = _from_edge(_gauss_panels(g, t0 + ks * width, t0 + (ks + 1.0) * width), k_lo)
     slack = 1e-9 * max(t_hi - t_lo, 1.0)
 
     def integral(t):
@@ -359,69 +370,116 @@ def _panel_integral(g, t0, t_lo, t_hi, width):
     return integral
 
 
-def _panel_width(model):
-    # one radian of the fastest model frequency per panel: the 20-node rule
-    # is then exact to rounding for the smooth delta integrands
-    return 1.0 / frequency_scale(model)
+# per panel of the particular path: Gauss nodes (checked against 2x), degree-7 steps
+_PATH_NODES, _PATH_STEPS = 16, 8
+
+
+@functools.lru_cache(maxsize=None)
+def _path_matrices():
+    """Fixed maps from a panel's values at its q = _PATH_NODES Gauss nodes:
+    `integrals` (3q, q) to the integrals of their Legendre series from the
+    panel's start to each q and 2q node, half width 1 (spectral integration,
+    Greengard 1991); `samples` to that series at 8 Chebyshev-Lobatto points of
+    each step, ends included; `rows` from those to y_old and the DOP853 F."""
+    leg, q = np.polynomial.legendre, _PATH_NODES
+    to_series = np.linalg.inv(leg.legvander(_gauss_legendre(q)[0], q - 1))
+    nodes = np.concatenate([_gauss_legendre(q)[0], _gauss_legendre(2 * q)[0]])
+    integrals = leg.legvander(nodes, q) @ leg.legint(to_series, lbnd=-1, axis=0)
+    s = 0.5 - 0.5 * np.cos(np.pi * np.arange(8) / 7)
+    z = -1.0 + 2.0 * (np.arange(_PATH_STEPS)[:, None] + s).ravel() / _PATH_STEPS
+    # y - y_old = F0 x + F1 x w + F2 x^2 w + ... + F6 x^4 w^3, as _dop853_poly
+    powers = s[1:, None] ** [1, 1, 2, 2, 3, 3, 4] * (1.0 - s[1:, None]) ** [0, 1, 1, 2, 2, 3, 3]
+    eye = np.eye(8)
+    rows = np.vstack([eye[0], np.linalg.solve(powers, eye[1:] - eye[0])])
+    rows[1] = eye[7] - eye[0]  # F0 = y(1) - y_old exactly: a read at a knot is exact
+    return integrals, leg.legvander(z, q - 1) @ to_series, rows
+
+
+def _path_edges(model, t0):
+    """Panel edges over the model's domain at most half a radian of its
+    fastest frequency apart: its ends, t0 and every table node are edges,
+    and each gap between two of them is cut into equal panels."""
+    width = 0.5 / frequency_scale(model)
+    cuts = sorted({model.t_min, t0, model.t_max, *model.nodes})
+    return np.concatenate([*(np.linspace(a, b, math.ceil((b - a) / width), endpoint=False)
+                             for a, b in zip(cuts[:-1], cuts[1:])), [model.t_max]])
 
 
 def solve_particular(
-    model: OscillatorModel,
+    basis: ClassicalBasis,
     xp0: float,
     dxp0: float,
     t0=None,
     tol: float = 1e-10,
 ) -> DrivenSolution:
-    """Integrate {x_p, delta} as one augmented system with shared steps."""
+    """x_p, xdot_p and delta by quadrature over a basis (variation of
+    parameters): with Omega = M(vdot u - udot v),
+
+        x_p = (v J_u - u J_v)/Omega,  xdot_p = (vdot J_u - udot J_v)/Omega,
+
+    where J_u = M(xdot_p u - x_p udot) = J_u(t0) + ∫_{t0}^t u F, and J_v the
+    same in v; delta = ∫_{t0}^t of its rate.  Each integral is spectral on
+    Gauss-Legendre panels (_path_edges) whose 16- and 32-node rules must
+    agree to `tol` of ∫|g|, or to ten times the basis's own tol (a marched
+    basis is smooth to its tol only), else QuadratureError; it is read
+    through degree-7 dense-output steps, 8 per panel."""
+    model = basis.model
     t0 = model.t_min if t0 is None else float(t0)
     model.check_domain(t0)
+    t0 = min(max(t0, model.t_min), model.t_max)  # within check_domain's slack
+    bound = max(tol, 10.0 * basis.tol)
+    edges = _path_edges(model, t0)
+    lo, hi, q = edges[:-1], edges[1:], _PATH_NODES
+    z, half = _panel_nodes(lo, hi, q)
+    n, k0 = z.size, int(np.searchsorted(edges, t0))
+    # each quantity flat: the panels' q and 2q nodes, then the edges
+    u, du, v, dv, _ = basis._read(np.append(z, edges))
+    M, _, _, w2 = model.terms(z.ravel())
+    integrals, samples, rows = _path_matrices()
 
-    def rhs(t, y):
-        M, r, w2, F = model.ode_terms(t)
-        xp, dxp, _ = y.tolist()
-        return np.array([dxp, F / M - r * dxp - w2 * xp, _delta_rate(M, w2, xp, dxp)])
+    def integral(g):
+        """∫_{t0} g at every node and edge, from g at the nodes."""
+        vals = half * g.reshape(z.shape)
+        ends = _from_edge(_two_rules(vals, q, lo, hi, bound), k0)
+        return np.append(ends[:-1, None] + vals[:, :q] @ integrals.T, ends)
 
-    sol = solve_ode(
-        rhs, t0, [xp0, dxp0, 0.0], model.t_min, model.t_max,
-        rtol=tol, atol=1e-2 * tol,
-    )
+    F, M0, omega, i = model.force_at(z.ravel()), model.mass(t0), basis.omega, n + k0
+    j_u = integral(u[:n] * F) + M0 * (dxp0 * u[i] - xp0 * du[i])
+    j_v = integral(v[:n] * F) + M0 * (dxp0 * v[i] - xp0 * dv[i])
+    xp, dxp = (v * j_u - u * j_v) / omega, (dv * j_u - du * j_v) / omega
+    path = np.stack([xp, dxp, integral(0.5 * M * (w2 * xp[:n] ** 2 - dxp[:n] ** 2))])
+
+    # every step's samples from its panel's series, its ends exact
+    at = (path[:, :n].reshape(3, *z.shape)[..., :q] @ samples.T).reshape(3, len(lo), -1, 8)
+    at[:, :, 0, 0], at[:, :, -1, -1] = path[:, n:-1], path[:, n + 1:]
+    steps = np.ascontiguousarray((at @ rows.T).reshape(3, -1, 8).T)  # (8, steps, 3)
+    ts = np.append(np.linspace(lo, hi, _PATH_STEPS, endpoint=False, axis=1), model.t_max)
+    sol = DenseSolution(ts, ts[:-1], np.diff(ts), steps[0], steps[1:])
 
     def read(t):
         y = sol(t)
         return tuple(y.tolist()) if y.ndim == 1 else (y[..., 0], y[..., 1], y[..., 2])
 
-    return DrivenSolution(read, t0, model)
+    return DrivenSolution(read, t0, model, tol)
 
 
 def shift_particular(
     driven: DrivenSolution, basis: ClassicalBasis, c: float
 ) -> DrivenSolution:
-    """New particular solution x_p' = x_p + c·u with delta recomputed.
-
-    The recomputed delta differs from delta - c·M·udot·(x_p + c·u/2) only
-    by an additive constant.
-    """
-    model = basis.model
+    """New particular solution x_p' = x_p + c·u, its delta solved over `basis`
+    from its data at driven.t0; that delta differs from
+    delta - c·M·udot·(x_p + c·u/2) only by an additive constant."""
     if c == 0.0:
         return driven
-
-    def path(t):
-        xp, dxp, _ = driven.slice(t)
-        u, du = basis.slice(t)[:2]
-        return xp + c * u, dxp + c * du
-
-    def rate(t):
-        xp, dxp = path(t)
-        M, _, _, w2 = model.terms(t)
-        return _delta_rate(M, w2, xp, dxp)
-
-    delta = _panel_integral(rate, driven.t0, model.t_min, model.t_max,
-                            _panel_width(model))
+    (xp0, dxp0, _), (u0, du0) = driven.slice(driven.t0), basis.slice(driven.t0)[:2]
+    shifted = solve_particular(basis, xp0 + c * u0, dxp0 + c * du0, driven.t0, driven.tol)
 
     def read(t):
-        return (*path(t), delta(t))
+        xp, dxp, _ = driven.slice(t)
+        u, du = basis.slice(t)[:2]
+        return xp + c * u, dxp + c * du, shifted.slice(t)[2]
 
-    return DrivenSolution(read, driven.t0, model)
+    return DrivenSolution(read, driven.t0, basis.model, driven.tol)
 
 
 def delta_legacy(
@@ -456,7 +514,9 @@ def delta_legacy(
         xp, dxp, _ = driven.slice(z)
         return model.mass(z) * (xp * dv / v - dxp) ** 2
 
-    integral = _panel_integral(integrand, t0, a, b, _panel_width(model))(t)
+    # one radian of the fastest model frequency per panel: the 20-node rule
+    # is then exact to rounding for the smooth delta integrands
+    integral = _panel_integral(integrand, t0, a, b, 1.0 / frequency_scale(model))(t)
     v, dv = basis.slice(t)[2:4]
     boundary = -0.5 * model.mass(t) * (dv / v) * driven.slice(t)[0] ** 2
     out = boundary - 0.5 * integral

@@ -276,7 +276,7 @@ def build_context(scenario: dict, fast: bool = False):
     if "driving" in scenario:
         d = scenario["driving"]
         driven = solve_particular(
-            model,
+            basis,
             float(d.get("xp0", 0.0)),
             float(d.get("dxp0", 0.0)),
             t0=d.get("t0"),

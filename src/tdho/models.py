@@ -195,6 +195,7 @@ class OscillatorModel:
 
     family = "base"
     keys = ()
+    nodes = ()  # where the law is only piecewise smooth: no panel straddles one
 
     def __init__(self, t_min: float, t_max: float, force: Force | None = None):
         if not (t_min < t_max):
@@ -221,24 +222,25 @@ class OscillatorModel:
         return self.terms(t)[3]
 
     def ode_terms(self, t):
-        """(M, Mdot/M, w^2, F) at one time t as floats: everything a step of
-        the trajectory ODEs reads of the model."""
+        """(M, Mdot/M, w^2) at one time t as floats: everything a step of
+        the basis ODE reads of the model."""
         M, dM, _, w2 = self.terms(t)
-        return float(M), float(dM / M), float(w2), float(self.force_at(t))
+        return float(M), float(dM / M), float(w2)
 
     # ---------------------------------------------------------------------
     def check_domain(self, t):
-        # small slack so finite-difference probes at domain ends don't trip
+        # small slack so finite-difference probes at domain ends don't trip;
+        # each test asks whether t is inside, which NaN never is
         eps = 1e-12 * max(abs(self.t_min), abs(self.t_max), 1.0)
         lo, hi = self.t_min - eps, self.t_max + eps
         if isinstance(t, float):  # a Python or numpy float: the same IEEE test
-            outside = t < lo or t > hi
+            outside = not lo <= t <= hi
         else:
             t = np.asarray(t)
-            outside = np.any(t < lo) or np.any(t > hi)
+            outside = not np.all((t >= lo) & (t <= hi))
         if outside:
             ts = np.atleast_1d(np.asarray(t, dtype=float))
-            refused = ts[(ts < lo) | (ts > hi)].tolist()
+            refused = ts[~((ts >= lo) & (ts <= hi))].tolist()
             raise DomainError(f"t outside model domain [{self.t_min}, {self.t_max}]: "
                               + ", ".join(map(str, refused)))
 
@@ -292,7 +294,7 @@ class CaldirolaKanai(OscillatorModel):
     def ode_terms(self, t):
         M = float(self.m * np.exp(self.gamma * t))
         # (gamma M) / M, as dmass / mass rounds it, not gamma
-        return M, self.gamma * M / M, self.w1**2, float(self.force_at(t))
+        return M, self.gamma * M / M, self.w1**2
 
 
 class LoDampedPulsating(OscillatorModel):
@@ -335,7 +337,7 @@ class LoDampedPulsating(OscillatorModel):
         M = float(self.m0 * np.exp(2.0 * (self.gamma * t + self.mu * sin)))
         dg = self.gamma + self.mu * self.nu * cos
         d2g = -self.mu * self.nu**2 * sin
-        return M, 2.0 * dg * M / M, self.w_lo**2 + dg * dg + d2g, float(self.force_at(t))
+        return M, 2.0 * dg * M / M, self.w_lo**2 + dg * dg + d2g
 
 
 class _Hermite:
@@ -416,6 +418,7 @@ class GeneralParametric(OscillatorModel):
             raise ValueError("M must be positive everywhere")
         super().__init__(ts[0], ts[-1], force)
         self._tables = dict(zip(self.keys, [ts, *tables]))
+        self.nodes = ts
         self._M = _Hermite(ts, tables[:3])
         self._w2 = _Hermite(ts, [tables[3], _not_a_knot_slopes(ts, tables[3])])
 

@@ -1,9 +1,9 @@
-"""Two-sided DOP853 integration with one dense evaluator.
+"""Two-sided DOP853 integration of the numeric bases, with one dense evaluator.
 
 DOP853 (Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.5 and §II.10)
 marches from t0 to each end of the requested span; its 7th-order dense
 output is as accurate between steps as at them, so no step cap is needed.
-The two marches are joined into one piecewise evaluator over the whole span.
+The marches join into one evaluator, which reads the quadrature paths too.
 
 The march is a port of scipy's DOP853 path (`solve_ivp(method="DOP853",
 dense_output=True)` with no max_step): it performs the same floating-point
@@ -40,11 +40,12 @@ class ODEError(RuntimeError):
 class DenseSolution:
     """Piecewise DOP853 dense output over the accepted steps, sorted by time.
 
-    Each step is (t_old, h, y_old, F): its start, signed length, start
-    value and the 7 rows of its dense-output polynomial; they are stacked
-    into arrays once.  A query picks its step with one searchsorted (the
-    rule of scipy's OdeSolution: a time on a knot takes the earlier step)
-    and evaluates scipy's Horner recurrence
+    Step i is (t_old[i], h[i], y_old[i], rows[:, i]): its start, signed
+    length, start value and the 7 rows F of its dense-output polynomial,
+    given as arrays, rows row-major (7, steps, components) so that each
+    row's gather is one contiguous take.  A query picks its step with one
+    searchsorted (scipy's OdeSolution rule: a time on a knot takes the
+    earlier step) and evaluates scipy's Horner recurrence
 
         y = (((F6 x + F5)(1-x) + F4) x + ... + F0) x + y_old,  x = (t - t_old)/h
 
@@ -54,18 +55,12 @@ class DenseSolution:
     (ncomponents,), an array of times (len(t), ncomponents).
     """
 
-    def __init__(self, ts, steps):
+    def __init__(self, ts, t_old, h, y_old, rows):
         self.ts = np.asarray(ts, dtype=np.float64)
         self.t_min = float(self.ts[0])
         self.t_max = float(self.ts[-1])
         self._slack = 1e-9 * max(self.t_max - self.t_min, 1.0)
-        t_old, h, y_old, F = zip(*steps)
-        self._t_old = np.array(t_old, dtype=np.float64)
-        self._h = np.array(h, dtype=np.float64)
-        self._y_old = np.array(y_old, dtype=np.float64)
-        # row-major (7, steps, components), so each row's gather is one
-        # contiguous take
-        self._rows = np.stack(F, axis=1)
+        self._t_old, self._h, self._y_old, self._rows = t_old, h, y_old, rows
 
     @property
     def ncomponents(self):
@@ -137,7 +132,7 @@ def _error_norm(KT, h, scale):
 
 def _march(f, t0, y0, t_end, rtol, atol):
     """DOP853 from t0 to t_end; returns (ts, steps) in time order, each
-    step (t_old, h, y_old, F) as DenseSolution takes it."""
+    step (t_old, h, y_old, F)."""
     def fail(reason):
         return ODEError(f"integration from t={t0} towards t={t_end} failed: {reason}")
 
@@ -225,4 +220,5 @@ def solve_ode(f, t0, y0, t_lo, t_hi, rtol=1e-10, atol=1e-12):
     if t_hi > t0 or not parts:
         parts.append(_march(f, t0, y0, t_hi, rtol, atol))
     ts = np.concatenate([parts[0][0]] + [p[0][1:] for p in parts[1:]])
-    return DenseSolution(ts, [s for p in parts for s in p[1]])
+    t_old, h, y_old, F = zip(*(s for p in parts for s in p[1]))
+    return DenseSolution(ts, np.array(t_old), np.array(h), np.array(y_old), np.stack(F, axis=1))

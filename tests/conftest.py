@@ -58,7 +58,7 @@ def driven_sho():
     """Resonant-free driven SHO: F = cos 2t, particular x_p = -cos(2t)/3."""
     model = CaldirolaKanai(1.0, 0.0, 1.0, t_min=T_MIN, t_max=T_MAX, force=CosineForce(1.0, 2.0))
     basis = analytic_basis_sho(model)
-    driven = solve_particular(model, -1.0 / 3.0, 0.0, t0=0.0, tol=1e-11)
+    driven = solve_particular(basis, -1.0 / 3.0, 0.0, t0=0.0, tol=1e-11)
     return basis, driven
 
 
@@ -70,7 +70,7 @@ def driven_ck():
         force=ExpCosineForce(1.0, 0.3, 1.0),
     )
     basis = analytic_basis_ck(model)
-    driven = solve_particular(model, 0.0, 0.0, t0=0.0, tol=1e-11)
+    driven = solve_particular(basis, 0.0, 0.0, t0=0.0, tol=1e-11)
     return basis, driven
 
 

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+import tdho.classical
 from tdho.classical import (
     DegenerateBasisError,
     NumericBasis,
@@ -20,9 +22,11 @@ from tdho.classical import (
     reduced_basis,
     shift_particular,
     solve_homogeneous,
+    solve_particular,
     unwrapped_ellipse_angle,
 )
-from tdho.models import CaldirolaKanai, LoDampedPulsating, reduced_frequency_squared
+from tdho.cli import build_context, load_scenario
+from tdho.models import CaldirolaKanai, Force, LoDampedPulsating, reduced_frequency_squared
 
 from conftest import T_MAX, T_MIN
 
@@ -276,6 +280,66 @@ def test_particular_solution_cosine_drive(driven_sho):
     np.testing.assert_allclose(xp, -np.cos(2 * ts) / 3.0, atol=5e-11)
     np.testing.assert_allclose(dxp, 2 * np.sin(2 * ts) / 3.0, atol=5e-11)
     assert drv.slice(0.0)[2] == 0.0
+
+
+def test_driven_sho_path_is_its_closed_form(driven_sho):
+    """Over the analytic basis, quadrature gives F = cos 2t's response and
+    its phase integral to rounding: x_p = -cos(2t)/3, xdot_p = (2/3) sin 2t
+    and delta = -t/12 + (5/144) sin 4t, at knots and between them."""
+    _, drv = driven_sho
+    ts = np.linspace(T_MIN, T_MAX, 5001)
+    xp, dxp, delta = drv.slice(ts)
+    np.testing.assert_allclose(xp, -np.cos(2 * ts) / 3.0, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(dxp, 2 * np.sin(2 * ts) / 3.0, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(delta, -ts / 12 + 5 / 144 * np.sin(4 * ts), rtol=0, atol=1e-13)
+
+
+def test_driven_ck_path_matches_solve_ivp(driven_ck):
+    """The damped, driven path against scipy's DOP853 march of (x_p, xdot_p,
+    delta) at rtol 1e-13 from t0 = 0 to both ends; over a numeric basis
+    solved at 1e-11, the path agrees to that basis's accuracy."""
+    basis, drv = driven_ck
+    model = basis.model
+
+    def rhs(t, y):
+        M, r, w2 = model.ode_terms(t)
+        F = model.force_at(t)
+        return [y[1], F / M - r * y[1] - w2 * y[0], 0.5 * M * (w2 * y[0] ** 2 - y[1] ** 2)]
+
+    ts = np.linspace(T_MIN, T_MAX, 2001)
+    want = np.zeros((3, ts.size))
+    for end, side in ((T_MIN, ts <= 0.0), (T_MAX, ts >= 0.0)):
+        sol = solve_ivp(rhs, (0.0, end), [0.0, 0.0, 0.0], method="DOP853", rtol=1e-13,
+                        atol=1e-15, dense_output=True)
+        want[:, side] = sol.sol(ts[side])
+    gap = np.max(np.abs(np.array(drv.slice(ts)) - want), axis=1)
+    assert gap[0] < 1e-12 and gap[1] < 1e-12 and gap[2] < 2e-12, gap
+    numeric = solve_particular(solve_homogeneous(model, 1.0, 0.0, 0.0, 1.0, tol=1e-11, t0=0.0),
+                               0.0, 0.0, t0=0.0, tol=1e-11)
+    np.testing.assert_allclose(numeric.slice(ts), drv.slice(ts), rtol=0, atol=1e-9)
+
+
+class _HiddenFastForce(Force):
+    """cos 40t with no frequency hint: the panels are sized for w = 1."""
+
+    def __call__(self, t):
+        return np.cos(40.0 * t)
+
+
+def test_a_force_too_fast_for_its_panels_is_refused():
+    model = CaldirolaKanai(1.0, 0.0, 1.0, t_min=0.0, t_max=6.0, force=_HiddenFastForce())
+    with pytest.raises(QuadratureError, match="16- and 32-node Gauss-Legendre give"):
+        solve_particular(analytic_basis_sho(model), 0.0, 0.0, tol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["driven_sho", "driven_ck"])
+def test_a_driven_build_over_an_analytic_basis_marches_nothing(monkeypatch, name):
+    """The particular path is a quadrature over the scenario's basis."""
+    def march(*args, **kwargs):
+        raise AssertionError("a trajectory was marched")
+
+    monkeypatch.setattr(tdho.classical, "solve_ode", march)
+    assert build_context(load_scenario(name)).driven is not None
 
 
 def test_delta_rate_matches_definition(driven_sho):

@@ -369,6 +369,57 @@ def test_exact_tabulated_table_verifies(tmp_path, capsys, nodes):
     assert omega < 1e-8
 
 
+def test_a_driven_tabulated_model_verifies(tmp_path, capsys):
+    """The paper's general case: M = 1 + 0.3 sin t and w^2 = 1 + 0.2 cos 2t
+    both tabulated on 31 nodes, driven by cos 1.3t.  Every table node is a
+    panel edge of the particular path's quadrature, whose 16- and 32-node
+    rules then agree (across a node, where w^2 is only C^2, they do not),
+    and every row passes."""
+    doc = _tabulated_doc(
+        31, basis={"kind": "numeric", "ics": [1.0, 0.0, 0.0, 1.0], "tol": 1e-11},
+        driving={"force": {"kind": "cosine", "amplitude": 1.0, "omega": 1.3}},
+        checks=["omega_constancy", "residual", "transform_chain", "uncertainty"])
+    ts = np.array(doc["model"]["params"]["t"])
+    doc["model"]["params"]["w2"] = (1.0 + 0.2 * np.cos(2.0 * ts)).tolist()
+    assert main(["verify", _write(tmp_path, doc)]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 65 and all(row["pass"] for row in rows)
+
+
+def _driven_lo_doc():
+    """lo driven by 0.5 cos 1.3t, with the checks that read its path."""
+    doc = load_scenario("lo")
+    doc["driving"] = {"force": {"kind": "cosine", "amplitude": 0.5, "omega": 1.3},
+                      "t0": 0.0}
+    doc["checks"] = ["residual", "uncertainty", "transform_chain", "delta_equivalence",
+                     "omega_constancy"]
+    return doc
+
+
+def _driven_tabulated_doc():
+    """The tabulated document of test_a_driven_tabulated_model_verifies."""
+    doc = _tabulated_doc(
+        31, driving={"force": {"kind": "cosine", "amplitude": 1.0, "omega": 1.3}},
+        checks=["omega_constancy", "residual", "transform_chain", "uncertainty"])
+    ts = np.array(doc["model"]["params"]["t"])
+    doc["model"]["params"]["w2"] = (1.0 + 0.2 * np.cos(2.0 * ts)).tolist()
+    return doc
+
+
+@pytest.mark.parametrize("tol", [None, 1e-11])
+@pytest.mark.parametrize("build", [_driven_lo_doc, _driven_tabulated_doc])
+def test_a_driven_numeric_basis_verifies_at_its_own_tol(tmp_path, capsys, build, tol):
+    """Over a numeric basis the particular path's guard is never tighter
+    than ten times the basis's tol, so a driving.tol equal to the basis's
+    (both defaulted, or both 1e-11) passes every row."""
+    doc = build()
+    doc["basis"].pop("tol", None)
+    if tol is not None:
+        doc["basis"]["tol"] = doc["driving"]["tol"] = tol
+    assert main(["verify", _write(tmp_path, doc)]) == 0
+    assert all(row["pass"] for row in json.loads(capsys.readouterr().out))
+
+
 def test_tabulated_domain_must_be_its_tables(tmp_path, capsys):
     """A tabulated model's domain is its first and last node; a document
     that declares another one is refused (exit 2), not run on the table's."""
@@ -613,6 +664,18 @@ def test_state_refuses_a_t_outside_the_domain(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     assert main(["state", "sho_c1", "--t", "50", "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", OUT_OF_DOMAIN)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_state_refuses_a_non_finite_t(tmp_path, capsys, monkeypatch, t):
+    """A non-finite --t is never inside the domain: the domain check refuses
+    it, naming the time and the domain, before anything is solved."""
+    _never_solved(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["state", "sho_c1", "--t", t, "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"configuration error: t outside model domain [-1.0, 12.0]: {t}\n")
     assert not out.exists()
 
 

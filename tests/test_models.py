@@ -86,7 +86,7 @@ def _refused(model, t) -> bool:
 def test_domain_check_of_a_float_is_the_array_verdict(t_min, t_max):
     """A float time (Python or numpy) takes the scalar path; its verdict is
     the array path's for every input: on each side of both slack edges,
-    inside, far outside, NaN (never refused) and the infinities."""
+    inside, far outside, NaN and the infinities (all three refused)."""
     m = CaldirolaKanai(1.0, 0.0, 1.0, t_min=t_min, t_max=t_max)
     eps = 1e-12 * max(abs(t_min), abs(t_max), 1.0)
     edges = (t_min - eps, t_max + eps)
@@ -102,7 +102,7 @@ def test_domain_check_of_a_float_is_the_array_verdict(t_min, t_max):
     assert not verdicts[lo] and not verdicts[hi]
     assert verdicts[float(np.nextafter(lo, -np.inf))]
     assert verdicts[float(np.nextafter(hi, np.inf))]
-    assert not _refused(m, np.nan)
+    assert _refused(m, np.nan) and verdicts[np.inf] and verdicts[-np.inf]
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +439,10 @@ def _ode_model(family, force):
 @pytest.mark.parametrize("family", ["UnitMassSHO", "CaldirolaKanai",
                                     "LoDampedPulsating", "GeneralParametric"])
 def test_ode_terms_are_the_model_reads_bit_for_bit(rng, family, force):
-    """(M, Mdot/M, w^2, F) from one ode_terms call are floats equal, bit for
-    bit, to mass, dmass / mass, freq2 and force_at, at times inside the
-    domain given as Python or numpy floats (solve_ivp passes either)."""
+    """(M, Mdot/M, w^2) from one ode_terms call are floats equal, bit for
+    bit, to mass, dmass / mass and freq2, with or without a force, at times
+    inside the domain given as Python or numpy floats (solve_ivp passes
+    either)."""
     _ode_terms_match(_ode_model(family, _ODE_FORCES[force]), rng)
 
 
@@ -454,7 +455,7 @@ def _ode_terms_match(model, rng):
         for t in (float(t), np.float64(t)):
             got = model.ode_terms(t)
             M = model.mass(t)
-            want = (M, model.dmass(t) / M, model.freq2(t), model.force_at(t))
+            want = (M, model.dmass(t) / M, model.freq2(t))
             assert all(type(q) is float for q in got)
             assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes(), t
 
@@ -522,8 +523,7 @@ def test_a_family_that_states_only_terms_works_through_every_read():
         got = model.ode_terms(t)
         assert all(type(q) is float for q in got)
         m = 2.0 + np.sin(t)
-        np.testing.assert_allclose(got, (m, np.cos(t) / m, 1.0 + 0.1 * t,
-                                         0.5 * np.cos(1.3 * t)), rtol=1e-15)
+        np.testing.assert_allclose(got, (m, np.cos(t) / m, 1.0 + 0.1 * t), rtol=1e-15)
     w02 = 1.0 + 0.1 * ts + 0.25 * (np.cos(ts) / M) ** 2 + 0.5 * np.sin(ts) / M
     np.testing.assert_allclose(reduced_frequency_squared(model, ts), w02, rtol=1e-14)
     basis = solve_homogeneous(_SineMass(0.0, 10.0), 1.0, 0.0, 0.0, 1.0)

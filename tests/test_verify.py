@@ -1350,15 +1350,21 @@ def test_each_time_reads_a_view_of_its_stack(monkeypatch, bundled_context):
 
 
 def test_every_window_reads_its_grids_points(monkeypatch, bundled_context):
-    """On driven_ck's policy grid, where x_min + dx (P - 1) is not x_max,
-    the x of every GridFunction the suite makes (the shared rows, the
-    companion stack, each chain map's output, the rows the moments pad to
-    the whole grid) is its slice of linspace(x_min, x_max, P), bit for bit;
-    grid.xs() is one read-only array."""
+    """On driven_ck's policy grid, its x_max nudged up by ulps until
+    x_min + dx (P - 1) is not x_max, the x of every GridFunction the suite
+    makes (the shared rows, the companion stack, each chain map's output,
+    the rows the moments pad to the whole grid) is its slice of
+    linspace(x_min, x_max, P), bit for bit; grid.xs() is one read-only
+    array."""
     from tdho.cli import load_scenario
 
     ctx = bundled_context("driven_ck")
     grid = ctx.grid
+    for _ in range(64):
+        if grid.x_min + grid.dx * (grid.points - 1) != grid.x_max:
+            break
+        grid = Grid(grid.x_min, float(np.nextafter(grid.x_max, np.inf)), grid.points)
+    ctx = dataclasses.replace(ctx, grid=grid)
     assert grid.x_min + grid.dx * (grid.points - 1) != grid.x_max
     assert grid.xs() is grid.xs() and not grid.xs().flags.writeable
     made = []
