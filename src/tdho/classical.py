@@ -4,9 +4,9 @@ A basis is a pair (u, v) of independent real solutions of
 (d/dt)(M xdot) + M w^2 x = 0.  The Wronskian invariant
 Omega = M (vdot u - udot v) is constant and must be positive; the envelope
 rho = sqrt(u^2 + v^2) and the continuously unwrapped angle
-theta = arg(u - iv) parameterize the quantum states.  Driven models add a
-particular solution x_p and the phase integral delta(t), by quadrature over
-the basis: DOP853 marches the numeric bases only.
+theta = arg(u - iv) parameterize the quantum states.  A numeric basis is
+collocated on Gauss-Legendre panels; driven models add a particular solution
+x_p and the phase integral delta(t), by quadrature over the basis.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .models import (
     _is_unit_mass_sho,
     frequency_scale,
 )
-from .ode import DenseSolution, solve_ode
+from .ode import DenseSolution
 
 __all__ = [
     "DegenerateBasisError",
@@ -68,21 +68,19 @@ class SingularPathError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """A panel integral is not resolved (its q- and 2q-node Gauss-Legendre
-    rules disagree) or is queried outside its tabulated span."""
+    """A panel's integral or collocated basis is not resolved (its q- and
+    2q-node rules disagree) or not finite, or is queried outside its span."""
 
 
 class ClassicalBasis:
     """Base class; subclasses provide model, omega and _read.
 
     Every quantity of a time slice comes from one read of the trajectory:
-    callers index `slice(t)`.  `tol` is the relative tolerance the
-    trajectory was solved to; a closed form is exact to rounding.
+    callers index `slice(t)`.
     """
 
     model: OscillatorModel
     omega: float
-    tol: float = 0.0
 
     def _read(self, t):
         """(u, du, v, dv, theta) at t from one evaluation of the trajectory."""
@@ -146,17 +144,15 @@ class _AnalyticCKBasis(ClassicalBasis):
 
 
 class NumericBasis(ClassicalBasis):
-    """Basis backed by dense ODE output of (u, du, v, dv, theta).
+    """Basis backed by dense output of (u, du, v, dv, theta).
 
-    The march carries theta with its own step control, so the marched
-    theta tracks the winding however fast it turns; each query computes the
-    exact principal argument and snaps it to the marched theta's branch.
+    Each query computes the exact principal argument and snaps it to the
+    branch of the tabulated theta, which tracks the winding to within pi.
     """
 
-    def __init__(self, sol, model, omega, tol=0.0):
+    def __init__(self, sol, model, omega):
         self.model = model
         self.omega = float(omega)
-        self.tol = float(tol)
         self._sol = sol
 
     def _read(self, t):
@@ -179,7 +175,6 @@ class ReducedBasis(ClassicalBasis):
         self.base = base
         self.model = ReducedUnitMass(base.model)
         self.omega = base.omega
-        self.tol = base.tol
 
     def _read(self, t):
         u, du, v, dv, theta = self.base._read(t)
@@ -206,8 +201,12 @@ def solve_homogeneous(
     tol: float = 1e-10,
     t0=None,
 ) -> ClassicalBasis:
-    """Integrate the homogeneous pair (u, v), and theta with it, across the
-    model domain.
+    """The homogeneous pair (u, v), and theta with it, across the model domain,
+    collocated on the particular path's panels (_collocate); their propagators
+    carry (u, v) out from t0.  A panel whose 16- and 32-node propagators differ
+    by over `tol` of their size, or whose values are not finite, raises
+    QuadratureError.  theta is arg(u - iv) at each sample of the steps,
+    unwrapped from atan2(-v0, u0) as it falls (thetadot = -Omega/(M rho^2)).
 
     Omega is fixed from the initial data; Omega <= 0 is rejected rather
     than silently repaired, since a sign flip would alter every phase
@@ -215,32 +214,60 @@ def solve_homogeneous(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    t0 = model.t_min if t0 is None else float(t0)
-    model.check_domain(t0)
+    t0, k0, edges, z, half = _path_panels(model, t0)
     wronskian = dv0 * u0 - du0 * v0
     scale = max(abs(u0), abs(v0)) * max(abs(du0), abs(dv0))
     if abs(wronskian) <= 1e-14 * max(scale, 1e-300):
-        raise DegenerateBasisError(
-            "initial data for u and v are proportional (zero Wronskian)"
-        )
+        raise DegenerateBasisError("initial data for u and v are proportional (zero Wronskian)")
     omega = model.mass(t0) * wronskian
     if omega <= 0:
-        raise OmegaSignError(
-            f"Omega = {omega} <= 0; swap (u, v) or negate one solution"
-        )
+        raise OmegaSignError(f"Omega = {omega} <= 0; swap (u, v) or negate one solution")
 
-    def rhs(t, y):
-        _, r, w2 = model.ode_terms(t)
-        u, du, v, dv, _ = y.tolist()
-        # theta = arg(u - iv) turns at (v·udot - u·vdot)/rho^2
-        return np.array([du, -r * du - w2 * u, dv, -r * dv - w2 * v,
-                         (v * du - u * dv) / (u * u + v * v)])
+    lo, hi, q = edges[:-1], edges[1:], _PATH_NODES
+    M, dM, _, w2 = model.terms(z.ravel())
+    r, w2 = (dM / M).reshape(z.shape), w2.reshape(z.shape)
+    prop, x, dx = _collocate(half, r[:, :q], w2[:, :q])
+    gap = (np.abs(_collocate(half, r[:, q:], w2[:, q:])[0] - prop).max(axis=(1, 2))
+           / np.abs(prop).max(axis=(1, 2)))
+    if not np.all(gap <= tol):  # also catches NaN
+        i = int(np.argmax(np.where(np.isnan(gap), np.inf, gap)))
+        raise QuadratureError(f"basis not resolved on [{lo[i]}, {hi[i]}]: its 16- and "
+                              f"32-node propagators differ by {gap[i]:.3g} of their size")
+    # pair[k] = [[u, v], [du, dv]] at edge k, stepped out from t0 both ways
+    pair = np.empty((len(edges), 2, 2))
+    pair[k0] = [[u0, v0], [du0, dv0]]
+    for k in range(k0, len(lo)):
+        pair[k + 1] = prop[k] @ pair[k]
+    back = np.linalg.inv(prop[:k0])
+    for k in range(k0 - 1, -1, -1):
+        pair[k] = back[k] @ pair[k + 1]
+    at = _step_samples(np.stack([x @ pair[:-1], dx @ pair[:-1]]).transpose(3, 0, 1, 2)
+                       .reshape(4, len(lo), q), pair.transpose(2, 1, 0).reshape(4, -1))
+    if not (finite := np.isfinite(at).all(axis=(0, 2, 3))).all():
+        i = int(np.argmin(finite))
+        raise QuadratureError(f"basis not finite on [{lo[i]}, {hi[i]}]")
+    raw = np.arctan2(-at[2], at[0]).ravel()  # in time order, t0 at sample k0 * 64
+    # theta falls by less than 2 pi per sample: raw rises only where it wraps
+    turns = np.append(0, np.cumsum(raw[1:] > raw[:-1]))
+    theta = raw - _TWO_PI * (turns - turns[min(k0 * at[0, 0].size, raw.size - 1)])
+    return NumericBasis(_dense_steps(np.append(at, [theta.reshape(at.shape[1:])], axis=0),
+                                     edges), model, omega)
 
-    sol = solve_ode(
-        rhs, t0, [u0, du0, v0, dv0, math.atan2(-v0, u0)], model.t_min, model.t_max,
-        rtol=tol, atol=1e-2 * tol,
-    )
-    return NumericBasis(sol, model, omega, tol)
+
+def _collocate(half, r, w2):
+    """The propagators (panels, 2, 2) of (x, xdot) over panels of half width h,
+    and x, xdot (panels, q, 2) at the q Gauss nodes from (x, xdot)(lo) = (1, 0)
+    and (0, 1), from r = Mdot/M and w2 at the nodes: with S spectral
+    integration, x = x(lo) + hS xdot and xdot = xdot(lo) - hS(r xdot + w2 x),
+    so (1 + hS r + h^2 S w2 S) xdot = xdot(lo) - x(lo) hS w2."""
+    q = r.shape[1]
+    hS = half[:, :, None] * _path_matrices(q)[0][:q]
+    rhs = np.stack([-(hS @ w2[..., None])[..., 0], np.ones_like(w2)], axis=-1)
+    dx = np.linalg.solve(np.eye(q) + hS * r[:, None] + (hS * w2[:, None]) @ hS, rhs)
+    x = hS @ dx + [1.0, 0.0]
+    wq = _gauss_legendre(q)[1]
+    ends = np.stack([wq @ dx, -(wq @ (r[..., None] * dx + w2[..., None] * x))], axis=1)
+    return np.eye(2) + half[:, :, None] * ends, x, dx
 
 
 def analytic_basis_sho(model, A=1.0, B=1.0, w_s=None) -> ClassicalBasis:
@@ -370,18 +397,18 @@ def _panel_integral(g, t0, t_lo, t_hi, width):
     return integral
 
 
-# per panel of the particular path: Gauss nodes (checked against 2x), degree-7 steps
+# per panel of a path: Gauss nodes (checked against 2x), degree-7 steps
 _PATH_NODES, _PATH_STEPS = 16, 8
 
 
 @functools.lru_cache(maxsize=None)
-def _path_matrices():
-    """Fixed maps from a panel's values at its q = _PATH_NODES Gauss nodes:
+def _path_matrices(q=_PATH_NODES):
+    """Fixed maps from a panel's values at its q Gauss nodes:
     `integrals` (3q, q) to the integrals of their Legendre series from the
     panel's start to each q and 2q node, half width 1 (spectral integration,
     Greengard 1991); `samples` to that series at 8 Chebyshev-Lobatto points of
     each step, ends included; `rows` from those to y_old and the DOP853 F."""
-    leg, q = np.polynomial.legendre, _PATH_NODES
+    leg = np.polynomial.legendre
     to_series = np.linalg.inv(leg.legvander(_gauss_legendre(q)[0], q - 1))
     nodes = np.concatenate([_gauss_legendre(q)[0], _gauss_legendre(2 * q)[0]])
     integrals = leg.legvander(nodes, q) @ leg.legint(to_series, lbnd=-1, axis=0)
@@ -395,14 +422,37 @@ def _path_matrices():
     return integrals, leg.legvander(z, q - 1) @ to_series, rows
 
 
-def _path_edges(model, t0):
-    """Panel edges over the model's domain at most half a radian of its
-    fastest frequency apart: its ends, t0 and every table node are edges,
-    and each gap between two of them is cut into equal panels."""
+def _step_samples(nodes, edges):
+    """(k, panels, _PATH_STEPS, 8) samples of the series through `nodes` (k,
+    panels, _PATH_NODES), with every panel's ends exactly `edges` (k, panels + 1)."""
+    at = (nodes @ _path_matrices()[1].T).reshape(*nodes.shape[:2], _PATH_STEPS, 8)
+    at[:, :, 0, 0], at[:, :, -1, -1] = edges[:, :-1], edges[:, 1:]
+    return at
+
+
+def _dense_steps(at, edges):
+    """The DenseSolution of degree-7 DOP853-form steps, _PATH_STEPS per
+    panel between `edges`, through the samples `at` of _step_samples."""
+    steps = np.ascontiguousarray((at @ _path_matrices()[2].T).reshape(len(at), -1, 8).T)
+    ts = np.append(np.linspace(edges[:-1], edges[1:], _PATH_STEPS, endpoint=False, axis=1),
+                   edges[-1])
+    return DenseSolution(ts, ts[:-1], np.diff(ts), steps[0], steps[1:])
+
+
+def _path_panels(model, t0):
+    """t0 (the domain's start if None) within the domain, its index among the
+    panel edges, the edges, and the panels' nodes and half widths (_panel_nodes).
+    Edges are at most half a radian of the fastest frequency apart: the ends,
+    t0 and table nodes are edges, and each gap between them equal panels."""
+    t0 = model.t_min if t0 is None else float(t0)
+    model.check_domain(t0)
+    t0 = min(max(t0, model.t_min), model.t_max)  # within check_domain's slack
     width = 0.5 / frequency_scale(model)
     cuts = sorted({model.t_min, t0, model.t_max, *model.nodes})
-    return np.concatenate([*(np.linspace(a, b, math.ceil((b - a) / width), endpoint=False)
-                             for a, b in zip(cuts[:-1], cuts[1:])), [model.t_max]])
+    edges = np.concatenate([*(np.linspace(a, b, math.ceil((b - a) / width), endpoint=False)
+                              for a, b in zip(cuts[:-1], cuts[1:])), [model.t_max]])
+    return (t0, int(np.searchsorted(edges, t0)), edges,
+            *_panel_nodes(edges[:-1], edges[1:], _PATH_NODES))
 
 
 def solve_particular(
@@ -419,28 +469,21 @@ def solve_particular(
 
     where J_u = M(xdot_p u - x_p udot) = J_u(t0) + ∫_{t0}^t u F, and J_v the
     same in v; delta = ∫_{t0}^t of its rate.  Each integral is spectral on
-    Gauss-Legendre panels (_path_edges) whose 16- and 32-node rules must
-    agree to `tol` of ∫|g|, or to ten times the basis's own tol (a marched
-    basis is smooth to its tol only), else QuadratureError; it is read
-    through degree-7 dense-output steps, 8 per panel."""
+    Gauss-Legendre panels (_path_panels) whose 16- and 32-node rules must
+    agree to `tol` of ∫|g|, else QuadratureError; it is read through
+    degree-7 dense-output steps, 8 per panel (_dense_steps)."""
     model = basis.model
-    t0 = model.t_min if t0 is None else float(t0)
-    model.check_domain(t0)
-    t0 = min(max(t0, model.t_min), model.t_max)  # within check_domain's slack
-    bound = max(tol, 10.0 * basis.tol)
-    edges = _path_edges(model, t0)
-    lo, hi, q = edges[:-1], edges[1:], _PATH_NODES
-    z, half = _panel_nodes(lo, hi, q)
-    n, k0 = z.size, int(np.searchsorted(edges, t0))
+    t0, k0, edges, z, half = _path_panels(model, t0)
+    lo, hi, q, n = edges[:-1], edges[1:], _PATH_NODES, z.size
     # each quantity flat: the panels' q and 2q nodes, then the edges
     u, du, v, dv, _ = basis._read(np.append(z, edges))
     M, _, _, w2 = model.terms(z.ravel())
-    integrals, samples, rows = _path_matrices()
+    integrals = _path_matrices()[0]
 
     def integral(g):
         """∫_{t0} g at every node and edge, from g at the nodes."""
         vals = half * g.reshape(z.shape)
-        ends = _from_edge(_two_rules(vals, q, lo, hi, bound), k0)
+        ends = _from_edge(_two_rules(vals, q, lo, hi, tol), k0)
         return np.append(ends[:-1, None] + vals[:, :q] @ integrals.T, ends)
 
     F, M0, omega, i = model.force_at(z.ravel()), model.mass(t0), basis.omega, n + k0
@@ -449,12 +492,8 @@ def solve_particular(
     xp, dxp = (v * j_u - u * j_v) / omega, (dv * j_u - du * j_v) / omega
     path = np.stack([xp, dxp, integral(0.5 * M * (w2 * xp[:n] ** 2 - dxp[:n] ** 2))])
 
-    # every step's samples from its panel's series, its ends exact
-    at = (path[:, :n].reshape(3, *z.shape)[..., :q] @ samples.T).reshape(3, len(lo), -1, 8)
-    at[:, :, 0, 0], at[:, :, -1, -1] = path[:, n:-1], path[:, n + 1:]
-    steps = np.ascontiguousarray((at @ rows.T).reshape(3, -1, 8).T)  # (8, steps, 3)
-    ts = np.append(np.linspace(lo, hi, _PATH_STEPS, endpoint=False, axis=1), model.t_max)
-    sol = DenseSolution(ts, ts[:-1], np.diff(ts), steps[0], steps[1:])
+    sol = _dense_steps(_step_samples(path[:, :n].reshape(3, *z.shape)[..., :q], path[:, n:]),
+                       edges)
 
     def read(t):
         y = sol(t)

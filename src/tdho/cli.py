@@ -227,9 +227,7 @@ def _build_basis(scenario, model):
     ics = b.get("ics")
     if ics is None:
         raise ScenarioError("numeric basis needs \"ics\": [u0, du0, v0, dv0]")
-    return solve_homogeneous(
-        model, *ics, tol=float(b.get("tol", 1e-10)), t0=b.get("t0"),
-    )
+    return solve_homogeneous(model, *ics, tol=float(b.get("tol", 1e-10)), t0=b.get("t0"))
 
 
 def _closed_form_C(scenario, model):

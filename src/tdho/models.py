@@ -3,9 +3,7 @@
 A family states its law once, as `terms(t)` = (M, Mdot, Mddot, w^2) in
 closed form; nothing here is ever finite-differenced.  `mass`, `dmass`,
 `d2mass` and `freq2` are reads of `terms`, and a reader of two or more of
-them takes all from one `terms` call.  The Caldirola-Kanai and Lo families
-keep a scalar `ode_terms` of their own, the trajectory ODE's fast path,
-pinned bit for bit to those reads by the tests.  The unit-mass reduction
+them takes all from one `terms` call.  The unit-mass reduction
 w0^2 = w^2 + (1/4)(Mdot/M)^2 - (1/2)(Mddot/M) lives here too, since it only
 needs the model data.
 """
@@ -41,8 +39,7 @@ class DomainError(ValueError):
 
 
 def _constant(value, t):
-    """value at each time of t, in t's shape; a scalar t builds no array,
-    since the trajectory ODEs read forces at one time per step."""
+    """value at each time of t, in t's shape; a scalar t builds no array."""
     return value + 0.0 * t
 
 
@@ -221,12 +218,6 @@ class OscillatorModel:
     def freq2(self, t):
         return self.terms(t)[3]
 
-    def ode_terms(self, t):
-        """(M, Mdot/M, w^2) at one time t as floats: everything a step of
-        the basis ODE reads of the model."""
-        M, dM, _, w2 = self.terms(t)
-        return float(M), float(dM / M), float(w2)
-
     # ---------------------------------------------------------------------
     def check_domain(self, t):
         # small slack so finite-difference probes at domain ends don't trip;
@@ -291,11 +282,6 @@ class CaldirolaKanai(OscillatorModel):
         M = self.m * np.exp(self.gamma * np.asarray(t, dtype=float))
         return M, self.gamma * M, self.gamma**2 * M, _constant(self.w1**2, t)
 
-    def ode_terms(self, t):
-        M = float(self.m * np.exp(self.gamma * t))
-        # (gamma M) / M, as dmass / mass rounds it, not gamma
-        return M, self.gamma * M / M, self.w1**2
-
 
 class LoDampedPulsating(OscillatorModel):
     """M(t) = m0 exp[2(gamma t + mu sin(nu t))], frequency compensating to w_lo.
@@ -328,16 +314,6 @@ class LoDampedPulsating(OscillatorModel):
         dg = self.gamma + self.mu * self.nu * cos
         d2g = -self.mu * self.nu**2 * sin
         return M, 2.0 * dg * M, (4.0 * dg * dg + 2.0 * d2g) * M, self.w_lo**2 + dg * dg + d2g
-
-    def ode_terms(self, t):
-        # terms term for term, as floats, from one sine and one cosine
-        t = float(t)
-        nt = self.nu * t
-        sin, cos = float(np.sin(nt)), float(np.cos(nt))
-        M = float(self.m0 * np.exp(2.0 * (self.gamma * t + self.mu * sin)))
-        dg = self.gamma + self.mu * self.nu * cos
-        d2g = -self.mu * self.nu**2 * sin
-        return M, 2.0 * dg * M / M, self.w_lo**2 + dg * dg + d2g
 
 
 class _Hermite:

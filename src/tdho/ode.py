@@ -1,16 +1,10 @@
-"""Two-sided DOP853 integration of the numeric bases, with one dense evaluator.
+"""DOP853-form dense output, and a port of scipy's DOP853 march.
 
-DOP853 (Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.5 and §II.10)
-marches from t0 to each end of the requested span; its 7th-order dense
-output is as accurate between steps as at them, so no step cap is needed.
-The marches join into one evaluator, which reads the quadrature paths too.
-
-The march is a port of scipy's DOP853 path (`solve_ivp(method="DOP853",
-dense_output=True)` with no max_step): it performs the same floating-point
-operations in the same order, so every knot and every dense-output row is
-bit-identical to scipy's, which is its test oracle.  Porting it keeps
-scipy.integrate, and the scipy modules that it loads, out of every
-trajectory solve.
+`DenseSolution` reads steps in the dense-output form of DOP853 (Hairer,
+Nørsett & Wanner, *Solving ODEs I*, §II.5 and §II.10): tdho.classical's
+bases and paths.  `solve_ode` repeats scipy's DOP853 march (`solve_ivp`,
+dense_output=True, no max_step) operation for operation, so every knot and
+dense-output row is bit-identical to scipy's; no trajectory solve calls it.
 """
 
 from __future__ import annotations
@@ -38,22 +32,15 @@ class ODEError(RuntimeError):
 
 
 class DenseSolution:
-    """Piecewise DOP853 dense output over the accepted steps, sorted by time.
+    """Piecewise DOP853 dense output over steps sorted by time.
 
     Step i is (t_old[i], h[i], y_old[i], rows[:, i]): its start, signed
-    length, start value and the 7 rows F of its dense-output polynomial,
-    given as arrays, rows row-major (7, steps, components) so that each
-    row's gather is one contiguous take.  A query picks its step with one
-    searchsorted (scipy's OdeSolution rule: a time on a knot takes the
-    earlier step) and evaluates scipy's Horner recurrence
-
-        y = (((F6 x + F5)(1-x) + F4) x + ... + F0) x + y_old,  x = (t - t_old)/h
-
-    in numpy over all query times at once, so the values are bit-identical
-    to scipy's.  A caller reads a stack of times in one call; a scalar time
-    takes the same array path as a one-time stack and gives shape
-    (ncomponents,), an array of times (len(t), ncomponents).
-    """
+    length, start value and the 7 rows F of its polynomial, rows (7, steps,
+    components) so that each row's gather is one contiguous take.  A query
+    picks its step by one searchsorted (a time on a knot takes the earlier
+    step, as scipy's OdeSolution) and evaluates _dop853_poly, as scipy does,
+    at all query times at once: a scalar time gives shape (ncomponents,),
+    an array of times (len(t), ncomponents)."""
 
     def __init__(self, ts, t_old, h, y_old, rows):
         self.ts = np.asarray(ts, dtype=np.float64)

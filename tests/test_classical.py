@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import tdho.classical
+import tdho.ode
 from tdho.classical import (
     DegenerateBasisError,
     NumericBasis,
@@ -26,7 +27,13 @@ from tdho.classical import (
     unwrapped_ellipse_angle,
 )
 from tdho.cli import build_context, load_scenario
-from tdho.models import CaldirolaKanai, Force, LoDampedPulsating, reduced_frequency_squared
+from tdho.models import (
+    CaldirolaKanai,
+    Force,
+    LoDampedPulsating,
+    OscillatorModel,
+    reduced_frequency_squared,
+)
 
 from conftest import T_MAX, T_MIN
 
@@ -203,8 +210,26 @@ def test_an_analytic_ck_basis_solves_the_model_it_reads():
     np.testing.assert_allclose(basis.omega_check(ts), basis.omega, rtol=1e-13)
 
 
+@pytest.mark.parametrize("t0", [-1.0, 0.0, 5.3, 12.0])
+def test_numeric_basis_from_any_t0(t0):
+    """From t0 at either end of the domain or inside it, the collocated basis
+    is the closed form to 1e-12, reads its initial data at t0 exactly, and
+    winds theta from atan2(-v0, u0) as the closed form does."""
+    m = CaldirolaKanai(1.0, 0.6, 1.0, t_min=-1.0, t_max=12.0)
+    exact = analytic_basis_ck(m, 1.0, 0.5)
+    u0, du0, v0, dv0 = exact.slice(t0)[:4]
+    b = solve_homogeneous(m, u0, du0, v0, dv0, t0=t0, tol=1e-11)
+    assert b.slice(t0)[:4] == (u0, du0, v0, dv0)
+    assert b.slice(t0)[6] == np.arctan2(-v0, u0)
+    ts = np.linspace(-1.0, 12.0, 2001)
+    got, want = b.slice(ts), exact.slice(ts)
+    for k in range(4):
+        np.testing.assert_allclose(got[k], want[k], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got[6] - got[6][0], want[6] - want[6][0], rtol=0, atol=1e-11)
+
+
 class _Circle:
-    """Stub dense solution u = cos Wt, v = sin Wt with its marched
+    """Stub dense solution u = cos Wt, v = sin Wt with its tabulated
     theta = -W t."""
 
     def __init__(self, W):
@@ -218,7 +243,7 @@ class _Circle:
 
 def test_numeric_theta_resolves_fast_winding():
     """theta winds 26,550 rad on [0, 2655]: each principal argument snaps
-    to the marched theta's branch."""
+    to the tabulated theta's branch."""
     W = 10.0
     b = NumericBasis(_Circle(W), CaldirolaKanai(1.0, 0.0, W, 0.0, 2655.0), W)
     ts = np.array([1.0, 1000.0, 1777.7, 2655.0])
@@ -226,17 +251,33 @@ def test_numeric_theta_resolves_fast_winding():
     assert b.slice(1000.0)[6] == pytest.approx(-10000.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("B", [0.1, 0.01])
+@pytest.mark.parametrize("B", [0.1, 0.01, 1e-3])
 def test_numeric_theta_marched_on_eccentric_basis(B):
     """theta turns A/B times its mean rate as (u, v) crosses the minor
-    axis, up to 100 times at B = 0.01; the march's step control resolves
-    it."""
+    axis, up to 1000 times at B = 0.001, and still falls by less than 2 pi
+    between two samples of the basis's steps: its unwrapping resolves it."""
     w_ck = np.sqrt(0.91)
     m = CaldirolaKanai(1.0, 0.6, 1.0, t_min=-1.0, t_max=12.0)
     b = solve_homogeneous(m, 1.0, -0.3, 0.0, B * w_ck, t0=0.0, tol=1e-11)
     exact = analytic_basis_ck(m, 1.0, B)
     ts = np.linspace(-1.0, 12.0, 20001)
     np.testing.assert_allclose(b.slice(ts)[6], exact.slice(ts)[6], rtol=0, atol=1e-9)
+
+
+class _Unstable(OscillatorModel):
+    """M = 1, w^2 = -1e4: x grows as e^{100 t} and overflows near t = 7.1."""
+
+    def terms(self, t):
+        zero = 0.0 * np.asarray(t, dtype=float)
+        return 1.0 + zero, zero, zero, -1e4 + zero
+
+
+def test_a_basis_that_overflows_is_refused():
+    """Every panel is resolved, but the chained values overflow: the first
+    panel whose values are not finite is named."""
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(QuadratureError, match=r"basis not finite on \[7\.05"):
+        solve_homogeneous(_Unstable(0.0, 10.0), 1.0, 0.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +343,9 @@ def test_driven_ck_path_matches_solve_ivp(driven_ck):
     model = basis.model
 
     def rhs(t, y):
-        M, r, w2 = model.ode_terms(t)
+        M, dM, _, w2 = model.terms(t)
         F = model.force_at(t)
-        return [y[1], F / M - r * y[1] - w2 * y[0], 0.5 * M * (w2 * y[0] ** 2 - y[1] ** 2)]
+        return [y[1], (F - dM * y[1]) / M - w2 * y[0], 0.5 * M * (w2 * y[0] ** 2 - y[1] ** 2)]
 
     ts = np.linspace(T_MIN, T_MAX, 2001)
     want = np.zeros((3, ts.size))
@@ -332,14 +373,25 @@ def test_a_force_too_fast_for_its_panels_is_refused():
         solve_particular(analytic_basis_sho(model), 0.0, 0.0, tol=1e-10)
 
 
-@pytest.mark.parametrize("name", ["driven_sho", "driven_ck"])
-def test_a_driven_build_over_an_analytic_basis_marches_nothing(monkeypatch, name):
-    """The particular path is a quadrature over the scenario's basis."""
+@pytest.mark.parametrize("name", ["sho_c1", "sho_c2", "ck", "lo", "driven_sho", "driven_ck",
+                                  "negative_control"])
+def test_no_bundled_build_marches(monkeypatch, name):
+    """A numeric basis is collocated and the particular path is a
+    quadrature over the scenario's basis: no build runs DOP853."""
     def march(*args, **kwargs):
         raise AssertionError("a trajectory was marched")
 
-    monkeypatch.setattr(tdho.classical, "solve_ode", march)
-    assert build_context(load_scenario(name)).driven is not None
+    monkeypatch.setattr(tdho.ode, "solve_ode", march)
+    monkeypatch.setattr(tdho.ode, "_march", march)
+    assert build_context(load_scenario(name)).basis is not None
+
+
+def test_panels_too_wide_for_the_basis_are_refused(monkeypatch, lo_model):
+    """At a frequency scale of 1e-3 one panel spans [0, 12]: its 16- and
+    32-node collocations disagree, and the error names the panel."""
+    monkeypatch.setattr(tdho.classical, "frequency_scale", lambda model: 1e-3)
+    with pytest.raises(QuadratureError, match=r"basis not resolved on \[0\.0, 12\.0\]"):
+        solve_homogeneous(lo_model, 1.0, -0.7, 0.0, 1.0, t0=0.0, tol=1e-11)
 
 
 def test_delta_rate_matches_definition(driven_sho):

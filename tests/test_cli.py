@@ -409,9 +409,9 @@ def _driven_tabulated_doc():
 @pytest.mark.parametrize("tol", [None, 1e-11])
 @pytest.mark.parametrize("build", [_driven_lo_doc, _driven_tabulated_doc])
 def test_a_driven_numeric_basis_verifies_at_its_own_tol(tmp_path, capsys, build, tol):
-    """Over a numeric basis the particular path's guard is never tighter
-    than ten times the basis's tol, so a driving.tol equal to the basis's
-    (both defaulted, or both 1e-11) passes every row."""
+    """A collocated basis is smooth to rounding, so the particular path's
+    guard passes at a driving.tol equal to the basis's (both defaulted, or
+    both 1e-11), and every row passes."""
     doc = build()
     doc["basis"].pop("tol", None)
     if tol is not None:
@@ -709,10 +709,19 @@ def test_verify_numerical_error_exit_2(monkeypatch, capsys, error):
     def failing_solve(*args, **kwargs):
         raise error("step size underflow")
 
-    monkeypatch.setattr(tdho.classical, "solve_ode", failing_solve)
+    monkeypatch.setattr(tdho.classical, "_collocate", failing_solve)
     assert main(["verify", "lo", "--suite", "fast"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and err.count("\n") == 1
+
+
+def test_a_basis_its_panels_cannot_resolve_exits_2(monkeypatch, capsys):
+    """At a frequency scale of 1e-3 the basis's panels span [-1, 0] and
+    [0, 12]: the collocation guard refuses the second, a numerical error."""
+    monkeypatch.setattr(tdho.classical, "frequency_scale", lambda model: 1e-3)
+    assert main(["verify", "lo"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: basis not resolved on [0.0, 12.0]"), err
 
 
 def _zero_window(spec, grid, t, orders):

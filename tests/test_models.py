@@ -413,10 +413,10 @@ def test_invalid_model_data_is_refused_as_value_error(build, message):
 
 
 # ---------------------------------------------------------------------------
-# ode_terms: one read of the model per ODE step
+# the families, with and without a force
 # ---------------------------------------------------------------------------
 
-_ODE_FORCES = {
+_FORCES = {
     "none": None,
     "constant": ConstantForce(0.7),
     "cosine": CosineForce(1.3, 2.1, 0.4),
@@ -425,7 +425,7 @@ _ODE_FORCES = {
 }
 
 
-def _ode_model(family, force):
+def _family_model(family, force):
     if family == "UnitMassSHO":
         return CaldirolaKanai(1.0, 0.0, 1.3, -1.0, 12.0, force)
     if family == "CaldirolaKanai":
@@ -433,31 +433,6 @@ def _ode_model(family, force):
     if family == "LoDampedPulsating":
         return LoDampedPulsating(1.0, 0.1, 0.2, 3.0, 1.0, -1.0, 12.0, force)
     return GeneralParametric(*_sine_table(np.linspace(-1.0, 12.0, 400)), force)
-
-
-@pytest.mark.parametrize("force", sorted(_ODE_FORCES))
-@pytest.mark.parametrize("family", ["UnitMassSHO", "CaldirolaKanai",
-                                    "LoDampedPulsating", "GeneralParametric"])
-def test_ode_terms_are_the_model_reads_bit_for_bit(rng, family, force):
-    """(M, Mdot/M, w^2) from one ode_terms call are floats equal, bit for
-    bit, to mass, dmass / mass and freq2, with or without a force, at times
-    inside the domain given as Python or numpy floats (solve_ivp passes
-    either)."""
-    _ode_terms_match(_ode_model(family, _ODE_FORCES[force]), rng)
-
-
-def test_ode_terms_of_the_reduced_companion(rng):
-    _ode_terms_match(ReducedUnitMass(_ode_model("LoDampedPulsating", None)), rng)
-
-
-def _ode_terms_match(model, rng):
-    for t in rng.uniform(model.t_min, model.t_max, 400):
-        for t in (float(t), np.float64(t)):
-            got = model.ode_terms(t)
-            M = model.mass(t)
-            want = (M, model.dmass(t) / M, model.freq2(t))
-            assert all(type(q) is float for q in got)
-            assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes(), t
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +459,15 @@ def test_a_scalar_read_is_the_array_read_bit_for_bit(family):
     """mass, dmass, d2mass, freq2 and force_at at each of 10001 times on
     [-1, 12], one Python float at a time, equal one read of the array of
     them bit for bit: a slice read alone is the slice read in a stack."""
-    model = (ReducedUnitMass(_ode_model("LoDampedPulsating", None))
-             if family == "ReducedUnitMass" else _ode_model(family, None))
+    model = (ReducedUnitMass(_family_model("LoDampedPulsating", None))
+             if family == "ReducedUnitMass" else _family_model(family, None))
     _scalar_reads_are_the_array_read(model, ("mass", "dmass", "d2mass", "freq2",
                                              "force_at"))
 
 
-@pytest.mark.parametrize("force", sorted(_ODE_FORCES))
+@pytest.mark.parametrize("force", sorted(_FORCES))
 def test_a_scalar_force_read_is_the_array_read_bit_for_bit(force):
-    _scalar_reads_are_the_array_read(_ode_model("CaldirolaKanai", _ODE_FORCES[force]),
+    _scalar_reads_are_the_array_read(_family_model("CaldirolaKanai", _FORCES[force]),
                                      ("force_at",))
 
 
@@ -511,19 +486,14 @@ class _SineMass(OscillatorModel):
 
 
 def test_a_family_that_states_only_terms_works_through_every_read():
-    """mass ... freq2, the base ode_terms, the reduced frequency and a
-    numeric basis all read a family that implements terms and nothing else."""
+    """mass ... freq2, the reduced frequency and a numeric basis all read a
+    family that implements terms and nothing else."""
     model = _SineMass(0.0, 10.0, CosineForce(0.5, 1.3))
     ts = np.linspace(0.0, 10.0, 101)
     M = 2.0 + np.sin(ts)
     for read, want in zip((model.mass, model.dmass, model.d2mass, model.freq2),
                           (M, np.cos(ts), -np.sin(ts), 1.0 + 0.1 * ts)):
         assert np.array_equal(read(ts), want)
-    for t in ts[::10].tolist():
-        got = model.ode_terms(t)
-        assert all(type(q) is float for q in got)
-        m = 2.0 + np.sin(t)
-        np.testing.assert_allclose(got, (m, np.cos(t) / m, 1.0 + 0.1 * t), rtol=1e-15)
     w02 = 1.0 + 0.1 * ts + 0.25 * (np.cos(ts) / M) ** 2 + 0.5 * np.sin(ts) / M
     np.testing.assert_allclose(reduced_frequency_squared(model, ts), w02, rtol=1e-14)
     basis = solve_homogeneous(_SineMass(0.0, 10.0), 1.0, 0.0, 0.0, 1.0)
@@ -531,7 +501,7 @@ def test_a_family_that_states_only_terms_works_through_every_read():
 
 
 def test_each_reader_of_the_law_makes_one_terms_call(monkeypatch):
-    model = _ode_model("LoDampedPulsating", None)
+    model = _family_model("LoDampedPulsating", None)
     reduced = ReducedBasis(solve_homogeneous(model, 1.0, -0.7, 0.0, 1.0))
     calls = []
     terms = model.terms

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import DOP853, OdeSolution, solve_ivp
 
-import tdho.classical
 from tdho import _dop853
+from tdho.classical import solve_homogeneous
 from tdho.cli import build_context, load_scenario
+from tdho.models import GeneralParametric
 from tdho.ode import ODEError, solve_ode
 
 
@@ -226,28 +227,49 @@ def test_zero_slope_matches_ode_solution_bitwise():
     np.testing.assert_array_equal(sol(ts), np.tile([1.0, -2.0], (101, 1)))
 
 
-@pytest.mark.parametrize("name", ["ck", "lo", "driven_sho", "driven_ck"])
-def test_scenario_trajectories_match_solve_ivp_bitwise(monkeypatch, name):
-    """Every march of a bundled scenario's build.  The particular path is a
-    quadrature over the basis and marches nothing, so each driven document
-    is built over a numeric basis: its one march is the basis's."""
-    doc = load_scenario(name)
-    if "driving" in doc:
-        doc["basis"] = {"kind": "numeric", "ics": [1.0, 0.0, 0.0, 1.0], "tol": 1e-11}
-    calls = []
+def _tabulated_basis():
+    """The numeric basis of the table M = 1 + 0.3 sin t, w^2 = 1 + 0.2 cos 2t
+    on 31 nodes of [0, 6]."""
+    ts = np.linspace(0.0, 6.0, 31)
+    model = GeneralParametric(ts, 1.0 + 0.3 * np.sin(ts), 0.3 * np.cos(ts), -0.3 * np.sin(ts),
+                              1.0 + 0.2 * np.cos(2.0 * ts))
+    return solve_homogeneous(model, 1.0, 0.0, 0.0, 1.0)
 
-    def recording(f, t0, y0, t_lo, t_hi, rtol, atol):
-        sol = solve_ode(f, t0, y0, t_lo, t_hi, rtol, atol)
-        calls.append((sol, _oracle(f, t0, y0, t_lo, t_hi, rtol, atol)))
-        return sol
 
-    monkeypatch.setattr(tdho.classical, "solve_ode", recording)
-    build_context(doc)
-    assert len(calls) == 1
-    rng = np.random.default_rng(11)
-    for sol, oracle in calls:
-        _assert_same_steps(sol, oracle)
-        _assert_same_values(sol, oracle, rng)
+def _scenario_basis(name):
+    doc = load_scenario("lo" if name == "driven_lo" else name)
+    if name == "driven_lo":
+        doc["driving"] = {"force": {"kind": "cosine", "amplitude": 0.5, "omega": 1.3},
+                          "t0": 0.0}
+    return build_context(doc).basis
+
+
+@pytest.mark.parametrize("name", ["ck", "lo", "driven_lo", "tabulated"])
+def test_scenario_bases_match_solve_ivp(name):
+    """The collocated (u, du, v, dv) of the numeric bases agree with
+    scipy's DOP853 at rtol 1e-13 to 1e-12 of each column's largest value
+    at 2001 times, whatever the basis's own tol.  scipy marches from t0 = 0
+    to both ends, restarting at each table node, where a tabulated law is
+    only piecewise smooth."""
+    basis = _tabulated_basis() if name == "tabulated" else _scenario_basis(name)
+    model = basis.model
+
+    def rhs(t, y):
+        M, dM, _, w2 = model.terms(t)
+        return [y[1], -dM / M * y[1] - w2 * y[0], y[3], -dM / M * y[3] - w2 * y[2]]
+
+    ts = np.linspace(model.t_min, model.t_max, 2001)
+    cuts = np.unique([model.t_min, 0.0, model.t_max, *model.nodes])
+    want = np.empty((4, ts.size))
+    for way in (cuts[cuts <= 0.0][::-1], cuts[cuts >= 0.0]):
+        y = basis.slice(0.0)[:4]
+        for a, b in zip(way[:-1], way[1:]):
+            sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-13, atol=1e-15,
+                            dense_output=True)
+            side = (ts >= min(a, b)) & (ts <= max(a, b))
+            want[:, side], y = sol.sol(ts[side]), sol.y[:, -1]
+    gap = np.max(np.abs(np.array(basis.slice(ts)[:4]) - want), axis=1)
+    assert np.all(gap <= 1e-12 * np.max(np.abs(want), axis=1)), gap
 
 
 def test_tableau_matches_scipy_bitwise():
