@@ -373,16 +373,25 @@ def test_a_force_too_fast_for_its_panels_is_refused():
         solve_particular(analytic_basis_sho(model), 0.0, 0.0, tol=1e-10)
 
 
-@pytest.mark.parametrize("name", ["sho_c1", "sho_c2", "ck", "lo", "driven_sho", "driven_ck",
-                                  "negative_control"])
-def test_no_bundled_build_marches(monkeypatch, name):
-    """A numeric basis is collocated and the particular path is a
-    quadrature over the scenario's basis: no build runs DOP853."""
+def _forbid_marches(monkeypatch):
     def march(*args, **kwargs):
         raise AssertionError("a trajectory was marched")
 
     monkeypatch.setattr(tdho.ode, "solve_ode", march)
     monkeypatch.setattr(tdho.ode, "_march", march)
+
+
+@pytest.mark.parametrize("name", ["driven_sho", "driven_ck"])
+def test_a_driven_build_over_an_analytic_basis_marches_nothing(monkeypatch, name):
+    """The particular path is a quadrature over the scenario's basis."""
+    _forbid_marches(monkeypatch)
+    assert build_context(load_scenario(name)).driven is not None
+
+
+@pytest.mark.parametrize("name", ["sho_c1", "sho_c2", "ck", "lo", "negative_control"])
+def test_no_bundled_build_marches(monkeypatch, name):
+    """A numeric basis is collocated: no undriven build runs DOP853 either."""
+    _forbid_marches(monkeypatch)
     assert build_context(load_scenario(name)).basis is not None
 
 

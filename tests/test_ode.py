@@ -227,6 +227,41 @@ def test_zero_slope_matches_ode_solution_bitwise():
     np.testing.assert_array_equal(sol(ts), np.tile([1.0, -2.0], (101, 1)))
 
 
+@pytest.mark.parametrize("name", ["ck", "lo", "driven_sho", "driven_ck"])
+def test_scenario_trajectories_match_solve_ivp_bitwise(name):
+    """solve_ode marches the homogeneous pair (u, v) and theta of each
+    bundled scenario's equation, from the numeric basis's initial data at
+    its t0 and tol, with scipy's steps and values bit for bit; each driven
+    document is given a numeric basis.  The build collocates that basis, and
+    it agrees with the march to its tol."""
+    doc = load_scenario(name)
+    if "driving" in doc:
+        doc["basis"] = {"kind": "numeric", "ics": [1.0, 0.0, 0.0, 1.0], "tol": 1e-11}
+    basis = build_context(doc).basis
+    model = basis.model
+    spec = doc["basis"]
+    u0, du0, v0, dv0 = spec["ics"]
+    t0 = float(spec.get("t0", model.t_min))
+    tol = spec["tol"]
+
+    def rhs(t, y):
+        M, dM, _, w2 = model.terms(t)
+        u, du, v, dv, _ = y.tolist()
+        r = dM / M
+        return np.array([du, -r * du - w2 * u, dv, -r * dv - w2 * v,
+                         (v * du - u * dv) / (u * u + v * v)])
+
+    y0 = [u0, du0, v0, dv0, np.arctan2(-v0, u0)]
+    args = (t0, y0, model.t_min, model.t_max, tol, 1e-2 * tol)
+    sol, oracle = solve_ode(rhs, *args), _oracle(rhs, *args)
+    _assert_same_steps(sol, oracle)
+    _assert_same_values(sol, oracle, np.random.default_rng(11))
+    marched, built = sol(sol.ts).T, np.array(basis.slice(sol.ts))
+    for k, col in enumerate((0, 1, 2, 3, 6)):
+        scale = max(1.0, np.max(np.abs(marched[k])))
+        assert np.max(np.abs(built[col] - marched[k])) <= 10 * tol * scale
+
+
 def _tabulated_basis():
     """The numeric basis of the table M = 1 + 0.3 sin t, w^2 = 1 + 0.2 cos 2t
     on 31 nodes of [0, 6]."""
