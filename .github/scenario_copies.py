@@ -44,10 +44,12 @@ COPIES = [
     ("tabulated", None, {}, 0, None),
     # the paper's general case, mass and frequency both tabulated and driven:
     # every table node is an edge of the particular path's quadrature panels
+    # and of the legacy delta's panels over its window
     ("tabulated_driven", None,
      {"model.params.w2": (1.0 + 0.2 * np.cos(2.0 * np.linspace(0.0, 6.0, 31))).tolist(),
       "basis.tol": 1e-11, "driving": {"force": {"kind": "cosine", "amplitude": 1.0, "omega": 1.3}},
-      "checks": ["omega_constancy", "residual", "transform_chain", "uncertainty"]}, 0, None),
+      "checks": ["omega_constancy", "residual", "transform_chain", "uncertainty",
+                 "delta_equivalence"]}, 0, None),
     # a driven scenario compares its family's closed form with the
     # undriven state over its basis
     ("driven_closed_form", "driven_ck",

@@ -69,7 +69,7 @@ class SingularPathError(ValueError):
 
 class QuadratureError(RuntimeError):
     """A panel's integral or collocated basis is not resolved (its q- and
-    2q-node rules disagree) or not finite, or is queried outside its span."""
+    2q-node rules disagree) or not finite."""
 
 
 class ClassicalBasis:
@@ -236,13 +236,14 @@ def solve_homogeneous(
     # pair[k] = [[u, v], [du, dv]] at edge k, stepped out from t0 both ways
     pair = np.empty((len(edges), 2, 2))
     pair[k0] = [[u0, v0], [du0, dv0]]
-    for k in range(k0, len(lo)):
-        pair[k + 1] = prop[k] @ pair[k]
     back = np.linalg.inv(prop[:k0])
-    for k in range(k0 - 1, -1, -1):
-        pair[k] = back[k] @ pair[k + 1]
-    at = _step_samples(np.stack([x @ pair[:-1], dx @ pair[:-1]]).transpose(3, 0, 1, 2)
-                       .reshape(4, len(lo), q), pair.transpose(2, 1, 0).reshape(4, -1))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+        for k in range(k0, len(lo)):
+            pair[k + 1] = prop[k] @ pair[k]
+        for k in range(k0 - 1, -1, -1):
+            pair[k] = back[k] @ pair[k + 1]
+        at = _step_samples(np.stack([x @ pair[:-1], dx @ pair[:-1]]).transpose(3, 0, 1, 2)
+                           .reshape(4, len(lo), q), pair.transpose(2, 1, 0).reshape(4, -1))
     if not (finite := np.isfinite(at).all(axis=(0, 2, 3))).all():
         i = int(np.argmin(finite))
         raise QuadratureError(f"basis not finite on [{lo[i]}, {hi[i]}]")
@@ -261,7 +262,7 @@ def _collocate(half, r, w2):
     integration, x = x(lo) + hS xdot and xdot = xdot(lo) - hS(r xdot + w2 x),
     so (1 + hS r + h^2 S w2 S) xdot = xdot(lo) - x(lo) hS w2."""
     q = r.shape[1]
-    hS = half[:, :, None] * _path_matrices(q)[0][:q]
+    hS = half[:, :, None] * _integration(q, q)
     rhs = np.stack([-(hS @ w2[..., None])[..., 0], np.ones_like(w2)], axis=-1)
     dx = np.linalg.solve(np.eye(q) + hS * r[:, None] + (hS * w2[:, None]) @ hS, rhs)
     x = hS @ dx + [1.0, 0.0]
@@ -336,15 +337,9 @@ def _gauss_legendre(n):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _panel_nodes(lo, hi, q):
-    """The q- then 2q-node Gauss points of each [lo_i, hi_i], and its half width."""
-    mid, half = 0.5 * (hi + lo)[:, None], 0.5 * (hi - lo)[:, None]
-    return mid + half * np.concatenate([_gauss_legendre(q)[0], _gauss_legendre(2 * q)[0]]), half
-
-
 def _two_rules(vals, q, lo, hi, bound):
     """q-node panel integrals from vals, g times the half width at the points of
-    _panel_nodes; rules that differ by over `bound` of ∫|g| raise QuadratureError."""
+    _path_panels; rules that differ by over `bound` of ∫|g| raise QuadratureError."""
     (_, wq), (_, w2q) = _gauss_legendre(q), _gauss_legendre(2 * q)
     coarse, fine = vals[:, :q] @ wq, vals[:, q:] @ w2q
     gap = np.abs(coarse - fine) - bound * (np.abs(vals[:, q:]) @ w2q)
@@ -357,44 +352,15 @@ def _two_rules(vals, q, lo, hi, bound):
     return coarse
 
 
-def _gauss_panels(g, lo, hi):
-    """20-node Gauss–Legendre integrals of g over each [lo_i, hi_i], g called once
-    on the 20- and 40-node points together, checked to 1e-10 (_two_rules)."""
-    z, half = _panel_nodes(lo, hi, 20)
-    return _two_rules(half * np.asarray(g(z.ravel()), dtype=float).reshape(z.shape),
-                      20, lo, hi, 1e-10)
-
-
-def _from_edge(p, k):
-    """Integrals from edge k to every edge of panels whose integrals are p."""
-    return np.concatenate([-np.cumsum(p[:k][::-1])[::-1], [0.0], np.cumsum(p[k:])])
-
-
-def _panel_integral(g, t0, t_lo, t_hi, width):
-    """t -> integral of g from t0 to t, for t in [t_lo, t_hi] and vectorized g.
-
-    Whole panels of `width` step out from t0 both ways and are summed once
-    into a cumulative table; each query adds the exact partial panel from
-    the table edge next to it (on the t0 side) up to t.
-    """
-    k_lo = math.floor((t0 - t_lo) / width)
-    k_hi = math.floor((t_hi - t0) / width)
-    ks = np.arange(-k_lo, k_hi, dtype=float)
-    # table[k + k_lo] = integral from t0 to t0 + k*width
-    table = _from_edge(_gauss_panels(g, t0 + ks * width, t0 + (ks + 1.0) * width), k_lo)
-    slack = 1e-9 * max(t_hi - t_lo, 1.0)
-
-    def integral(t):
-        t = np.asarray(t, dtype=float)
-        flat = t.ravel()
-        if flat.size and (flat.min() < t_lo - slack or flat.max() > t_hi + slack):
-            raise QuadratureError(f"query time outside tabulated span [{t_lo}, {t_hi}]")
-        k = np.clip(np.trunc((flat - t0) / width), -k_lo, k_hi)
-        part = _gauss_panels(g, t0 + k * width, flat)
-        out = (table[k.astype(int) + k_lo] + part).reshape(t.shape)
-        return out if out.ndim else float(out)
-
-    return integral
+def _integrals(g, k0, edges, half, bound):
+    """∫_{t0} g at every node of _path_panels, then at every edge (t0 is edge
+    k0), from g at the nodes: spectral within each panel, whose 16- and
+    32-node rules must agree to `bound` of ∫|g| (_two_rules)."""
+    vals, q = half * g.reshape(len(half), -1), _PATH_NODES
+    p = _two_rules(vals, q, edges[:-1], edges[1:], bound)
+    ends = np.concatenate([-np.cumsum(p[:k0][::-1])[::-1], [0.0], np.cumsum(p[k0:])])
+    within = vals[:, :q] @ np.vstack([_integration(q, q), _integration(q, 2 * q)]).T
+    return np.append(ends[:-1, None] + within, ends)
 
 
 # per panel of a path: Gauss nodes (checked against 2x), degree-7 steps
@@ -402,16 +368,21 @@ _PATH_NODES, _PATH_STEPS = 16, 8
 
 
 @functools.lru_cache(maxsize=None)
-def _path_matrices(q=_PATH_NODES):
-    """Fixed maps from a panel's values at its q Gauss nodes:
-    `integrals` (3q, q) to the integrals of their Legendre series from the
-    panel's start to each q and 2q node, half width 1 (spectral integration,
-    Greengard 1991); `samples` to that series at 8 Chebyshev-Lobatto points of
-    each step, ends included; `rows` from those to y_old and the DOP853 F."""
+def _integration(q, m):
+    """(m, q): values at the q Gauss nodes of [-1, 1] to the integrals from -1
+    of their Legendre series at the m Gauss nodes (spectral integration,
+    Greengard 1991)."""
     leg = np.polynomial.legendre
     to_series = np.linalg.inv(leg.legvander(_gauss_legendre(q)[0], q - 1))
-    nodes = np.concatenate([_gauss_legendre(q)[0], _gauss_legendre(2 * q)[0]])
-    integrals = leg.legvander(nodes, q) @ leg.legint(to_series, lbnd=-1, axis=0)
+    return leg.legvander(_gauss_legendre(m)[0], q) @ leg.legint(to_series, lbnd=-1, axis=0)
+
+
+@functools.lru_cache(maxsize=None)
+def _path_matrices():
+    """Fixed maps: `samples` from a panel's values at its q = _PATH_NODES
+    Gauss nodes to their Legendre series at 8 Chebyshev-Lobatto points of
+    each step, ends included; `rows` from those to y_old and the DOP853 F."""
+    leg, q = np.polynomial.legendre, _PATH_NODES
     s = 0.5 - 0.5 * np.cos(np.pi * np.arange(8) / 7)
     z = -1.0 + 2.0 * (np.arange(_PATH_STEPS)[:, None] + s).ravel() / _PATH_STEPS
     # y - y_old = F0 x + F1 x w + F2 x^2 w + ... + F6 x^4 w^3, as _dop853_poly
@@ -419,13 +390,14 @@ def _path_matrices(q=_PATH_NODES):
     eye = np.eye(8)
     rows = np.vstack([eye[0], np.linalg.solve(powers, eye[1:] - eye[0])])
     rows[1] = eye[7] - eye[0]  # F0 = y(1) - y_old exactly: a read at a knot is exact
-    return integrals, leg.legvander(z, q - 1) @ to_series, rows
+    to_series = np.linalg.inv(leg.legvander(_gauss_legendre(q)[0], q - 1))
+    return leg.legvander(z, q - 1) @ to_series, rows
 
 
 def _step_samples(nodes, edges):
     """(k, panels, _PATH_STEPS, 8) samples of the series through `nodes` (k,
     panels, _PATH_NODES), with every panel's ends exactly `edges` (k, panels + 1)."""
-    at = (nodes @ _path_matrices()[1].T).reshape(*nodes.shape[:2], _PATH_STEPS, 8)
+    at = (nodes @ _path_matrices()[0].T).reshape(*nodes.shape[:2], _PATH_STEPS, 8)
     at[:, :, 0, 0], at[:, :, -1, -1] = edges[:, :-1], edges[:, 1:]
     return at
 
@@ -433,26 +405,38 @@ def _step_samples(nodes, edges):
 def _dense_steps(at, edges):
     """The DenseSolution of degree-7 DOP853-form steps, _PATH_STEPS per
     panel between `edges`, through the samples `at` of _step_samples."""
-    steps = np.ascontiguousarray((at @ _path_matrices()[2].T).reshape(len(at), -1, 8).T)
+    steps = np.ascontiguousarray((at @ _path_matrices()[1].T).reshape(len(at), -1, 8).T)
     ts = np.append(np.linspace(edges[:-1], edges[1:], _PATH_STEPS, endpoint=False, axis=1),
                    edges[-1])
     return DenseSolution(ts, ts[:-1], np.diff(ts), steps[0], steps[1:])
 
 
-def _path_panels(model, t0):
-    """t0 (the domain's start if None) within the domain, its index among the
-    panel edges, the edges, and the panels' nodes and half widths (_panel_nodes).
-    Edges are at most half a radian of the fastest frequency apart: the ends,
-    t0 and table nodes are edges, and each gap between them equal panels."""
-    t0 = model.t_min if t0 is None else float(t0)
+def _integral_steps(paths, z, edges):
+    """The DenseSolution through `paths` (k, nodes then edges of _path_panels,
+    as _integrals lays them out), in _PATH_STEPS degree-7 steps per panel."""
+    n = z.size
+    at = _step_samples(paths[:, :n].reshape(len(paths), *z.shape)[..., :_PATH_NODES], paths[:, n:])
+    return _dense_steps(at, edges)
+
+
+def _path_panels(model, t0, span=None):
+    """t0 (the span's start if None) within the span (the domain if None), its
+    index among the panel edges, the edges, each panel's 16- then 32-node
+    Gauss points and its half width.  Edges are at most half a radian of the
+    fastest frequency apart: the span's ends, t0 and the table nodes inside
+    the span are edges, and each gap between them equal panels."""
+    start, end = (model.t_min, model.t_max) if span is None else span
+    t0 = start if t0 is None else float(t0)
     model.check_domain(t0)
-    t0 = min(max(t0, model.t_min), model.t_max)  # within check_domain's slack
+    t0 = min(max(t0, start), end)  # within check_domain's slack
     width = 0.5 / frequency_scale(model)
-    cuts = sorted({model.t_min, t0, model.t_max, *model.nodes})
+    cuts = sorted({start, t0, end, *(node for node in model.nodes if start < node < end)})
     edges = np.concatenate([*(np.linspace(a, b, math.ceil((b - a) / width), endpoint=False)
-                              for a, b in zip(cuts[:-1], cuts[1:])), [model.t_max]])
-    return (t0, int(np.searchsorted(edges, t0)), edges,
-            *_panel_nodes(edges[:-1], edges[1:], _PATH_NODES))
+                              for a, b in zip(cuts[:-1], cuts[1:])), [end]])
+    lo, hi, q = edges[:-1], edges[1:], _PATH_NODES
+    mid, half = 0.5 * (hi + lo)[:, None], 0.5 * (hi - lo)[:, None]
+    z = mid + half * np.concatenate([_gauss_legendre(q)[0], _gauss_legendre(2 * q)[0]])
+    return t0, int(np.searchsorted(edges, t0)), edges, z, half
 
 
 def solve_particular(
@@ -470,30 +454,20 @@ def solve_particular(
     where J_u = M(xdot_p u - x_p udot) = J_u(t0) + ∫_{t0}^t u F, and J_v the
     same in v; delta = ∫_{t0}^t of its rate.  Each integral is spectral on
     Gauss-Legendre panels (_path_panels) whose 16- and 32-node rules must
-    agree to `tol` of ∫|g|, else QuadratureError; it is read through
-    degree-7 dense-output steps, 8 per panel (_dense_steps)."""
+    agree to `tol` of ∫|g|, else QuadratureError (_integrals); it is read
+    through degree-7 dense-output steps, 8 per panel (_integral_steps)."""
     model = basis.model
     t0, k0, edges, z, half = _path_panels(model, t0)
-    lo, hi, q, n = edges[:-1], edges[1:], _PATH_NODES, z.size
+    n = z.size
     # each quantity flat: the panels' q and 2q nodes, then the edges
     u, du, v, dv, _ = basis._read(np.append(z, edges))
     M, _, _, w2 = model.terms(z.ravel())
-    integrals = _path_matrices()[0]
-
-    def integral(g):
-        """∫_{t0} g at every node and edge, from g at the nodes."""
-        vals = half * g.reshape(z.shape)
-        ends = _from_edge(_two_rules(vals, q, lo, hi, tol), k0)
-        return np.append(ends[:-1, None] + vals[:, :q] @ integrals.T, ends)
-
     F, M0, omega, i = model.force_at(z.ravel()), model.mass(t0), basis.omega, n + k0
-    j_u = integral(u[:n] * F) + M0 * (dxp0 * u[i] - xp0 * du[i])
-    j_v = integral(v[:n] * F) + M0 * (dxp0 * v[i] - xp0 * dv[i])
+    j_u = _integrals(u[:n] * F, k0, edges, half, tol) + M0 * (dxp0 * u[i] - xp0 * du[i])
+    j_v = _integrals(v[:n] * F, k0, edges, half, tol) + M0 * (dxp0 * v[i] - xp0 * dv[i])
     xp, dxp = (v * j_u - u * j_v) / omega, (dv * j_u - du * j_v) / omega
-    path = np.stack([xp, dxp, integral(0.5 * M * (w2 * xp[:n] ** 2 - dxp[:n] ** 2))])
-
-    sol = _dense_steps(_step_samples(path[:, :n].reshape(3, *z.shape)[..., :q], path[:, n:]),
-                       edges)
+    rate = 0.5 * M * (w2 * xp[:n] ** 2 - dxp[:n] ** 2)
+    sol = _integral_steps(np.stack([xp, dxp, _integrals(rate, k0, edges, half, tol)]), z, edges)
 
     def read(t):
         y = sol(t)
@@ -533,13 +507,15 @@ def delta_legacy(
 
     valid only where v does not vanish; agrees with the co-integrated delta
     up to an additive constant.  Kept as a cross-check oracle.  t may be a
-    scalar or an array of endpoints; all share one panel table from t0.
+    scalar or an array of endpoints.  The integral from t0 takes the
+    particular path's panels on the window [a, b] spanned by t0 and t
+    (_path_panels) and its quadrature (_integrals), but its own fixed
+    1e-10 bound; it is read through the same degree-7 steps as delta.
     """
     model = basis.model
     t = np.asarray(t, dtype=float)
     a, b = min(t0, float(t.min())), max(t0, float(t.max()))
-    span = max(b - a, 1e-12)
-    probe = np.linspace(a, b, max(64, int(1024 * span)))
+    probe = np.linspace(a, b, max(64, int(1024 * (b - a))))
     vv = basis.slice(probe)[2]
     if np.min(np.abs(vv)) < 1e-8 * np.max(np.abs(vv)) or np.any(
         vv[:-1] * vv[1:] < 0
@@ -548,17 +524,14 @@ def delta_legacy(
             f"v(t) vanishes on [{a}, {b}]; choose a window between zeros of v"
         )
 
-    def integrand(z):
-        v, dv = basis.slice(z)[2:4]
-        xp, dxp, _ = driven.slice(z)
-        return model.mass(z) * (xp * dv / v - dxp) ** 2
-
-    # one radian of the fastest model frequency per panel: the 20-node rule
-    # is then exact to rounding for the smooth delta integrands
-    integral = _panel_integral(integrand, t0, a, b, 1.0 / frequency_scale(model))(t)
     v, dv = basis.slice(t)[2:4]
-    boundary = -0.5 * model.mass(t) * (dv / v) * driven.slice(t)[0] ** 2
-    out = boundary - 0.5 * integral
+    out = -0.5 * model.mass(t) * (dv / v) * driven.slice(t)[0] ** 2
+    if b > a:  # a zero-width window leaves the boundary term alone
+        t0, k0, edges, z, half = _path_panels(model, t0, (a, b))
+        v, dv = basis.slice(z.ravel())[2:4]
+        xp, dxp, _ = driven.slice(z.ravel())
+        g = _integrals(model.mass(z.ravel()) * (xp * dv / v - dxp) ** 2, k0, edges, half, 1e-10)
+        out = out - 0.5 * _integral_steps(g[None], z, edges)(t)[..., 0]
     return out if np.ndim(out) else float(out)
 
 

@@ -6,7 +6,8 @@ paths.  Exit codes: 0 all checks pass, 1 any check failed, 2 configuration
 error (bad schema, unknown check, inconsistent grid, a time outside the
 model's domain, unwritable output path) or numerical error (an integration
 or quadrature that cannot be resolved, a state that samples to zero, or a
-grid that does not resolve a state).
+grid that does not resolve a state), 3 internal error (any other exception,
+a defect in tdho itself: its traceback, then its type and message).
 """
 
 from __future__ import annotations
@@ -479,6 +480,10 @@ def main(argv=None) -> int:
         # an output path
         print(f"error: cannot write output: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # never exit 1, a failed check's code
+        sys.excepthook(*sys.exc_info())  # the traceback, to find the defect
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ would widen each time's Gram product.  The oracles keep their own
 parameters: a closed form (closed_form_window) takes its slice from its
 family's law in tdho.states.CLOSED_FORMS, never from the basis or the
 model's mass, and only shares the recurrence; frequency_map's target is
-that law's w_c^2; delta_legacy stays an independent integral.
+that law's w_c^2; delta_legacy keeps its own endpoint formula, probe and
+guard bound, and shares only the particular path's panels and Gauss rule.
 
 The suite reads each state down to e^-READ_DEPTH (e^-40) of its slice's
 amplitude scale and takes the samples below as exact zeros: every

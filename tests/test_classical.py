@@ -13,7 +13,7 @@ from tdho.classical import (
     OverdampedError,
     QuadratureError,
     SingularPathError,
-    _panel_integral,
+    DrivenSolution,
     analytic_basis_ck,
     analytic_basis_sho,
     delta_legacy,
@@ -29,7 +29,9 @@ from tdho.classical import (
 from tdho.cli import build_context, load_scenario
 from tdho.models import (
     CaldirolaKanai,
+    CosineForce,
     Force,
+    GeneralParametric,
     LoDampedPulsating,
     OscillatorModel,
     reduced_frequency_squared,
@@ -275,8 +277,7 @@ class _Unstable(OscillatorModel):
 def test_a_basis_that_overflows_is_refused():
     """Every panel is resolved, but the chained values overflow: the first
     panel whose values are not finite is named."""
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(QuadratureError, match=r"basis not finite on \[7\.05"):
+    with pytest.raises(QuadratureError, match=r"basis not finite on \[7\.05"):
         solve_homogeneous(_Unstable(0.0, 10.0), 1.0, 0.0, 0.0, 1.0)
 
 
@@ -454,30 +455,68 @@ def test_legacy_delta_at_t0_is_boundary_term(driven_sho):
     assert delta_legacy(basis, drv, t, t) == boundary
 
 
-def test_panel_integral_matches_closed_form_both_sides_of_t0():
-    integral = _panel_integral(np.cos, 0.7, -2.0, 5.0, 0.5)
+def test_path_integrals_match_closed_form_both_sides_of_t0():
+    """∫cos from t0 = 0.7 on the path's half-radian panels over [-2, 5],
+    read through the degree-7 steps as delta is."""
+    model = CaldirolaKanai(1.0, 0.0, 1.0, t_min=-2.0, t_max=5.0)
+    _, k0, edges, z, half = tdho.classical._path_panels(model, 0.7)
+    path = tdho.classical._integrals(np.cos(z.ravel()), k0, edges, half, 1e-10)
+    integral = tdho.classical._integral_steps(path[None], z, edges)
     ts = np.array([-2.0, -0.3, 0.7, 1.2, 4.99, 5.0])
-    np.testing.assert_allclose(integral(ts), np.sin(ts) - np.sin(0.7),
+    np.testing.assert_allclose(integral(ts)[:, 0], np.sin(ts) - np.sin(0.7),
                                rtol=0.0, atol=1e-14)
-    assert integral(0.7) == 0.0
-    with pytest.raises(QuadratureError):
-        integral(5.5)
+    assert integral(0.7)[0] == 0.0
 
 
-def test_panel_integral_rejects_under_resolved_integrand():
-    with pytest.raises(QuadratureError):
-        _panel_integral(lambda z: np.cos(200.0 * z), 0.0, 0.0, 2.0, 0.5)
+def _fast_velocity_path(model):
+    """A stand-in path with xdot_p = cos 200t, x_p = 0: the legacy integrand
+    M cos^2 200t turns 100 radians on each half-radian panel."""
+    return DrivenSolution(lambda t: (0.0 * t, np.cos(200.0 * t), 0.0 * t), 0.0, model)
 
 
-def test_quadrature_refusal_prints_plain_floats():
+def test_legacy_delta_rejects_under_resolved_integrand(driven_sho):
+    basis, _ = driven_sho
+    with pytest.raises(QuadratureError, match="16- and 32-node Gauss-Legendre give"):
+        delta_legacy(basis, _fast_velocity_path(basis.model), 0.4, np.linspace(0.4, 2.7, 5))
+
+
+def test_quadrature_refusal_prints_plain_floats(driven_sho):
     """The refusal names both rules' values as Python floats, not as the
     repr of numpy scalars (np.float64(...) under numpy 2)."""
+    basis, _ = driven_sho
     with pytest.raises(QuadratureError) as info:
-        _panel_integral(lambda z: np.cos(200.0 * z), 0.0, 0.0, 2.0, 0.5)
+        delta_legacy(basis, _fast_velocity_path(basis.model), 0.4, 2.7)
     message = str(info.value)
     assert "np.float64" not in message
     coarse, fine = message.rsplit(" give ", 1)[1].split(" and ")
     assert float(coarse) != float(fine)
+
+
+def test_legacy_delta_panels_have_every_table_node_in_its_window_as_an_edge(monkeypatch):
+    """On a driven tabulated model no panel of delta_legacy straddles a node
+    (w^2 is only C^2 there): the edges its guard sees are the window's ends,
+    t0 and every node inside, and lie at most half a radian apart."""
+    ts = np.linspace(0.0, 6.0, 31)
+    model = GeneralParametric(ts, 1.0 + 0.3 * np.sin(ts), 0.3 * np.cos(ts),
+                              -0.3 * np.sin(ts), 1.0 + 0.2 * np.cos(2.0 * ts),
+                              force=CosineForce(1.0, 1.3))
+    basis = solve_homogeneous(model, 1.0, 0.0, 0.0, 1.0, tol=1e-11)
+    driven = solve_particular(basis, 0.0, 0.0, tol=1e-11)
+    seen = []
+
+    def recording(vals, q, lo, hi, bound):
+        seen.append(np.append(lo, hi[-1]))
+        return two_rules(vals, q, lo, hi, bound)
+
+    two_rules = tdho.classical._two_rules
+    monkeypatch.setattr(tdho.classical, "_two_rules", recording)
+    a, t0, b = 0.33, 0.77, 1.51  # inside v's first half-period from v(0) = 0
+    delta_legacy(basis, driven, t0, np.linspace(a, b, 7))
+    [edges] = seen
+    assert edges[0] == a and edges[-1] == b and t0 in edges
+    assert set(ts[(ts > a) & (ts < b)]) <= set(edges)
+    assert np.all(np.diff(edges) > 0)
+    assert np.diff(edges).max() <= 0.5 / tdho.classical.frequency_scale(model)
 
 
 def test_shift_particular_rule(driven_sho):

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from contextlib import suppress
 from pathlib import Path
 from types import SimpleNamespace
@@ -722,6 +723,41 @@ def test_a_basis_its_panels_cannot_resolve_exits_2(monkeypatch, capsys):
     assert main(["verify", "lo"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical error: basis not resolved on [0.0, 12.0]"), err
+
+
+def test_a_basis_that_overflows_exits_2_without_a_warning(tmp_path, capsys):
+    """M = 1, w^2 = -1e4 on [0, 10]: x grows as e^{100 t}, every panel is
+    resolved, and the chained values overflow near t = 7.06.  The refusal
+    names that panel, and no numpy warning reaches the user."""
+    ts = np.linspace(0.0, 10.0, 11)
+    model = {"family": "GeneralParametric", "t_min": 0.0, "t_max": 10.0,
+             "params": {"t": ts.tolist(), "M": np.ones(11).tolist(),
+                        "dM": np.zeros(11).tolist(), "d2M": np.zeros(11).tolist(),
+                        "w2": np.full(11, -1e4).tolist()}}
+    doc = _scenario_doc(model=model, basis={"kind": "numeric", "ics": [1.0, 0.0, 0.0, 1.0]},
+                        checks=["omega_constancy"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", _write(tmp_path, doc)]) == 2
+    assert caught == []
+    assert capsys.readouterr().err == "numerical error: basis not finite on [7.055, 7.06]\n"
+
+
+def test_a_crash_exits_3_not_1(monkeypatch, capsys):
+    """An exception that no refusal names is an internal error, exit 3, with
+    its traceback: exit 1 stays a failed check.  argparse's own exit is left
+    alone."""
+    def crash(ctx, rows):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setitem(tdho.verify._CHECK_RUNNERS, "residual", crash)
+    assert main(["verify", "sho_c1", "--suite", "fast"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "in crash\n" in err
+    assert err.endswith("\ninternal error: ZeroDivisionError: float division by zero\n")
+    with pytest.raises(SystemExit) as info:
+        main(["verify"])
+    assert info.value.code == 2
 
 
 def _zero_window(spec, grid, t, orders):
