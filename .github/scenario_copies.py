@@ -86,10 +86,17 @@ COPIES = [
     # where rho rounds to 1 - 2^-53); n = 8, as the default sizing fails
     # the residual from n of about 12 up (ROADMAP item 1)
     ("sho_c1_stencils", "sho_c1", {"states": [0, 8], "checks": ["residual"]}, 0, None),
-    # the grid guard skips a time only where the kernel's cutoff window
-    # misses the grid's edges: on [-3, 3] it reads them and refuses
+    # the grid guard passes a time unread only where the state's READ_DEPTH
+    # window, or its cutoff window, misses the grid's edges: on [-3, 3] both
+    # reach them, so it reads the edges and refuses
     ("sho_c1_small", "sho_c1", {"grid": {"x_min": -3, "x_max": 3, "points": 4096}},
      2, "too small for n="),
+    # 64 points over [-12, 12] are too coarse for the guard's bound (scale dx
+    # sqrt(2n + 1) about 1.0 > 0.8): each time is read on its probe columns
+    # and passes, and so does the closed-form agreement
+    ("sho_c1_coarse", "sho_c1",
+     {"grid": {"x_min": -12.0, "x_max": 12.0, "points": 64},
+      "checks": ["closed_form_agreement"]}, 0, None),
     # a breathing state up to n = 64: its probe pairs are one stack
     ("sho_c2_high_n", "sho_c2",
      {"states": [0, 32, 64], "checks": ["closed_form_agreement", "stationarity"]},

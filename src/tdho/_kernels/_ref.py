@@ -113,6 +113,20 @@ def _monic_growth(n, xi_max):
             - (n - first) * _LN2)
 
 
+def _span_bounds(xi, amp):
+    """(max |xi|, min amp, max amp) over one slice's span, its xi and
+    log_amp columns, read without a reduction: xi = scale (x - x_shift)
+    ascends along the span as rounded, and log_amp = -xi^2/2 + ln
+    sqrt(scale) falls with |xi| as rounded, as every rounding step is
+    monotone.  So max |xi| and the least log_amp sit at the span's two
+    ends, and the largest log_amp at the two columns around xi's sign
+    change: the very floats that max and min over the span give."""
+    c = int(xi.searchsorted(0.0))
+    return (max(abs(float(xi[0])), abs(float(xi[-1]))),
+            min(float(amp[0]), float(amp[-1])),
+            max(float(amp[max(c - 1, 0)]), float(amp[min(c, len(amp) - 1)])))
+
+
 def _hermite_function_rows(orders, xi, log_amp, spans):
     """exp(log_amp) h_k(xi) for the ascending orders k on a stack of slices:
     (norms, rows), the value of order orders[j] on slice s being
@@ -138,7 +152,8 @@ def _hermite_function_rows(orders, xi, log_amp, spans):
     that slice's e; on any other, e is 0 and norms holds c_k whole, which
     the growth bound keeps in the normal float range.  rows yields (m, e)
     for the requested orders only: m (S, W), and e (S, W) or the int 0
-    when no slice carries exponents.  The next step overwrites both.
+    when no slice carries exponents.  The next step overwrites both.  A
+    slice's bounds over its span are read at a few columns (_span_bounds).
     """
     n = orders[-1]
     e = np.zeros(xi.shape, dtype=np.int32)
@@ -149,9 +164,8 @@ def _hermite_function_rows(orders, xi, log_amp, spans):
         if a == b:
             continue
         amp = log_amp[s, a:b]
-        xi_max = float(np.max(np.abs(xi[s, a:b])))
-        amp_hi = float(np.max(amp))
-        if LOG_FLOOR < float(np.min(amp)) and amp_hi < _RESCALE_LOG:
+        xi_max, amp_lo, amp_hi = _span_bounds(xi[s, a:b], amp)
+        if LOG_FLOOR < amp_lo and amp_hi < _RESCALE_LOG:
             bound = amp_hi - _LOG_PI_4  # ln max(|f_k|, |f_{k-1}|) is at most this
         else:
             exponent = np.floor(amp * (1.0 / _LN2))
@@ -279,12 +293,13 @@ def state_kernel_window(x, orders, gauss_im, scale, x_shift, k_lin, phase0, dpha
     return rows, a
 
 
-def cutoff_window(x, n, scale, x_shift):
+def cutoff_window(x, n, scale, x_shift, depth=None):
     """The columns [a, b) of the ascending float64 grid x that a slice whose
-    largest order is n keeps at LOG_FLOOR (state_kernel_window without a
-    depth): every requested order is an exact zero on the columns outside
-    them.  Empty (a == b) when the slice lies below LOG_FLOOR on all of x."""
-    return _window(x, x_shift, _cutoff_radius(n, scale))
+    largest order is n keeps at LOG_FLOOR, or with a depth at its floor for
+    that depth (state_kernel_window with the same depth): every requested
+    order is an exact zero on the columns outside them.  Empty (a == b)
+    when the slice lies below its floor on all of x."""
+    return _window(x, x_shift, _cutoff_radius(n, scale, depth))
 
 
 def _window(x, x_shift, radius):
@@ -300,7 +315,8 @@ def _slices(x, orders, params, depth):
     relative to a ((0, 0) if it holds none).  One root in xi is solved per
     distinct depth of the floor below the amplitude (_floor_depth), and
     each slice's radius is that root over its scale: at a depth every
-    slice shares one solve."""
+    slice shares one solve.  Every slice's window comes from the same two
+    searchsorted calls, as _window finds one."""
     x = np.asarray(x, dtype=np.float64)
     orders = [int(k) for k in orders]
     n = max(orders)
@@ -308,16 +324,19 @@ def _slices(x, orders, params, depth):
     table = np.array(params, dtype=np.float64)
     if table.ndim > 2:
         raise ValueError("slice parameters must be scalars or 1-D sequences")
+    _, scales, shifts = table.reshape(6, -1)[:3]
     roots = {}
-    windows = []
-    for _, scale, shift, *_ in table.reshape(6, -1).T.tolist():
+    radii = []
+    for scale in scales.tolist():
         base = _floor_depth(scale, depth)
         if base not in roots:  # bounds every lower order's
             roots[base] = _xi_radius(n, base)
-        windows.append(_window(x, shift, roots[base] / scale))
-    live = [w for w in windows if w[0] < w[1]]
+        radii.append(roots[base] / scale)
+    los = np.searchsorted(x, shifts - radii, side="left").tolist()
+    his = np.searchsorted(x, shifts + radii, side="right").tolist()
+    live = [(lo, hi) for lo, hi in zip(los, his) if lo < hi]
     a, b = (min(lo for lo, _ in live), max(hi for _, hi in live)) if live else (0, 0)
-    spans = [(lo - a, hi - a) if lo < hi else (0, 0) for lo, hi in windows]
+    spans = [(lo - a, hi - a) if lo < hi else (0, 0) for lo, hi in zip(los, his)]
     return x, orders, table, spans, (a, b)
 
 

@@ -327,21 +327,43 @@ def _validate_grid(ctx: SuiteContext):
     Two samples, since one may sit on a node (_edge_ratio).  Lower orders
     decay faster past the largest order's turning point, so its edges bound
     theirs.  The kernel columns of every time come from one stacked read
-    (_slice_params).  A time whose cutoff window (the columns the kernel
-    keeps at LOG_FLOOR, cutoff_window) holds none of the edge columns is
-    not read: those samples are exact zeros and its ratio is 0.  Any other
-    time is first read on its probe columns (_probe_columns): any sample
-    bounds the grid's peak from below, so edges below half the bar over the
-    probes' peak keep the whole grid's ratio below it, the half absorbing
-    the rounding by which a read of a few columns and a read of the whole
-    grid differ.  Otherwise the whole grid decides, read as state_field
-    reads it.
+    (_slice_params).
+
+    A time is passed without a read when its window at READ_DEPTH
+    (cutoff_window with that depth) holds grid columns but none of the
+    four edge columns, n <= 1000 and scale dx sqrt(2n + 1) <= 0.8:
+
+    - the edges lie beyond the window's radius, where the state is below
+      sqrt(scale) e^-READ_DEPTH (4.3e-18 sqrt(scale));
+    - the order's peak is at least 0.358 sqrt(scale) for every n up to
+      1000 (state_kernel_window), and it lies within the radius, so
+      between two grid columns, at most dx/2 from one;
+    - with phi_k(xi) = e^{-xi^2/2} h_k(xi), Cramér's bound |phi_k| <=
+      1.0865 pi^(-1/4) < 0.816 and phi_n' = sqrt(n/2) phi_{n-1} -
+      sqrt((n+1)/2) phi_{n+1} bound the slope of |psi| = sqrt(scale)
+      |phi_n(scale d)| by 0.816 sqrt(2n + 1) scale^(3/2), so a column
+      within dx/2 of the peak reads at least sqrt(scale) (0.358 - 0.408 *
+      0.8) > 0.03 sqrt(scale).
+
+    So such a time's whole-grid ratio is below 1.4e-16, far under the bar.
+    Any other time whose cutoff window at LOG_FLOOR (cutoff_window) holds
+    none of the edge columns is not read either: those samples are exact
+    zeros and its ratio is 0.  The rest is first read on its probe columns
+    (_probe_columns): any sample bounds the grid's peak from below, so
+    edges below half the bar over the probes' peak keep the whole grid's
+    ratio below it, the half absorbing the rounding by which a read of a
+    few columns and a read of the whole grid differ.  Otherwise the whole
+    grid decides, read as state_field reads it.
     """
     spec, grid = ctx.state(max(ctx.ns)), ctx.grid
     n, xs = spec.n, grid.xs()
     edges = _edge_columns(len(xs))
     for t, column in zip(ctx.times, _states._slice_params(spec, ctx.times).T.tolist()):
         _, scale, x_shift = column[:3]
+        if n <= 1000 and scale * grid.dx * math.sqrt(2 * n + 1) <= 0.8:
+            a, b = cutoff_window(xs, n, scale, x_shift, _states.READ_DEPTH)
+            if a < b and not any(a <= c < b for c in edges):
+                continue
         a, b = cutoff_window(xs, n, scale, x_shift)
         if not any(a <= c < b for c in edges):
             continue

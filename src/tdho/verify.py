@@ -181,14 +181,21 @@ def _support(*windows: GridFunction, margin: int = 0) -> slice:
 
 def _d2(values: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
     """Fourth-order second derivative (five-point stencil) along the last
-    axis, zeroed edges, formed in out."""
-    out[..., :2] = out[..., -2:] = 0.0
-    inner = out[..., 2:-2]
-    np.multiply(-30.0, values[..., 2:-2], out=inner)
-    pair = values[..., 3:-1] + values[..., 1:-3]
+    axis of the contiguous complex values, zeroed edges, formed in out.
+
+    The stencil's coefficients are real, so it runs on float64 views, a
+    column two floats wide: the complex form's adds and multiplies, in its
+    order, on re and im.  The complex division by 12 dx^2 multiplies each part by the
+    rounded reciprocal (Smith's algorithm with a zero imaginary part), and
+    so does this, at the cost of a real multiply."""
+    v, o = values.view(np.float64), out.view(np.float64)
+    o[..., :4] = o[..., -4:] = 0.0
+    inner = o[..., 4:-4]
+    np.multiply(-30.0, v[..., 4:-4], out=inner)
+    pair = v[..., 6:-2] + v[..., 2:-6]
     inner += np.multiply(16.0, pair, out=pair)
-    inner -= np.add(values[..., 4:], values[..., :-4], out=pair)
-    inner /= 12.0 * dx * dx
+    inner -= np.add(v[..., 8:], v[..., :-8], out=pair)
+    inner *= 1.0 / (12.0 * dx * dx)
     return out
 
 
@@ -421,13 +428,16 @@ def _residual_once(model, x, dx, points, t, dt, hbar, psi, d1, d2):
     M, _, _, w2 = (float(q) for q in model.terms(t))
     F = float(model.force_at(t))
     h_psi = _d2(psi, dx, np.empty_like(psi))
-    np.multiply(-(hbar * hbar) / (2.0 * M), h_psi, out=h_psi)
+    # the real scalings on float views: the complex forms' bits (_d2)
+    h = h_psi.view(np.float64)
+    h *= -(hbar * hbar) / (2.0 * M)
     h_psi += (0.5 * M * w2 * x * x - x * F) * psi
     h_norm = _nondegenerate(np.linalg.norm(h_psi, axis=-1), "‖H psi‖",
                             f" at t = {t} on {points} points", "its residual")
     o_psi = np.multiply(8.0, d1)
     o_psi -= d2
-    o_psi /= 12.0 * dt
+    o = o_psi.view(np.float64)
+    o *= 1.0 / (12.0 * dt)
     np.multiply(1j * hbar, o_psi, out=o_psi)
     o_psi -= h_psi
     return np.linalg.norm(o_psi, axis=-1) / h_norm
@@ -453,9 +463,12 @@ def _residual_pair(model, t, dt, centre: GridFunction, stencil: GridFunction):
     even = lo - lo % 2
     rows = stencil.values
     psi = centre.columns(even, hi)
-    # the differences on their window live only until they are padded
-    d1, d2, d4 = centre._with(rows[0::2] - rows[1::2],
-                              offset=stencil.offset).columns(even, hi)
+    # the differences, subtracted straight into their zero-padded window
+    d1, d2, d4 = diffs = np.zeros((3, *rows.shape[1:-1], hi - even), dtype=np.complex128)
+    first, stop = max(even, stencil.offset), min(hi, stencil.offset + rows.shape[-1])
+    if first < stop:
+        live = rows[..., first - stencil.offset:stop - stencil.offset]
+        np.subtract(live[0::2], live[1::2], out=diffs[..., first - even:stop - even])
     fine = _residual_once(model, x[lo:hi], grid.dx, grid.points, t, dt, centre.hbar,
                           *(a[..., lo - even:] for a in (psi, d1, d2)))
     coarse = _residual_once(model, x[even:hi:2], 2 * grid.dx, (grid.points + 1) // 2,

@@ -36,7 +36,8 @@ from tdho.models import CaldirolaKanai, LoDampedPulsating
 from tdho.ode import ODEError
 from tdho.scenarios import BUNDLED, scenario_path
 from tdho.states import StateSpec, _slice_params, state_field
-from tdho.transforms import BOUNDARY_RATIO, Grid, GridFunction, _edge_ratio
+from tdho.transforms import BOUNDARY_RATIO, Grid, GridFunction, _edge_columns, _edge_ratio
+from tdho.verify import READ_DEPTH, state_window
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -922,7 +923,8 @@ def test_a_node_on_the_edge_does_not_hide_a_leaking_grid(tmp_path, capsys, argv)
 
 
 # ---------------------------------------------------------------------------
-# the grid guard reads only where the cutoff window reaches an edge
+# the grid guard reads only where neither its bound nor the cutoff window
+# clears the edges
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -932,11 +934,10 @@ def test_a_node_on_the_edge_does_not_hide_a_leaking_grid(tmp_path, capsys, argv)
        points=st.integers(16, 700))
 def test_a_time_the_guard_skips_has_a_zero_edge_ratio(driven_ck, family, n, hbar, t,
                                                       C, centre, half, points):
-    """Whenever the grid guard does not read a time, because the cutoff
-    window holds none of the four edge samples, the whole-grid read it skips
-    has _edge_ratio exactly 0.0: over grids, times, orders, hbar and
-    pulsation parameters of a breathing, an exponential-mass and a driven
-    state."""
+    """Whenever the grid guard does not read a time, the whole-grid read it
+    skips is far below the bar (_a_skip_is_sound): over grids, times,
+    orders, hbar and pulsation parameters of a breathing, an
+    exponential-mass and a driven state."""
     if family == "driven_ck":
         basis, driven = driven_ck
     elif family == "sho":
@@ -945,12 +946,44 @@ def test_a_time_the_guard_skips_has_a_zero_edge_ratio(driven_ck, family, n, hbar
     else:
         basis = analytic_basis_ck(CaldirolaKanai(1.0, 0.6, 1.0, t_min=-1.0, t_max=12.0), C, 1.0)
         driven = None
-    spec = StateSpec(n, hbar, basis, driven)
-    grid = Grid(centre - half, centre + half, points)
-    read = _guard_reads(spec, grid, t)
-    event(f"skipped: {not read}")
-    if not read:
-        assert _edge_ratio(state_field(spec)(grid.xs(), t)) == 0.0
+    _a_skip_is_sound(StateSpec(n, hbar, basis, driven), Grid(centre - half, centre + half,
+                                                             points), t)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(["sho", "ck", "driven_ck"]), n=st.integers(0, 64),
+       hbar=st.floats(0.3, 3.0), t=st.floats(-0.5, 11.5), C=st.floats(0.5, 2.0),
+       centre=st.floats(-5.0, 5.0), half=st.floats(4.0, 40.0),
+       points=st.integers(256, 2048))
+def test_a_time_the_guard_bound_passes_is_far_below_the_bar(driven_ck, family, n, hbar, t,
+                                                             C, centre, half, points):
+    """The skip test's claim on grids fine enough for the guard's bound
+    (scale dx sqrt(2n + 1) <= 0.8) to pass most times that reach the cutoff
+    window at LOG_FLOOR."""
+    _a_skip_is_sound(_guard_spec(driven_ck, family, n, hbar, C),
+                     Grid(centre - half, centre + half, points), t)
+
+
+def _a_skip_is_sound(spec, grid, t):
+    """If the grid guard does not read spec on grid at time t: where the
+    cutoff window at LOG_FLOOR holds none of the four edge samples, the
+    whole-grid _edge_ratio is exactly 0.0; otherwise the guard's bound
+    passed the time, its READ_DEPTH window (state_window) reads exact zeros
+    at the edges, and the whole grid's ratio is below 2e-16."""
+    if _guard_reads(spec, grid, t):
+        event("read")
+        return
+    xs = grid.xs()
+    ratio = _edge_ratio(state_field(spec)(xs, t))
+    a, b = cutoff_window(xs, spec.n, *_slice_params(spec, t)[1:3])
+    edges = list(_edge_columns(grid.points))
+    if not any(a <= c < b for c in edges):
+        event("skipped: no edge in the cutoff window")
+        assert ratio == 0.0
+    else:
+        event("skipped by the bound")
+        assert not state_window(spec, grid, t, [spec.n]).columns()[..., edges].any()
+        assert ratio < 2e-16
 
 
 def _guard_reads(spec, grid, t):
@@ -1007,8 +1040,8 @@ def _counting_reads(monkeypatch):
 def test_the_high_order_benchmark_documents_build_without_a_read(monkeypatch):
     """The benchmark's high_n_states documents of seeds 1 to 7 (orders up to
     64 on the policy grid) keep every cutoff window inside the grid's edges:
-    build_context validates their grids without one kernel read.  sho_c1's
-    three times are read."""
+    build_context validates their grids without one kernel read.  So does
+    sho_c1, whose three times the guard's bound passes."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     worker = importlib.import_module("worker")
     calls = _counting_reads(monkeypatch)
@@ -1017,7 +1050,7 @@ def test_the_high_order_benchmark_documents_build_without_a_read(monkeypatch):
             build_context(doc)
     assert calls == []
     build_context(load_scenario("sho_c1"))
-    assert len(calls) == 3
+    assert calls == []
 
 
 def test_a_grid_too_small_for_sho_c1_is_refused_with_its_ratio(tmp_path, capsys):
@@ -1103,7 +1136,8 @@ def test_the_guard_decides_at_the_bar_as_the_whole_grid(driven_ck, family, n):
 def test_a_bundled_build_reads_its_slices_once_and_never_the_whole_grid(monkeypatch):
     """Each bundled scenario's build reads the kernel columns of all its
     times in one stacked _slice_params call, and the grid guard reads no
-    time on all of the grid's points."""
+    time at all, on the whole grid or on its probe columns: its bound passes
+    every bundled time."""
     reads = _counting_reads(monkeypatch)
     stacks = []
     params = tdho.states._slice_params
@@ -1118,7 +1152,34 @@ def test_a_bundled_build_reads_its_slices_once_and_never_the_whole_grid(monkeypa
         stacks.clear()
         ctx = build_context(load_scenario(name))
         assert stacks == [ctx.times], name
-        assert reads and all(len(x) < ctx.grid.points for x, *_ in reads), name
+        assert reads == [], name
+
+
+@pytest.mark.parametrize("bounds, points", [((-12.0, 12.0), 64), ((-8.0, 8.0), 4096)],
+                         ids=["coarse", "edge_in_read_window"])
+def test_a_time_the_bound_does_not_cover_is_read_as_before(monkeypatch, bounds, points):
+    """sho_c1's order 3 on a grid whose spacing fails the guard's bound
+    (scale dx sqrt(2n + 1) about 1.0 on 64 points over [-12, 12]), or whose
+    edge columns lie inside its READ_DEPTH window ([-8, 8]), takes the
+    probe path at each of its times: the probe columns are read first, and
+    the verdict is the whole grid's."""
+    spec = build_context(load_scenario("sho_c1")).state(3)
+    grid = Grid(*bounds, points)
+    xs, edges = grid.xs(), _edge_columns(points)
+    reads = _counting_reads(monkeypatch)
+    for t in (0.0, 1.0, 2.5):
+        _, scale, x_shift = _slice_params(spec, t)[:3]
+        a, b = cutoff_window(xs, 3, scale, x_shift, READ_DEPTH)
+        assert (scale * grid.dx * math.sqrt(7) > 0.8
+                or any(a <= c < b for c in edges)), (bounds, t)
+        _guard_verdict_is_the_whole_grids(spec, grid, t)
+        reads.clear()
+        with suppress(ScenarioError):
+            _validate_grid(SimpleNamespace(state=lambda _: spec, ns=[3], grid=grid,
+                                           times=[t]))
+        assert reads, (bounds, t)
+        np.testing.assert_array_equal(
+            reads[0][0], xs[tdho.cli._probe_columns(xs, 3, scale, x_shift)])
 
 
 def test_a_bundled_run_leaves_numpy_ma_unimported():

@@ -301,6 +301,56 @@ def test_stacked_slices_on_the_rescale_path():
     assert np.all(np.isfinite(got)) and np.any(got[:, 0] != 0.0)
 
 
+def _reducing_bounds(n):
+    """A patch of _span_bounds that checks every slice's bounds against
+    the np.max/np.min reductions over its span, bit for bit, and records
+    the span's width, whether it tracks exponents and whether it is watched
+    for overflow over n steps (_hermite_function_rows)."""
+    read, spans = kernels._ref._span_bounds, []
+
+    def reducing(xi, amp):
+        got = read(xi, amp)
+        want = (np.max(np.abs(xi)), np.min(amp), np.max(amp))
+        assert np.array(got).view(np.uint64).tolist() == \
+            np.array(want).view(np.uint64).tolist()
+        xi_max, amp_lo, amp_hi = got
+        tracked = not (LOG_FLOOR < amp_lo and amp_hi < _RESCALE_LOG)
+        bound = math.log(2.0) if tracked else amp_hi - 0.25 * math.log(math.pi)
+        spans.append((len(xi), tracked, bound + _monic_growth(n, xi_max) > _RESCALE_LOG))
+        return got
+
+    return mock.patch.object(kernels._ref, "_span_bounds", reducing), spans
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [64, 1000])
+def test_span_bounds_are_the_reductions_over_the_span(seed, n):
+    """Each slice's max |xi|, least and largest log amplitude, read at the
+    ends of its span and around xi's sign change, are the floats np.max and
+    np.min over the span give: on random stacks of slices read to
+    LOG_FLOOR and at READ_DEPTH, among them exponent-tracked slices,
+    slices watched for overflow (n = 1000) and two one-column spans."""
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(-40.0, 40.0, 701))
+    slices = [(rng.uniform(-1, 1), rng.uniform(0.5, 4.0), rng.uniform(-8, 8),
+               rng.uniform(-1, 1), rng.uniform(0, 6), rng.uniform(0, 6)) for _ in range(6)]
+    # windows that hold x[0] only and x[-1] only, read to LOG_FLOOR
+    radius, gap = _cutoff_radius(n, 2.0), min(x[1] - x[0], x[-1] - x[-2])
+    slices += [(0.1, 2.0, x[0] - radius + 0.4 * gap, 0.0, 0.0, 0.0),
+               (0.1, 2.0, x[-1] + radius - 0.4 * gap, 0.0, 0.0, 0.0)]
+    seen = set()
+    for depth in (None, DEPTH):
+        patch, spans = _reducing_bounds(n)
+        with patch, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _stacked_is_per_slice(x, [0, n], slices, depth=depth)
+        assert spans, depth
+        seen |= {(width == 1, tracked, watched) for width, tracked, watched in spans}
+    assert any(one for one, _, _ in seen)
+    assert any(tracked for _, tracked, _ in seen)
+    assert any(watched for _, _, watched in seen) == (n == 1000)
+
+
 def test_slice_parameters_of_more_than_one_axis_are_refused():
     x = np.linspace(-8.0, 8.0, 64)
     params = [np.full((2, 2), p) for p in (0.4, 1.1, 0.0, 0.2, 0.7, 1.5)]

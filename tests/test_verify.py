@@ -201,6 +201,107 @@ def test_residual_refuses_a_stencil_past_the_domain(sho_basis_c1):
                              model.t_max - 0.01, dt=0.005)
 
 
+# the complex forms that the residual's float views replace, as they were
+# written: every result must keep their bits
+
+def _d2_complex(values, dx):
+    out = np.empty_like(values)
+    out[..., :2] = out[..., -2:] = 0.0
+    inner = out[..., 2:-2]
+    np.multiply(-30.0, values[..., 2:-2], out=inner)
+    pair = values[..., 3:-1] + values[..., 1:-3]
+    inner += np.multiply(16.0, pair, out=pair)
+    inner -= np.add(values[..., 4:], values[..., :-4], out=pair)
+    inner /= 12.0 * dx * dx
+    return out
+
+
+def _residual_once_complex(model, x, dx, t, dt, hbar, psi, d1, d2):
+    psi = np.ascontiguousarray(psi)
+    M, _, _, w2 = (float(q) for q in model.terms(t))
+    F = float(model.force_at(t))
+    h_psi = _d2_complex(psi, dx)
+    np.multiply(-(hbar * hbar) / (2.0 * M), h_psi, out=h_psi)
+    h_psi += (0.5 * M * w2 * x * x - x * F) * psi
+    o_psi = np.multiply(8.0, d1)
+    o_psi -= d2
+    o_psi /= 12.0 * dt
+    np.multiply(1j * hbar, o_psi, out=o_psi)
+    o_psi -= h_psi
+    return np.linalg.norm(o_psi, axis=-1) / np.linalg.norm(h_psi, axis=-1)
+
+
+def _residual_pair_complex(model, t, dt, centre, stencil):
+    grid = centre.grid
+    x = grid.xs()
+    lo, hi, _ = tdho.verify._support(centre, stencil, margin=8).indices(grid.points)
+    even = lo - lo % 2
+    rows = stencil.values
+    psi = centre.columns(even, hi)
+    d1, d2, d4 = centre._with(rows[0::2] - rows[1::2],
+                              offset=stencil.offset).columns(even, hi)
+    fine = _residual_once_complex(model, x[lo:hi], grid.dx, t, dt, centre.hbar,
+                                  *(a[..., lo - even:] for a in (psi, d1, d2)))
+    coarse = _residual_once_complex(model, x[even:hi:2], 2 * grid.dx, t, 2 * dt,
+                                    centre.hbar, *(a[..., ::2] for a in (psi, d2, d4)))
+    return fine, coarse
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64).tolist()
+
+
+def _random_rows(rng, shape):
+    """Complex rows with parts of either sign over six decades."""
+    parts = rng.standard_normal((2, *shape)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, *shape))
+    return parts[0] + 1j * parts[1]
+
+
+def test_d2_on_float_views_is_the_complex_stencil(rng):
+    """_d2 on float64 views holds the complex stencil's bits, the division
+    by 12 dx^2 included: on random rows read from window offsets 0 and 1 and
+    on the coarse stencil's every-other-sample copies."""
+    rows = _random_rows(rng, (3, 4, 301))
+    for view in (rows[..., 0:], rows[..., 1:], rows[..., ::2], rows[..., 1::2]):
+        values = np.ascontiguousarray(view)
+        for dx in (0.013, 0.5, 2.0 / 3.0, 7.1):
+            got = tdho.verify._d2(values, dx, np.empty_like(values))
+            assert _bits(got) == _bits(_d2_complex(values, dx)), dx
+
+
+def test_real_scalings_on_float_views_are_the_complex_ones(rng):
+    """A complex array times a real scalar, or divided by one (Smith's
+    algorithm: a multiply by the rounded reciprocal), holds the bits of its
+    float64 view times that scalar or its reciprocal."""
+    z = _random_rows(rng, (5, 257))
+    for c in (-0.5, -1.0 / 2.6, -(1.3 * 1.3) / (2.0 * 0.7), 3.0e-7):
+        assert _bits(z.view(np.float64) * c) == _bits(np.multiply(c, z)), c
+    for dt in (1e-3 * 2.0 * math.pi, 0.0123, 2.0 * 0.0123, 1.0 / 3.0):
+        s = 12.0 * dt
+        assert _bits(z.view(np.float64) * (1.0 / s)) == _bits(z / s), dt
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+def test_residual_pair_keeps_the_complex_forms_bits(rng, driven_ck, offset):
+    """_residual_pair, its stencil and scalings on float views and its
+    differences subtracted into their padded window, returns the bits of
+    the complex forms: on random rows at window offsets 0 and 1, and on a
+    driven state's windows at t and its six stencil times."""
+    model = driven_ck[0].model
+    grid, t, dt = Grid(-12.0, 12.0, 601), 1.3, tdho.verify._residual_dt(model)
+    centre = GridFunction(grid, _random_rows(rng, (3, 400)), t, 0.7, offset=100 + offset)
+    stencil = centre._with(_random_rows(rng, (6, 3, 380)), offset=110 + offset)
+    spec = StateSpec(6, 1.0, *driven_ck)
+    times = [t + k * dt for k in tdho.verify._STENCIL_STEPS[1:]]
+    cases = [(centre, stencil),
+             (tdho.verify.state_window(spec, grid, t, [0, 3, 6]),
+              tdho.verify.state_window(spec, grid, times, [0, 3, 6]))]
+    for c, st_ in cases:
+        got = tdho.verify._residual_pair(model, t, dt, c, st_)
+        want = _residual_pair_complex(model, t, dt, c, st_)
+        assert _bits(np.array(got)) == _bits(np.array(want))
+
+
 def test_residual_refuses_zero_state():
     """An identically zero state has no relative residual (0/0): refused."""
     model = CaldirolaKanai(1.0, 0.0, 1.0, t_min=T_MIN, t_max=T_MAX)
