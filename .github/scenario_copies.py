@@ -109,15 +109,15 @@ COPIES = [
       "closed_form": {"kind": "ck", "Ccoef": 2.0},
       "checks": ["closed_form_agreement", "stationarity"]}, 0, None),
     # theta winds about 72 rad over the domain: the basis's theta, unwrapped
-    # at every sample of its steps, agrees with the family's closed form,
-    # which unwraps its own angle
+    # at every edge and Gauss node of its panels, agrees with the family's
+    # closed form, which unwraps its own angle
     ("lo_fast_winding", "lo",
      {"model.params.w_lo": 6.0, "basis.ics": [1.0, -0.7, 0.0, 6.0],
       "closed_form": {"kind": "lo", "Ccoef": 1.0},
       "checks": ["closed_form_agreement", "omega_constancy", "frequency_map"]}, 0, None),
     # an eccentric basis, B = 0.001: theta turns about 1000 times its mean
     # rate as (u, v) crosses the minor axis, and still falls by less than
-    # 2 pi between two samples of the basis's steps
+    # 2 pi between two of the basis's panel points
     ("ck_eccentric", "ck",
      {"basis.ics": [1.0, -0.3, 0.0, 0.001 * 0.91 ** 0.5],
       "closed_form": {"kind": "ck", "Ccoef": 1000.0},

@@ -4,9 +4,9 @@ A basis is a pair (u, v) of independent real solutions of
 (d/dt)(M xdot) + M w^2 x = 0.  The Wronskian invariant
 Omega = M (vdot u - udot v) is constant and must be positive; the envelope
 rho = sqrt(u^2 + v^2) and the continuously unwrapped angle
-theta = arg(u - iv) parameterize the quantum states.  A numeric basis is
-collocated on Gauss-Legendre panels; driven models add a particular solution
-x_p and the phase integral delta(t), by quadrature over the basis.
+theta = arg(u - iv) parameterize the quantum states.  A numeric basis, and a
+driven model's x_p and phase integral delta(t) by quadrature over the basis,
+are values at Gauss-Legendre panels' edges and nodes, read by interpolation.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .models import (
     _is_unit_mass_sho,
     frequency_scale,
 )
-from .ode import DenseSolution
 
 __all__ = [
     "DegenerateBasisError",
@@ -144,7 +143,7 @@ class _AnalyticCKBasis(ClassicalBasis):
 
 
 class NumericBasis(ClassicalBasis):
-    """Basis backed by dense output of (u, du, v, dv, theta).
+    """Basis read from sol(t), (..., 5) values of (u, du, v, dv, theta).
 
     Each query computes the exact principal argument and snaps it to the
     branch of the tabulated theta, which tracks the winding to within pi.
@@ -205,8 +204,8 @@ def solve_homogeneous(
     collocated on the particular path's panels (_collocate); their propagators
     carry (u, v) out from t0.  A panel whose 16- and 32-node propagators differ
     by over `tol` of their size, or whose values are not finite, raises
-    QuadratureError.  theta is arg(u - iv) at each sample of the steps,
-    unwrapped from atan2(-v0, u0) as it falls (thetadot = -Omega/(M rho^2)).
+    QuadratureError.  theta is arg(u - iv) at each edge and node in time
+    order, unwrapped from atan2(-v0, u0) as it falls (thetadot = -Omega/(M rho^2)).
 
     Omega is fixed from the initial data; Omega <= 0 is rejected rather
     than silently repaired, since a sign flip would alter every phase
@@ -242,17 +241,17 @@ def solve_homogeneous(
             pair[k + 1] = prop[k] @ pair[k]
         for k in range(k0 - 1, -1, -1):
             pair[k] = back[k] @ pair[k + 1]
-        at = _step_samples(np.stack([x @ pair[:-1], dx @ pair[:-1]]).transpose(3, 0, 1, 2)
+        at = _edges_around(np.stack([x @ pair[:-1], dx @ pair[:-1]]).transpose(3, 0, 1, 2)
                            .reshape(4, len(lo), q), pair.transpose(2, 1, 0).reshape(4, -1))
-    if not (finite := np.isfinite(at).all(axis=(0, 2, 3))).all():
+    if not (finite := np.isfinite(at).all(axis=(0, 2))).all():
         i = int(np.argmin(finite))
         raise QuadratureError(f"basis not finite on [{lo[i]}, {hi[i]}]")
-    raw = np.arctan2(-at[2], at[0]).ravel()  # in time order, t0 at sample k0 * 64
-    # theta falls by less than 2 pi per sample: raw rises only where it wraps
+    raw = np.arctan2(-at[2], at[0]).ravel()  # in time order, t0 at point k0 * (q + 2)
+    # theta falls by less than 2 pi per point: raw rises only where it wraps
     turns = np.append(0, np.cumsum(raw[1:] > raw[:-1]))
-    theta = raw - _TWO_PI * (turns - turns[min(k0 * at[0, 0].size, raw.size - 1)])
-    return NumericBasis(_dense_steps(np.append(at, [theta.reshape(at.shape[1:])], axis=0),
-                                     edges), model, omega)
+    theta = raw - _TWO_PI * (turns - turns[min(k0 * (q + 2), raw.size - 1)])
+    return NumericBasis(_PanelPath(edges, z[:, :q], np.append(at, [theta.reshape(at.shape[1:])],
+                                                              axis=0)), model, omega)
 
 
 def _collocate(half, r, w2):
@@ -363,8 +362,8 @@ def _integrals(g, k0, edges, half, bound):
     return np.append(ends[:-1, None] + within, ends)
 
 
-# per panel of a path: Gauss nodes (checked against 2x), degree-7 steps
-_PATH_NODES, _PATH_STEPS = 16, 8
+# Gauss nodes per panel of a path (its integrals checked against twice as many)
+_PATH_NODES = 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -378,45 +377,45 @@ def _integration(q, m):
 
 
 @functools.lru_cache(maxsize=None)
-def _path_matrices():
-    """Fixed maps: `samples` from a panel's values at its q = _PATH_NODES
-    Gauss nodes to their Legendre series at 8 Chebyshev-Lobatto points of
-    each step, ends included; `rows` from those to y_old and the DOP853 F."""
-    leg, q = np.polynomial.legendre, _PATH_NODES
-    s = 0.5 - 0.5 * np.cos(np.pi * np.arange(8) / 7)
-    z = -1.0 + 2.0 * (np.arange(_PATH_STEPS)[:, None] + s).ravel() / _PATH_STEPS
-    # y - y_old = F0 x + F1 x w + F2 x^2 w + ... + F6 x^4 w^3, as _dop853_poly
-    powers = s[1:, None] ** [1, 1, 2, 2, 3, 3, 4] * (1.0 - s[1:, None]) ** [0, 1, 1, 2, 2, 3, 3]
-    eye = np.eye(8)
-    rows = np.vstack([eye[0], np.linalg.solve(powers, eye[1:] - eye[0])])
-    rows[1] = eye[7] - eye[0]  # F0 = y(1) - y_old exactly: a read at a knot is exact
-    to_series = np.linalg.inv(leg.legvander(_gauss_legendre(q)[0], q - 1))
-    return leg.legvander(z, q - 1) @ to_series, rows
+def _barycentric_weights():
+    """The barycentric weights of the points -1, the _PATH_NODES Gauss nodes and 1."""
+    x = np.concatenate([[-1.0], _gauss_legendre(_PATH_NODES)[0], [1.0]])
+    return 1.0 / np.prod(x[:, None] - x + np.eye(x.size), axis=1)
 
 
-def _step_samples(nodes, edges):
-    """(k, panels, _PATH_STEPS, 8) samples of the series through `nodes` (k,
-    panels, _PATH_NODES), with every panel's ends exactly `edges` (k, panels + 1)."""
-    at = (nodes @ _path_matrices()[0].T).reshape(*nodes.shape[:2], _PATH_STEPS, 8)
-    at[:, :, 0, 0], at[:, :, -1, -1] = edges[:, :-1], edges[:, 1:]
-    return at
+def _edges_around(nodes, edges):
+    """(k, panels, _PATH_NODES + 2): each panel's first edge, nodes and last edge."""
+    return np.concatenate([edges[:, :-1, None], nodes, edges[:, 1:, None]], axis=2)
 
 
-def _dense_steps(at, edges):
-    """The DenseSolution of degree-7 DOP853-form steps, _PATH_STEPS per
-    panel between `edges`, through the samples `at` of _step_samples."""
-    steps = np.ascontiguousarray((at @ _path_matrices()[1].T).reshape(len(at), -1, 8).T)
-    ts = np.append(np.linspace(edges[:-1], edges[1:], _PATH_STEPS, endpoint=False, axis=1),
-                   edges[-1])
-    return DenseSolution(ts, ts[:-1], np.diff(ts), steps[0], steps[1:])
+class _PanelPath:
+    """k quantities at times of shape (...), as (..., k), from their values (k,
+    panels, _PATH_NODES + 2) at each panel's edges and Gauss nodes (_edges_around)
+    by barycentric interpolation (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)).
+    A time on a point reads its value bit for bit; one past the edges raises DomainError."""
+
+    def __init__(self, edges, nodes, values):
+        self._inner, self._points = edges[1:-1], np.column_stack([edges[:-1], nodes, edges[1:]])
+        self._values = np.ascontiguousarray(values.transpose(1, 0, 2))  # (panels, k, points)
+        self._span = OscillatorModel(edges[0], edges[-1])  # its check_domain, over the edges
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        self._span.check_domain(t)
+        k = np.searchsorted(self._inner, t.ravel(), side="right")
+        gap, values = t.reshape(-1, 1) - self._points.take(k, 0), self._values.take(k, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = _barycentric_weights() / gap
+            y = np.einsum("np,nkp->nk", c, values) / (den := c.sum(axis=1))[:, None]
+        on = np.flatnonzero(~np.isfinite(den))  # a time on a point: c is infinite there
+        y[on] = values[on, :, np.argmax(np.isinf(c[on]), axis=1)]
+        return y.reshape(t.shape + y.shape[-1:])
 
 
-def _integral_steps(paths, z, edges):
-    """The DenseSolution through `paths` (k, nodes then edges of _path_panels,
-    as _integrals lays them out), in _PATH_STEPS degree-7 steps per panel."""
-    n = z.size
-    at = _step_samples(paths[:, :n].reshape(len(paths), *z.shape)[..., :_PATH_NODES], paths[:, n:])
-    return _dense_steps(at, edges)
+def _integral_path(paths, z, edges):
+    """The _PanelPath through `paths` (k, as _integrals lays them out)."""
+    nodes = paths[:, :z.size].reshape(len(paths), *z.shape)[..., :_PATH_NODES]
+    return _PanelPath(edges, z[:, :_PATH_NODES], _edges_around(nodes, paths[:, z.size:]))
 
 
 def _path_panels(model, t0, span=None):
@@ -454,8 +453,8 @@ def solve_particular(
     where J_u = M(xdot_p u - x_p udot) = J_u(t0) + ∫_{t0}^t u F, and J_v the
     same in v; delta = ∫_{t0}^t of its rate.  Each integral is spectral on
     Gauss-Legendre panels (_path_panels) whose 16- and 32-node rules must
-    agree to `tol` of ∫|g|, else QuadratureError (_integrals); it is read
-    through degree-7 dense-output steps, 8 per panel (_integral_steps)."""
+    agree to `tol` of ∫|g|, else QuadratureError (_integrals); all three are
+    read from their panels' edges and 16 Gauss nodes (_integral_path)."""
     model = basis.model
     t0, k0, edges, z, half = _path_panels(model, t0)
     n = z.size
@@ -467,7 +466,7 @@ def solve_particular(
     j_v = _integrals(v[:n] * F, k0, edges, half, tol) + M0 * (dxp0 * v[i] - xp0 * dv[i])
     xp, dxp = (v * j_u - u * j_v) / omega, (dv * j_u - du * j_v) / omega
     rate = 0.5 * M * (w2 * xp[:n] ** 2 - dxp[:n] ** 2)
-    sol = _integral_steps(np.stack([xp, dxp, _integrals(rate, k0, edges, half, tol)]), z, edges)
+    sol = _integral_path(np.stack([xp, dxp, _integrals(rate, k0, edges, half, tol)]), z, edges)
 
     def read(t):
         y = sol(t)
@@ -510,12 +509,13 @@ def delta_legacy(
     scalar or an array of endpoints.  The integral from t0 takes the
     particular path's panels on the window [a, b] spanned by t0 and t
     (_path_panels) and its quadrature (_integrals), but its own fixed
-    1e-10 bound; it is read through the same degree-7 steps as delta.
+    1e-10 bound, and is read as delta is; v is probed for a sign change at
+    512 times per radian of the model's frequency scale.
     """
     model = basis.model
     t = np.asarray(t, dtype=float)
     a, b = min(t0, float(t.min())), max(t0, float(t.max()))
-    probe = np.linspace(a, b, max(64, int(1024 * (b - a))))
+    probe = np.linspace(a, b, max(64, int(512 * frequency_scale(model) * (b - a))))
     vv = basis.slice(probe)[2]
     if np.min(np.abs(vv)) < 1e-8 * np.max(np.abs(vv)) or np.any(
         vv[:-1] * vv[1:] < 0
@@ -531,7 +531,7 @@ def delta_legacy(
         v, dv = basis.slice(z.ravel())[2:4]
         xp, dxp, _ = driven.slice(z.ravel())
         g = _integrals(model.mass(z.ravel()) * (xp * dv / v - dxp) ** 2, k0, edges, half, 1e-10)
-        out = out - 0.5 * _integral_steps(g[None], z, edges)(t)[..., 0]
+        out = out - 0.5 * _integral_path(g[None], z, edges)(t)[..., 0]
     return out if np.ndim(out) else float(out)
 
 

@@ -4,7 +4,7 @@ One JSON scenario file describes everything (model, basis, driving, states,
 grid, times, checks); the subcommands only select an action and output
 paths.  Exit codes: 0 all checks pass, 1 any check failed, 2 configuration
 error (bad schema, unknown check, inconsistent grid, a time outside the
-model's domain, unwritable output path) or numerical error (an integration
+model's domain, unwritable output path) or numerical error (a collocation
 or quadrature that cannot be resolved, a state that samples to zero, or a
 grid that does not resolve a state), 3 internal error (any other exception,
 a defect in tdho itself: its traceback, then its type and message).
@@ -41,7 +41,6 @@ from .models import (
     model_from_json,
 )
 from ._kernels import cutoff_window
-from .ode import ODEError
 from .states import CLOSED_FORMS, dump_state_grid, state_field
 from .transforms import (
     BOUNDARY_RATIO,
@@ -491,7 +490,7 @@ def main(argv=None) -> int:
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ODEError, QuadratureError, DegenerateStateError, GridTooSmallError) as e:
+    except (QuadratureError, DegenerateStateError, GridTooSmallError) as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

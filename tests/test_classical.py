@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 import tdho.classical
 import tdho.ode
 from tdho.classical import (
+    ClassicalBasis,
     DegenerateBasisError,
     NumericBasis,
     OmegaSignError,
@@ -30,12 +31,14 @@ from tdho.cli import build_context, load_scenario
 from tdho.models import (
     CaldirolaKanai,
     CosineForce,
+    DomainError,
     Force,
     GeneralParametric,
     LoDampedPulsating,
     OscillatorModel,
     reduced_frequency_squared,
 )
+from tdho.verify import run_suite
 
 from conftest import T_MAX, T_MIN
 
@@ -231,7 +234,7 @@ def test_numeric_basis_from_any_t0(t0):
 
 
 class _Circle:
-    """Stub dense solution u = cos Wt, v = sin Wt with its tabulated
+    """Stand-in reader u = cos Wt, v = sin Wt with its tabulated
     theta = -W t."""
 
     def __init__(self, W):
@@ -257,7 +260,8 @@ def test_numeric_theta_resolves_fast_winding():
 def test_numeric_theta_marched_on_eccentric_basis(B):
     """theta turns A/B times its mean rate as (u, v) crosses the minor
     axis, up to 1000 times at B = 0.001, and still falls by less than 2 pi
-    between two samples of the basis's steps: its unwrapping resolves it."""
+    between two of the basis's panel points (an edge or a Gauss node): its
+    unwrapping resolves it."""
     w_ck = np.sqrt(0.91)
     m = CaldirolaKanai(1.0, 0.6, 1.0, t_min=-1.0, t_max=12.0)
     b = solve_homogeneous(m, 1.0, -0.3, 0.0, B * w_ck, t0=0.0, tol=1e-11)
@@ -438,6 +442,29 @@ def test_legacy_delta_rejects_singular_window(driven_sho):
         delta_legacy(basis, drv, 2.0, 4.0)
 
 
+def test_the_legacy_probe_is_sized_per_radian(monkeypatch):
+    """driven_sho rescaled to w = 1e-3 (domain [-1/w, 12/w], force 2w): the
+    check's v window is about 2200 time units but under 4 radians wide, and
+    delta_equivalence reads no slice of the basis at over 1e5 times (1024
+    probe times per time unit would read 2.25e6)."""
+    w = 1e-3
+    doc = load_scenario("driven_sho")
+    doc["model"].update(params={"w_s": w}, t_min=-1.0 / w, t_max=12.0 / w)
+    doc["driving"].update(xp0=-1.0 / (3.0 * w * w))
+    doc["driving"]["force"]["omega"] = 2.0 * w
+    doc["times"] = [t / w for t in doc["times"]]
+    sizes, read = [], ClassicalBasis.slice
+
+    def counting(self, t):
+        sizes.append(np.size(t))
+        return read(self, t)
+
+    monkeypatch.setattr(ClassicalBasis, "slice", counting)
+    [legacy, _] = run_suite(build_context(doc), ["delta_equivalence"])
+    assert legacy.params["window"][1] - legacy.params["window"][0] > 2000.0
+    assert 0 < max(sizes) <= 1e5, max(sizes)
+
+
 def test_legacy_delta_array_matches_scalar_endpoints(driven_sho):
     basis, drv = driven_sho
     ts = np.linspace(0.4, 2.7, 25)
@@ -457,15 +484,72 @@ def test_legacy_delta_at_t0_is_boundary_term(driven_sho):
 
 def test_path_integrals_match_closed_form_both_sides_of_t0():
     """∫cos from t0 = 0.7 on the path's half-radian panels over [-2, 5],
-    read through the degree-7 steps as delta is."""
+    read through the panel reader as delta is."""
     model = CaldirolaKanai(1.0, 0.0, 1.0, t_min=-2.0, t_max=5.0)
     _, k0, edges, z, half = tdho.classical._path_panels(model, 0.7)
     path = tdho.classical._integrals(np.cos(z.ravel()), k0, edges, half, 1e-10)
-    integral = tdho.classical._integral_steps(path[None], z, edges)
+    integral = tdho.classical._integral_path(path[None], z, edges)
     ts = np.array([-2.0, -0.3, 0.7, 1.2, 4.99, 5.0])
     np.testing.assert_allclose(integral(ts)[:, 0], np.sin(ts) - np.sin(0.7),
                                rtol=0.0, atol=1e-14)
     assert integral(0.7)[0] == 0.0
+
+
+@pytest.mark.parametrize("name", ["ck", "lo", "driven_sho", "driven_ck"])
+def test_a_read_on_a_panel_point_is_its_built_value(monkeypatch, name):
+    """At every panel edge and Gauss node the numeric basis (u, du, v, dv,
+    theta) and the particular path (x_p, xdot_p, delta) read the values their
+    build computed, bit for bit, in a stack and one edge at a time (the
+    basis's theta snap may turn -0.0 into 0.0); at t0 the basis reads its
+    initial data and theta = atan2(-v0, u0), and delta reads 0.0."""
+    built = []
+
+    class Recording(tdho.classical._PanelPath):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(tdho.classical, "_PanelPath", Recording)
+    ctx = build_context(load_scenario(name))
+    [path] = built
+    driven = name.startswith("driven_")
+    read, cols = (ctx.driven.slice, [0, 1, 2]) if driven else (ctx.basis.slice, [0, 1, 2, 3, 6])
+    values = np.moveaxis(path._values, 1, -1)
+    _assert_same_bits(path(path._points), values)
+    np.testing.assert_array_equal(np.moveaxis(np.array(read(path._points))[cols], 0, -1), values)
+    edges = np.append(path._points[:, 0], path._points[-1, -1])
+    _assert_same_bits([path(t) for t in edges], np.append(values[:, 0], values[-1:, -1], axis=0))
+    if not driven:
+        doc = load_scenario(name)["basis"]
+        u0, du0, v0, dv0 = doc["ics"]
+        u, du, v, dv, _, _, theta = ctx.basis.slice(doc["t0"])
+        assert (u, du, v, dv, theta) == (u0, du0, v0, dv0, np.arctan2(-v0, u0))
+    else:
+        assert ctx.driven.slice(ctx.driven.t0)[2] == 0.0
+
+
+@pytest.mark.parametrize("what", ["numeric_basis", "driven_path", "delta_legacy"])
+def test_a_read_outside_the_panels_is_a_domain_error(what, lo_basis, driven_ck):
+    """Past the domain's ends, beyond check_domain's slack, a panel read
+    names the domain and the times it refuses."""
+    null = null_driven(lo_basis.model)
+    read = {"numeric_basis": lambda: lo_basis.slice(np.array([0.5, 12.5])),
+            "driven_path": lambda: driven_ck[1].slice(-1.5),
+            "delta_legacy": lambda: delta_legacy(lo_basis, null, 0.4, np.array([0.5, 13.0])),
+            }[what]
+    with pytest.raises(DomainError, match=r"t outside model domain \[-1\.0, 12\.0\]: "):
+        read()
+
+
+def test_a_numeric_basis_reads_spectrally_between_its_points(ck_basis):
+    """The bundled ck scenario's collocated basis against its closed form at
+    4000 random times: u, du, v, dv and theta each within 3e-15 of its
+    scale."""
+    basis = build_context(load_scenario("ck")).basis
+    ts = np.random.default_rng(7).uniform(T_MIN, T_MAX, 4000)
+    got, want = np.array(basis.slice(ts)), np.array(ck_basis.slice(ts))
+    gap = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+    assert np.all(gap[[0, 1, 2, 3, 6]] <= 3e-15), gap
 
 
 def _fast_velocity_path(model):
@@ -609,7 +693,7 @@ def test_driven_slices_equal_per_method_reads(driven_sho):
         _assert_same_bits(s_xp, xp + c * u)
         _assert_same_bits(s_dxp, dxp + c * du)
         _assert_same_bits(null.slice(t)[0], np.zeros(np.shape(t)))
-    # scalar reads of the dense solution stay Python floats
+    # scalar reads of the path stay Python floats
     assert all(type(q) is float for q in drv.slice(0.7))
 
 

@@ -33,7 +33,6 @@ from tdho.cli import (
     main,
 )
 from tdho.models import CaldirolaKanai, LoDampedPulsating
-from tdho.ode import ODEError
 from tdho.scenarios import BUNDLED, scenario_path
 from tdho.states import StateSpec, _slice_params, state_field
 from tdho.transforms import BOUNDARY_RATIO, Grid, GridFunction, _edge_columns, _edge_ratio
@@ -683,7 +682,7 @@ def test_state_refuses_a_non_finite_t(tmp_path, capsys, monkeypatch, t):
 
 def test_verify_leaves_scipy_interpolate_unimported(tmp_path):
     """No command imports scipy, a cold `tdho verify` of a tabulated model
-    included, and none imports jsonschema."""
+    included, and none imports jsonschema, tdho.ode or its DOP853 tableau."""
     src = str(Path(tdho.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -697,16 +696,17 @@ def test_verify_leaves_scipy_interpolate_unimported(tmp_path):
             "from tdho.cli import main\n"
             f"rc = main({argv!r})\n"
             "print(rc, 'scipy.interpolate' in sys.modules, 'scipy' in sys.modules,\n"
-            "      'jsonschema' in sys.modules)\n"
+            "      'jsonschema' in sys.modules, 'tdho.ode' in sys.modules,\n"
+            "      'tdho._dop853' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=300)
         # `state` and `classical` list the files they write before the flags
-        assert proc.stdout.splitlines()[-1].split() == ["0", "False", "False", "False"], \
+        assert proc.stdout.splitlines()[-1].split() == ["0"] + ["False"] * 5, \
             (argv, proc.stderr)
 
 
-@pytest.mark.parametrize("error", [ODEError, QuadratureError])
+@pytest.mark.parametrize("error", [QuadratureError])
 def test_verify_numerical_error_exit_2(monkeypatch, capsys, error):
     def failing_solve(*args, **kwargs):
         raise error("step size underflow")
