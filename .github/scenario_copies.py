@@ -54,12 +54,17 @@ COPIES = [
     # undriven state over its basis
     ("driven_closed_form", "driven_ck",
      {"closed_form": CK_1, "checks": ["closed_form_agreement"]}, 0, None),
-    # up to n = 16, U0_dagger and U_F both move the state on windows, the
-    # uncertainty rows are padded for their DFT, and the closed forms
-    # compared on windows
+    # up to n = 16, the chain draws the companion's mapped kernel columns on
+    # their cutoff window, the uncertainty rows are padded for their DFT, and
+    # the closed forms compared on windows
     ("driven_ck_windows", "driven_ck",
      {"states": [0, 16], "closed_form": CK_1,
       "checks": ["transform_chain", "uncertainty", "closed_form_agreement"]}, 0, None),
+    # on 512 points the chain's rows pass: each maps the companion's kernel
+    # columns in closed form, so no six-point rule reads a companion the
+    # physical grid does not resolve (ROADMAP item 2)
+    ("driven_ck_512_chain", "driven_ck",
+     {"grid.points": 512, "checks": ["transform_chain", "uncertainty"]}, 0, None),
     # U_F on a displaced, boosted state at hbar != 1: the exact chain maps
     # the companion's kernel columns through coefficients divided by hbar
     ("driven_ck_displaced", "driven_ck",
@@ -92,8 +97,8 @@ COPIES = [
     ("sho_c1_small", "sho_c1", {"grid": {"x_min": -3, "x_max": 3, "points": 4096}},
      2, "too small for n="),
     # 64 points over [-12, 12] are too coarse for the guard's bound (scale dx
-    # sqrt(2n + 1) about 1.0 > 0.8): each time is read on its probe columns
-    # and passes, and so does the closed-form agreement
+    # sqrt(2n + 1) about 1.0 > 0.8): each time is decided by one read of its
+    # cutoff window and passes, and so does the closed-form agreement
     ("sho_c1_coarse", "sho_c1",
      {"grid": {"x_min": -12.0, "x_max": 12.0, "points": 64},
       "checks": ["closed_form_agreement"]}, 0, None),

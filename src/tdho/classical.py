@@ -404,7 +404,8 @@ class _PanelPath:
         self._span.check_domain(t)
         k = np.searchsorted(self._inner, t.ravel(), side="right")
         gap, values = t.reshape(-1, 1) - self._points.take(k, 0), self._values.take(k, 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # within 4e-305 of a point c overflows, and the time reads that point
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             c = _barycentric_weights() / gap
             y = np.einsum("np,nkp->nk", c, values) / (den := c.sum(axis=1))[:, None]
         on = np.flatnonzero(~np.isfinite(den))  # a time on a point: c is infinite there

@@ -18,8 +18,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import states as _states
 from ._schema import best_match
@@ -347,12 +345,10 @@ def _validate_grid(ctx: SuiteContext):
     So such a time's whole-grid ratio is below 1.4e-16, far under the bar.
     Any other time whose cutoff window at LOG_FLOOR (cutoff_window) holds
     none of the edge columns is not read either: those samples are exact
-    zeros and its ratio is 0.  The rest is first read on its probe columns
-    (_probe_columns): any sample bounds the grid's peak from below, so
-    edges below half the bar over the probes' peak keep the whole grid's
-    ratio below it, the half absorbing the rounding by which a read of a
-    few columns and a read of the whole grid differ.  Otherwise the whole
-    grid decides, read as state_field reads it.
+    zeros and its ratio is 0.  Every other time is decided by one read of
+    that window (state_kernel_window to LOG_FLOOR): the whole grid's read,
+    as state_field reads it, is this window zero-padded, so the window's
+    edge ratio is the whole grid's bit for bit.
     """
     spec, grid = ctx.state(max(ctx.ns)), ctx.grid
     n, xs = spec.n, grid.xs()
@@ -366,28 +362,10 @@ def _validate_grid(ctx: SuiteContext):
         a, b = cutoff_window(xs, n, scale, x_shift)
         if not any(a <= c < b for c in edges):
             continue
-        probe = np.abs(_states.state_kernel(xs[_probe_columns(xs, n, scale, x_shift)],
-                                            n, *column))
-        bar = 0.5 * BOUNDARY_RATIO * float(np.max(probe))
-        # a bar in the normal float range keeps the two reads' rounding relative
-        if float(np.max(probe[[0, 1, -2, -1]])) < bar and bar >= sys.float_info.min:
-            continue
-        ratio = _edge_ratio(_states.state_kernel(xs, n, *column))
+        ratio = _edge_ratio(*_states.state_kernel_window(xs, [n], *column), len(xs))
         if ratio >= BOUNDARY_RATIO:
             raise ScenarioError(f"grid {grid} too small for n={n} at t={t}: "
                                 f"boundary ratio {ratio:.2e}")
-
-
-def _probe_columns(xs, n, scale, x_shift) -> list:
-    """The grid columns the guard reads first for order n of a slice: the
-    four edge columns (_edge_columns), which come first and last, and the
-    columns at or after x_shift + xi/scale for nine xi evenly over
-    [-sqrt(2n + 1), sqrt(2n + 1)], the classically allowed region where the
-    order peaks; ascending, each once."""
-    reach = math.sqrt(2 * n + 1) / scale
-    targets = x_shift + reach * np.linspace(-1.0, 1.0, 9)
-    inside = np.minimum(np.searchsorted(xs, targets), len(xs) - 1)
-    return sorted({*_edge_columns(len(xs)), *inside.tolist()})
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ The suite's checks read every order a scenario asks for at one time from
 one recurrence, and each run_suite call evaluates the scenario's state at
 its times once, for every check that reads it (see run_suite).  Each check
 makes one stacked kernel call per set of times it reads: the closed forms,
-the chain's companion, its image under U_F U0_dagger on the exact path
-(the companion's kernel columns mapped in closed form) and the
+the chain's companion, its image under U_F U0_dagger (the companion's
+kernel columns mapped in closed form, _exact_chain) and the
 uncertainty check's undriven state are one stack over the scenario's
 times each, stationarity's probe times one stack, and the residual's six
 other stencil times one stack per t.
@@ -62,8 +62,9 @@ around it (GridFunction.columns).  Zeros add nothing to a sum, a norm or a
 maximum, so the support window moves results by rounding only: the order of
 summation changes.  The residual's window is 8 columns wider, so the
 five-point stencils and their zeroed edges read on it what they read on the
-whole grid.  The chain's maps write onto windows of their own, each column
-holding the whole grid's bits.
+whole grid.  The chain maps no samples: the maps on samples
+(apply_U0_dagger, apply_UF) are checked against it by
+check_transform_equivalence, outside the suite.
 
 Moments and their DFT read the whole grid: uncertainty pads each time's
 stack of rows with zeros to it, one DFT per stack (_stack_moments).  The
@@ -629,7 +630,6 @@ DEFAULT_THRESHOLDS = {
     "residual": 1e-6,
     "omega_constancy": 1e-8,
     "frequency_map": 1e-12,
-    "transform_chain": 1e-6,
     "transform_chain_exact": 1e-10,
     "closed_form_agreement": 1e-8,
     "uncertainty": 1e-8,
@@ -763,30 +763,19 @@ def _run_frequency_map(ctx: SuiteContext, rows) -> list:
 
 
 def _run_transform_chain(ctx: SuiteContext, rows) -> list:
-    """Both chain paths of every order per t against the direct state, the
-    run's shared window (undriven, the state over null_driven): one window
-    of the companion state (one stack of them at all the times) goes
-    through U0_dagger and U_F on its samples, each map writing onto the
-    window its reads reach, and on its kernel columns (_exact_chain)."""
-    tol_i = DEFAULT_THRESHOLDS["transform_chain"]
-    tol_e = DEFAULT_THRESHOLDS["transform_chain_exact"]
-    model = ctx.model
-    driven = ctx.driven if ctx.driven is not None else null_driven(model)
+    """The chain of every order per t against the direct state, the run's
+    shared window (undriven, the state over null_driven): the companion
+    state's kernel columns at all the times go through U0_dagger and U_F
+    in closed form and are drawn as one stack (_exact_chain)."""
+    tol = DEFAULT_THRESHOLDS["transform_chain_exact"]
+    driven = ctx.driven if ctx.driven is not None else null_driven(ctx.model)
     companion = StateSpec(max(ctx.ns), ctx.hbar, reduced_basis(ctx.basis))
     companions = state_window(companion, ctx.grid, ctx.times, ctx.ns)
     exacts = _exact_chain(driven, companion, companions, ctx.ns, _states.READ_DEPTH)
-    per_t = []
-    for t, direct, g0, chained in zip(ctx.times, rows(), companions, exacts):
-        interp = apply_UF(model, driven, t, apply_U0_dagger(model, t, g0))
-        per_t.append([(float(i), float(e)) for i, e in zip(
-            _chain_distance(interp, direct), _chain_distance(chained, direct))])
-    out = []
-    for n, t, (interp, exact) in _n_then_t(ctx, per_t):
-        out.append(CheckResult(
-            "transform_chain", {"n": n, "t": t, "path": "interp"}, interp, tol_i))
-        out.append(CheckResult(
-            "transform_chain", {"n": n, "t": t, "path": "exact"}, exact, tol_e))
-    return out
+    per_t = [_chain_distance(chained, direct).tolist()
+             for direct, chained in zip(rows(), exacts)]
+    return [CheckResult("transform_chain", {"n": n, "t": t, "path": "exact"}, measured, tol)
+            for n, t, measured in _n_then_t(ctx, per_t)]
 
 
 def _run_closed_form(ctx: SuiteContext, rows) -> list:

@@ -528,6 +528,15 @@ def test_a_read_on_a_panel_point_is_its_built_value(monkeypatch, name):
         assert ctx.driven.slice(ctx.driven.t0)[2] == 0.0
 
 
+def test_a_read_a_subnormal_from_a_panel_point_is_that_points_value(driven_ck):
+    """A time a subnormal away from a panel point (here t0 = 0) overflows the
+    barycentric weights; the read, warning-free, is the point's value."""
+    driven = driven_ck[1]
+    at_t0 = driven.slice(0.0)
+    for t in (5e-324, 2.2250738585072e-309, -1e-310):
+        assert driven.slice(t) == at_t0
+
+
 @pytest.mark.parametrize("what", ["numeric_basis", "driven_path", "delta_legacy"])
 def test_a_read_outside_the_panels_is_a_domain_error(what, lo_basis, driven_ck):
     """Past the domain's ends, beyond check_domain's slack, a panel read

@@ -365,7 +365,7 @@ def test_exact_tabulated_table_verifies(tmp_path, capsys, nodes):
     doc = _tabulated_doc(nodes)
     assert main(["verify", _write(tmp_path, doc)]) == 0
     rows = json.loads(capsys.readouterr().out)
-    assert len(rows) == 49 and all(row["pass"] for row in rows)
+    assert len(rows) == 33 and all(row["pass"] for row in rows)
     [omega] = [row["measured"] for row in rows if row["check"] == "omega_constancy"]
     assert omega < 1e-8
 
@@ -384,7 +384,7 @@ def test_a_driven_tabulated_model_verifies(tmp_path, capsys):
     doc["model"]["params"]["w2"] = (1.0 + 0.2 * np.cos(2.0 * ts)).tolist()
     assert main(["verify", _write(tmp_path, doc)]) == 0
     rows = json.loads(capsys.readouterr().out)
-    assert len(rows) == 65 and all(row["pass"] for row in rows)
+    assert len(rows) == 49 and all(row["pass"] for row in rows)
 
 
 def _driven_lo_doc():
@@ -538,12 +538,15 @@ def test_a_scenario_cannot_set_its_own_threshold(tmp_path, capsys):
 
 
 def test_driven_ck_interpolated_chain_passes_at_n12():
-    """The interpolated chain of the bundled driven_ck scenario keeps inside
-    its 1e-6 gate at n = 12; a natural cubic spline read reaches 2.4e-6."""
+    """The chain on samples (check_transform_equivalence, the oracle of
+    acceptance criterion 3a) keeps inside criterion 3a's 1e-6 at n = 12 on
+    the bundled driven_ck scenario's grid and times; a natural cubic spline
+    read reaches 2.4e-6."""
     doc = load_scenario("driven_ck")
     doc["states"] = [12]
-    results = tdho.verify.run_suite(build_context(doc), ["transform_chain"])
-    interp = [r.measured for r in results if r.params["path"] == "interp"]
+    ctx = build_context(doc)
+    interp = [tdho.verify.check_transform_equivalence(ctx.basis, ctx.driven, 12, t, ctx.grid)
+              for t in ctx.times]
     assert len(interp) == 3 and max(interp) < 1e-6
 
 
@@ -1024,16 +1027,16 @@ def test_the_guard_skips_a_time_by_single_columns(driven_ck):
 
 
 def _counting_reads(monkeypatch):
-    """Patch tdho.states.state_kernel, the kernel the grid guard reads
-    through (state_field), to count its calls."""
+    """Patch tdho.states.state_kernel_window, the kernel read the grid guard
+    decides a time by, to count its calls."""
     calls = []
-    kernel = tdho.states.state_kernel
+    kernel = tdho.states.state_kernel_window
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return kernel(*args)
+        return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(tdho.states, "state_kernel", counting)
+    monkeypatch.setattr(tdho.states, "state_kernel_window", counting)
     return calls
 
 
@@ -1099,10 +1102,10 @@ def _guard_spec(driven_ck, family, n, hbar, C):
        points=st.integers(16, 700))
 def test_the_guard_refuses_exactly_where_the_whole_grid_does(driven_ck, family, n, hbar,
                                                              t, C, centre, half, points):
-    """The guard decides a time from a read of its probe columns where that
-    shows the edges far below the peak, and from the whole grid otherwise:
-    over the draws of the skip test, it refuses exactly the grids whose
-    whole-grid read reaches BOUNDARY_RATIO, with that read's ratio."""
+    """The guard decides a time it reads from its cutoff window at
+    LOG_FLOOR: over the draws of the skip test, it refuses exactly the
+    grids whose whole-grid read reaches BOUNDARY_RATIO, with that read's
+    ratio."""
     spec = _guard_spec(driven_ck, family, n, hbar, C)
     ratio = _guard_verdict_is_the_whole_grids(spec, Grid(centre - half, centre + half,
                                                          points), t)
@@ -1113,9 +1116,8 @@ def test_the_guard_refuses_exactly_where_the_whole_grid_does(driven_ck, family, 
 @pytest.mark.parametrize("n", [0, 12])
 def test_the_guard_decides_at_the_bar_as_the_whole_grid(driven_ck, family, n):
     """Grids whose width brings the whole-grid edge ratio within a factor
-    of 3 of BOUNDARY_RATIO, on both sides of it, where a probe read and the
-    whole grid's could part: the guard refuses exactly where the whole grid
-    reaches the bar."""
+    of 3 of BOUNDARY_RATIO, on both sides of it: the guard refuses exactly
+    where the whole grid reaches the bar."""
     spec = _guard_spec(driven_ck, family, n, 1.0, 1.3)
     t = 4.1
 
@@ -1136,8 +1138,7 @@ def test_the_guard_decides_at_the_bar_as_the_whole_grid(driven_ck, family, n):
 def test_a_bundled_build_reads_its_slices_once_and_never_the_whole_grid(monkeypatch):
     """Each bundled scenario's build reads the kernel columns of all its
     times in one stacked _slice_params call, and the grid guard reads no
-    time at all, on the whole grid or on its probe columns: its bound passes
-    every bundled time."""
+    time at all: its bound passes every bundled time."""
     reads = _counting_reads(monkeypatch)
     stacks = []
     params = tdho.states._slice_params
@@ -1160,9 +1161,9 @@ def test_a_bundled_build_reads_its_slices_once_and_never_the_whole_grid(monkeypa
 def test_a_time_the_bound_does_not_cover_is_read_as_before(monkeypatch, bounds, points):
     """sho_c1's order 3 on a grid whose spacing fails the guard's bound
     (scale dx sqrt(2n + 1) about 1.0 on 64 points over [-12, 12]), or whose
-    edge columns lie inside its READ_DEPTH window ([-8, 8]), takes the
-    probe path at each of its times: the probe columns are read first, and
-    the verdict is the whole grid's."""
+    edge columns lie inside its READ_DEPTH window ([-8, 8]), is read at each
+    of its times: one read of order 3 on the whole grid's points, to
+    LOG_FLOOR, and the verdict is the whole grid's."""
     spec = build_context(load_scenario("sho_c1")).state(3)
     grid = Grid(*bounds, points)
     xs, edges = grid.xs(), _edge_columns(points)
@@ -1177,9 +1178,9 @@ def test_a_time_the_bound_does_not_cover_is_read_as_before(monkeypatch, bounds, 
         with suppress(ScenarioError):
             _validate_grid(SimpleNamespace(state=lambda _: spec, ns=[3], grid=grid,
                                            times=[t]))
-        assert reads, (bounds, t)
-        np.testing.assert_array_equal(
-            reads[0][0], xs[tdho.cli._probe_columns(xs, 3, scale, x_shift)])
+        assert len(reads) == 1, (bounds, t)
+        np.testing.assert_array_equal(reads[0][0], xs)
+        assert reads[0][1] == [3]
 
 
 def test_a_bundled_run_leaves_numpy_ma_unimported():

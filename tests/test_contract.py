@@ -15,8 +15,7 @@ expected failure naming the ROADMAP item that closes it:
   about 4 and whose value is within about 30 times the gate;
 * 1b, residual slices sized from the state's own scales (1a refuses them
   until then): the residual rows further over the gate;
-* 17, the wavenumber guard: driven_ck's late times and small hbar;
-* 2, one slice sizer for every check: driven_ck's interpolated chain rows.
+* 17, the wavenumber guard: driven_ck's late times and small hbar.
 
 A change that mends a row makes its case pass, which fails the run
 (strict): the row then leaves its table.  A row that starts to fail, or a
@@ -37,8 +36,6 @@ SWEEP = ["sho_c1", "sho_c2", "ck", "lo", "driven_sho", "driven_ck"]
 PROBE = ["sho_c1", "ck", "driven_ck"]
 HBARS = [1e-4, 1e-2, 1.0, 100.0]
 ALL = (0, 1, 2, 3)
-# the path of a listed transform_chain row; the exact path passes
-PATH = {"transform_chain": "interp"}
 
 # (scenario, check) -> [(time indices, orders, item)]; orders None: the
 # (check, t) run is refused with GridTooSmallError
@@ -49,7 +46,6 @@ SWEEP_FAILURES = {
     ("driven_ck", "residual"): [((3,), (3,), "13"), ((4,), ALL, "13"),
                                 ((5,), (1, 2, 3), "13"), ((6, 7, 8), ALL, "1b"),
                                 ((9, 10, 11), ALL, "17")],
-    ("driven_ck", "transform_chain"): [((7,), (2, 3), "2"), ((8, 9, 10, 11), ALL, "2")],
     ("driven_ck", "uncertainty"): [((9, 10, 11), None, "17")],
 }
 # (scenario, hbar, check) -> [(indices of the scenario's times, orders, item)]
@@ -88,22 +84,16 @@ def _probe_rows(name, hbar, check):
     return run_suite(build_context({**_doc(name), "hbar": hbar}), [check])
 
 
-def _key(row):
-    """A row's order and chain path (None for the other checks)."""
-    return row.params.get("n"), row.params.get("path")
-
-
-def _listed(check, entries):
-    """{(time index, key): item} of the rows a table lists for check; key
-    None for a refused run."""
-    return {(i, None if n is None else (n, PATH.get(check))): item
-            for times, orders, item in entries
+def _listed(entries):
+    """{(time index, order): item} of the rows a table's entries list;
+    order None for a refused run."""
+    return {(i, n): item for times, orders, item in entries
             for i in times for n in (orders or (None,))}
 
 
-def _row(rows, check, n, t=None):
+def _row(rows, n, t=None):
     """The listed row of order n (at time t, when given) among rows."""
-    found = [r for r in rows if _key(r) == (n, PATH.get(check))
+    found = [r for r in rows if r.params.get("n") == n
              and (t is None or r.params["t"] == t)]
     assert len(found) == 1, (n, t, rows)
     return found[0]
@@ -111,9 +101,8 @@ def _row(rows, check, n, t=None):
 
 def _cases(table, times_of):
     for key, entries in table.items():
-        name, check = key[0], key[-1]
-        for (i, row), item in _listed(check, entries).items():
-            n = None if row is None else row[0]
+        name = key[0]
+        for (i, n), item in _listed(entries).items():
             raises = GridTooSmallError if n is None else AssertionError
             mark = pytest.mark.xfail(strict=True, raises=raises,
                                      reason=f"ROADMAP item {item}")
@@ -124,13 +113,13 @@ def _cases(table, times_of):
 
 def _unexpected(rows, listed, i_of):
     """The rows that fail and are not listed."""
-    return [r for r in rows if not r.passed and (i_of(r), _key(r)) not in listed]
+    return [r for r in rows if not r.passed and (i_of(r), r.params.get("n")) not in listed]
 
 
 @pytest.mark.parametrize("name, check", [(name, check) for name in SWEEP
                                          for check in _doc(name)["checks"]])
 def test_the_sweep_passes_every_row_it_does_not_list(name, check):
-    listed = _listed(check, SWEEP_FAILURES.get((name, check), []))
+    listed = _listed(SWEEP_FAILURES.get((name, check), []))
     for i in range(12):
         if (i, None) in listed:
             continue
@@ -141,7 +130,7 @@ def test_the_sweep_passes_every_row_it_does_not_list(name, check):
 
 @pytest.mark.parametrize("name, check, i, n", _cases(SWEEP_FAILURES, _sweep_times))
 def test_a_listed_sweep_row(name, check, i, n):
-    row = _row(_sweep_rows(name, check, i), check, n)
+    row = _row(_sweep_rows(name, check, i), n)
     assert row.passed, row
 
 
@@ -149,7 +138,7 @@ def test_a_listed_sweep_row(name, check, i, n):
                                                for hbar in HBARS
                                                for check in _doc(name)["checks"]])
 def test_the_hbar_probe_passes_every_row_it_does_not_list(name, hbar, check):
-    listed = _listed(check, PROBE_FAILURES.get((name, hbar, check), []))
+    listed = _listed(PROBE_FAILURES.get((name, hbar, check), []))
     times = _doc(name)["times"]
     rows = _probe_rows(name, hbar, check)
     assert rows
@@ -161,5 +150,5 @@ def test_the_hbar_probe_passes_every_row_it_does_not_list(name, hbar, check):
                          _cases(PROBE_FAILURES, lambda name: _doc(name)["times"]))
 def test_a_listed_hbar_probe_row(name, hbar, check, i, n):
     t = _doc(name)["times"][i]
-    row = _row(_probe_rows(name, hbar, check), check, n, t)
+    row = _row(_probe_rows(name, hbar, check), n, t)
     assert row.passed, row

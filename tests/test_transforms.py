@@ -1,5 +1,7 @@
 """Grid sampling, unitary building blocks, and the composed operators."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -439,6 +441,34 @@ def test_the_column_map_is_the_map_on_samples(driven_ck, fused):
         assert np.max(np.abs(out - formula)) < 1e-14 * peak, (fused.__name__, t)
         samples = fused(*_args(fused, model, drv, t), g._with(g.values, t=t)).columns()
         assert np.max(np.abs(out - samples)) < 1e-11 * peak, (fused.__name__, t)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(gauss_im=st.floats(-0.3, 0.3), scale=st.floats(1.0, 1.5), x_shift=st.floats(-1.0, 1.0),
+       k_lin=st.floats(-1.0, 1.0), phase0=st.floats(-3.0, 3.0), dphase=st.floats(-3.0, 3.0),
+       hbar=st.floats(0.5, 2.0), s=st.floats(0.8, 1.25), d=st.floats(-1.5, 1.5),
+       alpha=st.floats(-0.3, 0.3), k=st.floats(-1.0, 1.0), c=st.floats(-3.0, 3.0))
+def test_the_sample_map_agrees_with_the_column_map(gauss_im, scale, x_shift, k_lin, phase0,
+                                                   dphase, hbar, s, d, alpha, k, c):
+    """The map (s, d, alpha, k, c) on a state's samples (_affine, which no
+    suite row reads) equals its kernel columns mapped (_affine_columns) and
+    drawn, orders 0 and 3, within the six-point rule's remainder: the
+    stencil's node polynomial is at most 3.52 dx^6 between its middle
+    nodes, so the read errs by at most 3.52/720 dx^6 max|psi^(6)|, taken as
+    kappa^6 times the peak for a local wavenumber at most kappa (the
+    chirp's and the boost's over the state's support, plus the Hermite
+    factor's scale sqrt(2n + 1)).  On 1024 points over [-14, 14] that
+    remainder, 7e-10 to 5e-6 of the peak, is far above rounding."""
+    grid = Grid(-14.0, 14.0, 1024)
+    x, orders = grid.xs(), [0, 3]
+    columns = np.array([gauss_im, scale, x_shift, k_lin, phase0, dphase])
+    g = GridFunction(grid, kernel_block(x, orders, *columns), 0.0, hbar=hbar)
+    want = kernel_block(x, orders, *_affine_columns(columns, hbar, s, d, alpha, k, c))
+    out = _affine(g, "map", s, d, alpha, k, c).columns()
+    support = (math.sqrt(7) + 8.0) / scale  # past it |psi| < e^-40 of its peak
+    kappa = abs(k_lin) + 2.0 * abs(gauss_im) * support + scale * math.sqrt(7)
+    remainder = 3.52 / 720 * (kappa * grid.dx) ** 6
+    assert np.max(np.abs(out - want)) <= remainder * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

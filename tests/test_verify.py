@@ -846,23 +846,21 @@ def _high_n_context(name):
 @pytest.mark.parametrize("name", ["sho_c2", "ck", "lo", "driven_sho", "driven_ck",
                                   "ck@high_n", "driven_ck@high_n"])
 def test_suite_chain_matches_check_transform_equivalence(bundled_context, name):
-    """Both paths pushed through the chain as one block of orders equal the
-    per-order public check, also at high_n orders on a grid sized for them."""
+    """The chain's rows, the companion's columns mapped as one block of
+    orders, equal the per-order public check on columns, also at high_n
+    orders on a grid sized for them."""
     if name.endswith("@high_n"):
         ctx = _high_n_context(name.split("@")[0])
         assert ctx.ns == HIGH_N_ORDERS
     else:
         ctx = bundled_context(name)
     rows = _suite_rows(ctx, "transform_chain")
-    assert len(rows) == 2 * len(ctx.ns) * len(ctx.times)
+    assert len(rows) == len(ctx.ns) * len(ctx.times)
     for n in ctx.ns:
         for t in ctx.times:
-            for path in ("interp", "exact"):
-                want = check_transform_equivalence(
-                    ctx.basis, ctx.driven, n, t, ctx.grid, hbar=ctx.hbar,
-                    exact=path == "exact",
-                )
-                assert abs(rows[n, t, path].measured - want) < 1e-12
+            want = check_transform_equivalence(ctx.basis, ctx.driven, n, t, ctx.grid,
+                                               hbar=ctx.hbar, exact=True)
+            assert abs(rows[n, t, "exact"].measured - want) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["driven_sho", "driven_ck"])
@@ -1094,10 +1092,10 @@ def test_residual_order_estimate_of_bundled_scenarios(bundled_results, name):
 
 def test_perturbed_translation_fails_the_suite_chain(monkeypatch, bundled_context):
     """A U_F that translates by 1.001 x_p breaks the driven chain: every
-    driven_sho row of both paths fails.  Both paths read U_F's parameters
-    from its one coefficient function, so the shift is perturbed there
-    once, for the samples and the columns alike; U0_dagger moves no centre
-    (d = 0) and is untouched."""
+    driven_sho row fails.  The chain reads U_F's parameters from its one
+    coefficient function, which the maps on samples read too, so the shift
+    is perturbed there once; U0_dagger moves no centre (d = 0) and is
+    untouched."""
     ctx = bundled_context("driven_sho")
     assert all(r.passed for r in run_suite(ctx, ["transform_chain"]))
     coefficients = tdho.transforms._UF_coefficients
@@ -1108,30 +1106,8 @@ def test_perturbed_translation_fails_the_suite_chain(monkeypatch, bundled_contex
 
     monkeypatch.setattr(tdho.transforms, "_UF_coefficients", off_by_a_permille)
     results = run_suite(ctx, ["transform_chain"])
-    assert len(results) == 2 * len(ctx.ns) * len(ctx.times)
+    assert len(results) == len(ctx.ns) * len(ctx.times)
     assert not any(r.passed for r in results)
-
-
-def test_a_boosted_direct_state_fails_the_exact_chain(monkeypatch, bundled_context):
-    """The exact path maps the companion's own columns, never the direct
-    state's: a driven state whose k_lin is 1.0001 times too large fails
-    every driven_ck exact row where the boost is nonzero (t != 0, as
-    xdot_p(0) = 0), while the companion, undriven, is untouched."""
-    ctx = bundled_context("driven_ck")
-    assert all(r.passed for r in run_suite(ctx, ["transform_chain"]))
-    slice_params = tdho.states._slice_params
-
-    def boosted(spec, t):
-        params = slice_params(spec, t)
-        if spec.driven is not None:
-            params[3] = 1.0001 * params[3]
-        return params
-
-    monkeypatch.setattr(tdho.states, "_slice_params", boosted)
-    exact = [r for r in run_suite(ctx, ["transform_chain"]) if r.params["path"] == "exact"]
-    assert len(exact) == len(ctx.ns) * len(ctx.times) == 12
-    assert [r.params["t"] for r in exact if not r.passed] == [
-        t for _ in ctx.ns for t in ctx.times if t != 0.0]
 
 
 def test_each_run_evaluates_the_shared_block_once_and_afresh(monkeypatch,
@@ -1406,8 +1382,9 @@ def test_each_check_makes_one_kernel_call_per_set_of_times(monkeypatch, bundled_
 def test_each_time_reads_a_view_of_its_stack(monkeypatch, bundled_context):
     """Every window of one time that the checks read from a stacked kernel
     call shares memory with that call's rows: the residual's centre, the
-    chain's direct state and companion, both closed-form windows, the rows
-    the moments read and the stationarity probes.  No stack is copied time
+    chain's direct state, its companion and mapped companion as the chain
+    guards them, both closed-form windows, the rows the moments read and
+    the stationarity probes.  No stack is copied time
     by time."""
     from tdho.cli import load_scenario
 
@@ -1438,13 +1415,18 @@ def test_each_time_reads_a_view_of_its_stack(monkeypatch, bundled_context):
 
     monkeypatch.setattr(tdho.states, "state_kernel_window", recording)
     monkeypatch.setattr(tdho.verify, "_support", support_reads)
-    monkeypatch.setattr(tdho.verify, "apply_U0_dagger",
-                        reading("companion", tdho.verify.apply_U0_dagger))
+    refuse = tdho.verify._refuse_unsupported
+
+    def guarding(op, before, after, *coefficients):
+        reads.extend((("companion", before), ("mapped", after)))
+        return refuse(op, before, after, *coefficients)
+
+    monkeypatch.setattr(tdho.verify, "_refuse_unsupported", guarding)
     monkeypatch.setattr(tdho.verify, "_stack_moments",
                         reading("moments", tdho.verify._stack_moments))
     for name in BUNDLED:
         run_suite(bundled_context(name), load_scenario(name)["checks"])
-    assert {where for where, _ in reads} == {*stacked_args, "companion", "moments"}
+    assert {where for where, _ in reads} == {*stacked_args, "companion", "mapped", "moments"}
     for where, g in reads:
         assert g.values.ndim < stacks[0].ndim
         assert any(np.shares_memory(g.values, stack) for stack in stacks), where
@@ -1453,7 +1435,7 @@ def test_each_time_reads_a_view_of_its_stack(monkeypatch, bundled_context):
 def test_every_window_reads_its_grids_points(monkeypatch, bundled_context):
     """On driven_ck's policy grid, its x_max nudged up by ulps until
     x_min + dx (P - 1) is not x_max, the x of every GridFunction the suite
-    makes (the shared rows, the companion stack, each chain map's output,
+    makes (the shared rows, the companion stack, the chain's mapped stack,
     the rows the moments pad to the whole grid) is its slice of
     linspace(x_min, x_max, P), bit for bit; grid.xs() is one read-only
     array."""
